@@ -381,17 +381,13 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     return cfg
 
 
-def _cmd_fit_only(cfg: RunConfig, outdir) -> None:
-    _cmd_fit(cfg, outdir)
-
-
 def run(cfg: RunConfig) -> int:
     """Execute a validated configuration; returns the process exit status."""
     outdir = Path(cfg.out)
     outdir.mkdir(parents=True, exist_ok=True)
     dispatch = {
         "simulate": _cmd_simulate,
-        "fit": _cmd_fit_only,
+        "fit": _cmd_fit,
         "select": _cmd_select,
         "decompose": _cmd_decompose,
         "forecast": _cmd_forecast,

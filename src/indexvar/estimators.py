@@ -2,11 +2,13 @@
 
 Every fitter alternates closed-form conditional maximizations (OLS steps, and
 a reduced-rank eigenproblem when a cointegration rank is estimated), so the
-Gaussian log-likelihood is non-decreasing across sweeps. The loading-weight
-update rewrites the model with the Vec operator, Vec(ABC) = (C' kron A)Vec(B),
-pulling diagonal coefficients through a binary n^2 x n selection matrix, and
-solves a single stacked regression premultiplied by the inverse square root
-of the innovation covariance.
+Gaussian log-likelihood is non-decreasing across sweeps. All of them run one
+gram-based engine. The loading-weight update rewrites the model with the Vec
+operator, Vec(ABC) = (C' kron A)Vec(B), and solves the normal equations of
+the resulting sigma^-1-weighted regression for (delta, Vec(omega')), which
+only need the n x n cross-products of the data. The explicit row-level
+Vec/Kronecker design, with its binary n^2 x n diagonal selection matrix, is
+kept in tests/rowlevel.py as an independent oracle.
 """
 
 from __future__ import annotations
@@ -36,7 +38,6 @@ from .tscore import (
 __all__ = [
     "FitOptions",
     "FitResult",
-    "diag_selection_matrix",
     "fit_mai",
     "fit_vhari",
     "fit_iaar",
@@ -111,67 +112,12 @@ class FitResult:
 # ---------------------------------------------------------------------------
 
 
-def diag_selection_matrix(n: int) -> np.ndarray:
-    """Binary n^2 x n matrix M with Vec(diag(d)) = M d.
-
-    Column k carries a single 1 in row 1 + (k-1)(n+1) (1-based), the Vec
-    position of the k-th diagonal element.
-    """
-    M = np.zeros((n * n, n))
-    for k in range(n):
-        M[k * (n + 1), k] = 1.0
-    return M
-
-
-def _sym_inv_sqrt(sigma: np.ndarray, diagnostics: dict | None = None) -> np.ndarray:
-    """Symmetric inverse square root with small-eigenvalue ridge repair."""
-    w, V = np.linalg.eigh(sigma)
-    floor = 1e-12 * max(w[-1], 0.0)
-    if floor <= 0.0:
-        raise np.linalg.LinAlgError("covariance has no positive eigenvalues")
-    if w[0] < floor:
-        if diagnostics is not None:
-            diagnostics["ridge_repair"] = True
-        w = np.maximum(w, floor)
-    return (V / np.sqrt(w)) @ V.T
-
-
 def _regress(X: np.ndarray, Y: np.ndarray, ridge: float) -> np.ndarray:
     """Coefficients of Y on X; strict rank check when unpenalized."""
     if ridge > 0.0:
         G = X.T @ X + ridge * np.eye(X.shape[1])
         return np.linalg.solve(G, X.T @ Y)
     return ols(X, Y).coeffs
-
-
-def _solve_stacked(X: np.ndarray, y: np.ndarray, ridge: float) -> np.ndarray:
-    """Least-squares for the stacked step-2 system.
-
-    Uses the normal equations when well conditioned; falls back to a
-    minimum-norm solve, which covers structurally unidentified directions
-    (e.g. omega entering only through a rank-deficient loading).
-    """
-    G = X.T @ X
-    if ridge > 0.0:
-        G = G + ridge * np.eye(X.shape[1])
-    w = np.linalg.eigvalsh(G)
-    if w[0] > 1e-12 * max(w[-1], 1e-300):
-        return np.linalg.solve(G, X.T @ y)
-    theta, *_ = np.linalg.lstsq(X, y, rcond=1e-10)
-    return theta
-
-
-def _vec_omega_block(X: np.ndarray, A: np.ndarray) -> np.ndarray:
-    """Stacked rows of (X_t' kron A), the design block multiplying Vec(omega')."""
-    Te, n = X.shape
-    q = A.shape[1]
-    return np.einsum("tk,im->tikm", X, A).reshape(Te * n, n * q)
-
-
-def _vec_diag_block(X: np.ndarray, S: np.ndarray) -> np.ndarray:
-    """Stacked rows of (X_t' kron S) M, the design block multiplying delta_j."""
-    Te, n = X.shape
-    return np.einsum("tk,ik->tik", X, S).reshape(Te * n, n)
 
 
 def _qr_normalize(omega: np.ndarray):
@@ -203,10 +149,11 @@ def _demean(values: np.ndarray, t0: int, demean: bool):
 #
 # Every conditional-maximization step only touches the data through the n x n
 # cross-products of the data matrices, so those are formed once per fit and
-# each sweep costs O(n^2 q^2) regardless of the sample length. The stacked
-# row-level design (the _vec_* builders above) is kept as the fallback for
-# structurally rank-deficient steps and as the reference construction in the
-# tests.
+# each sweep costs O(n^2 q^2) regardless of the sample length. Step 2 solves
+# the gram normal equations of the Vec-rewritten regression; structurally
+# rank-deficient systems get the minimum-norm solution from the eigenvalues
+# of the same gram. The stacked row-level design never gets built here; it
+# lives in tests/rowlevel.py as the independent reference construction.
 
 
 class _Grams:
@@ -314,7 +261,7 @@ def _sa_engine(
             alphas = [B[pos + j * q: pos + (j + 1) * q].T for j in range(na)]
         else:
             sigma = (UU + UU.T) / (2.0 * Te)
-        trace.append(_loglik_from_sigma(sigma, Te))
+        trace.append(gaussian_loglik(sigma, Te))
         if _converged(trace, opts.tol):
             converged = True
             break
@@ -328,10 +275,7 @@ def _sa_engine(
         if r > 0:
             loadings.append(alpha0 @ gamma.T)
         loadings.extend(alphas)
-        theta = _step2_solve(
-            grams, sinv, loadings, nd, q, estimate_omega, opts,
-            Z, diag_X, ec_X, index_X, alpha0, gamma, alphas, sigma, diagnostics,
-        )
+        theta = _step2_solve(grams, sinv, loadings, nd, q, estimate_omega, opts)
         ds = [theta[j * n: (j + 1) * n] for j in range(nd)]
         if estimate_omega:
             omega = theta[nd * n:].reshape(n, q)
@@ -367,14 +311,6 @@ def _sa_engine(
         "iterations": it,
         "diagnostics": diagnostics,
     }
-
-
-def _loglik_from_sigma(sigma: np.ndarray, Te: int) -> float:
-    m = sigma.shape[0]
-    sign, logdet = np.linalg.slogdet(sigma)
-    if sign <= 0:
-        raise np.linalg.LinAlgError("residual covariance is not positive definite")
-    return -0.5 * Te * (m * np.log(2.0 * np.pi) + logdet + m)
 
 
 def _check_step_rank(M: np.ndarray) -> None:
@@ -416,17 +352,14 @@ def _robust_inverse(sigma: np.ndarray, diagnostics: dict) -> np.ndarray:
         return (V / w) @ V.T
 
 
-def _step2_solve(
-    grams, sinv, loadings, nd, q, estimate_omega, opts,
-    Z, diag_X, ec_X, index_X, alpha0, gamma, alphas, sigma, diagnostics,
-):
+def _step2_solve(grams, sinv, loadings, nd, q, estimate_omega, opts):
     """Solve the stacked Vec regression through its normal equations.
 
-    Falls back to the explicit row-level design (minimum-norm solve) when
-    the gram system is not positive definite, which is how structurally
-    unidentified loading directions are handled.
+    When the gram system is not positive definite (structurally unidentified
+    loading directions), returns its minimum-norm solution: the directions
+    whose eigenvalue falls below 1e-12 of the largest are dropped.
     """
-    n = Z.shape[1]
+    n = grams.mats[0].shape[1]
     k2 = nd * n + (n * q if estimate_omega else 0)
     G2 = np.zeros((k2, k2))
     rhs = np.zeros(k2)
@@ -464,18 +397,9 @@ def _step2_solve(
         return np.linalg.solve(L.T, np.linalg.solve(L, rhs))
     except np.linalg.LinAlgError:
         pass
-    # dense fallback: explicit stacked design, minimum-norm solution
-    S = _sym_inv_sqrt(sigma, diagnostics)
-    blocks = [_vec_diag_block(X, S) for X in diag_X]
-    if estimate_omega:
-        omega_block = np.zeros((Z.shape[0] * n, n * q))
-        cdata = ([ec_X] if ec_X is not None else []) + list(index_X)
-        for X, a in zip(cdata, loadings):
-            omega_block += _vec_omega_block(X, S @ a)
-        blocks.append(omega_block)
-    X2 = np.hstack(blocks)
-    theta, *_ = np.linalg.lstsq(X2, (Z @ S).ravel(), rcond=1e-10)
-    return theta
+    w, V = np.linalg.eigh(G2)
+    keep = w > 1e-12 * w[-1]
+    return V[:, keep] @ ((V[:, keep].T @ rhs) / w[keep])
 
 
 def _rrr_gamma(grams: _Grams, omega, ds, r, Te) -> np.ndarray:
@@ -552,8 +476,9 @@ def fit_mai(
 ) -> FitResult:
     """Switching-algorithm ML fit of the multivariate autoregressive index model.
 
-    Alternates OLS for the loadings given omega with the stacked
-    Vec-rewritten OLS for omega given the loadings. q = n reproduces the
+    Runs the gram engine with the p level lags as index channels:
+    alternates OLS for the loadings given omega with the Vec-rewritten
+    normal equations for omega given the loadings. q = n reproduces the
     unrestricted VAR. The starting omega spans the leading right-singular
     subspace of the stacked OLS VAR coefficients unless supplied.
     """
@@ -569,48 +494,18 @@ def fit_mai(
         raise ValueError("sample too short for the requested lag order")
     Z = values[first:]
     lags = [values[first - j: Y.T - j] for j in range(1, p + 1)]
-    Te = Z.shape[0]
-    _check_sample(Te, n * p)  # the initialization regresses on all n p lags
+    _check_sample(Z.shape[0], n * p)  # the initialization regresses on all n p lags
 
     if omega0 is None:
-        X = np.hstack(lags)
-        C = _regress(X, Z, opts.ridge)
+        C = _regress(np.hstack(lags), Z, opts.ridge)
         stack = np.vstack([C[(j - 1) * n: j * n].T for j in range(1, p + 1)])
         omega0 = _leading_right_singular(stack, q)
-    omega = np.asarray(omega0, float).reshape(n, q)
 
-    diagnostics: dict = {}
-    trace: list[float] = []
-    alphas = [np.zeros((n, q)) for _ in range(p)]
-    converged = False
-    it = 0
-    while it < opts.max_iter:
-        it += 1
-        X1 = np.hstack([X @ omega for X in lags])
-        B = _regress(X1, Z, opts.ridge)
-        resid = Z - X1 @ B
-        alphas = [B[j * q: (j + 1) * q].T for j in range(p)]
-        sigma = resid.T @ resid / Te
-        trace.append(gaussian_loglik(resid, sigma))
-        if _converged(trace, opts.tol):
-            converged = True
-            break
-        if it == opts.max_iter:
-            break
-        S = _sym_inv_sqrt(sigma, diagnostics)
-        X2 = np.zeros((Te * n, n * q))
-        for X, a in zip(lags, alphas):
-            X2 += _vec_omega_block(X, S @ a)
-        theta = _solve_stacked(X2, (Z @ S).ravel(), opts.ridge)
-        omega = theta.reshape(n, q)
-        if opts.normalize:
-            omega, R = _qr_normalize(omega)
-            alphas = [a @ R.T for a in alphas]
-
-    params = MAIParams(omega, alphas, sigma)
+    out = _sa_engine(Z, [], lags, None, q, 0, omega0, None, [], opts)
+    params = MAIParams(out["omega"], out["alphas"], out["sigma"])
     return FitResult(
-        "mai", params, np.asarray(trace), resid, converged, it, first,
-        means={"level": mu}, diagnostics=diagnostics,
+        "mai", params, out["trace"], out["residuals"], out["converged"],
+        out["iterations"], first, means={"level": mu}, diagnostics=out["diagnostics"],
     )
 
 
@@ -730,7 +625,7 @@ def _fit_diagonal_var(Y: Panel, Z, diag_X, first, mu) -> FitResult:
             ds[j][i] = c
         resid[:, i] = Z[:, i] - Xi @ coef
     sigma = resid.T @ resid / Te
-    ll = gaussian_loglik(resid, sigma)
+    ll = gaussian_loglik(sigma, Te)
     params = IAARParams(ds, [], np.zeros((n, 0)), sigma)
     return FitResult(
         "iaar", params, np.asarray([ll]), resid, True, 1, first, means={"level": mu},
@@ -828,7 +723,7 @@ def johansen_rrr(
         alpha0 = np.zeros((n, 0))
         pis = []
     sigma = resid.T @ resid / Te
-    ll = gaussian_loglik(resid, sigma)
+    ll = gaussian_loglik(sigma, Te)
     params = VECMParams(alpha0, beta if r else np.zeros((n, 0)), pis, sigma)
     return FitResult(
         "vecm", params, np.asarray([ll]), resid, True, 1, first,
@@ -970,14 +865,13 @@ def fit_vecim(
     demean: bool = True,
     t_start: int | None = None,
 ) -> FitResult:
-    """Direct fit of the vector error-correction index model.
+    """Fit of the vector error-correction index model.
 
     dY_t = alpha0 gamma' f_{t-1} + sum_{j<p} alpha_j df_{t-j} + e_t with
-    f = omega'Y. Same model as fit_ciaar with p = 0 and s = p, but coded as
-    an independent row-level switching loop; the two routes agree to
-    numerical precision, which the tests exercise as a nesting identity.
+    f = omega'Y. This is fit_ciaar with no diagonal channel and s = p, run
+    from the same init_ciaar start and labelled "vecim". The row-level
+    Vec/Kronecker loop in tests/rowlevel.py is the independent check of it.
     """
-    opts = opts or FitOptions()
     n = Y.n
     if not 1 <= q < n:
         raise ValueError(f"need 1 <= q < n, got q={q}")
@@ -985,82 +879,9 @@ def fit_vecim(
         raise ValueError(f"need 0 <= r <= q, got r={r}")
     if p < 1:
         raise ValueError("need p >= 1")
-    na = p - 1
-    levels, mu_level = _demean(Y.values, Y.t0, demean)
-    dvalues = np.diff(Y.values, axis=0)
-    dvalues, mu_diff = _demean(dvalues, max(Y.t0 - 1, 0), demean)
-    first = max(Y.t0 + na + 1, t_start if t_start is not None else 0)
-    T = Y.T
-    Z = dvalues[first - 1:]
-    Te = Z.shape[0]
-    index_X = [dvalues[first - 1 - j: T - 1 - j] for j in range(1, na + 1)]
-    ec_X = levels[first - 1: T - 1]
-    _check_sample(Te, r + na * q)
-
-    gamma0, omega, _ = init_ciaar(Y, 0, p, q, r, demean=demean)
-    gamma_fixed = r == q
-    gamma = np.eye(q)[:, :r] if gamma_fixed else gamma0
-    diagnostics: dict = {}
-    trace: list[float] = []
-    alpha0 = np.zeros((n, r))
-    alphas = [np.zeros((n, q)) for _ in range(na)]
-    converged = False
-    it = 0
-    while it < opts.max_iter:
-        it += 1
-        regs = ([ec_X @ (omega @ gamma)] if r else []) + [X @ omega for X in index_X]
-        if regs:
-            X1 = np.hstack(regs)
-            B = _regress(X1, Z, opts.ridge)
-            resid = Z - X1 @ B
-            alpha0 = B[:r].T
-            alphas = [B[r + j * q: r + (j + 1) * q].T for j in range(na)]
-        else:
-            resid = Z
-        sigma = resid.T @ resid / Te
-        trace.append(gaussian_loglik(resid, sigma))
-        if _converged(trace, opts.tol):
-            converged = True
-            break
-        if it == opts.max_iter or (r == 0 and na == 0):
-            converged = r == 0 and na == 0
-            break
-        S = _sym_inv_sqrt(sigma, diagnostics)
-        X2 = np.zeros((Te * n, n * q))
-        if r:
-            X2 += _vec_omega_block(ec_X, S @ (alpha0 @ gamma.T))
-        for X, a in zip(index_X, alphas):
-            X2 += _vec_omega_block(X, S @ a)
-        theta = _solve_stacked(X2, (Z @ S).ravel(), opts.ridge)
-        omega = theta.reshape(n, q)
-        if opts.normalize:
-            omega, R = _qr_normalize(omega)
-            alphas = [a @ R.T for a in alphas]
-            if r and not gamma_fixed:
-                gamma = R @ gamma
-        if 0 < r < q:
-            gamma = _vecim_rrr_gamma(Z, index_X, ec_X, omega, r, Te)
-
-    if 0 < r < q:
-        gamma, alpha0 = _normalize_gamma(gamma, alpha0, diagnostics)
-    params = CIAARParams([], alpha0, gamma, omega, alphas, sigma)
-    return FitResult(
-        "vecim", params, np.asarray(trace), resid, converged, it, first,
-        means={"level": mu_level, "diff": mu_diff}, diagnostics=diagnostics,
-    )
-
-
-def _vecim_rrr_gamma(Z, index_X, ec_X, omega, r, Te):
-    """Row-level reduced-rank eigenstep used by the direct VECIM route."""
-    ecf = ec_X @ omega
-    if index_X:
-        F = np.hstack([X @ omega for X in index_X])
-        R0 = Z - F @ np.linalg.lstsq(F, Z, rcond=None)[0]
-        R1 = ecf - F @ np.linalg.lstsq(F, ecf, rcond=None)[0]
-    else:
-        R0, R1 = Z, ecf
-    vals, vecs = _solve_rrr_eig(R0.T @ R0 / Te, R0.T @ R1 / Te, R1.T @ R1 / Te)
-    return fix_signs(vecs[:, :r])
+    fit = fit_ciaar(Y, 0, p, q, r, opts=opts, demean=demean, t_start=t_start)
+    fit.model = "vecim"
+    return fit
 
 
 # ---------------------------------------------------------------------------
@@ -1141,7 +962,7 @@ def fit_drvar_coeffs(
             diagnostics["gls_fallback"] = True
     resid = Z - Xf @ np.vstack([(omega @ ph).T for ph in phis])
     sigma = resid.T @ resid / Te
-    ll = gaussian_loglik(resid, sigma)
+    ll = gaussian_loglik(sigma, Te)
     params = DRVARParams(omega, phis, sigma)
     return FitResult(
         "drvar", params, np.asarray([ll]), resid, True, 1, first,

@@ -119,27 +119,30 @@ class RegressionOut:
 
     sigma is the 1/T_eff residual covariance and loglik the Gaussian
     log-likelihood evaluated at that covariance,
-    -(T_eff/2) * (m log 2pi + log det sigma + m).
+    -(T_eff/2) * (m log 2pi + log det sigma + m). An exact fit is a valid
+    regression, so loglik is evaluated on access and raises only then.
     """
 
     coeffs: np.ndarray
     residuals: np.ndarray
     sigma: np.ndarray
-    loglik: float
+
+    @property
+    def loglik(self) -> float:
+        return gaussian_loglik(self.sigma, self.residuals.shape[0])
 
 
-def gaussian_loglik(residuals: np.ndarray, sigma: np.ndarray | None = None) -> float:
-    """Concentrated Gaussian log-likelihood of a residual matrix.
+def gaussian_loglik(sigma: np.ndarray, T: int) -> float:
+    """Concentrated Gaussian log-likelihood at a 1/T residual covariance.
 
-    With sigma equal to the 1/T residual covariance the quadratic form
-    collapses to m, giving -(T/2)(m log 2pi + log det sigma + m).
+    The quadratic form collapses to m, giving
+    -(T/2)(m log 2pi + log det sigma + m). Raises LinAlgError when sigma is
+    not positive definite.
     """
-    T, m = residuals.shape
-    if sigma is None:
-        sigma = residuals.T @ residuals / T
+    m = sigma.shape[0]
     sign, logdet = np.linalg.slogdet(sigma)
     if sign <= 0:
-        return np.inf  # exactly singular covariance: a perfect (degenerate) fit
+        raise np.linalg.LinAlgError("residual covariance is not positive definite")
     return -0.5 * T * (m * np.log(2.0 * np.pi) + logdet + m)
 
 
@@ -161,9 +164,7 @@ def ols(X: np.ndarray, Y: np.ndarray) -> RegressionOut:
         )
     coeffs, *_ = np.linalg.lstsq(X, Y, rcond=None)
     resid = Y - X @ coeffs
-    T = X.shape[0]
-    sigma = resid.T @ resid / T
-    return RegressionOut(coeffs, resid, sigma, gaussian_loglik(resid, sigma))
+    return RegressionOut(coeffs, resid, resid.T @ resid / X.shape[0])
 
 
 def build_lag_matrix(

@@ -3,7 +3,8 @@ import pytest
 
 from indexvar.estimators import (
     FitOptions,
-    diag_selection_matrix,
+    _Grams,
+    _step2_solve,
     fit_ciaar,
     fit_drvar_coeffs,
     fit_drvar_omega,
@@ -14,9 +15,6 @@ from indexvar.estimators import (
     init_ciaar,
     johansen_rrr,
     _svd_truncate,
-    _sym_inv_sqrt,
-    _vec_diag_block,
-    _vec_omega_block,
 )
 from indexvar.simulate import (
     draw_shocks,
@@ -32,6 +30,14 @@ from indexvar.simulate import (
     simulate_vhari,
 )
 from indexvar.tscore import Panel, har_aggregates, ols, subspace_distance
+from rowlevel import (
+    ciaar_inputs,
+    diag_selection_matrix,
+    row_level_sa,
+    sym_inv_sqrt,
+    vec_diag_block,
+    vec_omega_block,
+)
 
 
 def monotone(trace, slack=1e-8):
@@ -81,6 +87,19 @@ class TestFitMai:
         fit = fit_mai(Y, 1, 1)
         direct = fit.residuals.T @ fit.residuals / fit.T_eff
         assert np.abs(fit.params.sigma - direct).max() < 1e-10
+
+    @pytest.mark.parametrize("n,p,q", [(6, 1, 2), (20, 2, 2)])
+    def test_matches_row_level_oracle(self, n, p, q):
+        params = random_mai_params(n, q, p, seed=n)
+        Y = simulate_mai(params, 1000, seed=p)
+        fit = fit_mai(Y, p, q)
+        Z = Y.values - fit.means["level"]
+        lags = [Z[p - j: Y.T - j] for j in range(1, p + 1)]
+        # one sweep stops before step 2, so omega is still the SVD start
+        omega0 = fit_mai(Y, p, q, opts=FitOptions(max_iter=1)).params.omega
+        ref = row_level_sa(Z[p:], lags, None, omega0, None, 0, FitOptions())
+        assert abs(fit.loglik - ref["trace"][-1]) < 1e-12 * abs(ref["trace"][-1])
+        assert subspace_distance(fit.params.omega, ref["omega"]) < 1e-10
 
     def test_bad_orders_rejected(self):
         Y = Panel(np.random.default_rng(7).standard_normal((50, 3)))
@@ -226,7 +245,7 @@ class TestFitCiaar:
 
     def test_unidentified_omega_direction_handled(self):
         # with s = 1 the weights enter only through the rank-r EC loading,
-        # leaving omega directions unidentified; the minimum-norm fallback
+        # leaving omega directions unidentified; the gram minimum-norm solve
         # keeps the sweep monotone
         params = random_ciaar_params(6, 2, 1, 2, 1, seed=0)
         Y = simulate_ciaar(params, 800, seed=1)
@@ -249,13 +268,13 @@ class TestStep2Rewrite:
         rng = np.random.default_rng(0)
         n, q, Te = 4, 2, 9
         M = diag_selection_matrix(n)
-        S = _sym_inv_sqrt(np.eye(n) + 0.1 * np.diag(np.arange(n) + 1.0), {})
+        S = sym_inv_sqrt(np.eye(n) + 0.1 * np.diag(np.arange(n) + 1.0))
         X = rng.standard_normal((Te, n))
         A = rng.standard_normal((n, q))
         explicit_diag = np.vstack([np.kron(X[t][None, :], S) @ M for t in range(Te)])
         explicit_vec = np.vstack([np.kron(X[t][None, :], S @ A) for t in range(Te)])
-        assert np.abs(_vec_diag_block(X, S) - explicit_diag).max() < 1e-14
-        assert np.abs(_vec_omega_block(X, S @ A) - explicit_vec).max() < 1e-14
+        assert np.abs(vec_diag_block(X, S) - explicit_diag).max() < 1e-14
+        assert np.abs(vec_omega_block(X, S @ A) - explicit_vec).max() < 1e-14
 
     def test_selection_matrix_extracts_diagonal(self):
         n = 5
@@ -274,11 +293,11 @@ class TestStep2Rewrite:
             diag_X = [rng.standard_normal((Te, n)) for _ in range(nd)]
             index_X = [rng.standard_normal((Te, n)) for _ in range(na)]
             ec_X = rng.standard_normal((Te, n))
-            S = _sym_inv_sqrt(params.sigma, {})
-            blocks = [_vec_diag_block(X, S) for X in diag_X]
-            ob = _vec_omega_block(ec_X, S @ (params.alpha0 @ params.gamma.T))
+            S = sym_inv_sqrt(params.sigma)
+            blocks = [vec_diag_block(X, S) for X in diag_X]
+            ob = vec_omega_block(ec_X, S @ (params.alpha0 @ params.gamma.T))
             for X, a in zip(index_X, params.alphas):
-                ob = ob + _vec_omega_block(X, S @ a)
+                ob = ob + vec_omega_block(X, S @ a)
             blocks.append(ob)
             design = np.hstack(blocks)
             theta = np.concatenate([np.concatenate(params.ds), params.omega.ravel()])
@@ -290,6 +309,24 @@ class TestStep2Rewrite:
             for a, X in zip(params.alphas, index_X):
                 direct -= (X @ params.omega) @ a.T
             assert np.abs(step2.reshape(Te, n) - direct @ S).max() < 1e-12
+
+    def test_gram_min_norm_matches_row_level_lstsq(self):
+        # s = 1 and 0 < r < q: omega enters only through the rank-1 EC loading
+        # alpha0 gamma', so the step-2 gram is singular and the engine takes
+        # the minimum-norm solution of its eigen-truncated normal equations
+        params = random_ciaar_params(6, 2, 1, 2, 2, seed=0)
+        loading = params.alpha0 @ params.gamma.T
+        sinv = np.linalg.inv(params.sigma)
+        S = sym_inv_sqrt(params.sigma)
+        for seed in range(20):
+            Y = simulate_ciaar(params, 1000, seed=seed)
+            Z, diag_X, _, ec_X = ciaar_inputs(Y, 1, 0)
+            grams = _Grams(Z, diag_X, ec_X, [])
+            theta = _step2_solve(grams, sinv, [loading], 1, 2, True, FitOptions())
+            X2 = np.hstack([vec_diag_block(diag_X[0], S), vec_omega_block(ec_X, S @ loading)])
+            assert np.linalg.matrix_rank(X2) < X2.shape[1]
+            ref = np.linalg.lstsq(X2, (Z @ S).ravel(), rcond=1e-10)[0]
+            assert np.abs(theta - ref).max() < 1e-10 * np.abs(ref).max()
 
 
 class TestJohansen:

@@ -8,6 +8,7 @@ from indexvar.tscore import (
     build_lag_matrix,
     companion_matrix,
     companion_spectral_radius,
+    gaussian_loglik,
     har_aggregates,
     ols,
     orth_complement,
@@ -80,6 +81,18 @@ class TestOls:
         )
         assert abs(out.loglik - expected) < 1e-8
         assert np.abs(out.sigma - out.residuals.T @ out.residuals / T).max() < 1e-12
+
+
+class TestGaussianLoglik:
+    def test_singular_sigma_raises(self):
+        with pytest.raises(np.linalg.LinAlgError, match="not positive definite"):
+            gaussian_loglik(np.diag([1.0, 0.0]), 50)
+
+    def test_exact_fit_regression_raises_only_for_loglik(self):
+        y = np.arange(1.0, 9.0).reshape(8, 1)
+        out = ols(y, y)
+        with pytest.raises(np.linalg.LinAlgError):
+            out.loglik
 
 
 class TestAutocov:
