@@ -149,52 +149,40 @@ def _demean(values: np.ndarray, t0: int, demean: bool):
 #
 # Every conditional-maximization step only touches the data through the n x n
 # cross-products of the data matrices, so those are formed once per fit and
-# each sweep costs O(n^2 q^2) regardless of the sample length. Step 2 solves
-# the gram normal equations of the Vec-rewritten regression; structurally
-# rank-deficient systems get the minimum-norm solution from the eigenvalues
-# of the same gram. The stacked row-level design never gets built here; it
-# lives in tests/rowlevel.py as the independent reference construction.
+# no sweep depends on the sample length. Each step is assembled by a few
+# batched products over the stacked gram tensor: step 1 and step 3 cost
+# O((C n)^2 C q) for C vec channels, and step 2 is dominated by the Cholesky
+# of its (nd n + n q)-square normal equations, O(n^3 (nd + q)^3) per sweep.
+# Structurally rank-deficient step-2 systems get the minimum-norm solution
+# from the eigenvalues of the same gram. The stacked row-level design never
+# gets built here; it lives in tests/rowlevel.py as the independent reference
+# construction.
 
 
 class _Grams:
-    """Cross-products X_a' X_b of the target, diagonal, EC, and index data."""
+    """Cross-products X_a' X_b of the target, diagonal, EC, and index data.
+
+    G[a, b] = X_a' X_b with the blocks ordered target, diagonal lags, then
+    the vec channels (the EC block when present, then the index lags).
+    Gcc lays the vec-channel grams out as one (C n) x (C n) matrix.
+    """
 
     def __init__(self, Z, diag_X, ec_X, index_X):
-        self.mats = [Z] + list(diag_X) + ([ec_X] if ec_X is not None else []) + list(index_X)
-        self.nd = len(diag_X)
-        k = len(self.mats)
-        n = Z.shape[1]
-        self.G = np.empty((k, k, n, n))
-        for a in range(k):
-            for b in range(a, k):
-                gab = self.mats[a].T @ self.mats[b]
-                self.G[a, b] = gab
-                if b != a:
-                    self.G[b, a] = gab.T
-
-    def z(self) -> int:
-        return 0
-
-    def d(self, j: int) -> int:
-        return 1 + j
-
-    def c(self, c: int) -> int:
-        # vec channels: the EC block (when present) comes first, then the lags
-        return 1 + self.nd + c
+        mats = [Z] + list(diag_X) + ([ec_X] if ec_X is not None else []) + list(index_X)
+        k, n = len(mats), Z.shape[1]
+        X = np.hstack(mats)
+        XtX = X.T @ X
+        self.n, self.nd = n, len(diag_X)
+        self.G = XtX.reshape(k, n, k, n).transpose(0, 2, 1, 3).copy()
+        self.Gcc = XtX[(1 + self.nd) * n:, (1 + self.nd) * n:].copy()
 
 
 def _target_grams(g: _Grams, ds: list):
     """U'U and X_a'U for U = Z - sum_j X_j diag(d_j), for every data block a."""
-    k = len(g.mats)
-    zi = g.z()
-    GU = [g.G[a, zi].copy() for a in range(k)]          # X_a' U
-    for j, d in enumerate(ds):
-        dj = g.d(j)
-        for a in range(k):
-            GU[a] -= g.G[a, dj] * d[None, :]
-    UU = GU[zi].copy()
-    for j, d in enumerate(ds):
-        UU -= (d[:, None] * GU[g.d(j)])
+    nd = g.nd
+    D = np.asarray(ds).reshape(nd, g.n)
+    GU = g.G[:, 0] - np.einsum("ajkl,jl->akl", g.G[:, 1: 1 + nd], D)   # X_a' U
+    UU = GU[0] - np.einsum("jk,jkl->kl", D, GU[1: 1 + nd])
     return UU, GU
 
 
@@ -216,6 +204,9 @@ def _sa_engine(
     index_X the loadings alpha_j omega', and ec_X (levels) the
     error-correction term alpha0 gamma' omega'. gamma is fixed to I_q when
     r == q and estimated by the reduced-rank eigenstep when 0 < r < q.
+    diagnostics["stop"] says why the sweeps ended: "tol" (converged),
+    "max_iter" (the sweep cap, not converged), or "no_free_params" (nothing
+    beyond the loadings to estimate, so one OLS step is the fit).
     """
     Te, n = Z.shape
     nd, na = len(diag_X), len(index_X)
@@ -236,13 +227,10 @@ def _sa_engine(
     trace: list[float] = []
     alpha0 = np.zeros((n, r))
     alphas = [np.zeros((n, q)) for _ in range(na)]
-    converged = False
-    it = 0
+    UU, GU = _target_grams(grams, ds)                  # refreshed whenever D moves
 
-    while it < opts.max_iter:
-        it += 1
+    for it in range(1, opts.max_iter + 1):
         # Step 1: OLS for (alpha0, alphas) and sigma given (gamma, omega, D)
-        UU, GU = _target_grams(grams, ds)
         weights = []                                   # regressor = X_c @ W_c
         if r > 0:
             weights.append(omega @ gamma)
@@ -263,10 +251,12 @@ def _sa_engine(
             sigma = (UU + UU.T) / (2.0 * Te)
         trace.append(gaussian_loglik(sigma, Te))
         if _converged(trace, opts.tol):
-            converged = True
-            break
-        if it == opts.max_iter or (nd == 0 and not estimate_omega):
-            converged = nd == 0 and not estimate_omega
+            diagnostics["stop"] = "tol"
+        elif nd == 0 and not estimate_omega:
+            diagnostics["stop"] = "no_free_params"
+        elif it == opts.max_iter:
+            diagnostics["stop"] = "max_iter"
+        if "stop" in diagnostics:
             break
 
         # Step 2: weighted OLS for (Vec(omega'), delta) given the rest
@@ -276,7 +266,9 @@ def _sa_engine(
             loadings.append(alpha0 @ gamma.T)
         loadings.extend(alphas)
         theta = _step2_solve(grams, sinv, loadings, nd, q, estimate_omega, opts)
-        ds = [theta[j * n: (j + 1) * n] for j in range(nd)]
+        if nd:
+            ds = [theta[j * n: (j + 1) * n] for j in range(nd)]
+            UU, GU = _target_grams(grams, ds)
         if estimate_omega:
             omega = theta[nd * n:].reshape(n, q)
             if opts.normalize:
@@ -287,7 +279,7 @@ def _sa_engine(
 
         # Step 3: reduced-rank eigenstep for gamma given (omega, D)
         if 0 < r < q:
-            gamma = _rrr_gamma(grams, omega, ds, r, Te)
+            gamma = _rrr_gamma(grams, omega, UU, GU, r, Te)
 
     # one dense pass for the residuals at the final parameters
     resid = Z.copy()
@@ -307,7 +299,7 @@ def _sa_engine(
         "sigma": sigma,
         "residuals": resid,
         "trace": np.asarray(trace),
-        "converged": converged,
+        "converged": diagnostics["stop"] != "max_iter",
         "iterations": it,
         "diagnostics": diagnostics,
     }
@@ -322,19 +314,19 @@ def _check_step_rank(M: np.ndarray) -> None:
         )
 
 
-def _normal_blocks(grams: _Grams, weights: list, GU: list):
-    """X1'X1 and X1'U for regressors X_c @ W_c, from the cross grams."""
-    kdims = [w.shape[1] for w in weights]
-    ktot = sum(kdims)
-    M = np.empty((ktot, ktot))
-    v = np.empty((ktot, grams.mats[0].shape[1]))
-    offs = np.concatenate([[0], np.cumsum(kdims)])
-    for a, Wa in enumerate(weights):
-        ia = grams.c(a)
-        v[offs[a]: offs[a + 1]] = Wa.T @ GU[ia]
-        for b, Wb in enumerate(weights):
-            M[offs[a]: offs[a + 1], offs[b]: offs[b + 1]] = Wa.T @ grams.G[ia, grams.c(b)] @ Wb
-    return M, v
+def _normal_blocks(grams: _Grams, weights: list, GU: np.ndarray):
+    """X1'X1 and X1'U for X1 = [X_c @ W_c], one weight per vec channel.
+
+    The weights form the block-diagonal Wb, so X1'X1 = Wb' Gcc Wb and
+    X1'U = Wb' [X_c'U] in two products over the stacked channel grams.
+    """
+    n = grams.n
+    Wb = np.zeros((len(weights) * n, sum(w.shape[1] for w in weights)))
+    col = 0
+    for c, w in enumerate(weights):
+        Wb[c * n: (c + 1) * n, col: col + w.shape[1]] = w
+        col += w.shape[1]
+    return Wb.T @ grams.Gcc @ Wb, Wb.T @ GU[1 + grams.nd:].reshape(-1, n)
 
 
 def _robust_inverse(sigma: np.ndarray, diagnostics: dict) -> np.ndarray:
@@ -355,43 +347,32 @@ def _robust_inverse(sigma: np.ndarray, diagnostics: dict) -> np.ndarray:
 def _step2_solve(grams, sinv, loadings, nd, q, estimate_omega, opts):
     """Solve the stacked Vec regression through its normal equations.
 
-    When the gram system is not positive definite (structurally unidentified
-    loading directions), returns its minimum-norm solution: the directions
-    whose eigenvalue falls below 1e-12 of the largest are dropped.
+    For theta = (delta_1..delta_nd, Vec(omega')) the blocks are
+    G_jl * sinv (Hadamard) between diagonals, sum_ab G_ab kron W_ab with
+    W_ab = a_a' sinv a_b for omega, and the matching cross terms, each formed
+    in one batched product over the gram tensor. When the gram system is not
+    positive definite (structurally unidentified loading directions), returns
+    its minimum-norm solution: the directions whose eigenvalue falls below
+    1e-12 of the largest are dropped.
     """
-    n = grams.mats[0].shape[1]
-    k2 = nd * n + (n * q if estimate_omega else 0)
-    G2 = np.zeros((k2, k2))
-    rhs = np.zeros(k2)
-    zi = grams.z()
-    for j in range(nd):
-        dj = grams.d(j)
-        rhs[j * n: (j + 1) * n] = np.diag(grams.G[dj, zi] @ sinv)
-        for l in range(j, nd):
-            blk = grams.G[dj, grams.d(l)] * sinv
-            G2[j * n: (j + 1) * n, l * n: (l + 1) * n] = blk
-            if l != j:
-                G2[l * n: (l + 1) * n, j * n: (j + 1) * n] = blk.T
+    n, G = grams.n, grams.G
+    ow = nd * n                                     # start of the Vec(omega') block
+    k2 = ow + (n * q if estimate_omega else 0)
+    dd, cc = slice(1, 1 + nd), slice(1 + nd, None)
+    G2 = np.empty((k2, k2))
+    rhs = np.empty(k2)
+    G2[:ow, :ow] = (G[dd, dd] * sinv).transpose(0, 2, 1, 3).reshape(ow, ow)
+    rhs[:ow] = np.einsum("jik,ki->ji", G[dd, 0], sinv).ravel()
     if estimate_omega:
-        ow = nd * n
-        sinv_a = [sinv @ a for a in loadings]
-        Gww = np.zeros((n * q, n * q))
-        rw = np.zeros((n, q))
-        for c, ac in enumerate(loadings):
-            ic = grams.c(c)
-            rw += grams.G[ic, zi] @ sinv_a[c]
-            for c2 in range(len(loadings)):
-                Gww += np.kron(grams.G[ic, grams.c(c2)], ac.T @ sinv_a[c2])
-        G2[ow:, ow:] = Gww
-        rhs[ow:] = rw.ravel()
-        for j in range(nd):
-            cross = np.zeros((n, n * q))
-            for c, ac in enumerate(loadings):
-                cross += np.einsum("kK,km->kKm", grams.G[grams.d(j), grams.c(c)], sinv_a[c]).reshape(n, n * q)
-            G2[j * n: (j + 1) * n, ow:] = cross
-            G2[ow:, j * n: (j + 1) * n] = cross.T
+        A = np.asarray(loadings)                    # (C, n, q) channel loadings a_c
+        SA = sinv @ A
+        W = np.einsum("aiq,bir->abqr", A, SA)
+        G2[ow:, ow:] = np.einsum("abij,abkl->ikjl", G[cc, cc], W).reshape(n * q, n * q)
+        G2[:ow, ow:] = np.einsum("jckK,ckm->jkKm", G[dd, cc], SA).reshape(ow, n * q)
+        G2[ow:, :ow] = G2[:ow, ow:].T
+        rhs[ow:] = np.einsum("aik,akq->iq", G[cc, 0], SA).ravel()
     if opts.ridge > 0.0:
-        G2 = G2 + opts.ridge * np.eye(k2)
+        G2 += opts.ridge * np.eye(k2)
     try:
         L = np.linalg.cholesky(G2)
         return np.linalg.solve(L.T, np.linalg.solve(L, rhs))
@@ -402,41 +383,24 @@ def _step2_solve(grams, sinv, loadings, nd, q, estimate_omega, opts):
     return V[:, keep] @ ((V[:, keep].T @ rhs) / w[keep])
 
 
-def _rrr_gamma(grams: _Grams, omega, ds, r, Te) -> np.ndarray:
+def _rrr_gamma(grams: _Grams, omega, UU, GU, r, Te) -> np.ndarray:
     """Eigenvectors of S11^-1 S10 S00^-1 S01 for the r largest eigenvalues.
 
     R0 and R1 are the residuals of the diagonal-adjusted targets and of the
     lagged index levels on the lagged index differences; all moments come
-    from the cross grams.
+    from the cross grams and the target grams (UU, GU) at the current D.
+    With every vec channel weighted by omega, the step-1 normal blocks hold
+    E'E, E'U (E = ec_X omega, the first channel) and F'F, F'U, F'E (F the
+    weighted index lags).
     """
-    n = grams.mats[0].shape[1]
-    na = len(grams.mats) - 2 - grams.nd            # index channels after Z, D, EC
-    UU, GU = _target_grams(grams, ds)
-    iec = grams.c(0)
-    E_U = omega.T @ GU[iec]                        # E'U with E = ec_X omega
-    E_E = omega.T @ grams.G[iec, iec] @ omega
-    if na > 0:
-        q = omega.shape[1]
-        FF = np.empty((na * q, na * q))
-        FU = np.empty((na * q, n))
-        FE = np.empty((na * q, omega.shape[1]))
-        for a in range(na):
-            ia = grams.c(1 + a)
-            FU[a * q: (a + 1) * q] = omega.T @ GU[ia]
-            FE[a * q: (a + 1) * q] = omega.T @ grams.G[ia, iec] @ omega
-            for b in range(na):
-                FF[a * q: (a + 1) * q, b * q: (b + 1) * q] = (
-                    omega.T @ grams.G[ia, grams.c(1 + b)] @ omega
-                )
-        sol_U = np.linalg.lstsq(FF, FU, rcond=None)[0]
-        sol_E = np.linalg.lstsq(FF, FE, rcond=None)[0]
-        S00 = (UU - FU.T @ sol_U) / Te
-        S01 = (E_U - FE.T @ sol_U).T / Te
-        S11 = (E_E - FE.T @ sol_E) / Te
-    else:
-        S00 = UU / Te
-        S01 = E_U.T / Te
-        S11 = E_E / Te
+    n, q = omega.shape
+    M, v = _normal_blocks(grams, [omega] * (grams.Gcc.shape[0] // n), GU)
+    FF, FE, FU = M[q:, q:], M[q:, :q], v[q:]
+    sol = np.linalg.lstsq(FF, np.hstack([FU, FE]), rcond=None)[0]
+    sol_U, sol_E = sol[:, :n], sol[:, n:]
+    S00 = (UU - FU.T @ sol_U) / Te
+    S01 = (v[:q] - FE.T @ sol_U).T / Te
+    S11 = (M[:q, :q] - FE.T @ sol_E) / Te
     S00 = (S00 + S00.T) / 2.0
     S11 = (S11 + S11.T) / 2.0
     vals, vecs = _solve_rrr_eig(S00, S01, S11)

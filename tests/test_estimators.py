@@ -4,7 +4,9 @@ import pytest
 from indexvar.estimators import (
     FitOptions,
     _Grams,
+    _normal_blocks,
     _step2_solve,
+    _target_grams,
     fit_ciaar,
     fit_drvar_coeffs,
     fit_drvar_omega,
@@ -212,13 +214,30 @@ class TestFitCiaar:
             assert fit.converged, f"r={r}"
 
     def test_vecim_special_case(self):
+        # the VECIM through the gram engine against the row-level
+        # Vec/Kronecker loop, both from the Johansen/SVD start
         params = random_ciaar_params(5, 2, 1, 0, 2, seed=3)
         Y = simulate_ciaar(params, 1200, seed=4)
-        a = fit_ciaar(Y, 0, 2, 2, 1)
-        b = fit_vecim(Y, 2, 2, 1)
-        assert abs(a.loglik - b.loglik) < 1e-6
-        beta_hat = a.params.beta
+        fit = fit_vecim(Y, 2, 2, 1)
+        gamma0, omega0, _ = init_ciaar(Y, 0, 2, 2, 1)
+        Z, _, index_X, ec_X = ciaar_inputs(Y, 0, 1)
+        ref = row_level_sa(Z, index_X, ec_X, omega0, gamma0, 1, FitOptions())
+        assert abs(fit.loglik - ref["trace"][-1]) < 1e-6
+        beta_hat = fit.params.beta
         assert np.linalg.matrix_rank(beta_hat, tol=1e-8) == 1
+
+    def test_stop_reason_recorded(self):
+        params = random_ciaar_params(5, 2, 1, 2, 2, seed=1)
+        Y = simulate_ciaar(params, 800, seed=11)
+        capped = fit_ciaar(Y, 2, 2, 2, 1, opts=FitOptions(max_iter=2))
+        assert capped.diagnostics["stop"] == "max_iter"
+        assert not capped.converged and capped.iterations == 2
+        full = fit_ciaar(Y, 2, 2, 2, 1)
+        assert full.diagnostics["stop"] == "tol" and full.converged
+        # no diagonal or index lags and r = 0: one OLS step is the whole fit
+        ols_only = fit_ciaar(Y, 1, 1, 2, 0)
+        assert ols_only.diagnostics["stop"] == "no_free_params"
+        assert ols_only.converged and ols_only.iterations == 1
 
     def test_nests_mai_on_differences(self):
         params = random_ciaar_params(5, 2, 0, 1, 3, seed=5)
@@ -327,6 +346,51 @@ class TestStep2Rewrite:
             assert np.linalg.matrix_rank(X2) < X2.shape[1]
             ref = np.linalg.lstsq(X2, (Z @ S).ravel(), rcond=1e-10)[0]
             assert np.abs(theta - ref).max() < 1e-10 * np.abs(ref).max()
+
+    @staticmethod
+    def _multichannel_case(seed):
+        # nd = 2 diagonal lags, the EC channel and 2 index lags, r = 1 < q = 2
+        rng = np.random.default_rng(seed)
+        n, Te = 5, 40
+        params = random_ciaar_params(n, 2, 1, 3, 3, seed=seed)
+        Z = rng.standard_normal((Te, n))
+        diag_X = [rng.standard_normal((Te, n)) for _ in range(2)]
+        index_X = [rng.standard_normal((Te, n)) for _ in range(2)]
+        ec_X = rng.standard_normal((Te, n))
+        assert len(params.ds) == len(params.alphas) == 2
+        return params, Z, diag_X, index_X, ec_X
+
+    @pytest.mark.parametrize("ridge", [0.0, 0.5])
+    def test_batched_step2_matches_row_level_normal_equations(self, ridge):
+        for seed in range(5):
+            params, Z, diag_X, index_X, ec_X = self._multichannel_case(seed)
+            loadings = [params.alpha0 @ params.gamma.T] + list(params.alphas)
+            S = sym_inv_sqrt(params.sigma)
+            grams = _Grams(Z, diag_X, ec_X, index_X)
+            theta = _step2_solve(
+                grams, np.linalg.inv(params.sigma), loadings, 2, 2, True, FitOptions(ridge=ridge)
+            )
+            omega_block = sum(
+                vec_omega_block(X, S @ a) for X, a in zip([ec_X] + index_X, loadings)
+            )
+            X2 = np.hstack([vec_diag_block(X, S) for X in diag_X] + [omega_block])
+            y = (Z @ S).ravel()
+            ref = np.linalg.solve(X2.T @ X2 + ridge * np.eye(X2.shape[1]), X2.T @ y)
+            assert np.abs(theta - ref).max() < 1e-10 * np.abs(ref).max()
+
+    def test_batched_normal_blocks_match_explicit_design(self):
+        for seed in range(5):
+            params, Z, diag_X, index_X, ec_X = self._multichannel_case(seed)
+            grams = _Grams(Z, diag_X, ec_X, index_X)
+            UU, GU = _target_grams(grams, params.ds)
+            omega = params.omega
+            weights = [omega @ params.gamma, omega, omega]    # widths r = 1, q, q
+            M, v = _normal_blocks(grams, weights, GU)
+            U = Z - sum(X * d for X, d in zip(diag_X, params.ds))
+            X1 = np.hstack([X @ W for X, W in zip([ec_X] + index_X, weights)])
+            for got, ref in ((M, X1.T @ X1), (v, X1.T @ U), (UU, U.T @ U)):
+                assert got.shape == ref.shape
+                assert np.abs(got - ref).max() < 1e-10 * np.abs(ref).max()
 
 
 class TestJohansen:

@@ -11,6 +11,7 @@ from indexvar.simulate import (
     simulate_mai,
 )
 from indexvar.estimators import FitOptions
+from indexvar.tscore import Panel
 
 
 class TestInfoCriterion:
@@ -154,3 +155,19 @@ class TestGridSearch:
         table = grid_search(Y, (1, 6), (1, 3), opts=FitOptions(max_iter=20))
         assert any(r.failed for r in table.rows)
         assert not table.rows[table.best["hq"]].failed
+
+    def test_singular_sigma_candidates_fail_and_lose(self):
+        # y4_t = y1_{t-1} has no innovation, so a candidate that fits y4
+        # exactly has a singular residual covariance; (2,2,2,0) and (2,2,3,0)
+        # do, and they must fail rather than win on an unbounded likelihood
+        Y = simulate_mai(random_mai_params(4, 1, 2, seed=0), 600, seed=1)
+        values = Y.values.copy()
+        values[1:, 3] = values[:-1, 0]
+        table = grid_search(Panel(values, list(Y.names), Y.t0), (1, 2), (1, 3), model="mai")
+        rows = {row.orders(): row for row in table.rows}
+        for orders in ((2, 2, 2, 0), (2, 2, 3, 0)):
+            assert rows[orders].failed
+            assert rows[orders].error == (
+                "LinAlgError: residual covariance is not positive definite"
+            )
+        assert not table.best_row("hq").failed
