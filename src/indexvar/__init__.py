@@ -37,6 +37,7 @@ from .estimators import (
     fit_drvar_omega,
     fit_iaar,
     fit_mai,
+    fit_many,
     fit_vecim,
     fit_vhari,
     init_ciaar,

@@ -209,30 +209,45 @@ def _cmd_simulate(cfg: RunConfig, outdir) -> None:
         fh.write("\n")
 
 
-def _fit_from_config(cfg: RunConfig, Y: Panel):
+# the orders each switching-engine model's fitter takes, by RunConfig field
+_ENGINE_ORDERS = {
+    "mai": ("p", "q"),
+    "vhari": ("q",),
+    "iaar": ("p", "s", "q"),
+    "ciaar": ("p", "s", "q", "r"),
+    "vecim": ("p", "q", "r"),
+}
+
+
+def _fit_from_config(cfg: RunConfig, panels: list):
+    """The configured model's fits to equal-length panels, in order.
+
+    One panel goes to the model's fitter. Several panels of a
+    switching-engine model share one lockstep run of estimators.fit_many;
+    vecm and drvar are fitted panel by panel.
+    """
     opts = cfg.fit_options()
     m = cfg.model
-    if m == "mai":
-        return estimators.fit_mai(Y, cfg.p, cfg.q, opts=opts)
-    if m == "vhari":
-        return estimators.fit_vhari(Y, cfg.q, opts=opts)
-    if m == "iaar":
-        return estimators.fit_iaar(Y, cfg.p, cfg.s, cfg.q, opts=opts)
-    if m == "ciaar":
-        return estimators.fit_ciaar(Y, cfg.p, cfg.s, cfg.q, cfg.r, opts=opts)
-    if m == "vecim":
-        return estimators.fit_vecim(Y, cfg.p, cfg.q, cfg.r, opts=opts)
     if m == "vecm":
-        return estimators.johansen_rrr(Y, cfg.p, cfg.r)
+        return [estimators.johansen_rrr(Y, cfg.p, cfg.r) for Y in panels]
     if m == "drvar":
-        omega, _ = estimators.fit_drvar_omega(Y, cfg.p0, cfg.q)
-        return estimators.fit_drvar_coeffs(Y, omega, cfg.p, method=cfg.method)
-    raise ValueError(f"unknown model {m!r}")
+        return [_fit_drvar(cfg, Y) for Y in panels]
+    if m not in _ENGINE_ORDERS:
+        raise ValueError(f"unknown model {m!r}")
+    orders = {k: getattr(cfg, k) for k in _ENGINE_ORDERS[m]}
+    if len(panels) == 1:
+        return [getattr(estimators, f"fit_{m}")(panels[0], opts=opts, **orders)]
+    return estimators.fit_many(m, panels, opts=opts, **orders)
+
+
+def _fit_drvar(cfg: RunConfig, Y: Panel):
+    omega, _ = estimators.fit_drvar_omega(Y, cfg.p0, cfg.q)
+    return estimators.fit_drvar_coeffs(Y, omega, cfg.p, method=cfg.method)
 
 
 def _cmd_fit(cfg: RunConfig, outdir):
     Y = read_panel_csv(cfg.input)
-    fit = _fit_from_config(cfg, Y)
+    fit, = _fit_from_config(cfg, [Y])
     _write_params_text(
         fit.params, outdir / "fit_params.txt",
         extra={
@@ -294,7 +309,7 @@ def _cmd_forecast(cfg: RunConfig, outdir) -> None:
     _write_series_csv(outdir / "forecast.csv", cols)
     if cfg.origins > 0:
         table, _, info = rolling_evaluate(
-            Y, lambda W: _fit_from_config(cfg, W), cfg.horizon, cfg.origins,
+            Y, lambda windows: _fit_from_config(cfg, windows), cfg.horizon, cfg.origins,
             refit=bool(cfg.refit),
         )
         table.to_csv(outdir / "msfe.csv")
@@ -307,7 +322,7 @@ def _mc_one(args):
     params = _dgp_params(cfg)
     panel = _simulate_panel(cfg, params, child)
     try:
-        fit = _fit_from_config(cfg, panel)
+        fit, = _fit_from_config(cfg, [panel])
         omega_hat = getattr(fit.params, "omega", None)
         dist = (
             subspace_distance(omega_hat, params.omega)

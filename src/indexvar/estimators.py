@@ -14,6 +14,8 @@ kept in tests/rowlevel.py as an independent oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
@@ -43,6 +45,7 @@ __all__ = [
     "fit_iaar",
     "fit_ciaar",
     "fit_vecim",
+    "fit_many",
     "johansen_rrr",
     "init_ciaar",
     "fit_drvar_omega",
@@ -121,10 +124,13 @@ def _regress(X: np.ndarray, Y: np.ndarray, ridge: float) -> np.ndarray:
 
 
 def _qr_normalize(omega: np.ndarray):
-    """QR-orthonormalize omega with positive R diagonal; returns (Q, R)."""
+    """QR-orthonormalize omega with positive R diagonal; returns (Q, R).
+
+    Leading axes are a stack of matrices, each normalized on its own.
+    """
     Q, R = np.linalg.qr(omega)
-    signs = np.where(np.diag(R) < 0, -1.0, 1.0)
-    return Q * signs, R * signs[:, None]
+    signs = np.where(R.diagonal(0, -2, -1) < 0, -1.0, 1.0)
+    return Q * signs[..., None, :], R * signs[..., :, None]
 
 
 def _converged(trace: list, tol: float) -> bool:
@@ -151,239 +157,323 @@ def _demean(values: np.ndarray, t0: int, demean: bool):
 # cross-products of the data matrices, so those are formed once per fit and
 # no sweep depends on the sample length. Each step is assembled by a few
 # batched products over the stacked gram tensor: step 1 and step 3 cost
-# O((C n)^2 C q) for C vec channels, and step 2 is dominated by the Cholesky
-# of its (nd n + n q)-square normal equations, O(n^3 (nd + q)^3) per sweep.
-# Structurally rank-deficient step-2 systems get the minimum-norm solution
-# from the eigenvalues of the same gram. The stacked row-level design never
-# gets built here; it lives in tests/rowlevel.py as the independent reference
-# construction.
+# O((C n)^2 C q) for C vec channels, and step 2 is dominated by the
+# factorization of its (nd n + n q)-square normal equations,
+# O(n^3 (nd + q)^3) per sweep. Structurally rank-deficient step-2 systems get
+# the minimum-norm solution from the eigenvalues of the same gram. The stacked
+# row-level design never gets built here; it lives in tests/rowlevel.py as the
+# independent reference construction.
+#
+# Every array of the engine carries a leading batch axis: B fits of identical
+# structure (the same nd, na, q, r and effective sample) run their sweeps in
+# lockstep on their stacked grams, so numpy's per-call cost on these small
+# matrices is paid once per sweep rather than once per fit. A single fit is
+# the batch of one. Each member keeps its own trace, diagnostics and stop
+# reason; when a member stops, its final state is written out and the active
+# arrays are compacted to the members still running. Compaction happens only
+# then, so a batch of one never fancy-indexes. A stacked Cholesky test or
+# factorization that fails is retried member by member, so only the failing
+# member takes the min-norm, lstsq or ridge fallback, and an error in any
+# member (a rank-deficient step, a covariance that is not positive definite)
+# raises as it would in that member's single fit. Only the grams are stacked:
+# each panel's data matrices are built, reduced to their grams and dropped,
+# and built again for the final residual pass as its fit is consumed.
 
 
-class _Grams:
-    """Cross-products X_a' X_b of the target, diagonal, EC, and index data.
+@dataclass
+class _Setup:
+    """One panel's engine inputs, and what its FitResult needs besides them.
 
-    G[a, b] = X_a' X_b with the blocks ordered target, diagonal lags, then
-    the vec channels (the EC block when present, then the index lags).
-    Gcc lays the vec-channel grams out as one (C n) x (C n) matrix.
+    start(opts) computes the default starting values (gamma0, omega0, D0);
+    params(out) builds the model parameters from a finished engine state.
     """
 
-    def __init__(self, Z, diag_X, ec_X, index_X):
+    model: str
+    Z: np.ndarray
+    diag_X: list
+    index_X: list
+    ec_X: np.ndarray | None
+    q: int
+    r: int
+    first: int
+    means: dict
+    start: Callable
+    params: Callable
+
+
+@dataclass
+class _Grams:
+    """Stacked cross-products X_a' X_b of the target, diagonal, EC and index data.
+
+    G[i, a, b] = X_a' X_b of batch member i, with the blocks ordered target,
+    diagonal lags, then the vec channels (the EC block when present, then
+    the index lags). Gcc[i] lays member i's vec-channel grams out as one
+    (C n) x (C n) matrix. Te is the members' common effective sample.
+    """
+
+    G: np.ndarray
+    Gcc: np.ndarray
+    nd: int
+    Te: int
+
+    @classmethod
+    def of(cls, Z, diag_X, ec_X, index_X) -> "_Grams":
+        """The grams of one panel's data matrices, as a batch of one."""
         mats = [Z] + list(diag_X) + ([ec_X] if ec_X is not None else []) + list(index_X)
         k, n = len(mats), Z.shape[1]
         X = np.hstack(mats)
         XtX = X.T @ X
-        self.n, self.nd = n, len(diag_X)
-        self.G = XtX.reshape(k, n, k, n).transpose(0, 2, 1, 3).copy()
-        self.Gcc = XtX[(1 + self.nd) * n:, (1 + self.nd) * n:].copy()
+        cc = (1 + len(diag_X)) * n
+        G = XtX.reshape(1, k, n, k, n).transpose(0, 1, 3, 2, 4).copy()
+        return cls(G, XtX[None, cc:, cc:].copy(), len(diag_X), Z.shape[0])
+
+    @classmethod
+    def stack(cls, members: list) -> "_Grams":
+        first = members[0]
+        G = np.concatenate([g.G for g in members])
+        return cls(G, np.concatenate([g.Gcc for g in members]), first.nd, first.Te)
+
+    def take(self, rows: list) -> "_Grams":
+        return _Grams(self.G[rows], self.Gcc[rows], self.nd, self.Te)
+
+    @property
+    def n(self) -> int:
+        return self.G.shape[-1]
 
 
-def _target_grams(g: _Grams, ds: list):
-    """U'U and X_a'U for U = Z - sum_j X_j diag(d_j), for every data block a."""
+def _target_grams(g: _Grams, ds: np.ndarray):
+    """U'U and X_a'U for U = Z - sum_j X_j diag(d_j), for every data block a.
+
+    ds is (B, nd, n); returns UU (B, n, n) and GU (B, k, n, n).
+    """
     nd = g.nd
-    D = np.asarray(ds).reshape(nd, g.n)
-    GU = g.G[:, 0] - np.einsum("ajkl,jl->akl", g.G[:, 1: 1 + nd], D)   # X_a' U
-    UU = GU[0] - np.einsum("jk,jkl->kl", D, GU[1: 1 + nd])
+    GU = g.G[:, :, 0] - np.einsum("xajkl,xjl->xakl", g.G[:, :, 1: 1 + nd], ds)   # X_a' U
+    UU = GU[:, 0] - np.einsum("xjk,xjkl->xkl", ds, GU[:, 1: 1 + nd])
     return UU, GU
 
 
-def _sa_engine(
-    Z: np.ndarray,
-    diag_X: list,
-    index_X: list,
-    ec_X: np.ndarray | None,
-    q: int,
-    r: int,
-    omega0: np.ndarray,
-    gamma0: np.ndarray | None,
-    d0: list,
-    opts: FitOptions,
-) -> dict:
-    """Run the switching algorithm on prepared data matrices.
+def _sa_engine(grams: _Grams, q: int, r: int, starts: list, opts: FitOptions) -> list:
+    """Run the switching algorithm in lockstep on a batch of prepared fits.
 
-    Z (Te x n) are the targets; diag_X feed the diagonal matrices D_j,
-    index_X the loadings alpha_j omega', and ec_X (levels) the
-    error-correction term alpha0 gamma' omega'. gamma is fixed to I_q when
-    r == q and estimated by the reduced-rank eigenstep when 0 < r < q.
-    diagnostics["stop"] says why the sweeps ended: "tol" (converged),
-    "max_iter" (the sweep cap, not converged), or "no_free_params" (nothing
-    beyond the loadings to estimate, so one OLS step is the fit).
+    Member i has the grams grams.G[i] and starts from
+    starts[i] = (gamma0, omega0, D0), the order init_ciaar returns. The
+    diagonal channels feed the matrices D_j, the index channels the loadings
+    alpha_j omega', and the EC channel (levels, present when r > 0) the
+    error-correction term alpha0 gamma' omega'. gamma is fixed to I_q when r == q and estimated by
+    the reduced-rank eigenstep when 0 < r < q. Returns each member's final
+    state in order. Its diagnostics["stop"] says why its sweeps ended: "tol"
+    (converged), "max_iter" (the sweep cap, not converged), or
+    "no_free_params" (nothing beyond the loadings to estimate, so one OLS
+    step is the fit).
     """
-    Te, n = Z.shape
-    nd, na = len(diag_X), len(index_X)
+    n, nd, Te = grams.n, grams.nd, grams.Te
+    na = grams.Gcc.shape[-1] // n - (r > 0)
     _check_sample(Te, r + na * q + nd)
-    if r == 0:
-        ec_X = None  # the error-correction data only enters through alpha0
-    omega = np.asarray(omega0, float).reshape(n, q)
-    ds = [np.asarray(d, float).copy() for d in d0]
-    if len(ds) != nd:
-        raise ValueError(f"{len(ds)} diagonal starting values for {nd} lags")
+    for _, _, d0 in starts:
+        if len(d0) != nd:
+            raise ValueError(f"{len(d0)} diagonal starting values for {nd} lags")
+    omega = np.stack([np.asarray(o, float).reshape(n, q) for _, o, _ in starts])
+    ds = np.stack([np.asarray(d0, float).reshape(nd, n) for _, _, d0 in starts])
     gamma_fixed = r == q
-    gamma = np.eye(q)[:, :r] if gamma_fixed else (
-        np.asarray(gamma0, float).reshape(q, r) if r else np.zeros((q, 0))
-    )
+    gamma = np.stack([
+        np.eye(q)[:, :r] if gamma_fixed or r == 0 else np.asarray(g0, float).reshape(q, r)
+        for g0, _, _ in starts
+    ])
     estimate_omega = q > 0 and (na > 0 or r > 0)
-    grams = _Grams(Z, diag_X, ec_X, index_X)
-    diagnostics: dict = {}
-    trace: list[float] = []
-    alpha0 = np.zeros((n, r))
-    alphas = [np.zeros((n, q)) for _ in range(na)]
+    alpha0 = np.zeros((len(starts), n, r))
+    alphas = np.zeros((len(starts), na, n, q))
     UU, GU = _target_grams(grams, ds)                  # refreshed whenever D moves
+    members = list(range(len(starts)))                 # member index of each active row
+    traces = [[] for _ in starts]
+    diagnostics = [{} for _ in starts]
+    finals = [None] * len(starts)
 
     for it in range(1, opts.max_iter + 1):
         # Step 1: OLS for (alpha0, alphas) and sigma given (gamma, omega, D)
-        weights = []                                   # regressor = X_c @ W_c
-        if r > 0:
-            weights.append(omega @ gamma)
-        weights.extend([omega] * na)
+        weights = ([omega @ gamma] if r > 0 else []) + [omega] * na   # regressor = X_c @ W_c
         if weights:
             M, v = _normal_blocks(grams, weights, GU)
             _check_step_rank(M)
-            solve_M = M + opts.ridge * np.eye(M.shape[0]) if opts.ridge > 0.0 else M
-            B = np.linalg.solve(solve_M, v)
-            sigma = (UU - v.T @ B - B.T @ v + B.T @ M @ B) / Te
-            sigma = (sigma + sigma.T) / 2.0
-            pos = 0
-            if r > 0:
-                alpha0 = B[:r].T
-                pos = r
-            alphas = [B[pos + j * q: pos + (j + 1) * q].T for j in range(na)]
+            solve_M = M + opts.ridge * np.eye(M.shape[-1]) if opts.ridge > 0.0 else M
+            coef = np.linalg.solve(solve_M, v)
+            coefT = coef.transpose(0, 2, 1)
+            sigma = (UU - v.transpose(0, 2, 1) @ coef - coefT @ v + coefT @ M @ coef) / Te
+            sigma = (sigma + sigma.transpose(0, 2, 1)) / 2.0
+            alpha0 = coefT[:, :, :r]
+            alphas = coefT[:, :, r:].reshape(len(coef), n, na, q).transpose(0, 2, 1, 3)
         else:
-            sigma = (UU + UU.T) / (2.0 * Te)
-        trace.append(gaussian_loglik(sigma, Te))
-        if _converged(trace, opts.tol):
-            diagnostics["stop"] = "tol"
-        elif nd == 0 and not estimate_omega:
-            diagnostics["stop"] = "no_free_params"
-        elif it == opts.max_iter:
-            diagnostics["stop"] = "max_iter"
-        if "stop" in diagnostics:
+            sigma = (UU + UU.transpose(0, 2, 1)) / (2.0 * Te)
+        stopped = []
+        for row, (m, value) in enumerate(zip(members, gaussian_loglik(sigma, Te).tolist())):
+            trace = traces[m]
+            trace.append(value)
+            if _converged(trace, opts.tol):
+                stop = "tol"
+            elif nd == 0 and not estimate_omega:
+                stop = "no_free_params"
+            elif it == opts.max_iter:
+                stop = "max_iter"
+            else:
+                continue
+            diagnostics[m]["stop"] = stop
+            finals[m] = {
+                "omega": omega[row].copy(),
+                "gamma": gamma[row].copy(),
+                "alpha0": alpha0[row].copy(),
+                "alphas": list(alphas[row].copy()),
+                "ds": list(ds[row].copy()),
+                "trace": np.asarray(trace),
+                "converged": stop != "max_iter",
+                "iterations": it,
+                "diagnostics": diagnostics[m],
+            }
+            stopped.append(row)
+        if len(stopped) == len(members):
             break
+        if stopped:
+            keep = [row for row in range(len(members)) if row not in stopped]
+            members = [members[row] for row in keep]
+            grams = grams.take(keep)
+            omega, gamma, alpha0, alphas, ds, sigma, UU, GU = (
+                a[keep] for a in (omega, gamma, alpha0, alphas, ds, sigma, UU, GU)
+            )
 
         # Step 2: weighted OLS for (Vec(omega'), delta) given the rest
-        sinv = _robust_inverse(sigma, diagnostics)
-        loadings = []                                  # omega-channel loadings a_c
+        sinv = _robust_inverse(sigma, [diagnostics[m] for m in members])
+        loadings = alphas                              # omega-channel loadings a_c
         if r > 0:
-            loadings.append(alpha0 @ gamma.T)
-        loadings.extend(alphas)
+            ec_loading = alpha0 @ gamma.transpose(0, 2, 1)
+            loadings = np.concatenate([ec_loading[:, None], alphas], axis=1)
         theta = _step2_solve(grams, sinv, loadings, nd, q, estimate_omega, opts)
         if nd:
-            ds = [theta[j * n: (j + 1) * n] for j in range(nd)]
+            ds = theta[:, :nd * n].reshape(len(theta), nd, n)
             UU, GU = _target_grams(grams, ds)
         if estimate_omega:
-            omega = theta[nd * n:].reshape(n, q)
+            omega = theta[:, nd * n:].reshape(len(theta), n, q)
             if opts.normalize:
-                omega, R = _qr_normalize(omega)
-                alphas = [a @ R.T for a in alphas]
-                if r > 0 and not gamma_fixed:
-                    gamma = R @ gamma
+                # the rotation is absorbed by step 1's loadings and step 3's gamma,
+                # both re-estimated before they are next used
+                omega = _qr_normalize(omega)[0]
 
         # Step 3: reduced-rank eigenstep for gamma given (omega, D)
         if 0 < r < q:
-            gamma = _rrr_gamma(grams, omega, UU, GU, r, Te)
-
-    # one dense pass for the residuals at the final parameters
-    resid = Z.copy()
-    for d, X in zip(ds, diag_X):
-        resid -= X * d
-    if r > 0:
-        resid -= (ec_X @ (omega @ gamma)) @ alpha0.T
-    for X, a in zip(index_X, alphas):
-        resid -= (X @ omega) @ a.T
-    sigma = resid.T @ resid / Te
-    return {
-        "omega": omega,
-        "gamma": gamma,
-        "alpha0": alpha0,
-        "alphas": alphas,
-        "ds": ds,
-        "sigma": sigma,
-        "residuals": resid,
-        "trace": np.asarray(trace),
-        "converged": diagnostics["stop"] != "max_iter",
-        "iterations": it,
-        "diagnostics": diagnostics,
-    }
+            gamma = _rrr_gamma(grams, omega, UU, GU, r)
+    return finals
 
 
 def _check_step_rank(M: np.ndarray) -> None:
     w = np.linalg.eigvalsh(M)
-    if w[0] < 1e-20 * max(w[-1], 1e-300):
+    top = np.maximum(w[:, -1], 1e-300)
+    if (w[:, 0] < 1e-20 * top).any():
+        ratio = (w[:, 0] / top).min()
         raise SingularDesignError(
             "switching-step design is rank deficient "
-            f"(gram eigenvalue ratio {w[0] / max(w[-1], 1e-300):.3e} below 1e-20)"
+            f"(gram eigenvalue ratio {ratio:.3e} below 1e-20)"
         )
 
 
 def _normal_blocks(grams: _Grams, weights: list, GU: np.ndarray):
-    """X1'X1 and X1'U for X1 = [X_c @ W_c], one weight per vec channel.
+    """X1'X1 and X1'U for X1 = [X_c @ W_c], one (B, n, w_c) weight per vec channel.
 
     The weights form the block-diagonal Wb, so X1'X1 = Wb' Gcc Wb and
     X1'U = Wb' [X_c'U] in two products over the stacked channel grams.
     """
     n = grams.n
-    Wb = np.zeros((len(weights) * n, sum(w.shape[1] for w in weights)))
+    Wb = np.zeros((len(GU), len(weights) * n, sum(w.shape[-1] for w in weights)))
     col = 0
     for c, w in enumerate(weights):
-        Wb[c * n: (c + 1) * n, col: col + w.shape[1]] = w
-        col += w.shape[1]
-    return Wb.T @ grams.Gcc @ Wb, Wb.T @ GU[1 + grams.nd:].reshape(-1, n)
+        Wb[:, c * n: (c + 1) * n, col: col + w.shape[-1]] = w
+        col += w.shape[-1]
+    WbT = Wb.transpose(0, 2, 1)
+    return WbT @ grams.Gcc @ Wb, WbT @ GU[:, 1 + grams.nd:].reshape(len(GU), -1, n)
 
 
-def _robust_inverse(sigma: np.ndarray, diagnostics: dict) -> np.ndarray:
-    """Inverse of sigma with small-eigenvalue ridge repair."""
+def _robust_inverse(sigma: np.ndarray, diagnostics: list) -> np.ndarray:
+    """Inverses of the stacked sigma, with small-eigenvalue ridge repair.
+
+    A member that fails the Cholesky factorization is repaired on its own
+    and flagged with diagnostics[i]["ridge_repair"].
+    """
     try:
         Linv = np.linalg.inv(np.linalg.cholesky(sigma))
-        return Linv.T @ Linv
+        return Linv.transpose(0, 2, 1) @ Linv
     except np.linalg.LinAlgError:
-        w, V = np.linalg.eigh(sigma)
-        floor = 1e-12 * max(w[-1], 0.0)
-        if floor <= 0.0:
-            raise np.linalg.LinAlgError("covariance has no positive eigenvalues") from None
-        diagnostics["ridge_repair"] = True
-        w = np.maximum(w, floor)
-        return (V / w) @ V.T
+        if len(sigma) > 1:
+            return np.concatenate([
+                _robust_inverse(sigma[i: i + 1], diagnostics[i: i + 1])
+                for i in range(len(sigma))
+            ])
+    w, V = np.linalg.eigh(sigma[0])
+    floor = 1e-12 * max(w[-1], 0.0)
+    if floor <= 0.0:
+        raise np.linalg.LinAlgError("covariance has no positive eigenvalues") from None
+    diagnostics[0]["ridge_repair"] = True
+    w = np.maximum(w, floor)
+    return ((V / w) @ V.T)[None]
+
+
+def _solve_pd(A: np.ndarray, b: np.ndarray, fallback) -> np.ndarray:
+    """Solve every A_i x = b_i, with fallback(A_i, b_i) for a non-PD A_i.
+
+    The Cholesky factorization is the positive-definiteness test; the
+    systems that pass are solved by one stacked LU solve. When a member
+    fails, the batch is retried member by member.
+    """
+    try:
+        np.linalg.cholesky(A)
+        return np.linalg.solve(A, b)
+    except np.linalg.LinAlgError:
+        if len(A) == 1:
+            return fallback(A[0], b[0])[None]
+    return np.concatenate([_solve_pd(A[i: i + 1], b[i: i + 1], fallback) for i in range(len(A))])
+
+
+def _min_norm_solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Minimum-norm solution of a PSD system: eigenvalues below 1e-12 of the
+    largest are dropped."""
+    w, V = np.linalg.eigh(A)
+    keep = w > 1e-12 * w[-1]
+    return V[:, keep] @ ((V[:, keep].T @ b) / w[keep, None])
+
+
+def _lstsq(A: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return np.linalg.lstsq(A, b, rcond=None)[0]
 
 
 def _step2_solve(grams, sinv, loadings, nd, q, estimate_omega, opts):
-    """Solve the stacked Vec regression through its normal equations.
+    """Solve the stacked Vec regressions through their normal equations.
 
     For theta = (delta_1..delta_nd, Vec(omega')) the blocks are
     G_jl * sinv (Hadamard) between diagonals, sum_ab G_ab kron W_ab with
     W_ab = a_a' sinv a_b for omega, and the matching cross terms, each formed
-    in one batched product over the gram tensor. When the gram system is not
-    positive definite (structurally unidentified loading directions), returns
-    its minimum-norm solution: the directions whose eigenvalue falls below
-    1e-12 of the largest are dropped.
+    in one batched product over the gram tensor. sinv is (B, n, n) and
+    loadings (B, C, n, q); returns theta as (B, nd n + n q). When a member's
+    gram system is not positive definite (structurally unidentified loading
+    directions), that member gets its minimum-norm solution.
     """
     n, G = grams.n, grams.G
+    B = len(G)
     ow = nd * n                                     # start of the Vec(omega') block
     k2 = ow + (n * q if estimate_omega else 0)
     dd, cc = slice(1, 1 + nd), slice(1 + nd, None)
-    G2 = np.empty((k2, k2))
-    rhs = np.empty(k2)
-    G2[:ow, :ow] = (G[dd, dd] * sinv).transpose(0, 2, 1, 3).reshape(ow, ow)
-    rhs[:ow] = np.einsum("jik,ki->ji", G[dd, 0], sinv).ravel()
+    G2 = np.empty((B, k2, k2))
+    rhs = np.empty((B, k2))
+    G2[:, :ow, :ow] = (G[:, dd, dd] * sinv[:, None, None]).transpose(0, 1, 3, 2, 4).reshape(B, ow, ow)
+    rhs[:, :ow] = np.einsum("xjik,xki->xji", G[:, dd, 0], sinv).reshape(B, ow)
     if estimate_omega:
-        A = np.asarray(loadings)                    # (C, n, q) channel loadings a_c
-        SA = sinv @ A
-        W = np.einsum("aiq,bir->abqr", A, SA)
-        G2[ow:, ow:] = np.einsum("abij,abkl->ikjl", G[cc, cc], W).reshape(n * q, n * q)
-        G2[:ow, ow:] = np.einsum("jckK,ckm->jkKm", G[dd, cc], SA).reshape(ow, n * q)
-        G2[ow:, :ow] = G2[:ow, ow:].T
-        rhs[ow:] = np.einsum("aik,akq->iq", G[cc, 0], SA).ravel()
+        A = np.asarray(loadings)                    # (B, C, n, q) channel loadings a_c
+        SA = sinv[:, None] @ A
+        W = np.einsum("xaiq,xbir->xabqr", A, SA)
+        G2[:, ow:, ow:] = np.einsum("xabij,xabkl->xikjl", G[:, cc, cc], W).reshape(B, n * q, n * q)
+        G2[:, :ow, ow:] = np.einsum("xjckK,xckm->xjkKm", G[:, dd, cc], SA).reshape(B, ow, n * q)
+        G2[:, ow:, :ow] = G2[:, :ow, ow:].transpose(0, 2, 1)
+        rhs[:, ow:] = np.einsum("xaik,xakq->xiq", G[:, cc, 0], SA).reshape(B, n * q)
     if opts.ridge > 0.0:
         G2 += opts.ridge * np.eye(k2)
-    try:
-        L = np.linalg.cholesky(G2)
-        return np.linalg.solve(L.T, np.linalg.solve(L, rhs))
-    except np.linalg.LinAlgError:
-        pass
-    w, V = np.linalg.eigh(G2)
-    keep = w > 1e-12 * w[-1]
-    return V[:, keep] @ ((V[:, keep].T @ rhs) / w[keep])
+    return _solve_pd(G2, rhs[:, :, None], _min_norm_solve)[:, :, 0]
 
 
-def _rrr_gamma(grams: _Grams, omega, UU, GU, r, Te) -> np.ndarray:
+def _rrr_gamma(grams: _Grams, omega, UU, GU, r) -> np.ndarray:
     """Eigenvectors of S11^-1 S10 S00^-1 S01 for the r largest eigenvalues.
 
     R0 and R1 are the residuals of the diagonal-adjusted targets and of the
@@ -391,42 +481,150 @@ def _rrr_gamma(grams: _Grams, omega, UU, GU, r, Te) -> np.ndarray:
     from the cross grams and the target grams (UU, GU) at the current D.
     With every vec channel weighted by omega, the step-1 normal blocks hold
     E'E, E'U (E = ec_X omega, the first channel) and F'F, F'U, F'E (F the
-    weighted index lags).
+    weighted index lags). omega is (B, n, q); returns gamma as (B, q, r).
     """
-    n, q = omega.shape
-    M, v = _normal_blocks(grams, [omega] * (grams.Gcc.shape[0] // n), GU)
-    FF, FE, FU = M[q:, q:], M[q:, :q], v[q:]
-    sol = np.linalg.lstsq(FF, np.hstack([FU, FE]), rcond=None)[0]
-    sol_U, sol_E = sol[:, :n], sol[:, n:]
-    S00 = (UU - FU.T @ sol_U) / Te
-    S01 = (v[:q] - FE.T @ sol_U).T / Te
-    S11 = (M[:q, :q] - FE.T @ sol_E) / Te
-    S00 = (S00 + S00.T) / 2.0
-    S11 = (S11 + S11.T) / 2.0
+    n, q = omega.shape[1:]
+    Te = grams.Te
+    M, v = _normal_blocks(grams, [omega] * (grams.Gcc.shape[-1] // n), GU)
+    FF, FE, FU = M[:, q:, q:], M[:, q:, :q], v[:, q:]
+    sol = _solve_pd(FF, np.concatenate([FU, FE], axis=2), _lstsq)
+    sol_U, sol_E = sol[:, :, :n], sol[:, :, n:]
+    FET = FE.transpose(0, 2, 1)
+    S00 = (UU - FU.transpose(0, 2, 1) @ sol_U) / Te
+    S01 = (v[:, :q] - FET @ sol_U).transpose(0, 2, 1) / Te
+    S11 = (M[:, :q, :q] - FET @ sol_E) / Te
+    S00 = (S00 + S00.transpose(0, 2, 1)) / 2.0
+    S11 = (S11 + S11.transpose(0, 2, 1)) / 2.0
     vals, vecs = _solve_rrr_eig(S00, S01, S11)
-    return fix_signs(vecs[:, :r])
+    return fix_signs(vecs[:, :, :r])
 
 
 def _solve_rrr_eig(S00, S01, S11):
     """Sorted solutions of the generalized eigenproblem S10 S00^-1 S01 v = l S11 v.
 
     Solved through the Cholesky factor of S11 so the eigenvalues are the
-    squared canonical correlations, all in [0, 1).
+    squared canonical correlations, all in [0, 1). Leading axes are a stack
+    of problems, each solved and sorted on its own.
     """
     L = np.linalg.cholesky(S11)
     Linv = np.linalg.inv(L)
+    LinvT = Linv.swapaxes(-1, -2)
     mid = np.linalg.solve(S00, S01)
-    core = Linv @ (S01.T @ mid) @ Linv.T
-    vals, W = np.linalg.eigh((core + core.T) / 2.0)
-    order = np.argsort(vals)[::-1]
-    vals = vals[order]
-    vecs = Linv.T @ W[:, order]
+    core = Linv @ (S01.swapaxes(-1, -2) @ mid) @ LinvT
+    vals, W = np.linalg.eigh((core + core.swapaxes(-1, -2)) / 2.0)
+    # eigh sorts ascending, so reversing gives the descending order
+    vals = vals[..., ::-1]
+    vecs = LinvT @ W[..., ::-1]
     return vals, vecs
+
+
+# ---------------------------------------------------------------------------
+# fitting many panels: preparation, one lockstep engine run, finishing
+# ---------------------------------------------------------------------------
+
+
+def _lockstep(make_setup, panels: list, opts: FitOptions | None, starts: list | None = None):
+    """Fit every panel in one lockstep engine run; returns an iterator of FitResults.
+
+    make_setup(Y) validates a panel and builds its _Setup. starts[i]
+    overrides panel i's default starting values when it is not None. The
+    engine runs before this returns. Each panel's setup is dropped once its
+    grams are formed and built again for its residual pass as its fit is
+    consumed; the last panel's setup is still at hand and is reused.
+    """
+    opts = opts or FitOptions()
+    grams, inits = [], []
+    for Y, start in zip(panels, starts or [None] * len(panels)):
+        setup = make_setup(Y)
+        ec_X = setup.ec_X if setup.r > 0 else None  # the EC data only enters through alpha0
+        grams.append(_Grams.of(setup.Z, setup.diag_X, ec_X, setup.index_X))
+        inits.append(setup.start(opts) if start is None else start)
+    states = _sa_engine(_Grams.stack(grams), setup.q, setup.r, inits, opts)
+    return _finished(make_setup, panels, states, setup)
+
+
+def _finished(make_setup, panels: list, states: list, last: _Setup):
+    for Y, state in zip(panels[:-1], states):
+        yield _finish(make_setup(Y), state)
+    yield _finish(last, states[-1])
+
+
+def _finish(setup: _Setup, state: dict) -> FitResult:
+    """One dense pass for the residuals at a member's final parameters."""
+    omega, resid = state["omega"], setup.Z.copy()
+    for d, X in zip(state["ds"], setup.diag_X):
+        resid -= X * d
+    if setup.r > 0:
+        resid -= (setup.ec_X @ (omega @ state["gamma"])) @ state["alpha0"].T
+    for X, a in zip(setup.index_X, state["alphas"]):
+        resid -= (X @ omega) @ a.T
+    state["sigma"] = resid.T @ resid / resid.shape[0]
+    return FitResult(
+        setup.model, setup.params(state), state["trace"], resid, state["converged"],
+        state["iterations"], setup.first, means=setup.means, diagnostics=state["diagnostics"],
+    )
+
+
+def fit_many(
+    model: str,
+    panels,
+    opts: FitOptions | None = None,
+    demean: bool = True,
+    t_start: int | None = None,
+    **orders,
+):
+    """Fit one model at fixed orders to equal-length panels in one lockstep run.
+
+    model is "mai", "vhari", "iaar", "ciaar" or "vecim", and orders are the
+    orders its fitter takes, by keyword (p=2, s=2, q=2, r=1 for "ciaar").
+    Every panel starts from its own default starting values and keeps its
+    own trace and stop reason, so each fit equals the single fitter's on
+    that panel. Returns an iterator over the FitResults in panel order; the
+    switching runs before this returns, and each fit's residuals are formed
+    as it is consumed. Raises ValueError when the panels differ in length,
+    width or first usable row.
+    """
+    panels = list(panels)
+    if model not in _SETUPS:
+        raise ValueError(f"fit_many cannot fit model {model!r}")
+    if not panels:
+        raise ValueError("no panels to fit")
+    if len({(Y.T, Y.n, Y.t0) for Y in panels}) > 1:
+        raise ValueError("fit_many needs panels of equal length, width and t0")
+    if model == "iaar" and orders.get("q") == 0:    # equation-wise OLS, nothing to switch
+        return (fit_iaar(Y, opts=opts, demean=demean, t_start=t_start, **orders) for Y in panels)
+    make_setup = partial(_SETUPS[model], demean=demean, t_start=t_start, **orders)
+    return _lockstep(make_setup, panels, opts)
 
 
 # ---------------------------------------------------------------------------
 # MAI
 # ---------------------------------------------------------------------------
+
+
+def _setup_mai(Y: Panel, p: int, q: int, demean: bool = True, t_start: int | None = None):
+    n = Y.n
+    if not 1 <= q <= n:
+        raise ValueError(f"need 1 <= q <= n, got q={q}")
+    if p < 1:
+        raise ValueError("need p >= 1")
+    values, mu = _demean(Y.values, Y.t0, demean)
+    first = max(Y.t0 + p, t_start if t_start is not None else 0)
+    if first + 1 >= Y.T:
+        raise ValueError("sample too short for the requested lag order")
+    Z = values[first:]
+    lags = [values[first - j: Y.T - j] for j in range(1, p + 1)]
+    _check_sample(Z.shape[0], n * p)  # the initialization regresses on all n p lags
+
+    def start(opts):
+        C = _regress(np.hstack(lags), Z, opts.ridge)
+        stack = np.vstack([C[(j - 1) * n: j * n].T for j in range(1, p + 1)])
+        return None, _leading_right_singular(stack, q), []
+
+    return _Setup(
+        "mai", Z, [], lags, None, q, 0, first, {"level": mu}, start,
+        lambda out: MAIParams(out["omega"], out["alphas"], out["sigma"]),
+    )
 
 
 def fit_mai(
@@ -446,31 +644,9 @@ def fit_mai(
     unrestricted VAR. The starting omega spans the leading right-singular
     subspace of the stacked OLS VAR coefficients unless supplied.
     """
-    opts = opts or FitOptions()
-    n = Y.n
-    if not 1 <= q <= n:
-        raise ValueError(f"need 1 <= q <= n, got q={q}")
-    if p < 1:
-        raise ValueError("need p >= 1")
-    values, mu = _demean(Y.values, Y.t0, demean)
-    first = max(Y.t0 + p, t_start if t_start is not None else 0)
-    if first + 1 >= Y.T:
-        raise ValueError("sample too short for the requested lag order")
-    Z = values[first:]
-    lags = [values[first - j: Y.T - j] for j in range(1, p + 1)]
-    _check_sample(Z.shape[0], n * p)  # the initialization regresses on all n p lags
-
-    if omega0 is None:
-        C = _regress(np.hstack(lags), Z, opts.ridge)
-        stack = np.vstack([C[(j - 1) * n: j * n].T for j in range(1, p + 1)])
-        omega0 = _leading_right_singular(stack, q)
-
-    out = _sa_engine(Z, [], lags, None, q, 0, omega0, None, [], opts)
-    params = MAIParams(out["omega"], out["alphas"], out["sigma"])
-    return FitResult(
-        "mai", params, out["trace"], out["residuals"], out["converged"],
-        out["iterations"], first, means={"level": mu}, diagnostics=out["diagnostics"],
-    )
+    make_setup = partial(_setup_mai, p=p, q=q, demean=demean, t_start=t_start)
+    start = None if omega0 is None else (None, omega0, [])
+    return next(_lockstep(make_setup, [Y], opts, [start]))
 
 
 def _leading_right_singular(stack: np.ndarray, q: int) -> np.ndarray:
@@ -483,6 +659,31 @@ def _leading_right_singular(stack: np.ndarray, q: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # VHARI
 # ---------------------------------------------------------------------------
+
+
+def _setup_vhari(Yd: Panel, q: int, demean: bool = True, t_start: int | None = None):
+    n = Yd.n
+    if not 1 <= q <= n:
+        raise ValueError(f"need 1 <= q <= n, got q={q}")
+    if Yd.T < 22 + n + 2:
+        raise ValueError("sample too short for the 22-day cascade")
+    values, mu = _demean(Yd.values, Yd.t0, demean)
+    dm = Panel(values, list(Yd.names), Yd.t0)
+    Yw, Ym = har_aggregates(dm)
+    first = max(Yw.t0 + 1, t_start if t_start is not None else 0)
+    Z = values[first:]
+    X = [A[first - 1: Yd.T - 1] for A in (values, Yw.values, Ym.values)]
+    _check_sample(Z.shape[0], 3 * n)
+
+    def start(opts):
+        C = _regress(np.hstack(X), Z, opts.ridge)
+        stack = np.vstack([C[j * n: (j + 1) * n].T for j in range(3)])
+        return None, _leading_right_singular(stack, q), []
+
+    return _Setup(
+        "vhari", Z, [], X, None, q, 0, first, {"level": mu}, start,
+        lambda out: VHARIParams(out["omega"], *out["alphas"], out["sigma"]),
+    )
 
 
 def fit_vhari(
@@ -499,38 +700,34 @@ def fit_vhari(
     5/22-day cascade identities exactly), and the SA runs on the three
     aggregate regressors.
     """
-    opts = opts or FitOptions()
-    n = Yd.n
-    if not 1 <= q <= n:
-        raise ValueError(f"need 1 <= q <= n, got q={q}")
-    if Yd.T < 22 + n + 2:
-        raise ValueError("sample too short for the 22-day cascade")
-    values, mu = _demean(Yd.values, Yd.t0, demean)
-    dm = Panel(values, list(Yd.names), Yd.t0)
-    Yw, Ym = har_aggregates(dm)
-    first = max(Yw.t0 + 1, t_start if t_start is not None else 0)
-    Z = values[first:]
-    Xd = values[first - 1: Yd.T - 1]
-    Xw = Yw.values[first - 1: Yd.T - 1]
-    Xm = Ym.values[first - 1: Yd.T - 1]
-    _check_sample(Z.shape[0], 3 * n)
-
-    X = np.hstack([Xd, Xw, Xm])
-    C = _regress(X, Z, opts.ridge)
-    stack = np.vstack([C[j * n: (j + 1) * n].T for j in range(3)])
-    omega0 = _leading_right_singular(stack, q)
-
-    out = _sa_engine(Z, [], [Xd, Xw, Xm], None, q, 0, omega0, None, [], opts)
-    params = VHARIParams(out["omega"], *out["alphas"], out["sigma"])
-    return FitResult(
-        "vhari", params, out["trace"], out["residuals"], out["converged"],
-        out["iterations"], first, means={"level": mu}, diagnostics=out["diagnostics"],
-    )
+    make_setup = partial(_setup_vhari, q=q, demean=demean, t_start=t_start)
+    return next(_lockstep(make_setup, [Yd], opts))
 
 
 # ---------------------------------------------------------------------------
 # IAAR
 # ---------------------------------------------------------------------------
+
+
+def _setup_iaar(
+    Y: Panel, p: int, s: int, q: int, demean: bool = True, t_start: int | None = None
+):
+    n = Y.n
+    if not 0 <= q < n:
+        raise ValueError(f"need 0 <= q < n, got q={q}")
+    if p < 1 or s < 0 or s > p:
+        raise ValueError(f"need 1 <= s <= p (got p={p}, s={s})")
+    values, mu = _demean(Y.values, Y.t0, demean)
+    first = max(Y.t0 + p, t_start if t_start is not None else 0)
+    Z = values[first:]
+    diag_X = [values[first - j: Y.T - j] for j in range(1, p + 1)]
+    index_X = diag_X[:s]
+    _check_sample(Z.shape[0], n * p)
+    return _Setup(
+        "iaar", Z, diag_X, index_X, None, q, 0, first, {"level": mu},
+        lambda opts: _init_levels_index(Z, diag_X, q, opts),
+        lambda out: IAARParams(out["ds"], out["alphas"], out["omega"], out["sigma"]),
+    )
 
 
 def fit_iaar(
@@ -549,37 +746,16 @@ def fit_iaar(
     system decouples into n own-lag autoregressions, estimated by
     equation-wise OLS.
     """
-    opts = opts or FitOptions()
-    n = Y.n
-    if not 0 <= q < n:
-        raise ValueError(f"need 0 <= q < n, got q={q}")
-    if p < 1 or s < 0 or s > p:
-        raise ValueError(f"need 1 <= s <= p (got p={p}, s={s})")
-    values, mu = _demean(Y.values, Y.t0, demean)
-    m = max(p, s)
-    first = max(Y.t0 + m, t_start if t_start is not None else 0)
-    Z = values[first:]
-    lag = lambda j: values[first - j: Y.T - j]
-    diag_X = [lag(j) for j in range(1, p + 1)]
-    index_X = [lag(j) for j in range(1, s + 1)]
-    _check_sample(Z.shape[0], n * m)
-
+    make_setup = partial(_setup_iaar, p=p, s=s, q=q, demean=demean, t_start=t_start)
     if q == 0:
-        return _fit_diagonal_var(Y, Z, diag_X, first, mu)
-
-    omega0, d0 = _init_levels_index(values, first, p, s, q, opts)
-    out = _sa_engine(Z, diag_X, index_X, None, q, 0, omega0, None, d0, opts)
-    params = IAARParams(out["ds"], out["alphas"], out["omega"], out["sigma"])
-    return FitResult(
-        "iaar", params, out["trace"], out["residuals"], out["converged"],
-        out["iterations"], first, means={"level": mu}, diagnostics=out["diagnostics"],
-    )
+        return _fit_diagonal_var(make_setup(Y))
+    return next(_lockstep(make_setup, [Y], opts))
 
 
-def _fit_diagonal_var(Y: Panel, Z, diag_X, first, mu) -> FitResult:
+def _fit_diagonal_var(setup: _Setup) -> FitResult:
     """Equation-wise OLS for the q = 0 case: n independent own-lag ARs."""
-    n = Y.n
-    Te = Z.shape[0]
+    Z, diag_X = setup.Z, setup.diag_X
+    Te, n = Z.shape
     ds = [np.zeros(n) for _ in diag_X]
     resid = np.empty_like(Z)
     for i in range(n):
@@ -592,26 +768,22 @@ def _fit_diagonal_var(Y: Panel, Z, diag_X, first, mu) -> FitResult:
     ll = gaussian_loglik(sigma, Te)
     params = IAARParams(ds, [], np.zeros((n, 0)), sigma)
     return FitResult(
-        "iaar", params, np.asarray([ll]), resid, True, 1, first, means={"level": mu},
+        "iaar", params, np.asarray([ll]), resid, True, 1, setup.first, means=setup.means,
     )
 
 
-def _init_levels_index(values, first, p, s, q, opts):
+def _init_levels_index(Z, lags, q, opts):
     """Levels analogue of the SVD initialization: strip diagonals of the
-    unrestricted VAR estimates, take leading right-singular vectors, and
-    start the diagonals at the residual diagonal of the rank-q truncation."""
-    n = values.shape[1]
-    m = max(p, s)
-    T = values.shape[0]
-    Z = values[first:]
-    X = np.hstack([values[first - j: T - j] for j in range(1, m + 1)])
-    C = _regress(X, Z, opts.ridge)
-    phis = [C[(j - 1) * n: j * n].T for j in range(1, m + 1)]
+    unrestricted VAR estimates on all p lags, take leading right-singular
+    vectors, and start the diagonals at the residual diagonal of the rank-q
+    truncation."""
+    n = Z.shape[1]
+    C = _regress(np.hstack(lags), Z, opts.ridge)
+    phis = [C[j * n: (j + 1) * n].T for j in range(len(lags))]
     stripped = [phi - np.diag(np.diag(phi)) for phi in phis]
-    stack = np.vstack(stripped)
-    omega0, stack_bar = _svd_truncate(stack, q)
-    d0 = [np.diag(phis[j]) - np.diag(stack_bar[j * n: (j + 1) * n]) for j in range(p)]
-    return omega0, d0
+    omega0, stack_bar = _svd_truncate(np.vstack(stripped), q)
+    d0 = [np.diag(phi) - np.diag(stack_bar[j * n: (j + 1) * n]) for j, phi in enumerate(phis)]
+    return None, omega0, d0
 
 
 def _svd_truncate(stack: np.ndarray, q: int):
@@ -751,6 +923,40 @@ def init_ciaar(
 # ---------------------------------------------------------------------------
 
 
+def _setup_ciaar(
+    Y: Panel, p: int, s: int, q: int, r: int, demean: bool = True, t_start: int | None = None
+):
+    n = Y.n
+    if not 1 <= q < n:
+        raise ValueError(f"need 1 <= q < n, got q={q}")
+    if not 0 <= r <= q:
+        raise ValueError(f"need 0 <= r <= q, got r={r}")
+    if p >= 2 and s > p:
+        raise ValueError(f"need s <= p when the diagonal channel is present (p={p}, s={s})")
+    nd, na = max(p - 1, 0), max(s - 1, 0)
+
+    levels, mu_level = _demean(Y.values, Y.t0, demean)
+    dvalues = np.diff(Y.values, axis=0)
+    dvalues, mu_diff = _demean(dvalues, max(Y.t0 - 1, 0), demean)
+    first = max(Y.t0 + max(nd, na) + 1, t_start if t_start is not None else 0)
+    T = Y.T
+    Z = dvalues[first - 1:]
+    diag_X = [dvalues[first - 1 - j: T - 1 - j] for j in range(1, nd + 1)]
+    index_X = [dvalues[first - 1 - j: T - 1 - j] for j in range(1, na + 1)]
+    ec_X = levels[first - 1: T - 1]
+
+    def params(out):
+        gamma, alpha0 = out["gamma"], out["alpha0"]
+        if 0 < r < q:
+            gamma, alpha0 = _normalize_gamma(gamma, alpha0, out["diagnostics"])
+        return CIAARParams(out["ds"], alpha0, gamma, out["omega"], out["alphas"], out["sigma"])
+
+    return _Setup(
+        "ciaar", Z, diag_X, index_X, ec_X, q, r, first, {"level": mu_level, "diff": mu_diff},
+        lambda opts: init_ciaar(Y, p, s, q, r, demean=demean), params,
+    )
+
+
 def fit_ciaar(
     Y: Panel,
     p: int,
@@ -773,40 +979,8 @@ def fit_ciaar(
     each sweep from the reduced-rank eigenproblem. init overrides the
     Johansen/SVD starting values with (gamma0, omega0, D0).
     """
-    opts = opts or FitOptions()
-    n = Y.n
-    if not 1 <= q < n:
-        raise ValueError(f"need 1 <= q < n, got q={q}")
-    if not 0 <= r <= q:
-        raise ValueError(f"need 0 <= r <= q, got r={r}")
-    if p >= 2 and s > p:
-        raise ValueError(f"need s <= p when the diagonal channel is present (p={p}, s={s})")
-    nd, na = max(p - 1, 0), max(s - 1, 0)
-
-    levels, mu_level = _demean(Y.values, Y.t0, demean)
-    dvalues = np.diff(Y.values, axis=0)
-    dvalues, mu_diff = _demean(dvalues, max(Y.t0 - 1, 0), demean)
-    first = max(Y.t0 + max(nd, na) + 1, t_start if t_start is not None else 0)
-    T = Y.T
-    Z = dvalues[first - 1:]
-    diag_X = [dvalues[first - 1 - j: T - 1 - j] for j in range(1, nd + 1)]
-    index_X = [dvalues[first - 1 - j: T - 1 - j] for j in range(1, na + 1)]
-    ec_X = levels[first - 1: T - 1]
-
-    if init is None:
-        init = init_ciaar(Y, p, s, q, r, demean=demean)
-    gamma0, omega0, d0 = init
-    out = _sa_engine(Z, diag_X, index_X, ec_X, q, r, omega0, gamma0, d0, opts)
-
-    gamma, alpha0 = out["gamma"], out["alpha0"]
-    if 0 < r < q:
-        gamma, alpha0 = _normalize_gamma(gamma, alpha0, out["diagnostics"])
-    params = CIAARParams(out["ds"], alpha0, gamma, out["omega"], out["alphas"], out["sigma"])
-    return FitResult(
-        "ciaar", params, out["trace"], out["residuals"], out["converged"],
-        out["iterations"], first, means={"level": mu_level, "diff": mu_diff},
-        diagnostics=out["diagnostics"],
-    )
+    make_setup = partial(_setup_ciaar, p=p, s=s, q=q, r=r, demean=demean, t_start=t_start)
+    return next(_lockstep(make_setup, [Y], opts, [init]))
 
 
 def _normalize_gamma(gamma: np.ndarray, alpha0: np.ndarray, diagnostics: dict):
@@ -818,6 +992,21 @@ def _normalize_gamma(gamma: np.ndarray, alpha0: np.ndarray, diagnostics: dict):
         diagnostics["gamma_unnormalized"] = True
         return gamma, alpha0
     return gamma @ np.linalg.inv(head), alpha0 @ head.T
+
+
+def _setup_vecim(
+    Y: Panel, p: int, q: int, r: int, demean: bool = True, t_start: int | None = None
+):
+    n = Y.n
+    if not 1 <= q < n:
+        raise ValueError(f"need 1 <= q < n, got q={q}")
+    if not 0 <= r <= q:
+        raise ValueError(f"need 0 <= r <= q, got r={r}")
+    if p < 1:
+        raise ValueError("need p >= 1")
+    setup = _setup_ciaar(Y, 0, p, q, r, demean, t_start)
+    setup.model = "vecim"
+    return setup
 
 
 def fit_vecim(
@@ -836,16 +1025,17 @@ def fit_vecim(
     from the same init_ciaar start and labelled "vecim". The row-level
     Vec/Kronecker loop in tests/rowlevel.py is the independent check of it.
     """
-    n = Y.n
-    if not 1 <= q < n:
-        raise ValueError(f"need 1 <= q < n, got q={q}")
-    if not 0 <= r <= q:
-        raise ValueError(f"need 0 <= r <= q, got r={r}")
-    if p < 1:
-        raise ValueError("need p >= 1")
-    fit = fit_ciaar(Y, 0, p, q, r, opts=opts, demean=demean, t_start=t_start)
-    fit.model = "vecim"
-    return fit
+    make_setup = partial(_setup_vecim, p=p, q=q, r=r, demean=demean, t_start=t_start)
+    return next(_lockstep(make_setup, [Y], opts))
+
+
+_SETUPS = {
+    "mai": _setup_mai,
+    "vhari": _setup_vhari,
+    "iaar": _setup_iaar,
+    "ciaar": _setup_ciaar,
+    "vecim": _setup_vecim,
+}
 
 
 # ---------------------------------------------------------------------------

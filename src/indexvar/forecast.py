@@ -142,11 +142,13 @@ def rolling_evaluate(
 ):
     """Rolling-origin out-of-sample evaluation with a fixed estimation window.
 
-    fitter maps a Panel to a FitResult. The window width is set by the first
-    origin (or min_window) and rolled forward; refit=True re-estimates at
-    every origin, refit=False estimates once on the first window and reuses
-    the parameters (the cheaper mode, flagged in the returned info). Returns
-    (MsfeTable, paths, info).
+    fitter maps a list of equal-length windows (Panels) to an iterable of
+    their FitResults, in order; estimators.fit_many is such a map, and
+    refits every window in one lockstep run of the switching engine. The
+    window width is set by the first origin (or min_window) and rolled
+    forward; refit=True re-estimates at every origin, refit=False passes the
+    first window alone and reuses its parameters (the cheaper mode, flagged
+    in the returned info). Returns (MsfeTable, paths, info).
     """
     if n_origins < 1 or h < 1:
         raise ValueError("need n_origins >= 1 and h >= 1")
@@ -156,12 +158,11 @@ def rolling_evaluate(
     if first_origin < 1:
         raise ValueError("sample too short for the requested evaluation window")
     width = first_origin + 1
+    origins = range(first_origin, Y.T - h)
+    windows = [Panel(Y.values[o + 1 - width: o + 1], list(Y.names)) for o in origins]
+    fits = fitter(windows) if refit else list(fitter(windows[:1])) * len(windows)
     paths = []
-    fit = None
-    for origin in range(first_origin, Y.T - h):
-        window = Panel(Y.values[origin + 1 - width: origin + 1], list(Y.names))
-        if refit or fit is None:
-            fit = fitter(window)
+    for origin, window, fit in zip(origins, windows, fits, strict=True):
         path = forecast(fit, window, h)
         paths.append(ForecastPath(h, path.values, origin))
     return evaluate(paths, Y), paths, {

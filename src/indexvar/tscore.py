@@ -136,12 +136,13 @@ def gaussian_loglik(sigma: np.ndarray, T: int) -> float:
     """Concentrated Gaussian log-likelihood at a 1/T residual covariance.
 
     The quadratic form collapses to m, giving
-    -(T/2)(m log 2pi + log det sigma + m). Raises LinAlgError when sigma is
+    -(T/2)(m log 2pi + log det sigma + m). A stack of covariances
+    (..., m, m) gives one value each. Raises LinAlgError when any sigma is
     not positive definite.
     """
-    m = sigma.shape[0]
+    m = sigma.shape[-1]
     sign, logdet = np.linalg.slogdet(sigma)
-    if sign <= 0:
+    if (sign <= 0).any():
         raise np.linalg.LinAlgError("residual covariance is not positive definite")
     return -0.5 * T * (m * np.log(2.0 * np.pi) + logdet + m)
 
@@ -252,14 +253,15 @@ def _trailing_mean(values: np.ndarray, window: int) -> np.ndarray:
 
 
 def fix_signs(V: np.ndarray) -> np.ndarray:
-    """Flip columns so each column's first nonzero entry is positive."""
-    V = V.copy()
-    for k in range(V.shape[1]):
-        col = V[:, k]
-        nz = np.nonzero(np.abs(col) > 1e-12 * max(np.abs(col).max(), 1e-300))[0]
-        if nz.size and col[nz[0]] < 0:
-            V[:, k] = -col
-    return V
+    """Flip columns so each column's first nonzero entry is positive.
+
+    Leading axes are a stack of matrices, each fixed on its own.
+    """
+    A = np.abs(V)
+    nonzero = A > 1e-12 * np.maximum(A.max(axis=-2, keepdims=True), 1e-300)
+    first = nonzero & (nonzero.cumsum(axis=-2) == 1)
+    lead = (V * first).sum(axis=-2, keepdims=True)
+    return np.where(lead < 0, -V, V)
 
 
 def orth_complement(omega: np.ndarray) -> np.ndarray:

@@ -87,6 +87,12 @@ class TestFitPipeline:
         lines = (out / "forecast.csv").read_text().strip().splitlines()
         assert len(lines) == 5
         assert (out / "msfe.csv").read_text().count("\n") >= 4
+        rerun = tmp_path / "fc2"
+        assert run_cli(
+            "forecast", "--input", sim_dir / "panel.csv", "--model", "vecim",
+            "--p", 2, "--q", 2, "--r", 1, "--horizon", 4, "--origins", 3, "--out", rerun,
+        ) == 0
+        assert (rerun / "msfe.csv").read_bytes() == (out / "msfe.csv").read_bytes()
 
     def test_select_two_point_grid(self, sim_dir, tmp_path):
         out = tmp_path / "sel"

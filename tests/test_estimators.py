@@ -4,7 +4,10 @@ import pytest
 from indexvar.estimators import (
     FitOptions,
     _Grams,
+    _min_norm_solve,
     _normal_blocks,
+    _robust_inverse,
+    _solve_pd,
     _step2_solve,
     _target_grams,
     fit_ciaar,
@@ -12,6 +15,7 @@ from indexvar.estimators import (
     fit_drvar_omega,
     fit_iaar,
     fit_mai,
+    fit_many,
     fit_vecim,
     fit_vhari,
     init_ciaar,
@@ -340,8 +344,8 @@ class TestStep2Rewrite:
         for seed in range(20):
             Y = simulate_ciaar(params, 1000, seed=seed)
             Z, diag_X, _, ec_X = ciaar_inputs(Y, 1, 0)
-            grams = _Grams(Z, diag_X, ec_X, [])
-            theta = _step2_solve(grams, sinv, [loading], 1, 2, True, FitOptions())
+            grams = _Grams.of(Z, diag_X, ec_X, [])
+            theta = _step2_solve(grams, sinv[None], [[loading]], 1, 2, True, FitOptions())[0]
             X2 = np.hstack([vec_diag_block(diag_X[0], S), vec_omega_block(ec_X, S @ loading)])
             assert np.linalg.matrix_rank(X2) < X2.shape[1]
             ref = np.linalg.lstsq(X2, (Z @ S).ravel(), rcond=1e-10)[0]
@@ -366,10 +370,11 @@ class TestStep2Rewrite:
             params, Z, diag_X, index_X, ec_X = self._multichannel_case(seed)
             loadings = [params.alpha0 @ params.gamma.T] + list(params.alphas)
             S = sym_inv_sqrt(params.sigma)
-            grams = _Grams(Z, diag_X, ec_X, index_X)
+            grams = _Grams.of(Z, diag_X, ec_X, index_X)
             theta = _step2_solve(
-                grams, np.linalg.inv(params.sigma), loadings, 2, 2, True, FitOptions(ridge=ridge)
-            )
+                grams, np.linalg.inv(params.sigma)[None], [loadings], 2, 2, True,
+                FitOptions(ridge=ridge),
+            )[0]
             omega_block = sum(
                 vec_omega_block(X, S @ a) for X, a in zip([ec_X] + index_X, loadings)
             )
@@ -381,16 +386,102 @@ class TestStep2Rewrite:
     def test_batched_normal_blocks_match_explicit_design(self):
         for seed in range(5):
             params, Z, diag_X, index_X, ec_X = self._multichannel_case(seed)
-            grams = _Grams(Z, diag_X, ec_X, index_X)
-            UU, GU = _target_grams(grams, params.ds)
+            grams = _Grams.of(Z, diag_X, ec_X, index_X)
+            UU, GU = _target_grams(grams, np.asarray(params.ds)[None])
             omega = params.omega
             weights = [omega @ params.gamma, omega, omega]    # widths r = 1, q, q
-            M, v = _normal_blocks(grams, weights, GU)
+            (M,), (v,) = _normal_blocks(grams, [w[None] for w in weights], GU)
+            UU = UU[0]
             U = Z - sum(X * d for X, d in zip(diag_X, params.ds))
             X1 = np.hstack([X @ W for X, W in zip([ec_X] + index_X, weights)])
             for got, ref in ((M, X1.T @ X1), (v, X1.T @ U), (UU, U.T @ U)):
                 assert got.shape == ref.shape
                 assert np.abs(got - ref).max() < 1e-10 * np.abs(ref).max()
+
+
+class TestBatchAxis:
+    def test_members_stop_at_their_own_sweep(self):
+        # six CIAAR panels whose single fits take 16 to 27 sweeps: under a cap
+        # of 20 some members converge and some hit the cap, and each member of
+        # the lockstep run must match its batch-of-one fit
+        params = random_ciaar_params(6, 2, 1, 2, 2, seed=0)
+        panels = [simulate_ciaar(params, 300, seed=seed) for seed in range(6)]
+        opts = FitOptions(max_iter=20)
+        batch = list(fit_many("ciaar", panels, opts=opts, p=2, s=2, q=2, r=1))
+        singles = [fit_ciaar(Y, 2, 2, 2, 1, opts=opts) for Y in panels]
+        stops = [fit.diagnostics["stop"] for fit in singles]
+        assert {"tol", "max_iter"} <= set(stops)
+        assert len({fit.iterations for fit in singles}) >= 3
+        for got, ref in zip(batch, singles):
+            assert got.iterations == ref.iterations
+            assert got.diagnostics["stop"] == ref.diagnostics["stop"]
+            assert got.converged == ref.converged
+            gap = np.abs(got.loglik_trace - ref.loglik_trace).max()
+            assert gap < 1e-10 * np.abs(ref.loglik_trace).max()
+            assert np.abs(got.residuals - ref.residuals).max() < 1e-10 * np.abs(ref.residuals).max()
+            assert np.abs(got.params.beta - ref.params.beta).max() < 1e-8
+
+    def test_mixed_step2_batch_solves_each_member_on_its_own_path(self):
+        # member 0 has a positive definite system (Cholesky path); member 1
+        # has zero loadings, so its omega block is singular (min-norm path)
+        cases = [TestStep2Rewrite._multichannel_case(seed) for seed in (0, 1)]
+        grams = [_Grams.of(Z, diag_X, ec_X, index_X) for _, Z, diag_X, index_X, ec_X in cases]
+        sinv = np.stack([np.linalg.inv(params.sigma) for params, *_ in cases])
+        params = cases[0][0]
+        loadings = np.stack([
+            [params.alpha0 @ params.gamma.T] + list(params.alphas),
+            np.zeros((3, 5, 2)),
+        ])
+        opts = FitOptions()
+        theta = _step2_solve(_Grams.stack(grams), sinv, loadings, 2, 2, True, opts)
+        for i in range(2):
+            ref = _step2_solve(grams[i], sinv[i: i + 1], loadings[i: i + 1], 2, 2, True, opts)[0]
+            assert np.abs(theta[i] - ref).max() <= 1e-12 * np.abs(ref).max()
+        ow = 2 * 5
+        assert np.abs(theta[0, ow:]).max() > 1e-3
+        assert np.abs(theta[1, ow:]).max() <= 1e-12 * np.abs(theta[1]).max()  # omega dropped
+        # a positive definite member keeps the exact solve even when its
+        # smallest eigenvalue is one the min-norm solve would drop
+        A = np.stack([np.diag([1.0, 1.0, 1e-13]), np.diag([1.0, 1.0, 0.0])])
+        x = _solve_pd(A, np.ones((2, 3, 1)), _min_norm_solve)[:, :, 0]
+        assert np.allclose(x, [[1.0, 1.0, 1e13], [1.0, 1.0, 0.0]], rtol=1e-12, atol=0.0)
+
+    def test_mixed_robust_inverse_batch_flags_only_the_repaired_member(self):
+        rng = np.random.default_rng(3)
+        A = rng.standard_normal((4, 4))
+        pd = A @ A.T + np.eye(4)
+        sigma = np.stack([pd, np.diag([1.0, 2.0, 0.5, 0.0]), 2.0 * pd])
+        diagnostics = [{}, {}, {}]
+        inv = _robust_inverse(sigma, diagnostics)
+        assert diagnostics == [{}, {"ridge_repair": True}, {}]
+        for i in range(3):
+            single = [{}]
+            ref = _robust_inverse(sigma[i: i + 1], single)[0]
+            assert single == diagnostics[i: i + 1]
+            assert np.abs(inv[i] - ref).max() <= 1e-12 * np.abs(ref).max()
+        assert np.abs(inv[0] @ sigma[0] - np.eye(4)).max() < 1e-10
+
+    def test_error_in_one_member_raises_as_its_single_fit(self):
+        # y4_t = y1_{t-1} has no innovation, so a MAI(2) with q = 2 fits it
+        # exactly and its residual covariance is singular
+        dgp = random_mai_params(4, 1, 2, seed=0)
+        good = simulate_mai(dgp, 600, seed=1)
+        values = simulate_mai(dgp, 600, seed=2).values.copy()
+        values[1:, 3] = values[:-1, 0]
+        bad = Panel(values)
+        match = "residual covariance is not positive definite"
+        with pytest.raises(np.linalg.LinAlgError, match=match):
+            fit_mai(bad, 2, 2)
+        with pytest.raises(np.linalg.LinAlgError, match=match):
+            fit_many("mai", [good, bad, good], p=2, q=2)
+
+    def test_fit_many_rejects_unequal_lengths(self):
+        params = random_ciaar_params(6, 2, 1, 2, 2, seed=0)
+        panels = [simulate_ciaar(params, 300, seed=0), simulate_ciaar(params, 301, seed=1)]
+        with pytest.raises(ValueError, match="equal length"):
+            fit_many("ciaar", panels, p=2, s=2, q=2, r=1)
+        with pytest.raises(ValueError, match="cannot fit"):
+            fit_many("vecm", panels[:1], p=2, r=1)
 
 
 class TestJohansen:

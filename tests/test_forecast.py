@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from indexvar.estimators import fit_ciaar, fit_mai, fit_vhari
+from indexvar.cli import RunConfig, _fit_from_config
+from indexvar.estimators import fit_ciaar, fit_mai, fit_many, fit_vhari, johansen_rrr
 from indexvar.forecast import ForecastPath, evaluate, forecast, rolling_evaluate
 from indexvar.params import MAIParams
 from indexvar.simulate import (
@@ -130,10 +131,42 @@ class TestRollingEvaluate:
     def test_refit_and_fixed_modes(self):
         params = random_mai_params(3, 1, 1, seed=14)
         Y = simulate_mai(params, 260, seed=15)
-        fitter = lambda W: fit_mai(W, 1, 1)
+        fitter = lambda windows: fit_many("mai", windows, p=1, q=1)
         t_refit, paths, info = rolling_evaluate(Y, fitter, h=2, n_origins=5)
         assert info["refit_each_origin"] is True
         assert len(paths) == 5
         t_fixed, _, info2 = rolling_evaluate(Y, fitter, h=2, n_origins=5, refit=False)
         assert info2["refit_each_origin"] is False
         assert t_refit.msfe.shape == t_fixed.msfe.shape
+
+    @pytest.mark.parametrize(
+        "orders, single",
+        [
+            (dict(model="ciaar", p=2, s=2, q=2, r=1), lambda W: fit_ciaar(W, 2, 2, 2, 1)),
+            (dict(model="mai", p=2, q=2), lambda W: fit_mai(W, 2, 2)),
+            (dict(model="vecm", p=2, r=1), lambda W: johansen_rrr(W, 2, 1)),
+        ],
+    )
+    def test_lockstep_refits_equal_per_window_loop(self, orders, single):
+        # the CLI's fitter refits every window at once (fit_many for engine
+        # models, a per-panel map for vecm); the reference is the cold
+        # per-window loop of single fits
+        if orders["model"] == "mai":
+            Y = simulate_mai(random_mai_params(6, 2, 2, seed=0), 400, seed=16)
+        else:
+            Y = simulate_ciaar(random_ciaar_params(6, 2, 1, 2, 2, seed=0), 400, seed=16)
+        h, n_origins = 3, 8
+        cfg = RunConfig(subcommand="forecast", out=".", **orders)
+        _, paths, info = rolling_evaluate(Y, lambda ws: _fit_from_config(cfg, ws), h, n_origins)
+        width = info["window"]
+        assert len(paths) == n_origins
+        for path in paths:
+            window = Panel(Y.values[path.origin + 1 - width: path.origin + 1], list(Y.names))
+            ref = forecast(single(window), window, h).values
+            assert np.abs(path.values - ref).max() <= 1e-10 * np.abs(ref).max()
+
+    def test_fitter_must_return_one_fit_per_window(self):
+        params = random_mai_params(3, 1, 1, seed=14)
+        Y = simulate_mai(params, 260, seed=15)
+        with pytest.raises(ValueError):
+            rolling_evaluate(Y, lambda ws: [fit_mai(ws[0], 1, 1)], h=2, n_origins=5)
