@@ -17,7 +17,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .estimators import FitResult
-from .tscore import Panel, companion_matrix, companion_spectral_radius, orth_complement
+from .forecast import _continuation
+from .tscore import (
+    Panel,
+    companion_matrix,
+    companion_spectral_radius,
+    orth_complement,
+    var_recursion,
+)
 
 __all__ = [
     "WoldSeq",
@@ -113,17 +120,15 @@ def wold(fit: FitResult, H: int) -> WoldSeq:
     """
     if H < 0:
         raise ValueError("need H >= 0")
-    phis = fit.params.var_coeffs()
     if fit.model in STATIONARY_MODELS:
+        phis = fit.params.var_coeffs()
         if companion_spectral_radius(phis) >= 1.0 - 1e-8:
             raise ValueError("fitted model is not stationary")
-        psis = _psi_recursion(phis, H)
+        psis = _impulse_responses(phis, fit.params.n, H)
     elif fit.model in I1_MODELS:
         _check_i1_roots(fit)
-        levels = _psi_recursion(phis, H + 1)
-        psis = np.empty_like(levels[: H + 1])
-        psis[0] = np.eye(phis[0].shape[0])
-        psis[1:] = levels[1: H + 1] - levels[: H]
+        ec, pis = fit.params.ec_form()
+        psis = _impulse_responses(pis, fit.params.n, H, ec)
     else:
         raise ValueError(f"unknown model {fit.model!r}")
 
@@ -137,17 +142,14 @@ def wold(fit: FitResult, H: int) -> WoldSeq:
     return WoldSeq(psis, thetas, violations)
 
 
-def _psi_recursion(phis: list, H: int) -> np.ndarray:
-    n = phis[0].shape[0]
-    p = len(phis)
-    psis = np.zeros((H + 1, n, n))
-    psis[0] = np.eye(n)
-    for j in range(1, H + 1):
-        acc = np.zeros((n, n))
-        for i in range(1, min(j, p) + 1):
-            acc += phis[i - 1] @ psis[j - i]
-        psis[j] = acc
-    return psis
+def _impulse_responses(phis: list, n: int, H: int, ec: np.ndarray | None = None) -> np.ndarray:
+    """Psi_0 = I, ..., Psi_H of the n-dimensional recursion; with ec, of its increments."""
+    impulse = np.zeros((H + 1, n, n))
+    impulse[0] = np.eye(n)
+    init = np.zeros((len(phis), n, n))
+    if ec is None:
+        return var_recursion(phis, init, impulse)
+    return var_recursion(phis, init, impulse, ec=ec, level=np.zeros((n, n)))[0]
 
 
 def cc_projectors(sigma: np.ndarray, omega: np.ndarray):
@@ -187,53 +189,18 @@ def _i1_like(fit: FitResult) -> bool:
     return fit.model in I1_MODELS
 
 
-def _ec_parts(fit: FitResult):
-    """(error-correction matrix or None, short-run Pi list) of an I(1) fit."""
-    params = fit.params
-    if fit.model == "vecm":
-        ec = params.alpha0 @ params.beta.T if params.r else None
-        return ec, list(params.pis)
-    ec = params.alpha0 @ params.gamma.T @ params.omega.T if params.r else None
-    return ec, params.diff_coeffs()
-
-
 def _baseline_increments(fit: FitResult, Y: Panel) -> np.ndarray:
     """Deterministic continuation of the fitted recursion over the target rows.
 
-    Seeds the fitted recursion with the actual pre-target observations and
-    iterates with zero shocks; the targets minus this path are exactly the
+    The zero-shock path that forecast() also runs (forecast._continuation,
+    one tscore.var_recursion call), started from the actual pre-target
+    observations; the targets minus this path are exactly the
     truncated-Wold filtering of the residuals. Stationary fits return the
-    decaying initial-condition path, error-correction fits the baseline of
-    the demeaned differences (with the difference mean feeding the levels).
+    decaying initial-condition path of the demeaned levels,
+    error-correction fits the baseline of the demeaned differences.
     """
-    T, n = Y.T, Y.n
-    ts = fit.t_start
-    if not _i1_like(fit):
-        phis = fit.params.var_coeffs()
-        values = Y.values - fit.means.get("level", 0.0)
-        p = len(phis)
-        path = np.empty((T, n))
-        path[:ts] = values[:ts]
-        for t in range(ts, T):
-            acc = np.zeros(n)
-            for j in range(1, min(t, p) + 1):
-                acc += phis[j - 1] @ path[t - j]
-            path[t] = acc
-        return path[ts:]
-    ec, pis = _ec_parts(fit)
-    mu_d = fit.means.get("diff", 0.0)
-    mu_l = fit.means.get("level", 0.0)
-    dm = np.diff(Y.values, axis=0) - mu_d        # row t-1 holds dY_t
-    dm = dm.copy()
-    lv = Y.values - mu_l
-    lv = lv.copy()
-    for t in range(ts, T):
-        acc = ec @ lv[t - 1] if ec is not None else np.zeros(n)
-        for j, pi in enumerate(pis, start=1):
-            acc += pi @ dm[t - 1 - j]
-        dm[t - 1] = acc
-        lv[t] = lv[t - 1] + acc + mu_d
-    return dm[ts - 1:]
+    levels, diffs = _continuation(fit, Y, fit.t_start, Y.T - fit.t_start)
+    return levels if diffs is None else diffs - fit.means.get("diff", 0.0)
 
 
 def _demeaned_targets(fit: FitResult, Y: Panel) -> np.ndarray:
@@ -430,7 +397,7 @@ def drvar_decompose(fit: FitResult, Y: Panel) -> Decomposition:
     eps_chi = fit.residuals @ omega
     rho_t, *_ = np.linalg.lstsq(eps_chi, static, rcond=None)
     nu = static - eps_chi @ rho_t
-    gammas = _psi_recursion(fit.params.phis, 200) if fit.params.phis else np.eye(omega.shape[1])[None]
+    gammas = _impulse_responses(fit.params.phis, omega.shape[1], 200)
     c_seq = np.concatenate(
         [(omega + rho_t.T)[None], np.einsum("nq,jqm->jnm", omega, gammas[1:])], axis=0
     )

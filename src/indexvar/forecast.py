@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .estimators import FitResult
-from .tscore import Panel
+from .tscore import Panel, var_recursion
 
 __all__ = ["ForecastPath", "MsfeTable", "forecast", "evaluate", "rolling_evaluate"]
 
@@ -49,59 +49,46 @@ class MsfeTable:
 def forecast(fit: FitResult, Y: Panel, h: int) -> ForecastPath:
     """Iterated one-step-ahead forecasts of the fitted recursion.
 
+    The path is the zero-shock continuation of the one lag recursion
+    tscore.var_recursion from the end of the panel (see _continuation).
     Stationary fits iterate the implied levels VAR on the demeaned history
-    and add the mean back. Error-correction fits iterate the difference
-    equation (including the levels error-correction term) and cumulate onto
-    the last observed level, so a fit with all dynamics zero forecasts a
-    flat path at the last observation.
+    and add the mean back. Error-correction fits iterate the differences
+    with the error-correction term on the demeaned level and cumulate onto
+    the last observation, so a fit with zero dynamics and a zero
+    difference mean forecasts a flat path at the last observation.
     """
     if h < 1:
         raise ValueError("need h >= 1")
-    i1 = fit.model in ("ciaar", "vecim", "vecm")
-    values = Y.values
-    if i1:
-        return _forecast_ec(fit, values, h)
-    phis = fit.params.var_coeffs()
-    p = len(phis)
-    if values.shape[0] - Y.t0 < p:
-        raise ValueError(f"need at least {p} usable observations, got {values.shape[0] - Y.t0}")
-    mu = fit.means.get("level", 0.0)
-    hist = list(values[-p:] - mu) if p else []
-    out = np.empty((h, Y.n))
-    for k in range(h):
-        z = np.zeros(Y.n)
-        for j, phi in enumerate(phis, start=1):
-            z += phi @ hist[-j]
-        hist.append(z)
-        out[k] = z + mu
-    return ForecastPath(h, out, values.shape[0] - 1)
+    levels, _ = _continuation(fit, Y, Y.T, h)
+    return ForecastPath(h, levels + fit.means.get("level", 0.0), Y.T - 1)
 
 
-def _forecast_ec(fit: FitResult, values: np.ndarray, h: int) -> ForecastPath:
-    params = fit.params
-    if fit.model == "vecm":
-        ec = params.alpha0 @ params.beta.T
-        pis = list(params.pis)
-    else:
-        ec = params.alpha0 @ params.gamma.T @ params.omega.T
-        pis = params.diff_coeffs()
-    m = len(pis)
-    if values.shape[0] < m + 1:
-        raise ValueError(f"need at least {m + 1} observations, got {values.shape[0]}")
-    mu_d = fit.means.get("diff", 0.0)
+def _continuation(fit: FitResult, Y: Panel, start: int, steps: int):
+    """Zero-shock continuation of the fitted recursion from the rows before `start`.
+
+    Returns (levels, diffs) over the next `steps` rows: levels net of the
+    level mean and, for error-correction fits, the raw differences that
+    cumulate into them (None for stationary fits). The differences are
+    driven by the constant (I - sum_j Pi_j) mu_diff, which keeps their
+    demeaned lags in the recursion.
+    """
+    n, values = Y.n, Y.values
     mu_l = fit.means.get("level", 0.0)
-    dhist = list(np.diff(values[-(m + 1):], axis=0) - mu_d) if m else []
-    level = values[-1].astype(float).copy()
-    out = np.empty((h, values.shape[1]))
-    for k in range(h):
-        dz = ec @ (level - mu_l)
-        for j, pi in enumerate(pis, start=1):
-            dz += pi @ dhist[-j]
-        if m:
-            dhist.append(dz)
-        level = level + dz + mu_d
-        out[k] = level
-    return ForecastPath(h, out, values.shape[0] - 1)
+    if fit.model not in ("ciaar", "vecim", "vecm"):
+        phis = fit.params.var_coeffs()
+        p = len(phis)
+        if start - Y.t0 < p:
+            raise ValueError(f"need at least {p} usable observations, got {start - Y.t0}")
+        return var_recursion(phis, values[start - p: start] - mu_l, np.zeros((steps, n))), None
+    ec, pis = fit.params.ec_form()
+    m = len(pis)
+    if start < m + 1:
+        raise ValueError(f"need at least {m + 1} observations, got {start}")
+    mu_d = np.broadcast_to(fit.means.get("diff", 0.0), (n,))
+    drive = np.tile((np.eye(n) - sum(pis, np.zeros((n, n)))) @ mu_d, (steps, 1))
+    init = np.diff(values[start - m - 1: start], axis=0)
+    diffs, levels = var_recursion(pis, init, drive, ec=ec, level=values[start - 1] - mu_l)
+    return levels, diffs
 
 
 def evaluate(forecasts: list[ForecastPath], actuals: Panel) -> MsfeTable:

@@ -4,6 +4,8 @@ Each container stores the mean parameters and the innovation covariance of
 one model class, knows its free mean-parameter count (excluding sigma), and
 can expand itself into the coefficient matrices of the implied levels VAR,
 which is what simulation, stationarity checks, and Wold recursions consume.
+The error-correction classes also give their difference form through
+ec_form(), which the I(1) simulator, forecasts and decompositions iterate.
 """
 
 from __future__ import annotations
@@ -255,8 +257,6 @@ class DRVARParams:
         return [self.omega @ f @ self.omega.T for f in self.phis]
 
     def spectral_radius(self) -> float:
-        if not self.phis:
-            return 0.0
         return companion_spectral_radius(self.phis)
 
     def n_free_params(self) -> int:
@@ -300,8 +300,12 @@ class VECMParams:
     def p(self) -> int:
         return len(self.pis) + 1
 
+    def ec_form(self) -> tuple[np.ndarray, list[np.ndarray]]:
+        """(alpha0 beta', [Pi_1, ...]): the error-correction matrix and short-run lags."""
+        return self.alpha0 @ self.beta.T, list(self.pis)
+
     def var_coeffs(self) -> list[np.ndarray]:
-        return _vecm_to_var(self.alpha0 @ self.beta.T, self.pis)
+        return _vecm_to_var(*self.ec_form())
 
     def i1_matrix(self) -> np.ndarray:
         """alpha0_perp' PiBar beta_perp; nonsingular iff the system is I(1)."""
@@ -389,8 +393,12 @@ class CIAARParams:
             pis.append(pi)
         return pis
 
+    def ec_form(self) -> tuple[np.ndarray, list[np.ndarray]]:
+        """(alpha0 gamma' omega', diff_coeffs()): the error-correction matrix and short-run lags."""
+        return self.alpha0 @ self.gamma.T @ self.omega.T, self.diff_coeffs()
+
     def var_coeffs(self) -> list[np.ndarray]:
-        return _vecm_to_var(self.alpha0 @ self.gamma.T @ self.omega.T, self.diff_coeffs())
+        return _vecm_to_var(*self.ec_form())
 
     def i1_matrix(self) -> np.ndarray:
         """alpha0_perp' PiBar beta_perp; singular parameters induce I(2) behavior."""

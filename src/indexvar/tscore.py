@@ -222,8 +222,40 @@ def companion_matrix(phis: list[np.ndarray]) -> np.ndarray:
 
 
 def companion_spectral_radius(phis: list[np.ndarray]) -> float:
-    """Spectral radius of the companion matrix; < 1 certifies stationarity."""
+    """Spectral radius of the companion matrix; < 1 certifies stationarity.
+
+    A VAR(0) is white noise, so an empty lag list has radius 0.
+    """
+    if not phis:
+        return 0.0
     return float(np.max(np.abs(np.linalg.eigvals(companion_matrix(phis)))))
+
+
+def var_recursion(phis, init, drive, ec=None, level=None):
+    """Iterate x_t = sum_j Phi_j x_{t-j} + drive_t for every row of drive.
+
+    init holds the p pre-sample rows x_{-p}..x_{-1}. A row is a length-n
+    vector or an n x k matrix (drive[0] = I with zero init gives the Wold
+    sequence); n is read from drive, so an empty phis passes drive through.
+    With ec, x is the increment of a level y: x_t gains ec y_{t-1},
+    y_t = y_{t-1} + x_t, y_{-1} = level, and (x, y) is returned.
+    """
+    drive = np.asarray(drive, dtype=float)
+    T, n, row = drive.shape[0], drive.shape[1], drive.shape[1:]
+    p = len(phis)
+    stacked = np.hstack([*phis[::-1], np.zeros((n, 0))])   # [Phi_p ... Phi_1]
+    buf = np.concatenate([np.reshape(init, (p,) + row), drive])
+    flat = buf.reshape((-1,) + row[1:])      # rows t..t+p-1 of buf stacked
+    ys = None if ec is None else np.empty_like(drive)
+    y = None if ec is None else np.asarray(level, dtype=float)
+    for t in range(T):
+        x = buf[p + t]
+        if p:
+            x += stacked @ flat[t * n: (t + p) * n]
+        if ec is not None:
+            x += ec @ y
+            y = np.add(y, x, out=ys[t])
+    return buf[p:] if ec is None else (buf[p:], ys)
 
 
 def har_aggregates(Yd: Panel) -> tuple[Panel, Panel]:

@@ -4,12 +4,15 @@ The library solves step 2 through gram normal equations and never forms the
 stacked design. This module builds that design row by row, (X_t' kron A) for
 Vec(omega') and (X_t' kron S) M for the diagonals, and runs the switching
 loop on it, so the tests can check the gram engine against an independent
-construction.
+construction. row_level_simulate likewise iterates the structural form of
+the IAAR and CIAAR models term by term, as an oracle for the simulators'
+companion-form lag recursion.
 """
 
 import numpy as np
 
 from indexvar.estimators import _converged, _qr_normalize, _solve_rrr_eig
+from indexvar.params import CIAARParams
 from indexvar.tscore import fix_signs, gaussian_loglik
 
 
@@ -100,3 +103,30 @@ def ciaar_inputs(Y, nd, na):
     first, T = max(nd, na) + 1, Y.T
     lags = [d[first - 1 - j: T - 1 - j] for j in range(1, max(nd, na) + 1)]
     return d[first - 1:], lags[:nd], lags[:na], levels[first - 1: T - 1]
+
+
+def row_level_simulate(params, eps):
+    """Structural-form path over every row of eps from zero pre-sample values.
+
+    IAAR params run in levels, Y_t = sum_j d_j * Y_{t-j}
+    + sum_j alpha_j omega' Y_{t-j} + e_t. CIAAR params run in differences
+    with the same diagonal and index terms on dY plus
+    alpha0 gamma' omega' Y_{t-1}, cumulated into the returned levels.
+    """
+    ec = isinstance(params, CIAARParams)
+    T, n = eps.shape
+    X = np.zeros((T, n))            # levels (IAAR) or differences (CIAAR)
+    Y = np.zeros((T, n))
+    for t in range(T):
+        acc = eps[t].copy()
+        for j, d in enumerate(params.ds, start=1):
+            if t >= j:
+                acc += d * X[t - j]
+        for j, a in enumerate(params.alphas, start=1):
+            if t >= j:
+                acc += a @ (params.omega.T @ X[t - j])
+        if ec and t >= 1:
+            acc += params.alpha0 @ (params.gamma.T @ (params.omega.T @ Y[t - 1]))
+        X[t] = acc
+        Y[t] = acc + (Y[t - 1] if t else 0.0)
+    return Y if ec else X

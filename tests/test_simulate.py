@@ -1,15 +1,18 @@
 import numpy as np
 import pytest
+from rowlevel import row_level_simulate
 
-from indexvar.params import CIAARParams, MAIParams
+from indexvar.params import CIAARParams, IAARParams, MAIParams
 from indexvar.simulate import (
     draw_shocks,
     random_ciaar_params,
     random_drvar_params,
+    random_iaar_params,
     random_mai_params,
     random_vhari_params,
     simulate_ciaar,
     simulate_drvar,
+    simulate_iaar,
     simulate_mai,
     simulate_var,
     simulate_vhari,
@@ -77,12 +80,27 @@ class TestSimulateVhari:
         assert np.abs(a - b).max() < 1e-12
 
     def test_weekly_index_is_five_day_mean(self):
+        # 22 leading zero shocks make the hidden burn-in exactly zero, so the
+        # output is the path from t = 0 with zero rows before it
         vp = random_vhari_params(5, 2, seed=2)
-        Y = simulate_vhari(vp, 300, seed=3).values
-        f = Y @ vp.omega
-        fw = np.stack([f[t - 4: t + 1].mean(axis=0) for t in range(4, 300)])
-        yw = np.stack([Y[t - 4: t + 1].mean(axis=0) for t in range(4, 300)])
-        assert np.abs(yw @ vp.omega - fw).max() < 1e-12
+        T, n = 300, 5
+        eps = draw_shocks(vp.sigma, T, seed=3)
+        padded = np.vstack([np.zeros((22, n)), eps])
+        Y = simulate_vhari(vp, T, burn=22, seed=0, shocks=padded).values
+        Z = np.vstack([np.zeros((22, n)), Y])
+        om = vp.omega
+        for t in range(T):
+            s = t + 22
+            pred = (
+                vp.alpha_d @ (om.T @ Z[s - 1])
+                + vp.alpha_w @ (om.T @ Z[s - 5: s].mean(axis=0))
+                + vp.alpha_m @ (om.T @ Z[s - 22: s].mean(axis=0))
+            )
+            assert np.abs(Y[t] - pred - eps[t]).max() < 1e-12
+        # the 5/22-day means read zero rows before t = 0 also in the burn-in,
+        # so dropping the zero padding only shifts the path
+        tail = simulate_vhari(vp, T - 22, burn=22, seed=0, shocks=eps).values
+        assert np.abs(tail - Y[22:]).max() < 1e-12
 
     def test_burn_requirement(self):
         vp = random_vhari_params(4, 1, seed=4)
@@ -205,6 +223,39 @@ class TestNestingAcrossSimulators:
         a = simulate_iaar(ip, 80, burn=40, seed=0, shocks=eps).values
         b = simulate_mai(mp, 80, burn=40, seed=0, shocks=eps).values
         assert np.abs(a - b).max() < 1e-12
+
+
+class TestStructuralOracle:
+    @pytest.mark.parametrize("p,s", [(2, 1), (2, 2)])
+    def test_iaar_matches_row_level_levels_form(self, p, s):
+        params = random_iaar_params(5, 2, p, s, seed=p + s)
+        T, burn = 150, 50
+        eps = draw_shocks(params.sigma, burn + T, seed=11)
+        Y = simulate_iaar(params, T, burn=burn, seed=0, shocks=eps).values
+        assert np.abs(Y - row_level_simulate(params, eps)[burn:]).max() < 1e-12
+
+    @pytest.mark.parametrize("p,s,r", [(2, 2, 1), (3, 2, 0), (2, 1, 2)])
+    def test_ciaar_matches_row_level_difference_form(self, p, s, r):
+        params = random_ciaar_params(5, 2, r, p, s, seed=p + s + r)
+        T, burn = 150, 50
+        eps = draw_shocks(params.sigma, burn + T, seed=12)
+        Y = simulate_ciaar(params, T, burn=burn, seed=0, shocks=eps).values
+        assert np.abs(Y - row_level_simulate(params, eps)[burn:]).max() < 1e-12
+
+
+class TestZeroLags:
+    def test_var0_passes_the_shocks_through(self):
+        n, T, burn = 3, 40, 10
+        omega = np.eye(n)[:, :1]
+        sigma = np.eye(n)
+        eps = draw_shocks(sigma, burn + T, seed=13)
+        paths = [
+            simulate_mai(MAIParams(omega, [], sigma), T, burn=burn, shocks=eps),
+            simulate_iaar(IAARParams([], [], omega, sigma), T, burn=burn, shocks=eps),
+            simulate_var([], sigma, T, burn=burn, shocks=eps),
+        ]
+        for Y in paths:
+            assert np.array_equal(Y.values, eps[burn:])
 
 
 def test_lognormal_garch_shocks():
