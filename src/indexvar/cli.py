@@ -286,18 +286,10 @@ def _cmd_select(cfg: RunConfig, outdir) -> None:
         Y, (cfg.p_min, cfg.p_max), (cfg.q_min, cfg.q_max),
         kind=cfg.criterion, opts=cfg.fit_options(), model=model, workers=cfg.workers,
     )
-    best = table.best[cfg.criterion]
-    lines = ["model,p,s,q,r,loglik,n_params,aic,bic,hq,converged,failed,best"]
-    for i, row in enumerate(table.rows):
-        lines.append(
-            f"{row.model},{row.p},{row.s},{row.q},{row.r},{_fmt(row.loglik)},"
-            f"{row.n_params},{_fmt(row.aic)},{_fmt(row.bic)},{_fmt(row.hq)},"
-            f"{int(row.converged)},{int(row.failed)},{int(i == best)}"
-        )
-    lines.append(f"# best marks the {cfg.criterion} minimizer over T_eff = {table.T_eff}")
-    lines.append("# n_params excludes the innovation covariance (constant across candidates)")
-    with open(outdir / "ic_table.csv", "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    table.to_csv(outdir / "ic_table.csv")
+    with open(outdir / "ic_table.csv", "a") as fh:
+        fh.write(f"# best marks the {cfg.criterion} minimizer over T_eff = {table.T_eff}\n")
+        fh.write("# n_params excludes the innovation covariance (constant across candidates)\n")
 
 
 def _cmd_forecast(cfg: RunConfig, outdir) -> None:

@@ -164,20 +164,34 @@ def _demean(values: np.ndarray, t0: int, demean: bool):
 # row-level design never gets built here; it lives in tests/rowlevel.py as the
 # independent reference construction.
 #
-# Every array of the engine carries a leading batch axis: B fits of identical
-# structure (the same nd, na, q, r and effective sample) run their sweeps in
-# lockstep on their stacked grams, so numpy's per-call cost on these small
+# Every array of the engine carries a leading batch axis: B fits of one
+# structure (the same q, r, effective sample and padded nd, na) run their
+# sweeps in lockstep on their stacked grams, so numpy's per-call cost on these small
 # matrices is paid once per sweep rather than once per fit. A single fit is
 # the batch of one. Each member keeps its own trace, diagnostics and stop
 # reason; when a member stops, its final state is written out and the active
 # arrays are compacted to the members still running. Compaction happens only
 # then, so a batch of one never fancy-indexes. A stacked Cholesky test or
 # factorization that fails is retried member by member, so only the failing
-# member takes the min-norm, lstsq or ridge fallback, and an error in any
-# member (a rank-deficient step, a covariance that is not positive definite)
-# raises as it would in that member's single fit. Only the grams are stacked:
-# each panel's data matrices are built, reduced to their grams and dropped,
-# and built again for the final residual pass as its fit is consumed.
+# member takes the min-norm, lstsq or ridge fallback. Each sweep runs in two
+# phases (step 1 with the log-likelihood, then steps 2 and 3); when a phase
+# raises, it is rerun member by member, and a member that raises on its own
+# (a rank-deficient step, a covariance that is not positive definite) leaves
+# the batch carrying the exception its single fit would raise, while the
+# others go on. Only the grams are stacked: each panel's data matrices are
+# built, reduced to their grams and dropped, and built again for the final
+# residual pass as its fit is consumed.
+#
+# Members may also differ in their lags. The selection grid runs all the
+# (p, s) candidates of one (q, r) as one batch at the group's largest
+# (nd, na), over one gram set at the grid's largest lags (every candidate
+# shares the grid's first target row). A member's grams of the lags it lacks
+# are zeroed, and its inactive delta, loading and step-3 index-lag
+# coordinates are pinned: their rows and columns in steps 1-3 become a
+# diagonal with a zero right-hand side, so they solve to zero and leave the
+# member's own block, its rank checks and its eigenvalue cut-offs as in its
+# single fit. A member with no omega channel (s = 1, r = 0) keeps its start
+# omega. A batch of equal members carries no masks and pays nothing for them.
 
 
 @dataclass
@@ -222,10 +236,17 @@ class _Grams:
         mats = [Z] + list(diag_X) + ([ec_X] if ec_X is not None else []) + list(index_X)
         k, n = len(mats), Z.shape[1]
         X = np.hstack(mats)
-        XtX = X.T @ X
-        cc = (1 + len(diag_X)) * n
-        G = XtX.reshape(1, k, n, k, n).transpose(0, 1, 3, 2, 4).copy()
-        return cls(G, XtX[None, cc:, cc:].copy(), len(diag_X), Z.shape[0])
+        G = (X.T @ X).reshape(1, k, n, k, n).transpose(0, 1, 3, 2, 4)
+        return cls.blocks(G, len(diag_X), Z.shape[0])
+
+    @classmethod
+    def blocks(cls, G: np.ndarray, nd: int, Te: int) -> "_Grams":
+        """The grams of a (B, k, k, n, n) block tensor whose first nd + 1
+        blocks are the target and the diagonal lags."""
+        B, k, _, n, _ = G.shape
+        C = k - 1 - nd
+        Gcc = G[:, 1 + nd:, 1 + nd:].transpose(0, 1, 3, 2, 4).reshape(B, C * n, C * n)
+        return cls(np.ascontiguousarray(G), Gcc, nd, Te)
 
     @classmethod
     def stack(cls, members: list) -> "_Grams":
@@ -233,7 +254,7 @@ class _Grams:
         G = np.concatenate([g.G for g in members])
         return cls(G, np.concatenate([g.Gcc for g in members]), first.nd, first.Te)
 
-    def take(self, rows: list) -> "_Grams":
+    def __getitem__(self, rows) -> "_Grams":
         return _Grams(self.G[rows], self.Gcc[rows], self.nd, self.Te)
 
     @property
@@ -252,64 +273,128 @@ def _target_grams(g: _Grams, ds: np.ndarray):
     return UU, GU
 
 
-def _sa_engine(grams: _Grams, q: int, r: int, starts: list, opts: FitOptions) -> list:
+def _sa_engine(
+    grams: _Grams, q: int, r: int, starts: list, opts: FitOptions, shapes: list | None = None
+) -> list:
     """Run the switching algorithm in lockstep on a batch of prepared fits.
 
     Member i has the grams grams.G[i] and starts from
     starts[i] = (gamma0, omega0, D0), the order init_ciaar returns. The
     diagonal channels feed the matrices D_j, the index channels the loadings
     alpha_j omega', and the EC channel (levels, present when r > 0) the
-    error-correction term alpha0 gamma' omega'. gamma is fixed to I_q when r == q and estimated by
-    the reduced-rank eigenstep when 0 < r < q. Returns each member's final
-    state in order. Its diagnostics["stop"] says why its sweeps ended: "tol"
+    error-correction term alpha0 gamma' omega'. gamma is fixed to I_q when
+    r == q and estimated by the reduced-rank eigenstep when 0 < r < q.
+    shapes[i] = (nd_i, na_i), when given, is member i's own count of
+    diagonal and index lags, at most the batch's (nd, na); its D0 holds nd_i
+    vectors and its missing lags are masked (_member_masks).
+
+    Returns each member's final state in order, or the exception that ended
+    its fit. A state's diagnostics["stop"] says why its sweeps ended: "tol"
     (converged), "max_iter" (the sweep cap, not converged), or
     "no_free_params" (nothing beyond the loadings to estimate, so one OLS
     step is the fit).
     """
     n, nd, Te = grams.n, grams.nd, grams.Te
     na = grams.Gcc.shape[-1] // n - (r > 0)
-    _check_sample(Te, r + na * q + nd)
-    for _, _, d0 in starts:
-        if len(d0) != nd:
-            raise ValueError(f"{len(d0)} diagonal starting values for {nd} lags")
-    omega = np.stack([np.asarray(o, float).reshape(n, q) for _, o, _ in starts])
-    ds = np.stack([np.asarray(d0, float).reshape(nd, n) for _, _, d0 in starts])
-    gamma_fixed = r == q
-    gamma = np.stack([
-        np.eye(q)[:, :r] if gamma_fixed or r == 0 else np.asarray(g0, float).reshape(q, r)
-        for g0, _, _ in starts
-    ])
+    shapes = shapes or [(nd, na)] * len(starts)
+    finals = [None] * len(starts)
+    for m, ((nd_m, na_m), (_, _, d0)) in enumerate(zip(shapes, starts)):
+        try:
+            _check_sample(Te, r + na_m * q + nd_m)
+            if len(d0) != nd_m:
+                raise ValueError(f"{len(d0)} diagonal starting values for {nd_m} lags")
+        except ValueError as exc:
+            finals[m] = exc
+    members = [m for m, final in enumerate(finals) if final is None]  # member of each row
+    if not members:
+        return finals
     estimate_omega = q > 0 and (na > 0 or r > 0)
-    alpha0 = np.zeros((len(starts), n, r))
-    alphas = np.zeros((len(starts), na, n, q))
-    UU, GU = _target_grams(grams, ds)                  # refreshed whenever D moves
-    members = list(range(len(starts)))                 # member index of each active row
+    gamma_fixed = r == q
+    ds = np.zeros((len(members), nd, n))
+    for row, m in enumerate(members):
+        ds[row, :shapes[m][0]] = np.asarray(starts[m][2], float).reshape(-1, n)
+    st = {                                             # batch state, one row per member
+        "grams": grams if len(members) == len(starts) else grams[members],
+        "omega": np.stack([np.asarray(starts[m][1], float).reshape(n, q) for m in members]),
+        "gamma": np.stack([
+            np.eye(q)[:, :r] if gamma_fixed or r == 0
+            else np.asarray(starts[m][0], float).reshape(q, r)
+            for m in members
+        ]),
+        "ds": ds,
+        "alpha0": np.zeros((len(members), n, r)),
+        "alphas": np.zeros((len(members), na, n, q)),
+    }
+    if any(shapes[m] != (nd, na) for m in members):
+        st["grams"], masks = _member_masks(st["grams"], [shapes[m] for m in members], q, r)
+        st.update(masks)
+    st["UU"], st["GU"] = _target_grams(st["grams"], ds)   # refreshed whenever D moves
     traces = [[] for _ in starts]
     diagnostics = [{} for _ in starts]
-    finals = [None] * len(starts)
+
+    def loadings_step(st: dict, diags: list) -> dict:
+        # Step 1: OLS for (alpha0, alphas) and sigma given (gamma, omega, D)
+        omega, UU = st["omega"], st["UU"]
+        weights = ([omega @ st["gamma"]] if r > 0 else []) + [omega] * na  # regressor = X_c @ W_c
+        if not weights:
+            sigma = (UU + UU.transpose(0, 2, 1)) / (2.0 * Te)
+            return {"sigma": sigma, "ll": gaussian_loglik(sigma, Te)}
+        M, v = _normal_blocks(st["grams"], weights, st["GU"])
+        _pin(M, st.get("pin1"))
+        _check_step_rank(M)
+        solve_M = M + opts.ridge * np.eye(M.shape[-1]) if opts.ridge > 0.0 else M
+        coef = np.linalg.solve(solve_M, v)
+        coefT = coef.transpose(0, 2, 1)
+        sigma = (UU - v.transpose(0, 2, 1) @ coef - coefT @ v + coefT @ M @ coef) / Te
+        sigma = (sigma + sigma.transpose(0, 2, 1)) / 2.0
+        return {
+            "sigma": sigma,
+            "ll": gaussian_loglik(sigma, Te),
+            "alpha0": coefT[:, :, :r],
+            "alphas": coefT[:, :, r:].reshape(len(coef), n, na, q).transpose(0, 2, 1, 3),
+        }
+
+    def index_step(st: dict, diags: list) -> dict:
+        # Step 2: weighted OLS for (Vec(omega'), delta) given the rest
+        grams, omega, UU, GU = st["grams"], st["omega"], st["UU"], st["GU"]
+        sinv = _robust_inverse(st["sigma"], diags)
+        loadings = st["alphas"]                        # omega-channel loadings a_c
+        if r > 0:
+            ec_loading = st["alpha0"] @ st["gamma"].transpose(0, 2, 1)
+            loadings = np.concatenate([ec_loading[:, None], loadings], axis=1)
+        theta = _step2_solve(grams, sinv, loadings, nd, q, estimate_omega, opts, st.get("pin2"))
+        out = {}
+        if nd:
+            out["ds"] = theta[:, :nd * n].reshape(len(theta), nd, n)
+            out["UU"], out["GU"] = UU, GU = _target_grams(grams, out["ds"])
+        if estimate_omega:
+            new = theta[:, nd * n:].reshape(len(theta), n, q)
+            if opts.normalize:
+                # the rotation is absorbed by step 1's loadings and step 3's gamma,
+                # both re-estimated before they are next used
+                new = _qr_normalize(new)[0]
+            if "hold" in st:                           # members with no omega channel
+                new = np.where(st["hold"][:, None, None], omega, new)
+            out["omega"] = omega = new
+        # Step 3: reduced-rank eigenstep for gamma given (omega, D)
+        if 0 < r < q:
+            out["gamma"] = _rrr_gamma(grams, omega, UU, GU, r, st.get("pin3"))
+        return out
 
     for it in range(1, opts.max_iter + 1):
-        # Step 1: OLS for (alpha0, alphas) and sigma given (gamma, omega, D)
-        weights = ([omega @ gamma] if r > 0 else []) + [omega] * na   # regressor = X_c @ W_c
-        if weights:
-            M, v = _normal_blocks(grams, weights, GU)
-            _check_step_rank(M)
-            solve_M = M + opts.ridge * np.eye(M.shape[-1]) if opts.ridge > 0.0 else M
-            coef = np.linalg.solve(solve_M, v)
-            coefT = coef.transpose(0, 2, 1)
-            sigma = (UU - v.transpose(0, 2, 1) @ coef - coefT @ v + coefT @ M @ coef) / Te
-            sigma = (sigma + sigma.transpose(0, 2, 1)) / 2.0
-            alpha0 = coefT[:, :, :r]
-            alphas = coefT[:, :, r:].reshape(len(coef), n, na, q).transpose(0, 2, 1, 3)
-        else:
-            sigma = (UU + UU.transpose(0, 2, 1)) / (2.0 * Te)
+        out, st, members = _each_member(loadings_step, st, members, diagnostics, finals)
+        if not members:
+            break
+        lls = out.pop("ll")
+        st.update(out)
         stopped = []
-        for row, (m, value) in enumerate(zip(members, gaussian_loglik(sigma, Te).tolist())):
+        for row, (m, value) in enumerate(zip(members, lls.tolist())):
             trace = traces[m]
             trace.append(value)
+            nd_m, na_m = shapes[m]
             if _converged(trace, opts.tol):
                 stop = "tol"
-            elif nd == 0 and not estimate_omega:
+            elif nd_m == 0 and not (q > 0 and (na_m > 0 or r > 0)):
                 stop = "no_free_params"
             elif it == opts.max_iter:
                 stop = "max_iter"
@@ -317,11 +402,11 @@ def _sa_engine(grams: _Grams, q: int, r: int, starts: list, opts: FitOptions) ->
                 continue
             diagnostics[m]["stop"] = stop
             finals[m] = {
-                "omega": omega[row].copy(),
-                "gamma": gamma[row].copy(),
-                "alpha0": alpha0[row].copy(),
-                "alphas": list(alphas[row].copy()),
-                "ds": list(ds[row].copy()),
+                "omega": st["omega"][row].copy(),
+                "gamma": st["gamma"][row].copy(),
+                "alpha0": st["alpha0"][row].copy(),
+                "alphas": list(st["alphas"][row, :na_m].copy()),
+                "ds": list(st["ds"][row, :nd_m].copy()),
                 "trace": np.asarray(trace),
                 "converged": stop != "max_iter",
                 "iterations": it,
@@ -333,32 +418,98 @@ def _sa_engine(grams: _Grams, q: int, r: int, starts: list, opts: FitOptions) ->
         if stopped:
             keep = [row for row in range(len(members)) if row not in stopped]
             members = [members[row] for row in keep]
-            grams = grams.take(keep)
-            omega, gamma, alpha0, alphas, ds, sigma, UU, GU = (
-                a[keep] for a in (omega, gamma, alpha0, alphas, ds, sigma, UU, GU)
-            )
-
-        # Step 2: weighted OLS for (Vec(omega'), delta) given the rest
-        sinv = _robust_inverse(sigma, [diagnostics[m] for m in members])
-        loadings = alphas                              # omega-channel loadings a_c
-        if r > 0:
-            ec_loading = alpha0 @ gamma.transpose(0, 2, 1)
-            loadings = np.concatenate([ec_loading[:, None], alphas], axis=1)
-        theta = _step2_solve(grams, sinv, loadings, nd, q, estimate_omega, opts)
-        if nd:
-            ds = theta[:, :nd * n].reshape(len(theta), nd, n)
-            UU, GU = _target_grams(grams, ds)
-        if estimate_omega:
-            omega = theta[:, nd * n:].reshape(len(theta), n, q)
-            if opts.normalize:
-                # the rotation is absorbed by step 1's loadings and step 3's gamma,
-                # both re-estimated before they are next used
-                omega = _qr_normalize(omega)[0]
-
-        # Step 3: reduced-rank eigenstep for gamma given (omega, D)
-        if 0 < r < q:
-            gamma = _rrr_gamma(grams, omega, UU, GU, r)
+            st = {k: v[keep] for k, v in st.items()}
+        out, st, members = _each_member(index_step, st, members, diagnostics, finals)
+        if not members:
+            break
+        st.update(out)
     return finals
+
+
+def _each_member(phase, st: dict, members: list, diagnostics: list, finals: list):
+    """phase(st, diagnostics) on the whole batch, or member by member when it raises.
+
+    A member whose phase raises on its own leaves the batch with that
+    exception as its final state, the one its single fit would raise.
+    Returns the phase's outputs, the batch state and the members, all
+    restricted to the members still running.
+    """
+    try:
+        return phase(st, [diagnostics[m] for m in members]), st, members
+    except (ValueError, np.linalg.LinAlgError) as exc:
+        if len(members) == 1:
+            finals[members[0]] = exc
+            return {}, {}, []
+    outs, keep = [], []
+    for row, m in enumerate(members):
+        try:
+            outs.append(phase({k: v[row: row + 1] for k, v in st.items()}, [diagnostics[m]]))
+        except (ValueError, np.linalg.LinAlgError) as exc:
+            finals[m] = exc
+            continue
+        keep.append(row)
+    if not keep:
+        return {}, {}, []
+    out = {k: np.concatenate([o[k] for o in outs]) for k in outs[0]}
+    return out, {k: v[keep] for k, v in st.items()}, [members[row] for row in keep]
+
+
+def _member_masks(grams: _Grams, shapes: list, q: int, r: int):
+    """Mask each member's lags beyond its own (nd_i, na_i) out of a padded batch.
+
+    The member's grams of those lags are zeroed, so their coordinates
+    decouple from every step's normal equations with a zero right-hand
+    side, and _pin gives them a diagonal. A member with no omega channel
+    (na_i = 0 and r = 0) has its omega coordinates pinned too and holds its
+    start omega. Returns the masked grams and the masks: pin1 over step 1's
+    (alpha0, alphas) coordinates, pin2 over step 2's (delta, Vec(omega')),
+    pin3 over step 3's index-lag coordinates, and hold when any member holds.
+    """
+    n, nd = grams.n, grams.nd
+    na = grams.Gcc.shape[-1] // n - (r > 0)
+    B = len(shapes)
+    nd_i, na_i = (np.array(col)[:, None] for col in zip(*shapes))
+    diag_off = np.arange(nd) >= nd_i                   # (B, nd) lags a member lacks
+    index_off = np.arange(na) >= na_i                  # (B, na)
+    hold = (na_i[:, 0] == 0) & (r == 0)
+    ec_on = np.zeros((B, int(r > 0)), bool)
+    on = ~np.concatenate([np.zeros((B, 1), bool), diag_off, ec_on, index_off], axis=1)
+    G = grams.G * (on[:, :, None] & on[:, None, :])[..., None, None]
+    pin2 = [np.repeat(diag_off, n, axis=1)]
+    if q > 0 and (na > 0 or r > 0):
+        pin2.append(np.repeat(hold[:, None], n * q, axis=1))
+    masks = {
+        "pin1": _pin_mask(
+            np.concatenate([np.zeros((B, r), bool), np.repeat(index_off, q, axis=1)], axis=1)
+        ),
+        "pin2": _pin_mask(np.concatenate(pin2, axis=1)),
+        "pin3": _pin_mask(np.repeat(index_off, q, axis=1)),
+    }
+    if hold.any():
+        masks["hold"] = hold
+    return _Grams.blocks(G, nd, grams.Te), masks
+
+
+def _pin_mask(pinned: np.ndarray) -> np.ndarray:
+    """(B, 2, k): the pinned coordinates, and 1/count on each member's free ones."""
+    free = ~pinned
+    return np.stack([pinned, free / np.maximum(free.sum(axis=1, keepdims=True), 1)], axis=1)
+
+
+def _pin(A: np.ndarray, pin: np.ndarray | None) -> None:
+    """Put a diagonal on each member's pinned coordinates of A, in place.
+
+    The pinned rows and columns of A are zero (their grams are masked), so
+    the coordinates solve to their zero right-hand side. The diagonal is the
+    mean of the member's free diagonal (1 when it has none), which lies
+    between the free block's extreme eigenvalues, so rank checks and
+    eigenvalue cut-offs see the free block alone.
+    """
+    if pin is None:
+        return
+    diag = np.einsum("bii->bi", A)                     # a writable view
+    level = np.einsum("bi,bi->b", diag, pin[:, 1])
+    diag += pin[:, 0] * np.where(level > 0.0, level, 1.0)[:, None]
 
 
 def _check_step_rank(M: np.ndarray) -> None:
@@ -440,7 +591,7 @@ def _lstsq(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.linalg.lstsq(A, b, rcond=None)[0]
 
 
-def _step2_solve(grams, sinv, loadings, nd, q, estimate_omega, opts):
+def _step2_solve(grams, sinv, loadings, nd, q, estimate_omega, opts, pinned=None):
     """Solve the stacked Vec regressions through their normal equations.
 
     For theta = (delta_1..delta_nd, Vec(omega')) the blocks are
@@ -449,7 +600,8 @@ def _step2_solve(grams, sinv, loadings, nd, q, estimate_omega, opts):
     in one batched product over the gram tensor. sinv is (B, n, n) and
     loadings (B, C, n, q); returns theta as (B, nd n + n q). When a member's
     gram system is not positive definite (structurally unidentified loading
-    directions), that member gets its minimum-norm solution.
+    directions), that member gets its minimum-norm solution. pinned marks the
+    masked coordinates of padded members (_member_masks).
     """
     n, G = grams.n, grams.G
     B = len(G)
@@ -468,12 +620,13 @@ def _step2_solve(grams, sinv, loadings, nd, q, estimate_omega, opts):
         G2[:, :ow, ow:] = np.einsum("xjckK,xckm->xjkKm", G[:, dd, cc], SA).reshape(B, ow, n * q)
         G2[:, ow:, :ow] = G2[:, :ow, ow:].transpose(0, 2, 1)
         rhs[:, ow:] = np.einsum("xaik,xakq->xiq", G[:, cc, 0], SA).reshape(B, n * q)
+    _pin(G2, pinned)
     if opts.ridge > 0.0:
         G2 += opts.ridge * np.eye(k2)
     return _solve_pd(G2, rhs[:, :, None], _min_norm_solve)[:, :, 0]
 
 
-def _rrr_gamma(grams: _Grams, omega, UU, GU, r) -> np.ndarray:
+def _rrr_gamma(grams: _Grams, omega, UU, GU, r, pinned=None) -> np.ndarray:
     """Eigenvectors of S11^-1 S10 S00^-1 S01 for the r largest eigenvalues.
 
     R0 and R1 are the residuals of the diagonal-adjusted targets and of the
@@ -482,11 +635,13 @@ def _rrr_gamma(grams: _Grams, omega, UU, GU, r) -> np.ndarray:
     With every vec channel weighted by omega, the step-1 normal blocks hold
     E'E, E'U (E = ec_X omega, the first channel) and F'F, F'U, F'E (F the
     weighted index lags). omega is (B, n, q); returns gamma as (B, q, r).
+    pinned marks the masked index-lag coordinates of padded members.
     """
     n, q = omega.shape[1:]
     Te = grams.Te
     M, v = _normal_blocks(grams, [omega] * (grams.Gcc.shape[-1] // n), GU)
     FF, FE, FU = M[:, q:, q:], M[:, q:, :q], v[:, q:]
+    _pin(FF, pinned)
     sol = _solve_pd(FF, np.concatenate([FU, FE], axis=2), _lstsq)
     sol_U, sol_E = sol[:, :, :n], sol[:, :, n:]
     FET = FE.transpose(0, 2, 1)
@@ -544,9 +699,11 @@ def _lockstep(make_setup, panels: list, opts: FitOptions | None, starts: list | 
 
 
 def _finished(make_setup, panels: list, states: list, last: _Setup):
-    for Y, state in zip(panels[:-1], states):
-        yield _finish(make_setup(Y), state)
-    yield _finish(last, states[-1])
+    """Each panel's FitResult, raising a member's exception when its turn comes."""
+    for i, (Y, state) in enumerate(zip(panels, states)):
+        if isinstance(state, Exception):
+            raise state
+        yield _finish(last if i == len(panels) - 1 else make_setup(Y), state)
 
 
 def _finish(setup: _Setup, state: dict) -> FitResult:
@@ -581,8 +738,10 @@ def fit_many(
     own trace and stop reason, so each fit equals the single fitter's on
     that panel. Returns an iterator over the FitResults in panel order; the
     switching runs before this returns, and each fit's residuals are formed
-    as it is consumed. Raises ValueError when the panels differ in length,
-    width or first usable row.
+    as it is consumed. A panel whose fit fails does not stop the others:
+    the iterator raises that fit's exception when the panel's turn comes.
+    Raises ValueError when the panels differ in length, width or first
+    usable row.
     """
     panels = list(panels)
     if model not in _SETUPS:
@@ -889,13 +1048,16 @@ def init_ciaar(
     give omega0; the rank-q truncation supplies the diagonal starting
     values, and gamma0 regresses beta on omega0.
     """
-    n = Y.n
-    nd = max(p - 1, 0)
     m = max(p, s, 1) - 1
-    jo = johansen_rrr(Y, m + 1, r, demean=demean)
-    pis = jo.params.pis
-    beta = jo.params.beta
-    alpha0 = jo.params.alpha0
+    return _ciaar_start(johansen_rrr(Y, m + 1, r, demean=demean).params, p, q)
+
+
+def _ciaar_start(jo: VECMParams, p: int, q: int):
+    """init_ciaar's starting values from its Johansen estimates, which hold
+    the max(p, s) - 1 lagged differences and the rank r."""
+    pis, beta, alpha0 = jo.pis, jo.beta, jo.alpha0
+    n, r = beta.shape
+    nd = max(p - 1, 0)
 
     # strip the diagonal only where the model grants it own-lag freedom; for
     # the remaining lags the diagonal belongs to the index signal
@@ -1036,6 +1198,109 @@ _SETUPS = {
     "ciaar": _setup_ciaar,
     "vecim": _setup_vecim,
 }
+
+
+# ---------------------------------------------------------------------------
+# fitting one panel at many orders: the selection grid
+# ---------------------------------------------------------------------------
+
+
+def _grid_setup(model: str, Y: Panel, orders: tuple, t_start: int) -> _Setup:
+    p, s, q, r = orders
+    if model == "mai":
+        return _setup_mai(Y, p, q, t_start=t_start)
+    if model == "iaar":
+        return _setup_iaar(Y, p, s, q, t_start=t_start)
+    return _setup_ciaar(Y, p, s, q, r, t_start=t_start)
+
+
+def _fit_grid(
+    model: str, Y: Panel, candidates: list, opts: FitOptions, t_start: int, map_groups=map
+):
+    """Fit one panel at every candidate (p, s, q, r) of a selection grid.
+
+    model is "mai" (candidates (p, p, q, 0)), "iaar" (r = 0, q >= 1) or
+    "ciaar". Every candidate's first regression target is panel row
+    t_start, so one gram set at the grid's largest lags serves them all.
+    The candidates run as one lockstep engine batch per (q, r), padded to
+    the group's largest (nd, na) with each member's missing lags masked
+    (_member_masks), and the CIAAR starts share one Johansen fit per
+    (m = max(p, s) - 1, r). map_groups maps _run_group over the groups'
+    engine inputs: the builtin map, or a process pool's map. The engine
+    runs before this returns; the result is an iterator over the
+    candidates in order, giving each one's FitResult (its residuals formed
+    as it is consumed) or the exception its single fit raises.
+    """
+    outcomes = [None] * len(candidates)               # exception or engine state
+    johansen = {}                                      # (m, r) -> VECMParams or exception
+
+    def johansen_fit(m, r):
+        if (m, r) not in johansen:
+            try:
+                johansen[m, r] = johansen_rrr(Y, m + 1, r).params
+            except (ValueError, np.linalg.LinAlgError) as exc:
+                johansen[m, r] = exc
+        if isinstance(johansen[m, r], Exception):
+            raise johansen[m, r]
+        return johansen[m, r]
+
+    groups = {}                                        # (q, r) -> [(candidate, shape, start)]
+    widest = {}                                        # the longest diagonal and index lags
+    for i, orders in enumerate(candidates):
+        p, s, q, r = orders
+        try:
+            setup = _grid_setup(model, Y, orders, t_start)
+            if model == "ciaar":
+                start = _ciaar_start(johansen_fit(max(p, s, 1) - 1, r), p, q)
+            else:
+                start = setup.start(opts)
+        except (ValueError, np.linalg.LinAlgError) as exc:
+            outcomes[i] = exc
+            continue
+        shape = (len(setup.diag_X), len(setup.index_X))
+        groups.setdefault((q, r), []).append((i, shape, start))
+        if not widest:
+            widest = {"Z": setup.Z, "ec_X": setup.ec_X, "diag_X": [], "index_X": []}
+        for name in ("diag_X", "index_X"):
+            if len(getattr(setup, name)) > len(widest[name]):
+                widest[name] = getattr(setup, name)
+    if groups:
+        full = _Grams.of(**widest)
+        ec = [1 + full.nd] if widest["ec_X"] is not None else []
+        tasks = (_group_task(full, ec, q, r, members, opts) for (q, r), members in groups.items())
+        for members, states in zip(groups.values(), map_groups(_run_group, tasks)):
+            for (i, _, _), state in zip(members, states):
+                outcomes[i] = state
+    return _grid_fits(model, Y, candidates, t_start, outcomes)
+
+
+def _group_task(full: _Grams, ec: list, q: int, r: int, members: list, opts: FitOptions):
+    """The engine inputs of one (q, r) group: full's blocks at the group's
+    largest lags, once per member, with each member's start and shape."""
+    shapes = [shape for _, shape, _ in members]
+    nd, na = (max(col) for col in zip(*shapes))
+    index = 1 + full.nd + len(ec)                      # full's first index-lag block
+    blocks = list(range(1 + nd)) + (ec if r > 0 else []) + list(range(index, index + na))
+    G = np.repeat(full.G[:, blocks][:, :, blocks], len(members), axis=0)
+    starts = [start for _, _, start in members]
+    return _Grams.blocks(G, nd, full.Te), q, r, starts, opts, shapes
+
+
+def _grid_fits(model: str, Y: Panel, candidates: list, t_start: int, outcomes: list):
+    """Each candidate's FitResult, from its engine state, or its exception."""
+    for orders, outcome in zip(candidates, outcomes):
+        if isinstance(outcome, Exception):
+            yield outcome
+            continue
+        try:
+            yield _finish(_grid_setup(model, Y, orders, t_start), outcome)
+        except (ValueError, np.linalg.LinAlgError) as exc:
+            yield exc
+
+
+def _run_group(task: tuple) -> list:
+    """One selection-grid group's engine run; a process-pool task."""
+    return _sa_engine(*task)
 
 
 # ---------------------------------------------------------------------------

@@ -4,17 +4,27 @@ Every candidate is fit on the same effective sample (conditioning on the
 grid's maximum lag) so the log-likelihoods are comparable; the innovation
 covariance's parameters are excluded from the penalty, a constant offset
 across candidates that cannot change the argmin.
+
+The grid runs as lockstep (q, r) groups: one switching-engine batch per
+(q, r), padded to the group's largest lags with each candidate's missing
+lags masked, all over one gram set per panel, with the CIAAR starts sharing
+one Johansen fit per (max(p, s) - 1, r). Each row equals its candidate's
+single fit. A candidate whose fit raises is a failed row carrying that
+error; stop records why a fit's sweeps ended ("tol", "max_iter" or
+"no_free_params").
 """
 
 from __future__ import annotations
 
 import concurrent.futures
+import csv
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .estimators import FitOptions, fit_ciaar, fit_iaar, fit_mai
+from .estimators import FitOptions, _fit_grid
+from .estimators import fit_ciaar, fit_mai  # noqa: F401  (traced by perfbench/workloads.py)
 from .tscore import Panel
 
 __all__ = ["ICRow", "ICTable", "info_criterion", "grid_search"]
@@ -39,6 +49,13 @@ def info_criterion(loglik: float, n_params: int, T_eff: int, kind: str) -> float
 
 @dataclass
 class ICRow:
+    """One candidate's fit: its criteria, and why its sweeps stopped.
+
+    stop is the fit's diagnostics["stop"] ("tol", "max_iter" or
+    "no_free_params"), empty when the fit raised; error holds that
+    exception, or why its criteria could not be computed.
+    """
+
     model: str
     p: int
     s: int
@@ -51,6 +68,7 @@ class ICRow:
     hq: float
     converged: bool
     failed: bool = False
+    stop: str = ""
     error: str = ""
 
     def orders(self) -> tuple:
@@ -63,12 +81,14 @@ class ICTable:
 
     best maps each criterion name to the index of its minimizer among the
     non-failed rows, tie-broken by parameter count then lexicographic
-    orders.
+    orders. kind is the criterion the search was run for; to_csv marks its
+    minimizer.
     """
 
     rows: list[ICRow]
     T_eff: int
     best: dict = field(default_factory=dict)
+    kind: str = "hq"
 
     def __post_init__(self):
         if not self.best:
@@ -88,16 +108,18 @@ class ICTable:
         return self.rows[self.best[kind]]
 
     def to_csv(self, path) -> None:
-        header = "model,p,s,q,r,loglik,n_params,aic,bic,hq,converged,failed,error"
-        lines = [header]
-        for row in self.rows:
-            lines.append(
-                f"{row.model},{row.p},{row.s},{row.q},{row.r},"
-                f"{row.loglik:.17g},{row.n_params},{row.aic:.17g},{row.bic:.17g},"
-                f"{row.hq:.17g},{int(row.converged)},{int(row.failed)},{row.error}"
-            )
-        with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+        """Write one line per candidate; best marks the minimizer of kind."""
+        best = self.best[self.kind]
+        header = "model,p,s,q,r,loglik,n_params,aic,bic,hq,converged,failed,stop,error,best"
+        with open(path, "w", newline="") as fh:
+            out = csv.writer(fh, lineterminator="\n")
+            out.writerow(header.split(","))
+            for i, row in enumerate(self.rows):
+                out.writerow([
+                    row.model, row.p, row.s, row.q, row.r, f"{row.loglik:.17g}", row.n_params,
+                    f"{row.aic:.17g}", f"{row.bic:.17g}", f"{row.hq:.17g}", int(row.converged),
+                    int(row.failed), row.stop, row.error, int(i == best),
+                ])
 
 
 def _candidate_grid(model, p_range, q_range, n, s_max=None, r_max=None):
@@ -122,20 +144,18 @@ def _candidate_grid(model, p_range, q_range, n, s_max=None, r_max=None):
     return combos
 
 
-def _fit_candidate(args):
-    values, names, t0, model, orders, t_start, opts = args
-    Y = Panel(values, list(names), t0)
-    p, s, q, r = orders
+def _ic_row(model: str, orders: tuple, fit) -> ICRow:
+    """The table row of a candidate's FitResult, or of the exception it raised."""
+    if isinstance(fit, Exception):  # failed fits stay in the table, out of the argmin
+        return ICRow(model, *orders, np.nan, 0, np.nan, np.nan, np.nan, False,
+                     failed=True, error=f"{type(fit).__name__}: {fit}")
+    stop = fit.diagnostics.get("stop", "")
     try:
-        if model == "mai":
-            fit = fit_mai(Y, p, q, opts=opts, t_start=t_start)
-        elif model == "iaar":
-            fit = fit_iaar(Y, p, s, q, opts=opts, t_start=t_start)
-        else:
-            fit = fit_ciaar(Y, p, s, q, r, opts=opts, t_start=t_start)
-    except Exception as exc:  # failed fits stay in the table, out of the argmin
-        return orders, None, f"{type(exc).__name__}: {exc}"
-    return orders, (fit.loglik, fit.n_params, fit.T_eff, fit.converged), ""
+        crits = [info_criterion(fit.loglik, fit.n_params, fit.T_eff, c) for c in CRITERIA]
+    except ValueError as exc:
+        return ICRow(model, *orders, fit.loglik, fit.n_params, np.nan, np.nan, np.nan,
+                     fit.converged, failed=True, stop=stop, error=str(exc))
+    return ICRow(model, *orders, fit.loglik, fit.n_params, *crits, fit.converged, stop=stop)
 
 
 def grid_search(
@@ -154,8 +174,9 @@ def grid_search(
     model selects the candidate family: "ciaar" searches the full quadruple
     (s <= p, r <= q), "iaar" the triple with r = 0, and "mai" the pair
     (p, q). All fits condition on the grid's maximum lag so likelihoods are
-    comparable; kind only picks which best-row accessor the caller will use
-    (all three criteria are tabulated).
+    comparable; kind is recorded as the table's criterion (all three are
+    tabulated). The candidates of each (q, r) run as one lockstep group;
+    workers > 1 fits the groups in a process pool.
     """
     if kind not in CRITERIA:
         raise ValueError(f"kind must be one of {CRITERIA}, got {kind!r}")
@@ -167,38 +188,16 @@ def grid_search(
     # longest lag in levels (and, for ciaar, the max(p-1, s-1) difference lags
     # plus the differencing row)
     t_start = Y.t0 + max(max(p, s) for p, s, _, _ in combos)
-    tasks = [
-        (Y.values, Y.names, Y.t0, model, orders, t_start, opts) for orders in combos
-    ]
     if workers > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_fit_candidate, tasks))
+            fits = _fit_grid(model, Y, combos, opts, t_start, pool.map)
     else:
-        results = [_fit_candidate(task) for task in tasks]
-
-    by_orders = {orders: (stats, err) for orders, stats, err in results}
-    rows = []
-    T_eff_common = None
-    for orders in combos:
-        stats, err = by_orders[orders]
-        p, s, q, r = orders
-        if stats is None:
-            rows.append(
-                ICRow(model, p, s, q, r, np.nan, 0, np.nan, np.nan, np.nan,
-                      False, failed=True, error=err)
-            )
-            continue
-        ll, k, T_eff, converged = stats
-        try:
-            crits = [info_criterion(ll, k, T_eff, c) for c in CRITERIA]
-        except ValueError as exc:
-            rows.append(
-                ICRow(model, p, s, q, r, ll, k, np.nan, np.nan, np.nan,
-                      converged, failed=True, error=str(exc))
-            )
-            continue
-        T_eff_common = T_eff
-        rows.append(ICRow(model, p, s, q, r, ll, k, *crits, converged))
-    if T_eff_common is None:
+        fits = _fit_grid(model, Y, combos, opts, t_start)
+    rows, T_eff = [], None
+    for orders, fit in zip(combos, fits):        # each fit is dropped once tabulated
+        rows.append(_ic_row(model, orders, fit))
+        if not rows[-1].failed:
+            T_eff = fit.T_eff
+    if T_eff is None:
         raise ValueError("all candidate fits failed")
-    return ICTable(rows, T_eff_common)
+    return ICTable(rows, T_eff, kind=kind)

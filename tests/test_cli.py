@@ -105,8 +105,10 @@ class TestFitPipeline:
             if not line.startswith("#")
         ]
         assert len(lines) == 3  # header + 2 candidates
+        assert lines[0].endswith(",converged,failed,stop,error,best")
         best_flags = [line.rsplit(",", 1)[1] for line in lines[1:]]
         assert best_flags.count("1") == 1
+        assert all(line.split(",")[12] in ("tol", "max_iter") for line in lines[1:])
 
     def test_montecarlo(self, tmp_path):
         out = tmp_path / "mc"
@@ -122,6 +124,17 @@ class TestFitPipeline:
             "--T", 300, "--reps", 3, "--seed", 7, "--out", rerun,
         )
         assert (out / "mc_results.csv").read_bytes() == (rerun / "mc_results.csv").read_bytes()
+
+    def test_montecarlo_worker_pool_matches_serial(self, tmp_path):
+        written = []
+        for workers in (1, 2):
+            out = tmp_path / f"mc{workers}"
+            assert run_cli(
+                "montecarlo", "--model", "mai", "--n", 4, "--q", 1, "--p", 1,
+                "--T", 200, "--reps", 4, "--seed", 7, "--workers", workers, "--out", out,
+            ) == 0
+            written.append((out / "mc_results.csv").read_bytes())
+        assert written[0] == written[1]
 
 
 class TestErrors:

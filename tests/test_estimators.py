@@ -4,9 +4,12 @@ import pytest
 from indexvar.estimators import (
     FitOptions,
     _Grams,
+    _finish,
     _min_norm_solve,
     _normal_blocks,
     _robust_inverse,
+    _sa_engine,
+    _setup_mai,
     _solve_pd,
     _step2_solve,
     _target_grams,
@@ -35,7 +38,7 @@ from indexvar.simulate import (
     simulate_mai,
     simulate_vhari,
 )
-from indexvar.tscore import Panel, har_aggregates, ols, subspace_distance
+from indexvar.tscore import Panel, SingularDesignError, har_aggregates, ols, subspace_distance
 from rowlevel import (
     ciaar_inputs,
     diag_selection_matrix,
@@ -472,8 +475,46 @@ class TestBatchAxis:
         match = "residual covariance is not positive definite"
         with pytest.raises(np.linalg.LinAlgError, match=match):
             fit_mai(bad, 2, 2)
+        # the good panels still fit; the bad one raises when its turn comes
+        fits = fit_many("mai", [good, bad, good], p=2, q=2)
+        assert next(fits).loglik == fit_mai(good, 2, 2).loglik
         with pytest.raises(np.linalg.LinAlgError, match=match):
-            fit_many("mai", [good, bad, good], p=2, q=2)
+            next(fits)
+
+    def test_failing_members_leave_the_batch_with_their_single_fit_errors(self):
+        # a batch of MAI(2) q = 2 fits: two healthy panels, one whose
+        # residual covariance turns singular (y4_t = y1_{t-1}), and one whose
+        # start omega repeats a column, so its step-1 design is rank deficient
+        dgp = random_mai_params(4, 1, 2, seed=0)
+        panels = [simulate_mai(dgp, 600, seed=seed) for seed in (1, 2, 3, 4)]
+        values = panels[1].values.copy()
+        values[1:, 3] = values[:-1, 0]
+        panels[1] = Panel(values)
+        column = np.linalg.qr(np.random.default_rng(5).standard_normal((4, 1)))[0]
+        omega0s = [None, None, None, np.hstack([column, column])]
+        opts = FitOptions(max_iter=60)
+        setups = [_setup_mai(Y, 2, 2) for Y in panels]
+        grams = _Grams.stack([_Grams.of(s.Z, s.diag_X, None, s.index_X) for s in setups])
+        starts = [
+            s.start(opts) if omega0 is None else (None, omega0, [])
+            for s, omega0 in zip(setups, omega0s)
+        ]
+        states = _sa_engine(grams, 2, 0, starts, opts)
+        failed = []
+        for Y, setup, omega0, state in zip(panels, setups, omega0s, states):
+            try:
+                ref = fit_mai(Y, 2, 2, opts=opts, omega0=omega0)
+            except (ValueError, np.linalg.LinAlgError) as exc:
+                assert type(state) is type(exc)
+                assert str(state) == str(exc)
+                failed.append(type(exc))
+                continue
+            got = _finish(setup, state)
+            assert got.iterations == ref.iterations
+            assert got.diagnostics == ref.diagnostics
+            gap = np.abs(got.loglik_trace - ref.loglik_trace).max()
+            assert gap <= 1e-10 * np.abs(ref.loglik_trace).max()
+        assert failed == [np.linalg.LinAlgError, SingularDesignError]
 
     def test_fit_many_rejects_unequal_lengths(self):
         params = random_ciaar_params(6, 2, 1, 2, 2, seed=0)

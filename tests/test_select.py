@@ -1,3 +1,4 @@
+import csv
 import math
 
 import numpy as np
@@ -147,6 +148,28 @@ class TestGridSearch:
         assert len(lines) == 1 + len(table.rows)
         cells = lines[1].split(",")
         assert float(cells[5]) == table.rows[0].loglik
+
+    def test_csv_quotes_errors_and_marks_the_best_row(self, tmp_path):
+        rows = [
+            _row("mai", 1, 1, 1, 0, np.nan, 0, failed=True),
+            _row("mai", 2, 2, 1, 0, -100.0, 8),
+        ]
+        rows[0].error = "ValueError: effective sample 9 too small, say"
+        rows[1].stop = "tol"
+        path = tmp_path / "ic.csv"
+        ICTable(rows, 500, kind="aic").to_csv(path)
+        with open(path, newline="") as fh:
+            header, *cells = list(csv.reader(fh))
+        assert header[-4:] == ["failed", "stop", "error", "best"]
+        assert [c[-3:] for c in cells] == [["", rows[0].error, "0"], ["tol", "", "1"]]
+
+    def test_worker_pool_matches_serial(self):
+        params = random_ciaar_params(4, 1, 1, 2, 2, seed=4)
+        Y = simulate_ciaar(params, 400, seed=5)
+        serial = grid_search(Y, (1, 2), (1, 2))
+        pooled = grid_search(Y, (1, 2), (1, 2), workers=2)
+        assert pooled.rows == serial.rows
+        assert pooled.best == serial.best
 
     def test_failed_candidates_recorded(self):
         # a sample too short for the largest candidates fails but is tabulated
