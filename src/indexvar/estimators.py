@@ -14,7 +14,7 @@ kept in tests/rowlevel.py as an independent oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cache, partial
 from typing import Callable
 
 import numpy as np
@@ -31,6 +31,7 @@ from .tscore import (
     Panel,
     SingularDesignError,
     autocov,
+    check_rank,
     fix_signs,
     gaussian_loglik,
     har_aggregates,
@@ -115,12 +116,17 @@ class FitResult:
 # ---------------------------------------------------------------------------
 
 
-def _regress(X: np.ndarray, Y: np.ndarray, ridge: float) -> np.ndarray:
-    """Coefficients of Y on X; strict rank check when unpenalized."""
+def _ols_start(X: list, Z: np.ndarray, nd: int, q: int, ridge: float):
+    """Starting values from the VAR coefficients of Z on the n x n blocks X
+    (_index_start); the OLS takes ols's strict rank check when unpenalized."""
+    X = np.hstack(X)
     if ridge > 0.0:
-        G = X.T @ X + ridge * np.eye(X.shape[1])
-        return np.linalg.solve(G, X.T @ Y)
-    return ols(X, Y).coeffs
+        C = np.linalg.solve(X.T @ X + ridge * np.eye(X.shape[1]), X.T @ Z)
+    else:
+        C = ols(X, Z).coeffs
+    n = Z.shape[1]
+    pis = C.reshape(-1, n, n).swapaxes(1, 2)[None]     # the coefficient matrix of each block
+    return _index_start({"pis": pis, "beta": np.zeros((1, n, 0))}, nd, q)[0]
 
 
 def _qr_normalize(omega: np.ndarray):
@@ -198,8 +204,10 @@ def _demean(values: np.ndarray, t0: int, demean: bool):
 class _Setup:
     """One panel's engine inputs, and what its FitResult needs besides them.
 
-    start(opts) computes the default starting values (gamma0, omega0, D0);
-    params(out) builds the model parameters from a finished engine state.
+    diag_X and index_X are prefixes of one list of lags. start(opts)
+    computes the default starting values (gamma0, omega0, D0); an EC model's
+    start(full) returns the checked Johansen grams to solve them from
+    (_johansen_starts). params(out) builds the model parameters.
     """
 
     model: str
@@ -213,6 +221,10 @@ class _Setup:
     means: dict
     start: Callable
     params: Callable
+
+    def grams(self) -> "_Grams":
+        """The grams of [Z | lags | ec_X], every block the engine or Johansen reads."""
+        return _Grams.of(self.Z, max(self.diag_X, self.index_X, key=len), self.ec_X, [])
 
 
 @dataclass
@@ -262,6 +274,13 @@ class _Grams:
         return self.G.shape[-1]
 
 
+def _engine_grams(full: _Grams, nd: int, na: int, r: int) -> _Grams:
+    """The engine's grams from those of [Z | lags | ec_X] (_Setup.grams): the first
+    nd lags as diagonal channels, then ec_X (if r > 0) and the first na lags."""
+    blocks = list(range(1 + nd)) + ([1 + full.nd] if r > 0 else []) + list(range(1, 1 + na))
+    return _Grams.blocks(full.G[:, blocks][:, :, blocks], nd, full.Te)
+
+
 def _target_grams(g: _Grams, ds: np.ndarray):
     """U'U and X_a'U for U = Z - sum_j X_j diag(d_j), for every data block a.
 
@@ -279,7 +298,8 @@ def _sa_engine(
     """Run the switching algorithm in lockstep on a batch of prepared fits.
 
     Member i has the grams grams.G[i] and starts from
-    starts[i] = (gamma0, omega0, D0), the order init_ciaar returns. The
+    starts[i] = (gamma0, omega0, D0), the order init_ciaar returns, or
+    the exception its start raised, which becomes its final state. The
     diagonal channels feed the matrices D_j, the index channels the loadings
     alpha_j omega', and the EC channel (levels, present when r > 0) the
     error-correction term alpha0 gamma' omega'. gamma is fixed to I_q when
@@ -298,12 +318,14 @@ def _sa_engine(
     na = grams.Gcc.shape[-1] // n - (r > 0)
     shapes = shapes or [(nd, na)] * len(starts)
     finals = [None] * len(starts)
-    for m, ((nd_m, na_m), (_, _, d0)) in enumerate(zip(shapes, starts)):
+    for m, ((nd_m, na_m), start) in enumerate(zip(shapes, starts)):
         try:
+            if isinstance(start, Exception):
+                raise start
             _check_sample(Te, r + na_m * q + nd_m)
-            if len(d0) != nd_m:
-                raise ValueError(f"{len(d0)} diagonal starting values for {nd_m} lags")
-        except ValueError as exc:
+            if len(start[2]) != nd_m:
+                raise ValueError(f"{len(start[2])} diagonal starting values for {nd_m} lags")
+        except (ValueError, np.linalg.LinAlgError) as exc:
             finals[m] = exc
     members = [m for m, final in enumerate(finals) if final is None]  # member of each row
     if not members:
@@ -587,10 +609,6 @@ def _min_norm_solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     return V[:, keep] @ ((V[:, keep].T @ b) / w[keep, None])
 
 
-def _lstsq(A: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.linalg.lstsq(A, b, rcond=None)[0]
-
-
 def _step2_solve(grams, sinv, loadings, nd, q, estimate_omega, opts, pinned=None):
     """Solve the stacked Vec regressions through their normal equations.
 
@@ -627,31 +645,33 @@ def _step2_solve(grams, sinv, loadings, nd, q, estimate_omega, opts, pinned=None
 
 
 def _rrr_gamma(grams: _Grams, omega, UU, GU, r, pinned=None) -> np.ndarray:
-    """Eigenvectors of S11^-1 S10 S00^-1 S01 for the r largest eigenvalues.
-
-    R0 and R1 are the residuals of the diagonal-adjusted targets and of the
-    lagged index levels on the lagged index differences; all moments come
-    from the cross grams and the target grams (UU, GU) at the current D.
-    With every vec channel weighted by omega, the step-1 normal blocks hold
-    E'E, E'U (E = ec_X omega, the first channel) and F'F, F'U, F'E (F the
-    weighted index lags). omega is (B, n, q); returns gamma as (B, q, r).
-    pinned marks the masked index-lag coordinates of padded members.
+    """The r leading eigenvectors of the reduced-rank regression of the
+    diagonal-adjusted targets U on the lagged index levels E = ec_X omega,
+    concentrated on the weighted index lags F. The step-1 normal blocks
+    with every vec channel weighted by omega hold the grams of [E | F], the
+    target grams (UU, GU) at the current D the rest. omega is (B, n, q);
+    returns gamma (B, q, r); pinned marks padded members' masked lags.
     """
     n, q = omega.shape[1:]
-    Te = grams.Te
     M, v = _normal_blocks(grams, [omega] * (grams.Gcc.shape[-1] // n), GU)
-    FF, FE, FU = M[:, q:, q:], M[:, q:, :q], v[:, q:]
-    _pin(FF, pinned)
-    sol = _solve_pd(FF, np.concatenate([FU, FE], axis=2), _lstsq)
-    sol_U, sol_E = sol[:, :, :n], sol[:, :, n:]
-    FET = FE.transpose(0, 2, 1)
-    S00 = (UU - FU.transpose(0, 2, 1) @ sol_U) / Te
-    S01 = (v[:, :q] - FET @ sol_U).transpose(0, 2, 1) / Te
-    S11 = (M[:, :q, :q] - FET @ sol_E) / Te
-    S00 = (S00 + S00.transpose(0, 2, 1)) / 2.0
-    S11 = (S11 + S11.transpose(0, 2, 1)) / 2.0
-    vals, vecs = _solve_rrr_eig(S00, S01, S11)
+    _pin(M[:, q:, q:], pinned)
+    UEF = np.concatenate([np.concatenate([UU, v.swapaxes(1, 2)], 2), np.concatenate([v, M], 2)], 1)
+    (_, vecs), _, _ = _reduced_rank(
+        UEF, slice(0, n), slice(n + q, None), slice(n, n + q), grams.Te,
+        partial(_solve_pd, fallback=lambda A, b: np.linalg.lstsq(A, b, rcond=None)[0]),
+    )
     return fix_signs(vecs[:, :, :r])
+
+
+def _reduced_rank(M, y, w, x, Te: int, solve=np.linalg.solve):
+    """The reduced-rank regression of block y on block x of the stacked gram
+    M, both concentrated on block w (y, w, x slice M's rows). Returns
+    _solve_rrr_eig's solution, the concentrated moments S (the Schur
+    complement of M[w, w], over Te) and sol = M[w, w]^-1 M[w, :]."""
+    sol = solve(M[:, w, w], M[:, w])
+    S = (M - M[:, :, w] @ sol) / Te
+    S00, S11 = ((A + A.swapaxes(1, 2)) / 2.0 for A in (S[:, y, y], S[:, x, x]))
+    return _solve_rrr_eig(S00, S[:, y, x], S11), S, sol
 
 
 def _solve_rrr_eig(S00, S01, S11):
@@ -682,28 +702,35 @@ def _lockstep(make_setup, panels: list, opts: FitOptions | None, starts: list | 
     """Fit every panel in one lockstep engine run; returns an iterator of FitResults.
 
     make_setup(Y) validates a panel and builds its _Setup. starts[i]
-    overrides panel i's default starting values when it is not None. The
-    engine runs before this returns. Each panel's setup is dropped once its
-    grams are formed and built again for its residual pass as its fit is
-    consumed; the last panel's setup is still at hand and is reused.
+    overrides panel i's default starting values when it is not None; a
+    default start that fails is that panel's outcome, which the iterator
+    raises in its turn before it goes on. The EC models' starts are solved
+    in one batch, from the engine's grams when Johansen's rows are the
+    engine's. The engine runs before this returns. Each panel's setup is
+    dropped once its grams are formed and built again for its residual
+    pass as its fit is consumed; the last one is reused.
     """
     opts = opts or FitOptions()
     grams, inits = [], []
     for Y, start in zip(panels, starts or [None] * len(panels)):
         setup = make_setup(Y)
-        ec_X = setup.ec_X if setup.r > 0 else None  # the EC data only enters through alpha0
-        grams.append(_Grams.of(setup.Z, setup.diag_X, ec_X, setup.index_X))
-        inits.append(setup.start(opts) if start is None else start)
+        full = setup.grams()
+        grams.append(_engine_grams(full, len(setup.diag_X), len(setup.index_X), setup.r))
+        if start is None:
+            try:
+                start = setup.start(opts) if setup.ec_X is None else setup.start(full)
+            except (ValueError, np.linalg.LinAlgError) as exc:
+                start = exc
+        inits.append(start)
+    if setup.ec_X is not None:
+        inits = _johansen_starts(inits, len(setup.diag_X), setup.q, setup.r)
     states = _sa_engine(_Grams.stack(grams), setup.q, setup.r, inits, opts)
-    return _finished(make_setup, panels, states, setup)
 
-
-def _finished(make_setup, panels: list, states: list, last: _Setup):
-    """Each panel's FitResult, raising a member's exception when its turn comes."""
-    for i, (Y, state) in enumerate(zip(panels, states)):
-        if isinstance(state, Exception):
-            raise state
-        yield _finish(last if i == len(panels) - 1 else make_setup(Y), state)
+    def finish(i):
+        if isinstance(states[i], Exception):
+            raise states[i]
+        return _finish(setup if i == len(panels) - 1 else make_setup(panels[i]), states[i])
+    return map(finish, range(len(panels)))
 
 
 def _finish(setup: _Setup, state: dict) -> FitResult:
@@ -739,7 +766,7 @@ def fit_many(
     that panel. Returns an iterator over the FitResults in panel order; the
     switching runs before this returns, and each fit's residuals are formed
     as it is consumed. A panel whose fit fails does not stop the others:
-    the iterator raises that fit's exception when the panel's turn comes.
+    the iterator raises that fit's exception in its turn and goes on.
     Raises ValueError when the panels differ in length, width or first
     usable row.
     """
@@ -751,7 +778,7 @@ def fit_many(
     if len({(Y.T, Y.n, Y.t0) for Y in panels}) > 1:
         raise ValueError("fit_many needs panels of equal length, width and t0")
     if model == "iaar" and orders.get("q") == 0:    # equation-wise OLS, nothing to switch
-        return (fit_iaar(Y, opts=opts, demean=demean, t_start=t_start, **orders) for Y in panels)
+        return map(partial(fit_iaar, opts=opts, demean=demean, t_start=t_start, **orders), panels)
     make_setup = partial(_SETUPS[model], demean=demean, t_start=t_start, **orders)
     return _lockstep(make_setup, panels, opts)
 
@@ -775,13 +802,9 @@ def _setup_mai(Y: Panel, p: int, q: int, demean: bool = True, t_start: int | Non
     lags = [values[first - j: Y.T - j] for j in range(1, p + 1)]
     _check_sample(Z.shape[0], n * p)  # the initialization regresses on all n p lags
 
-    def start(opts):
-        C = _regress(np.hstack(lags), Z, opts.ridge)
-        stack = np.vstack([C[(j - 1) * n: j * n].T for j in range(1, p + 1)])
-        return None, _leading_right_singular(stack, q), []
-
     return _Setup(
-        "mai", Z, [], lags, None, q, 0, first, {"level": mu}, start,
+        "mai", Z, [], lags, None, q, 0, first, {"level": mu},
+        lambda opts: _ols_start(lags, Z, 0, q, opts.ridge),
         lambda out: MAIParams(out["omega"], out["alphas"], out["sigma"]),
     )
 
@@ -808,13 +831,6 @@ def fit_mai(
     return next(_lockstep(make_setup, [Y], opts, [start]))
 
 
-def _leading_right_singular(stack: np.ndarray, q: int) -> np.ndarray:
-    """First q right-singular vectors, selected by singular value."""
-    _, s, Vh = np.linalg.svd(stack, full_matrices=False)
-    order = np.argsort(s)[::-1]
-    return fix_signs(Vh.T[:, order[:q]])
-
-
 # ---------------------------------------------------------------------------
 # VHARI
 # ---------------------------------------------------------------------------
@@ -834,13 +850,9 @@ def _setup_vhari(Yd: Panel, q: int, demean: bool = True, t_start: int | None = N
     X = [A[first - 1: Yd.T - 1] for A in (values, Yw.values, Ym.values)]
     _check_sample(Z.shape[0], 3 * n)
 
-    def start(opts):
-        C = _regress(np.hstack(X), Z, opts.ridge)
-        stack = np.vstack([C[j * n: (j + 1) * n].T for j in range(3)])
-        return None, _leading_right_singular(stack, q), []
-
     return _Setup(
-        "vhari", Z, [], X, None, q, 0, first, {"level": mu}, start,
+        "vhari", Z, [], X, None, q, 0, first, {"level": mu},
+        lambda opts: _ols_start(X, Z, 0, q, opts.ridge),
         lambda out: VHARIParams(out["omega"], *out["alphas"], out["sigma"]),
     )
 
@@ -884,7 +896,7 @@ def _setup_iaar(
     _check_sample(Z.shape[0], n * p)
     return _Setup(
         "iaar", Z, diag_X, index_X, None, q, 0, first, {"level": mu},
-        lambda opts: _init_levels_index(Z, diag_X, q, opts),
+        lambda opts: _ols_start(diag_X, Z, p, q, opts.ridge),
         lambda out: IAARParams(out["ds"], out["alphas"], out["omega"], out["sigma"]),
     )
 
@@ -931,33 +943,56 @@ def _fit_diagonal_var(setup: _Setup) -> FitResult:
     )
 
 
-def _init_levels_index(Z, lags, q, opts):
-    """Levels analogue of the SVD initialization: strip diagonals of the
-    unrestricted VAR estimates on all p lags, take leading right-singular
-    vectors, and start the diagonals at the residual diagonal of the rank-q
-    truncation."""
-    n = Z.shape[1]
-    C = _regress(np.hstack(lags), Z, opts.ridge)
-    phis = [C[j * n: (j + 1) * n].T for j in range(len(lags))]
-    stripped = [phi - np.diag(np.diag(phi)) for phi in phis]
-    omega0, stack_bar = _svd_truncate(np.vstack(stripped), q)
-    d0 = [np.diag(phi) - np.diag(stack_bar[j * n: (j + 1) * n]) for j, phi in enumerate(phis)]
-    return None, omega0, d0
-
-
 def _svd_truncate(stack: np.ndarray, q: int):
-    """Leading right-singular vectors and the rank-q reconstruction."""
+    """Leading right-singular vectors and the rank-q reconstruction of each
+    matrix of a stack (numpy sorts the singular values descending)."""
     U, sv, Vh = np.linalg.svd(stack, full_matrices=False)
-    order = np.argsort(sv)[::-1]
-    keep = order[:q]
-    omega0 = fix_signs(Vh.T[:, keep])
-    bar = (U[:, keep] * sv[keep]) @ Vh[keep]
-    return omega0, bar
+    Vq = Vh[..., :q, :]
+    return fix_signs(Vq.swapaxes(-1, -2)), (U[..., :q] * sv[..., None, :q]) @ Vq
 
 
 # ---------------------------------------------------------------------------
-# Johansen reduced-rank regression
+# Johansen reduced-rank regression, from its moments
 # ---------------------------------------------------------------------------
+
+
+def _ec_data(Y: Panel, m: int, demean: bool, t_start: int | None):
+    """dY_t, its m lags, Y_{t-1}, the first target row and the means of the EC regressions."""
+    levels, mu_level = _demean(Y.values, Y.t0, demean)
+    dvalues, mu_diff = _demean(np.diff(Y.values, axis=0), max(Y.t0 - 1, 0), demean)
+    first = max(Y.t0 + m + 1, t_start if t_start is not None else 0)
+    lags = [dvalues[first - 1 - j: Y.T - 1 - j] for j in range(1, m + 1)]
+    means = {"level": mu_level, "diff": mu_diff}
+    return dvalues[first - 1:], lags, levels[first - 1: Y.T - 1], first, means
+
+
+def _johansen_grams(Z, lags, ec_X, r: int, full: _Grams | None = None) -> _Grams:
+    """The grams of [Z | lags | ec_X] (full, when formed) once r, the sample
+    size and the lag design pass their checks. The design takes ols's
+    singular-value test, which its gram's eigenvalues cannot resolve."""
+    if not 0 <= r < Z.shape[1]:
+        raise ValueError(f"need 0 <= r < n, got r={r}")
+    _check_sample(Z.shape[0], len(lags) * Z.shape[1] + r)
+    if lags:
+        check_rank(np.hstack(lags))
+    return full if full is not None else _Grams.of(Z, lags, ec_X, [])
+
+
+def _johansen(G: np.ndarray, Te: int, r: int) -> dict:
+    """Johansen's reduced-rank regression on a stack of (B, m + 2, m + 2, n, n)
+    grams of [dY_t | dY_{t-1} .. dY_{t-m} | Y_{t-1}]: beta holds the r
+    leading eigenvectors, alpha0 and the Pi_j solve the normal equations
+    given beta. Returns the eigenvalues, beta, alpha0 and the Pi_j (B, m, n, n).
+    """
+    B, k, _, n, _ = G.shape
+    M = G.transpose(0, 1, 3, 2, 4).reshape(B, k * n, k * n)
+    L = slice((k - 1) * n, None)
+    (vals, vecs), S, sol = _reduced_rank(M, slice(0, n), slice(n, (k - 1) * n), L, Te)
+    beta = fix_signs(vecs[:, :, :r])
+    betaT = beta.swapaxes(1, 2)
+    alpha0 = np.linalg.solve(betaT @ S[:, L, L] @ beta, betaT @ S[:, L, :n]).swapaxes(1, 2)
+    pisT = (sol[:, :, :n] - sol[:, :, -n:] @ beta @ alpha0.swapaxes(1, 2)).reshape(B, k - 2, n, n)
+    return {"vals": vals, "beta": beta, "alpha0": alpha0, "pis": pisT.swapaxes(2, 3)}
 
 
 def johansen_rrr(
@@ -969,66 +1004,29 @@ def johansen_rrr(
 ) -> FitResult:
     """Johansen's reduced-rank regression for the VECM with p - 1 lagged differences.
 
-    Concentrates out the short-run terms, solves the canonical-correlation
-    eigenproblem between the differences and the lagged levels, takes the
-    eigenvectors of the r largest eigenvalues as beta, and recovers the
-    remaining coefficients by OLS given beta. The eigenvalues are stored in
-    diagnostics["eigenvalues"].
+    Solved from moments: the concentrated moments are Schur complements of
+    the grams of [dY_t | lagged differences | Y_{t-1}], beta the
+    eigenvectors of the r largest canonical correlations, and the other
+    coefficients solve the normal equations given beta; one pass over the
+    data forms the residuals. The lag design takes ols's rank check
+    (SingularDesignError). diagnostics["eigenvalues"] holds the eigenvalues.
     """
-    n = Y.n
-    if not 0 <= r < n:
-        raise ValueError(f"need 0 <= r < n, got r={r}")
     if p < 1:
         raise ValueError("need p >= 1")
-    levels, mu_level = _demean(Y.values, Y.t0, demean)
-    dvalues = np.diff(Y.values, axis=0)
-    dvalues, mu_diff = _demean(dvalues, max(Y.t0 - 1, 0), demean)
-    first = max(Y.t0 + p, t_start if t_start is not None else 0)
-    T = Y.T
-    dY = dvalues[first - 1:]                      # dY_t, t = first..T-1
-    Te = dY.shape[0]
-    _check_sample(Te, (p - 1) * n + r)
-    lagged = [dvalues[first - 1 - j: T - 1 - j] for j in range(1, p)]
-    lev = levels[first - 1: T - 1]                # Y_{t-1}
-
-    if lagged:
-        W = np.hstack(lagged)
-        R0 = dY - W @ _regress(W, dY, 0.0)
-        R1 = lev - W @ _regress(W, lev, 0.0)
-    else:
-        R0, R1 = dY, lev
-    S00 = R0.T @ R0 / Te
-    S01 = R0.T @ R1 / Te
-    S11 = R1.T @ R1 / Te
-    vals, vecs = _solve_rrr_eig(S00, S01, S11)
-    beta = fix_signs(vecs[:, :r])
-
-    regs = []
-    if r > 0:
-        regs.append(lev @ beta)
-    regs.extend(lagged)
-    if regs:
-        X = np.hstack(regs)
-        B = _regress(X, dY, 0.0)
-        resid = dY - X @ B
-        alpha0 = B[:r].T
-        pis = [B[r + (j - 1) * n: r + j * n].T for j in range(1, p)]
-    else:
-        resid = dY
-        alpha0 = np.zeros((n, 0))
-        pis = []
-    sigma = resid.T @ resid / Te
-    ll = gaussian_loglik(sigma, Te)
-    params = VECMParams(alpha0, beta if r else np.zeros((n, 0)), pis, sigma)
+    Z, lags, ec_X, first, means = _ec_data(Y, p - 1, demean, t_start)
+    jo = _johansen(_johansen_grams(Z, lags, ec_X, r).G, Z.shape[0], r)
+    alpha0, beta, pis = jo["alpha0"][0], jo["beta"][0], list(jo["pis"][0])
+    resid = Z - (ec_X @ beta) @ alpha0.T - sum(X @ pi.T for X, pi in zip(lags, pis))
+    sigma = resid.T @ resid / Z.shape[0]
     return FitResult(
-        "vecm", params, np.asarray([ll]), resid, True, 1, first,
-        means={"level": mu_level, "diff": mu_diff},
-        diagnostics={"eigenvalues": vals},
+        "vecm", VECMParams(alpha0, beta, pis, sigma),
+        np.asarray([gaussian_loglik(sigma, Z.shape[0])]), resid, True, 1, first,
+        means=means, diagnostics={"eigenvalues": jo["vals"][0]},
     )
 
 
 # ---------------------------------------------------------------------------
-# CIAAR initialization (Johansen + SVD starting values)
+# Starting values: the Johansen start, and the SVD truncation of every start
 # ---------------------------------------------------------------------------
 
 
@@ -1042,42 +1040,53 @@ def init_ciaar(
 ):
     """Starting values (gamma0, omega0, D0) for the cointegrated index fit.
 
-    Johansen estimates with m = max(p, s) - 1 lagged differences are
-    stripped of their diagonals, stacked together with the transposed
-    error-correction coefficient, and the first q right-singular vectors
-    give omega0; the rank-q truncation supplies the diagonal starting
-    values, and gamma0 regresses beta on omega0.
+    Johansen estimates with m = max(p, s) - 1 lagged differences (moments
+    and rank check as in johansen_rrr) are stripped of their diagonals,
+    stacked together with the transposed error-correction coefficient, and
+    the first q right-singular vectors give omega0; the rank-q truncation
+    supplies the diagonal starting values, and gamma0 = omega0' beta
+    regresses beta on omega0. Lockstep fits batch this over their panels.
     """
-    m = max(p, s, 1) - 1
-    return _ciaar_start(johansen_rrr(Y, m + 1, r, demean=demean).params, p, q)
+    Z, lags, ec_X, _, _ = _ec_data(Y, max(p, s, 1) - 1, demean, None)
+    jo = _johansen(_johansen_grams(Z, lags, ec_X, r).G, Z.shape[0], r)
+    return _index_start(jo, max(p - 1, 0), q)[0]
 
 
-def _ciaar_start(jo: VECMParams, p: int, q: int):
-    """init_ciaar's starting values from its Johansen estimates, which hold
-    the max(p, s) - 1 lagged differences and the rank r."""
-    pis, beta, alpha0 = jo.pis, jo.beta, jo.alpha0
-    n, r = beta.shape
-    nd = max(p - 1, 0)
+def _johansen_starts(inits: list, nd: int, q: int, r: int) -> list:
+    """Replace each Johansen grams entry of inits by its start, in place, in
+    one batch; a member that fails on its own gets its exception instead."""
+    members = [i for i, init in enumerate(inits) if isinstance(init, _Grams)]
+    if members:
+        grams = _Grams.stack([inits[i] for i in members])
+        jo, _, members = _each_member(
+            lambda st, _: _johansen(st["G"], grams.Te, r), {"G": grams.G},
+            members, [None] * len(inits), inits,
+        )
+        for i, start in zip(members, _index_start(jo, nd, q) if members else []):
+            inits[i] = start
+    return inits
 
+
+def _index_start(jo: dict, nd: int, q: int) -> list:
+    """Index starting values (gamma0, omega0, D0) from stacked VAR or VECM
+    coefficients, one per member: jo["pis"] (B, m, n, n), and "alpha0" and
+    "beta" (B, n, r). The first nd lags keep their own diagonals apart."""
+    pis, beta = jo["pis"], jo["beta"]
+    B, m, n, _ = pis.shape
+    r = beta.shape[-1]
+    own = np.einsum("bjii->bji", pis)
     # strip the diagonal only where the model grants it own-lag freedom; for
     # the remaining lags the diagonal belongs to the index signal
-    blocks = [
-        pi - np.diag(np.diag(pi)) if j < nd else pi for j, pi in enumerate(pis)
-    ]
-    if r > 0:
-        blocks.append(alpha0 @ beta.T)
-    if not blocks or q == 0:
-        omega0 = np.eye(n)[:, :q]
-        d0 = [np.diag(pis[j]) if j < len(pis) else np.zeros(n) for j in range(nd)]
-        return np.zeros((q, r)), omega0, d0
-    stack = np.vstack(blocks)
+    stripped = pis.copy()
+    stripped[:, :nd, np.arange(n), np.arange(n)] = 0.0
+    blocks = [stripped.reshape(B, m * n, n)] + ([jo["alpha0"] @ beta.swapaxes(1, 2)] if r else [])
+    stack = np.concatenate(blocks, axis=1)
+    if stack.shape[1] == 0:
+        return [(np.zeros((q, r)), np.eye(n)[:, :q], list(d)) for d in own[:, :nd]]
     omega0, bar = _svd_truncate(stack, q)
-    d0 = [
-        np.diag(pis[j]) - np.diag(bar[j * n: (j + 1) * n])
-        for j in range(nd)
-    ]
-    gamma0 = np.linalg.lstsq(omega0, beta, rcond=None)[0] if r > 0 else np.zeros((q, 0))
-    return gamma0, omega0, d0
+    d0 = own[:, :nd] - np.einsum("bjii->bji", bar[:, :nd * n].reshape(B, nd, n, n))
+    gamma0 = omega0.swapaxes(1, 2) @ beta              # omega0 has orthonormal columns
+    return [(g, o, list(d)) for g, o, d in zip(gamma0, omega0, d0)]
 
 
 # ---------------------------------------------------------------------------
@@ -1096,16 +1105,13 @@ def _setup_ciaar(
     if p >= 2 and s > p:
         raise ValueError(f"need s <= p when the diagonal channel is present (p={p}, s={s})")
     nd, na = max(p - 1, 0), max(s - 1, 0)
+    Z, lags, ec_X, first, means = _ec_data(Y, max(nd, na), demean, t_start)
 
-    levels, mu_level = _demean(Y.values, Y.t0, demean)
-    dvalues = np.diff(Y.values, axis=0)
-    dvalues, mu_diff = _demean(dvalues, max(Y.t0 - 1, 0), demean)
-    first = max(Y.t0 + max(nd, na) + 1, t_start if t_start is not None else 0)
-    T = Y.T
-    Z = dvalues[first - 1:]
-    diag_X = [dvalues[first - 1 - j: T - 1 - j] for j in range(1, nd + 1)]
-    index_X = [dvalues[first - 1 - j: T - 1 - j] for j in range(1, na + 1)]
-    ec_X = levels[first - 1: T - 1]
+    def start(full: _Grams) -> _Grams:
+        # Johansen's rows are the engine's unless t_start moves the engine's later
+        if first == Y.t0 + len(lags) + 1:
+            return _johansen_grams(Z, lags, ec_X, r, full)
+        return _johansen_grams(*_ec_data(Y, len(lags), demean, None)[:3], r)
 
     def params(out):
         gamma, alpha0 = out["gamma"], out["alpha0"]
@@ -1113,10 +1119,7 @@ def _setup_ciaar(
             gamma, alpha0 = _normalize_gamma(gamma, alpha0, out["diagnostics"])
         return CIAARParams(out["ds"], alpha0, gamma, out["omega"], out["alphas"], out["sigma"])
 
-    return _Setup(
-        "ciaar", Z, diag_X, index_X, ec_X, q, r, first, {"level": mu_level, "diff": mu_diff},
-        lambda opts: init_ciaar(Y, p, s, q, r, demean=demean), params,
-    )
+    return _Setup("ciaar", Z, lags[:nd], lags[:na], ec_X, q, r, first, means, start, params)
 
 
 def fit_ciaar(
@@ -1232,26 +1235,28 @@ def _fit_grid(
     as it is consumed) or the exception its single fit raises.
     """
     outcomes = [None] * len(candidates)               # exception or engine state
-    johansen = {}                                      # (m, r) -> VECMParams or exception
 
+    @cache
     def johansen_fit(m, r):
-        if (m, r) not in johansen:
-            try:
-                johansen[m, r] = johansen_rrr(Y, m + 1, r).params
-            except (ValueError, np.linalg.LinAlgError) as exc:
-                johansen[m, r] = exc
-        if isinstance(johansen[m, r], Exception):
-            raise johansen[m, r]
-        return johansen[m, r]
+        """johansen_rrr's estimates as _index_start takes them, or its exception."""
+        try:
+            jo = johansen_rrr(Y, m + 1, r).params
+        except (ValueError, np.linalg.LinAlgError) as exc:
+            return exc
+        pis = np.reshape(jo.pis, (1, m, Y.n, Y.n))
+        return {"pis": pis, "alpha0": jo.alpha0[None], "beta": jo.beta[None]}
 
     groups = {}                                        # (q, r) -> [(candidate, shape, start)]
-    widest = {}                                        # the longest diagonal and index lags
+    longest, widest = -1, None                         # the setup with the most lags
     for i, orders in enumerate(candidates):
         p, s, q, r = orders
         try:
             setup = _grid_setup(model, Y, orders, t_start)
             if model == "ciaar":
-                start = _ciaar_start(johansen_fit(max(p, s, 1) - 1, r), p, q)
+                jo = johansen_fit(max(p, s, 1) - 1, r)
+                if isinstance(jo, Exception):
+                    raise jo
+                start = _index_start(jo, max(p - 1, 0), q)[0]
             else:
                 start = setup.start(opts)
         except (ValueError, np.linalg.LinAlgError) as exc:
@@ -1259,31 +1264,24 @@ def _fit_grid(
             continue
         shape = (len(setup.diag_X), len(setup.index_X))
         groups.setdefault((q, r), []).append((i, shape, start))
-        if not widest:
-            widest = {"Z": setup.Z, "ec_X": setup.ec_X, "diag_X": [], "index_X": []}
-        for name in ("diag_X", "index_X"):
-            if len(getattr(setup, name)) > len(widest[name]):
-                widest[name] = getattr(setup, name)
+        if max(shape) > longest:
+            longest, widest = max(shape), setup
     if groups:
-        full = _Grams.of(**widest)
-        ec = [1 + full.nd] if widest["ec_X"] is not None else []
-        tasks = (_group_task(full, ec, q, r, members, opts) for (q, r), members in groups.items())
+        full = widest.grams()
+        tasks = (_group_task(full, q, r, members, opts) for (q, r), members in groups.items())
         for members, states in zip(groups.values(), map_groups(_run_group, tasks)):
             for (i, _, _), state in zip(members, states):
                 outcomes[i] = state
     return _grid_fits(model, Y, candidates, t_start, outcomes)
 
 
-def _group_task(full: _Grams, ec: list, q: int, r: int, members: list, opts: FitOptions):
+def _group_task(full: _Grams, q: int, r: int, members: list, opts: FitOptions):
     """The engine inputs of one (q, r) group: full's blocks at the group's
     largest lags, once per member, with each member's start and shape."""
     shapes = [shape for _, shape, _ in members]
-    nd, na = (max(col) for col in zip(*shapes))
-    index = 1 + full.nd + len(ec)                      # full's first index-lag block
-    blocks = list(range(1 + nd)) + (ec if r > 0 else []) + list(range(index, index + na))
-    G = np.repeat(full.G[:, blocks][:, :, blocks], len(members), axis=0)
+    grams = _engine_grams(full, *(max(col) for col in zip(*shapes)), r)
     starts = [start for _, _, start in members]
-    return _Grams.blocks(G, nd, full.Te), q, r, starts, opts, shapes
+    return _Grams.stack([grams] * len(members)), q, r, starts, opts, shapes
 
 
 def _grid_fits(model: str, Y: Panel, candidates: list, t_start: int, outcomes: list):

@@ -14,6 +14,7 @@ __all__ = [
     "read_panel_csv",
     "build_lag_matrix",
     "ols",
+    "check_rank",
     "autocov",
     "companion_spectral_radius",
     "companion_matrix",
@@ -148,24 +149,25 @@ def gaussian_loglik(sigma: np.ndarray, T: int) -> float:
 
 
 def ols(X: np.ndarray, Y: np.ndarray) -> RegressionOut:
-    """Multivariate OLS of Y (T x m) on X (T x k).
-
-    Raises SingularDesignError when the smallest singular value of X falls
-    below RANK_RTOL times the largest.
-    """
+    """Multivariate OLS of Y (T x m) on X (T x k), after check_rank(X)."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
     if Y.shape[0] != X.shape[0]:
         raise ValueError(f"X has {X.shape[0]} rows, Y has {Y.shape[0]}")
+    check_rank(X)
+    coeffs, *_ = np.linalg.lstsq(X, Y, rcond=None)
+    resid = Y - X @ coeffs
+    return RegressionOut(coeffs, resid, resid.T @ resid / X.shape[0])
+
+
+def check_rank(X: np.ndarray) -> None:
+    """Raise SingularDesignError when X's singular values span more than 1/RANK_RTOL."""
     sv = np.linalg.svd(X, compute_uv=False)
     if sv[0] == 0.0 or sv[-1] < RANK_RTOL * sv[0]:
         raise SingularDesignError(
             f"design is rank deficient: min/max singular value "
             f"{sv[-1]:.3e}/{sv[0]:.3e} below relative tolerance {RANK_RTOL:.0e}"
         )
-    coeffs, *_ = np.linalg.lstsq(X, Y, rcond=None)
-    resid = Y - X @ coeffs
-    return RegressionOut(coeffs, resid, resid.T @ resid / X.shape[0])
 
 
 def build_lag_matrix(

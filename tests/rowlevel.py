@@ -6,14 +6,16 @@ Vec(omega') and (X_t' kron S) M for the diagonals, and runs the switching
 loop on it, so the tests can check the gram engine against an independent
 construction. row_level_simulate likewise iterates the structural form of
 the IAAR and CIAAR models term by term, as an oracle for the simulators'
-companion-form lag recursion.
+companion-form lag recursion, and dense_johansen / dense_init_ciaar run
+Johansen's reduced-rank regression and the CIAAR start on the data matrices,
+with ols, as an oracle for the library's moment-based solve.
 """
 
 import numpy as np
 
 from indexvar.estimators import _converged, _qr_normalize, _solve_rrr_eig
 from indexvar.params import CIAARParams
-from indexvar.tscore import fix_signs, gaussian_loglik
+from indexvar.tscore import fix_signs, gaussian_loglik, ols
 
 
 def diag_selection_matrix(n: int) -> np.ndarray:
@@ -130,3 +132,55 @@ def row_level_simulate(params, eps):
         X[t] = acc
         Y[t] = acc + (Y[t - 1] if t else 0.0)
     return Y if ec else X
+
+
+def dense_johansen(Y, p, r):
+    """Johansen's reduced-rank regression on the data matrices (demeaned, t0 = 0).
+
+    R0 and R1 are the OLS residuals of dY_t and Y_{t-1} on the p - 1 lagged
+    differences, S_ij = R_i'R_j / T, and alpha0 and the Pi_j come from one
+    OLS of dY_t on [Y_{t-1} beta | lags]. Returns (eigenvalues, beta,
+    alpha0, [Pi_j], sigma).
+    """
+    levels = Y.values - Y.values.mean(axis=0)
+    d = np.diff(Y.values, axis=0)
+    d = d - d.mean(axis=0)
+    n, T = Y.n, Y.T
+    dY = d[p - 1:]
+    lagged = [d[p - 1 - j: T - 1 - j] for j in range(1, p)]
+    lev = levels[p - 1: T - 1]
+    R0, R1 = dY, lev
+    if lagged:
+        W = np.hstack(lagged)
+        R0 = dY - W @ ols(W, dY).coeffs
+        R1 = lev - W @ ols(W, lev).coeffs
+    Te = dY.shape[0]
+    vals, vecs = _solve_rrr_eig(R0.T @ R0 / Te, R0.T @ R1 / Te, R1.T @ R1 / Te)
+    beta = fix_signs(vecs[:, :r])
+    regs = ([lev @ beta] if r else []) + lagged
+    alpha0, pis, resid = np.zeros((n, r)), [], dY
+    if regs:
+        X = np.hstack(regs)
+        B = ols(X, dY).coeffs
+        resid = dY - X @ B
+        alpha0 = B[:r].T
+        pis = [B[r + j * n: r + (j + 1) * n].T for j in range(p - 1)]
+    return vals, beta, alpha0, pis, resid.T @ resid / Te
+
+
+def dense_init_ciaar(Y, p, s, q, r):
+    """The CIAAR start from dense_johansen: diagonal-stripped Pi_j and
+    alpha0 beta' stacked, a full SVD with singular values sorted here, and
+    gamma0 by least squares of beta on omega0."""
+    _, beta, alpha0, pis, _ = dense_johansen(Y, max(p, s, 1), r)
+    n, nd = Y.n, max(p - 1, 0)
+    blocks = [pi - np.diag(np.diag(pi)) if j < nd else pi for j, pi in enumerate(pis)]
+    blocks += [alpha0 @ beta.T] if r else []
+    if not blocks:
+        return np.zeros((q, r)), np.eye(n)[:, :q], []
+    U, sv, Vh = np.linalg.svd(np.vstack(blocks), full_matrices=False)
+    keep = np.argsort(sv)[::-1][:q]
+    bar = (U[:, keep] * sv[keep]) @ Vh[keep]
+    omega0 = fix_signs(Vh[keep].T)
+    d0 = [np.diag(pis[j]) - np.diag(bar[j * n: (j + 1) * n]) for j in range(nd)]
+    return np.linalg.lstsq(omega0, beta, rcond=None)[0], omega0, d0

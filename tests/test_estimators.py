@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from indexvar import estimators
 from indexvar.estimators import (
     FitOptions,
     _Grams,
@@ -515,6 +516,72 @@ class TestBatchAxis:
             gap = np.abs(got.loglik_trace - ref.loglik_trace).max()
             assert gap <= 1e-10 * np.abs(ref.loglik_trace).max()
         assert failed == [np.linalg.LinAlgError, SingularDesignError]
+
+    @pytest.mark.parametrize("model, orders", [
+        ("ciaar", dict(p=2, s=2, q=2, r=1)),
+        ("ciaar", dict(p=3, s=2, q=2, r=1)),
+        ("ciaar", dict(p=1, s=2, q=2, r=2)),
+        ("vecim", dict(p=2, q=2, r=1)),
+    ])
+    def test_fit_many_starts_every_window_from_its_init_ciaar(self, model, orders, monkeypatch):
+        # 50 sliding windows, as rolling_evaluate refits them: the batched
+        # Johansen starts equal init_ciaar's, and so do the fits they start
+        Y = simulate_ciaar(random_ciaar_params(6, 2, 1, 2, 2, seed=0), 250, seed=7)
+        windows = [Panel(Y.values[i: i + 200]) for i in range(50)]
+        starts, engine = [], estimators._sa_engine
+
+        def recorded(grams, q, r, inits, opts, shapes=None):
+            starts.extend(inits)
+            return engine(grams, q, r, inits, opts, shapes)
+
+        monkeypatch.setattr(estimators, "_sa_engine", recorded)
+        opts = FitOptions(max_iter=60)
+        fits = list(fit_many(model, windows, opts=opts, **orders))
+        monkeypatch.undo()
+        q, r = orders["q"], orders["r"]
+        p, s = (orders["p"], orders["s"]) if model == "ciaar" else (0, orders["p"])
+        assert len(starts) == len(fits) == 50
+        for W, (gamma0, omega0, d0), fit in zip(windows, starts, fits):
+            ref = init_ciaar(W, p, s, q, r)
+            for got, want in ((gamma0, ref[0]), (omega0, ref[1]), (d0, ref[2])):
+                got, want = np.asarray(got), np.asarray(want)
+                assert got.shape == want.shape
+                assert np.abs(got - want).max(initial=0.0) <= 1e-12 * np.abs(want).max(initial=1.0)
+            single = fit_ciaar(W, p, s, q, r, opts=opts, init=ref)
+            assert fit.iterations == single.iterations
+            assert fit.diagnostics["stop"] == single.diagnostics["stop"]
+
+    def test_failing_windows_leave_the_batch_with_their_single_fit_errors(self):
+        # equal-length CIAAR panels: two healthy ones, one whose lag design
+        # is exactly collinear (series 3 duplicates series 2), and one with
+        # y4_t = y1_{t-1}, whose Johansen residual covariance is singular (dy4_t
+        # is a lagged difference) and whose fit drives sigma singular too
+        dgp = random_ciaar_params(6, 2, 1, 2, 2, seed=0)
+        panels = [simulate_ciaar(dgp, 300, seed=seed) for seed in (0, 1, 2, 4)]
+        dup, lag = panels[1].values.copy(), panels[2].values.copy()
+        dup[:, 2] = dup[:, 1]
+        lag[1:, 3] = lag[:-1, 0]
+        panels[1:3] = [Panel(dup), Panel(lag)]
+        with pytest.raises(SingularDesignError):
+            johansen_rrr(panels[1], 2, 1)
+        opts = FitOptions(max_iter=60)
+        fits = fit_many("ciaar", panels, opts=opts, p=2, s=2, q=2, r=1)
+        failed = []
+        for Y in panels:
+            try:
+                ref = fit_ciaar(Y, 2, 2, 2, 1, opts=opts)
+            except (ValueError, np.linalg.LinAlgError) as exc:
+                with pytest.raises(type(exc)) as info:
+                    next(fits)
+                assert str(info.value) == str(exc)
+                failed.append(type(exc))
+                continue
+            got = next(fits)
+            assert got.iterations == ref.iterations
+            assert got.diagnostics == ref.diagnostics
+            assert np.array_equal(got.loglik_trace, ref.loglik_trace)
+            assert np.array_equal(got.residuals, ref.residuals)
+        assert failed == [SingularDesignError, np.linalg.LinAlgError]
 
     def test_fit_many_rejects_unequal_lengths(self):
         params = random_ciaar_params(6, 2, 1, 2, 2, seed=0)

@@ -6,7 +6,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from indexvar.estimators import FitOptions, fit_ciaar, fit_iaar, fit_mai, fit_many
+from indexvar.estimators import FitOptions, fit_ciaar, fit_iaar, fit_mai, fit_many, fit_vecim
 from indexvar.simulate import (
     random_ciaar_params,
     random_mai_params,
@@ -23,12 +23,14 @@ OPTS = FitOptions(max_iter=40)
 @st.composite
 def cases(draw):
     """A model, its orders and 2 to 4 short panels of one length."""
-    model = draw(st.sampled_from(["ciaar", "mai", "iaar"]))
+    model = draw(st.sampled_from(["ciaar", "vecim", "mai", "iaar"]))
     q = draw(st.integers(1, 2))
     if model == "ciaar":
         p = draw(st.integers(0, 2))
-        s = draw(st.integers(1, p if p >= 2 else 2))
+        s = draw(st.integers(1, p if p >= 2 else 3))      # s > p without a diagonal lag
         orders = dict(p=p, s=s, q=q, r=draw(st.integers(0, q)))
+    elif model == "vecim":
+        orders = dict(p=draw(st.integers(1, 3)), q=q, r=draw(st.integers(0, q)))
     elif model == "mai":
         orders = dict(p=draw(st.integers(1, 2)), q=q)
     else:
@@ -36,11 +38,12 @@ def cases(draw):
         orders = dict(p=p, s=draw(st.integers(0, p)), q=draw(st.integers(0, 2)))
     T = draw(st.integers(60, 150))
     seeds = draw(st.lists(st.integers(0, 2**31), min_size=2, max_size=4))
-    simulate, dgp = (simulate_ciaar, CIAAR_DGP) if model == "ciaar" else (simulate_mai, MAI_DGP)
+    ec = model in ("ciaar", "vecim")
+    simulate, dgp = (simulate_ciaar, CIAAR_DGP) if ec else (simulate_mai, MAI_DGP)
     return model, orders, [simulate(dgp, T, seed=seed) for seed in seeds]
 
 
-SINGLE = {"ciaar": fit_ciaar, "mai": fit_mai, "iaar": fit_iaar}
+SINGLE = {"ciaar": fit_ciaar, "vecim": fit_vecim, "mai": fit_mai, "iaar": fit_iaar}
 
 
 @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
