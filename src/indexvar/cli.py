@@ -92,10 +92,14 @@ def _fmt(x) -> str:
     return str(x)
 
 
+def _format_rows(rows: list, sep: str) -> list:
+    """Rows of numbers as "%.17g" cells joined by sep, through one row template."""
+    template = sep.join(["%.17g"] * len(rows[0])) if rows else ""
+    return [template % tuple(row) for row in rows]
+
+
 def write_panel_csv(panel: Panel, path) -> None:
-    lines = [",".join(panel.names)]
-    for row in panel.values:
-        lines.append(",".join(format(v, ".17g") for v in row))
+    lines = [",".join(panel.names)] + _format_rows(panel.values.tolist(), ",")
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -128,7 +132,7 @@ def _write_params_text(params, path, extra: dict | None = None) -> None:
 
 
 def _array_lines(arr: np.ndarray) -> list:
-    return ["  " + " ".join(format(v, ".17g") for v in row) for row in arr]
+    return ["  " + line for line in _format_rows(arr.tolist(), " ")]
 
 
 def _write_trace_csv(fit, path) -> None:
@@ -140,11 +144,8 @@ def _write_trace_csv(fit, path) -> None:
 
 
 def _write_series_csv(path, columns: dict) -> None:
-    names = list(columns)
-    arrs = [np.asarray(columns[k]) for k in names]
-    lines = [",".join(names)]
-    for t in range(arrs[0].shape[0]):
-        lines.append(",".join(format(a[t], ".17g") for a in arrs))
+    rows = np.column_stack(list(columns.values())).tolist()
+    lines = [",".join(columns)] + _format_rows(rows, ",")
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 

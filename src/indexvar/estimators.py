@@ -14,7 +14,7 @@ kept in tests/rowlevel.py as an independent oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache, partial
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -115,18 +115,8 @@ class FitResult:
 # shared numerical pieces
 # ---------------------------------------------------------------------------
 
-
-def _ols_start(X: list, Z: np.ndarray, nd: int, q: int, ridge: float):
-    """Starting values from the VAR coefficients of Z on the n x n blocks X
-    (_index_start); the OLS takes ols's strict rank check when unpenalized."""
-    X = np.hstack(X)
-    if ridge > 0.0:
-        C = np.linalg.solve(X.T @ X + ridge * np.eye(X.shape[1]), X.T @ Z)
-    else:
-        C = ols(X, Z).coeffs
-    n = Z.shape[1]
-    pis = C.reshape(-1, n, n).swapaxes(1, 2)[None]     # the coefficient matrix of each block
-    return _index_start({"pis": pis, "beta": np.zeros((1, n, 0))}, nd, q)[0]
+SIGMA_RTOL = 1e-12   # a fit's least sigma eigenvalue over its largest must exceed this
+SIGMA_ERROR = f"residual covariance is not positive definite (eigenvalue ratio <= {SIGMA_RTOL:.0e})"
 
 
 def _qr_normalize(omega: np.ndarray):
@@ -204,10 +194,10 @@ def _demean(values: np.ndarray, t0: int, demean: bool):
 class _Setup:
     """One panel's engine inputs, and what its FitResult needs besides them.
 
-    diag_X and index_X are prefixes of one list of lags. start(opts)
-    computes the default starting values (gamma0, omega0, D0); an EC model's
-    start(full) returns the checked Johansen grams to solve them from
-    (_johansen_starts). params(out) builds the model parameters.
+    diag_X and index_X are prefixes of one list of lags. start(full, opts)
+    checks the data of the default start and returns the grams to solve it
+    from (_default_starts): full, this setup's grams(), whenever the rows
+    agree. params(out) builds the model parameters.
     """
 
     model: str
@@ -312,7 +302,9 @@ def _sa_engine(
     its fit. A state's diagnostics["stop"] says why its sweeps ended: "tol"
     (converged), "max_iter" (the sweep cap, not converged), or
     "no_free_params" (nothing beyond the loadings to estimate, so one OLS
-    step is the fit).
+    step is the fit); diagnostics["sigma_cond"] is its final sigma's least
+    over largest eigenvalue, and a member stopping at or below SIGMA_RTOL
+    ends with LinAlgError, as its likelihood can grow without bound.
     """
     n, nd, Te = grams.n, grams.nd, grams.Te
     na = grams.Gcc.shape[-1] // n - (r > 0)
@@ -423,6 +415,8 @@ def _sa_engine(
             else:
                 continue
             diagnostics[m]["stop"] = stop
+            w = np.linalg.eigvalsh(st["sigma"][row])    # the sigma guard
+            diagnostics[m]["sigma_cond"] = float(w[0] / w[-1])
             finals[m] = {
                 "omega": st["omega"][row].copy(),
                 "gamma": st["gamma"][row].copy(),
@@ -434,6 +428,8 @@ def _sa_engine(
                 "iterations": it,
                 "diagnostics": diagnostics[m],
             }
+            if diagnostics[m]["sigma_cond"] <= SIGMA_RTOL:
+                finals[m] = np.linalg.LinAlgError(SIGMA_ERROR)
             stopped.append(row)
         if len(stopped) == len(members):
             break
@@ -704,10 +700,10 @@ def _lockstep(make_setup, panels: list, opts: FitOptions | None, starts: list | 
     make_setup(Y) validates a panel and builds its _Setup. starts[i]
     overrides panel i's default starting values when it is not None; a
     default start that fails is that panel's outcome, which the iterator
-    raises in its turn before it goes on. The EC models' starts are solved
-    in one batch, from the engine's grams when Johansen's rows are the
-    engine's. The engine runs before this returns. Each panel's setup is
-    dropped once its grams are formed and built again for its residual
+    raises in its turn before it goes on. The default starts are solved in
+    one batch, from the engine's grams unless t_start moves a CIAAR fit off
+    Johansen's rows. The engine runs before this returns. Each panel's setup
+    is dropped once its grams are formed and built again for its residual
     pass as its fit is consumed; the last one is reused.
     """
     opts = opts or FitOptions()
@@ -718,12 +714,11 @@ def _lockstep(make_setup, panels: list, opts: FitOptions | None, starts: list | 
         grams.append(_engine_grams(full, len(setup.diag_X), len(setup.index_X), setup.r))
         if start is None:
             try:
-                start = setup.start(opts) if setup.ec_X is None else setup.start(full)
+                start = setup.start(full, opts)
             except (ValueError, np.linalg.LinAlgError) as exc:
                 start = exc
         inits.append(start)
-    if setup.ec_X is not None:
-        inits = _johansen_starts(inits, len(setup.diag_X), setup.q, setup.r)
+    inits = _default_starts(inits, setup, opts)
     states = _sa_engine(_Grams.stack(grams), setup.q, setup.r, inits, opts)
 
     def finish(i):
@@ -804,7 +799,7 @@ def _setup_mai(Y: Panel, p: int, q: int, demean: bool = True, t_start: int | Non
 
     return _Setup(
         "mai", Z, [], lags, None, q, 0, first, {"level": mu},
-        lambda opts: _ols_start(lags, Z, 0, q, opts.ridge),
+        lambda full, opts: _start_grams(Z, lags, None, 0, full, opts.ridge),
         lambda out: MAIParams(out["omega"], out["alphas"], out["sigma"]),
     )
 
@@ -852,7 +847,7 @@ def _setup_vhari(Yd: Panel, q: int, demean: bool = True, t_start: int | None = N
 
     return _Setup(
         "vhari", Z, [], X, None, q, 0, first, {"level": mu},
-        lambda opts: _ols_start(X, Z, 0, q, opts.ridge),
+        lambda full, opts: _start_grams(Z, X, None, 0, full, opts.ridge),
         lambda out: VHARIParams(out["omega"], *out["alphas"], out["sigma"]),
     )
 
@@ -896,7 +891,7 @@ def _setup_iaar(
     _check_sample(Z.shape[0], n * p)
     return _Setup(
         "iaar", Z, diag_X, index_X, None, q, 0, first, {"level": mu},
-        lambda opts: _ols_start(diag_X, Z, p, q, opts.ridge),
+        lambda full, opts: _start_grams(Z, diag_X, None, 0, full, opts.ridge),
         lambda out: IAARParams(out["ds"], out["alphas"], out["omega"], out["sigma"]),
     )
 
@@ -966,14 +961,15 @@ def _ec_data(Y: Panel, m: int, demean: bool, t_start: int | None):
     return dvalues[first - 1:], lags, levels[first - 1: Y.T - 1], first, means
 
 
-def _johansen_grams(Z, lags, ec_X, r: int, full: _Grams | None = None) -> _Grams:
-    """The grams of [Z | lags | ec_X] (full, when formed) once r, the sample
-    size and the lag design pass their checks. The design takes ols's
-    singular-value test, which its gram's eigenvalues cannot resolve."""
+def _start_grams(Z, lags, ec_X, r: int, full: _Grams | None = None, ridge: float = 0.0) -> _Grams:
+    """The grams of [Z | lags | ec_X] (full, when formed) a default start is
+    solved from, once r, the sample size and the lag design pass their
+    checks. Unpenalized, the design takes ols's singular-value test, which
+    its gram's eigenvalues cannot resolve."""
     if not 0 <= r < Z.shape[1]:
         raise ValueError(f"need 0 <= r < n, got r={r}")
     _check_sample(Z.shape[0], len(lags) * Z.shape[1] + r)
-    if lags:
+    if lags and ridge == 0.0:
         check_rank(np.hstack(lags))
     return full if full is not None else _Grams.of(Z, lags, ec_X, [])
 
@@ -1014,7 +1010,7 @@ def johansen_rrr(
     if p < 1:
         raise ValueError("need p >= 1")
     Z, lags, ec_X, first, means = _ec_data(Y, p - 1, demean, t_start)
-    jo = _johansen(_johansen_grams(Z, lags, ec_X, r).G, Z.shape[0], r)
+    jo = _johansen(_start_grams(Z, lags, ec_X, r).G, Z.shape[0], r)
     alpha0, beta, pis = jo["alpha0"][0], jo["beta"][0], list(jo["pis"][0])
     resid = Z - (ec_X @ beta) @ alpha0.T - sum(X @ pi.T for X, pi in zip(lags, pis))
     sigma = resid.T @ resid / Z.shape[0]
@@ -1048,23 +1044,35 @@ def init_ciaar(
     regresses beta on omega0. Lockstep fits batch this over their panels.
     """
     Z, lags, ec_X, _, _ = _ec_data(Y, max(p, s, 1) - 1, demean, None)
-    jo = _johansen(_johansen_grams(Z, lags, ec_X, r).G, Z.shape[0], r)
+    jo = _johansen(_start_grams(Z, lags, ec_X, r).G, Z.shape[0], r)
     return _index_start(jo, max(p - 1, 0), q)[0]
 
 
-def _johansen_starts(inits: list, nd: int, q: int, r: int) -> list:
-    """Replace each Johansen grams entry of inits by its start, in place, in
-    one batch; a member that fails on its own gets its exception instead."""
+def _default_starts(inits: list, setup: _Setup, opts: FitOptions) -> list:
+    """Replace each grams entry of inits (setup.start's) by its start, in
+    place, in one batch; a member that fails on its own gets its exception."""
     members = [i for i, init in enumerate(inits) if isinstance(init, _Grams)]
     if members:
         grams = _Grams.stack([inits[i] for i in members])
         jo, _, members = _each_member(
-            lambda st, _: _johansen(st["G"], grams.Te, r), {"G": grams.G},
+            lambda st, _: _start_regression(setup, opts, st["G"], grams.Te), {"G": grams.G},
             members, [None] * len(inits), inits,
         )
-        for i, start in zip(members, _index_start(jo, nd, q) if members else []):
+        for i, start in zip(members, _index_start(jo, len(setup.diag_X), setup.q) if members else []):
             inits[i] = start
     return inits
+
+
+def _start_regression(setup: _Setup, opts: FitOptions, G: np.ndarray, Te: int) -> dict:
+    """What a default start truncates, from stacked (B, k, k, n, n) grams:
+    Johansen's estimates, or the VAR coefficients of the target on the
+    other blocks by their (ridge-penalized) normal equations."""
+    if setup.ec_X is not None:
+        return _johansen(G, Te, setup.r)
+    B, k, _, n, _ = G.shape
+    M = G.transpose(0, 1, 3, 2, 4).reshape(B, k * n, k * n)
+    C = np.linalg.solve(M[:, n:, n:] + opts.ridge * np.eye((k - 1) * n), M[:, n:, :n])
+    return {"pis": C.reshape(B, k - 1, n, n).swapaxes(2, 3), "beta": np.zeros((B, n, 0))}
 
 
 def _index_start(jo: dict, nd: int, q: int) -> list:
@@ -1107,11 +1115,11 @@ def _setup_ciaar(
     nd, na = max(p - 1, 0), max(s - 1, 0)
     Z, lags, ec_X, first, means = _ec_data(Y, max(nd, na), demean, t_start)
 
-    def start(full: _Grams) -> _Grams:
+    def start(full: _Grams, opts: FitOptions) -> _Grams:
         # Johansen's rows are the engine's unless t_start moves the engine's later
         if first == Y.t0 + len(lags) + 1:
-            return _johansen_grams(Z, lags, ec_X, r, full)
-        return _johansen_grams(*_ec_data(Y, len(lags), demean, None)[:3], r)
+            return _start_grams(Z, lags, ec_X, r, full)
+        return _start_grams(*_ec_data(Y, len(lags), demean, None)[:3], r)
 
     def params(out):
         gamma, alpha0 = out["gamma"], out["alpha0"]
@@ -1227,24 +1235,15 @@ def _fit_grid(
     t_start, so one gram set at the grid's largest lags serves them all.
     The candidates run as one lockstep engine batch per (q, r), padded to
     the group's largest (nd, na) with each member's missing lags masked
-    (_member_masks), and the CIAAR starts share one Johansen fit per
-    (m = max(p, s) - 1, r). map_groups maps _run_group over the groups'
+    (_member_masks), and the starts share one regression per lag count
+    max(p, s) and r (_start_regression). map_groups maps _run_group over the groups'
     engine inputs: the builtin map, or a process pool's map. The engine
     runs before this returns; the result is an iterator over the
     candidates in order, giving each one's FitResult (its residuals formed
     as it is consumed) or the exception its single fit raises.
     """
     outcomes = [None] * len(candidates)               # exception or engine state
-
-    @cache
-    def johansen_fit(m, r):
-        """johansen_rrr's estimates as _index_start takes them, or its exception."""
-        try:
-            jo = johansen_rrr(Y, m + 1, r).params
-        except (ValueError, np.linalg.LinAlgError) as exc:
-            return exc
-        pis = np.reshape(jo.pis, (1, m, Y.n, Y.n))
-        return {"pis": pis, "alpha0": jo.alpha0[None], "beta": jo.beta[None]}
+    regressions = {}                                   # (max(p, s), r) -> estimates or exception
 
     groups = {}                                        # (q, r) -> [(candidate, shape, start)]
     longest, widest = -1, None                         # the setup with the most lags
@@ -1252,13 +1251,16 @@ def _fit_grid(
         p, s, q, r = orders
         try:
             setup = _grid_setup(model, Y, orders, t_start)
-            if model == "ciaar":
-                jo = johansen_fit(max(p, s, 1) - 1, r)
-                if isinstance(jo, Exception):
-                    raise jo
-                start = _index_start(jo, max(p - 1, 0), q)[0]
-            else:
-                start = setup.start(opts)
+            key = max(p, s), r
+            if key not in regressions:
+                try:
+                    grams = setup.start(setup.grams(), opts)
+                    regressions[key] = _start_regression(setup, opts, grams.G, grams.Te)
+                except (ValueError, np.linalg.LinAlgError) as exc:
+                    regressions[key] = exc
+            if isinstance(regressions[key], Exception):
+                raise regressions[key]
+            start = _index_start(regressions[key], len(setup.diag_X), q)[0]
         except (ValueError, np.linalg.LinAlgError) as exc:
             outcomes[i] = exc
             continue

@@ -6,14 +6,16 @@ Vec(omega') and (X_t' kron S) M for the diagonals, and runs the switching
 loop on it, so the tests can check the gram engine against an independent
 construction. row_level_simulate likewise iterates the structural form of
 the IAAR and CIAAR models term by term, as an oracle for the simulators'
-companion-form lag recursion, and dense_johansen / dense_init_ciaar run
-Johansen's reduced-rank regression and the CIAAR start on the data matrices,
-with ols, as an oracle for the library's moment-based solve.
+companion-form lag recursion, and step_recursion advances that recursion
+one row per step, as an oracle for its blocked kernel. dense_johansen /
+dense_init_ciaar run Johansen's reduced-rank regression and the CIAAR start
+on the data matrices, with ols, and dense_ols_start the MAI / VHARI / IAAR
+start, as oracles for the library's moment-based solves.
 """
 
 import numpy as np
 
-from indexvar.estimators import _converged, _qr_normalize, _solve_rrr_eig
+from indexvar.estimators import _converged, _index_start, _qr_normalize, _solve_rrr_eig
 from indexvar.params import CIAARParams
 from indexvar.tscore import fix_signs, gaussian_loglik, ols
 
@@ -132,6 +134,38 @@ def row_level_simulate(params, eps):
         X[t] = acc
         Y[t] = acc + (Y[t - 1] if t else 0.0)
     return Y if ec else X
+
+
+def step_recursion(phis, init, drive, ec=None, level=None):
+    """tscore.var_recursion one row per step: x_t = sum_j Phi_j x_{t-j} + drive_t
+    from the p pre-sample rows init; with ec, x_t gains ec y_{t-1} and
+    cumulates into y_t = y_{t-1} + x_t from y_{-1} = level, returning (x, y)."""
+    drive = np.asarray(drive, dtype=float)
+    T, n, row = drive.shape[0], drive.shape[1], drive.shape[1:]
+    p = len(phis)
+    stacked = np.hstack([*phis[::-1], np.zeros((n, 0))])   # [Phi_p ... Phi_1]
+    buf = np.concatenate([np.reshape(init, (p,) + row), drive])
+    flat = buf.reshape((-1,) + row[1:])
+    ys = None if ec is None else np.empty_like(drive)
+    y = None if ec is None else np.asarray(level, dtype=float)
+    for t in range(T):
+        x = buf[p + t]
+        if p:
+            x += stacked @ flat[t * n: (t + p) * n]
+        if ec is not None:
+            x += ec @ y
+            y = np.add(y, x, out=ys[t])
+    return buf[p:] if ec is None else (buf[p:], ys)
+
+
+def dense_ols_start(X, Z, nd, q):
+    """The MAI / VHARI / IAAR start from one lstsq of Z on the lag blocks X
+    (after ols's rank check): the first nd blocks keep their diagonals apart,
+    and the SVD truncation of the rest gives (gamma0, omega0, D0)."""
+    C = ols(np.hstack(X), Z).coeffs
+    n = Z.shape[1]
+    pis = C.reshape(-1, n, n).swapaxes(1, 2)[None]
+    return _index_start({"pis": pis, "beta": np.zeros((1, n, 0))}, nd, q)[0]
 
 
 def dense_johansen(Y, p, r):

@@ -157,3 +157,40 @@ class TestErrors:
                        "--n", 3, "--q", 1, "--out", tmp_path / "o")
         assert code == 1
         assert "bogus" in capsys.readouterr().err
+
+
+class TestReportFormatting:
+    """The report writers format through one "%.17g" row template; the
+    per-cell format(v, ".17g") they replaced is the reference."""
+
+    VALUES = np.array([
+        [0.0, -0.0, 1.0, -1.0, 0.1],
+        [np.nan, np.inf, -np.inf, 5e-324, -2.2250738585072014e-308],
+        [1.7976931348623157e308, -1e300, 123456789012345678.0, 1 / 3, -2.5e-17],
+    ])
+
+    @staticmethod
+    def per_cell(rows, sep):
+        return [sep.join(format(v, ".17g") for v in row) for row in rows]
+
+    def test_rows_match_the_per_cell_format(self):
+        from indexvar.cli import _array_lines, _format_rows
+
+        assert _format_rows(self.VALUES.tolist(), ",") == self.per_cell(self.VALUES, ",")
+        assert _array_lines(self.VALUES) == ["  " + s for s in self.per_cell(self.VALUES, " ")]
+        assert _array_lines(np.zeros((1, 0))) == ["  "]
+        assert _format_rows([], ",") == []
+
+    def test_csv_writers_write_the_per_cell_bytes(self, tmp_path):
+        from indexvar.cli import _write_series_csv, write_panel_csv
+        from indexvar.tscore import Panel
+
+        finite = self.VALUES[[0, 2]]
+        write_panel_csv(Panel(finite, ["a", "b", "c", "d", "e"]), tmp_path / "panel.csv")
+        want = "\n".join(["a,b,c,d,e"] + self.per_cell(finite, ",")) + "\n"
+        assert (tmp_path / "panel.csv").read_text() == want
+        columns = {"step": np.arange(1.0, 4.0), "x": self.VALUES[:, 1], "y": self.VALUES[:, 3]}
+        _write_series_csv(tmp_path / "series.csv", columns)
+        rows = np.column_stack(list(columns.values()))
+        want = "\n".join(["step,x,y"] + self.per_cell(rows, ",")) + "\n"
+        assert (tmp_path / "series.csv").read_text() == want

@@ -5,12 +5,17 @@ from indexvar import estimators
 from indexvar.estimators import (
     FitOptions,
     _Grams,
+    _default_starts,
     _finish,
+    _fit_grid,
+    _grid_setup,
     _min_norm_solve,
     _normal_blocks,
     _robust_inverse,
     _sa_engine,
+    _setup_iaar,
     _setup_mai,
+    _setup_vhari,
     _solve_pd,
     _step2_solve,
     _target_grams,
@@ -40,8 +45,10 @@ from indexvar.simulate import (
     simulate_vhari,
 )
 from indexvar.tscore import Panel, SingularDesignError, har_aggregates, ols, subspace_distance
+from indexvar.select import _candidate_grid
 from rowlevel import (
     ciaar_inputs,
+    dense_ols_start,
     diag_selection_matrix,
     row_level_sa,
     sym_inv_sqrt,
@@ -496,10 +503,10 @@ class TestBatchAxis:
         opts = FitOptions(max_iter=60)
         setups = [_setup_mai(Y, 2, 2) for Y in panels]
         grams = _Grams.stack([_Grams.of(s.Z, s.diag_X, None, s.index_X) for s in setups])
-        starts = [
-            s.start(opts) if omega0 is None else (None, omega0, [])
+        starts = _default_starts([
+            s.start(s.grams(), opts) if omega0 is None else (None, omega0, [])
             for s, omega0 in zip(setups, omega0s)
-        ]
+        ], setups[0], opts)
         states = _sa_engine(grams, 2, 0, starts, opts)
         failed = []
         for Y, setup, omega0, state in zip(panels, setups, omega0s, states):
@@ -590,6 +597,147 @@ class TestBatchAxis:
             fit_many("ciaar", panels, p=2, s=2, q=2, r=1)
         with pytest.raises(ValueError, match="cannot fit"):
             fit_many("vecm", panels[:1], p=2, r=1)
+
+
+def _ols_case(model):
+    """Four equal-length panels of a model with an OLS start, its fitter's
+    orders, and the setup of a panel at those orders."""
+    if model == "mai":
+        dgp, orders, make = random_mai_params(5, 2, 2, seed=0), dict(p=2, q=2), _setup_mai
+        panels = [simulate_mai(dgp, 300, seed=seed) for seed in range(4)]
+    elif model == "vhari":
+        dgp, orders, make = random_vhari_params(4, 2, seed=0), dict(q=2), _setup_vhari
+        panels = [simulate_vhari(dgp, 300, seed=seed) for seed in range(4)]
+    else:
+        dgp, orders, make = random_iaar_params(5, 2, 2, 1, seed=0), dict(p=2, s=1, q=2), _setup_iaar
+        panels = [simulate_iaar(dgp, 300, seed=seed) for seed in range(4)]
+    return panels, orders, lambda Y: make(Y, **orders)
+
+
+def _dense_start(setup):
+    """dense_ols_start on a setup's data: IAAR regresses on its diagonal lags."""
+    X = setup.diag_X if setup.model == "iaar" else setup.index_X
+    return dense_ols_start(X, setup.Z, len(setup.diag_X), setup.q)
+
+
+def _assert_close_start(got, ref, tol=1e-10):
+    for a, b in zip(got, ref):
+        a, b = np.asarray(a, float), np.asarray(b, float)
+        assert a.shape == b.shape
+        assert np.abs(a - b).max(initial=0.0) <= tol * np.abs(b).max(initial=1.0)
+
+
+class TestGramStarts:
+    """The MAI / VHARI / IAAR starts solve the normal equations of the grams
+    the engine reads; the dense lstsq start (dense_ols_start) is the oracle."""
+
+    FITTERS = {"mai": fit_mai, "vhari": fit_vhari, "iaar": fit_iaar}
+
+    @staticmethod
+    def _engine_starts(monkeypatch, run):
+        starts, engine = [], estimators._sa_engine
+
+        def recorded(grams, q, r, inits, opts, shapes=None):
+            starts.extend(inits)
+            return engine(grams, q, r, inits, opts, shapes)
+
+        monkeypatch.setattr(estimators, "_sa_engine", recorded)
+        out = run()
+        monkeypatch.undo()
+        return starts, out
+
+    @pytest.mark.parametrize("model", ["mai", "vhari", "iaar"])
+    def test_single_and_batched_starts_equal_the_dense_ols_start(self, model, monkeypatch):
+        panels, orders, setup = _ols_case(model)
+        fit = self.FITTERS[model]
+        opts = FitOptions(max_iter=40)
+        batch_starts, batch = self._engine_starts(
+            monkeypatch, lambda: list(fit_many(model, panels, opts=opts, **orders)))
+        assert len(batch_starts) == len(panels)
+        for Y, start, got in zip(panels, batch_starts, batch):
+            single_starts, ref = self._engine_starts(
+                monkeypatch, lambda: fit(Y, opts=opts, **orders))
+            _assert_close_start(single_starts[0], _dense_start(setup(Y)))
+            _assert_close_start(start, _dense_start(setup(Y)))
+            # a lockstep member is its single fit, bit for bit
+            assert got.iterations == ref.iterations
+            assert got.diagnostics == ref.diagnostics
+            assert np.array_equal(got.loglik_trace, ref.loglik_trace)
+            assert np.array_equal(got.residuals, ref.residuals)
+
+    @pytest.mark.parametrize("model", ["mai", "iaar"])
+    def test_grid_starts_equal_the_dense_ols_start(self, model, monkeypatch):
+        Y = _ols_case(model)[0][0]
+        candidates = _candidate_grid(model, (1, 3), (1, 2), Y.n)
+        t_start = Y.t0 + 3
+        tasks, run_group = [], estimators._run_group
+
+        def recorded(task):
+            tasks.append(task)
+            return run_group(task)
+
+        monkeypatch.setattr(estimators, "_run_group", recorded)
+        list(_fit_grid(model, Y, candidates, FitOptions(max_iter=40), t_start))
+        monkeypatch.undo()
+        starts = iter(start for task in tasks for start in task[3])
+        for q in sorted({c[2] for c in candidates}):
+            for p, s, q_, _ in candidates:
+                if q_ == q:
+                    setup = _grid_setup(model, Y, (p, s, q, 0), t_start)
+                    _assert_close_start(next(starts), _dense_start(setup))
+        assert next(starts, None) is None
+
+    @pytest.mark.parametrize("model", ["mai", "vhari", "iaar"])
+    def test_collinear_design_raises_its_single_fit_error_on_every_path(self, model):
+        panels, orders, _ = _ols_case(model)
+        values = panels[1].values.copy()
+        values[:, 2] = values[:, 1]
+        panels[1] = Panel(values)
+        fit = self.FITTERS[model]
+        with pytest.raises(SingularDesignError) as single:
+            fit(panels[1], **orders)
+        fits = fit_many(model, panels[:3], **orders)
+        assert np.array_equal(next(fits).residuals, fit(panels[0], **orders).residuals)
+        with pytest.raises(SingularDesignError) as batch:
+            next(fits)
+        assert str(batch.value) == str(single.value)
+        assert next(fits).loglik == fit(panels[2], **orders).loglik
+        if model == "vhari":                           # no selection grid
+            return
+        p, q = orders["p"], orders["q"]
+        orders_row = (p, orders.get("s", p), q, 0)
+        t_start = panels[1].t0 + p
+        outcome = next(_fit_grid(model, panels[1], [orders_row], FitOptions(), t_start))
+        with pytest.raises(SingularDesignError) as ref:
+            fit(panels[1], t_start=t_start, **orders)
+        assert isinstance(outcome, SingularDesignError)
+        assert str(outcome) == str(ref.value)
+
+
+class TestSigmaGuard:
+    @staticmethod
+    def _lagged_copy(seed):
+        """A CIAAR panel with y4_t = y1_{t-1}, which a (2, 2, 2, 1) fit can
+        track until its residual covariance is singular."""
+        values = simulate_ciaar(random_ciaar_params(6, 2, 1, 2, 2, seed=0), 300, seed=seed).values
+        values = values.copy()
+        values[1:, 3] = values[:-1, 0]
+        return Panel(values)
+
+    @pytest.mark.parametrize("seed", [4, 5, 6, 9])
+    def test_fit_that_drives_sigma_singular_fails(self, seed):
+        # without the guard these fits end with sigma's eigenvalue ratio at
+        # most 1.7e-16 and log-likelihoods near +1700, above every healthy fit
+        with pytest.raises(np.linalg.LinAlgError, match="not positive definite"):
+            fit_ciaar(self._lagged_copy(seed), 2, 2, 2, 1, opts=FitOptions(max_iter=500))
+
+    def test_well_conditioned_fit_records_its_sigma_conditioning(self):
+        fit = fit_ciaar(self._lagged_copy(0), 2, 2, 2, 1, opts=FitOptions(max_iter=500))
+        w = np.linalg.eigvalsh(fit.params.sigma)
+        assert 1e-7 < fit.diagnostics["sigma_cond"] < 1e-5
+        assert abs(fit.diagnostics["sigma_cond"] - w[0] / w[-1]) <= 1e-6 * w[0] / w[-1]
+        healthy = fit_mai(simulate_mai(random_mai_params(4, 1, 2, seed=0), 400, seed=1), 2, 1)
+        assert 0.0 < healthy.diagnostics["sigma_cond"] <= 1.0
 
 
 class TestJohansen:

@@ -2,8 +2,8 @@
 
 The grid fits its candidates as lockstep (q, r) groups padded to each
 group's largest lags; every row must still match the candidate's own fit at
-the grid's t_start, and the grid's cached Johansen starts must equal
-init_ciaar's.
+the grid's t_start, the grid must solve one start regression per lag count
+and rank, and its CIAAR starts must equal init_ciaar's.
 """
 
 import numpy as np
@@ -66,25 +66,26 @@ def rounding_driven(model, orders):
 
 
 def traced_grid_search(Y, p_range, q_range, model):
-    """grid_search, with the Johansen fits it runs and the starts of each group."""
-    johansen_calls, group_starts = [], {}
-    johansen_rrr, run_group = estimators.johansen_rrr, estimators._run_group
+    """grid_search, with the (block count, r) of each start regression it
+    solves (Johansen's or the OLS VAR's) and the starts of each group."""
+    regression_calls, group_starts = [], {}
+    start_regression, run_group = estimators._start_regression, estimators._run_group
 
-    def counted(*args, **kwargs):
-        johansen_calls.append(args[1:])
-        return johansen_rrr(*args, **kwargs)
+    def counted(setup, opts, G, Te):
+        regression_calls.append((G.shape[1], setup.r))
+        return start_regression(setup, opts, G, Te)
 
     def recorded(task):
         _, q, r, starts, *_ = task
         group_starts[q, r] = starts
         return run_group(task)
 
-    estimators.johansen_rrr, estimators._run_group = counted, recorded
+    estimators._start_regression, estimators._run_group = counted, recorded
     try:
         table = grid_search(Y, p_range, q_range, opts=OPTS, model=model)
     finally:
-        estimators.johansen_rrr, estimators._run_group = johansen_rrr, run_group
-    return table, johansen_calls, group_starts
+        estimators._start_regression, estimators._run_group = start_regression, run_group
+    return table, regression_calls, group_starts
 
 
 def assert_same_start(got, ref):
@@ -100,7 +101,7 @@ def test_grid_rows_equal_single_fits(case):
     combos = _candidate_grid(model, p_range, q_range, N)
     t_start = Y.t0 + max(max(p, s) for p, s, _, _ in combos)
     try:
-        table, johansen_calls, group_starts = traced_grid_search(Y, p_range, q_range, model)
+        table, regression_calls, group_starts = traced_grid_search(Y, p_range, q_range, model)
     except ValueError as exc:
         assert "all candidate fits failed" in str(exc)
         return
@@ -125,10 +126,11 @@ def test_grid_rows_equal_single_fits(case):
             assert row.failed and row.error == str(exc)
         else:
             assert not row.failed and row.error == ""
+    # one start regression per lag count and rank
+    assert len(regression_calls) == len(set(regression_calls))
     if model != "ciaar":
         return
-    # one Johansen fit per (m, r), and every start equals init_ciaar's
-    assert len(johansen_calls) == len(set(johansen_calls))
+    # every start equals init_ciaar's
     for (q, r), starts in group_starts.items():
         refs = []
         for p, s, q_, r_ in combos:

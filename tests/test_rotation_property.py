@@ -12,6 +12,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from indexvar.estimators import (
     FitOptions,
+    _default_starts,
     _lockstep,
     _setup_iaar,
     _setup_mai,
@@ -73,7 +74,7 @@ def test_fit_is_invariant_to_the_basis_of_the_start_omega(case):
         start = init_ciaar(Y, **orders)
     else:
         setup = (_setup_mai if model == "mai" else _setup_iaar)(Y, **orders)
-        start = setup.start(OPTS)
+        start = _default_starts([setup.start(setup.grams(), OPTS)], setup, OPTS)[0]
     gamma0, omega0, d0 = start
     rotated = (np.linalg.solve(R, gamma0) if gamma0 is not None else None, omega0 @ R, d0)
     ref, got = fit_from(model, orders, Y, start), fit_from(model, orders, Y, rotated)
