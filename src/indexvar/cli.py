@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import functools
 import json
 import sys
 from dataclasses import dataclass, fields
@@ -423,7 +424,13 @@ def _add_model_flags(parser):
     parser.add_argument("--method", default=None, choices=("ols", "gls"))
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and kept for the process.
+
+    Every flag defaults to None and parse_args fills a fresh namespace, so
+    nothing one call parses reaches the next.
+    """
     parser = argparse.ArgumentParser(
         prog="indexvar",
         description="Index-structured VAR toolkit: simulate, fit, select, decompose, forecast.",
@@ -465,8 +472,11 @@ def main(argv=None) -> int:
     for name in ("n", "T", "burn", "dgp-seed", "reps", "workers"):
         p.add_argument(f"--{name}", dest=name.replace("-", "_"), type=int, default=None)
     p.add_argument("--dist", default=None, choices=("gaussian", "lognormal_garch"))
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     try:
         cfg = build_config(args)
         return run(cfg)

@@ -178,16 +178,19 @@ def _demean(values: np.ndarray, t0: int, demean: bool):
 # built, reduced to their grams and dropped, and built again for the final
 # residual pass as its fit is consumed.
 #
-# Members may also differ in their lags. The selection grid runs all the
-# (p, s) candidates of one (q, r) as one batch at the group's largest
-# (nd, na), over one gram set at the grid's largest lags (every candidate
-# shares the grid's first target row). A member's grams of the lags it lacks
-# are zeroed, and its inactive delta, loading and step-3 index-lag
-# coordinates are pinned: their rows and columns in steps 1-3 become a
-# diagonal with a zero right-hand side, so they solve to zero and leave the
-# member's own block, its rank checks and its eigenvalue cut-offs as in its
-# single fit. A member with no omega channel (s = 1, r = 0) keeps its start
-# omega. A batch of equal members carries no masks and pays nothing for them.
+# Members may also differ in their lags and cointegration rank. The
+# selection grid runs all the (p, s, r) candidates of one q as one batch at
+# the group's largest (nd, na, r), over one gram set at the grid's largest
+# lags (every candidate shares the grid's first target row). A member's
+# grams of the lags it lacks are zeroed, and its inactive delta, loading and
+# step-3 index-lag coordinates are pinned: their rows and columns in steps
+# 1-3 become a diagonal with a zero right-hand side, so they solve to zero
+# and leave the member's own block, its rank checks and its eigenvalue
+# cut-offs as in its single fit. A member of rank r_i keeps gamma's columns
+# at or beyond r_i zero, so its step-1 weights there vanish and its alpha0
+# coordinates there are pinned; only members with 0 < r_i < q take step 3.
+# A member with no omega channel (s = 1, r = 0) keeps its start omega. A
+# batch of equal members carries no masks and pays nothing for them.
 
 
 @dataclass
@@ -294,9 +297,10 @@ def _sa_engine(
     alpha_j omega', and the EC channel (levels, present when r > 0) the
     error-correction term alpha0 gamma' omega'. gamma is fixed to I_q when
     r == q and estimated by the reduced-rank eigenstep when 0 < r < q.
-    shapes[i] = (nd_i, na_i), when given, is member i's own count of
-    diagonal and index lags, at most the batch's (nd, na); its D0 holds nd_i
-    vectors and its missing lags are masked (_member_masks).
+    shapes[i] = (nd_i, na_i, r_i), when given, is member i's own count of
+    diagonal and index lags and its rank, at most the batch's (nd, na, r);
+    its D0 holds nd_i vectors, its gamma0 r_i columns, and its missing lags
+    and rank are masked (_member_masks).
 
     Returns each member's final state in order, or the exception that ended
     its fit. A state's diagnostics["stop"] says why its sweeps ended: "tol"
@@ -308,13 +312,13 @@ def _sa_engine(
     """
     n, nd, Te = grams.n, grams.nd, grams.Te
     na = grams.Gcc.shape[-1] // n - (r > 0)
-    shapes = shapes or [(nd, na)] * len(starts)
+    shapes = shapes or [(nd, na, r)] * len(starts)
     finals = [None] * len(starts)
-    for m, ((nd_m, na_m), start) in enumerate(zip(shapes, starts)):
+    for m, ((nd_m, na_m, r_m), start) in enumerate(zip(shapes, starts)):
         try:
             if isinstance(start, Exception):
                 raise start
-            _check_sample(Te, r + na_m * q + nd_m)
+            _check_sample(Te, r_m + na_m * q + nd_m)
             if len(start[2]) != nd_m:
                 raise ValueError(f"{len(start[2])} diagonal starting values for {nd_m} lags")
         except (ValueError, np.linalg.LinAlgError) as exc:
@@ -323,23 +327,24 @@ def _sa_engine(
     if not members:
         return finals
     estimate_omega = q > 0 and (na > 0 or r > 0)
-    gamma_fixed = r == q
     ds = np.zeros((len(members), nd, n))
+    gamma = np.zeros((len(members), q, r))
     for row, m in enumerate(members):
-        ds[row, :shapes[m][0]] = np.asarray(starts[m][2], float).reshape(-1, n)
+        nd_m, _, r_m = shapes[m]
+        ds[row, :nd_m] = np.asarray(starts[m][2], float).reshape(-1, n)
+        if 0 < r_m < q:
+            gamma[row, :, :r_m] = np.asarray(starts[m][0], float).reshape(q, r_m)
+        else:                                          # fixed: I_q when r_m = q
+            gamma[row, :, :r_m] = np.eye(q)[:, :r_m]
     st = {                                             # batch state, one row per member
         "grams": grams if len(members) == len(starts) else grams[members],
         "omega": np.stack([np.asarray(starts[m][1], float).reshape(n, q) for m in members]),
-        "gamma": np.stack([
-            np.eye(q)[:, :r] if gamma_fixed or r == 0
-            else np.asarray(starts[m][0], float).reshape(q, r)
-            for m in members
-        ]),
+        "gamma": gamma,
         "ds": ds,
         "alpha0": np.zeros((len(members), n, r)),
         "alphas": np.zeros((len(members), na, n, q)),
     }
-    if any(shapes[m] != (nd, na) for m in members):
+    if any(shapes[m] != (nd, na, r) for m in members):
         st["grams"], masks = _member_masks(st["grams"], [shapes[m] for m in members], q, r)
         st.update(masks)
     st["UU"], st["GU"] = _target_grams(st["grams"], ds)   # refreshed whenever D moves
@@ -376,7 +381,9 @@ def _sa_engine(
         if r > 0:
             ec_loading = st["alpha0"] @ st["gamma"].transpose(0, 2, 1)
             loadings = np.concatenate([ec_loading[:, None], loadings], axis=1)
-        theta = _step2_solve(grams, sinv, loadings, nd, q, estimate_omega, opts, st.get("pin2"))
+        theta = _step2_solve(
+            grams, sinv, loadings, nd, q, estimate_omega, opts, st.get("pin2"), diags
+        )
         out = {}
         if nd:
             out["ds"] = theta[:, :nd * n].reshape(len(theta), nd, n)
@@ -391,7 +398,14 @@ def _sa_engine(
                 new = np.where(st["hold"][:, None, None], omega, new)
             out["omega"] = omega = new
         # Step 3: reduced-rank eigenstep for gamma given (omega, D)
-        if 0 < r < q:
+        if "rank" in st:                               # only members with 0 < r_i < q
+            rank = st["rank"]
+            rows = np.flatnonzero((rank > 0) & (rank < q))
+            out["gamma"] = gamma = st["gamma"].copy()
+            if len(rows):
+                eig = _rrr_gamma(grams[rows], omega[rows], UU[rows], GU[rows], r, st["pin3"][rows])
+                gamma[rows] = eig * (np.arange(r) < rank[rows, None])[:, None]
+        elif 0 < r < q:
             out["gamma"] = _rrr_gamma(grams, omega, UU, GU, r, st.get("pin3"))
         return out
 
@@ -405,10 +419,10 @@ def _sa_engine(
         for row, (m, value) in enumerate(zip(members, lls.tolist())):
             trace = traces[m]
             trace.append(value)
-            nd_m, na_m = shapes[m]
+            nd_m, na_m, r_m = shapes[m]
             if _converged(trace, opts.tol):
                 stop = "tol"
-            elif nd_m == 0 and not (q > 0 and (na_m > 0 or r > 0)):
+            elif nd_m == 0 and not (q > 0 and (na_m > 0 or r_m > 0)):
                 stop = "no_free_params"
             elif it == opts.max_iter:
                 stop = "max_iter"
@@ -419,8 +433,8 @@ def _sa_engine(
             diagnostics[m]["sigma_cond"] = float(w[0] / w[-1])
             finals[m] = {
                 "omega": st["omega"][row].copy(),
-                "gamma": st["gamma"][row].copy(),
-                "alpha0": st["alpha0"][row].copy(),
+                "gamma": st["gamma"][row, :, :r_m].copy(),
+                "alpha0": st["alpha0"][row, :, :r_m].copy(),
                 "alphas": list(st["alphas"][row, :na_m].copy()),
                 "ds": list(st["ds"][row, :nd_m].copy()),
                 "trace": np.asarray(trace),
@@ -473,23 +487,27 @@ def _each_member(phase, st: dict, members: list, diagnostics: list, finals: list
 
 
 def _member_masks(grams: _Grams, shapes: list, q: int, r: int):
-    """Mask each member's lags beyond its own (nd_i, na_i) out of a padded batch.
+    """Mask each member's lags and rank beyond its own (nd_i, na_i, r_i) out
+    of a padded batch.
 
     The member's grams of those lags are zeroed, so their coordinates
     decouple from every step's normal equations with a zero right-hand
-    side, and _pin gives them a diagonal. A member with no omega channel
-    (na_i = 0 and r = 0) has its omega coordinates pinned too and holds its
-    start omega. Returns the masked grams and the masks: pin1 over step 1's
+    side, and _pin gives them a diagonal. Its alpha0 coordinates at or
+    beyond r_i are pinned too: their gamma columns, and so their step-1
+    weights, are zero. A member with no omega channel (na_i = 0 and
+    r_i = 0) has its omega coordinates pinned as well and holds its start
+    omega. Returns the masked grams and the masks: pin1 over step 1's
     (alpha0, alphas) coordinates, pin2 over step 2's (delta, Vec(omega')),
-    pin3 over step 3's index-lag coordinates, and hold when any member holds.
+    pin3 over step 3's index-lag coordinates, hold when any member holds,
+    and rank (each r_i) when the members' ranks differ.
     """
     n, nd = grams.n, grams.nd
     na = grams.Gcc.shape[-1] // n - (r > 0)
     B = len(shapes)
-    nd_i, na_i = (np.array(col)[:, None] for col in zip(*shapes))
+    nd_i, na_i, r_i = (np.array(col)[:, None] for col in zip(*shapes))
     diag_off = np.arange(nd) >= nd_i                   # (B, nd) lags a member lacks
     index_off = np.arange(na) >= na_i                  # (B, na)
-    hold = (na_i[:, 0] == 0) & (r == 0)
+    hold = (na_i[:, 0] == 0) & (r_i[:, 0] == 0)
     ec_on = np.zeros((B, int(r > 0)), bool)
     on = ~np.concatenate([np.zeros((B, 1), bool), diag_off, ec_on, index_off], axis=1)
     G = grams.G * (on[:, :, None] & on[:, None, :])[..., None, None]
@@ -498,13 +516,15 @@ def _member_masks(grams: _Grams, shapes: list, q: int, r: int):
         pin2.append(np.repeat(hold[:, None], n * q, axis=1))
     masks = {
         "pin1": _pin_mask(
-            np.concatenate([np.zeros((B, r), bool), np.repeat(index_off, q, axis=1)], axis=1)
+            np.concatenate([np.arange(r) >= r_i, np.repeat(index_off, q, axis=1)], axis=1)
         ),
         "pin2": _pin_mask(np.concatenate(pin2, axis=1)),
         "pin3": _pin_mask(np.repeat(index_off, q, axis=1)),
     }
     if hold.any():
         masks["hold"] = hold
+    if (r_i != r).any():
+        masks["rank"] = r_i[:, 0]
     return _Grams.blocks(G, nd, grams.Te), masks
 
 
@@ -581,8 +601,9 @@ def _robust_inverse(sigma: np.ndarray, diagnostics: list) -> np.ndarray:
     return ((V / w) @ V.T)[None]
 
 
-def _solve_pd(A: np.ndarray, b: np.ndarray, fallback) -> np.ndarray:
-    """Solve every A_i x = b_i, with fallback(A_i, b_i) for a non-PD A_i.
+def _solve_pd(A: np.ndarray, b: np.ndarray, fallback, diagnostics: list | None = None):
+    """Solve every A_i x = b_i, with fallback(A_i, b_i, diagnostics[i]) for a
+    non-PD A_i (a throwaway dict when no diagnostics are given).
 
     The Cholesky factorization is the positive-definiteness test; the
     systems that pass are solved by one stacked LU solve. When a member
@@ -593,19 +614,25 @@ def _solve_pd(A: np.ndarray, b: np.ndarray, fallback) -> np.ndarray:
         return np.linalg.solve(A, b)
     except np.linalg.LinAlgError:
         if len(A) == 1:
-            return fallback(A[0], b[0])[None]
-    return np.concatenate([_solve_pd(A[i: i + 1], b[i: i + 1], fallback) for i in range(len(A))])
+            return fallback(A[0], b[0], diagnostics[0] if diagnostics else {})[None]
+    return np.concatenate([
+        _solve_pd(A[i: i + 1], b[i: i + 1], fallback, diagnostics and diagnostics[i: i + 1])
+        for i in range(len(A))
+    ])
 
 
-def _min_norm_solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _min_norm_solve(A: np.ndarray, b: np.ndarray, diagnostics: dict) -> np.ndarray:
     """Minimum-norm solution of a PSD system: eigenvalues below 1e-12 of the
-    largest are dropped."""
+    largest are dropped, and diagnostics["step2_dropped"] keeps the most
+    directions any of a fit's solves dropped."""
     w, V = np.linalg.eigh(A)
     keep = w > 1e-12 * w[-1]
+    dropped = int(len(w) - keep.sum())
+    diagnostics["step2_dropped"] = max(dropped, diagnostics.get("step2_dropped", 0))
     return V[:, keep] @ ((V[:, keep].T @ b) / w[keep, None])
 
 
-def _step2_solve(grams, sinv, loadings, nd, q, estimate_omega, opts, pinned=None):
+def _step2_solve(grams, sinv, loadings, nd, q, estimate_omega, opts, pinned=None, diagnostics=None):
     """Solve the stacked Vec regressions through their normal equations.
 
     For theta = (delta_1..delta_nd, Vec(omega')) the blocks are
@@ -614,7 +641,8 @@ def _step2_solve(grams, sinv, loadings, nd, q, estimate_omega, opts, pinned=None
     in one batched product over the gram tensor. sinv is (B, n, n) and
     loadings (B, C, n, q); returns theta as (B, nd n + n q). When a member's
     gram system is not positive definite (structurally unidentified loading
-    directions), that member gets its minimum-norm solution. pinned marks the
+    directions), that member gets its minimum-norm solution, which records
+    in diagnostics[i] how many directions it dropped. pinned marks the
     masked coordinates of padded members (_member_masks).
     """
     n, G = grams.n, grams.G
@@ -637,7 +665,7 @@ def _step2_solve(grams, sinv, loadings, nd, q, estimate_omega, opts, pinned=None
     _pin(G2, pinned)
     if opts.ridge > 0.0:
         G2 += opts.ridge * np.eye(k2)
-    return _solve_pd(G2, rhs[:, :, None], _min_norm_solve)[:, :, 0]
+    return _solve_pd(G2, rhs[:, :, None], _min_norm_solve, diagnostics)[:, :, 0]
 
 
 def _rrr_gamma(grams: _Grams, omega, UU, GU, r, pinned=None) -> np.ndarray:
@@ -654,7 +682,7 @@ def _rrr_gamma(grams: _Grams, omega, UU, GU, r, pinned=None) -> np.ndarray:
     UEF = np.concatenate([np.concatenate([UU, v.swapaxes(1, 2)], 2), np.concatenate([v, M], 2)], 1)
     (_, vecs), _, _ = _reduced_rank(
         UEF, slice(0, n), slice(n + q, None), slice(n, n + q), grams.Te,
-        partial(_solve_pd, fallback=lambda A, b: np.linalg.lstsq(A, b, rcond=None)[0]),
+        partial(_solve_pd, fallback=lambda A, b, _: np.linalg.lstsq(A, b, rcond=None)[0]),
     )
     return fix_signs(vecs[:, :, :r])
 
@@ -1233,11 +1261,12 @@ def _fit_grid(
     model is "mai" (candidates (p, p, q, 0)), "iaar" (r = 0, q >= 1) or
     "ciaar". Every candidate's first regression target is panel row
     t_start, so one gram set at the grid's largest lags serves them all.
-    The candidates run as one lockstep engine batch per (q, r), padded to
-    the group's largest (nd, na) with each member's missing lags masked
-    (_member_masks), and the starts share one regression per lag count
-    max(p, s) and r (_start_regression). map_groups maps _run_group over the groups'
-    engine inputs: the builtin map, or a process pool's map. The engine
+    The candidates run as one lockstep engine batch per q, padded to the
+    group's largest (nd, na, r) with each member's missing lags and rank
+    masked (_member_masks), and the starts share one regression per lag
+    count max(p, s) and r (_start_regression). map_groups maps _run_group
+    over the groups' engine inputs: the builtin map, or a process pool's
+    map. The engine
     runs before this returns; the result is an iterator over the
     candidates in order, giving each one's FitResult (its residuals formed
     as it is consumed) or the exception its single fit raises.
@@ -1245,7 +1274,7 @@ def _fit_grid(
     outcomes = [None] * len(candidates)               # exception or engine state
     regressions = {}                                   # (max(p, s), r) -> estimates or exception
 
-    groups = {}                                        # (q, r) -> [(candidate, shape, start)]
+    groups = {}                                        # q -> [(candidate, shape, start)]
     longest, widest = -1, None                         # the setup with the most lags
     for i, orders in enumerate(candidates):
         p, s, q, r = orders
@@ -1264,26 +1293,29 @@ def _fit_grid(
         except (ValueError, np.linalg.LinAlgError) as exc:
             outcomes[i] = exc
             continue
-        shape = (len(setup.diag_X), len(setup.index_X))
-        groups.setdefault((q, r), []).append((i, shape, start))
-        if max(shape) > longest:
-            longest, widest = max(shape), setup
+        shape = (len(setup.diag_X), len(setup.index_X), r)
+        groups.setdefault(q, []).append((i, shape, start))
+        if max(shape[:2]) > longest:
+            longest, widest = max(shape[:2]), setup
     if groups:
         full = widest.grams()
-        tasks = (_group_task(full, q, r, members, opts) for (q, r), members in groups.items())
+        tasks = (_group_task(full, q, members, opts) for q, members in groups.items())
         for members, states in zip(groups.values(), map_groups(_run_group, tasks)):
             for (i, _, _), state in zip(members, states):
                 outcomes[i] = state
     return _grid_fits(model, Y, candidates, t_start, outcomes)
 
 
-def _group_task(full: _Grams, q: int, r: int, members: list, opts: FitOptions):
-    """The engine inputs of one (q, r) group: full's blocks at the group's
-    largest lags, once per member, with each member's start and shape."""
+def _group_task(full: _Grams, q: int, members: list, opts: FitOptions):
+    """The engine inputs of one q group: full's blocks at the group's largest
+    lags and rank, broadcast to every member (the engine masks a copy), with
+    each member's start and shape."""
     shapes = [shape for _, shape, _ in members]
-    grams = _engine_grams(full, *(max(col) for col in zip(*shapes)), r)
+    nd, na, r = (max(col) for col in zip(*shapes))
     starts = [start for _, _, start in members]
-    return _Grams.stack([grams] * len(members)), q, r, starts, opts, shapes
+    g = _engine_grams(full, nd, na, r)
+    G, Gcc = (np.broadcast_to(a, (len(members),) + a.shape[1:]) for a in (g.G, g.Gcc))
+    return _Grams(G, Gcc, g.nd, g.Te), q, r, starts, opts, shapes
 
 
 def _grid_fits(model: str, Y: Panel, candidates: list, t_start: int, outcomes: list):

@@ -5,13 +5,15 @@ grid's maximum lag) so the log-likelihoods are comparable; the innovation
 covariance's parameters are excluded from the penalty, a constant offset
 across candidates that cannot change the argmin.
 
-The grid runs as lockstep (q, r) groups: one switching-engine batch per
-(q, r), padded to the group's largest lags with each candidate's missing
-lags masked, all over one gram set per panel, with the CIAAR starts sharing
-one Johansen fit per (max(p, s) - 1, r). Each row equals its candidate's
-single fit. A candidate whose fit raises is a failed row carrying that
-error; stop records why a fit's sweeps ended ("tol", "max_iter" or
-"no_free_params").
+The grid runs as lockstep q groups: one switching-engine batch per q,
+padded to the group's largest lags and rank with each candidate's missing
+lags and rank masked, all over one gram set per panel, with the CIAAR
+starts sharing one Johansen fit per (max(p, s) - 1, r). Each row equals its
+candidate's single fit. A candidate whose fit raises is a failed row
+carrying that error; stop records why a fit's sweeps ended ("tol",
+"max_iter" or "no_free_params"), sigma_cond the conditioning of its
+residual covariance and step2_dropped the directions its step-2 solves
+dropped.
 """
 
 from __future__ import annotations
@@ -49,11 +51,16 @@ def info_criterion(loglik: float, n_params: int, T_eff: int, kind: str) -> float
 
 @dataclass
 class ICRow:
-    """One candidate's fit: its criteria, and why its sweeps stopped.
+    """One candidate's fit: its criteria, why its sweeps stopped, and how
+    well conditioned it was.
 
     stop is the fit's diagnostics["stop"] ("tol", "max_iter" or
     "no_free_params"), empty when the fit raised; error holds that
-    exception, or why its criteria could not be computed.
+    exception, or why its criteria could not be computed. sigma_cond is the
+    fit's diagnostics["sigma_cond"] (least over largest eigenvalue of its
+    residual covariance) and step2_dropped its diagnostics["step2_dropped"]
+    (0 when every step-2 solve was of full rank); to_csv leaves both empty
+    on failed rows.
     """
 
     model: str
@@ -70,6 +77,8 @@ class ICRow:
     failed: bool = False
     stop: str = ""
     error: str = ""
+    sigma_cond: float = math.nan
+    step2_dropped: int = 0
 
     def orders(self) -> tuple:
         return (self.p, self.s, self.q, self.r)
@@ -110,15 +119,21 @@ class ICTable:
     def to_csv(self, path) -> None:
         """Write one line per candidate; best marks the minimizer of kind."""
         best = self.best[self.kind]
-        header = "model,p,s,q,r,loglik,n_params,aic,bic,hq,converged,failed,stop,error,best"
+        header = (
+            "model,p,s,q,r,loglik,n_params,aic,bic,hq,sigma_cond,step2_dropped,"
+            "converged,failed,stop,error,best"
+        )
         with open(path, "w", newline="") as fh:
             out = csv.writer(fh, lineterminator="\n")
             out.writerow(header.split(","))
             for i, row in enumerate(self.rows):
+                conditioning = ["", ""] if row.failed else [
+                    f"{row.sigma_cond:.17g}", row.step2_dropped
+                ]
                 out.writerow([
                     row.model, row.p, row.s, row.q, row.r, f"{row.loglik:.17g}", row.n_params,
-                    f"{row.aic:.17g}", f"{row.bic:.17g}", f"{row.hq:.17g}", int(row.converged),
-                    int(row.failed), row.stop, row.error, int(i == best),
+                    f"{row.aic:.17g}", f"{row.bic:.17g}", f"{row.hq:.17g}", *conditioning,
+                    int(row.converged), int(row.failed), row.stop, row.error, int(i == best),
                 ])
 
 
@@ -149,13 +164,17 @@ def _ic_row(model: str, orders: tuple, fit) -> ICRow:
     if isinstance(fit, Exception):  # failed fits stay in the table, out of the argmin
         return ICRow(model, *orders, np.nan, 0, np.nan, np.nan, np.nan, False,
                      failed=True, error=f"{type(fit).__name__}: {fit}")
-    stop = fit.diagnostics.get("stop", "")
+    diagnostics = dict(
+        stop=fit.diagnostics.get("stop", ""),
+        sigma_cond=fit.diagnostics.get("sigma_cond", math.nan),
+        step2_dropped=fit.diagnostics.get("step2_dropped", 0),
+    )
     try:
         crits = [info_criterion(fit.loglik, fit.n_params, fit.T_eff, c) for c in CRITERIA]
     except ValueError as exc:
         return ICRow(model, *orders, fit.loglik, fit.n_params, np.nan, np.nan, np.nan,
-                     fit.converged, failed=True, stop=stop, error=str(exc))
-    return ICRow(model, *orders, fit.loglik, fit.n_params, *crits, fit.converged, stop=stop)
+                     fit.converged, failed=True, error=str(exc), **diagnostics)
+    return ICRow(model, *orders, fit.loglik, fit.n_params, *crits, fit.converged, **diagnostics)
 
 
 def grid_search(
@@ -175,7 +194,7 @@ def grid_search(
     (s <= p, r <= q), "iaar" the triple with r = 0, and "mai" the pair
     (p, q). All fits condition on the grid's maximum lag so likelihoods are
     comparable; kind is recorded as the table's criterion (all three are
-    tabulated). The candidates of each (q, r) run as one lockstep group;
+    tabulated). The candidates of each q run as one lockstep group;
     workers > 1 fits the groups in a process pool.
     """
     if kind not in CRITERIA:

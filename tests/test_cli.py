@@ -105,10 +105,14 @@ class TestFitPipeline:
             if not line.startswith("#")
         ]
         assert len(lines) == 3  # header + 2 candidates
-        assert lines[0].endswith(",converged,failed,stop,error,best")
+        header = lines[0].split(",")
+        assert lines[0].endswith(",hq,sigma_cond,step2_dropped,converged,failed,stop,error,best")
         best_flags = [line.rsplit(",", 1)[1] for line in lines[1:]]
         assert best_flags.count("1") == 1
-        assert all(line.split(",")[12] in ("tol", "max_iter") for line in lines[1:])
+        cells = [dict(zip(header, line.split(","))) for line in lines[1:]]
+        assert all(row["stop"] in ("tol", "max_iter") for row in cells)
+        assert all(0.0 < float(row["sigma_cond"]) <= 1.0 for row in cells)
+        assert all(row["step2_dropped"] == "0" for row in cells)  # MAI steps are full rank
 
     def test_montecarlo(self, tmp_path):
         out = tmp_path / "mc"
@@ -157,6 +161,25 @@ class TestErrors:
                        "--n", 3, "--q", 1, "--out", tmp_path / "o")
         assert code == 1
         assert "bogus" in capsys.readouterr().err
+
+
+class TestParser:
+    def test_parser_is_built_once_and_keeps_no_flags_between_calls(self, tmp_path):
+        from indexvar.cli import _parser
+
+        def manifest(out):
+            lines = (out / "manifest.txt").read_text().splitlines()
+            return dict(line.split(" = ", 1) for line in lines if not line.startswith("#"))
+
+        base = ["simulate", "--model", "mai", "--n", 3, "--q", 1, "--p", 1, "--T", 60]
+        flags = ["--max-iter", 7, "--tol", 0.5, "--seed", 9]
+        assert run_cli(*base, *flags, "--out", tmp_path / "a") == 0
+        parser = _parser()
+        assert run_cli(*base, "--out", tmp_path / "b") == 0
+        assert _parser() is parser
+        first, second = manifest(tmp_path / "a"), manifest(tmp_path / "b")
+        assert (first["max_iter"], first["tol"], first["seed"]) == ("7", "0.5", "9")
+        assert (second["max_iter"], second["tol"], second["seed"]) == ("500", "1e-08", "0")
 
 
 class TestReportFormatting:

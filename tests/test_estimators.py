@@ -6,6 +6,7 @@ from indexvar.estimators import (
     FitOptions,
     _Grams,
     _default_starts,
+    _engine_grams,
     _finish,
     _fit_grid,
     _grid_setup,
@@ -45,7 +46,7 @@ from indexvar.simulate import (
     simulate_vhari,
 )
 from indexvar.tscore import Panel, SingularDesignError, har_aggregates, ols, subspace_distance
-from indexvar.select import _candidate_grid
+from indexvar.select import _candidate_grid, grid_search
 from rowlevel import (
     ciaar_inputs,
     dense_ols_start,
@@ -712,6 +713,87 @@ class TestGramStarts:
             fit(panels[1], t_start=t_start, **orders)
         assert isinstance(outcome, SingularDesignError)
         assert str(outcome) == str(ref.value)
+
+
+class TestMixedRankBatch:
+    """One q = 3 engine batch whose members differ in lags and in rank, as a
+    selection grid's q group runs them: each member must be its single fit."""
+
+    # (p, s, q, r): r = 0 with and without an omega channel (s = 1 holds its
+    # start omega; p = s = 1 has nothing to switch), r = 1 and r = 2 (the
+    # s = 1 ones rounding-driven), and r = q with gamma fixed to I_q
+    CANDIDATES = [
+        (2, 1, 3, 0), (3, 2, 3, 0), (1, 1, 3, 0), (2, 2, 3, 1), (3, 3, 3, 1), (1, 1, 3, 1),
+        (2, 1, 3, 2), (3, 2, 3, 2), (1, 2, 3, 3), (2, 2, 3, 3),
+    ]
+    BROKEN = (3, 3, 3, 1)                              # started from a repeated omega column
+
+    @pytest.mark.parametrize("seed", [0, 4])
+    def test_members_equal_their_single_fits(self, seed):
+        Y = simulate_ciaar(random_ciaar_params(6, 2, 1, 2, 2, seed=0), 300, seed=seed)
+        t_start, opts = Y.t0 + 3, FitOptions(max_iter=60)
+        setups = [_grid_setup("ciaar", Y, orders, t_start) for orders in self.CANDIDATES]
+        starts = [init_ciaar(Y, *orders) for orders in self.CANDIDATES]
+        broken = self.CANDIDATES.index(self.BROKEN)
+        gamma0, omega0, d0 = starts[broken]
+        starts[broken] = (gamma0, np.hstack([omega0[:, :1]] * 3), d0)
+        shapes = [(len(s.diag_X), len(s.index_X), s.r) for s in setups]
+        nd, na, r = (max(col) for col in zip(*shapes))
+        assert (nd, na, r) == (2, 2, 3)
+        full = _grid_setup("ciaar", Y, (3, 3, 3, 0), t_start).grams()
+        grams = _Grams.stack([_engine_grams(full, nd, na, r)] * len(setups))
+        states = _sa_engine(grams, 3, r, starts, opts, shapes)
+        for orders, setup, start, state in zip(self.CANDIDATES, setups, starts, states):
+            p, s, q, r_i = orders
+            try:
+                ref = fit_ciaar(Y, *orders, opts=opts, t_start=t_start, init=start)
+            except SingularDesignError as exc:
+                # the step-1 design is exactly singular; its least eigenvalue,
+                # quoted in the message, is rounding noise
+                assert orders == self.BROKEN
+                assert type(state) is SingularDesignError
+                assert str(state).split(" ratio ")[0] == str(exc).split(" ratio ")[0]
+                continue
+            got = _finish(setup, state)
+            assert got.params.gamma.shape == (q, r_i) and got.params.alpha0.shape == (6, r_i)
+            assert got.diagnostics.get("step2_dropped") == ref.diagnostics.get("step2_dropped")
+            if s == 1 and 0 < r_i < q:                 # rounding-driven, see test_grid_property
+                assert abs(got.loglik - ref.loglik) <= 1e-4 * abs(ref.loglik)
+                continue
+            assert got.iterations == ref.iterations
+            assert got.diagnostics["stop"] == ref.diagnostics["stop"]
+            assert abs(got.loglik - ref.loglik) <= 1e-8 * abs(ref.loglik)
+            assert np.abs(got.params.gamma - ref.params.gamma).max(initial=0.0) <= 1e-6
+        assert sum(isinstance(state, Exception) for state in states) == 1
+
+
+class TestStep2Dropped:
+    """s = 1 and 0 < r < q: omega enters step 2 only through the rank-r EC
+    loading, so its n q omega coordinates span n r directions and the
+    min-norm solve drops the other n (q - r)."""
+
+    @staticmethod
+    def _panels():
+        params = random_ciaar_params(6, 2, 1, 2, 1, seed=0)
+        return [simulate_ciaar(params, 800, seed=seed) for seed in (1, 2)]
+
+    def test_single_fits_and_fit_many_record_the_dropped_directions(self):
+        panels = self._panels()
+        singles = [fit_ciaar(Y, 2, 1, 2, 1) for Y in panels]
+        assert [fit.diagnostics["step2_dropped"] for fit in singles] == [6, 6]
+        batch = fit_many("ciaar", panels, p=2, s=1, q=2, r=1)
+        for got, ref in zip(batch, singles):
+            assert got.diagnostics == ref.diagnostics
+        # full-rank step 2: no min-norm solve, no record
+        for orders in ((2, 2, 2, 1), (2, 1, 2, 2), (2, 1, 2, 0)):
+            assert "step2_dropped" not in fit_ciaar(panels[0], *orders).diagnostics
+
+    def test_grid_rows_record_the_dropped_directions(self):
+        table = grid_search(self._panels()[0], (1, 2), (1, 2))
+        for row in table.rows:
+            p, s, q, r = row.orders()
+            assert not row.failed and 0.0 < row.sigma_cond <= 1.0
+            assert row.step2_dropped == (6 * (q - r) if s == 1 and 0 < r < q else 0)
 
 
 class TestSigmaGuard:

@@ -1,7 +1,7 @@
 """Property test: each grid_search row equals the single fit of its candidate.
 
-The grid fits its candidates as lockstep (q, r) groups padded to each
-group's largest lags; every row must still match the candidate's own fit at
+The grid fits its candidates as lockstep q groups padded to each group's
+largest lags and rank; every row must still match the candidate's own fit at
 the grid's t_start, the grid must solve one start regression per lag count
 and rank, and its CIAAR starts must equal init_ciaar's.
 """
@@ -67,7 +67,8 @@ def rounding_driven(model, orders):
 
 def traced_grid_search(Y, p_range, q_range, model):
     """grid_search, with the (block count, r) of each start regression it
-    solves (Johansen's or the OLS VAR's) and the starts of each group."""
+    solves (Johansen's or the OLS VAR's) and the starts of each group's
+    members, keyed by q and the member's rank."""
     regression_calls, group_starts = [], {}
     start_regression, run_group = estimators._start_regression, estimators._run_group
 
@@ -76,8 +77,9 @@ def traced_grid_search(Y, p_range, q_range, model):
         return start_regression(setup, opts, G, Te)
 
     def recorded(task):
-        _, q, r, starts, *_ = task
-        group_starts[q, r] = starts
+        _, q, _, starts, _, shapes = task
+        for start, (_, _, r) in zip(starts, shapes):
+            group_starts.setdefault((q, r), []).append(start)
         return run_group(task)
 
     estimators._start_regression, estimators._run_group = counted, recorded

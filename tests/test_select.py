@@ -163,6 +163,21 @@ class TestGridSearch:
         assert header[-4:] == ["failed", "stop", "error", "best"]
         assert [c[-3:] for c in cells] == [["", rows[0].error, "0"], ["tol", "", "1"]]
 
+    def test_csv_writes_conditioning_cells_only_for_fitted_rows(self, tmp_path):
+        rows = [
+            _row("mai", 1, 1, 1, 0, np.nan, 0, failed=True),
+            _row("mai", 2, 2, 1, 0, -100.0, 8),
+        ]
+        rows[0].sigma_cond, rows[0].step2_dropped = 0.5, 3      # ignored: the row failed
+        rows[1].sigma_cond, rows[1].step2_dropped = 1 / 3, 6
+        path = tmp_path / "ic.csv"
+        ICTable(rows, 500, kind="aic").to_csv(path)
+        with open(path, newline="") as fh:
+            header, *cells = list(csv.reader(fh))
+        at = header.index("sigma_cond")
+        assert header[at: at + 2] == ["sigma_cond", "step2_dropped"]
+        assert [c[at: at + 2] for c in cells] == [["", ""], ["0.33333333333333331", "6"]]
+
     def test_worker_pool_matches_serial(self):
         params = random_ciaar_params(4, 1, 1, 2, 2, seed=4)
         Y = simulate_ciaar(params, 400, seed=5)
