@@ -145,6 +145,18 @@ def _demean(values: np.ndarray, t0: int, demean: bool):
     return values - mu, mu
 
 
+def _demeaned(Y: Panel, demean: bool, differences: bool = False):
+    """(levels, diffs, means): Y's levels and, with differences, its first
+    differences, each demeaned over its usable rows when demean. A model's
+    setups slice their data from these, so the setups of one panel (a
+    selection grid's candidates) can share them."""
+    levels, mu = _demean(Y.values, Y.t0, demean)
+    if not differences:
+        return levels, None, {"level": mu}
+    diffs, mu_diff = _demean(np.diff(Y.values, axis=0), max(Y.t0 - 1, 0), demean)
+    return levels, diffs, {"level": mu, "diff": mu_diff}
+
+
 # ---------------------------------------------------------------------------
 # generalized switching engine (diagonal + index + error-correction channels)
 # ---------------------------------------------------------------------------
@@ -152,9 +164,12 @@ def _demean(values: np.ndarray, t0: int, demean: bool):
 # Every conditional-maximization step only touches the data through the n x n
 # cross-products of the data matrices, so those are formed once per fit and
 # no sweep depends on the sample length. Each step is assembled by a few
-# batched products over the stacked gram tensor: step 1 and step 3 cost
-# O((C n)^2 C q) for C vec channels, and step 2 is dominated by the
-# factorization of its (nd n + n q)-square normal equations,
+# batched matmuls over the stacked gram tensor, each gram operand transposed
+# so that the index it sums over is last (step 2's Kronecker sums run over
+# channel pairs, the target grams over the diagonal lags). The transposed
+# copies are formed anew each call: keeping them measured no faster. Step 1
+# and step 3 cost O((C n)^2 C q) for C vec channels, and step 2 is dominated
+# by the factorization of its (nd n + n q)-square normal equations,
 # O(n^3 (nd + q)^3) per sweep. Structurally rank-deficient step-2 systems get
 # the minimum-norm solution from the eigenvalues of the same gram. The stacked
 # row-level design never gets built here; it lives in tests/rowlevel.py as the
@@ -277,11 +292,18 @@ def _engine_grams(full: _Grams, nd: int, na: int, r: int) -> _Grams:
 def _target_grams(g: _Grams, ds: np.ndarray):
     """U'U and X_a'U for U = Z - sum_j X_j diag(d_j), for every data block a.
 
-    ds is (B, nd, n); returns UU (B, n, n) and GU (B, k, n, n).
+    ds is (B, nd, n); returns UU (B, n, n) and GU (B, k, n, n). With D the
+    stacked diagonals [diag(d_1); ..; diag(d_nd)], X_a'U = X_a'Z - [X_a'X_j]_j D
+    and U'U = Z'U - D'[X_j'U]_j, one batched product each.
     """
+    B, k, _, n, _ = g.G.shape
     nd = g.nd
-    GU = g.G[:, :, 0] - np.einsum("xajkl,xjl->xakl", g.G[:, :, 1: 1 + nd], ds)   # X_a' U
-    UU = GU[:, 0] - np.einsum("xjk,xjkl->xkl", ds, GU[:, 1: 1 + nd])
+    D = np.zeros((B, nd, n, n))
+    D[:, :, np.arange(n), np.arange(n)] = ds
+    D = D.reshape(B, nd * n, n)
+    lags = g.G[:, :, 1: 1 + nd].transpose(0, 1, 3, 2, 4).reshape(B, k * n, nd * n)
+    GU = g.G[:, :, 0] - (lags @ D).reshape(B, k, n, n)
+    UU = GU[:, 0] - D.swapaxes(1, 2) @ GU[:, 1: 1 + nd].reshape(B, nd * n, n)
     return UU, GU
 
 
@@ -358,7 +380,7 @@ def _sa_engine(
         if not weights:
             sigma = (UU + UU.transpose(0, 2, 1)) / (2.0 * Te)
             return {"sigma": sigma, "ll": gaussian_loglik(sigma, Te)}
-        M, v = _normal_blocks(st["grams"], weights, st["GU"])
+        M, v = _normal_blocks(st["grams"].Gcc, weights, st["GU"][:, 1 + nd:])
         _pin(M, st.get("pin1"))
         _check_step_rank(M)
         solve_M = M + opts.ridge * np.eye(M.shape[-1]) if opts.ridge > 0.0 else M
@@ -403,10 +425,11 @@ def _sa_engine(
             rows = np.flatnonzero((rank > 0) & (rank < q))
             out["gamma"] = gamma = st["gamma"].copy()
             if len(rows):
-                eig = _rrr_gamma(grams[rows], omega[rows], UU[rows], GU[rows], r, st["pin3"][rows])
+                Gcc, XU = grams.Gcc[rows], GU[rows, 1 + nd:]
+                eig = _rrr_gamma(Gcc, omega[rows], UU[rows], XU, Te, r, st["pin3"][rows])
                 gamma[rows] = eig * (np.arange(r) < rank[rows, None])[:, None]
         elif 0 < r < q:
-            out["gamma"] = _rrr_gamma(grams, omega, UU, GU, r, st.get("pin3"))
+            out["gamma"] = _rrr_gamma(grams.Gcc, omega, UU, GU[:, 1 + nd:], Te, r, st.get("pin3"))
         return out
 
     for it in range(1, opts.max_iter + 1):
@@ -551,30 +574,32 @@ def _pin(A: np.ndarray, pin: np.ndarray | None) -> None:
 
 
 def _check_step_rank(M: np.ndarray) -> None:
+    """Raise SingularDesignError when a member's gram has least over largest
+    eigenvalue below 1e-20. The message states the threshold only: near a
+    singular design the ratio is rounding noise, which differs between a
+    padded batch member and its single fit."""
     w = np.linalg.eigvalsh(M)
-    top = np.maximum(w[:, -1], 1e-300)
-    if (w[:, 0] < 1e-20 * top).any():
-        ratio = (w[:, 0] / top).min()
+    if (w[:, 0] < 1e-20 * np.maximum(w[:, -1], 1e-300)).any():
         raise SingularDesignError(
-            "switching-step design is rank deficient "
-            f"(gram eigenvalue ratio {ratio:.3e} below 1e-20)"
+            "switching-step design is rank deficient (gram eigenvalue ratio below 1e-20)"
         )
 
 
-def _normal_blocks(grams: _Grams, weights: list, GU: np.ndarray):
+def _normal_blocks(Gcc: np.ndarray, weights: list, XU: np.ndarray):
     """X1'X1 and X1'U for X1 = [X_c @ W_c], one (B, n, w_c) weight per vec channel.
 
-    The weights form the block-diagonal Wb, so X1'X1 = Wb' Gcc Wb and
-    X1'U = Wb' [X_c'U] in two products over the stacked channel grams.
+    Gcc is the vec channels' (B, C n, C n) gram (_Grams.Gcc) and XU their
+    (B, C, n, n) cross-products X_c'U. The weights form the block-diagonal
+    Wb, so X1'X1 = Wb' Gcc Wb and X1'U = Wb' [X_c'U] in two products.
     """
-    n = grams.n
-    Wb = np.zeros((len(GU), len(weights) * n, sum(w.shape[-1] for w in weights)))
+    B, C, n, _ = XU.shape
+    Wb = np.zeros((B, C * n, sum(w.shape[-1] for w in weights)))
     col = 0
     for c, w in enumerate(weights):
         Wb[:, c * n: (c + 1) * n, col: col + w.shape[-1]] = w
         col += w.shape[-1]
     WbT = Wb.transpose(0, 2, 1)
-    return WbT @ grams.Gcc @ Wb, WbT @ GU[:, 1 + grams.nd:].reshape(len(GU), -1, n)
+    return WbT @ Gcc @ Wb, WbT @ XU.reshape(B, C * n, n)
 
 
 def _robust_inverse(sigma: np.ndarray, diagnostics: list) -> np.ndarray:
@@ -637,9 +662,13 @@ def _step2_solve(grams, sinv, loadings, nd, q, estimate_omega, opts, pinned=None
 
     For theta = (delta_1..delta_nd, Vec(omega')) the blocks are
     G_jl * sinv (Hadamard) between diagonals, sum_ab G_ab kron W_ab with
-    W_ab = a_a' sinv a_b for omega, and the matching cross terms, each formed
-    in one batched product over the gram tensor. sinv is (B, n, n) and
-    loadings (B, C, n, q); returns theta as (B, nd n + n q). When a member's
+    W_ab = a_a' sinv a_b for omega, and the matching cross terms. Each
+    product is one batched matmul with its gram operand transposed to
+    (batch, rows, summed index): the omega block sums G_ab[i, j] W_ab[k, l]
+    over the channel pairs (a, b), the cross block G_jc[k, K] (sinv a_c)[k, m]
+    over c, and the omega right-hand side G_c0[i, k] (sinv a_c)[k, m] over
+    (k, c). sinv is (B, n, n) and loadings (B, C, n, q); returns theta as
+    (B, nd n + n q). When a member's
     gram system is not positive definite (structurally unidentified loading
     directions), that member gets its minimum-norm solution, which records
     in diagnostics[i] how many directions it dropped. pinned marks the
@@ -653,35 +682,44 @@ def _step2_solve(grams, sinv, loadings, nd, q, estimate_omega, opts, pinned=None
     G2 = np.empty((B, k2, k2))
     rhs = np.empty((B, k2))
     G2[:, :ow, :ow] = (G[:, dd, dd] * sinv[:, None, None]).transpose(0, 1, 3, 2, 4).reshape(B, ow, ow)
-    rhs[:, :ow] = np.einsum("xjik,xki->xji", G[:, dd, 0], sinv).reshape(B, ow)
+    rhs[:, :ow] = (G[:, dd, 0] * sinv.swapaxes(1, 2)[:, None]).sum(-1).reshape(B, ow)
     if estimate_omega:
         A = np.asarray(loadings)                    # (B, C, n, q) channel loadings a_c
-        SA = sinv[:, None] @ A
-        W = np.einsum("xaiq,xbir->xabqr", A, SA)
-        G2[:, ow:, ow:] = np.einsum("xabij,xabkl->xikjl", G[:, cc, cc], W).reshape(B, n * q, n * q)
-        G2[:, :ow, ow:] = np.einsum("xjckK,xckm->xjkKm", G[:, dd, cc], SA).reshape(B, ow, n * q)
+        C = A.shape[1]
+        A = A.transpose(0, 2, 1, 3).reshape(B, n, C * q)    # [a_1 .. a_C]
+        SA = sinv @ A
+        # W_ab[k, l] = (a_a' sinv a_b)[k, l] at [(a, b), (k, l)]
+        W = (A.swapaxes(1, 2) @ SA).reshape(B, C, q, C, q).transpose(0, 1, 3, 2, 4)
+        Gab = G[:, cc, cc].transpose(0, 3, 4, 1, 2).reshape(B, n * n, C * C)
+        omega_block = (Gab @ W.reshape(B, C * C, q * q)).reshape(B, n, n, q, q)
+        G2[:, ow:, ow:] = omega_block.transpose(0, 1, 3, 2, 4).reshape(B, n * q, n * q)
+        SA = SA.reshape(B, n, C, q)                 # (sinv a_c)[k, m] at [k, c, m]
+        cross = G[:, dd, cc].transpose(0, 1, 3, 4, 2) @ SA[:, None]
+        G2[:, :ow, ow:] = cross.reshape(B, ow, n * q)
         G2[:, ow:, :ow] = G2[:, :ow, ow:].transpose(0, 2, 1)
-        rhs[:, ow:] = np.einsum("xaik,xakq->xiq", G[:, cc, 0], SA).reshape(B, n * q)
+        Gc0 = G[:, cc, 0].transpose(0, 2, 3, 1).reshape(B, n, n * C)
+        rhs[:, ow:] = (Gc0 @ SA.reshape(B, n * C, q)).reshape(B, n * q)
     _pin(G2, pinned)
     if opts.ridge > 0.0:
         G2 += opts.ridge * np.eye(k2)
     return _solve_pd(G2, rhs[:, :, None], _min_norm_solve, diagnostics)[:, :, 0]
 
 
-def _rrr_gamma(grams: _Grams, omega, UU, GU, r, pinned=None) -> np.ndarray:
+def _rrr_gamma(Gcc, omega, UU, XU, Te: int, r: int, pinned=None) -> np.ndarray:
     """The r leading eigenvectors of the reduced-rank regression of the
     diagonal-adjusted targets U on the lagged index levels E = ec_X omega,
     concentrated on the weighted index lags F. The step-1 normal blocks
     with every vec channel weighted by omega hold the grams of [E | F], the
-    target grams (UU, GU) at the current D the rest. omega is (B, n, q);
-    returns gamma (B, q, r); pinned marks padded members' masked lags.
+    target grams UU and XU (the vec channels' X_c'U) at the current D the
+    rest. omega is (B, n, q); returns gamma (B, q, r); pinned marks padded
+    members' masked lags.
     """
     n, q = omega.shape[1:]
-    M, v = _normal_blocks(grams, [omega] * (grams.Gcc.shape[-1] // n), GU)
+    M, v = _normal_blocks(Gcc, [omega] * XU.shape[1], XU)
     _pin(M[:, q:, q:], pinned)
     UEF = np.concatenate([np.concatenate([UU, v.swapaxes(1, 2)], 2), np.concatenate([v, M], 2)], 1)
     (_, vecs), _, _ = _reduced_rank(
-        UEF, slice(0, n), slice(n + q, None), slice(n, n + q), grams.Te,
+        UEF, slice(0, n), slice(n + q, None), slice(n, n + q), Te,
         partial(_solve_pd, fallback=lambda A, b, _: np.linalg.lstsq(A, b, rcond=None)[0]),
     )
     return fix_signs(vecs[:, :, :r])
@@ -811,13 +849,15 @@ def fit_many(
 # ---------------------------------------------------------------------------
 
 
-def _setup_mai(Y: Panel, p: int, q: int, demean: bool = True, t_start: int | None = None):
+def _setup_mai(
+    Y: Panel, p: int, q: int, demean: bool = True, t_start: int | None = None, data=None
+):
     n = Y.n
     if not 1 <= q <= n:
         raise ValueError(f"need 1 <= q <= n, got q={q}")
     if p < 1:
         raise ValueError("need p >= 1")
-    values, mu = _demean(Y.values, Y.t0, demean)
+    values, _, means = data or _demeaned(Y, demean)
     first = max(Y.t0 + p, t_start if t_start is not None else 0)
     if first + 1 >= Y.T:
         raise ValueError("sample too short for the requested lag order")
@@ -826,7 +866,7 @@ def _setup_mai(Y: Panel, p: int, q: int, demean: bool = True, t_start: int | Non
     _check_sample(Z.shape[0], n * p)  # the initialization regresses on all n p lags
 
     return _Setup(
-        "mai", Z, [], lags, None, q, 0, first, {"level": mu},
+        "mai", Z, [], lags, None, q, 0, first, dict(means),
         lambda full, opts: _start_grams(Z, lags, None, 0, full, opts.ridge),
         lambda out: MAIParams(out["omega"], out["alphas"], out["sigma"]),
     )
@@ -904,21 +944,21 @@ def fit_vhari(
 
 
 def _setup_iaar(
-    Y: Panel, p: int, s: int, q: int, demean: bool = True, t_start: int | None = None
+    Y: Panel, p: int, s: int, q: int, demean: bool = True, t_start: int | None = None, data=None
 ):
     n = Y.n
     if not 0 <= q < n:
         raise ValueError(f"need 0 <= q < n, got q={q}")
     if p < 1 or s < 0 or s > p:
         raise ValueError(f"need 1 <= s <= p (got p={p}, s={s})")
-    values, mu = _demean(Y.values, Y.t0, demean)
+    values, _, means = data or _demeaned(Y, demean)
     first = max(Y.t0 + p, t_start if t_start is not None else 0)
     Z = values[first:]
     diag_X = [values[first - j: Y.T - j] for j in range(1, p + 1)]
     index_X = diag_X[:s]
     _check_sample(Z.shape[0], n * p)
     return _Setup(
-        "iaar", Z, diag_X, index_X, None, q, 0, first, {"level": mu},
+        "iaar", Z, diag_X, index_X, None, q, 0, first, dict(means),
         lambda full, opts: _start_grams(Z, diag_X, None, 0, full, opts.ridge),
         lambda out: IAARParams(out["ds"], out["alphas"], out["omega"], out["sigma"]),
     )
@@ -979,27 +1019,49 @@ def _svd_truncate(stack: np.ndarray, q: int):
 # ---------------------------------------------------------------------------
 
 
-def _ec_data(Y: Panel, m: int, demean: bool, t_start: int | None):
-    """dY_t, its m lags, Y_{t-1}, the first target row and the means of the EC regressions."""
-    levels, mu_level = _demean(Y.values, Y.t0, demean)
-    dvalues, mu_diff = _demean(np.diff(Y.values, axis=0), max(Y.t0 - 1, 0), demean)
+def _ec_data(Y: Panel, m: int, data: tuple, t_start: int | None = None):
+    """dY_t, its m lags, Y_{t-1}, the first target row and the means of the
+    EC regressions, sliced from data (Y's _demeaned, with differences)."""
+    levels, dvalues, means = data
     first = max(Y.t0 + m + 1, t_start if t_start is not None else 0)
     lags = [dvalues[first - 1 - j: Y.T - 1 - j] for j in range(1, m + 1)]
-    means = {"level": mu_level, "diff": mu_diff}
-    return dvalues[first - 1:], lags, levels[first - 1: Y.T - 1], first, means
+    return dvalues[first - 1:], lags, levels[first - 1: Y.T - 1], first, dict(means)
 
 
 def _start_grams(Z, lags, ec_X, r: int, full: _Grams | None = None, ridge: float = 0.0) -> _Grams:
     """The grams of [Z | lags | ec_X] (full, when formed) a default start is
     solved from, once r, the sample size and the lag design pass their
-    checks. Unpenalized, the design takes ols's singular-value test, which
-    its gram's eigenvalues cannot resolve."""
+    checks. Unpenalized, the lag design takes ols's singular-value test
+    (check_rank), whose SVD runs only when the lag block of the grams
+    cannot certify it (_certifies_rank), so every accept, reject and message
+    is that test's."""
     if not 0 <= r < Z.shape[1]:
         raise ValueError(f"need 0 <= r < n, got r={r}")
     _check_sample(Z.shape[0], len(lags) * Z.shape[1] + r)
-    if lags and ridge == 0.0:
+    full = full if full is not None else _Grams.of(Z, lags, ec_X, [])
+    lag_gram = full.G[0, 1: 1 + len(lags), 1: 1 + len(lags)]
+    if lags and ridge == 0.0 and not _certifies_rank(lag_gram, Z.shape[0]):
         check_rank(np.hstack(lags))
-    return full if full is not None else _Grams.of(Z, lags, ec_X, [])
+    return full
+
+
+def _certifies_rank(blocks: np.ndarray, T: int) -> bool:
+    """Whether the computed gram X'X of a T x k design X, given as its
+    (L, L, n, n) blocks, proves that X passes check_rank.
+
+    Forming X'X perturbs it by E with |E_ij| <= T eps |x_i| |x_j| (each entry
+    is a T-term dot product), so ||E|| <= T eps trace(X'X) <= T k eps l_max,
+    and eigvalsh is backward stable, adding well under k^2 eps l_max. Each
+    computed eigenvalue is therefore within d = (T k + k^2) eps l_max of
+    the true one. A least computed eigenvalue above 2 d leaves the true
+    least one above d, so the true ratio sigma_min^2 / sigma_max^2 exceeds
+    about (T k + k^2) eps >= 4e-16, far above RANK_RTOL^2 = 1e-20, and the
+    SVD test passes. Below that the gram cannot tell, and the SVD decides.
+    """
+    L, _, n, _ = blocks.shape
+    k = L * n
+    w = np.linalg.eigvalsh(blocks.transpose(0, 2, 1, 3).reshape(k, k))
+    return bool(w[0] > 2.0 * (T * k + k * k) * np.finfo(float).eps * w[-1])
 
 
 def _johansen(G: np.ndarray, Te: int, r: int) -> dict:
@@ -1037,7 +1099,8 @@ def johansen_rrr(
     """
     if p < 1:
         raise ValueError("need p >= 1")
-    Z, lags, ec_X, first, means = _ec_data(Y, p - 1, demean, t_start)
+    data = _demeaned(Y, demean, differences=True)
+    Z, lags, ec_X, first, means = _ec_data(Y, p - 1, data, t_start)
     jo = _johansen(_start_grams(Z, lags, ec_X, r).G, Z.shape[0], r)
     alpha0, beta, pis = jo["alpha0"][0], jo["beta"][0], list(jo["pis"][0])
     resid = Z - (ec_X @ beta) @ alpha0.T - sum(X @ pi.T for X, pi in zip(lags, pis))
@@ -1071,7 +1134,8 @@ def init_ciaar(
     supplies the diagonal starting values, and gamma0 = omega0' beta
     regresses beta on omega0. Lockstep fits batch this over their panels.
     """
-    Z, lags, ec_X, _, _ = _ec_data(Y, max(p, s, 1) - 1, demean, None)
+    data = _demeaned(Y, demean, differences=True)
+    Z, lags, ec_X, _, _ = _ec_data(Y, max(p, s, 1) - 1, data)
     jo = _johansen(_start_grams(Z, lags, ec_X, r).G, Z.shape[0], r)
     return _index_start(jo, max(p - 1, 0), q)[0]
 
@@ -1131,7 +1195,8 @@ def _index_start(jo: dict, nd: int, q: int) -> list:
 
 
 def _setup_ciaar(
-    Y: Panel, p: int, s: int, q: int, r: int, demean: bool = True, t_start: int | None = None
+    Y: Panel, p: int, s: int, q: int, r: int, demean: bool = True, t_start: int | None = None,
+    data=None,
 ):
     n = Y.n
     if not 1 <= q < n:
@@ -1141,13 +1206,14 @@ def _setup_ciaar(
     if p >= 2 and s > p:
         raise ValueError(f"need s <= p when the diagonal channel is present (p={p}, s={s})")
     nd, na = max(p - 1, 0), max(s - 1, 0)
-    Z, lags, ec_X, first, means = _ec_data(Y, max(nd, na), demean, t_start)
+    data = data or _demeaned(Y, demean, differences=True)
+    Z, lags, ec_X, first, means = _ec_data(Y, max(nd, na), data, t_start)
 
     def start(full: _Grams, opts: FitOptions) -> _Grams:
         # Johansen's rows are the engine's unless t_start moves the engine's later
         if first == Y.t0 + len(lags) + 1:
             return _start_grams(Z, lags, ec_X, r, full)
-        return _start_grams(*_ec_data(Y, len(lags), demean, None)[:3], r)
+        return _start_grams(*_ec_data(Y, len(lags), data)[:3], r)
 
     def params(out):
         gamma, alpha0 = out["gamma"], out["alpha0"]
@@ -1244,13 +1310,15 @@ _SETUPS = {
 # ---------------------------------------------------------------------------
 
 
-def _grid_setup(model: str, Y: Panel, orders: tuple, t_start: int) -> _Setup:
+def _grid_setup(model: str, Y: Panel, orders: tuple, t_start: int, data=None) -> _Setup:
+    """A candidate's setup; data, when given, is the panel's _demeaned data,
+    shared by every candidate's setup."""
     p, s, q, r = orders
     if model == "mai":
-        return _setup_mai(Y, p, q, t_start=t_start)
+        return _setup_mai(Y, p, q, t_start=t_start, data=data)
     if model == "iaar":
-        return _setup_iaar(Y, p, s, q, t_start=t_start)
-    return _setup_ciaar(Y, p, s, q, r, t_start=t_start)
+        return _setup_iaar(Y, p, s, q, t_start=t_start, data=data)
+    return _setup_ciaar(Y, p, s, q, r, t_start=t_start, data=data)
 
 
 def _fit_grid(
@@ -1260,7 +1328,8 @@ def _fit_grid(
 
     model is "mai" (candidates (p, p, q, 0)), "iaar" (r = 0, q >= 1) or
     "ciaar". Every candidate's first regression target is panel row
-    t_start, so one gram set at the grid's largest lags serves them all.
+    t_start, so one gram set at the grid's largest lags serves them all, and
+    every candidate's setup slices one demeaned copy of the panel.
     The candidates run as one lockstep engine batch per q, padded to the
     group's largest (nd, na, r) with each member's missing lags and rank
     masked (_member_masks), and the starts share one regression per lag
@@ -1273,13 +1342,14 @@ def _fit_grid(
     """
     outcomes = [None] * len(candidates)               # exception or engine state
     regressions = {}                                   # (max(p, s), r) -> estimates or exception
+    data = _demeaned(Y, True, differences=model == "ciaar")
 
     groups = {}                                        # q -> [(candidate, shape, start)]
     longest, widest = -1, None                         # the setup with the most lags
     for i, orders in enumerate(candidates):
         p, s, q, r = orders
         try:
-            setup = _grid_setup(model, Y, orders, t_start)
+            setup = _grid_setup(model, Y, orders, t_start, data)
             key = max(p, s), r
             if key not in regressions:
                 try:
@@ -1303,7 +1373,7 @@ def _fit_grid(
         for members, states in zip(groups.values(), map_groups(_run_group, tasks)):
             for (i, _, _), state in zip(members, states):
                 outcomes[i] = state
-    return _grid_fits(model, Y, candidates, t_start, outcomes)
+    return _grid_fits(model, Y, candidates, t_start, outcomes, data)
 
 
 def _group_task(full: _Grams, q: int, members: list, opts: FitOptions):
@@ -1318,14 +1388,14 @@ def _group_task(full: _Grams, q: int, members: list, opts: FitOptions):
     return _Grams(G, Gcc, g.nd, g.Te), q, r, starts, opts, shapes
 
 
-def _grid_fits(model: str, Y: Panel, candidates: list, t_start: int, outcomes: list):
+def _grid_fits(model: str, Y: Panel, candidates: list, t_start: int, outcomes: list, data):
     """Each candidate's FitResult, from its engine state, or its exception."""
     for orders, outcome in zip(candidates, outcomes):
         if isinstance(outcome, Exception):
             yield outcome
             continue
         try:
-            yield _finish(_grid_setup(model, Y, orders, t_start), outcome)
+            yield _finish(_grid_setup(model, Y, orders, t_start, data), outcome)
         except (ValueError, np.linalg.LinAlgError) as exc:
             yield exc
 
