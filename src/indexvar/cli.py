@@ -268,10 +268,10 @@ def _cmd_decompose(cfg: RunConfig, outdir) -> None:
         d = decomp.drvar_decompose(fit, Y)
         parts = {"dynamic": d.chi, "static": d.iota, "nu": d.extras["nu"]}
     elif cfg.model in ("ciaar", "vecim") and fit.params.r >= 1:
-        d = decomp.perm_trans(fit, H=cfg.horizon, Y=Y)
+        d = decomp.perm_trans(fit, Y=Y)
         parts = {"chi": d.chi, "iota": d.iota, "pi": d.pi, "tau": d.tau}
     else:
-        d = decomp.common_uncommon(fit, Y, H=cfg.horizon)
+        d = decomp.common_uncommon(fit, Y)
         parts = {"chi": d.chi, "iota": d.iota}
     for label, block in parts.items():
         if block is None:
@@ -454,7 +454,9 @@ def _parser() -> argparse.ArgumentParser:
         _add_model_flags(p)
         p.add_argument("--input", default=None, help="input panel CSV")
         for e in extra:
-            p.add_argument(f"--{e}", dest=e, type=int, default=None)
+            p.add_argument(f"--{e}", dest=e, type=int, default=None, help=(
+                "accepted so a configuration shared with forecast parses; decompose writes "
+                "exact components and reads no horizon" if name == "decompose" else None))
 
     p = sub.add_parser("select", help="information-criterion grid search")
     _add_common(p)

@@ -2,12 +2,13 @@
 decompositions, structural transitory impulse responses, and the
 dimension-reducible dynamic/static split.
 
-All component series are built by filtering the fitted residual projections
-with the truncated Wold sequence, so the orthogonality and reduced-rank
-properties hold by construction; reconstruction identities are checked
-against the deterministic continuation of the fitted recursion (the
-initial-condition path), with the truncation horizon extended automatically
-until the residual falls below tolerance.
+A component Psi(L) W eps_t with zero pre-sample shocks is exactly the fitted
+lag recursion driven by W eps_t, so every component series comes from one
+tscore.var_recursion call on the stacked drives, with no truncation. The
+orthogonality and reduced-rank properties hold by construction; the
+components plus the deterministic continuation of the fitted recursion (the
+initial-condition path) reconstruct the data to rounding, which is checked
+whenever the fitted panel is given.
 """
 
 from __future__ import annotations
@@ -41,7 +42,6 @@ __all__ = [
 STATIONARY_MODELS = ("mai", "iaar", "vhari", "drvar")
 I1_MODELS = ("ciaar", "vecim", "vecm")
 RECON_TOL = 1e-8
-H_CAP = 2000
 
 
 @dataclass
@@ -71,7 +71,7 @@ class Decomposition:
     permanent and transitory subcomponents of I(1) fits (None otherwise).
     baseline is the deterministic continuation of the fitted recursion from
     the pre-sample observations: components + baseline reconstruct the
-    (demeaned) data up to Wold truncation.
+    (demeaned) data exactly, and recon_error is the rounding left over.
     """
 
     chi: np.ndarray
@@ -83,7 +83,6 @@ class Decomposition:
     eps_pi: np.ndarray | None = None
     eps_tau: np.ndarray | None = None
     baseline: np.ndarray | None = None
-    horizon: int = 0
     recon_error: float = np.nan
     extras: dict = field(default_factory=dict)
 
@@ -104,11 +103,37 @@ def _fitted_omega(fit: FitResult) -> np.ndarray:
     return omega
 
 
-def _check_i1_roots(fit: FitResult) -> None:
+def _fitted_recursion(fit: FitResult, drive: np.ndarray):
+    """The fitted lag recursion driven by `drive` from zero pre-sample rows.
+
+    Stationary fits run the levels AR polynomial and return (levels, None);
+    error-correction fits run the first differences with the
+    error-correction term on their level cumulated from zero and return
+    (differences, levels). Raises unless the fit's Wold sequence converges:
+    stationary fits need every companion root inside the unit circle,
+    error-correction fits every root that is not a unit root.
+    """
+    if fit.model in STATIONARY_MODELS:
+        phis = fit.params.var_coeffs()
+        if companion_spectral_radius(phis) >= 1.0 - 1e-8:
+            raise ValueError("fitted model is not stationary")
+        return var_recursion(phis, np.zeros((len(phis),) + drive.shape[1:]), drive), None
+    if fit.model not in I1_MODELS:
+        raise ValueError(f"unknown model {fit.model!r}")
     eigs = np.linalg.eigvals(companion_matrix(fit.params.var_coeffs()))
     unit = np.abs(eigs - 1.0) < 1e-8
     if np.any(np.abs(eigs[~unit]) >= 1.0 - 1e-8):
         raise ValueError("fitted model has unstable non-unit companion roots")
+    ec, pis = fit.params.ec_form()
+    init = np.zeros((len(pis),) + drive.shape[1:])
+    return var_recursion(pis, init, drive, ec=ec, level=np.zeros(drive.shape[1:]))
+
+
+def _unit_impulse(n: int, H: int) -> np.ndarray:
+    """H + 1 rows of n x n drive, the identity at row 0: its response is Psi_0..Psi_H."""
+    impulse = np.zeros((H + 1, n, n))
+    impulse[0] = np.eye(n)
+    return impulse
 
 
 def wold(fit: FitResult, H: int) -> WoldSeq:
@@ -120,18 +145,7 @@ def wold(fit: FitResult, H: int) -> WoldSeq:
     """
     if H < 0:
         raise ValueError("need H >= 0")
-    if fit.model in STATIONARY_MODELS:
-        phis = fit.params.var_coeffs()
-        if companion_spectral_radius(phis) >= 1.0 - 1e-8:
-            raise ValueError("fitted model is not stationary")
-        psis = _impulse_responses(phis, fit.params.n, H)
-    elif fit.model in I1_MODELS:
-        _check_i1_roots(fit)
-        ec, pis = fit.params.ec_form()
-        psis = _impulse_responses(pis, fit.params.n, H, ec)
-    else:
-        raise ValueError(f"unknown model {fit.model!r}")
-
+    psis = _fitted_recursion(fit, _unit_impulse(fit.params.n, H))[0]
     omega = getattr(fit.params, "omega", None)
     thetas = violations = None
     if omega is not None and omega.shape[1] > 0 and H >= 1:
@@ -140,16 +154,6 @@ def wold(fit: FitResult, H: int) -> WoldSeq:
         resid = psis[1:] - thetas @ omega.T
         violations = np.abs(resid).max(axis=(1, 2))
     return WoldSeq(psis, thetas, violations)
-
-
-def _impulse_responses(phis: list, n: int, H: int, ec: np.ndarray | None = None) -> np.ndarray:
-    """Psi_0 = I, ..., Psi_H of the n-dimensional recursion; with ec, of its increments."""
-    impulse = np.zeros((H + 1, n, n))
-    impulse[0] = np.eye(n)
-    init = np.zeros((len(phis), n, n))
-    if ec is None:
-        return var_recursion(phis, init, impulse)
-    return var_recursion(phis, init, impulse, ec=ec, level=np.zeros((n, n)))[0]
 
 
 def cc_projectors(sigma: np.ndarray, omega: np.ndarray):
@@ -172,31 +176,14 @@ def cc_projectors(sigma: np.ndarray, omega: np.ndarray):
     return p_common, p_uncommon
 
 
-def _apply_filter(coeffs: np.ndarray, shocks: np.ndarray) -> np.ndarray:
-    """y_t = sum_{j=0..H} coeffs[j] shocks_{t-j} with zero pre-sample shocks."""
-    Te = shocks.shape[0]
-    H = coeffs.shape[0] - 1
-    out = np.zeros((Te, coeffs.shape[1]))
-    for j in range(min(H, Te - 1) + 1):
-        if j == 0:
-            out += shocks @ coeffs[0].T
-        else:
-            out[j:] += shocks[:-j] @ coeffs[j].T
-    return out
-
-
-def _i1_like(fit: FitResult) -> bool:
-    return fit.model in I1_MODELS
-
-
 def _baseline_increments(fit: FitResult, Y: Panel) -> np.ndarray:
     """Deterministic continuation of the fitted recursion over the target rows.
 
     The zero-shock path that forecast() also runs (forecast._continuation,
     one tscore.var_recursion call), started from the actual pre-target
-    observations; the targets minus this path are exactly the
-    truncated-Wold filtering of the residuals. Stationary fits return the
-    decaying initial-condition path of the demeaned levels,
+    observations; the targets minus this path are exactly the fitted
+    recursion driven by the residuals from zero pre-sample rows. Stationary
+    fits return the decaying initial-condition path of the demeaned levels,
     error-correction fits the baseline of the demeaned differences.
     """
     levels, diffs = _continuation(fit, Y, fit.t_start, Y.T - fit.t_start)
@@ -205,67 +192,66 @@ def _baseline_increments(fit: FitResult, Y: Panel) -> np.ndarray:
 
 def _demeaned_targets(fit: FitResult, Y: Panel) -> np.ndarray:
     """The (differenced, demeaned) series the residuals refer to."""
-    if _i1_like(fit):
+    if fit.model in I1_MODELS:
         d = np.diff(Y.values, axis=0) - fit.means.get("diff", 0.0)
         return d[fit.t_start - 1:]
     return (Y.values - fit.means.get("level", 0.0))[fit.t_start:]
 
 
-def _extend_wold(fit, Y, build, start_H):
-    """Grow the truncation horizon until reconstruction is within tolerance."""
-    H = max(start_H, 1)
-    target = _demeaned_targets(fit, Y)
-    base_inc = _baseline_increments(fit, Y)
-    while True:
-        w = wold(fit, H)
-        parts = build(w)
-        recon = sum(parts) + base_inc
-        err = float(np.max(np.abs(recon - target)))
-        if err <= RECON_TOL or H >= H_CAP:
-            break
-        H = min(2 * H, H_CAP)
+def _components(fit: FitResult, Y: Panel | None, filters):
+    """Psi(L) W eps_t for each (W, eps) of filters, all in one recursion.
+
+    Returns the components on the last axis (differences for
+    error-correction fits), their levels (None for stationary fits), the
+    baseline and the reconstruction error, both None / NaN without Y. The
+    components are exact, so a reconstruction error above RECON_TOL means
+    the residuals are not those of the fitted parameters.
+    """
+    drive = np.stack([eps @ W.T for W, eps in filters], axis=2)
+    comps, levels = _fitted_recursion(fit, drive)
+    if Y is None:
+        return comps, levels, None, np.nan
+    base = _baseline_increments(fit, Y)
+    err = float(np.max(np.abs(comps.sum(axis=2) + base - _demeaned_targets(fit, Y))))
     if err > RECON_TOL:
         raise ValueError(
-            f"Wold truncation error {err:.2e} above {RECON_TOL:.0e} at horizon cap {H_CAP}"
+            f"components miss the data by {err:.2e} (above {RECON_TOL:.0e}): "
+            "the residuals do not match the fitted parameters"
         )
-    return w, parts, base_inc, err, H
+    return comps, levels, base, err
 
 
-def common_uncommon(fit: FitResult, Y: Panel, H: int = 200) -> Decomposition:
+def _uncommon(fit: FitResult, omega: np.ndarray):
+    """Uncommon shocks omega_perp' Sigma^-1 e_t and their loading W_iota."""
+    sigma = fit.params.sigma
+    operp = orth_complement(omega)
+    sig_inv_perp = np.linalg.solve(sigma, operp)
+    return fit.residuals @ sig_inv_perp, operp @ np.linalg.inv(operp.T @ sig_inv_perp)
+
+
+def common_uncommon(fit: FitResult, Y: Panel) -> Decomposition:
     """Split the series into common and uncommon components.
 
     The common shocks are the index shocks omega' e_t and the uncommon
-    shocks omega_perp' Sigma^-1 e_t; the components filter them with the
-    truncated Wold sequence. For error-correction fits the filtering runs on
-    increments and the components are cumulated from zero.
+    shocks omega_perp' Sigma^-1 e_t; the components are the fitted
+    recursion driven by their projections. For error-correction fits the
+    recursion runs on increments and the components cumulate them from zero.
     """
     if fit.model not in ("mai", "iaar", "vhari", "ciaar", "vecim"):
         raise ValueError(f"no common/uncommon split for model {fit.model!r}")
     omega = _fitted_omega(fit)
-    sigma = fit.params.sigma
-    eps = fit.residuals
-    operp = orth_complement(omega)
-    eps_chi = eps @ omega
-    eps_iota = eps @ np.linalg.solve(sigma, operp)
-    sig_omega = sigma @ omega
-    mid = np.linalg.inv(omega.T @ sig_omega)
-    w_iota = operp @ np.linalg.inv(operp.T @ np.linalg.solve(sigma, operp))
-
-    def build(w):
-        chi_coeffs = w.psis @ (sig_omega @ mid)
-        iota_coeffs = w.psis @ w_iota
-        return [_apply_filter(chi_coeffs, eps_chi), _apply_filter(iota_coeffs, eps_iota)]
-
-    w, (chi, iota), base_inc, err, H = _extend_wold(fit, Y, build, H)
-    if _i1_like(fit):
-        chi_lvl, iota_lvl = np.cumsum(chi, axis=0), np.cumsum(iota, axis=0)
-        extras = {"dchi": chi, "diota": iota}
-        chi, iota = chi_lvl, iota_lvl
-    else:
-        extras = {}
+    eps_chi = fit.residuals @ omega
+    eps_iota, w_iota = _uncommon(fit, omega)
+    sig_omega = fit.params.sigma @ omega
+    w_chi = sig_omega @ np.linalg.inv(omega.T @ sig_omega)
+    comps, levels, base, err = _components(fit, Y, [(w_chi, eps_chi), (w_iota, eps_iota)])
+    extras = {}
+    if levels is not None:
+        extras = {"dchi": comps[..., 0], "diota": comps[..., 1]}
+        comps = levels
     return Decomposition(
-        chi, iota, eps_chi, eps_iota, baseline=base_inc,
-        horizon=H, recon_error=err, extras=extras,
+        comps[..., 0], comps[..., 1], eps_chi, eps_iota,
+        baseline=base, recon_error=err, extras=extras,
     )
 
 
@@ -279,66 +265,49 @@ def _perm_trans_weights(fit: FitResult):
     return omega, sigma, a0_bar, sig_bar, a0_perp
 
 
-def perm_trans(fit: FitResult, H: int = 200, Y: Panel | None = None) -> Decomposition:
+def perm_trans(fit: FitResult, Y: Panel | None = None) -> Decomposition:
     """Permanent/transitory/uncommon split for error-correction index fits.
 
     eps_pi = alpha0_bar_perp' eps_chi drives the common permanent component
     and eps_tau = alpha0_bar' Sigma_bar^-1 eps_chi the common transitory
     one; r = 0 or r = q leave the respective component identically zero
-    with a degenerate flag. Passing the fitted panel enables the exact
-    reconstruction check (and horizon auto-extension).
+    with a degenerate flag. Passing the fitted panel adds the baseline and
+    the reconstruction check.
     """
     if fit.model not in ("ciaar", "vecim"):
         raise ValueError(f"permanent/transitory split needs a CIAAR/VECIM fit, got {fit.model!r}")
     omega, sigma, a0_bar, sig_bar, a0_perp = _perm_trans_weights(fit)
     q, r = omega.shape[1], a0_bar.shape[1]
-    eps = fit.residuals
-    Te = eps.shape[0]
-    eps_chi = eps @ omega
-    operp = orth_complement(omega)
-    eps_iota = eps @ np.linalg.solve(sigma, operp)
+    eps_chi = fit.residuals @ omega
+    eps_iota, w_iota = _uncommon(fit, omega)
     eps_pi = eps_chi @ a0_perp
-    sb_inv_a0 = np.linalg.solve(sig_bar, a0_bar) if r else np.zeros((q, 0))
+    sb_inv_a0 = np.linalg.solve(sig_bar, a0_bar)
     eps_tau = eps_chi @ sb_inv_a0
-
     sig_omega = sigma @ omega
     # Delta pi_t = Psi(L) Sigma omega a0_perp (a0_perp' Sigma_bar a0_perp)^-1 eps_pi
-    w_pi = sig_omega @ a0_perp @ np.linalg.inv(a0_perp.T @ sig_bar @ a0_perp) if r < q else np.zeros((omega.shape[0], 0))
+    w_pi = sig_omega @ a0_perp @ np.linalg.inv(a0_perp.T @ sig_bar @ a0_perp)
     # Delta tau_t = Psi(L) Sigma omega Sigma_bar^-1 a0_bar (a0_bar' Sigma_bar^-1 a0_bar)^-1 eps_tau
-    w_tau = sig_omega @ np.linalg.solve(sig_bar, a0_bar) @ np.linalg.inv(a0_bar.T @ sb_inv_a0) if r else np.zeros((omega.shape[0], 0))
-    w_iota = operp @ np.linalg.inv(operp.T @ np.linalg.solve(sigma, operp))
-
-    def build(w):
-        out = []
-        out.append(_apply_filter(w.psis @ w_pi, eps_pi) if r < q else np.zeros((Te, omega.shape[0])))
-        out.append(_apply_filter(w.psis @ w_tau, eps_tau) if r else np.zeros((Te, omega.shape[0])))
-        out.append(_apply_filter(w.psis @ w_iota, eps_iota))
-        return out
-
+    w_tau = sig_omega @ sb_inv_a0 @ np.linalg.inv(a0_bar.T @ sb_inv_a0)
+    comps, levels, base, err = _components(
+        fit, Y, [(w_pi, eps_pi), (w_tau, eps_tau), (w_iota, eps_iota)]
+    )
     extras = {}
     if r == 0:
         extras["degenerate"] = "tau"
     if r == q:
         extras["degenerate"] = "pi"
-    if Y is not None:
-        w, (dpi, dtau, diota), base_inc, err, H = _extend_wold(fit, Y, build, H)
-    else:
-        w = wold(fit, H)
-        dpi, dtau, diota = build(w)
-        base_inc, err = None, np.nan
-    extras.update({"dpi": dpi, "dtau": dtau, "diota": diota})
-    chi = np.cumsum(dpi + dtau, axis=0)
+    extras.update({"dpi": comps[..., 0], "dtau": comps[..., 1], "diota": comps[..., 2]})
+    pi, tau, iota = levels[..., 0], levels[..., 1], levels[..., 2]
     return Decomposition(
-        chi,
-        np.cumsum(diota, axis=0),
+        pi + tau,
+        iota,
         eps_chi,
         eps_iota,
-        pi=np.cumsum(dpi, axis=0),
-        tau=np.cumsum(dtau, axis=0),
+        pi=pi,
+        tau=tau,
         eps_pi=eps_pi,
         eps_tau=eps_tau,
-        baseline=base_inc,
-        horizon=w.H,
+        baseline=base,
         recon_error=err,
         extras=extras,
     )
@@ -397,7 +366,8 @@ def drvar_decompose(fit: FitResult, Y: Panel) -> Decomposition:
     eps_chi = fit.residuals @ omega
     rho_t, *_ = np.linalg.lstsq(eps_chi, static, rcond=None)
     nu = static - eps_chi @ rho_t
-    gammas = _impulse_responses(fit.params.phis, omega.shape[1], 200)
+    phis, q = fit.params.phis, omega.shape[1]
+    gammas = var_recursion(phis, np.zeros((len(phis), q, q)), _unit_impulse(q, 200))
     c_seq = np.concatenate(
         [(omega + rho_t.T)[None], np.einsum("nq,jqm->jnm", omega, gammas[1:])], axis=0
     )

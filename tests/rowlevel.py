@@ -7,7 +7,9 @@ loop on it, so the tests can check the gram engine against an independent
 construction. row_level_simulate likewise iterates the structural form of
 the IAAR and CIAAR models term by term, as an oracle for the simulators'
 companion-form lag recursion, and step_recursion advances that recursion
-one row per step, as an oracle for its blocked kernel. dense_johansen /
+one row per step, as an oracle for its blocked kernel; wold_convolution
+filters shocks with the Wold sequence one lag at a time, as an oracle for the
+recursive decomposition components. dense_johansen /
 dense_init_ciaar run Johansen's reduced-rank regression and the CIAAR start
 on the data matrices, with ols, and dense_ols_start the MAI / VHARI / IAAR
 start, as oracles for the library's moment-based solves.
@@ -156,6 +158,18 @@ def step_recursion(phis, init, drive, ec=None, level=None):
             x += ec @ y
             y = np.add(y, x, out=ys[t])
     return buf[p:] if ec is None else (buf[p:], ys)
+
+
+def wold_convolution(psis, shocks):
+    """y_t = sum_j Psi_j shocks_{t-j} over j <= min(t, H), zero pre-sample shocks.
+
+    With H >= T - 1 (psis from wold(fit, T - 1)) nothing is truncated.
+    """
+    T, H = shocks.shape[0], psis.shape[0] - 1
+    out = np.zeros((T, psis.shape[1]))
+    for j in range(min(H, T - 1) + 1):
+        out[j:] += shocks[: T - j] @ psis[j].T
+    return out
 
 
 def dense_ols_start(X, Z, nd, q):

@@ -269,7 +269,7 @@ def test_c09_nesting_identities():
 
 def test_c10_permanent_transitory_structure(vecim_reference):
     _, Y, fit = vecim_reference
-    d = perm_trans(fit, H=200, Y=Y)
+    d = perm_trans(fit, Y=Y)
     di = d.extras["diota"]
     T = di.shape[0]
     band = 3.0 / np.sqrt(T)

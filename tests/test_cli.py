@@ -78,6 +78,17 @@ class TestFitPipeline:
         header = (out / "components.csv").read_text().splitlines()[0]
         assert "pi_" in header and "tau_" in header and "iota_" in header
 
+    def test_decompose_reads_no_horizon(self, sim_dir, tmp_path):
+        written = []
+        for h in (5, 200):
+            out = tmp_path / f"dec{h}"
+            assert run_cli(
+                "decompose", "--input", sim_dir / "panel.csv", "--model", "ciaar",
+                "--p", 2, "--s", 2, "--q", 2, "--r", 1, "--horizon", h, "--out", out,
+            ) == 0
+            written.append((out / "components.csv").read_bytes())
+        assert written[0] == written[1]
+
     def test_forecast_and_rolling(self, sim_dir, tmp_path):
         out = tmp_path / "fc"
         assert run_cli(

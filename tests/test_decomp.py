@@ -174,7 +174,7 @@ class TestCommonUncommon:
 class TestPermTrans:
     def test_exact_orthogonality_and_rank(self, vecim_fit):
         _, Y, fit = vecim_fit
-        d = perm_trans(fit, H=200, Y=Y)
+        d = perm_trans(fit, Y=Y)
         T = d.eps_chi.shape[0]
         assert np.abs(d.eps_pi.T @ d.eps_tau / T).max() < 1e-10
         assert np.abs(d.eps_pi.T @ d.eps_iota / T).max() < 1e-10
@@ -185,7 +185,7 @@ class TestPermTrans:
 
     def test_uncommon_increments_white(self, vecim_fit):
         _, Y, fit = vecim_fit
-        d = perm_trans(fit, H=200, Y=Y)
+        d = perm_trans(fit, Y=Y)
         di = d.extras["diota"]
         T = di.shape[0]
         ac = di[1:].T @ di[:-1] / T
@@ -194,7 +194,7 @@ class TestPermTrans:
 
     def test_reconstruction_of_differences(self, vecim_fit):
         _, Y, fit = vecim_fit
-        d = perm_trans(fit, H=200, Y=Y)
+        d = perm_trans(fit, Y=Y)
         dm = np.diff(Y.values, axis=0) - fit.means["diff"]
         target = dm[fit.t_start - 1:]
         recon = d.extras["dpi"] + d.extras["dtau"] + d.extras["diota"] + d.baseline
@@ -221,20 +221,20 @@ class TestPermTrans:
         params = random_ciaar_params(5, 2, 2, 0, 2, seed=2)
         Y = simulate_ciaar(params, 800, seed=3)
         fit = fit_ciaar(Y, 0, 2, 2, 2)
-        d = perm_trans(fit, H=100, Y=Y)
+        d = perm_trans(fit, Y=Y)
         assert d.extras["degenerate"] == "pi"
         assert np.abs(d.pi).max() == 0.0
 
         params0 = random_ciaar_params(5, 2, 0, 0, 2, seed=4)
         Y0 = simulate_ciaar(params0, 800, seed=5)
         fit0 = fit_ciaar(Y0, 0, 2, 2, 0)
-        d0 = perm_trans(fit0, H=100, Y=Y0)
+        d0 = perm_trans(fit0, Y=Y0)
         assert d0.extras["degenerate"] == "tau"
         assert np.abs(d0.tau).max() == 0.0
 
     def test_wrong_model_rejected(self, mai_fit):
         with pytest.raises(ValueError):
-            perm_trans(mai_fit[2], H=10)
+            perm_trans(mai_fit[2])
 
 
 class TestStructuralIrf:
