@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .estimators import FitResult
-from .forecast import _continuation
+from .forecast import _presample
 from .tscore import (
     Panel,
     companion_matrix,
@@ -103,30 +103,43 @@ def _fitted_omega(fit: FitResult) -> np.ndarray:
     return omega
 
 
-def _fitted_recursion(fit: FitResult, drive: np.ndarray):
+def _fitted_recursion(fit: FitResult, drive: np.ndarray, Y: Panel | None = None):
     """The fitted lag recursion driven by `drive` from zero pre-sample rows.
 
     Stationary fits run the levels AR polynomial and return (levels, None);
     error-correction fits run the first differences with the
     error-correction term on their level cumulated from zero and return
-    (differences, levels). Raises unless the fit's Wold sequence converges:
-    stationary fits need every companion root inside the unit circle,
-    error-correction fits every root that is not a unit root.
+    (differences, levels). With the fitted panel Y, a (T, n, k) drive gains
+    a last column, the baseline: the zero-shock continuation from the
+    actual pre-target rows and the demeaned last level (forecast._presample).
+    Raises unless the fit's Wold sequence converges: stationary fits need
+    every companion root inside the unit circle, error-correction fits every
+    root that is not a unit root.
     """
+    ec = None
     if fit.model in STATIONARY_MODELS:
         phis = fit.params.var_coeffs()
         if companion_spectral_radius(phis) >= 1.0 - 1e-8:
             raise ValueError("fitted model is not stationary")
-        return var_recursion(phis, np.zeros((len(phis),) + drive.shape[1:]), drive), None
-    if fit.model not in I1_MODELS:
+    elif fit.model in I1_MODELS:
+        eigs = np.linalg.eigvals(companion_matrix(fit.params.var_coeffs()))
+        unit = np.abs(eigs - 1.0) < 1e-8
+        if np.any(np.abs(eigs[~unit]) >= 1.0 - 1e-8):
+            raise ValueError("fitted model has unstable non-unit companion roots")
+        alpha0, beta, phis = fit.params.ec_form()
+        ec = (alpha0, beta)
+    else:
         raise ValueError(f"unknown model {fit.model!r}")
-    eigs = np.linalg.eigvals(companion_matrix(fit.params.var_coeffs()))
-    unit = np.abs(eigs - 1.0) < 1e-8
-    if np.any(np.abs(eigs[~unit]) >= 1.0 - 1e-8):
-        raise ValueError("fitted model has unstable non-unit companion roots")
-    ec, pis = fit.params.ec_form()
-    init = np.zeros((len(pis),) + drive.shape[1:])
-    return var_recursion(pis, init, drive, ec=ec, level=np.zeros(drive.shape[1:]))
+    init = np.zeros((len(phis),) + drive.shape[1:])
+    level = np.zeros(drive.shape[1:])
+    if Y is not None:
+        _, pre, row, _, last = _presample(fit, Y, fit.t_start)
+        drive = np.concatenate([drive, np.broadcast_to(row[:, None], drive.shape[:2] + (1,))], axis=2)
+        init = np.concatenate([init, pre[..., None]], axis=2)
+        if ec is not None:
+            level = np.concatenate([level, last[:, None]], axis=1)
+    out = var_recursion(phis, init, drive, ec=ec, level=level)
+    return (out, None) if ec is None else out
 
 
 def _unit_impulse(n: int, H: int) -> np.ndarray:
@@ -176,20 +189,6 @@ def cc_projectors(sigma: np.ndarray, omega: np.ndarray):
     return p_common, p_uncommon
 
 
-def _baseline_increments(fit: FitResult, Y: Panel) -> np.ndarray:
-    """Deterministic continuation of the fitted recursion over the target rows.
-
-    The zero-shock path that forecast() also runs (forecast._continuation,
-    one tscore.var_recursion call), started from the actual pre-target
-    observations; the targets minus this path are exactly the fitted
-    recursion driven by the residuals from zero pre-sample rows. Stationary
-    fits return the decaying initial-condition path of the demeaned levels,
-    error-correction fits the baseline of the demeaned differences.
-    """
-    levels, diffs = _continuation(fit, Y, fit.t_start, Y.T - fit.t_start)
-    return levels if diffs is None else diffs - fit.means.get("diff", 0.0)
-
-
 def _demeaned_targets(fit: FitResult, Y: Panel) -> np.ndarray:
     """The (differenced, demeaned) series the residuals refer to."""
     if fit.model in I1_MODELS:
@@ -204,14 +203,19 @@ def _components(fit: FitResult, Y: Panel | None, filters):
     Returns the components on the last axis (differences for
     error-correction fits), their levels (None for stationary fits), the
     baseline and the reconstruction error, both None / NaN without Y. The
-    components are exact, so a reconstruction error above RECON_TOL means
-    the residuals are not those of the fitted parameters.
+    baseline, the deterministic continuation of the fitted recursion from
+    the actual pre-target rows (demeaned levels for stationary fits,
+    demeaned differences for error-correction fits), is the recursion's last
+    column. The components are exact, so a reconstruction error above
+    RECON_TOL means the residuals are not those of the fitted parameters.
     """
     drive = np.stack([eps @ W.T for W, eps in filters], axis=2)
-    comps, levels = _fitted_recursion(fit, drive)
+    comps, levels = _fitted_recursion(fit, drive, Y)
     if Y is None:
         return comps, levels, None, np.nan
-    base = _baseline_increments(fit, Y)
+    k = len(filters)
+    base = comps[..., k] - fit.means.get("diff", 0.0)
+    comps, levels = comps[..., :k], None if levels is None else levels[..., :k]
     err = float(np.max(np.abs(comps.sum(axis=2) + base - _demeaned_targets(fit, Y))))
     if err > RECON_TOL:
         raise ValueError(

@@ -50,7 +50,7 @@ def forecast(fit: FitResult, Y: Panel, h: int) -> ForecastPath:
     """Iterated one-step-ahead forecasts of the fitted recursion.
 
     The path is the zero-shock continuation of the one lag recursion
-    tscore.var_recursion from the end of the panel (see _continuation).
+    tscore.var_recursion from the end of the panel (see _presample).
     Stationary fits iterate the implied levels VAR on the demeaned history
     and add the mean back. Error-correction fits iterate the differences
     with the error-correction term on the demeaned level and cumulate onto
@@ -59,18 +59,23 @@ def forecast(fit: FitResult, Y: Panel, h: int) -> ForecastPath:
     """
     if h < 1:
         raise ValueError("need h >= 1")
-    levels, _ = _continuation(fit, Y, Y.T, h)
+    phis, init, row, ec, level = _presample(fit, Y, Y.T)
+    levels = var_recursion(phis, init, np.tile(row, (h, 1)), ec=ec, level=level)
+    if ec is not None:
+        levels = levels[1]
     return ForecastPath(h, levels + fit.means.get("level", 0.0), Y.T - 1)
 
 
-def _continuation(fit: FitResult, Y: Panel, start: int, steps: int):
-    """Zero-shock continuation of the fitted recursion from the rows before `start`.
+def _presample(fit: FitResult, Y: Panel, start: int):
+    """The fitted recursion's arguments for a continuation from the rows before `start`.
 
-    Returns (levels, diffs) over the next `steps` rows: levels net of the
-    level mean and, for error-correction fits, the raw differences that
-    cumulate into them (None for stationary fits). The differences are
-    driven by the constant (I - sum_j Pi_j) mu_diff, which keeps their
-    demeaned lags in the recursion.
+    Returns (phis, init, row, ec, level) for tscore.var_recursion, with row
+    the constant drive. Stationary fits give the implied levels VAR, the
+    demeaned pre-sample levels and a zero drive (ec and level None).
+    Error-correction fits give the short-run lags, the raw pre-sample
+    differences, the constant (I - sum_j Pi_j) mu_diff, which keeps their
+    demeaned lags in the recursion, the factors (alpha0, beta) and the last
+    level net of the level mean.
     """
     n, values = Y.n, Y.values
     mu_l = fit.means.get("level", 0.0)
@@ -79,16 +84,15 @@ def _continuation(fit: FitResult, Y: Panel, start: int, steps: int):
         p = len(phis)
         if start - Y.t0 < p:
             raise ValueError(f"need at least {p} usable observations, got {start - Y.t0}")
-        return var_recursion(phis, values[start - p: start] - mu_l, np.zeros((steps, n))), None
-    ec, pis = fit.params.ec_form()
+        return phis, values[start - p: start] - mu_l, np.zeros(n), None, None
+    alpha0, beta, pis = fit.params.ec_form()
     m = len(pis)
     if start < m + 1:
         raise ValueError(f"need at least {m + 1} observations, got {start}")
     mu_d = np.broadcast_to(fit.means.get("diff", 0.0), (n,))
-    drive = np.tile((np.eye(n) - sum(pis, np.zeros((n, n)))) @ mu_d, (steps, 1))
+    row = (np.eye(n) - sum(pis, np.zeros((n, n)))) @ mu_d
     init = np.diff(values[start - m - 1: start], axis=0)
-    diffs, levels = var_recursion(pis, init, drive, ec=ec, level=values[start - 1] - mu_l)
-    return levels, diffs
+    return pis, init, row, (alpha0, beta), values[start - 1] - mu_l
 
 
 def evaluate(forecasts: list[ForecastPath], actuals: Panel) -> MsfeTable:

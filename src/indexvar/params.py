@@ -5,7 +5,10 @@ one model class, knows its free mean-parameter count (excluding sigma), and
 can expand itself into the coefficient matrices of the implied levels VAR,
 which is what simulation, stationarity checks, and Wold recursions consume.
 The error-correction classes also give their difference form through
-ec_form(), which the I(1) simulator, forecasts and decompositions iterate.
+ec_form(): the factors alpha0 and beta of the error-correction matrix
+alpha0 beta' and the short-run lags, from which tscore.var_recursion builds
+the stationary VAR of (dY_t, beta'Y_t) that the I(1) simulator, forecasts
+and decompositions iterate.
 """
 
 from __future__ import annotations
@@ -300,9 +303,9 @@ class VECMParams:
     def p(self) -> int:
         return len(self.pis) + 1
 
-    def ec_form(self) -> tuple[np.ndarray, list[np.ndarray]]:
-        """(alpha0 beta', [Pi_1, ...]): the error-correction matrix and short-run lags."""
-        return self.alpha0 @ self.beta.T, list(self.pis)
+    def ec_form(self) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
+        """(alpha0, beta, [Pi_1, ...]): the error-correction factors and short-run lags."""
+        return self.alpha0, self.beta, list(self.pis)
 
     def var_coeffs(self) -> list[np.ndarray]:
         return _vecm_to_var(*self.ec_form())
@@ -393,9 +396,11 @@ class CIAARParams:
             pis.append(pi)
         return pis
 
-    def ec_form(self) -> tuple[np.ndarray, list[np.ndarray]]:
-        """(alpha0 gamma' omega', diff_coeffs()): the error-correction matrix and short-run lags."""
-        return self.alpha0 @ self.gamma.T @ self.omega.T, self.diff_coeffs()
+    def ec_form(self) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
+        """(alpha0, beta = omega gamma, diff_coeffs()): the error-correction
+        factors, whose product alpha0 beta' multiplies Y_{t-1}, and the
+        short-run lags."""
+        return self.alpha0, self.beta, self.diff_coeffs()
 
     def var_coeffs(self) -> list[np.ndarray]:
         return _vecm_to_var(*self.ec_form())
@@ -434,12 +439,13 @@ def _as_2d_cols(a, rows: int | None = None) -> np.ndarray:
     return a.reshape(rows if rows is not None else 0, 0)
 
 
-def _vecm_to_var(ec: np.ndarray, pis: list[np.ndarray]) -> list[np.ndarray]:
+def _vecm_to_var(alpha0: np.ndarray, beta: np.ndarray, pis: list[np.ndarray]) -> list[np.ndarray]:
     """Levels VAR coefficients implied by an error-correction representation.
 
-    dY_t = ec Y_{t-1} + sum_j Pi_j dY_{t-j} + e_t maps to
-    A_1 = I + ec + Pi_1, A_j = Pi_j - Pi_{j-1}, A_{m+1} = -Pi_m.
+    dY_t = ec Y_{t-1} + sum_j Pi_j dY_{t-j} + e_t with ec = alpha0 beta' maps
+    to A_1 = I + ec + Pi_1, A_j = Pi_j - Pi_{j-1}, A_{m+1} = -Pi_m.
     """
+    ec = alpha0 @ beta.T
     n = ec.shape[0]
     m = len(pis)
     if m == 0:

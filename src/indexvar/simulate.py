@@ -3,8 +3,8 @@
 All simulators are deterministic given (params, seed), start from zero
 pre-sample values, and discard a burn-in stretch. Each runs the one lag
 recursion tscore.var_recursion: the stationary classes as the levels VAR
-params.var_coeffs() through simulate_var, CIAAR in difference form with the
-error-correction term on the lagged level (params.ec_form()). Passing an
+params.var_coeffs() through simulate_var, CIAAR as the stationary VAR of
+(dY_t, beta'Y_t) built from params.ec_form(), cumulated into levels. Passing an
 explicit shocks array (burn + T rows of innovations e_t) bypasses the
 random draw, which is how the nesting identities between simulators are
 exercised.
@@ -177,17 +177,18 @@ def simulate_ciaar(
     The panel has exactly n - r unit roots and stationary beta' Y_t. Raises
     when the parameters violate the I(1) conditions (singular
     alpha0_perp' PiBar beta_perp or explosive companion roots). The
-    recursion runs in difference form with the error-correction term on the
-    lagged level; iterating the levels VAR instead accumulates rounding
-    along the unit roots.
+    recursion runs on the stationary state (dY_t, beta'Y_t), whose companion
+    those conditions make stable, and cumulates dY_t into the levels once;
+    iterating the levels VAR instead accumulates rounding along the unit
+    roots.
     """
     if T <= 0 or burn < 0:
         raise ValueError("need T > 0 and burn >= 0")
     _validate_i1(params)
     n = params.n
     eps = _shocks_or_draw(shocks, params.sigma, burn + T, seed, dist)
-    ec, pis = params.ec_form()
-    _, Y = var_recursion(pis, np.zeros((len(pis), n)), eps, ec=ec, level=np.zeros(n))
+    alpha0, beta, pis = params.ec_form()
+    _, Y = var_recursion(pis, np.zeros((len(pis), n)), eps, ec=(alpha0, beta), level=np.zeros(n))
     return Panel(Y[burn:])
 
 

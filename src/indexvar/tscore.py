@@ -239,18 +239,42 @@ def var_recursion(phis, init, drive, ec=None, level=None):
     init holds the p pre-sample rows x_{-p}..x_{-1}. A row is a length-n
     vector or an n x k matrix (drive[0] = I with zero init gives the Wold
     sequence); n is read from drive, so an empty phis passes drive through.
-    With ec, x is the increment of a level y: x_t gains ec y_{t-1},
-    y_t = y_{t-1} + x_t, y_{-1} = level, and (x, y) is returned.
 
-    Each Python step advances L rows (_block_length; 1 with ec, whose level
-    cumulates row by row) as C s + Psi u: s holds the p rows before, C the
-    companion powers' first n rows, and Psi, the block Toeplitz matrix of the
-    Wold coefficients Psi_0..Psi_{L-1}, maps every block's drive u at once.
+    With ec = (alpha0, beta), both n x r, x is the increment of a level y:
+    x_t gains alpha0 beta' y_{t-1}, y_t = y_{t-1} + x_t, y_{-1} = level, and
+    (x, y) is returned. That runs as the stationary VAR of (x_t, z_t =
+    beta' y_t), of dimension n + r and p = max(len(phis), 1) lags:
+    Phi_1 = [[Pi_1, alpha0], [beta'Pi_1, I + beta'alpha0]], Phi_j =
+    [[Pi_j, 0], [beta'Pi_j, 0]], drive (d_t, beta'd_t), z_{-1} = beta' level.
+    Its companion is stable whenever the system is I(1) (Johansen 1995), and
+    y cumulates x onto level once at the end.
+
+    Each Python step advances L rows (_block_length) as C s + Psi u: s holds
+    the p rows before, C the companion powers' first n rows, and Psi, the
+    block Toeplitz matrix of the Wold coefficients Psi_0..Psi_{L-1}, maps
+    every block's drive u at once.
     """
     drive = np.asarray(drive, dtype=float)
+    if ec is not None:
+        alpha0, beta = ec
+        (T, n, *k), r, m = drive.shape, beta.shape[1], len(phis)
+        aug = np.zeros((max(m, 1), n + r, n + r))
+        for j, pi in enumerate(phis):
+            aug[j, :n, :n] = pi
+        aug[0, :n, n:] = alpha0
+        aug[:, n:] = beta.T @ aug[:, :n]          # z_t = z_{t-1} + beta' x_t
+        aug[0, n:, n:] += np.eye(r)
+        x0 = np.zeros((len(aug), n + r, *k))
+        x0[len(aug) - m:, :n] = np.reshape(init, (m, n, *k))
+        x0[-1, n:] = beta.T @ level
+        bd = (beta.T @ drive.reshape(T, n, -1)).reshape(T, r, *k)     # beta' drive_t
+        x = var_recursion(list(aug), x0, np.concatenate([drive, bd], axis=1))[:, :n]
+        y = x.copy()
+        y[0] += level
+        return x, np.cumsum(y, axis=0, out=y)
     T, n, row = drive.shape[0], drive.shape[1], drive.shape[1:]
     p = len(phis)
-    L = 1 if ec is not None else _block_length(n, p, drive[0].size // n, T)
+    L = _block_length(n, p, drive[0].size // n, T)
     nb = -(-T // L)                                          # blocks of L rows
     buf = np.concatenate([np.reshape(init, (p,) + row), drive, np.zeros((nb * L - T,) + row)])
     C = np.hstack([*phis[::-1], np.zeros((n, 0))])          # [Phi_p ... Phi_1]
@@ -263,16 +287,11 @@ def var_recursion(phis, init, drive, ec=None, level=None):
         blocks = psi.reshape(L * n, L * n) @ buf[p:].reshape(nb, L * n, -1).swapaxes(0, 1).reshape(L * n, -1)
         buf[p:] = blocks.reshape(L * n, nb, -1).swapaxes(0, 1).reshape(buf[p:].shape)
     flat = buf.reshape((-1,) + row[1:])      # rows t..t+p-1 of buf stacked
-    ys = None if ec is None else np.empty_like(drive)
-    y = None if ec is None else np.asarray(level, dtype=float)
-    for b, t in enumerate(range(p * n, (p + nb * L) * n, L * n)):    # t: where block b starts in flat
-        x = flat[t: t + L * n]
-        if p:
+    if p:
+        for t in range(p * n, (p + nb * L) * n, L * n):      # t: where a block starts in flat
+            x = flat[t: t + L * n]
             x += C @ flat[t - p * n: t]
-        if ec is not None:
-            x += ec @ y
-            y = np.add(y, x, out=ys[b])
-    return buf[p: p + T] if ec is None else (buf[p:], ys)
+    return buf[p: p + T]
 
 
 def _block_length(n: int, p: int, k: int, T: int) -> int:

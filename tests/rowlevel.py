@@ -7,7 +7,9 @@ loop on it, so the tests can check the gram engine against an independent
 construction. row_level_simulate likewise iterates the structural form of
 the IAAR and CIAAR models term by term, as an oracle for the simulators'
 companion-form lag recursion, and step_recursion advances that recursion
-one row per step, as an oracle for its blocked kernel; wold_convolution
+one row per step, as an oracle for its blocked kernel (with the
+error-correction term in levels form, where the kernel runs the stationary
+(x_t, beta'y_t) state); wold_convolution
 filters shocks with the Wold sequence one lag at a time, as an oracle for the
 recursive decomposition components. dense_johansen /
 dense_init_ciaar run Johansen's reduced-rank regression and the CIAAR start
@@ -140,8 +142,9 @@ def row_level_simulate(params, eps):
 
 def step_recursion(phis, init, drive, ec=None, level=None):
     """tscore.var_recursion one row per step: x_t = sum_j Phi_j x_{t-j} + drive_t
-    from the p pre-sample rows init; with ec, x_t gains ec y_{t-1} and
-    cumulates into y_t = y_{t-1} + x_t from y_{-1} = level, returning (x, y)."""
+    from the p pre-sample rows init; with the n x n matrix ec = alpha0 beta'
+    (var_recursion takes the pair), x_t gains ec y_{t-1} and cumulates into
+    y_t = y_{t-1} + x_t from y_{-1} = level, returning (x, y)."""
     drive = np.asarray(drive, dtype=float)
     T, n, row = drive.shape[0], drive.shape[1], drive.shape[1:]
     p = len(phis)

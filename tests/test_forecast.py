@@ -14,6 +14,7 @@ from indexvar.simulate import (
     simulate_vhari,
 )
 from indexvar.tscore import Panel
+from rowlevel import step_recursion
 
 
 class TestForecast:
@@ -86,6 +87,19 @@ class TestForecast:
             )
             hist.append(z)
             assert np.abs(path.values[k] - (z + mu)).max() < 1e-10
+
+    def test_vecm_forecast_matches_the_row_by_row_levels_form(self):
+        params = random_ciaar_params(5, 2, 1, 3, 2, seed=13)
+        Y = simulate_ciaar(params, 400, seed=14)
+        fit = johansen_rrr(Y, 3, 1)
+        path = forecast(fit, Y, 12)
+        n, pis, mu_l = Y.n, fit.params.pis, fit.means["level"]
+        drive = np.tile((np.eye(n) - sum(pis)) @ fit.means["diff"], (12, 1))
+        init = np.diff(Y.values[-len(pis) - 1:], axis=0)
+        ec = fit.params.alpha0 @ fit.params.beta.T
+        _, levels = step_recursion(pis, init, drive, ec=ec, level=Y.values[-1] - mu_l)
+        ref = levels + mu_l
+        assert np.abs(path.values - ref).max() <= 1e-12 * np.abs(ref).max()
 
     def test_insufficient_history(self):
         params = random_mai_params(3, 1, 2, seed=11)

@@ -242,6 +242,17 @@ class TestStructuralOracle:
         Y = simulate_ciaar(params, T, burn=burn, seed=0, shocks=eps).values
         assert np.abs(Y - row_level_simulate(params, eps)[burn:]).max() < 1e-12
 
+    @pytest.mark.parametrize("p,s,r", [(2, 2, 1), (3, 2, 0), (2, 1, 2)])
+    def test_ciaar_long_sample_does_not_drift_from_the_row_level_form(self, p, s, r):
+        # the state (dY_t, beta'Y_t) is cumulated into levels once; over 8000
+        # rows the levels must stay on the row-by-row path
+        params = random_ciaar_params(6, 2, r, p, s, seed=p + s + r)
+        T, burn = 8000, 50
+        eps = draw_shocks(params.sigma, burn + T, seed=14)
+        Y = simulate_ciaar(params, T, burn=burn, seed=0, shocks=eps).values
+        ref = row_level_simulate(params, eps)[burn:]
+        assert np.abs(Y - ref).max() <= 1e-12 * np.abs(ref).max()
+
 
 class TestZeroLags:
     def test_var0_passes_the_shocks_through(self):
