@@ -13,6 +13,7 @@ kept in tests/rowlevel.py as an independent oracle.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable
@@ -36,6 +37,7 @@ from .tscore import (
     gaussian_loglik,
     har_aggregates,
     ols,
+    orth_complement,
 )
 
 __all__ = [
@@ -117,6 +119,7 @@ class FitResult:
 
 SIGMA_RTOL = 1e-12   # a fit's least sigma eigenvalue over its largest must exceed this
 SIGMA_ERROR = f"residual covariance is not positive definite (eigenvalue ratio <= {SIGMA_RTOL:.0e})"
+STEP_ERROR = "switching-step normal equations are not positive definite"
 
 
 def _qr_normalize(omega: np.ndarray):
@@ -170,10 +173,9 @@ def _demeaned(Y: Panel, demean: bool, differences: bool = False):
 # copies are formed anew each call: keeping them measured no faster. Step 1
 # and step 3 cost O((C n)^2 C q) for C vec channels, and step 2 is dominated
 # by the factorization of its (nd n + n q)-square normal equations,
-# O(n^3 (nd + q)^3) per sweep. Structurally rank-deficient step-2 systems get
-# the minimum-norm solution from the eigenvalues of the same gram. The stacked
-# row-level design never gets built here; it lives in tests/rowlevel.py as the
-# independent reference construction.
+# O(n^3 (nd + q)^3) per sweep. The stacked row-level design never gets built
+# here; it lives in tests/rowlevel.py as the independent reference
+# construction.
 #
 # Every array of the engine carries a leading batch axis: B fits of one
 # structure (the same q, r, effective sample and padded nd, na) run their
@@ -182,16 +184,15 @@ def _demeaned(Y: Panel, demean: bool, differences: bool = False):
 # the batch of one. Each member keeps its own trace, diagnostics and stop
 # reason; when a member stops, its final state is written out and the active
 # arrays are compacted to the members still running. Compaction happens only
-# then, so a batch of one never fancy-indexes. A stacked Cholesky test or
-# factorization that fails is retried member by member, so only the failing
-# member takes the min-norm, lstsq or ridge fallback. Each sweep runs in two
-# phases (step 1 with the log-likelihood, then steps 2 and 3); when a phase
-# raises, it is rerun member by member, and a member that raises on its own
-# (a rank-deficient step, a covariance that is not positive definite) leaves
-# the batch carrying the exception its single fit would raise, while the
-# others go on. Only the grams are stacked: each panel's data matrices are
-# built, reduced to their grams and dropped, and built again for the final
-# residual pass as its fit is consumed.
+# then, so a batch of one never fancy-indexes. Each sweep runs in two phases
+# (step 1 with the log-likelihood, then steps 2 and 3); when a phase raises,
+# it is rerun member by member, and a member that raises on its own (a
+# rank-deficient step, step-2 or step-3 normal equations or a covariance that
+# are not positive definite) leaves the batch carrying the exception its
+# single fit would raise, while the others go on. Only the grams are
+# stacked: each panel's data matrices are built, reduced to their grams and
+# dropped, and built again for the final residual pass as its fit is
+# consumed.
 #
 # Members may also differ in their lags and cointegration rank. The
 # selection grid runs all the (p, s, r) candidates of one q as one batch at
@@ -204,8 +205,11 @@ def _demeaned(Y: Panel, demean: bool, differences: bool = False):
 # cut-offs as in its single fit. A member of rank r_i keeps gamma's columns
 # at or beyond r_i zero, so its step-1 weights there vanish and its alpha0
 # coordinates there are pinned; only members with 0 < r_i < q take step 3.
-# A member with no omega channel (s = 1, r = 0) keeps its start omega. A
-# batch of equal members carries no masks and pays nothing for them.
+# A batch of equal members carries no masks and pays nothing for them.
+# Every member of a batch that estimates omega has an omega channel: a CIAAR
+# order with no index lag runs as its identified equivalent (_setup_ciaar),
+# so a well-posed fit's step-2 system is positive definite and no step needs
+# a fallback.
 
 
 @dataclass
@@ -215,7 +219,8 @@ class _Setup:
     diag_X and index_X are prefixes of one list of lags. start(full, opts)
     checks the data of the default start and returns the grams to solve it
     from (_default_starts): full, this setup's grams(), whenever the rows
-    agree. params(out) builds the model parameters.
+    agree. q is the engine's index count, which a CIAAR order with no index
+    lag sets to r (_setup_ciaar). params(out) builds the model parameters.
     """
 
     model: str
@@ -373,7 +378,7 @@ def _sa_engine(
     traces = [[] for _ in starts]
     diagnostics = [{} for _ in starts]
 
-    def loadings_step(st: dict, diags: list) -> dict:
+    def loadings_step(st: dict) -> dict:
         # Step 1: OLS for (alpha0, alphas) and sigma given (gamma, omega, D)
         omega, UU = st["omega"], st["UU"]
         weights = ([omega @ st["gamma"]] if r > 0 else []) + [omega] * na  # regressor = X_c @ W_c
@@ -395,17 +400,15 @@ def _sa_engine(
             "alphas": coefT[:, :, r:].reshape(len(coef), n, na, q).transpose(0, 2, 1, 3),
         }
 
-    def index_step(st: dict, diags: list) -> dict:
+    def index_step(st: dict) -> dict:
         # Step 2: weighted OLS for (Vec(omega'), delta) given the rest
         grams, omega, UU, GU = st["grams"], st["omega"], st["UU"], st["GU"]
-        sinv = _robust_inverse(st["sigma"], diags)
+        sinv = _sigma_inverse(st["sigma"])
         loadings = st["alphas"]                        # omega-channel loadings a_c
         if r > 0:
             ec_loading = st["alpha0"] @ st["gamma"].transpose(0, 2, 1)
             loadings = np.concatenate([ec_loading[:, None], loadings], axis=1)
-        theta = _step2_solve(
-            grams, sinv, loadings, nd, q, estimate_omega, opts, st.get("pin2"), diags
-        )
+        theta = _step2_solve(grams, sinv, loadings, nd, q, estimate_omega, opts, st.get("pin2"))
         out = {}
         if nd:
             out["ds"] = theta[:, :nd * n].reshape(len(theta), nd, n)
@@ -416,8 +419,6 @@ def _sa_engine(
                 # the rotation is absorbed by step 1's loadings and step 3's gamma,
                 # both re-estimated before they are next used
                 new = _qr_normalize(new)[0]
-            if "hold" in st:                           # members with no omega channel
-                new = np.where(st["hold"][:, None, None], omega, new)
             out["omega"] = omega = new
         # Step 3: reduced-rank eigenstep for gamma given (omega, D)
         if "rank" in st:                               # only members with 0 < r_i < q
@@ -433,7 +434,7 @@ def _sa_engine(
         return out
 
     for it in range(1, opts.max_iter + 1):
-        out, st, members = _each_member(loadings_step, st, members, diagnostics, finals)
+        out, st, members = _each_member(loadings_step, st, members, finals)
         if not members:
             break
         lls = out.pop("ll")
@@ -474,15 +475,15 @@ def _sa_engine(
             keep = [row for row in range(len(members)) if row not in stopped]
             members = [members[row] for row in keep]
             st = {k: v[keep] for k, v in st.items()}
-        out, st, members = _each_member(index_step, st, members, diagnostics, finals)
+        out, st, members = _each_member(index_step, st, members, finals)
         if not members:
             break
         st.update(out)
     return finals
 
 
-def _each_member(phase, st: dict, members: list, diagnostics: list, finals: list):
-    """phase(st, diagnostics) on the whole batch, or member by member when it raises.
+def _each_member(phase, st: dict, members: list, finals: list):
+    """phase(st) on the whole batch, or member by member when it raises.
 
     A member whose phase raises on its own leaves the batch with that
     exception as its final state, the one its single fit would raise.
@@ -490,7 +491,7 @@ def _each_member(phase, st: dict, members: list, diagnostics: list, finals: list
     restricted to the members still running.
     """
     try:
-        return phase(st, [diagnostics[m] for m in members]), st, members
+        return phase(st), st, members
     except (ValueError, np.linalg.LinAlgError) as exc:
         if len(members) == 1:
             finals[members[0]] = exc
@@ -498,7 +499,7 @@ def _each_member(phase, st: dict, members: list, diagnostics: list, finals: list
     outs, keep = [], []
     for row, m in enumerate(members):
         try:
-            outs.append(phase({k: v[row: row + 1] for k, v in st.items()}, [diagnostics[m]]))
+            outs.append(phase({k: v[row: row + 1] for k, v in st.items()}))
         except (ValueError, np.linalg.LinAlgError) as exc:
             finals[m] = exc
             continue
@@ -517,12 +518,10 @@ def _member_masks(grams: _Grams, shapes: list, q: int, r: int):
     decouple from every step's normal equations with a zero right-hand
     side, and _pin gives them a diagonal. Its alpha0 coordinates at or
     beyond r_i are pinned too: their gamma columns, and so their step-1
-    weights, are zero. A member with no omega channel (na_i = 0 and
-    r_i = 0) has its omega coordinates pinned as well and holds its start
-    omega. Returns the masked grams and the masks: pin1 over step 1's
-    (alpha0, alphas) coordinates, pin2 over step 2's (delta, Vec(omega')),
-    pin3 over step 3's index-lag coordinates, hold when any member holds,
-    and rank (each r_i) when the members' ranks differ.
+    weights, are zero. Returns the masked grams and the masks: pin1 over
+    step 1's (alpha0, alphas) coordinates, pin2 over step 2's (delta,
+    Vec(omega')), pin3 over step 3's index-lag coordinates, and rank (each
+    r_i) when the members' ranks differ.
     """
     n, nd = grams.n, grams.nd
     na = grams.Gcc.shape[-1] // n - (r > 0)
@@ -530,22 +529,17 @@ def _member_masks(grams: _Grams, shapes: list, q: int, r: int):
     nd_i, na_i, r_i = (np.array(col)[:, None] for col in zip(*shapes))
     diag_off = np.arange(nd) >= nd_i                   # (B, nd) lags a member lacks
     index_off = np.arange(na) >= na_i                  # (B, na)
-    hold = (na_i[:, 0] == 0) & (r_i[:, 0] == 0)
     ec_on = np.zeros((B, int(r > 0)), bool)
     on = ~np.concatenate([np.zeros((B, 1), bool), diag_off, ec_on, index_off], axis=1)
     G = grams.G * (on[:, :, None] & on[:, None, :])[..., None, None]
-    pin2 = [np.repeat(diag_off, n, axis=1)]
-    if q > 0 and (na > 0 or r > 0):
-        pin2.append(np.repeat(hold[:, None], n * q, axis=1))
+    vec_omega = n * q if q > 0 and (na > 0 or r > 0) else 0    # step 2's free Vec(omega')
     masks = {
         "pin1": _pin_mask(
             np.concatenate([np.arange(r) >= r_i, np.repeat(index_off, q, axis=1)], axis=1)
         ),
-        "pin2": _pin_mask(np.concatenate(pin2, axis=1)),
+        "pin2": _pin_mask(np.pad(np.repeat(diag_off, n, axis=1), ((0, 0), (0, vec_omega)))),
         "pin3": _pin_mask(np.repeat(index_off, q, axis=1)),
     }
-    if hold.any():
-        masks["hold"] = hold
     if (r_i != r).any():
         masks["rank"] = r_i[:, 0]
     return _Grams.blocks(G, nd, grams.Te), masks
@@ -602,62 +596,34 @@ def _normal_blocks(Gcc: np.ndarray, weights: list, XU: np.ndarray):
     return WbT @ Gcc @ Wb, WbT @ XU.reshape(B, C * n, n)
 
 
-def _robust_inverse(sigma: np.ndarray, diagnostics: list) -> np.ndarray:
-    """Inverses of the stacked sigma, with small-eigenvalue ridge repair.
+def _sigma_inverse(sigma: np.ndarray) -> np.ndarray:
+    """Inverses of the stacked sigma by one stacked Cholesky factorization.
 
-    A member that fails the Cholesky factorization is repaired on its own
-    and flagged with diagnostics[i]["ridge_repair"].
+    A sigma that is not positive definite raises LinAlgError(SIGMA_ERROR).
     """
     try:
         Linv = np.linalg.inv(np.linalg.cholesky(sigma))
-        return Linv.transpose(0, 2, 1) @ Linv
     except np.linalg.LinAlgError:
-        if len(sigma) > 1:
-            return np.concatenate([
-                _robust_inverse(sigma[i: i + 1], diagnostics[i: i + 1])
-                for i in range(len(sigma))
-            ])
-    w, V = np.linalg.eigh(sigma[0])
-    floor = 1e-12 * max(w[-1], 0.0)
-    if floor <= 0.0:
-        raise np.linalg.LinAlgError("covariance has no positive eigenvalues") from None
-    diagnostics[0]["ridge_repair"] = True
-    w = np.maximum(w, floor)
-    return ((V / w) @ V.T)[None]
+        raise np.linalg.LinAlgError(SIGMA_ERROR) from None
+    return Linv.transpose(0, 2, 1) @ Linv
 
 
-def _solve_pd(A: np.ndarray, b: np.ndarray, fallback, diagnostics: list | None = None):
-    """Solve every A_i x = b_i, with fallback(A_i, b_i, diagnostics[i]) for a
-    non-PD A_i (a throwaway dict when no diagnostics are given).
+def _solve_pd(A: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve every A_i x = b_i of a stack of positive definite systems.
 
-    The Cholesky factorization is the positive-definiteness test; the
-    systems that pass are solved by one stacked LU solve. When a member
-    fails, the batch is retried member by member.
+    The Cholesky factorization is the positive-definiteness test, and the
+    stack is solved by one LU solve. A system that fails the test raises
+    LinAlgError(STEP_ERROR), which _each_member turns into that member's
+    final state.
     """
     try:
         np.linalg.cholesky(A)
-        return np.linalg.solve(A, b)
     except np.linalg.LinAlgError:
-        if len(A) == 1:
-            return fallback(A[0], b[0], diagnostics[0] if diagnostics else {})[None]
-    return np.concatenate([
-        _solve_pd(A[i: i + 1], b[i: i + 1], fallback, diagnostics and diagnostics[i: i + 1])
-        for i in range(len(A))
-    ])
+        raise np.linalg.LinAlgError(STEP_ERROR) from None
+    return np.linalg.solve(A, b)
 
 
-def _min_norm_solve(A: np.ndarray, b: np.ndarray, diagnostics: dict) -> np.ndarray:
-    """Minimum-norm solution of a PSD system: eigenvalues below 1e-12 of the
-    largest are dropped, and diagnostics["step2_dropped"] keeps the most
-    directions any of a fit's solves dropped."""
-    w, V = np.linalg.eigh(A)
-    keep = w > 1e-12 * w[-1]
-    dropped = int(len(w) - keep.sum())
-    diagnostics["step2_dropped"] = max(dropped, diagnostics.get("step2_dropped", 0))
-    return V[:, keep] @ ((V[:, keep].T @ b) / w[keep, None])
-
-
-def _step2_solve(grams, sinv, loadings, nd, q, estimate_omega, opts, pinned=None, diagnostics=None):
+def _step2_solve(grams, sinv, loadings, nd, q, estimate_omega, opts, pinned=None):
     """Solve the stacked Vec regressions through their normal equations.
 
     For theta = (delta_1..delta_nd, Vec(omega')) the blocks are
@@ -668,11 +634,9 @@ def _step2_solve(grams, sinv, loadings, nd, q, estimate_omega, opts, pinned=None
     over the channel pairs (a, b), the cross block G_jc[k, K] (sinv a_c)[k, m]
     over c, and the omega right-hand side G_c0[i, k] (sinv a_c)[k, m] over
     (k, c). sinv is (B, n, n) and loadings (B, C, n, q); returns theta as
-    (B, nd n + n q). When a member's
-    gram system is not positive definite (structurally unidentified loading
-    directions), that member gets its minimum-norm solution, which records
-    in diagnostics[i] how many directions it dropped. pinned marks the
-    masked coordinates of padded members (_member_masks).
+    (B, nd n + n q), or raises LinAlgError(STEP_ERROR) when a system is not
+    positive definite (_solve_pd). pinned marks the masked coordinates of
+    padded members (_member_masks).
     """
     n, G = grams.n, grams.G
     B = len(G)
@@ -702,7 +666,7 @@ def _step2_solve(grams, sinv, loadings, nd, q, estimate_omega, opts, pinned=None
     _pin(G2, pinned)
     if opts.ridge > 0.0:
         G2 += opts.ridge * np.eye(k2)
-    return _solve_pd(G2, rhs[:, :, None], _min_norm_solve, diagnostics)[:, :, 0]
+    return _solve_pd(G2, rhs[:, :, None])[:, :, 0]
 
 
 def _rrr_gamma(Gcc, omega, UU, XU, Te: int, r: int, pinned=None) -> np.ndarray:
@@ -719,8 +683,7 @@ def _rrr_gamma(Gcc, omega, UU, XU, Te: int, r: int, pinned=None) -> np.ndarray:
     _pin(M[:, q:, q:], pinned)
     UEF = np.concatenate([np.concatenate([UU, v.swapaxes(1, 2)], 2), np.concatenate([v, M], 2)], 1)
     (_, vecs), _, _ = _reduced_rank(
-        UEF, slice(0, n), slice(n + q, None), slice(n, n + q), Te,
-        partial(_solve_pd, fallback=lambda A, b, _: np.linalg.lstsq(A, b, rcond=None)[0]),
+        UEF, slice(0, n), slice(n + q, None), slice(n, n + q), Te, _solve_pd
     )
     return fix_signs(vecs[:, :, :r])
 
@@ -1147,8 +1110,8 @@ def _default_starts(inits: list, setup: _Setup, opts: FitOptions) -> list:
     if members:
         grams = _Grams.stack([inits[i] for i in members])
         jo, _, members = _each_member(
-            lambda st, _: _start_regression(setup, opts, st["G"], grams.Te), {"G": grams.G},
-            members, [None] * len(inits), inits,
+            lambda st: _start_regression(setup, opts, st["G"], grams.Te), {"G": grams.G},
+            members, inits,
         )
         for i, start in zip(members, _index_start(jo, len(setup.diag_X), setup.q) if members else []):
             inits[i] = start
@@ -1206,6 +1169,9 @@ def _setup_ciaar(
     if p >= 2 and s > p:
         raise ValueError(f"need s <= p when the diagonal channel is present (p={p}, s={s})")
     nd, na = max(p - 1, 0), max(s - 1, 0)
+    # with no index lag omega enters only through beta = omega gamma: run the
+    # identified equivalent (p, s, r, r), gamma = I_r, and complete omega in params
+    q_fit = q if na else r
     data = data or _demeaned(Y, demean, differences=True)
     Z, lags, ec_X, first, means = _ec_data(Y, max(nd, na), data, t_start)
 
@@ -1216,12 +1182,15 @@ def _setup_ciaar(
         return _start_grams(*_ec_data(Y, len(lags), data)[:3], r)
 
     def params(out):
-        gamma, alpha0 = out["gamma"], out["alpha0"]
-        if 0 < r < q:
+        omega, gamma, alpha0 = out["omega"], out["gamma"], out["alpha0"]
+        if q_fit < q:
+            omega = np.hstack([omega, orth_complement(omega)[:, :q - r]])
+            gamma = np.eye(q, r)
+        elif 0 < r < q:
             gamma, alpha0 = _normalize_gamma(gamma, alpha0, out["diagnostics"])
-        return CIAARParams(out["ds"], alpha0, gamma, out["omega"], out["alphas"], out["sigma"])
+        return CIAARParams(out["ds"], alpha0, gamma, omega, out["alphas"], out["sigma"])
 
-    return _Setup("ciaar", Z, lags[:nd], lags[:na], ec_X, q, r, first, means, start, params)
+    return _Setup("ciaar", Z, lags[:nd], lags[:na], ec_X, q_fit, r, first, means, start, params)
 
 
 def fit_ciaar(
@@ -1245,7 +1214,19 @@ def fit_ciaar(
     is fixed to the identity when r = q; for 0 < r < q it is re-estimated
     each sweep from the reduced-rank eigenproblem. init overrides the
     Johansen/SVD starting values with (gamma0, omega0, D0).
+
+    With s <= 1 there is no index lag, so the likelihood sees omega only
+    through beta = omega gamma, identified up to an r x r rotation. Such an
+    order is fit as its identified equivalent (p, s, r, r) (q = 0 when
+    r = 0), from init's beta0 = omega0 gamma0 when given, and reported with
+    omega = [omega_r | orth_complement(omega_r)[:, :q - r]] and
+    gamma = [I_r; 0]: the same beta, alpha0, D and sigma, and the parameter
+    count of (p, s, q, r).
     """
+    if init is not None and s <= 1 and r < q:
+        gamma0, omega0, d0 = init
+        beta0 = np.asarray(omega0, float) @ np.asarray(gamma0, float).reshape(q, r)
+        init = (np.eye(r), _qr_normalize(beta0)[0], d0)
     make_setup = partial(_setup_ciaar, p=p, s=s, q=q, r=r, demean=demean, t_start=t_start)
     return next(_lockstep(make_setup, [Y], opts, [init]))
 
@@ -1289,8 +1270,10 @@ def fit_vecim(
 
     dY_t = alpha0 gamma' f_{t-1} + sum_{j<p} alpha_j df_{t-j} + e_t with
     f = omega'Y. This is fit_ciaar with no diagonal channel and s = p, run
-    from the same init_ciaar start and labelled "vecim". The row-level
-    Vec/Kronecker loop in tests/rowlevel.py is the independent check of it.
+    from the same init_ciaar start and labelled "vecim", so p = 1 is fit as
+    its identified equivalent (1, r, r) and reported at q (fit_ciaar). The
+    row-level Vec/Kronecker loop in tests/rowlevel.py is the independent
+    check of it.
     """
     make_setup = partial(_setup_vecim, p=p, q=q, r=r, demean=demean, t_start=t_start)
     return next(_lockstep(make_setup, [Y], opts))
@@ -1330,26 +1313,34 @@ def _fit_grid(
     "ciaar". Every candidate's first regression target is panel row
     t_start, so one gram set at the grid's largest lags serves them all, and
     every candidate's setup slices one demeaned copy of the panel.
-    The candidates run as one lockstep engine batch per q, padded to the
-    group's largest (nd, na, r) with each member's missing lags and rank
-    masked (_member_masks), and the starts share one regression per lag
-    count max(p, s) and r (_start_regression). map_groups maps _run_group
-    over the groups' engine inputs: the builtin map, or a process pool's
-    map. The engine
-    runs before this returns; the result is an iterator over the
-    candidates in order, giving each one's FitResult (its residuals formed
-    as it is consumed) or the exception its single fit raises.
+    Candidates whose setups run the same engine fit (a CIAAR order with
+    s = 1 and its identified equivalent, _setup_ciaar) are fit once. The
+    distinct fits run as one lockstep engine batch per engine q, padded to
+    the group's largest (nd, na, r) with each member's missing lags and
+    rank masked (_member_masks), and the starts share one regression per
+    lag count max(p, s) and r (_start_regression). map_groups maps
+    _run_group over the groups' engine inputs: the builtin map, or a
+    process pool's map. The engine runs before this returns; the result is
+    an iterator over the candidates in order, giving each one's FitResult
+    (its residuals formed as it is consumed, from its own copy of a shared
+    state) or the exception its single fit raises.
     """
     outcomes = [None] * len(candidates)               # exception or engine state
     regressions = {}                                   # (max(p, s), r) -> estimates or exception
     data = _demeaned(Y, True, differences=model == "ciaar")
 
-    groups = {}                                        # q -> [(candidate, shape, start)]
+    groups = {}                                        # engine q -> [(candidate, shape, start)]
+    fitted, shared = {}, {}                            # engine orders -> first candidate; dup -> it
     longest, widest = -1, None                         # the setup with the most lags
     for i, orders in enumerate(candidates):
         p, s, q, r = orders
         try:
             setup = _grid_setup(model, Y, orders, t_start, data)
+            shape = (len(setup.diag_X), len(setup.index_X), r)
+            if (setup.q, shape) in fitted:
+                shared[i] = fitted[setup.q, shape]
+                continue
+            fitted[setup.q, shape] = i
             key = max(p, s), r
             if key not in regressions:
                 try:
@@ -1359,12 +1350,11 @@ def _fit_grid(
                     regressions[key] = exc
             if isinstance(regressions[key], Exception):
                 raise regressions[key]
-            start = _index_start(regressions[key], len(setup.diag_X), q)[0]
+            start = _index_start(regressions[key], len(setup.diag_X), setup.q)[0]
         except (ValueError, np.linalg.LinAlgError) as exc:
             outcomes[i] = exc
             continue
-        shape = (len(setup.diag_X), len(setup.index_X), r)
-        groups.setdefault(q, []).append((i, shape, start))
+        groups.setdefault(setup.q, []).append((i, shape, start))
         if max(shape[:2]) > longest:
             longest, widest = max(shape[:2]), setup
     if groups:
@@ -1373,6 +1363,8 @@ def _fit_grid(
         for members, states in zip(groups.values(), map_groups(_run_group, tasks)):
             for (i, _, _), state in zip(members, states):
                 outcomes[i] = state
+    for i, j in shared.items():
+        outcomes[i] = copy.deepcopy(outcomes[j])
     return _grid_fits(model, Y, candidates, t_start, outcomes, data)
 
 

@@ -5,15 +5,20 @@ grid's maximum lag) so the log-likelihoods are comparable; the innovation
 covariance's parameters are excluded from the penalty, a constant offset
 across candidates that cannot change the argmin.
 
-The grid runs as lockstep q groups: one switching-engine batch per q,
-padded to the group's largest lags and rank with each candidate's missing
-lags and rank masked, all over one gram set per panel, with the CIAAR
-starts sharing one Johansen fit per (max(p, s) - 1, r). Each row equals its
-candidate's single fit. A candidate whose fit raises is a failed row
-carrying that error; stop records why a fit's sweeps ended ("tol",
-"max_iter" or "no_free_params"), sigma_cond the conditioning of its
-residual covariance and step2_dropped the directions its step-2 solves
-dropped.
+A CIAAR candidate with s = 1 has no index lag, so its likelihood sees omega
+only through beta = omega gamma, which is identified up to an r x r rotation:
+(p, 1, q, r) is fit as its identified equivalent (p, 1, r, r), every
+(p, 1, q, 0) as the one diagonal fit of its p, and each such fit runs once
+however many rows share it. Those rows carry its log-likelihood bit for bit
+and their own parameter counts, so a duplicate never beats its equivalent.
+The distinct fits run as lockstep groups: one switching-engine batch per
+engine q, padded to the group's largest lags and rank with each candidate's
+missing lags and rank masked, all over one gram set per panel, with the
+CIAAR starts sharing one Johansen fit per (max(p, s) - 1, r). Each row
+equals its candidate's single fit. A candidate whose fit raises is a failed
+row carrying that error; stop records why a fit's sweeps ended ("tol",
+"max_iter" or "no_free_params") and sigma_cond the conditioning of its
+residual covariance.
 """
 
 from __future__ import annotations
@@ -58,9 +63,9 @@ class ICRow:
     "no_free_params"), empty when the fit raised; error holds that
     exception, or why its criteria could not be computed. sigma_cond is the
     fit's diagnostics["sigma_cond"] (least over largest eigenvalue of its
-    residual covariance) and step2_dropped its diagnostics["step2_dropped"]
-    (0 when every step-2 solve was of full rank); to_csv leaves both empty
-    on failed rows.
+    residual covariance); to_csv leaves it empty on failed rows. A CIAAR
+    row with s = 1 holds the fit of its identified equivalent (module
+    docstring) and its own parameter count.
     """
 
     model: str
@@ -78,7 +83,6 @@ class ICRow:
     stop: str = ""
     error: str = ""
     sigma_cond: float = math.nan
-    step2_dropped: int = 0
 
     def orders(self) -> tuple:
         return (self.p, self.s, self.q, self.r)
@@ -120,19 +124,17 @@ class ICTable:
         """Write one line per candidate; best marks the minimizer of kind."""
         best = self.best[self.kind]
         header = (
-            "model,p,s,q,r,loglik,n_params,aic,bic,hq,sigma_cond,step2_dropped,"
+            "model,p,s,q,r,loglik,n_params,aic,bic,hq,sigma_cond,"
             "converged,failed,stop,error,best"
         )
         with open(path, "w", newline="") as fh:
             out = csv.writer(fh, lineterminator="\n")
             out.writerow(header.split(","))
             for i, row in enumerate(self.rows):
-                conditioning = ["", ""] if row.failed else [
-                    f"{row.sigma_cond:.17g}", row.step2_dropped
-                ]
                 out.writerow([
                     row.model, row.p, row.s, row.q, row.r, f"{row.loglik:.17g}", row.n_params,
-                    f"{row.aic:.17g}", f"{row.bic:.17g}", f"{row.hq:.17g}", *conditioning,
+                    f"{row.aic:.17g}", f"{row.bic:.17g}", f"{row.hq:.17g}",
+                    "" if row.failed else f"{row.sigma_cond:.17g}",
                     int(row.converged), int(row.failed), row.stop, row.error, int(i == best),
                 ])
 
@@ -167,7 +169,6 @@ def _ic_row(model: str, orders: tuple, fit) -> ICRow:
     diagnostics = dict(
         stop=fit.diagnostics.get("stop", ""),
         sigma_cond=fit.diagnostics.get("sigma_cond", math.nan),
-        step2_dropped=fit.diagnostics.get("step2_dropped", 0),
     )
     try:
         crits = [info_criterion(fit.loglik, fit.n_params, fit.T_eff, c) for c in CRITERIA]
@@ -194,8 +195,8 @@ def grid_search(
     (s <= p, r <= q), "iaar" the triple with r = 0, and "mai" the pair
     (p, q). All fits condition on the grid's maximum lag so likelihoods are
     comparable; kind is recorded as the table's criterion (all three are
-    tabulated). The candidates of each q run as one lockstep group;
-    workers > 1 fits the groups in a process pool.
+    tabulated). The distinct fits of each engine q run as one lockstep
+    group; workers > 1 fits the groups in a process pool.
     """
     if kind not in CRITERIA:
         raise ValueError(f"kind must be one of {CRITERIA}, got {kind!r}")

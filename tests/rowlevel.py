@@ -8,8 +8,8 @@ construction. row_level_simulate likewise iterates the structural form of
 the IAAR and CIAAR models term by term, as an oracle for the simulators'
 companion-form lag recursion, and step_recursion advances that recursion
 one row per step, as an oracle for its blocked kernel (with the
-error-correction term in levels form, where the kernel runs the stationary
-(x_t, beta'y_t) state); wold_convolution
+error-correction term in levels form, run in extended precision, where the
+kernel runs the stationary (x_t, beta'y_t) state); wold_convolution
 filters shocks with the Wold sequence one lag at a time, as an oracle for the
 recursive decomposition components. dense_johansen /
 dense_init_ciaar run Johansen's reduced-rank regression and the CIAAR start
@@ -144,15 +144,22 @@ def step_recursion(phis, init, drive, ec=None, level=None):
     """tscore.var_recursion one row per step: x_t = sum_j Phi_j x_{t-j} + drive_t
     from the p pre-sample rows init; with the n x n matrix ec = alpha0 beta'
     (var_recursion takes the pair), x_t gains ec y_{t-1} and cumulates into
-    y_t = y_{t-1} + x_t from y_{-1} = level, returning (x, y)."""
-    drive = np.asarray(drive, dtype=float)
+    y_t = y_{t-1} + x_t from y_{-1} = level, returning (x, y).
+
+    The error-correction form runs in np.longdouble (80-bit extended on
+    x86-64, eps 1.1e-19) and returns float64: its levels-form rounding
+    grows with |y| and |ec|, and in double it drifts past the kernel's near
+    the stability boundary."""
+    dtype = float if ec is None else np.longdouble
+    drive = np.asarray(drive, dtype=dtype)
     T, n, row = drive.shape[0], drive.shape[1], drive.shape[1:]
     p = len(phis)
-    stacked = np.hstack([*phis[::-1], np.zeros((n, 0))])   # [Phi_p ... Phi_1]
-    buf = np.concatenate([np.reshape(init, (p,) + row), drive])
+    stacked = np.hstack([*phis[::-1], np.zeros((n, 0))]).astype(dtype)   # [Phi_p ... Phi_1]
+    buf = np.concatenate([np.reshape(init, (p,) + row).astype(dtype), drive])
     flat = buf.reshape((-1,) + row[1:])
     ys = None if ec is None else np.empty_like(drive)
-    y = None if ec is None else np.asarray(level, dtype=float)
+    y = None if ec is None else np.asarray(level, dtype=dtype)
+    ec = None if ec is None else np.asarray(ec, dtype=dtype)
     for t in range(T):
         x = buf[p + t]
         if p:
@@ -160,7 +167,7 @@ def step_recursion(phis, init, drive, ec=None, level=None):
         if ec is not None:
             x += ec @ y
             y = np.add(y, x, out=ys[t])
-    return buf[p:] if ec is None else (buf[p:], ys)
+    return buf[p:] if ec is None else (buf[p:].astype(float), ys.astype(float))
 
 
 def wold_convolution(psis, shocks):

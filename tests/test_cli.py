@@ -117,13 +117,12 @@ class TestFitPipeline:
         ]
         assert len(lines) == 3  # header + 2 candidates
         header = lines[0].split(",")
-        assert lines[0].endswith(",hq,sigma_cond,step2_dropped,converged,failed,stop,error,best")
+        assert lines[0].endswith(",hq,sigma_cond,converged,failed,stop,error,best")
         best_flags = [line.rsplit(",", 1)[1] for line in lines[1:]]
         assert best_flags.count("1") == 1
         cells = [dict(zip(header, line.split(","))) for line in lines[1:]]
         assert all(row["stop"] in ("tol", "max_iter") for row in cells)
         assert all(0.0 < float(row["sigma_cond"]) <= 1.0 for row in cells)
-        assert all(row["step2_dropped"] == "0" for row in cells)  # MAI steps are full rank
 
     def test_montecarlo(self, tmp_path):
         out = tmp_path / "mc"

@@ -5,20 +5,22 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from indexvar import estimators
 from indexvar.estimators import (
     FitOptions,
+    SIGMA_ERROR,
+    STEP_ERROR,
     _Grams,
     _default_starts,
+    _each_member,
     _engine_grams,
     _finish,
     _fit_grid,
     _grid_setup,
     _member_masks,
-    _min_norm_solve,
     _normal_blocks,
-    _robust_inverse,
     _sa_engine,
     _setup_iaar,
     _setup_mai,
     _setup_vhari,
+    _sigma_inverse,
     _solve_pd,
     _start_grams,
     _step2_solve,
@@ -56,7 +58,7 @@ from indexvar.tscore import (
     ols,
     subspace_distance,
 )
-from indexvar.select import _candidate_grid, grid_search
+from indexvar.select import _candidate_grid
 from rowlevel import (
     ciaar_inputs,
     dense_ols_start,
@@ -78,15 +80,19 @@ def padded_batches(draw, Te=40):
     channels (the EC block when ec, then the index lags), each member's own
     (nd_i, na_i, r_i) masked by _member_masks as a selection grid pads it.
     Each member's data come with the lags it lacks zeroed: the design its
-    masked grams stand for."""
+    masked grams stand for. As in a selection grid, a member without index
+    lags has r_i = q (its setup's identified equivalent, _setup_ciaar), so
+    every member has an omega channel of full rank."""
     n = draw(st.integers(2, 6))
     q = draw(st.integers(1, n - 1))
     nd = draw(st.integers(0, 2))
     ec = draw(st.booleans())
     na = draw(st.integers(1 - ec, 3 - ec))
-    r = draw(st.integers(1, q)) if ec else 0
+    r = (q if na == 0 else draw(st.integers(1, q))) if ec else 0
     shapes = draw(st.lists(
-        st.tuples(st.integers(0, nd), st.integers(0, na), st.integers(0, r)), min_size=1, max_size=4
+        st.tuples(st.integers(0, nd), st.integers(0 if r == q else 1, na), st.integers(0, r)).map(
+            lambda shape: shape if shape[1] else (shape[0], 0, q)
+        ), min_size=1, max_size=4
     ))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     grams, members = [], []
@@ -389,24 +395,6 @@ class TestStep2Rewrite:
                 direct -= (X @ params.omega) @ a.T
             assert np.abs(step2.reshape(Te, n) - direct @ S).max() < 1e-12
 
-    def test_gram_min_norm_matches_row_level_lstsq(self):
-        # s = 1 and 0 < r < q: omega enters only through the rank-1 EC loading
-        # alpha0 gamma', so the step-2 gram is singular and the engine takes
-        # the minimum-norm solution of its eigen-truncated normal equations
-        params = random_ciaar_params(6, 2, 1, 2, 2, seed=0)
-        loading = params.alpha0 @ params.gamma.T
-        sinv = np.linalg.inv(params.sigma)
-        S = sym_inv_sqrt(params.sigma)
-        for seed in range(20):
-            Y = simulate_ciaar(params, 1000, seed=seed)
-            Z, diag_X, _, ec_X = ciaar_inputs(Y, 1, 0)
-            grams = _Grams.of(Z, diag_X, ec_X, [])
-            theta = _step2_solve(grams, sinv[None], [[loading]], 1, 2, True, FitOptions())[0]
-            X2 = np.hstack([vec_diag_block(diag_X[0], S), vec_omega_block(ec_X, S @ loading)])
-            assert np.linalg.matrix_rank(X2) < X2.shape[1]
-            ref = np.linalg.lstsq(X2, (Z @ S).ravel(), rcond=1e-10)[0]
-            assert np.abs(theta - ref).max() < 1e-10 * np.abs(ref).max()
-
     @staticmethod
     def _multichannel_case(seed):
         # nd = 2 diagonal lags, the EC channel and 2 index lags, r = 1 < q = 2
@@ -440,16 +428,13 @@ class TestStep2Rewrite:
         for got, m, sigma, a in zip(theta, members, sigmas, loadings):
             S = sym_inv_sqrt(sigma)
             blocks = [vec_diag_block(X, S) for X in m["diag_X"][:m["nd"]]]
-            free = list(range(m["nd"] * n))
-            if m["na"] or m["r"]:                     # else the member holds its omega
-                channels = [m["ec_X"]] * ec + m["index_X"]
-                blocks.append(sum(vec_omega_block(X, S @ a_c) for X, a_c in zip(channels, a)))
-                free += list(range(nd * n, nd * n + n * q))
+            channels = [m["ec_X"]] * ec + m["index_X"]
+            blocks.append(sum(vec_omega_block(X, S @ a_c) for X, a_c in zip(channels, a)))
+            free = list(range(m["nd"] * n)) + list(range(nd * n, nd * n + n * q))
+            X2 = np.hstack(blocks)
             ref = np.zeros_like(got)
-            if blocks:
-                X2 = np.hstack(blocks)
-                lhs = X2.T @ X2 + ridge * np.eye(len(free))
-                ref[free] = np.linalg.solve(lhs, X2.T @ (m["Z"] @ S).ravel())
+            lhs = X2.T @ X2 + ridge * np.eye(len(free))
+            ref[free] = np.linalg.solve(lhs, X2.T @ (m["Z"] @ S).ravel())
             assert np.abs(got - ref).max() <= 1e-10 * np.abs(ref).max()
 
     @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -494,9 +479,10 @@ class TestBatchAxis:
             assert np.abs(got.residuals - ref.residuals).max() < 1e-10 * np.abs(ref.residuals).max()
             assert np.abs(got.params.beta - ref.params.beta).max() < 1e-8
 
-    def test_mixed_step2_batch_solves_each_member_on_its_own_path(self):
-        # member 0 has a positive definite system (Cholesky path); member 1
-        # has zero loadings, so its omega block is singular (min-norm path)
+    def test_singular_step2_member_leaves_the_batch_with_the_step_error(self):
+        # member 0 has a positive definite system; member 1 has zero loadings,
+        # so its omega block is singular: the stacked solve raises, and run
+        # member by member only member 1 leaves, with the fixed step error
         cases = [TestStep2Rewrite._multichannel_case(seed) for seed in (0, 1)]
         grams = [_Grams.of(Z, diag_X, ec_X, index_X) for _, Z, diag_X, index_X, ec_X in cases]
         sinv = np.stack([np.linalg.inv(params.sigma) for params, *_ in cases])
@@ -506,33 +492,45 @@ class TestBatchAxis:
             np.zeros((3, 5, 2)),
         ])
         opts = FitOptions()
-        theta = _step2_solve(_Grams.stack(grams), sinv, loadings, 2, 2, True, opts)
-        for i in range(2):
-            ref = _step2_solve(grams[i], sinv[i: i + 1], loadings[i: i + 1], 2, 2, True, opts)[0]
-            assert np.abs(theta[i] - ref).max() <= 1e-12 * np.abs(ref).max()
-        ow = 2 * 5
-        assert np.abs(theta[0, ow:]).max() > 1e-3
-        assert np.abs(theta[1, ow:]).max() <= 1e-12 * np.abs(theta[1]).max()  # omega dropped
-        # a positive definite member keeps the exact solve even when its
-        # smallest eigenvalue is one the min-norm solve would drop
-        A = np.stack([np.diag([1.0, 1.0, 1e-13]), np.diag([1.0, 1.0, 0.0])])
-        x = _solve_pd(A, np.ones((2, 3, 1)), _min_norm_solve)[:, :, 0]
-        assert np.allclose(x, [[1.0, 1.0, 1e13], [1.0, 1.0, 0.0]], rtol=1e-12, atol=0.0)
 
-    def test_mixed_robust_inverse_batch_flags_only_the_repaired_member(self):
+        def phase(st):
+            grams = _Grams(st["G"], st["Gcc"], 2, 40)
+            return {"theta": _step2_solve(grams, st["sinv"], st["a"], 2, 2, True, opts)}
+
+        both = _Grams.stack(grams)
+        st = {"G": both.G, "Gcc": both.Gcc, "sinv": sinv, "a": loadings}
+        with pytest.raises(np.linalg.LinAlgError, match=STEP_ERROR):
+            phase(st)
+        finals = [None, None]
+        out, _, members = _each_member(phase, st, [0, 1], finals)
+        assert members == [0]
+        assert isinstance(finals[1], np.linalg.LinAlgError) and str(finals[1]) == STEP_ERROR
+        ref = _step2_solve(grams[0], sinv[:1], loadings[:1], 2, 2, True, opts)[0]
+        assert np.array_equal(out["theta"][0], ref)
+        # a positive definite system keeps the exact solve however small its
+        # least eigenvalue
+        A = np.stack([np.diag([1.0, 1.0, 1e-13]), np.diag([2.0, 4.0, 1.0])])
+        x = _solve_pd(A, np.ones((2, 3, 1)))[:, :, 0]
+        assert np.allclose(x, [[1.0, 1.0, 1e13], [0.5, 0.25, 1.0]], rtol=1e-12, atol=0.0)
+
+    def test_sigma_that_is_not_positive_definite_leaves_the_batch(self):
+        # the stacked inverse raises SIGMA_ERROR; run member by member, only
+        # the failing member leaves, and the others keep their own inverses
         rng = np.random.default_rng(3)
         A = rng.standard_normal((4, 4))
         pd = A @ A.T + np.eye(4)
         sigma = np.stack([pd, np.diag([1.0, 2.0, 0.5, 0.0]), 2.0 * pd])
-        diagnostics = [{}, {}, {}]
-        inv = _robust_inverse(sigma, diagnostics)
-        assert diagnostics == [{}, {"ridge_repair": True}, {}]
-        for i in range(3):
-            single = [{}]
-            ref = _robust_inverse(sigma[i: i + 1], single)[0]
-            assert single == diagnostics[i: i + 1]
-            assert np.abs(inv[i] - ref).max() <= 1e-12 * np.abs(ref).max()
-        assert np.abs(inv[0] @ sigma[0] - np.eye(4)).max() < 1e-10
+        with pytest.raises(np.linalg.LinAlgError, match=SIGMA_ERROR.split(" (")[0]):
+            _sigma_inverse(sigma)
+        finals = [None, None, None]
+        out, _, members = _each_member(
+            lambda st: {"inv": _sigma_inverse(st["sigma"])}, {"sigma": sigma}, [0, 1, 2], finals
+        )
+        assert members == [0, 2]
+        assert isinstance(finals[1], np.linalg.LinAlgError) and str(finals[1]) == SIGMA_ERROR
+        for inv, i in zip(out["inv"], members):
+            assert np.array_equal(inv, _sigma_inverse(sigma[i: i + 1])[0])
+            assert np.abs(inv @ sigma[i] - np.eye(4)).max() < 1e-10
 
     def test_error_in_one_member_raises_as_its_single_fit(self):
         # y4_t = y1_{t-1} has no innovation, so a MAI(2) with q = 2 fits it
@@ -808,12 +806,10 @@ class TestMixedRankBatch:
     """One q = 3 engine batch whose members differ in lags and in rank, as a
     selection grid's q group runs them: each member must be its single fit."""
 
-    # (p, s, q, r): r = 0 with and without an omega channel (s = 1 holds its
-    # start omega; p = s = 1 has nothing to switch), r = 1 and r = 2 (the
-    # s = 1 ones rounding-driven), and r = q with gamma fixed to I_q
+    # (p, s, q, r): r = 0, r = 1 and r = 2 (gamma from step 3), and r = q
+    # with gamma fixed to I_q. An s = 1 order is fit at q = r, in its own group.
     CANDIDATES = [
-        (2, 1, 3, 0), (3, 2, 3, 0), (1, 1, 3, 0), (2, 2, 3, 1), (3, 3, 3, 1), (1, 1, 3, 1),
-        (2, 1, 3, 2), (3, 2, 3, 2), (1, 2, 3, 3), (2, 2, 3, 3),
+        (3, 2, 3, 0), (2, 2, 3, 1), (3, 3, 3, 1), (3, 2, 3, 2), (1, 2, 3, 3), (2, 2, 3, 3),
     ]
     BROKEN = (3, 3, 3, 1)                              # started from a repeated omega column
 
@@ -833,7 +829,7 @@ class TestMixedRankBatch:
         grams = _Grams.stack([_engine_grams(full, nd, na, r)] * len(setups))
         states = _sa_engine(grams, 3, r, starts, opts, shapes)
         for orders, setup, start, state in zip(self.CANDIDATES, setups, starts, states):
-            p, s, q, r_i = orders
+            _, _, q, r_i = orders
             try:
                 ref = fit_ciaar(Y, *orders, opts=opts, t_start=t_start, init=start)
             except SingularDesignError as exc:
@@ -845,44 +841,11 @@ class TestMixedRankBatch:
                 continue
             got = _finish(setup, state)
             assert got.params.gamma.shape == (q, r_i) and got.params.alpha0.shape == (6, r_i)
-            assert got.diagnostics.get("step2_dropped") == ref.diagnostics.get("step2_dropped")
-            if s == 1 and 0 < r_i < q:                 # rounding-driven, see test_grid_property
-                assert abs(got.loglik - ref.loglik) <= 1e-4 * abs(ref.loglik)
-                continue
             assert got.iterations == ref.iterations
             assert got.diagnostics["stop"] == ref.diagnostics["stop"]
             assert abs(got.loglik - ref.loglik) <= 1e-8 * abs(ref.loglik)
             assert np.abs(got.params.gamma - ref.params.gamma).max(initial=0.0) <= 1e-6
         assert sum(isinstance(state, Exception) for state in states) == 1
-
-
-class TestStep2Dropped:
-    """s = 1 and 0 < r < q: omega enters step 2 only through the rank-r EC
-    loading, so its n q omega coordinates span n r directions and the
-    min-norm solve drops the other n (q - r)."""
-
-    @staticmethod
-    def _panels():
-        params = random_ciaar_params(6, 2, 1, 2, 1, seed=0)
-        return [simulate_ciaar(params, 800, seed=seed) for seed in (1, 2)]
-
-    def test_single_fits_and_fit_many_record_the_dropped_directions(self):
-        panels = self._panels()
-        singles = [fit_ciaar(Y, 2, 1, 2, 1) for Y in panels]
-        assert [fit.diagnostics["step2_dropped"] for fit in singles] == [6, 6]
-        batch = fit_many("ciaar", panels, p=2, s=1, q=2, r=1)
-        for got, ref in zip(batch, singles):
-            assert got.diagnostics == ref.diagnostics
-        # full-rank step 2: no min-norm solve, no record
-        for orders in ((2, 2, 2, 1), (2, 1, 2, 2), (2, 1, 2, 0)):
-            assert "step2_dropped" not in fit_ciaar(panels[0], *orders).diagnostics
-
-    def test_grid_rows_record_the_dropped_directions(self):
-        table = grid_search(self._panels()[0], (1, 2), (1, 2))
-        for row in table.rows:
-            p, s, q, r = row.orders()
-            assert not row.failed and 0.0 < row.sigma_cond <= 1.0
-            assert row.step2_dropped == (6 * (q - r) if s == 1 and 0 < r < q else 0)
 
 
 class TestSigmaGuard:

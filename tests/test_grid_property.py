@@ -1,9 +1,10 @@
 """Property test: each grid_search row equals the single fit of its candidate.
 
-The grid fits its candidates as lockstep q groups padded to each group's
-largest lags and rank; every row must still match the candidate's own fit at
-the grid's t_start, the grid must solve one start regression per lag count
-and rank, and its CIAAR starts must equal init_ciaar's.
+The grid fits its distinct engine orders as lockstep q groups padded to each
+group's largest lags and rank; every row must still match the candidate's own
+fit at the grid's t_start, the grid must solve one start regression per lag
+count and rank, and its CIAAR starts must equal init_ciaar's at the engine
+orders, one per distinct fit (a CIAAR order with s = 1 runs as (p, 1, r, r)).
 """
 
 import numpy as np
@@ -47,22 +48,6 @@ def single_fit(model, Y, orders, t_start):
     if model == "iaar":
         return fit_iaar(Y, p, s, q, opts=OPTS, t_start=t_start)
     return fit_ciaar(Y, p, s, q, r, opts=OPTS, t_start=t_start)
-
-
-def rounding_driven(model, orders):
-    """CIAAR candidates with s = 1 and 0 < r < q, whose path is set by rounding.
-
-    Their only omega channel is the rank-r error-correction term, so step 2
-    leaves omega rank deficient and its QR completes the last q - r columns
-    from rounding noise. A single fit of such a candidate moves by as much
-    as 1e-2 in relative log-likelihood when its data are perturbed by 1e-15
-    (T = 25, n = 4), so no lockstep run can match it to 1e-8, nor always
-    agree with it on converged. For them the grid must land on the same
-    optimum: over 1834 such candidates drawn as here, the largest gap was
-    1.7e-6.
-    """
-    _, s, q, r = orders
-    return model == "ciaar" and s == 1 and 0 < r < q
 
 
 def traced_grid_search(Y, p_range, q_range, model):
@@ -116,12 +101,9 @@ def test_grid_rows_equal_single_fits(case):
             assert row.error == f"{type(exc).__name__}: {exc}"
             continue
         assert row.n_params == ref.n_params
-        if rounding_driven(model, row.orders()):
-            assert abs(row.loglik - ref.loglik) <= 1e-4 * abs(ref.loglik)
-        else:
-            assert row.converged == ref.converged
-            assert row.stop == ref.diagnostics["stop"]
-            assert abs(row.loglik - ref.loglik) <= 1e-8 * abs(ref.loglik)
+        assert row.converged == ref.converged
+        assert row.stop == ref.diagnostics["stop"]
+        assert abs(row.loglik - ref.loglik) <= 1e-8 * abs(ref.loglik)
         try:
             info_criterion(ref.loglik, ref.n_params, ref.T_eff, "hq")
         except ValueError as exc:
@@ -132,15 +114,19 @@ def test_grid_rows_equal_single_fits(case):
     assert len(regression_calls) == len(set(regression_calls))
     if model != "ciaar":
         return
-    # every start equals init_ciaar's
-    for (q, r), starts in group_starts.items():
-        refs = []
-        for p, s, q_, r_ in combos:
-            if (q_, r_) == (q, r):
-                try:
-                    refs.append(init_ciaar(Y, p, s, q, r))
-                except (ValueError, np.linalg.LinAlgError):
-                    continue
-        assert len(starts) == len(refs)
-        for got, ref in zip(starts, refs):
+    # every distinct engine fit starts from init_ciaar's start at its orders
+    fits, refs = set(), {}
+    for p, s, q, r in combos:
+        q_fit = q if s > 1 else r
+        if (p, s, q_fit, r) in fits:
+            continue
+        fits.add((p, s, q_fit, r))
+        try:
+            refs.setdefault((q_fit, r), []).append(init_ciaar(Y, p, s, q_fit, r))
+        except (ValueError, np.linalg.LinAlgError):
+            continue
+    assert group_starts.keys() == refs.keys()
+    for key, starts in group_starts.items():
+        assert len(starts) == len(refs[key])
+        for got, ref in zip(starts, refs[key]):
             assert_same_start(got, ref)

@@ -6,9 +6,9 @@ stationary VARs with n 1-20 and p 0-4, T 1-400, vector and n x k drives, a
 nonzero pre-sample, the error-correction path with a level, and either the
 block length the kernel chooses or a forced one. The error-correction path
 runs as the VAR of (x_t, beta'y_t) and is checked against the oracle's
-levels form with ec = alpha beta': one rank-one draw alpha = -0.1 u/|u|,
-beta = u/|u|, and random n x r factors, r 0-3, whose state companion is
-stable.
+levels form with ec = alpha beta', which runs in extended precision: one
+rank-one draw alpha = -0.1 u/|u|, beta = u/|u|, and random n x r factors,
+r 0-3, whose state companion has spectral radius below RADIUS_CAP.
 """
 
 from unittest import mock
@@ -22,6 +22,11 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from indexvar import tscore
 from indexvar.tscore import companion_spectral_radius, var_recursion
 from rowlevel import step_recursion
+
+# near the stability boundary only an extended-precision oracle stays far
+# below the kernel's own rounding; where np.longdouble is plain double the
+# oracle is no better than the kernel, and the draws keep the old margin
+RADIUS_CAP = 0.98 if np.finfo(np.longdouble).eps < 1e-18 else 0.9
 
 
 @st.composite
@@ -53,7 +58,7 @@ def recursions(draw):
         # the lags by 0.5^j then moves every root towards {0, 1 - kappa}
         kappa = draw(st.floats(0.2, 1.8))
         alpha -= beta @ (beta.T @ alpha + kappa * np.eye(r))
-        while _state_radius(case["phis"], alpha, beta) >= 0.9:
+        while _state_radius(case["phis"], alpha, beta) >= RADIUS_CAP:
             case["phis"] = [phi * 0.5 ** j for j, phi in enumerate(case["phis"], start=1)]
         case["ec"] = (alpha, beta)
     if ec:

@@ -168,15 +168,15 @@ class TestGridSearch:
             _row("mai", 1, 1, 1, 0, np.nan, 0, failed=True),
             _row("mai", 2, 2, 1, 0, -100.0, 8),
         ]
-        rows[0].sigma_cond, rows[0].step2_dropped = 0.5, 3      # ignored: the row failed
-        rows[1].sigma_cond, rows[1].step2_dropped = 1 / 3, 6
+        rows[0].sigma_cond = 0.5                              # ignored: the row failed
+        rows[1].sigma_cond = 1 / 3
         path = tmp_path / "ic.csv"
         ICTable(rows, 500, kind="aic").to_csv(path)
         with open(path, newline="") as fh:
             header, *cells = list(csv.reader(fh))
         at = header.index("sigma_cond")
-        assert header[at: at + 2] == ["sigma_cond", "step2_dropped"]
-        assert [c[at: at + 2] for c in cells] == [["", ""], ["0.33333333333333331", "6"]]
+        assert header[at - 1: at + 2] == ["hq", "sigma_cond", "converged"]
+        assert [c[at] for c in cells] == ["", "0.33333333333333331"]
 
     def test_worker_pool_matches_serial(self):
         params = random_ciaar_params(4, 1, 1, 2, 2, seed=4)
