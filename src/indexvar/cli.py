@@ -312,8 +312,7 @@ def _cmd_forecast(cfg: RunConfig, outdir) -> None:
 
 
 def _mc_one(args):
-    cfg, rep, child = args
-    params = _dgp_params(cfg)
+    cfg, params, rep, child = args
     panel = _simulate_panel(cfg, params, child)
     try:
         fit, = _fit_from_config(cfg, [panel])
@@ -329,8 +328,9 @@ def _mc_one(args):
 
 
 def _cmd_montecarlo(cfg: RunConfig, outdir) -> None:
+    params = _dgp_params(cfg)
     children = np.random.SeedSequence(cfg.seed).spawn(cfg.reps)
-    tasks = [(cfg, rep, children[rep]) for rep in range(cfg.reps)]
+    tasks = [(cfg, params, rep, children[rep]) for rep in range(cfg.reps)]
     if cfg.workers > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=cfg.workers) as pool:
             results = list(pool.map(_mc_one, tasks))

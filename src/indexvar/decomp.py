@@ -22,7 +22,6 @@ from .forecast import _presample
 from .tscore import (
     Panel,
     companion_matrix,
-    companion_spectral_radius,
     orth_complement,
     var_recursion,
 )
@@ -119,7 +118,7 @@ def _fitted_recursion(fit: FitResult, drive: np.ndarray, Y: Panel | None = None)
     ec = None
     if fit.model in STATIONARY_MODELS:
         phis = fit.params.var_coeffs()
-        if companion_spectral_radius(phis) >= 1.0 - 1e-8:
+        if fit.params.spectral_radius() >= 1.0 - 1e-8:
             raise ValueError("fitted model is not stationary")
     elif fit.model in I1_MODELS:
         eigs = np.linalg.eigvals(companion_matrix(fit.params.var_coeffs()))

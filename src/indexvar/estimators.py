@@ -384,7 +384,7 @@ def _sa_engine(
         weights = ([omega @ st["gamma"]] if r > 0 else []) + [omega] * na  # regressor = X_c @ W_c
         if not weights:
             sigma = (UU + UU.transpose(0, 2, 1)) / (2.0 * Te)
-            return {"sigma": sigma, "ll": gaussian_loglik(sigma, Te)}
+            return {"sigma": sigma, "ll": _step_loglik(sigma, Te)}
         M, v = _normal_blocks(st["grams"].Gcc, weights, st["GU"][:, 1 + nd:])
         _pin(M, st.get("pin1"))
         _check_step_rank(M)
@@ -395,7 +395,7 @@ def _sa_engine(
         sigma = (sigma + sigma.transpose(0, 2, 1)) / 2.0
         return {
             "sigma": sigma,
-            "ll": gaussian_loglik(sigma, Te),
+            "ll": _step_loglik(sigma, Te),
             "alpha0": coefT[:, :, :r],
             "alphas": coefT[:, :, r:].reshape(len(coef), n, na, q).transpose(0, 2, 1, 3),
         }
@@ -594,6 +594,15 @@ def _normal_blocks(Gcc: np.ndarray, weights: list, XU: np.ndarray):
         col += w.shape[-1]
     WbT = Wb.transpose(0, 2, 1)
     return WbT @ Gcc @ Wb, WbT @ XU.reshape(B, C * n, n)
+
+
+def _step_loglik(sigma: np.ndarray, Te: int) -> np.ndarray:
+    """gaussian_loglik of step 1's stacked sigma; one that is not positive
+    definite raises LinAlgError(SIGMA_ERROR), as _sigma_inverse does."""
+    try:
+        return gaussian_loglik(sigma, Te)
+    except np.linalg.LinAlgError:
+        raise np.linalg.LinAlgError(SIGMA_ERROR) from None
 
 
 def _sigma_inverse(sigma: np.ndarray) -> np.ndarray:

@@ -3,7 +3,11 @@
 Each container stores the mean parameters and the innovation covariance of
 one model class, knows its free mean-parameter count (excluding sigma), and
 can expand itself into the coefficient matrices of the implied levels VAR,
-which is what simulation, stationarity checks, and Wold recursions consume.
+which is what forecasts and Wold recursions consume. MAI, VHARI and DRVAR
+also give their index form through index_form(): omega and loadings A_j with
+every levels coefficient Phi_j = A_j omega', so the indexes f_t = omega'Y_t
+follow the q-dimensional VAR with coefficients omega'A_j, whose q p companion
+gives spectral_radius() and which the simulators iterate.
 The error-correction classes also give their difference form through
 ec_form(): the factors alpha0 and beta of the error-correction matrix
 alpha0 beta' and the short-run lags, from which tscore.var_recursion builds
@@ -50,8 +54,28 @@ def _check_full_rank(mat: np.ndarray, what: str) -> None:
         raise ValueError(f"{what} is not full rank")
 
 
+class _IndexForm:
+    """Levels coefficients and stationarity of a class whose every lag
+    coefficient shares the right factor omega': Phi_j = A_j omega', with
+    (omega, [A_1..A_p]) = self.index_form()."""
+
+    def var_coeffs(self) -> list[np.ndarray]:
+        omega, loadings = self.index_form()
+        return [a @ omega.T for a in loadings]
+
+    def spectral_radius(self) -> float:
+        """Spectral radius of the q p companion of the index VAR's omega'A_j.
+
+        Sylvester's identity det(I_n - sum_j A_j omega' z^j) =
+        det(I_q - sum_j omega'A_j z^j) makes its nonzero roots those of the
+        n p companion of var_coeffs().
+        """
+        omega, loadings = self.index_form()
+        return companion_spectral_radius([omega.T @ a for a in loadings])
+
+
 @dataclass
-class MAIParams:
+class MAIParams(_IndexForm):
     """Multivariate autoregressive index model: Y_t = sum_j alpha_j omega' Y_{t-j} + e_t."""
 
     omega: np.ndarray                 # n x q loading weights, full column rank
@@ -83,11 +107,9 @@ class MAIParams:
     def p(self) -> int:
         return len(self.alphas)
 
-    def var_coeffs(self) -> list[np.ndarray]:
-        return [a @ self.omega.T for a in self.alphas]
-
-    def spectral_radius(self) -> float:
-        return companion_spectral_radius(self.var_coeffs())
+    def index_form(self) -> tuple[np.ndarray, list[np.ndarray]]:
+        """(omega, [alpha_1..alpha_p])."""
+        return self.omega, list(self.alphas)
 
     def n_free_params(self) -> int:
         n, q, p = self.n, self.q, self.p
@@ -95,7 +117,7 @@ class MAIParams:
 
 
 @dataclass
-class VHARIParams:
+class VHARIParams(_IndexForm):
     """Vector heterogeneous autoregressive index model on daily data.
 
     Y_t = alpha_d omega' Y_{t-1} + alpha_w omega' Yw_{t-1} + alpha_m omega' Ym_{t-1} + e_t
@@ -128,23 +150,11 @@ class VHARIParams:
     def q(self) -> int:
         return self.omega.shape[1]
 
-    def var_coeffs(self) -> list[np.ndarray]:
-        """Coefficients of the implied restricted VAR(22) on the daily series."""
-        od = self.alpha_d @ self.omega.T
-        ow = self.alpha_w @ self.omega.T / 5.0
-        om = self.alpha_m @ self.omega.T / 22.0
-        phis = []
-        for j in range(1, 23):
-            phi = om.copy()
-            if j <= 5:
-                phi = phi + ow
-            if j == 1:
-                phi = phi + od
-            phis.append(phi)
-        return phis
-
-    def spectral_radius(self) -> float:
-        return companion_spectral_radius(self.var_coeffs())
+    def index_form(self) -> tuple[np.ndarray, list[np.ndarray]]:
+        """(omega, the 22 daily loadings of the implied restricted VAR(22)):
+        A_j = alpha_m/22 + 1[j <= 5] alpha_w/5 + 1[j = 1] alpha_d."""
+        am, aw = self.alpha_m / 22.0, self.alpha_w / 5.0
+        return self.omega, [am + (j < 5) * aw + (j == 0) * self.alpha_d for j in range(22)]
 
     def n_free_params(self) -> int:
         n, q = self.n, self.q
@@ -225,7 +235,7 @@ class IAARParams:
 
 
 @dataclass
-class DRVARParams:
+class DRVARParams(_IndexForm):
     """Dimension-reducible VAR: Y_t = sum_j omega phi_j f_{t-j} + e_t, f = omega'Y."""
 
     omega: np.ndarray                 # n x q, orthonormal columns
@@ -256,10 +266,12 @@ class DRVARParams:
     def p(self) -> int:
         return len(self.phis)
 
-    def var_coeffs(self) -> list[np.ndarray]:
-        return [self.omega @ f @ self.omega.T for f in self.phis]
+    def index_form(self) -> tuple[np.ndarray, list[np.ndarray]]:
+        """(omega, [omega phi_1..omega phi_p])."""
+        return self.omega, [self.omega @ f for f in self.phis]
 
     def spectral_radius(self) -> float:
+        # omega'omega = I, so the index VAR's coefficients are the phi_j
         return companion_spectral_radius(self.phis)
 
     def n_free_params(self) -> int:

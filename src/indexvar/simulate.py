@@ -2,9 +2,11 @@
 
 All simulators are deterministic given (params, seed), start from zero
 pre-sample values, and discard a burn-in stretch. Each runs the one lag
-recursion tscore.var_recursion: the stationary classes as the levels VAR
-params.var_coeffs() through simulate_var, CIAAR as the stationary VAR of
-(dY_t, beta'Y_t) built from params.ec_form(), cumulated into levels. Passing an
+recursion tscore.var_recursion: IAAR as the levels VAR params.var_coeffs()
+through simulate_var; MAI, VHARI and DRVAR as the q-dimensional VAR of their
+indexes f_t = omega'Y_t from params.index_form(), lifted to the levels in one
+product; CIAAR as the stationary VAR of (dY_t, beta'Y_t) built from
+params.ec_form(), cumulated into levels. Passing an
 explicit shocks array (burn + T rows of innovations e_t) bypasses the
 random draw, which is how the nesting identities between simulators are
 exercised.
@@ -23,6 +25,7 @@ from .params import (
 )
 from .tscore import (
     Panel,
+    build_lag_matrix,
     companion_matrix,
     companion_spectral_radius,
     fix_signs,
@@ -86,6 +89,16 @@ def _shocks_or_draw(shocks, sigma, length, seed, dist):
     return draw_shocks(sigma, length, seed, dist)
 
 
+def _stationary_shocks(radius, sigma, T, burn, seed, shocks, dist) -> np.ndarray:
+    """The burn + T shocks of a simulation whose companion has this radius;
+    raises unless T > 0, burn >= 0 and the radius is below 1 - 1e-8."""
+    if T <= 0 or burn < 0:
+        raise ValueError("need T > 0 and burn >= 0")
+    if radius >= 1.0 - 1e-8:
+        raise ValueError(f"nonstationary parameters: companion spectral radius {radius:.6f}")
+    return _shocks_or_draw(shocks, np.asarray(sigma), burn + T, seed, dist)
+
+
 def simulate_var(
     phis: list[np.ndarray],
     sigma: np.ndarray,
@@ -96,13 +109,28 @@ def simulate_var(
     dist: str = "gaussian",
 ) -> Panel:
     """Simulate a stationary VAR(p) given its coefficient matrices."""
-    if T <= 0 or burn < 0:
-        raise ValueError("need T > 0 and burn >= 0")
-    radius = companion_spectral_radius(phis)
-    if radius >= 1.0 - 1e-8:
-        raise ValueError(f"nonstationary parameters: companion spectral radius {radius:.6f}")
-    eps = _shocks_or_draw(shocks, np.asarray(sigma), burn + T, seed, dist)
+    eps = _stationary_shocks(companion_spectral_radius(phis), sigma, T, burn, seed, shocks, dist)
     return Panel(var_recursion(phis, np.zeros((len(phis), eps.shape[1])), eps)[burn:])
+
+
+def _simulate_index(params, T, burn, seed, shocks, dist) -> Panel:
+    """Simulate Y_t = sum_j A_j omega' Y_{t-j} + e_t through its indexes.
+
+    With (omega, [A_1..A_p]) = params.index_form(), f_t = omega'Y_t follows
+    the q-dimensional VAR f_t = sum_j omega'A_j f_{t-j} + omega'e_t, which
+    carries the whole history, and Y_t = e_t + sum_j A_j f_{t-j}. The levels
+    VAR from zero pre-sample rows gives the same panel, to rounding, from
+    its n p companion.
+    """
+    eps = _stationary_shocks(params.spectral_radius(), params.sigma, T, burn, seed, shocks, dist)
+    omega, loadings = params.index_form()
+    p, q = len(loadings), omega.shape[1]
+    if not (p and q):
+        return Panel(eps[burn:])
+    f = var_recursion([omega.T @ a for a in loadings], np.zeros((p, q)), eps @ omega)
+    # row t of lagged is [f_{t-1} .. f_{t-p}], t = burn .. burn + T - 1
+    _, lagged = build_lag_matrix(np.concatenate([np.zeros((p, q)), f])[burn:], list(range(1, p + 1)))
+    return Panel(eps[burn:] + lagged @ np.hstack(loadings).T)
 
 
 def simulate_mai(
@@ -114,7 +142,7 @@ def simulate_mai(
     dist: str = "gaussian",
 ) -> Panel:
     """Simulate Y_t = sum_j alpha_j omega' Y_{t-j} + e_t."""
-    return simulate_var(params.var_coeffs(), params.sigma, T, burn, seed, shocks, dist)
+    return _simulate_index(params, T, burn, seed, shocks, dist)
 
 
 def simulate_iaar(
@@ -137,7 +165,7 @@ def simulate_vhari(
     shocks: np.ndarray | None = None,
     dist: str = "gaussian",
 ) -> Panel:
-    """Simulate the daily VHARI recursion through its restricted VAR(22).
+    """Simulate the daily VHARI recursion through its index VAR(22).
 
     The 5/22-day means read the zero pre-sample rows before t = 0, so in
     the first 22 burn-in rows they divide sums that include zeros by the
@@ -149,7 +177,7 @@ def simulate_vhari(
     """
     if burn < 22:
         raise ValueError("VHARI simulation needs burn >= 22 to fill the monthly window")
-    return simulate_var(params.var_coeffs(), params.sigma, T, burn, seed, shocks, dist)
+    return _simulate_index(params, T, burn, seed, shocks, dist)
 
 
 def simulate_drvar(
@@ -161,7 +189,7 @@ def simulate_drvar(
     dist: str = "gaussian",
 ) -> Panel:
     """Simulate Y_t = sum_j omega phi_j f_{t-j} + e_t with f_t = omega' Y_t."""
-    return simulate_var(params.var_coeffs(), params.sigma, T, burn, seed, shocks, dist)
+    return _simulate_index(params, T, burn, seed, shocks, dist)
 
 
 def simulate_ciaar(

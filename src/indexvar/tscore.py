@@ -226,9 +226,9 @@ def companion_matrix(phis: list[np.ndarray]) -> np.ndarray:
 def companion_spectral_radius(phis: list[np.ndarray]) -> float:
     """Spectral radius of the companion matrix; < 1 certifies stationarity.
 
-    A VAR(0) is white noise, so an empty lag list has radius 0.
+    A VAR(0) or a VAR of dimension 0 has no roots, so its radius is 0.
     """
-    if not phis:
+    if not phis or not phis[0].size:
         return 0.0
     return float(np.max(np.abs(np.linalg.eigvals(companion_matrix(phis)))))
 

@@ -8,6 +8,7 @@ from indexvar.simulate import (
     random_mai_params,
     random_vhari_params,
 )
+from indexvar.tscore import Panel, har_aggregates
 
 
 def test_mai_free_param_count():
@@ -32,6 +33,25 @@ def test_ciaar_count_is_iaar_count_plus_ec_terms():
 def test_vhari_count_matches_mai_with_three_loadings():
     params = random_vhari_params(5, 2, seed=0)
     assert params.n_free_params() == 5 * 2 * 4 - 4
+
+
+def test_vhari_var22_is_the_daily_weekly_monthly_cascade():
+    # sum_j Phi_j Y_{t-j} = alpha_d f_{t-1} + alpha_w f^w_{t-1} + alpha_m f^m_{t-1}
+    # with f^w, f^m the trailing 5- and 22-day means of f = omega'Y
+    params = random_vhari_params(5, 2, seed=0)
+    Y = np.random.default_rng(1).standard_normal((60, 5))
+    Yw, Ym = har_aggregates(Panel(Y))
+    phis = params.var_coeffs()
+    assert len(phis) == 22
+    om = params.omega
+    for t in range(22, 60):
+        var = sum(phi @ Y[t - j] for j, phi in enumerate(phis, 1))
+        har = (
+            params.alpha_d @ om.T @ Y[t - 1]
+            + params.alpha_w @ om.T @ Yw.values[t - 1]
+            + params.alpha_m @ om.T @ Ym.values[t - 1]
+        )
+        assert np.abs(var - har).max() < 1e-12
 
 
 def test_sigma_must_be_positive_definite():

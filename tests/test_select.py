@@ -11,7 +11,7 @@ from indexvar.simulate import (
     simulate_ciaar,
     simulate_mai,
 )
-from indexvar.estimators import FitOptions
+from indexvar.estimators import SIGMA_ERROR, FitOptions
 from indexvar.tscore import Panel
 
 
@@ -205,7 +205,5 @@ class TestGridSearch:
         rows = {row.orders(): row for row in table.rows}
         for orders in ((2, 2, 2, 0), (2, 2, 3, 0)):
             assert rows[orders].failed
-            assert rows[orders].error == (
-                "LinAlgError: residual covariance is not positive definite"
-            )
+            assert rows[orders].error == f"LinAlgError: {SIGMA_ERROR}"
         assert not table.best_row("hq").failed
