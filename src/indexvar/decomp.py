@@ -132,7 +132,7 @@ def _fitted_recursion(fit: FitResult, drive: np.ndarray, Y: Panel | None = None)
     init = np.zeros((len(phis),) + drive.shape[1:])
     level = np.zeros(drive.shape[1:])
     if Y is not None:
-        _, pre, row, _, last = _presample(fit, Y, fit.t_start)
+        _, pre, row, _, last, _ = _presample(fit, Y, fit.t_start)
         drive = np.concatenate([drive, np.broadcast_to(row[:, None], drive.shape[:2] + (1,))], axis=2)
         init = np.concatenate([init, pre[..., None]], axis=2)
         if ec is not None:

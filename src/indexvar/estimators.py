@@ -61,15 +61,14 @@ class FitOptions:
     """Switching-algorithm controls.
 
     tol is the relative log-likelihood convergence tolerance; ridge adds an
-    l2 penalty to the normal equations of both SA steps; normalize
-    orthonormalizes omega by QR each sweep (absorbed into the loadings, so
-    fitted values are unchanged).
+    l2 penalty to the normal equations of both SA steps. Every sweep
+    orthonormalizes omega by QR (absorbed into the loadings, so fitted
+    values are unchanged).
     """
 
     max_iter: int = 500
     tol: float = 1e-8
     ridge: float = 0.0
-    normalize: bool = True
 
     def __post_init__(self):
         if self.max_iter < 1:
@@ -414,12 +413,9 @@ def _sa_engine(
             out["ds"] = theta[:, :nd * n].reshape(len(theta), nd, n)
             out["UU"], out["GU"] = UU, GU = _target_grams(grams, out["ds"])
         if estimate_omega:
-            new = theta[:, nd * n:].reshape(len(theta), n, q)
-            if opts.normalize:
-                # the rotation is absorbed by step 1's loadings and step 3's gamma,
-                # both re-estimated before they are next used
-                new = _qr_normalize(new)[0]
-            out["omega"] = omega = new
+            # the rotation is absorbed by step 1's loadings and step 3's gamma,
+            # both re-estimated before they are next used
+            out["omega"] = omega = _qr_normalize(theta[:, nd * n:].reshape(len(theta), n, q))[0]
         # Step 3: reduced-rank eigenstep for gamma given (omega, D)
         if "rank" in st:                               # only members with 0 < r_i < q
             rank = st["rank"]

@@ -11,8 +11,9 @@ gives spectral_radius() and which the simulators iterate.
 The error-correction classes also give their difference form through
 ec_form(): the factors alpha0 and beta of the error-correction matrix
 alpha0 beta' and the short-run lags, from which tscore.var_recursion builds
-the stationary VAR of (dY_t, beta'Y_t) that the I(1) simulator, forecasts
-and decompositions iterate.
+the stationary VAR of (dY_t, beta'Y_t) that the I(1) simulator and the
+decompositions iterate; forecast._continue builds the same VAR for a stack
+of fits, which forecasts iterate.
 """
 
 from __future__ import annotations

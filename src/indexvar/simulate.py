@@ -71,13 +71,25 @@ def draw_shocks(
         z = rng.standard_normal((length, n))
         # standardized log-normal: mean 0, variance 1
         u = (np.exp(z) - np.exp(0.5)) / np.sqrt(np.exp(2.0) - np.exp(1.0))
-        a, b = 0.05, 0.90
-        h = np.empty((length, n))
-        h[0] = 1.0
-        for t in range(1, length):
-            h[t] = (1.0 - a - b) + a * u[t - 1] ** 2 * h[t - 1] + b * h[t - 1]
-        return (u * np.sqrt(h)) @ L.T
+        return (u * np.sqrt(_garch_variances(u, 0.05, 0.90))) @ L.T
     raise ValueError(f"unknown shock distribution {dist!r}")
+
+
+def _garch_variances(u: np.ndarray, a: float, b: float) -> np.ndarray:
+    """h_0 = 1 and h_t = c + g_t h_{t-1}, g_t = a u_{t-1}^2 + b, c = 1 - a - b.
+
+    From a known h_s, h_{s+k} = P_k (h_s + c sum_{i<=k} 1 / P_i) with P_k the
+    running product of g over the block: a cumulative product and a
+    cumulative sum of positive terms, with no cancellation. Every g_t >= b,
+    so in blocks of at most 64 rows P >= b^64 (1.2e-3 at b = 0.9).
+    """
+    h = np.empty_like(u)
+    h[0] = 1.0
+    g = a * u[:-1] ** 2 + b                  # g[t - 1] = g_t
+    for s in range(0, len(g), 64):
+        P = np.cumprod(g[s: s + 64], axis=0)
+        h[s + 1: s + 1 + len(P)] = P * (h[s] + (1.0 - a - b) * np.cumsum(1.0 / P, axis=0))
+    return h
 
 
 def _shocks_or_draw(shocks, sigma, length, seed, dist):

@@ -253,6 +253,11 @@ def var_recursion(phis, init, drive, ec=None, level=None):
     the p rows before, C the companion powers' first n rows, and Psi, the
     block Toeplitz matrix of the Wold coefficients Psi_0..Psi_{L-1}, maps
     every block's drive u at once.
+
+    The simulators and the decomposition components run here. Forecasts do
+    not: they are short (L = 1) and come many at a time, so
+    forecast._continue steps a stack of fits in one batched product per row,
+    while a leading stack axis here would slow every single long recursion.
     """
     drive = np.asarray(drive, dtype=float)
     if ec is not None:

@@ -14,7 +14,11 @@ filters shocks with the Wold sequence one lag at a time, as an oracle for the
 recursive decomposition components. dense_johansen /
 dense_init_ciaar run Johansen's reduced-rank regression and the CIAAR start
 on the data matrices, with ols, and dense_ols_start the MAI / VHARI / IAAR
-start, as oracles for the library's moment-based solves.
+start, as oracles for the library's moment-based solves. loop_evaluate
+scores forecast paths one step of one path at a time, as an oracle for
+forecast.evaluate's single reduction, and loop_lognormal_garch draws the
+log-normal GARCH shocks with their variance recursion one row per step, as
+an oracle for simulate.draw_shocks' blocked recursion.
 """
 
 import numpy as np
@@ -86,10 +90,9 @@ def row_level_sa(Z, index_X, ec_X, omega0, gamma0, r, opts):
         if r:
             X2 = X2 + vec_omega_block(ec_X, S @ alpha0 @ gamma.T)
         omega = np.linalg.lstsq(X2, (Z @ S).ravel(), rcond=1e-10)[0].reshape(n, q)
-        if opts.normalize:
-            omega, R = _qr_normalize(omega)
-            alphas = [a @ R.T for a in alphas]
-            gamma = R @ gamma if 0 < r < q else gamma
+        omega, R = _qr_normalize(omega)
+        alphas = [a @ R.T for a in alphas]
+        gamma = R @ gamma if 0 < r < q else gamma
         if 0 < r < q:
             ecf = ec_X @ omega
             R0, R1 = Z, ecf
@@ -242,3 +245,44 @@ def dense_init_ciaar(Y, p, s, q, r):
     omega0 = fix_signs(Vh[keep].T)
     d0 = [np.diag(pis[j]) - np.diag(bar[j * n: (j + 1) * n]) for j in range(nd)]
     return np.linalg.lstsq(omega0, beta, rcond=None)[0], omega0, d0
+
+
+def loop_evaluate(forecasts, actuals):
+    """(msfe, counts) of forecast.evaluate, summed path by path and step by step."""
+    if not forecasts:
+        raise ValueError("no forecast paths supplied")
+    n = actuals.n
+    h_max = max(f.horizon for f in forecasts)
+    sq = np.zeros((h_max, n))
+    counts = np.zeros(h_max, dtype=int)
+    for f in forecasts:
+        if f.values.shape[1] != n:
+            raise ValueError("forecast width does not match actuals")
+        for k in range(f.horizon):
+            t = f.origin + 1 + k
+            if 0 <= t < actuals.T:
+                sq[k] += (f.values[k] - actuals.values[t]) ** 2
+                counts[k] += 1
+    if counts.sum() == 0:
+        raise ValueError("no forecast origin overlaps the actuals")
+    msfe = np.full((h_max, n), np.nan)
+    nz = counts > 0
+    msfe[nz] = sq[nz] / counts[nz, None]
+    return msfe, counts
+
+
+def loop_lognormal_garch(sigma, length, seed):
+    """simulate.draw_shocks(sigma, length, seed, "lognormal_garch") with the
+    GARCH(1,1) variances h_t = (1 - a - b) + (a u_{t-1}^2 + b) h_{t-1} run one
+    row per step from h_0 = 1."""
+    rng = np.random.default_rng(seed)
+    n = sigma.shape[0]
+    L = np.linalg.cholesky(sigma)
+    z = rng.standard_normal((length, n))
+    u = (np.exp(z) - np.exp(0.5)) / np.sqrt(np.exp(2.0) - np.exp(1.0))
+    a, b = 0.05, 0.90
+    h = np.empty((length, n))
+    h[0] = 1.0
+    for t in range(1, length):
+        h[t] = (1.0 - a - b) + a * u[t - 1] ** 2 * h[t - 1] + b * h[t - 1]
+    return (u * np.sqrt(h)) @ L.T

@@ -182,5 +182,10 @@ class TestRollingEvaluate:
     def test_fitter_must_return_one_fit_per_window(self):
         params = random_mai_params(3, 1, 1, seed=14)
         Y = simulate_mai(params, 260, seed=15)
-        with pytest.raises(ValueError):
-            rolling_evaluate(Y, lambda ws: [fit_mai(ws[0], 1, 1)], h=2, n_origins=5)
+        fit = fit_mai(Y, 1, 1)
+        with pytest.raises(ValueError, match="returned 1 fits for 5 windows"):
+            rolling_evaluate(Y, lambda ws: [fit], h=2, n_origins=5)
+        with pytest.raises(ValueError, match="more than 5 fits for 5 windows"):
+            rolling_evaluate(Y, lambda ws: [fit] * 6, h=2, n_origins=5)
+        with pytest.raises(ValueError, match="more than 1 fits for 1 windows"):
+            rolling_evaluate(Y, lambda ws: [fit] * 2, h=2, n_origins=5, refit=False)
