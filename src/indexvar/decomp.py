@@ -4,11 +4,14 @@ dimension-reducible dynamic/static split.
 
 A component Psi(L) W eps_t with zero pre-sample shocks is exactly the fitted
 lag recursion driven by W eps_t, so every component series comes from one
-tscore.var_recursion call on the stacked drives, with no truncation. The
-orthogonality and reduced-rank properties hold by construction; the
-components plus the deterministic continuation of the fitted recursion (the
-initial-condition path) reconstruct the data to rounding, which is checked
-whenever the fitted panel is given.
+run of the fit's state form, fit.params.state_form(), on the stacked
+drives, with no truncation: the q indexes of a MAI or VHARI, the levels of
+an IAAR, and (dY_t, beta'Y_t) of an error-correction fit, whose components
+are differences cumulated into levels. A fit is decomposed only when its
+state companion is stable. The orthogonality and reduced-rank properties
+hold by construction; the components plus the deterministic continuation of
+the fitted recursion (the initial-condition path) reconstruct the data to
+rounding, which is checked whenever the fitted panel is given.
 """
 
 from __future__ import annotations
@@ -19,12 +22,7 @@ import numpy as np
 
 from .estimators import FitResult
 from .forecast import _presample
-from .tscore import (
-    Panel,
-    companion_matrix,
-    orth_complement,
-    var_recursion,
-)
+from .tscore import Panel, orth_complement, var_recursion
 
 __all__ = [
     "WoldSeq",
@@ -38,8 +36,6 @@ __all__ = [
     "drvar_decompose",
 ]
 
-STATIONARY_MODELS = ("mai", "iaar", "vhari", "drvar")
-I1_MODELS = ("ciaar", "vecim", "vecm")
 RECON_TOL = 1e-8
 
 
@@ -103,42 +99,31 @@ def _fitted_omega(fit: FitResult) -> np.ndarray:
 
 
 def _fitted_recursion(fit: FitResult, drive: np.ndarray, Y: Panel | None = None):
-    """The fitted lag recursion driven by `drive` from zero pre-sample rows.
+    """The fit's state form run on `drive` from zero pre-sample rows.
 
-    Stationary fits run the levels AR polynomial and return (levels, None);
-    error-correction fits run the first differences with the
-    error-correction term on their level cumulated from zero and return
-    (differences, levels). With the fitted panel Y, a (T, n, k) drive gains
-    a last column, the baseline: the zero-shock continuation from the
-    actual pre-target rows and the demeaned last level (forecast._presample).
-    Raises unless the fit's Wold sequence converges: stationary fits need
-    every companion root inside the unit circle, error-correction fits every
-    root that is not a unit root.
+    Returns (y, None) for a stationary form, y the levels, and (y, levels)
+    for an integrated one, y the differences. With the fitted panel Y, a
+    (T, n, k) drive gains a last column, the baseline: the zero-shock
+    continuation from the actual pre-target rows and the demeaned last
+    level (forecast._presample). Raises unless the state companion is
+    stable, so that the fit's Wold sequence converges.
     """
-    ec = None
-    if fit.model in STATIONARY_MODELS:
-        phis = fit.params.var_coeffs()
-        if fit.params.spectral_radius() >= 1.0 - 1e-8:
-            raise ValueError("fitted model is not stationary")
-    elif fit.model in I1_MODELS:
-        eigs = np.linalg.eigvals(companion_matrix(fit.params.var_coeffs()))
-        unit = np.abs(eigs - 1.0) < 1e-8
-        if np.any(np.abs(eigs[~unit]) >= 1.0 - 1e-8):
+    form = fit.params.state_form()
+    if form.spectral_radius() >= 1.0 - 1e-8:
+        if form.integrated:
             raise ValueError("fitted model has unstable non-unit companion roots")
-        alpha0, beta, phis = fit.params.ec_form()
-        ec = (alpha0, beta)
-    else:
-        raise ValueError(f"unknown model {fit.model!r}")
-    init = np.zeros((len(phis),) + drive.shape[1:])
-    level = np.zeros(drive.shape[1:])
+        raise ValueError("fitted model is not stationary")
+    init = level = None
     if Y is not None:
-        _, pre, row, _, last, _ = _presample(fit, Y, fit.t_start)
-        drive = np.concatenate([drive, np.broadcast_to(row[:, None], drive.shape[:2] + (1,))], axis=2)
-        init = np.concatenate([init, pre[..., None]], axis=2)
-        if ec is not None:
-            level = np.concatenate([level, last[:, None]], axis=1)
-    out = var_recursion(phis, init, drive, ec=ec, level=level)
-    return (out, None) if ec is None else out
+        _, pre, mean_y, last, _ = _presample(fit, Y, fit.t_start, form)
+        k = drive.shape[2]                            # the baseline is column k
+        row = np.broadcast_to(form.intercept(mean_y)[:, None], drive.shape[:2] + (1,))
+        drive = np.concatenate([drive, row], axis=2)
+        init = np.concatenate([np.zeros(pre.shape + (k,)), pre[..., None]], axis=2)
+        if last is not None:
+            level = np.concatenate([np.zeros((len(last), k)), last[:, None]], axis=1)
+    out = form.run(drive, init, level)
+    return out if form.integrated else (out, None)
 
 
 def _unit_impulse(n: int, H: int) -> np.ndarray:
@@ -151,9 +136,9 @@ def _unit_impulse(n: int, H: int) -> np.ndarray:
 def wold(fit: FitResult, H: int) -> WoldSeq:
     """Truncated Wold coefficients of the fitted model.
 
-    Stationary fits use the standard recursion on the levels AR polynomial;
-    error-correction fits return the Wold sequence of the first differences
-    (increments of the levels impulse responses).
+    The fit's state form driven by a unit impulse: the levels responses of
+    a stationary fit, and for an error-correction fit the Wold sequence of
+    the first differences (increments of the levels impulse responses).
     """
     if H < 0:
         raise ValueError("need H >= 0")
@@ -188,9 +173,9 @@ def cc_projectors(sigma: np.ndarray, omega: np.ndarray):
     return p_common, p_uncommon
 
 
-def _demeaned_targets(fit: FitResult, Y: Panel) -> np.ndarray:
+def _demeaned_targets(fit: FitResult, Y: Panel, integrated: bool) -> np.ndarray:
     """The (differenced, demeaned) series the residuals refer to."""
-    if fit.model in I1_MODELS:
+    if integrated:
         d = np.diff(Y.values, axis=0) - fit.means.get("diff", 0.0)
         return d[fit.t_start - 1:]
     return (Y.values - fit.means.get("level", 0.0))[fit.t_start:]
@@ -215,7 +200,7 @@ def _components(fit: FitResult, Y: Panel | None, filters):
     k = len(filters)
     base = comps[..., k] - fit.means.get("diff", 0.0)
     comps, levels = comps[..., :k], None if levels is None else levels[..., :k]
-    err = float(np.max(np.abs(comps.sum(axis=2) + base - _demeaned_targets(fit, Y))))
+    err = float(np.max(np.abs(comps.sum(axis=2) + base - _demeaned_targets(fit, Y, levels is not None))))
     if err > RECON_TOL:
         raise ValueError(
             f"components miss the data by {err:.2e} (above {RECON_TOL:.0e}): "

@@ -917,8 +917,9 @@ def _setup_iaar(
     n = Y.n
     if not 0 <= q < n:
         raise ValueError(f"need 0 <= q < n, got q={q}")
-    if p < 1 or s < 0 or s > p:
-        raise ValueError(f"need 1 <= s <= p (got p={p}, s={s})")
+    if p < 1 or s > p or s < min(q, 1):
+        # with no index lag omega enters no term, so only q = 0 may take s = 0
+        raise ValueError(f"need 1 <= s <= p, or s = 0 with q = 0 (got p={p}, s={s}, q={q})")
     values, _, means = data or _demeaned(Y, demean)
     first = max(Y.t0 + p, t_start if t_start is not None else 0)
     Z = values[first:]

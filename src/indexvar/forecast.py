@@ -1,10 +1,11 @@
 """Multi-step point forecasting from fitted models and accuracy evaluation.
 
-Every forecast is the zero-shock continuation of a fitted recursion from the
-rows before its origin (_presample states its arguments). _continue
-advances a stack of such recursions of one shape together, one batched
-product per step: forecast is its stack of one, and rolling_evaluate runs
-it once for all of its origins and scores every path in one reduction.
+Every forecast is the zero-shock continuation of a fit's state form,
+fit.params.state_form(), from the rows before its origin (_presample states
+its arguments). _continue advances a stack of such forms of one shape
+together, one batched product per step, and reads the observations back
+from the states: forecast is its stack of one, and rolling_evaluate runs it
+once for all of its origins and scores every path in one reduction.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .estimators import FitResult
-from .tscore import Panel
+from .tscore import Panel, StateForm
 
 __all__ = ["ForecastPath", "MsfeTable", "forecast", "evaluate", "rolling_evaluate"]
 
@@ -57,92 +58,76 @@ def forecast(fit: FitResult, Y: Panel, h: int) -> ForecastPath:
     """Iterated one-step-ahead forecasts of the fitted recursion.
 
     The path is the zero-shock continuation from the end of the panel, the
-    stack of one of _continue. Stationary fits iterate the implied levels
-    VAR on the demeaned history and add the mean back. Error-correction
-    fits iterate the differences with the error-correction term on the
-    demeaned level and cumulate onto the last observation, so a fit with
-    zero dynamics and a zero difference mean forecasts a flat path at the
-    last observation.
+    stack of one of _continue. Stationary fits run their state on the
+    demeaned history and add the mean back. Error-correction fits run the
+    differences with the error-correction term on the demeaned level and
+    cumulate onto the last observation, so a fit with zero dynamics and a
+    zero difference mean forecasts a flat path at the last observation.
     """
     if h < 1:
         raise ValueError("need h >= 1")
     return ForecastPath(h, _continue([_presample(fit, Y, Y.T)], h)[0], Y.T - 1)
 
 
-def _presample(fit: FitResult, Y: Panel, start: int):
-    """The fitted recursion's arguments for a continuation from the rows before `start`.
+def _presample(fit: FitResult, Y: Panel, start: int, form=None):
+    """The arguments of fit's continuation from the rows before `start`.
 
-    Returns (phis, init, row, ec, level, mean): the lag matrices, the
-    pre-sample rows, the constant drive, the error-correction factors, the
-    last level and the level mean. Stationary fits give the implied levels
-    VAR, the demeaned pre-sample levels and a zero drive (ec and level
-    None). Error-correction fits give the short-run lags, the raw
-    pre-sample differences, the constant (I - sum_j Pi_j) mu_diff, which
-    keeps their demeaned lags in the recursion, the factors (alpha0, beta)
-    and the last level net of the level mean.
+    Returns (form, init, mean_y, level, mean): fit.params.state_form() (or
+    the given form), its p pre-sample observations and their mean, kept in
+    the recursion by the drive form.intercept(mean_y), the last level net of
+    the level mean, and the level mean. A stationary form observes the
+    demeaned levels (mean_y zero, level None). An integrated form observes
+    the raw differences (mean_y the difference mean), whose oldest one K_p
+    alone reads: with no short-run lag it is padded with zero.
     """
-    n, values = Y.n, Y.values
+    form = fit.params.state_form() if form is None else form
+    n, values, p = Y.n, Y.values, len(form.K)
     mu_l = fit.means.get("level", 0.0) + np.zeros(n)
-    if fit.model not in ("ciaar", "vecim", "vecm"):
-        phis = fit.params.var_coeffs()
-        p = len(phis)
+    if not form.integrated:
         if start - Y.t0 < p:
             raise ValueError(f"need at least {p} usable observations, got {start - Y.t0}")
-        return phis, values[start - p: start] - mu_l, np.zeros(n), None, None, mu_l
-    alpha0, beta, pis = fit.params.ec_form()
-    m = len(pis)
+        return form, values[start - p: start] - mu_l, np.zeros(n), None, mu_l
+    m = p                                             # differences read
+    if start < p + 1 and not (form.K[-1] @ form.observed).any():
+        m = p - 1
     if start < m + 1:
         raise ValueError(f"need at least {m + 1} observations, got {start}")
-    mu_d = fit.means.get("diff", 0.0) + np.zeros(n)
-    row = (np.eye(n) - sum(pis, np.zeros((n, n)))) @ mu_d
-    init = np.diff(values[start - m - 1: start], axis=0)
-    return pis, init, row, (alpha0, beta), values[start - 1] - mu_l, mu_l
-
-
-def _shape(presample) -> tuple:
-    """What _continue needs equal across a stack: model kind, lag count and rank."""
-    phis, _, _, ec, _, _ = presample
-    return len(phis), None if ec is None else ec[1].shape[1]
+    init = np.zeros((p, n))
+    init[p - m:] = values[start - m: start] - values[start - m - 1: start - 1]
+    return form, init, fit.means.get("diff", 0.0) + np.zeros(n), values[start - 1] - mu_l, mu_l
 
 
 def _continue(presamples: list, h: int) -> np.ndarray:
-    """h zero-shock steps of B fitted recursions of one _shape, as (B, h, n) levels.
+    """h zero-shock steps of B state forms of one shape and kind, as (B, h, n) levels.
 
-    presamples are the members' _presample arguments. Stationary members
-    run x_t = sum_j Phi_j x_{t-j} on the demeaned levels. Error-correction
-    members run dY_t = sum_j Pi_j dY_{t-j} + alpha0 z_{t-1} + d with z_t =
-    beta' y_t = z_{t-1} + beta' dY_t, the stationary VAR of (dY_t, z_t) that
-    tscore.var_recursion also runs, and cumulate dY onto the last level.
-    Each step is one batched product of every member's [Phi_p ... Phi_1]
-    with its p latest states; the level mean is added at the end.
+    presamples are the members' _presample arguments. Each step is one
+    batched product of every member's [Phi_p ... Phi_1] with its p latest
+    states s_t = sum_j Phi_j s_{t-j} + E d; the observations y_t = d +
+    sum_j K_j s_{t-j} are read back at the end, an integrated member's
+    cumulated onto its last level, and the level mean is added.
     """
-    phis, init, drive, ecs, level, mean = zip(*presamples)
-    ec = ecs[0] is not None
-    B, m, n = len(presamples), len(phis[0]), len(drive[0])
-    r = ecs[0][1].shape[1] if ec else 0
-    p, k = max(m, 1) if ec else m, n + r
-    C = np.zeros((B, k, p, k))                        # [Phi_p ... Phi_1], lag p first
-    if m:
-        C[:, :n, p - m:, :n] = np.array(phis)[:, ::-1].transpose(0, 2, 1, 3)
+    forms, init, mean_y, level, mean = zip(*presamples)
+    integrated = forms[0].integrated
+    E, K, carry = (np.array(m) for m in zip(*((f.E, f.K, f.carry) for f in forms)))
+    stack = StateForm(E, K, carry, integrated)                   # the members on a leading axis
+    B, (p, n, k) = len(forms), forms[0].K.shape
+    C = stack.phis()[:, ::-1].transpose(0, 2, 1, 3).reshape(B, k, p * k)     # [Phi_p ... Phi_1]
     buf = np.zeros((B, p + h, k))                     # p pre-sample states, then h steps
-    buf[:, p - m: p, :n] = np.array(init)
-    drive = np.array(drive)
-    if ec:
-        beta_t = np.array([e[1] for e in ecs]).transpose(0, 2, 1)
+    buf[:, :p] = np.array(init) @ stack.observed.transpose(0, 2, 1)
+    if integrated:                                    # s_{-1} carries the last level
         level = np.array(level)
-        C[:, :n, -1, n:] = np.array([e[0] for e in ecs])               # alpha0
-        C[:, n:] = (beta_t @ C[:, :n].reshape(B, n, -1)).reshape(B, r, p, k)
-        C[:, n:, -1, n:] += np.eye(r)
-        buf[:, p - 1, n:] = (beta_t @ level[..., None])[..., 0]
-        drive = np.concatenate([drive, (beta_t @ drive[..., None])[..., 0]], axis=1)
-    C = C.reshape(B, k, p * k)
+        buf[:, p - 1] += ((stack.carry @ stack.E) @ level[..., None])[..., 0]
+    drive = stack.intercept(np.array(mean_y))
+    u = (stack.E @ drive[..., None])[..., 0]
     for t in range(h):
-        buf[:, p + t] = (C @ buf[:, t: t + p].reshape(B, p * k, 1))[..., 0] + drive
-    x = buf[:, p:, :n]
-    if ec:                                            # levels: last level + cumulated dY
-        x[:, 0] += level
-        np.cumsum(x, axis=1, out=x)
-    return x + np.array(mean)[:, None]
+        buf[:, p + t] = (C @ buf[:, t: t + p].reshape(B, p * k, 1))[..., 0] + u
+    y = np.repeat(drive[:, None], h, axis=1)
+    for j in range(1, p + 1):                         # y_t = d + sum_j K_j s_{t-j}
+        y += buf[:, p - j: p - j + h] @ stack.K[:, j - 1].transpose(0, 2, 1)
+    if integrated:                                    # levels: last level + cumulated dY
+        y[:, 0] += level
+        np.cumsum(y, axis=1, out=y)
+    return y + np.array(mean)[:, None]
 
 
 def evaluate(forecasts: list[ForecastPath], actuals: Panel) -> MsfeTable:
@@ -211,10 +196,10 @@ def rolling_evaluate(
     fits = _one_per_window(fitter(fitted), len(fitted))
     if not refit:
         fits = list(fits) * len(windows)
-    stacks = {}                                       # _shape -> [(origin index, arguments)]
+    stacks = {}                                       # (K's shape, kind) -> [(origin index, arguments)]
     for i, (window, fit) in enumerate(zip(windows, fits, strict=True)):
         args = _presample(fit, window, width)
-        stacks.setdefault(_shape(args), []).append((i, args))
+        stacks.setdefault((args[0].K.shape, args[0].integrated), []).append((i, args))
     values = np.empty((len(windows), h, Y.n))
     for members in stacks.values():
         index, presamples = zip(*members)

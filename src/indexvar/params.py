@@ -2,18 +2,20 @@
 
 Each container stores the mean parameters and the innovation covariance of
 one model class, knows its free mean-parameter count (excluding sigma), and
-can expand itself into the coefficient matrices of the implied levels VAR,
-which is what forecasts and Wold recursions consume. MAI, VHARI and DRVAR
-also give their index form through index_form(): omega and loadings A_j with
-every levels coefficient Phi_j = A_j omega', so the indexes f_t = omega'Y_t
-follow the q-dimensional VAR with coefficients omega'A_j, whose q p companion
-gives spectral_radius() and which the simulators iterate.
-The error-correction classes also give their difference form through
-ec_form(): the factors alpha0 and beta of the error-correction matrix
-alpha0 beta' and the short-run lags, from which tscore.var_recursion builds
-the stationary VAR of (dY_t, beta'Y_t) that the I(1) simulator and the
-decompositions iterate; forecast._continue builds the same VAR for a stack
-of fits, which forecasts iterate.
+gives its lag recursion as one tscore.StateForm through state_form(),
+the VAR of a state that carries the whole history. The simulators, the
+decompositions and the forecasts run that form and judge stability by the
+radius of its companion:
+- MAI, VHARI and DRVAR: the q indexes f_t = omega'Y_t (E = omega', K_j the
+  loadings A_j of Phi_j = A_j omega'; Reinsel 1983);
+- IAAR: the levels (E = I, K_j = diag(delta_j) + alpha_j omega');
+- CIAAR and VECM: the stationary (dY_t, beta'Y_t) of an I(1) system
+  (E = [I; beta'], K_1 = [Pi_1, alpha0]; Johansen 1995), integrated into
+  the levels.
+var_coeffs() expands a container into the coefficient matrices of its
+levels VAR (K_j E for the stationary classes). The error-correction classes
+also give ec_form(), the factors alpha0 and beta of alpha0 beta' and the
+short-run lags, and unit_roots().
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tscore import companion_matrix, companion_spectral_radius, orth_complement
+from .tscore import StateForm, companion_matrix, orth_complement, var_form
 
 __all__ = [
     "MAIParams",
@@ -55,28 +57,62 @@ def _check_full_rank(mat: np.ndarray, what: str) -> None:
         raise ValueError(f"{what} is not full rank")
 
 
-class _IndexForm:
-    """Levels coefficients and stationarity of a class whose every lag
-    coefficient shares the right factor omega': Phi_j = A_j omega', with
-    (omega, [A_1..A_p]) = self.index_form()."""
+class _Stationary:
+    """Levels coefficients and stationarity of a class from its state_form()."""
 
     def var_coeffs(self) -> list[np.ndarray]:
-        omega, loadings = self.index_form()
-        return [a @ omega.T for a in loadings]
+        """Phi_j = K_j E."""
+        form = self.state_form()
+        return list(form.K @ form.E)
 
     def spectral_radius(self) -> float:
-        """Spectral radius of the q p companion of the index VAR's omega'A_j.
+        """Radius of the state companion. Sylvester's identity
+        det(I_n - sum_j K_j E z^j) = det(I_k - sum_j E K_j z^j) makes its
+        nonzero roots those of the n p companion of var_coeffs()."""
+        return self.state_form().spectral_radius()
 
-        Sylvester's identity det(I_n - sum_j A_j omega' z^j) =
-        det(I_q - sum_j omega'A_j z^j) makes its nonzero roots those of the
-        n p companion of var_coeffs().
-        """
-        omega, loadings = self.index_form()
-        return companion_spectral_radius([omega.T @ a for a in loadings])
+
+class _ErrorCorrection:
+    """Levels coefficients, I(1) condition and state form of a class from its
+    ec_form() (alpha0, beta, [Pi_1..Pi_m]) of dY_t = alpha0 beta'Y_{t-1} +
+    sum_j Pi_j dY_{t-j} + e_t."""
+
+    def var_coeffs(self) -> list[np.ndarray]:
+        """A_1 = I + alpha0 beta' + Pi_1, A_j = Pi_j - Pi_{j-1}, A_{m+1} = -Pi_m."""
+        alpha0, beta, pis = self.ec_form()
+        n = self.n
+        coeffs = np.diff(np.pad(np.reshape(pis, (-1, n, n)), ((1, 1), (0, 0), (0, 0))), axis=0)
+        coeffs[0] += np.eye(n) + alpha0 @ beta.T
+        return list(coeffs)
+
+    def i1_matrix(self) -> np.ndarray:
+        """alpha0_perp' (I - sum_j Pi_j) beta_perp; nonsingular iff the system
+        is I(1), singular parameters induce I(2) behavior."""
+        alpha0, beta, pis = self.ec_form()
+        pibar = np.eye(self.n) - sum(pis, np.zeros((self.n, self.n)))
+        return orth_complement(alpha0).T @ pibar @ orth_complement(beta)
+
+    def state_form(self) -> StateForm:
+        """The stationary state (dY_t, beta'Y_t): E = [I; beta'], K_1 =
+        [Pi_1, alpha0], K_j = [Pi_j, 0] (one lag when there is no Pi_j) and
+        carry = diag(0_n, I_r), so beta'Y_t = beta'Y_{t-1} + beta'dY_t. Its
+        companion is stable whenever the system is I(1) (Johansen 1995)."""
+        alpha0, beta, pis = self.ec_form()
+        (n, r), m = beta.shape, len(pis)
+        K = np.zeros((max(m, 1), n, n + r))
+        if m:
+            K[:m, :, :n] = pis
+        K[0, :, n:] = alpha0
+        E = np.zeros((n + r, n))                     # [I; beta']
+        E.reshape(-1)[: n * n: n + 1] = 1.0
+        E[n:] = beta.T
+        carry = np.zeros((n + r, n + r))             # diag(0_n, I_r)
+        carry.reshape(-1)[n * (n + r + 1):: n + r + 1] = 1.0
+        return StateForm(E, K, carry, integrated=True)
 
 
 @dataclass
-class MAIParams(_IndexForm):
+class MAIParams(_Stationary):
     """Multivariate autoregressive index model: Y_t = sum_j alpha_j omega' Y_{t-j} + e_t."""
 
     omega: np.ndarray                 # n x q loading weights, full column rank
@@ -108,9 +144,10 @@ class MAIParams(_IndexForm):
     def p(self) -> int:
         return len(self.alphas)
 
-    def index_form(self) -> tuple[np.ndarray, list[np.ndarray]]:
-        """(omega, [alpha_1..alpha_p])."""
-        return self.omega, list(self.alphas)
+    def state_form(self) -> StateForm:
+        """The indexes f_t = omega'Y_t: E = omega', K_j = alpha_j."""
+        n, q = self.omega.shape
+        return StateForm(self.omega.T, np.reshape(self.alphas, (self.p, n, q)), np.zeros((q, q)))
 
     def n_free_params(self) -> int:
         n, q, p = self.n, self.q, self.p
@@ -118,7 +155,7 @@ class MAIParams(_IndexForm):
 
 
 @dataclass
-class VHARIParams(_IndexForm):
+class VHARIParams(_Stationary):
     """Vector heterogeneous autoregressive index model on daily data.
 
     Y_t = alpha_d omega' Y_{t-1} + alpha_w omega' Yw_{t-1} + alpha_m omega' Ym_{t-1} + e_t
@@ -151,11 +188,13 @@ class VHARIParams(_IndexForm):
     def q(self) -> int:
         return self.omega.shape[1]
 
-    def index_form(self) -> tuple[np.ndarray, list[np.ndarray]]:
-        """(omega, the 22 daily loadings of the implied restricted VAR(22)):
-        A_j = alpha_m/22 + 1[j <= 5] alpha_w/5 + 1[j = 1] alpha_d."""
+    def state_form(self) -> StateForm:
+        """The indexes f_t = omega'Y_t with the 22 daily loadings of the
+        implied restricted VAR(22): K_j = alpha_m/22 + 1[j <= 5] alpha_w/5
+        + 1[j = 1] alpha_d."""
         am, aw = self.alpha_m / 22.0, self.alpha_w / 5.0
-        return self.omega, [am + (j < 5) * aw + (j == 0) * self.alpha_d for j in range(22)]
+        K = np.array([am + (j < 5) * aw + (j == 0) * self.alpha_d for j in range(22)])
+        return StateForm(self.omega.T, K, np.zeros((self.q, self.q)))
 
     def n_free_params(self) -> int:
         n, q = self.n, self.q
@@ -163,7 +202,7 @@ class VHARIParams(_IndexForm):
 
 
 @dataclass
-class IAARParams:
+class IAARParams(_Stationary):
     """Index-augmented autoregression: own-lag diagonals plus lagged indexes.
 
     Y_t = sum_{j<=p} D_j Y_{t-j} + sum_{j<=s} alpha_j omega' Y_{t-j} + e_t,
@@ -215,20 +254,9 @@ class IAARParams:
     def s(self) -> int:
         return len(self.alphas)
 
-    def var_coeffs(self) -> list[np.ndarray]:
-        n = self.n
-        phis = []
-        for j in range(max(self.p, self.s)):
-            phi = np.zeros((n, n))
-            if j < self.p:
-                phi += np.diag(self.ds[j])
-            if j < self.s:
-                phi += self.alphas[j] @ self.omega.T
-            phis.append(phi)
-        return phis
-
-    def spectral_radius(self) -> float:
-        return companion_spectral_radius(self.var_coeffs())
+    def state_form(self) -> StateForm:
+        """The levels: E = I, K_j = diag(delta_j) + alpha_j omega'."""
+        return var_form(_lag_sums(self.ds, self.alphas, self.omega), self.n)
 
     def n_free_params(self) -> int:
         n, q, p, s = self.n, self.q, self.p, self.s
@@ -236,7 +264,7 @@ class IAARParams:
 
 
 @dataclass
-class DRVARParams(_IndexForm):
+class DRVARParams(_Stationary):
     """Dimension-reducible VAR: Y_t = sum_j omega phi_j f_{t-j} + e_t, f = omega'Y."""
 
     omega: np.ndarray                 # n x q, orthonormal columns
@@ -267,13 +295,10 @@ class DRVARParams(_IndexForm):
     def p(self) -> int:
         return len(self.phis)
 
-    def index_form(self) -> tuple[np.ndarray, list[np.ndarray]]:
-        """(omega, [omega phi_1..omega phi_p])."""
-        return self.omega, [self.omega @ f for f in self.phis]
-
-    def spectral_radius(self) -> float:
-        # omega'omega = I, so the index VAR's coefficients are the phi_j
-        return companion_spectral_radius(self.phis)
+    def state_form(self) -> StateForm:
+        """The indexes f_t = omega'Y_t: E = omega', K_j = omega phi_j."""
+        q = self.q
+        return StateForm(self.omega.T, self.omega @ np.reshape(self.phis, (self.p, q, q)), np.zeros((q, q)))
 
     def n_free_params(self) -> int:
         n, q, p = self.n, self.q, self.p
@@ -281,7 +306,7 @@ class DRVARParams(_IndexForm):
 
 
 @dataclass
-class VECMParams:
+class VECMParams(_ErrorCorrection):
     """Vector error-correction model: dY_t = alpha0 beta' Y_{t-1} + sum_j Pi_j dY_{t-j} + e_t."""
 
     alpha0: np.ndarray                # n x r
@@ -320,23 +345,13 @@ class VECMParams:
         """(alpha0, beta, [Pi_1, ...]): the error-correction factors and short-run lags."""
         return self.alpha0, self.beta, list(self.pis)
 
-    def var_coeffs(self) -> list[np.ndarray]:
-        return _vecm_to_var(*self.ec_form())
-
-    def i1_matrix(self) -> np.ndarray:
-        """alpha0_perp' PiBar beta_perp; nonsingular iff the system is I(1)."""
-        pibar = np.eye(self.n) - sum(self.pis) if self.pis else np.eye(self.n)
-        a_perp = orth_complement(self.alpha0)
-        b_perp = orth_complement(self.beta)
-        return a_perp.T @ pibar @ b_perp
-
     def n_free_params(self) -> int:
         n, r = self.n, self.r
         return 2 * n * r - r * r + len(self.pis) * n * n
 
 
 @dataclass
-class CIAARParams:
+class CIAARParams(_ErrorCorrection):
     """Cointegrated index-augmented autoregression.
 
     dY_t = sum_{j<=len(ds)} D_j dY_{t-j} + alpha0 gamma' omega' Y_{t-1}
@@ -397,34 +412,13 @@ class CIAARParams:
 
     def diff_coeffs(self) -> list[np.ndarray]:
         """Pi_j of the implied VECM: diagonal plus index channel at each lag."""
-        n = self.n
-        m = max(len(self.ds), len(self.alphas))
-        pis = []
-        for j in range(m):
-            pi = np.zeros((n, n))
-            if j < len(self.ds):
-                pi += np.diag(self.ds[j])
-            if j < len(self.alphas):
-                pi += self.alphas[j] @ self.omega.T
-            pis.append(pi)
-        return pis
+        return list(_lag_sums(self.ds, self.alphas, self.omega))
 
     def ec_form(self) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
         """(alpha0, beta = omega gamma, diff_coeffs()): the error-correction
         factors, whose product alpha0 beta' multiplies Y_{t-1}, and the
         short-run lags."""
         return self.alpha0, self.beta, self.diff_coeffs()
-
-    def var_coeffs(self) -> list[np.ndarray]:
-        return _vecm_to_var(*self.ec_form())
-
-    def i1_matrix(self) -> np.ndarray:
-        """alpha0_perp' PiBar beta_perp; singular parameters induce I(2) behavior."""
-        pis = self.diff_coeffs()
-        pibar = np.eye(self.n) - sum(pis) if pis else np.eye(self.n)
-        a_perp = orth_complement(self.alpha0)
-        b_perp = orth_complement(self.beta) if self.r > 0 else np.eye(self.n)
-        return a_perp.T @ pibar @ b_perp
 
     def unit_roots(self, tol: float = 1e-6) -> int:
         """Number of companion eigenvalues within tol of 1."""
@@ -452,19 +446,13 @@ def _as_2d_cols(a, rows: int | None = None) -> np.ndarray:
     return a.reshape(rows if rows is not None else 0, 0)
 
 
-def _vecm_to_var(alpha0: np.ndarray, beta: np.ndarray, pis: list[np.ndarray]) -> list[np.ndarray]:
-    """Levels VAR coefficients implied by an error-correction representation.
-
-    dY_t = ec Y_{t-1} + sum_j Pi_j dY_{t-j} + e_t with ec = alpha0 beta' maps
-    to A_1 = I + ec + Pi_1, A_j = Pi_j - Pi_{j-1}, A_{m+1} = -Pi_m.
-    """
-    ec = alpha0 @ beta.T
-    n = ec.shape[0]
-    m = len(pis)
-    if m == 0:
-        return [np.eye(n) + ec]
-    coeffs = [np.eye(n) + ec + pis[0]]
-    for j in range(1, m):
-        coeffs.append(pis[j] - pis[j - 1])
-    coeffs.append(-pis[m - 1])
-    return coeffs
+def _lag_sums(ds, alphas, omega: np.ndarray) -> np.ndarray:
+    """diag(d_j) + alpha_j omega' at each of max(len(ds), len(alphas)) lags,
+    a missing term read as zero."""
+    n = omega.shape[0]
+    out = np.zeros((max(len(ds), len(alphas)), n, n))
+    if ds:
+        out.reshape(len(out), n * n)[:len(ds), ::n + 1] = ds      # the diagonals
+    if alphas:
+        out[:len(alphas)] += np.asarray(alphas) @ omega.T
+    return out

@@ -1,15 +1,14 @@
 """Data-generating-process simulators for every model class.
 
 All simulators are deterministic given (params, seed), start from zero
-pre-sample values, and discard a burn-in stretch. Each runs the one lag
-recursion tscore.var_recursion: IAAR as the levels VAR params.var_coeffs()
-through simulate_var; MAI, VHARI and DRVAR as the q-dimensional VAR of their
-indexes f_t = omega'Y_t from params.index_form(), lifted to the levels in one
-product; CIAAR as the stationary VAR of (dY_t, beta'Y_t) built from
-params.ec_form(), cumulated into levels. Passing an
-explicit shocks array (burn + T rows of innovations e_t) bypasses the
-random draw, which is how the nesting identities between simulators are
-exercised.
+pre-sample values, and discard a burn-in stretch. Each runs its model's
+state form, params.state_form() (simulate_var the levels VAR's,
+tscore.var_form), driven by the shocks and refused unless its companion is
+stable: MAI, VHARI and DRVAR iterate the q-dimensional VAR of their indexes
+f_t = omega'Y_t, IAAR the levels, and CIAAR the stationary (dY_t, beta'Y_t),
+whose differences are cumulated into the levels. Passing an explicit shocks
+array (burn + T rows of innovations e_t) bypasses the random draw, which is
+how the nesting identities between simulators are exercised.
 """
 
 from __future__ import annotations
@@ -23,15 +22,7 @@ from .params import (
     MAIParams,
     VHARIParams,
 )
-from .tscore import (
-    Panel,
-    build_lag_matrix,
-    companion_matrix,
-    companion_spectral_radius,
-    fix_signs,
-    orth_complement,
-    var_recursion,
-)
+from .tscore import Panel, StateForm, fix_signs, orth_complement, var_form
 
 __all__ = [
     "simulate_var",
@@ -92,23 +83,28 @@ def _garch_variances(u: np.ndarray, a: float, b: float) -> np.ndarray:
     return h
 
 
-def _shocks_or_draw(shocks, sigma, length, seed, dist):
-    if shocks is not None:
-        shocks = np.asarray(shocks, float)
-        if shocks.shape != (length, sigma.shape[0]):
-            raise ValueError(f"shocks must have shape ({length}, {sigma.shape[0]})")
-        return shocks
-    return draw_shocks(sigma, length, seed, dist)
+def _stable(form: StateForm) -> StateForm:
+    """form, once its state companion's radius is below 1 - 1e-8."""
+    radius = form.spectral_radius()
+    if radius >= 1.0 - 1e-8:
+        raise ValueError(f"nonstationary parameters: state companion spectral radius {radius:.6f}")
+    return form
 
 
-def _stationary_shocks(radius, sigma, T, burn, seed, shocks, dist) -> np.ndarray:
-    """The burn + T shocks of a simulation whose companion has this radius;
-    raises unless T > 0, burn >= 0 and the radius is below 1 - 1e-8."""
+def _simulate(form: StateForm, sigma, T, burn, seed, shocks, dist) -> Panel:
+    """The last T of burn + T observations (levels of an integrated form) of
+    a stable state form driven by the shocks, given or drawn, from zero
+    pre-sample rows; raises unless T > 0 and burn >= 0."""
     if T <= 0 or burn < 0:
         raise ValueError("need T > 0 and burn >= 0")
-    if radius >= 1.0 - 1e-8:
-        raise ValueError(f"nonstationary parameters: companion spectral radius {radius:.6f}")
-    return _shocks_or_draw(shocks, np.asarray(sigma), burn + T, seed, dist)
+    sigma = np.asarray(sigma)
+    if shocks is None:
+        shocks = draw_shocks(sigma, burn + T, seed, dist)
+    shocks = np.asarray(shocks, float)
+    if shocks.shape != (burn + T, sigma.shape[0]):
+        raise ValueError(f"shocks must have shape ({burn + T}, {sigma.shape[0]})")
+    out = form.run(shocks)
+    return Panel((out[1] if form.integrated else out)[burn:])
 
 
 def simulate_var(
@@ -121,28 +117,7 @@ def simulate_var(
     dist: str = "gaussian",
 ) -> Panel:
     """Simulate a stationary VAR(p) given its coefficient matrices."""
-    eps = _stationary_shocks(companion_spectral_radius(phis), sigma, T, burn, seed, shocks, dist)
-    return Panel(var_recursion(phis, np.zeros((len(phis), eps.shape[1])), eps)[burn:])
-
-
-def _simulate_index(params, T, burn, seed, shocks, dist) -> Panel:
-    """Simulate Y_t = sum_j A_j omega' Y_{t-j} + e_t through its indexes.
-
-    With (omega, [A_1..A_p]) = params.index_form(), f_t = omega'Y_t follows
-    the q-dimensional VAR f_t = sum_j omega'A_j f_{t-j} + omega'e_t, which
-    carries the whole history, and Y_t = e_t + sum_j A_j f_{t-j}. The levels
-    VAR from zero pre-sample rows gives the same panel, to rounding, from
-    its n p companion.
-    """
-    eps = _stationary_shocks(params.spectral_radius(), params.sigma, T, burn, seed, shocks, dist)
-    omega, loadings = params.index_form()
-    p, q = len(loadings), omega.shape[1]
-    if not (p and q):
-        return Panel(eps[burn:])
-    f = var_recursion([omega.T @ a for a in loadings], np.zeros((p, q)), eps @ omega)
-    # row t of lagged is [f_{t-1} .. f_{t-p}], t = burn .. burn + T - 1
-    _, lagged = build_lag_matrix(np.concatenate([np.zeros((p, q)), f])[burn:], list(range(1, p + 1)))
-    return Panel(eps[burn:] + lagged @ np.hstack(loadings).T)
+    return _simulate(_stable(var_form(phis, np.shape(sigma)[0])), sigma, T, burn, seed, shocks, dist)
 
 
 def simulate_mai(
@@ -153,8 +128,10 @@ def simulate_mai(
     shocks: np.ndarray | None = None,
     dist: str = "gaussian",
 ) -> Panel:
-    """Simulate Y_t = sum_j alpha_j omega' Y_{t-j} + e_t."""
-    return _simulate_index(params, T, burn, seed, shocks, dist)
+    """Simulate Y_t = sum_j alpha_j omega' Y_{t-j} + e_t through its indexes
+    f_t = omega'Y_t, the VAR f_t = sum_j omega'alpha_j f_{t-j} + omega'e_t,
+    lifted to Y_t = e_t + sum_j alpha_j f_{t-j}."""
+    return _simulate(_stable(params.state_form()), params.sigma, T, burn, seed, shocks, dist)
 
 
 def simulate_iaar(
@@ -166,7 +143,7 @@ def simulate_iaar(
     dist: str = "gaussian",
 ) -> Panel:
     """Simulate the index-augmented autoregression (own-lag diagonals plus indexes)."""
-    return simulate_var(params.var_coeffs(), params.sigma, T, burn, seed, shocks, dist)
+    return _simulate(_stable(params.state_form()), params.sigma, T, burn, seed, shocks, dist)
 
 
 def simulate_vhari(
@@ -189,7 +166,7 @@ def simulate_vhari(
     """
     if burn < 22:
         raise ValueError("VHARI simulation needs burn >= 22 to fill the monthly window")
-    return _simulate_index(params, T, burn, seed, shocks, dist)
+    return _simulate(_stable(params.state_form()), params.sigma, T, burn, seed, shocks, dist)
 
 
 def simulate_drvar(
@@ -201,7 +178,7 @@ def simulate_drvar(
     dist: str = "gaussian",
 ) -> Panel:
     """Simulate Y_t = sum_j omega phi_j f_{t-j} + e_t with f_t = omega' Y_t."""
-    return _simulate_index(params, T, burn, seed, shocks, dist)
+    return _simulate(_stable(params.state_form()), params.sigma, T, burn, seed, shocks, dist)
 
 
 def simulate_ciaar(
@@ -216,38 +193,25 @@ def simulate_ciaar(
 
     The panel has exactly n - r unit roots and stationary beta' Y_t. Raises
     when the parameters violate the I(1) conditions (singular
-    alpha0_perp' PiBar beta_perp or explosive companion roots). The
+    alpha0_perp' PiBar beta_perp, or an unstable state companion). The
     recursion runs on the stationary state (dY_t, beta'Y_t), whose companion
     those conditions make stable, and cumulates dY_t into the levels once;
     iterating the levels VAR instead accumulates rounding along the unit
     roots.
     """
-    if T <= 0 or burn < 0:
-        raise ValueError("need T > 0 and burn >= 0")
-    _validate_i1(params)
-    n = params.n
-    eps = _shocks_or_draw(shocks, params.sigma, burn + T, seed, dist)
-    alpha0, beta, pis = params.ec_form()
-    _, Y = var_recursion(pis, np.zeros((len(pis), n)), eps, ec=(alpha0, beta), level=np.zeros(n))
-    return Panel(Y[burn:])
+    return _simulate(_validate_i1(params), params.sigma, T, burn, seed, shocks, dist)
 
 
-def _validate_i1(params: CIAARParams) -> None:
-    i1 = params.i1_matrix()
-    sv = np.linalg.svd(i1, compute_uv=False)
+def _validate_i1(params: CIAARParams) -> StateForm:
+    """The state form of I(1) parameters: raises unless alpha0_perp' PiBar
+    beta_perp is nonsingular and the state (dY_t, beta'Y_t) is stable, which
+    leaves exactly n - r unit roots in the levels (Johansen 1995)."""
+    sv = np.linalg.svd(params.i1_matrix(), compute_uv=False)
     if sv.size and (sv[0] == 0.0 or sv[-1] < 1e-8 * sv[0]):
         raise ValueError(
             "parameters induce I(2) behavior: alpha0_perp' PiBar beta_perp is singular"
         )
-    eigs = np.linalg.eigvals(companion_matrix(params.var_coeffs()))
-    mods = np.abs(eigs)
-    unit = np.abs(eigs - 1.0) < 1e-6
-    if np.any(mods[~unit] >= 1.0 - 1e-8):
-        raise ValueError("explosive or non-unit boundary companion roots")
-    if int(unit.sum()) != params.n - params.r:
-        raise ValueError(
-            f"expected {params.n - params.r} unit roots, found {int(unit.sum())}"
-        )
+    return _stable(params.state_form())
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -18,6 +19,8 @@ __all__ = [
     "autocov",
     "companion_spectral_radius",
     "companion_matrix",
+    "StateForm",
+    "var_form",
     "har_aggregates",
     "subspace_distance",
     "orth_complement",
@@ -233,50 +236,108 @@ def companion_spectral_radius(phis: list[np.ndarray]) -> float:
     return float(np.max(np.abs(np.linalg.eigvals(companion_matrix(phis)))))
 
 
-def var_recursion(phis, init, drive, ec=None, level=None):
+@dataclass
+class StateForm:
+    """A fitted lag recursion as the VAR of a state s_t that carries its history.
+
+    The state follows s_t = carry s_{t-1} + E y_t and the observation reads
+    it back as y_t = d_t + sum_j K_j s_{t-j}, so the state is the VAR
+    s_t = sum_j Phi_j s_{t-j} + E d_t with Phi_j = E K_j and carry added at
+    lag 1. y is the demeaned levels of a stationary model, or the first
+    differences of an integrated one, which run cumulates into the levels.
+    By Sylvester's determinant identity the state companion's nonzero roots
+    are those of the levels recursion, less the integrated form's unit roots.
+    """
+
+    E: np.ndarray                     # k x n
+    K: np.ndarray                     # p x n x k
+    carry: np.ndarray                 # k x k
+    integrated: bool = False
+
+    def phis(self) -> np.ndarray:
+        """The state VAR's coefficients Phi_1..Phi_p, p x k x k. A form whose
+        E, K and carry share a leading stack axis gives a stack of them."""
+        phis = self.E[..., None, :, :] @ self.K
+        phis[..., :1, :, :] += self.carry[..., None, :, :]
+        return phis
+
+    def spectral_radius(self) -> float:
+        """Radius of the state companion; below 1 the state is stationary."""
+        return companion_spectral_radius(list(self.phis()))
+
+    @cached_property
+    def observed(self) -> np.ndarray:
+        """(I - carry) E, the part of s_t that y_t alone gives (stacks too)."""
+        return self.E - self.carry @ self.E
+
+    def intercept(self, mean: np.ndarray) -> np.ndarray:
+        """The constant drive d that keeps observations of this mean in the
+        recursion: d = mean - sum_j K_j (I - carry) E mean (stacks too)."""
+        return mean - (self.K.sum(axis=-3) @ (self.observed @ mean[..., None]))[..., 0]
+
+    def run(self, drive, init=None, level=None):
+        """The observations y_t for every row d_t of drive.
+
+        init holds the latest pre-sample observations (at most p rows;
+        earlier ones, or all when None, read as zero) and level, for an
+        integrated form, the last level y_{-1} (zero when None), which
+        s_{-1} carries and the levels cumulate onto. A row is a length-n
+        vector or an n x c matrix. Returns y, or (y, levels) for an
+        integrated form; a form with no lags or no state passes drive
+        through.
+        """
+        drive = np.asarray(drive, dtype=float)
+        p, T = len(self.K), len(drive)
+        if not self.K.size:
+            return drive
+        (k, n), rows = self.E.shape, drive.shape[2:]
+        s0 = np.zeros((p, k) + rows)                  # s_{-p}..s_{-1}
+        if init is not None:
+            s0[p - len(init):] = _apply(self.observed, init)
+        if level is not None:
+            s0[-1] += _apply(self.carry @ self.E, level[None])[0]
+        states = var_recursion(list(self.phis()), s0, _apply(self.E, drive))
+        if k >= n and not self.carry[:n].any() and np.array_equal(self.E[:n], np.eye(n)):
+            y = states[:, :n]                         # the state leads with y_t itself
+        else:                                         # y_t = d_t + [K_1 .. K_p] [s_{t-1}; ..; s_{t-p}]
+            states = np.concatenate([s0, states])
+            lagged = np.concatenate([states[p - j: p - j + T] for j in range(1, p + 1)], axis=1)
+            y = drive + _apply(self.K.transpose(1, 0, 2).reshape(n, -1), lagged)
+        if not self.integrated:
+            return y
+        levels = np.cumsum(y, axis=0)
+        return y, levels if level is None else levels + level
+
+
+def var_form(phis, n: int) -> StateForm:
+    """The n-dimensional VAR y_t = d_t + sum_j Phi_j y_{t-j}, whose state is y_t itself."""
+    return StateForm(np.eye(n), np.reshape(phis, (len(phis), n, n)), np.zeros((n, n)))
+
+
+def _apply(M: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """M applied to every row of x: rows are vectors (x is T x n) or n x c matrices."""
+    return x @ M.T if x.ndim == 2 else M @ x
+
+
+def var_recursion(phis, init, drive):
     """Iterate x_t = sum_j Phi_j x_{t-j} + drive_t for every row of drive.
 
     init holds the p pre-sample rows x_{-p}..x_{-1}. A row is a length-n
     vector or an n x k matrix (drive[0] = I with zero init gives the Wold
     sequence); n is read from drive, so an empty phis passes drive through.
 
-    With ec = (alpha0, beta), both n x r, x is the increment of a level y:
-    x_t gains alpha0 beta' y_{t-1}, y_t = y_{t-1} + x_t, y_{-1} = level, and
-    (x, y) is returned. That runs as the stationary VAR of (x_t, z_t =
-    beta' y_t), of dimension n + r and p = max(len(phis), 1) lags:
-    Phi_1 = [[Pi_1, alpha0], [beta'Pi_1, I + beta'alpha0]], Phi_j =
-    [[Pi_j, 0], [beta'Pi_j, 0]], drive (d_t, beta'd_t), z_{-1} = beta' level.
-    Its companion is stable whenever the system is I(1) (Johansen 1995), and
-    y cumulates x onto level once at the end.
-
     Each Python step advances L rows (_block_length) as C s + Psi u: s holds
     the p rows before, C the companion powers' first n rows, and Psi, the
     block Toeplitz matrix of the Wold coefficients Psi_0..Psi_{L-1}, maps
     every block's drive u at once.
 
-    The simulators and the decomposition components run here. Forecasts do
-    not: they are short (L = 1) and come many at a time, so
-    forecast._continue steps a stack of fits in one batched product per row,
-    while a leading stack axis here would slow every single long recursion.
+    StateForm.run iterates every fitted model's state here: the simulators
+    and the decomposition components. Forecasts do not: they are short
+    (L = 1) and come many at a time, so forecast._continue steps a stack of
+    state forms in one batched product per row, while a leading stack axis
+    here would slow every single long recursion.
     """
     drive = np.asarray(drive, dtype=float)
-    if ec is not None:
-        alpha0, beta = ec
-        (T, n, *k), r, m = drive.shape, beta.shape[1], len(phis)
-        aug = np.zeros((max(m, 1), n + r, n + r))
-        for j, pi in enumerate(phis):
-            aug[j, :n, :n] = pi
-        aug[0, :n, n:] = alpha0
-        aug[:, n:] = beta.T @ aug[:, :n]          # z_t = z_{t-1} + beta' x_t
-        aug[0, n:, n:] += np.eye(r)
-        x0 = np.zeros((len(aug), n + r, *k))
-        x0[len(aug) - m:, :n] = np.reshape(init, (m, n, *k))
-        x0[-1, n:] = beta.T @ level
-        bd = (beta.T @ drive.reshape(T, n, -1)).reshape(T, r, *k)     # beta' drive_t
-        x = var_recursion(list(aug), x0, np.concatenate([drive, bd], axis=1))[:, :n]
-        y = x.copy()
-        y[0] += level
-        return x, np.cumsum(y, axis=0, out=y)
     T, n, row = drive.shape[0], drive.shape[1], drive.shape[1:]
     p = len(phis)
     L = _block_length(n, p, drive[0].size // n, T)

@@ -7,9 +7,11 @@ loop on it, so the tests can check the gram engine against an independent
 construction. row_level_simulate likewise iterates the structural form of
 the IAAR and CIAAR models term by term, as an oracle for the simulators'
 companion-form lag recursion, and step_recursion advances that recursion
-one row per step, as an oracle for its blocked kernel (with the
-error-correction term in levels form, run in extended precision, where the
-kernel runs the stationary (x_t, beta'y_t) state); wold_convolution
+one row per step, as an oracle for its blocked kernel and for every state
+form's run (with the error-correction term in levels form, run in extended
+precision, where the state form runs the stationary (x_t, beta'y_t));
+levels_i1_classification is the levels-companion I(1) rule that the state
+form's radius replaced; wold_convolution
 filters shocks with the Wold sequence one lag at a time, as an oracle for the
 recursive decomposition components. dense_johansen /
 dense_init_ciaar run Johansen's reduced-rank regression and the CIAAR start
@@ -25,7 +27,7 @@ import numpy as np
 
 from indexvar.estimators import _converged, _index_start, _qr_normalize, _solve_rrr_eig
 from indexvar.params import CIAARParams
-from indexvar.tscore import fix_signs, gaussian_loglik, ols
+from indexvar.tscore import companion_matrix, fix_signs, gaussian_loglik, ols
 
 
 def diag_selection_matrix(n: int) -> np.ndarray:
@@ -145,9 +147,10 @@ def row_level_simulate(params, eps):
 
 def step_recursion(phis, init, drive, ec=None, level=None):
     """tscore.var_recursion one row per step: x_t = sum_j Phi_j x_{t-j} + drive_t
-    from the p pre-sample rows init; with the n x n matrix ec = alpha0 beta'
-    (var_recursion takes the pair), x_t gains ec y_{t-1} and cumulates into
-    y_t = y_{t-1} + x_t from y_{-1} = level, returning (x, y).
+    from the p pre-sample rows init; with the n x n matrix ec = alpha0 beta',
+    x_t gains ec y_{t-1} and cumulates into y_t = y_{t-1} + x_t from
+    y_{-1} = level, returning (x, y), which the error-correction state form
+    (VECMParams(alpha0, beta, phis, sigma).state_form().run) gives.
 
     The error-correction form runs in np.longdouble (80-bit extended on
     x86-64, eps 1.1e-19) and returns float64: its levels-form rounding
@@ -171,6 +174,16 @@ def step_recursion(phis, init, drive, ec=None, level=None):
             x += ec @ y
             y = np.add(y, x, out=ys[t])
     return buf[p:] if ec is None else (buf[p:].astype(float), ys.astype(float))
+
+
+def levels_i1_classification(params) -> bool:
+    """I(1) validity by the levels companion of params.var_coeffs(): every
+    root within 1e-6 of 1 counts as a unit root, and the parameters pass when
+    there are exactly n - r of them and every other root lies below
+    1 - 1e-8 in modulus."""
+    eigs = np.linalg.eigvals(companion_matrix(params.var_coeffs()))
+    unit = np.abs(eigs - 1.0) < 1e-6
+    return int(unit.sum()) == params.n - params.r and not np.any(np.abs(eigs[~unit]) >= 1.0 - 1e-8)
 
 
 def wold_convolution(psis, shocks):

@@ -269,6 +269,17 @@ class TestFitIaar:
         with pytest.raises(ValueError):
             fit_iaar(Y, 1, 2, 1)
 
+    def test_index_without_lag_rejected(self):
+        # s = 0 leaves omega in no term: only the diagonal model q = 0 may take it
+        Y = simulate_iaar(random_iaar_params(4, 2, 2, 1, seed=0), 300, seed=1)
+        with pytest.raises(ValueError, match="s = 0 with q = 0"):
+            fit_iaar(Y, 2, 0, 1)
+        with pytest.raises(ValueError, match="s = 0 with q = 0"):
+            next(fit_many("iaar", [Y, Y], p=2, s=0, q=2))
+        fit = fit_iaar(Y, 2, 0, 0)
+        assert fit.params.n_free_params() == 2 * 4
+        assert np.isfinite(fit.loglik)
+
 
 class TestFitCiaar:
     def test_all_rank_variants_converge_monotonically(self):

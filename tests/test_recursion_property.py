@@ -4,11 +4,12 @@ tscore.var_recursion advances L rows per Python step through the companion
 powers and the block Toeplitz matrix of the Wold coefficients. Drawn here:
 stationary VARs with n 1-20 and p 0-4, T 1-400, vector and n x k drives, a
 nonzero pre-sample, the error-correction path with a level, and either the
-block length the kernel chooses or a forced one. The error-correction path
-runs as the VAR of (x_t, beta'y_t) and is checked against the oracle's
-levels form with ec = alpha beta', which runs in extended precision: one
-rank-one draw alpha = -0.1 u/|u|, beta = u/|u|, and random n x r factors,
-r 0-3, whose state companion has spectral radius below RADIUS_CAP.
+block length the kernel chooses or a forced one. The error-correction
+draws run through the state form of VECMParams(alpha, beta, phis, I), the
+VAR of (x_t, beta'y_t), and are checked against the oracle's levels form
+with ec = alpha beta', which runs in extended precision: one rank-one draw
+alpha = -0.1 u/|u|, beta = u/|u|, and random n x r factors, r 0-3, whose
+state companion has spectral radius below RADIUS_CAP.
 """
 
 from unittest import mock
@@ -20,6 +21,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from indexvar import tscore
+from indexvar.params import VECMParams
 from indexvar.tscore import companion_spectral_radius, var_recursion
 from rowlevel import step_recursion
 
@@ -82,14 +84,17 @@ def test_blocked_recursion_equals_the_row_by_row_oracle(drawn):
     if "ec" in case:
         alpha, beta = case["ec"]
         ref = step_recursion(**{**case, "ec": alpha @ beta.T})
+        form = VECMParams(alpha, beta, case["phis"], np.eye(len(alpha))).state_form()
+        run = lambda: form.run(case["drive"], case["init"], case["level"])  # noqa: E731
     else:
         ref = step_recursion(**case)
+        run = lambda: var_recursion(**case)  # noqa: E731
     if L is None:
-        got = var_recursion(**case)
+        got = run()
     else:
         # L for the outer call; the shorter calls that build C and Psi take one row a step
         with mock.patch.object(tscore, "_block_length", lambda n, p, k, T: L if T > L else 1):
-            got = var_recursion(**case)
+            got = run()
     for g, r in zip(got, ref) if "ec" in case else [(got, ref)]:
         assert g.shape == r.shape
         assert np.abs(g - r).max(initial=0.0) <= 1e-12 * np.abs(r).max(initial=1e-300)
