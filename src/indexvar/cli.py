@@ -323,7 +323,7 @@ def _mc_one(args):
             else float("nan")
         )
         return rep, fit.loglik, fit.iterations, int(fit.converged), dist, ""
-    except Exception as exc:
+    except (ValueError, np.linalg.LinAlgError) as exc:   # a failed fit, not a bug
         return rep, float("nan"), 0, 0, float("nan"), f"{type(exc).__name__}: {exc}"
 
 

@@ -8,7 +8,9 @@ operator, Vec(ABC) = (C' kron A)Vec(B), and solves the normal equations of
 the resulting sigma^-1-weighted regression for (delta, Vec(omega')), which
 only need the n x n cross-products of the data. The explicit row-level
 Vec/Kronecker design, with its binary n^2 x n diagonal selection matrix, is
-kept in tests/rowlevel.py as an independent oracle.
+kept in tests/rowlevel.py as an independent oracle. A fit's params.sigma is
+the engine's step-1 covariance at the final parameters, the one its
+log-likelihood is evaluated at.
 """
 
 from __future__ import annotations
@@ -86,7 +88,7 @@ class FitResult:
     t_start is the row index (in the input panel) of the first regression
     target, so residual row i corresponds to panel row t_start + i. means
     holds the offsets subtracted before fitting ("level", and "diff" for
-    error-correction fits).
+    error-correction fits). loglik == gaussian_loglik(params.sigma, T_eff).
     """
 
     model: str
@@ -328,8 +330,9 @@ def _sa_engine(
     its D0 holds nd_i vectors, its gamma0 r_i columns, and its missing lags
     and rank are masked (_member_masks).
 
-    Returns each member's final state in order, or the exception that ended
-    its fit. A state's diagnostics["stop"] says why its sweeps ended: "tol"
+    Returns each member's final state in order (its final parameters, and
+    sigma, step 1's covariance at them), or the exception that ended its
+    fit. A state's diagnostics["stop"] says why its sweeps ended: "tol"
     (converged), "max_iter" (the sweep cap, not converged), or
     "no_free_params" (nothing beyond the loadings to estimate, so one OLS
     step is the fit); diagnostics["sigma_cond"] is its final sigma's least
@@ -457,6 +460,7 @@ def _sa_engine(
                 "alpha0": st["alpha0"][row, :, :r_m].copy(),
                 "alphas": list(st["alphas"][row, :na_m].copy()),
                 "ds": list(st["ds"][row, :nd_m].copy()),
+                "sigma": st["sigma"][row].copy(),
                 "trace": np.asarray(trace),
                 "converged": stop != "max_iter",
                 "iterations": it,
@@ -763,7 +767,7 @@ def _lockstep(make_setup, panels: list, opts: FitOptions | None, starts: list | 
 
 
 def _finish(setup: _Setup, state: dict) -> FitResult:
-    """One dense pass for the residuals at a member's final parameters."""
+    """A member's residuals by one dense pass; its parameters and sigma are the engine's."""
     omega, resid = state["omega"], setup.Z.copy()
     for d, X in zip(state["ds"], setup.diag_X):
         resid -= X * d
@@ -771,7 +775,6 @@ def _finish(setup: _Setup, state: dict) -> FitResult:
         resid -= (setup.ec_X @ (omega @ state["gamma"])) @ state["alpha0"].T
     for X, a in zip(setup.index_X, state["alphas"]):
         resid -= (X @ omega) @ a.T
-    state["sigma"] = resid.T @ resid / resid.shape[0]
     return FitResult(
         setup.model, setup.params(state), state["trace"], resid, state["converged"],
         state["iterations"], setup.first, means=setup.means, diagnostics=state["diagnostics"],
@@ -796,8 +799,8 @@ def fit_many(
     switching runs before this returns, and each fit's residuals are formed
     as it is consumed. A panel whose fit fails does not stop the others:
     the iterator raises that fit's exception in its turn and goes on.
-    Raises ValueError when the panels differ in length, width or first
-    usable row.
+    The diagonal IAAR (q = 0) runs the engine too. Raises ValueError when
+    the panels differ in length, width or first usable row.
     """
     panels = list(panels)
     if model not in _SETUPS:
@@ -806,8 +809,6 @@ def fit_many(
         raise ValueError("no panels to fit")
     if len({(Y.T, Y.n, Y.t0) for Y in panels}) > 1:
         raise ValueError("fit_many needs panels of equal length, width and t0")
-    if model == "iaar" and orders.get("q") == 0:    # equation-wise OLS, nothing to switch
-        return map(partial(fit_iaar, opts=opts, demean=demean, t_start=t_start, **orders), panels)
     make_setup = partial(_SETUPS[model], demean=demean, t_start=t_start, **orders)
     return _lockstep(make_setup, panels, opts)
 
@@ -924,7 +925,7 @@ def _setup_iaar(
     first = max(Y.t0 + p, t_start if t_start is not None else 0)
     Z = values[first:]
     diag_X = [values[first - j: Y.T - j] for j in range(1, p + 1)]
-    index_X = diag_X[:s]
+    index_X = diag_X[:s] if q else []                  # omega is n x 0: no index channel
     _check_sample(Z.shape[0], n * p)
     return _Setup(
         "iaar", Z, diag_X, index_X, None, q, 0, first, dict(means),
@@ -945,34 +946,12 @@ def fit_iaar(
     """Switching-algorithm fit of the index-augmented autoregression.
 
     Runs the same machinery as the cointegrated model with no
-    error-correction term, on levels. q = 0 drops the index channel and the
-    system decouples into n own-lag autoregressions, estimated by
-    equation-wise OLS.
+    error-correction term, on levels. q = 0 drops the index channel: the
+    diagonal VAR, whose equations share sigma but not regressors, so its ML
+    alternates sigma with the GLS solve for the diagonals, not equation-wise OLS.
     """
     make_setup = partial(_setup_iaar, p=p, s=s, q=q, demean=demean, t_start=t_start)
-    if q == 0:
-        return _fit_diagonal_var(make_setup(Y))
     return next(_lockstep(make_setup, [Y], opts))
-
-
-def _fit_diagonal_var(setup: _Setup) -> FitResult:
-    """Equation-wise OLS for the q = 0 case: n independent own-lag ARs."""
-    Z, diag_X = setup.Z, setup.diag_X
-    Te, n = Z.shape
-    ds = [np.zeros(n) for _ in diag_X]
-    resid = np.empty_like(Z)
-    for i in range(n):
-        Xi = np.column_stack([X[:, i] for X in diag_X])
-        coef = ols(Xi, Z[:, i: i + 1]).coeffs.ravel()
-        for j, c in enumerate(coef):
-            ds[j][i] = c
-        resid[:, i] = Z[:, i] - Xi @ coef
-    sigma = resid.T @ resid / Te
-    ll = gaussian_loglik(sigma, Te)
-    params = IAARParams(ds, [], np.zeros((n, 0)), sigma)
-    return FitResult(
-        "iaar", params, np.asarray([ll]), resid, True, 1, setup.first, means=setup.means,
-    )
 
 
 def _svd_truncate(stack: np.ndarray, q: int):
@@ -1328,10 +1307,11 @@ def _fit_grid(
     _run_group over the groups' engine inputs: the builtin map, or a
     process pool's map. The engine runs before this returns; the result is
     an iterator over the candidates in order, giving each one's FitResult
-    (its residuals formed as it is consumed, from its own copy of a shared
-    state) or the exception its single fit raises.
+    (its residuals formed as it is consumed, from its setup and its own copy
+    of a shared state) or the exception its single fit raises.
     """
     outcomes = [None] * len(candidates)               # exception or engine state
+    setups = [None] * len(candidates)                  # views of one demeaned copy
     regressions = {}                                   # (max(p, s), r) -> estimates or exception
     data = _demeaned(Y, True, differences=model == "ciaar")
 
@@ -1341,7 +1321,7 @@ def _fit_grid(
     for i, orders in enumerate(candidates):
         p, s, q, r = orders
         try:
-            setup = _grid_setup(model, Y, orders, t_start, data)
+            setups[i] = setup = _grid_setup(model, Y, orders, t_start, data)
             shape = (len(setup.diag_X), len(setup.index_X), r)
             if (setup.q, shape) in fitted:
                 shared[i] = fitted[setup.q, shape]
@@ -1371,7 +1351,7 @@ def _fit_grid(
                 outcomes[i] = state
     for i, j in shared.items():
         outcomes[i] = copy.deepcopy(outcomes[j])
-    return _grid_fits(model, Y, candidates, t_start, outcomes, data)
+    return _grid_fits(setups, outcomes)
 
 
 def _group_task(full: _Grams, q: int, members: list, opts: FitOptions):
@@ -1386,14 +1366,14 @@ def _group_task(full: _Grams, q: int, members: list, opts: FitOptions):
     return _Grams(G, Gcc, g.nd, g.Te), q, r, starts, opts, shapes
 
 
-def _grid_fits(model: str, Y: Panel, candidates: list, t_start: int, outcomes: list, data):
-    """Each candidate's FitResult, from its engine state, or its exception."""
-    for orders, outcome in zip(candidates, outcomes):
+def _grid_fits(setups: list, outcomes: list):
+    """Each candidate's FitResult, from its setup and engine state, or its exception."""
+    for setup, outcome in zip(setups, outcomes):
         if isinstance(outcome, Exception):
             yield outcome
             continue
         try:
-            yield _finish(_grid_setup(model, Y, orders, t_start, data), outcome)
+            yield _finish(setup, outcome)
         except (ValueError, np.linalg.LinAlgError) as exc:
             yield exc
 

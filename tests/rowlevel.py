@@ -16,7 +16,8 @@ filters shocks with the Wold sequence one lag at a time, as an oracle for the
 recursive decomposition components. dense_johansen /
 dense_init_ciaar run Johansen's reduced-rank regression and the CIAAR start
 on the data matrices, with ols, and dense_ols_start the MAI / VHARI / IAAR
-start, as oracles for the library's moment-based solves. loop_evaluate
+start, as oracles for the library's moment-based solves, and diagonal_gls
+the GLS solve of the diagonal VAR, as the oracle for its ML fit. loop_evaluate
 scores forecast paths one step of one path at a time, as an oracle for
 forecast.evaluate's single reduction, and loop_lognormal_garch draws the
 log-normal GARCH shocks with their variance recursion one row per step, as
@@ -54,6 +55,18 @@ def vec_diag_block(X: np.ndarray, S: np.ndarray) -> np.ndarray:
     """Stacked rows of (X_t' kron S) M, the design block multiplying delta_j."""
     Te, n = X.shape
     return np.einsum("tk,ik->tik", X, S).reshape(Te * n, n)
+
+
+def diagonal_gls(Z, diag_X, sigma):
+    """GLS for the diagonal VAR z_t = sum_j diag(x_jt) d_j + e_t at sigma.
+
+    Each row block (X_t' kron S) M, with S = sigma^-1/2, is the whitened
+    design of one period; one lstsq on the stacked rows and the whitened
+    targets S z_t gives (d_1, .., d_p) concatenated.
+    """
+    S = sym_inv_sqrt(sigma)
+    design = np.hstack([vec_diag_block(X, S) for X in diag_X])
+    return np.linalg.lstsq(design, (Z @ S).ravel(), rcond=None)[0]
 
 
 def row_level_sa(Z, index_X, ec_X, omega0, gamma0, r, opts):

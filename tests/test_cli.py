@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from indexvar import cli
 from indexvar.cli import main
 from indexvar.tscore import read_panel_csv
 
@@ -138,6 +139,27 @@ class TestFitPipeline:
             "--T", 300, "--reps", 3, "--seed", 7, "--out", rerun,
         )
         assert (out / "mc_results.csv").read_bytes() == (rerun / "mc_results.csv").read_bytes()
+
+    MC_ARGS = ("montecarlo", "--model", "mai", "--n", 4, "--q", 1, "--p", 1,
+               "--T", 200, "--reps", 2, "--seed", 7)
+
+    def test_montecarlo_fails_on_a_programming_error(self, tmp_path, monkeypatch):
+        def broken(cfg, panels):
+            raise TypeError("not a fit failure")
+
+        monkeypatch.setattr(cli, "_fit_from_config", broken)
+        assert run_cli(*self.MC_ARGS, "--out", tmp_path / "mc") == 1
+
+    def test_montecarlo_records_a_failed_fit(self, tmp_path, monkeypatch):
+        def failing(cfg, panels):
+            raise np.linalg.LinAlgError("x")
+
+        monkeypatch.setattr(cli, "_fit_from_config", failing)
+        out = tmp_path / "mc"
+        assert run_cli(*self.MC_ARGS, "--out", out) == 0
+        rows = (out / "mc_results.csv").read_text().strip().splitlines()[1:]
+        assert len(rows) == 2
+        assert all(row.endswith(",LinAlgError: x") for row in rows)
 
     def test_montecarlo_worker_pool_matches_serial(self, tmp_path):
         written = []

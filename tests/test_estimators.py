@@ -54,6 +54,7 @@ from indexvar.tscore import (
     Panel,
     SingularDesignError,
     check_rank,
+    gaussian_loglik,
     har_aggregates,
     ols,
     subspace_distance,
@@ -63,6 +64,7 @@ from rowlevel import (
     ciaar_inputs,
     dense_ols_start,
     diag_selection_matrix,
+    diagonal_gls,
     row_level_sa,
     sym_inv_sqrt,
     vec_diag_block,
@@ -236,16 +238,41 @@ class TestFitVhari:
 
 
 class TestFitIaar:
-    def test_q0_matches_per_series_ar(self):
+    def test_q0_is_the_gls_solution_at_its_own_sigma(self):
+        # the diagonal VAR's equations share sigma but not regressors, so its
+        # ML is the GLS fixed point, not equation-wise OLS
         ip = random_iaar_params(4, 1, 2, 1, seed=0)
         Y = simulate_iaar(ip, 600, seed=1)
-        fit = fit_iaar(Y, 2, 0, 0)
+        # sweep until the log-likelihood stops moving in floating point, which
+        # leaves the diagonals at the fixed point to about sqrt(eps)
+        fit = fit_iaar(Y, 2, 0, 0, opts=FitOptions(tol=1e-300))
         Z = Y.values - Y.values.mean(axis=0)
-        for i in range(4):
-            X = np.column_stack([Z[1:-1, i], Z[:-2, i]])
-            coef = ols(X, Z[2:, i: i + 1]).coeffs.ravel()
-            assert abs(fit.params.ds[0][i] - coef[0]) < 1e-10
-            assert abs(fit.params.ds[1][i] - coef[1]) < 1e-10
+        target, lags = Z[2:], [Z[1:-1], Z[:-2]]
+        ds = diagonal_gls(target, lags, fit.params.sigma)
+        assert np.abs(np.concatenate(fit.params.ds) - ds).max() <= 1e-8 * np.abs(ds).max()
+        sigma = fit.residuals.T @ fit.residuals / fit.T_eff
+        assert np.abs(fit.params.sigma - sigma).max() <= 1e-12
+        # the equation-wise OLS reference is dominated
+        resid = np.column_stack([
+            ols(np.column_stack([X[:, i] for X in lags]), target[:, i: i + 1]).residuals[:, 0]
+            for i in range(4)
+        ])
+        assert fit.loglik >= gaussian_loglik(resid.T @ resid / len(resid), len(resid))
+
+    def test_q0_runs_the_engine_alone_or_in_a_batch(self, monkeypatch):
+        dgp = random_iaar_params(5, 2, 2, 1, seed=0)
+        panels = [simulate_iaar(dgp, 300, seed=seed) for seed in range(3)]
+        runs, engine = [], estimators._sa_engine
+        monkeypatch.setattr(
+            estimators, "_sa_engine", lambda *args: runs.append(1) or engine(*args))
+        singles = [fit_iaar(Y, 2, 0, 0) for Y in panels]
+        assert len(runs) == len(panels)
+        for got, ref in zip(fit_many("iaar", panels, p=2, s=0, q=0), singles):
+            assert got.iterations == ref.iterations
+            assert got.diagnostics == ref.diagnostics
+            assert np.array_equal(got.loglik_trace, ref.loglik_trace)
+            assert np.array_equal(got.params.sigma, ref.params.sigma)
+            assert np.array_equal(got.residuals, ref.residuals)
 
     def test_recovery_of_diagonals(self):
         ip = random_iaar_params(6, 1, 2, 2, seed=2, diag=0.35)
@@ -1026,7 +1053,7 @@ class TestMonotonicityFuzz:
     def test_random_configurations_stay_monotone(self):
         # misspecified orders and skewed heteroskedastic shocks included:
         # every conditional-maximization sweep must still be monotone and
-        # the reported sigma must match the residuals
+        # the reported sigma must match the residuals and the log-likelihood
         rng = np.random.default_rng(99)
         opts = FitOptions(max_iter=150)
         checked = 0
@@ -1056,6 +1083,8 @@ class TestMonotonicityFuzz:
             assert monotone(fit.loglik_trace), f"trial {trial}"
             gap = np.abs(fit.params.sigma - fit.residuals.T @ fit.residuals / fit.T_eff).max()
             assert gap < 1e-10, f"trial {trial}"
+            # one sigma: the reported covariance is the reported likelihood's
+            assert fit.loglik == gaussian_loglik(fit.params.sigma, fit.T_eff), f"trial {trial}"
         assert checked >= 25
 
 

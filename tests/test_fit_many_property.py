@@ -1,4 +1,5 @@
-"""Property test: one lockstep fit_many run equals the fits panel by panel."""
+"""Property test: one lockstep fit_many run equals the fits panel by panel,
+and every member reports the sigma of its log-likelihood."""
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from indexvar.simulate import (
     simulate_ciaar,
     simulate_mai,
 )
+from indexvar.tscore import gaussian_loglik
 
 N = 4
 CIAAR_DGP = random_ciaar_params(N, 2, 1, 2, 2, seed=0)
@@ -22,8 +24,9 @@ OPTS = FitOptions(max_iter=40)
 
 @st.composite
 def cases(draw):
-    """A model, its orders and 2 to 4 short panels of one length."""
-    model = draw(st.sampled_from(["ciaar", "vecim", "mai", "iaar"]))
+    """A model, its orders and 2 to 4 short panels of one length; "diagonal"
+    is the IAAR with q = 0."""
+    model = draw(st.sampled_from(["ciaar", "vecim", "mai", "iaar", "diagonal"]))
     q = draw(st.integers(1, 2))
     if model == "ciaar":
         p = draw(st.integers(0, 2))
@@ -35,7 +38,8 @@ def cases(draw):
         orders = dict(p=draw(st.integers(1, 2)), q=q)
     else:
         p = draw(st.integers(1, 2))
-        orders = dict(p=p, s=draw(st.integers(0, p)), q=draw(st.integers(0, 2)))
+        orders = dict(p=p, s=draw(st.integers(0, p)), q=q if model == "iaar" else 0)
+        model = "iaar"
     T = draw(st.integers(60, 150))
     seeds = draw(st.lists(st.integers(0, 2**31), min_size=2, max_size=4))
     ec = model in ("ciaar", "vecim")
@@ -65,3 +69,4 @@ def test_fit_many_equals_per_panel_fits(case):
         gap = np.abs(got.loglik_trace - ref.loglik_trace).max()
         assert gap <= 1e-10 * np.abs(ref.loglik_trace).max()
         assert np.abs(got.residuals - ref.residuals).max() <= 1e-10 * np.abs(ref.residuals).max()
+        assert got.loglik == gaussian_loglik(got.params.sigma, got.T_eff)

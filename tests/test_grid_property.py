@@ -2,7 +2,8 @@
 
 The grid fits its distinct engine orders as lockstep q groups padded to each
 group's largest lags and rank; every row must still match the candidate's own
-fit at the grid's t_start, the grid must solve one start regression per lag
+fit at the grid's t_start and report the sigma of its log-likelihood, the
+grid must solve one start regression per lag
 count and rank, and its CIAAR starts must equal init_ciaar's at the engine
 orders, one per distinct fit (a CIAAR order with s = 1 runs as (p, 1, r, r)).
 """
@@ -13,9 +14,10 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from indexvar import estimators
+from indexvar import estimators, select
 from indexvar.estimators import FitOptions, fit_ciaar, fit_iaar, fit_mai, init_ciaar
 from indexvar.select import _candidate_grid, grid_search, info_criterion
+from indexvar.tscore import gaussian_loglik
 from indexvar.simulate import (
     random_ciaar_params,
     random_mai_params,
@@ -52,10 +54,12 @@ def single_fit(model, Y, orders, t_start):
 
 def traced_grid_search(Y, p_range, q_range, model):
     """grid_search, with the (block count, r) of each start regression it
-    solves (Johansen's or the OLS VAR's) and the starts of each group's
-    members, keyed by q and the member's rank."""
-    regression_calls, group_starts = [], {}
+    solves (Johansen's or the OLS VAR's), the starts of each group's
+    members, keyed by q and the member's rank, and the row outcomes (a
+    FitResult or an exception)."""
+    regression_calls, group_starts, outcomes = [], {}, []
     start_regression, run_group = estimators._start_regression, estimators._run_group
+    fit_grid = select._fit_grid
 
     def counted(setup, opts, G, Te):
         regression_calls.append((G.shape[1], setup.r))
@@ -67,12 +71,19 @@ def traced_grid_search(Y, p_range, q_range, model):
             group_starts.setdefault((q, r), []).append(start)
         return run_group(task)
 
+    def kept(*args):
+        for outcome in fit_grid(*args):
+            outcomes.append(outcome)
+            yield outcome
+
     estimators._start_regression, estimators._run_group = counted, recorded
+    select._fit_grid = kept
     try:
         table = grid_search(Y, p_range, q_range, opts=OPTS, model=model)
     finally:
         estimators._start_regression, estimators._run_group = start_regression, run_group
-    return table, regression_calls, group_starts
+        select._fit_grid = fit_grid
+    return table, regression_calls, group_starts, outcomes
 
 
 def assert_same_start(got, ref):
@@ -88,12 +99,16 @@ def test_grid_rows_equal_single_fits(case):
     combos = _candidate_grid(model, p_range, q_range, N)
     t_start = Y.t0 + max(max(p, s) for p, s, _, _ in combos)
     try:
-        table, regression_calls, group_starts = traced_grid_search(Y, p_range, q_range, model)
+        table, regression_calls, group_starts, outcomes = traced_grid_search(
+            Y, p_range, q_range, model)
     except ValueError as exc:
         assert "all candidate fits failed" in str(exc)
         return
     assert [row.orders() for row in table.rows] == combos
-    for row in table.rows:
+    assert len(outcomes) == len(combos)
+    for row, fit in zip(table.rows, outcomes):
+        if not isinstance(fit, Exception):
+            assert fit.loglik == gaussian_loglik(fit.params.sigma, fit.T_eff)
         try:
             ref = single_fit(model, Y, row.orders(), t_start)
         except (ValueError, np.linalg.LinAlgError) as exc:
