@@ -29,6 +29,7 @@ __all__ = ["RunConfig", "run", "main"]
 
 MODELS = ("mai", "vhari", "iaar", "ciaar", "vecim", "vecm", "drvar")
 SIM_MODELS = ("mai", "vhari", "iaar", "ciaar", "drvar")
+SELECT_MODELS = ("ciaar", "iaar", "mai")
 
 
 @dataclass
@@ -66,6 +67,8 @@ class RunConfig:
     def validate(self) -> None:
         if self.subcommand == "select":
             self.model = self.model or "ciaar"
+            if self.model not in SELECT_MODELS:
+                raise ValueError(f"select searches {', '.join(SELECT_MODELS)}, not {self.model!r}")
         if self.subcommand in ("fit", "decompose", "forecast"):
             if self.model not in MODELS:
                 raise ValueError(f"missing or unknown model {self.model!r}")
@@ -211,16 +214,6 @@ def _cmd_simulate(cfg: RunConfig, outdir) -> None:
         fh.write("\n")
 
 
-# the orders each switching-engine model's fitter takes, by RunConfig field
-_ENGINE_ORDERS = {
-    "mai": ("p", "q"),
-    "vhari": ("q",),
-    "iaar": ("p", "s", "q"),
-    "ciaar": ("p", "s", "q", "r"),
-    "vecim": ("p", "q", "r"),
-}
-
-
 def _fit_from_config(cfg: RunConfig, panels: list):
     """The configured model's fits to equal-length panels, in order.
 
@@ -234,9 +227,9 @@ def _fit_from_config(cfg: RunConfig, panels: list):
         return [estimators.johansen_rrr(Y, cfg.p, cfg.r) for Y in panels]
     if m == "drvar":
         return [_fit_drvar(cfg, Y) for Y in panels]
-    if m not in _ENGINE_ORDERS:
+    if m not in estimators.ENGINE_ORDERS:
         raise ValueError(f"unknown model {m!r}")
-    orders = {k: getattr(cfg, k) for k in _ENGINE_ORDERS[m]}
+    orders = {k: getattr(cfg, k) for k in estimators.ENGINE_ORDERS[m]}
     if len(panels) == 1:
         return [getattr(estimators, f"fit_{m}")(panels[0], opts=opts, **orders)]
     return estimators.fit_many(m, panels, opts=opts, **orders)
@@ -283,10 +276,9 @@ def _cmd_decompose(cfg: RunConfig, outdir) -> None:
 
 def _cmd_select(cfg: RunConfig, outdir) -> None:
     Y = read_panel_csv(cfg.input)
-    model = cfg.model if cfg.model in ("ciaar", "iaar", "mai") else "ciaar"
     table = grid_search(
         Y, (cfg.p_min, cfg.p_max), (cfg.q_min, cfg.q_max),
-        kind=cfg.criterion, opts=cfg.fit_options(), model=model, workers=cfg.workers,
+        kind=cfg.criterion, opts=cfg.fit_options(), model=cfg.model, workers=cfg.workers,
     )
     table.to_csv(outdir / "ic_table.csv")
     with open(outdir / "ic_table.csv", "a") as fh:
@@ -461,7 +453,7 @@ def _parser() -> argparse.ArgumentParser:
     p = sub.add_parser("select", help="information-criterion grid search")
     _add_common(p)
     p.add_argument("--input", default=None)
-    p.add_argument("--model", default=None, choices=("ciaar", "iaar", "mai"))
+    p.add_argument("--model", default=None, choices=SELECT_MODELS)
     for name in ("p-min", "p-max", "q-min", "q-max", "workers", "max-iter"):
         p.add_argument(f"--{name}", dest=name.replace("-", "_"), type=int, default=None)
     p.add_argument("--criterion", default=None, choices=("aic", "bic", "hq"))

@@ -18,6 +18,7 @@ from __future__ import annotations
 import copy
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import chain, starmap, zip_longest
 from typing import Callable
 
 import numpy as np
@@ -150,15 +151,16 @@ def _demean(values: np.ndarray, t0: int, demean: bool):
 
 
 def _demeaned(Y: Panel, demean: bool, differences: bool = False):
-    """(levels, diffs, means): Y's levels and, with differences, its first
-    differences, each demeaned over its usable rows when demean. A model's
-    setups slice their data from these, so the setups of one panel (a
-    selection grid's candidates) can share them."""
+    """(levels, diffs, means, memo): Y's levels and, with differences, its
+    first differences, each demeaned over its usable rows when demean, and
+    an empty memo of their grams (_memo_grams). A model's setups slice their
+    data from these, so the setups of one panel (a selection grid's
+    candidates) share them and the grams of equal rows and lags."""
     levels, mu = _demean(Y.values, Y.t0, demean)
     if not differences:
-        return levels, None, {"level": mu}
+        return levels, None, {"level": mu}, {}
     diffs, mu_diff = _demean(np.diff(Y.values, axis=0), max(Y.t0 - 1, 0), demean)
-    return levels, diffs, {"level": mu, "diff": mu_diff}
+    return levels, diffs, {"level": mu, "diff": mu_diff}, {}
 
 
 # ---------------------------------------------------------------------------
@@ -190,23 +192,19 @@ def _demeaned(Y: Panel, demean: bool, differences: bool = False):
 # it is rerun member by member, and a member that raises on its own (a
 # rank-deficient step, step-2 or step-3 normal equations or a covariance that
 # are not positive definite) leaves the batch carrying the exception its
-# single fit would raise, while the others go on. Only the grams are
-# stacked: each panel's data matrices are built, reduced to their grams and
-# dropped, and built again for the final residual pass as its fit is
-# consumed.
+# single fit would raise, while the others go on.
 #
-# Members may also differ in their lags and cointegration rank. The
-# selection grid runs all the (p, s, r) candidates of one q as one batch at
-# the group's largest (nd, na, r), over one gram set at the grid's largest
-# lags (every candidate shares the grid's first target row). A member's
-# grams of the lags it lacks are zeroed, and its inactive delta, loading and
-# step-3 index-lag coordinates are pinned: their rows and columns in steps
-# 1-3 become a diagonal with a zero right-hand side, so they solve to zero
-# and leave the member's own block, its rank checks and its eigenvalue
-# cut-offs as in its single fit. A member of rank r_i keeps gamma's columns
-# at or beyond r_i zero, so its step-1 weights there vanish and its alpha0
-# coordinates there are pinned; only members with 0 < r_i < q take step 3.
-# A batch of equal members carries no masks and pays nothing for them.
+# Members may also differ in their lags and cointegration rank, as a
+# selection grid's candidates of one q do. Each member's own grams are then
+# zero-padded to the batch's largest (nd, na, r) (_engine_grams), and its
+# inactive delta, loading and step-3 index-lag coordinates are pinned: their
+# rows and columns in steps 1-3 become a diagonal with a zero right-hand
+# side, so they solve to zero and leave the member's own block, its rank
+# checks and its eigenvalue cut-offs as in its single fit. A member of rank
+# r_i keeps gamma's columns at or beyond r_i zero, so its step-1 weights
+# there vanish and its alpha0 coordinates there are pinned; only members
+# with 0 < r_i < q take step 3. A batch of equal members carries no masks
+# and pays nothing for them.
 # Every member of a batch that estimates omega has an omega channel: a CIAAR
 # order with no index lag runs as its identified equivalent (_setup_ciaar),
 # so a well-posed fit's step-2 system is positive definite and no step needs
@@ -219,9 +217,10 @@ class _Setup:
 
     diag_X and index_X are prefixes of one list of lags. start(full, opts)
     checks the data of the default start and returns the grams to solve it
-    from (_default_starts): full, this setup's grams(), whenever the rows
-    agree. q is the engine's index count, which a CIAAR order with no index
-    lag sets to r (_setup_ciaar). params(out) builds the model parameters.
+    from: full, this setup's grams(), whenever the rows agree. q is the
+    engine's index count, which a CIAAR order with no index lag sets to r
+    (_setup_ciaar). params(out) builds the model parameters, and memo is
+    the gram memo of the data the setup slices (_memo_grams).
     """
 
     model: str
@@ -235,10 +234,16 @@ class _Setup:
     means: dict
     start: Callable
     params: Callable
+    memo: dict
 
     def grams(self) -> "_Grams":
         """The grams of [Z | lags | ec_X], every block the engine or Johansen reads."""
-        return _Grams.of(self.Z, max(self.diag_X, self.index_X, key=len), self.ec_X, [])
+        return _memo_grams(self.memo, self.Z, max(self.diag_X, self.index_X, key=len), self.ec_X)
+
+    @property
+    def shape(self) -> tuple:
+        """(nd, na, r): the engine's diagonal and index lag counts and rank."""
+        return len(self.diag_X), len(self.index_X), self.r
 
 
 @dataclass
@@ -288,11 +293,25 @@ class _Grams:
         return self.G.shape[-1]
 
 
-def _engine_grams(full: _Grams, nd: int, na: int, r: int) -> _Grams:
-    """The engine's grams from those of [Z | lags | ec_X] (_Setup.grams): the first
-    nd lags as diagonal channels, then ec_X (if r > 0) and the first na lags."""
-    blocks = list(range(1 + nd)) + ([1 + full.nd] if r > 0 else []) + list(range(1, 1 + na))
-    return _Grams.blocks(full.G[:, blocks][:, :, blocks], nd, full.Te)
+def _memo_grams(memo: dict, Z, lags: list, ec_X) -> _Grams:
+    """_Grams.of(Z, lags, ec_X, []), formed once per memo and count of rows and lags."""
+    key = Z.shape[0], len(lags), ec_X is not None
+    if key not in memo:
+        memo[key] = _Grams.of(Z, lags, ec_X, [])
+    return memo[key]
+
+
+def _engine_grams(full: _Grams, shape: tuple, size: tuple, out: np.ndarray) -> None:
+    """Write the engine's gram blocks of a member of shape (nd_i, na_i, r_i)
+    into out, its zeroed (k, k, n, n) slot in a batch of size (nd, na, r),
+    from its grams of [Z | lags | ec_X]: the target, nd_i diagonal lags,
+    ec_X (if r > 0) and na_i index lags, each lag channel padded with zeros
+    to the batch's count."""
+    (nd_i, na_i, _), (nd, na, r) = shape, size
+    ec = [1 + full.nd] if r > 0 else []
+    src = [*range(1 + nd_i), *ec, *range(1, 1 + na_i)]
+    dst = np.array([*range(1 + nd_i), *range(1 + nd, 1 + nd + len(ec) + na_i)])
+    out[dst[:, None], dst] = full.G[0][src][:, src]
 
 
 def _target_grams(g: _Grams, ds: np.ndarray):
@@ -319,16 +338,16 @@ def _sa_engine(
     """Run the switching algorithm in lockstep on a batch of prepared fits.
 
     Member i has the grams grams.G[i] and starts from
-    starts[i] = (gamma0, omega0, D0), the order init_ciaar returns, or
-    the exception its start raised, which becomes its final state. The
+    starts[i] = (gamma0, omega0, D0), the order init_ciaar returns. The
     diagonal channels feed the matrices D_j, the index channels the loadings
     alpha_j omega', and the EC channel (levels, present when r > 0) the
     error-correction term alpha0 gamma' omega'. gamma is fixed to I_q when
     r == q and estimated by the reduced-rank eigenstep when 0 < r < q.
     shapes[i] = (nd_i, na_i, r_i), when given, is member i's own count of
     diagonal and index lags and its rank, at most the batch's (nd, na, r);
-    its D0 holds nd_i vectors, its gamma0 r_i columns, and its missing lags
-    and rank are masked (_member_masks).
+    its D0 holds nd_i vectors, its gamma0 r_i columns, its grams of the lags
+    it lacks are zero (_engine_grams), and its missing lags and rank are
+    pinned (_member_masks).
 
     Returns each member's final state in order (its final parameters, and
     sigma, step 1's covariance at them), or the exception that ended its
@@ -345,8 +364,6 @@ def _sa_engine(
     finals = [None] * len(starts)
     for m, ((nd_m, na_m, r_m), start) in enumerate(zip(shapes, starts)):
         try:
-            if isinstance(start, Exception):
-                raise start
             _check_sample(Te, r_m + na_m * q + nd_m)
             if len(start[2]) != nd_m:
                 raise ValueError(f"{len(start[2])} diagonal starting values for {nd_m} lags")
@@ -374,8 +391,7 @@ def _sa_engine(
         "alphas": np.zeros((len(members), na, n, q)),
     }
     if any(shapes[m] != (nd, na, r) for m in members):
-        st["grams"], masks = _member_masks(st["grams"], [shapes[m] for m in members], q, r)
-        st.update(masks)
+        st.update(_member_masks([shapes[m] for m in members], n, q, (nd, na, r)))
     st["UU"], st["GU"] = _target_grams(st["grams"], ds)   # refreshed whenever D moves
     traces = [[] for _ in starts]
     diagnostics = [{} for _ in starts]
@@ -510,28 +526,21 @@ def _each_member(phase, st: dict, members: list, finals: list):
     return out, {k: v[keep] for k, v in st.items()}, [members[row] for row in keep]
 
 
-def _member_masks(grams: _Grams, shapes: list, q: int, r: int):
-    """Mask each member's lags and rank beyond its own (nd_i, na_i, r_i) out
-    of a padded batch.
-
-    The member's grams of those lags are zeroed, so their coordinates
-    decouple from every step's normal equations with a zero right-hand
-    side, and _pin gives them a diagonal. Its alpha0 coordinates at or
-    beyond r_i are pinned too: their gamma columns, and so their step-1
-    weights, are zero. Returns the masked grams and the masks: pin1 over
-    step 1's (alpha0, alphas) coordinates, pin2 over step 2's (delta,
+def _member_masks(shapes: list, n: int, q: int, size: tuple) -> dict:
+    """Pin each member's lags and rank beyond its own (nd_i, na_i, r_i) in a
+    batch of size (nd, na, r): its grams of those lags are zero
+    (_engine_grams), so their coordinates decouple from every step's normal
+    equations with a zero right-hand side, and _pin gives them a diagonal.
+    Its alpha0 coordinates at or beyond r_i are pinned too: their gamma
+    columns, and so their step-1 weights, are zero. Returns pin1 over step
+    1's (alpha0, alphas) coordinates, pin2 over step 2's (delta,
     Vec(omega')), pin3 over step 3's index-lag coordinates, and rank (each
     r_i) when the members' ranks differ.
     """
-    n, nd = grams.n, grams.nd
-    na = grams.Gcc.shape[-1] // n - (r > 0)
-    B = len(shapes)
+    nd, na, r = size
     nd_i, na_i, r_i = (np.array(col)[:, None] for col in zip(*shapes))
     diag_off = np.arange(nd) >= nd_i                   # (B, nd) lags a member lacks
     index_off = np.arange(na) >= na_i                  # (B, na)
-    ec_on = np.zeros((B, int(r > 0)), bool)
-    on = ~np.concatenate([np.zeros((B, 1), bool), diag_off, ec_on, index_off], axis=1)
-    G = grams.G * (on[:, :, None] & on[:, None, :])[..., None, None]
     vec_omega = n * q if q > 0 and (na > 0 or r > 0) else 0    # step 2's free Vec(omega')
     masks = {
         "pin1": _pin_mask(
@@ -542,7 +551,7 @@ def _member_masks(grams: _Grams, shapes: list, q: int, r: int):
     }
     if (r_i != r).any():
         masks["rank"] = r_i[:, 0]
-    return _Grams.blocks(G, nd, grams.Te), masks
+    return masks
 
 
 def _pin_mask(pinned: np.ndarray) -> np.ndarray:
@@ -554,7 +563,7 @@ def _pin_mask(pinned: np.ndarray) -> np.ndarray:
 def _pin(A: np.ndarray, pin: np.ndarray | None) -> None:
     """Put a diagonal on each member's pinned coordinates of A, in place.
 
-    The pinned rows and columns of A are zero (their grams are masked), so
+    The pinned rows and columns of A are zero (their grams are zero), so
     the coordinates solve to their zero right-hand side. The diagonal is the
     mean of the member's free diagonal (1 when it has none), which lies
     between the free block's extreme eigenvalues, so rank checks and
@@ -644,7 +653,7 @@ def _step2_solve(grams, sinv, loadings, nd, q, estimate_omega, opts, pinned=None
     over c, and the omega right-hand side G_c0[i, k] (sinv a_c)[k, m] over
     (k, c). sinv is (B, n, n) and loadings (B, C, n, q); returns theta as
     (B, nd n + n q), or raises LinAlgError(STEP_ERROR) when a system is not
-    positive definite (_solve_pd). pinned marks the masked coordinates of
+    positive definite (_solve_pd). pinned marks the missing-lag coordinates of
     padded members (_member_masks).
     """
     n, G = grams.n, grams.G
@@ -685,7 +694,7 @@ def _rrr_gamma(Gcc, omega, UU, XU, Te: int, r: int, pinned=None) -> np.ndarray:
     with every vec channel weighted by omega hold the grams of [E | F], the
     target grams UU and XU (the vec channels' X_c'U) at the current D the
     rest. omega is (B, n, q); returns gamma (B, q, r); pinned marks padded
-    members' masked lags.
+    members' missing lags.
     """
     n, q = omega.shape[1:]
     M, v = _normal_blocks(Gcc, [omega] * XU.shape[1], XU)
@@ -728,42 +737,89 @@ def _solve_rrr_eig(S00, S01, S11):
 
 
 # ---------------------------------------------------------------------------
-# fitting many panels: preparation, one lockstep engine run, finishing
+# from setups to fits: default starts, lockstep engine groups, finishing
 # ---------------------------------------------------------------------------
 
 
-def _lockstep(make_setup, panels: list, opts: FitOptions | None, starts: list | None = None):
-    """Fit every panel in one lockstep engine run; returns an iterator of FitResults.
+def _engine_states(setups, opts: FitOptions, starts=(), map_groups=map) -> list:
+    """Each setup's final engine state, or the exception that ended its fit, in order.
 
-    make_setup(Y) validates a panel and builds its _Setup. starts[i]
-    overrides panel i's default starting values when it is not None; a
-    default start that fails is that panel's outcome, which the iterator
-    raises in its turn before it goes on. The default starts are solved in
-    one batch, from the engine's grams unless t_start moves a CIAAR fit off
-    Johansen's rows. The engine runs before this returns. Each panel's setup
-    is dropped once its grams are formed and built again for its residual
-    pass as its fit is consumed; the last one is reused.
+    setups yields _Setups, or the exceptions building them raised;
+    starts[i], when not None, overrides setup i's default start. Only each
+    setup's grams and start are kept, so its data can go as the next one is
+    built. The default starts are solved in batches (_default_starts), and
+    one lockstep engine batch runs per engine q, padded to the group's
+    largest (nd, na, r) (_engine_grams), by map_groups: map or a pool's map.
     """
-    opts = opts or FitOptions()
-    grams, inits = [], []
-    for Y, start in zip(panels, starts or [None] * len(panels)):
-        setup = make_setup(Y)
+    outcomes, members = [], []                         # members: (index, q, shape, grams)
+    for setup, start in zip_longest(setups, starts):
+        if isinstance(setup, Exception):
+            outcomes.append(setup)
+            continue
         full = setup.grams()
-        grams.append(_engine_grams(full, len(setup.diag_X), len(setup.index_X), setup.r))
+        members.append((len(outcomes), setup.q, setup.shape, full))
         if start is None:
             try:
                 start = setup.start(full, opts)
             except (ValueError, np.linalg.LinAlgError) as exc:
                 start = exc
-        inits.append(start)
-    inits = _default_starts(inits, setup, opts)
-    states = _sa_engine(_Grams.stack(grams), setup.q, setup.r, inits, opts)
+        outcomes.append(start)
+    _default_starts(outcomes, members, opts)
+    groups = {}                                        # engine q -> [(index, shape, grams)]
+    for i, q, shape, full in members:
+        if not isinstance(outcomes[i], Exception):
+            groups.setdefault(q, []).append((i, shape, full))
 
-    def finish(i):
-        if isinstance(states[i], Exception):
-            raise states[i]
-        return _finish(setup if i == len(panels) - 1 else make_setup(panels[i]), states[i])
-    return map(finish, range(len(panels)))
+    def task(q, group):
+        shapes = [shape for _, shape, _ in group]
+        nd, na, r = size = tuple(map(max, zip(*shapes)))
+        k, n = 1 + nd + (r > 0) + na, group[0][2].n
+        G = np.zeros((len(group), k, k, n, n))
+        for out, (_, shape, full) in zip(G, group):
+            _engine_grams(full, shape, size, out)
+        starts = [outcomes[i] for i, _, _ in group]
+        return _Grams.blocks(G, nd, group[0][2].Te), q, r, starts, opts, shapes
+
+    for group, states in zip(groups.values(), map_groups(_run_group, starmap(task, groups.items()))):
+        for (i, _, _), state in zip(group, states):
+            outcomes[i] = state
+    return outcomes
+
+
+def _run_group(task: tuple) -> list:
+    """One engine group's run; a process-pool task."""
+    return _sa_engine(*task)
+
+
+def _finished(setups, outcomes):
+    """Each member's FitResult from its setup and engine state, or its exception."""
+    for setup, outcome in zip(setups, outcomes):
+        try:
+            yield outcome if isinstance(outcome, Exception) else _finish(setup, outcome)
+        except (ValueError, np.linalg.LinAlgError) as exc:
+            yield exc
+
+
+def _raised(outcome):
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
+
+
+def _lockstep(make_setup, panels: list, opts: FitOptions | None, starts: list | None = None):
+    """Fit every panel in one lockstep engine run; returns an iterator of FitResults.
+
+    make_setup(Y) validates a panel and builds its _Setup. The iterator
+    raises a failed fit's exception in its turn and goes on. Each setup is
+    built again for its residual pass but the last panel's, built first.
+    """
+    last = make_setup(panels[-1])
+
+    def setups():
+        return chain(map(make_setup, panels[:-1]), [last])
+
+    states = _engine_states(setups(), opts or FitOptions(), starts or ())
+    return map(_raised, _finished(setups(), states))
 
 
 def _finish(setup: _Setup, state: dict) -> FitResult:
@@ -826,7 +882,7 @@ def _setup_mai(
         raise ValueError(f"need 1 <= q <= n, got q={q}")
     if p < 1:
         raise ValueError("need p >= 1")
-    values, _, means = data or _demeaned(Y, demean)
+    values, _, means, memo = data or _demeaned(Y, demean)
     first = max(Y.t0 + p, t_start if t_start is not None else 0)
     if first + 1 >= Y.T:
         raise ValueError("sample too short for the requested lag order")
@@ -837,7 +893,7 @@ def _setup_mai(
     return _Setup(
         "mai", Z, [], lags, None, q, 0, first, dict(means),
         lambda full, opts: _start_grams(Z, lags, None, 0, full, opts.ridge),
-        lambda out: MAIParams(out["omega"], out["alphas"], out["sigma"]),
+        lambda out: MAIParams(out["omega"], out["alphas"], out["sigma"]), memo,
     )
 
 
@@ -885,7 +941,7 @@ def _setup_vhari(Yd: Panel, q: int, demean: bool = True, t_start: int | None = N
     return _Setup(
         "vhari", Z, [], X, None, q, 0, first, {"level": mu},
         lambda full, opts: _start_grams(Z, X, None, 0, full, opts.ridge),
-        lambda out: VHARIParams(out["omega"], *out["alphas"], out["sigma"]),
+        lambda out: VHARIParams(out["omega"], *out["alphas"], out["sigma"]), {},
     )
 
 
@@ -921,7 +977,7 @@ def _setup_iaar(
     if p < 1 or s > p or s < min(q, 1):
         # with no index lag omega enters no term, so only q = 0 may take s = 0
         raise ValueError(f"need 1 <= s <= p, or s = 0 with q = 0 (got p={p}, s={s}, q={q})")
-    values, _, means = data or _demeaned(Y, demean)
+    values, _, means, memo = data or _demeaned(Y, demean)
     first = max(Y.t0 + p, t_start if t_start is not None else 0)
     Z = values[first:]
     diag_X = [values[first - j: Y.T - j] for j in range(1, p + 1)]
@@ -930,7 +986,7 @@ def _setup_iaar(
     return _Setup(
         "iaar", Z, diag_X, index_X, None, q, 0, first, dict(means),
         lambda full, opts: _start_grams(Z, diag_X, None, 0, full, opts.ridge),
-        lambda out: IAARParams(out["ds"], out["alphas"], out["omega"], out["sigma"]),
+        lambda out: IAARParams(out["ds"], out["alphas"], out["omega"], out["sigma"]), memo,
     )
 
 
@@ -970,7 +1026,7 @@ def _svd_truncate(stack: np.ndarray, q: int):
 def _ec_data(Y: Panel, m: int, data: tuple, t_start: int | None = None):
     """dY_t, its m lags, Y_{t-1}, the first target row and the means of the
     EC regressions, sliced from data (Y's _demeaned, with differences)."""
-    levels, dvalues, means = data
+    levels, dvalues, means, _ = data
     first = max(Y.t0 + m + 1, t_start if t_start is not None else 0)
     lags = [dvalues[first - 1 - j: Y.T - 1 - j] for j in range(1, m + 1)]
     return dvalues[first - 1:], lags, levels[first - 1: Y.T - 1], first, dict(means)
@@ -1088,29 +1144,39 @@ def init_ciaar(
     return _index_start(jo, max(p - 1, 0), q)[0]
 
 
-def _default_starts(inits: list, setup: _Setup, opts: FitOptions) -> list:
-    """Replace each grams entry of inits (setup.start's) by its start, in
-    place, in one batch; a member that fails on its own gets its exception."""
-    members = [i for i, init in enumerate(inits) if isinstance(init, _Grams)]
-    if members:
-        grams = _Grams.stack([inits[i] for i in members])
-        jo, _, members = _each_member(
-            lambda st: _start_regression(setup, opts, st["G"], grams.Te), {"G": grams.G},
-            members, inits,
+def _default_starts(inits: list, members: list, opts: FitOptions) -> None:
+    """Replace each grams entry of inits (its setup.start's) by its start, in
+    place. members holds (index into inits, engine q, (nd, na, r), ...)
+    records. One start regression runs per layout of the grams and rank,
+    one truncation per (nd, q) within it; a member failing on its own gets
+    its exception."""
+    batches = {}                                       # (layout, r) -> {index: (nd, q)}
+    for i, q, (nd, _, r), *_ in members:
+        g = inits[i]
+        if isinstance(g, _Grams):
+            batches.setdefault((g.G.shape[1:], g.nd, g.Te, r), {})[i] = nd, q
+    for (*_, r), batch in batches.items():
+        grams = _Grams.stack([inits[i] for i in batch])
+        jo, _, alive = _each_member(
+            lambda st: _start_regression(st["grams"], r, opts), {"grams": grams}, list(batch), inits
         )
-        for i, start in zip(members, _index_start(jo, len(setup.diag_X), setup.q) if members else []):
-            inits[i] = start
-    return inits
+        rows = {}                                      # (nd, q) -> rows of jo
+        for row, i in enumerate(alive):
+            rows.setdefault(batch[i], []).append(row)
+        for (nd, q), part in rows.items():
+            for row, start in zip(part, _index_start({k: v[part] for k, v in jo.items()}, nd, q)):
+                inits[alive[row]] = start
 
 
-def _start_regression(setup: _Setup, opts: FitOptions, G: np.ndarray, Te: int) -> dict:
-    """What a default start truncates, from stacked (B, k, k, n, n) grams:
-    Johansen's estimates, or the VAR coefficients of the target on the
-    other blocks by their (ridge-penalized) normal equations."""
-    if setup.ec_X is not None:
-        return _johansen(G, Te, setup.r)
-    B, k, _, n, _ = G.shape
-    M = G.transpose(0, 1, 3, 2, 4).reshape(B, k * n, k * n)
+def _start_regression(grams: _Grams, r: int, opts: FitOptions) -> dict:
+    """What a default start truncates, from its stacked grams: Johansen's
+    rank-r estimates when they hold the levels block (_ec_data's Y_{t-1}),
+    else the VAR coefficients of the target on the lags by their
+    (ridge-penalized) normal equations."""
+    if grams.Gcc.shape[-1]:
+        return _johansen(grams.G, grams.Te, r)
+    B, k, _, n, _ = grams.G.shape
+    M = grams.G.transpose(0, 1, 3, 2, 4).reshape(B, k * n, k * n)
     C = np.linalg.solve(M[:, n:, n:] + opts.ridge * np.eye((k - 1) * n), M[:, n:, :n])
     return {"pis": C.reshape(B, k - 1, n, n).swapaxes(2, 3), "beta": np.zeros((B, n, 0))}
 
@@ -1161,10 +1227,9 @@ def _setup_ciaar(
     Z, lags, ec_X, first, means = _ec_data(Y, max(nd, na), data, t_start)
 
     def start(full: _Grams, opts: FitOptions) -> _Grams:
-        # Johansen's rows are the engine's unless t_start moves the engine's later
-        if first == Y.t0 + len(lags) + 1:
-            return _start_grams(Z, lags, ec_X, r, full)
-        return _start_grams(*_ec_data(Y, len(lags), data)[:3], r)
+        # Johansen's rows, whose grams are full unless t_start moves the engine's later
+        rows = _ec_data(Y, len(lags), data)[:3]
+        return _start_grams(*rows, r, _memo_grams(data[3], *rows))
 
     def params(out):
         omega, gamma, alpha0 = out["omega"], out["gamma"], out["alpha0"]
@@ -1175,7 +1240,9 @@ def _setup_ciaar(
             gamma, alpha0 = _normalize_gamma(gamma, alpha0, out["diagnostics"])
         return CIAARParams(out["ds"], alpha0, gamma, omega, out["alphas"], out["sigma"])
 
-    return _Setup("ciaar", Z, lags[:nd], lags[:na], ec_X, q_fit, r, first, means, start, params)
+    return _Setup(
+        "ciaar", Z, lags[:nd], lags[:na], ec_X, q_fit, r, first, means, start, params, data[3]
+    )
 
 
 def fit_ciaar(
@@ -1272,6 +1339,15 @@ _SETUPS = {
     "vecim": _setup_vecim,
 }
 
+# the orders, among (p, s, q, r), each model's setup and fitter take by keyword
+ENGINE_ORDERS = {
+    "mai": ("p", "q"),
+    "vhari": ("q",),
+    "iaar": ("p", "s", "q"),
+    "ciaar": ("p", "s", "q", "r"),
+    "vecim": ("p", "q", "r"),
+}
+
 
 # ---------------------------------------------------------------------------
 # fitting one panel at many orders: the selection grid
@@ -1279,14 +1355,11 @@ _SETUPS = {
 
 
 def _grid_setup(model: str, Y: Panel, orders: tuple, t_start: int, data=None) -> _Setup:
-    """A candidate's setup; data, when given, is the panel's _demeaned data,
-    shared by every candidate's setup."""
-    p, s, q, r = orders
-    if model == "mai":
-        return _setup_mai(Y, p, q, t_start=t_start, data=data)
-    if model == "iaar":
-        return _setup_iaar(Y, p, s, q, t_start=t_start, data=data)
-    return _setup_ciaar(Y, p, s, q, r, t_start=t_start, data=data)
+    """A candidate's setup at orders (p, s, q, r); data, when given, is the
+    panel's _demeaned data, shared by every candidate's setup."""
+    named = dict(zip("psqr", orders))
+    keywords = {k: named[k] for k in ENGINE_ORDERS[model]}
+    return _SETUPS[model](Y, **keywords, t_start=t_start, data=data)
 
 
 def _fit_grid(
@@ -1296,91 +1369,27 @@ def _fit_grid(
 
     model is "mai" (candidates (p, p, q, 0)), "iaar" (r = 0, q >= 1) or
     "ciaar". Every candidate's first regression target is panel row
-    t_start, so one gram set at the grid's largest lags serves them all, and
-    every candidate's setup slices one demeaned copy of the panel.
+    t_start, and its setup slices one demeaned copy of the panel.
     Candidates whose setups run the same engine fit (a CIAAR order with
-    s = 1 and its identified equivalent, _setup_ciaar) are fit once. The
-    distinct fits run as one lockstep engine batch per engine q, padded to
-    the group's largest (nd, na, r) with each member's missing lags and
-    rank masked (_member_masks), and the starts share one regression per
-    lag count max(p, s) and r (_start_regression). map_groups maps
-    _run_group over the groups' engine inputs: the builtin map, or a
-    process pool's map. The engine runs before this returns; the result is
-    an iterator over the candidates in order, giving each one's FitResult
-    (its residuals formed as it is consumed, from its setup and its own copy
-    of a shared state) or the exception its single fit raises.
+    s = 1 and its identified equivalent, _setup_ciaar) are fit once and
+    the others copy its state; the distinct fits run through
+    _engine_states. Returns an iterator over the candidates in order,
+    giving each one's FitResult or the exception its single fit raises.
     """
-    outcomes = [None] * len(candidates)               # exception or engine state
-    setups = [None] * len(candidates)                  # views of one demeaned copy
-    regressions = {}                                   # (max(p, s), r) -> estimates or exception
     data = _demeaned(Y, True, differences=model == "ciaar")
-
-    groups = {}                                        # engine q -> [(candidate, shape, start)]
-    fitted, shared = {}, {}                            # engine orders -> first candidate; dup -> it
-    longest, widest = -1, None                         # the setup with the most lags
+    setups, fitted, first = [], {}, []                 # first: the candidate whose fit it takes
     for i, orders in enumerate(candidates):
-        p, s, q, r = orders
         try:
-            setups[i] = setup = _grid_setup(model, Y, orders, t_start, data)
-            shape = (len(setup.diag_X), len(setup.index_X), r)
-            if (setup.q, shape) in fitted:
-                shared[i] = fitted[setup.q, shape]
-                continue
-            fitted[setup.q, shape] = i
-            key = max(p, s), r
-            if key not in regressions:
-                try:
-                    grams = setup.start(setup.grams(), opts)
-                    regressions[key] = _start_regression(setup, opts, grams.G, grams.Te)
-                except (ValueError, np.linalg.LinAlgError) as exc:
-                    regressions[key] = exc
-            if isinstance(regressions[key], Exception):
-                raise regressions[key]
-            start = _index_start(regressions[key], len(setup.diag_X), setup.q)[0]
+            setup = _grid_setup(model, Y, orders, t_start, data)
+            first.append(fitted.setdefault((setup.q, setup.shape), i))
         except (ValueError, np.linalg.LinAlgError) as exc:
-            outcomes[i] = exc
-            continue
-        groups.setdefault(setup.q, []).append((i, shape, start))
-        if max(shape[:2]) > longest:
-            longest, widest = max(shape[:2]), setup
-    if groups:
-        full = widest.grams()
-        tasks = (_group_task(full, q, members, opts) for q, members in groups.items())
-        for members, states in zip(groups.values(), map_groups(_run_group, tasks)):
-            for (i, _, _), state in zip(members, states):
-                outcomes[i] = state
-    for i, j in shared.items():
-        outcomes[i] = copy.deepcopy(outcomes[j])
-    return _grid_fits(setups, outcomes)
-
-
-def _group_task(full: _Grams, q: int, members: list, opts: FitOptions):
-    """The engine inputs of one q group: full's blocks at the group's largest
-    lags and rank, broadcast to every member (the engine masks a copy), with
-    each member's start and shape."""
-    shapes = [shape for _, shape, _ in members]
-    nd, na, r = (max(col) for col in zip(*shapes))
-    starts = [start for _, _, start in members]
-    g = _engine_grams(full, nd, na, r)
-    G, Gcc = (np.broadcast_to(a, (len(members),) + a.shape[1:]) for a in (g.G, g.Gcc))
-    return _Grams(G, Gcc, g.nd, g.Te), q, r, starts, opts, shapes
-
-
-def _grid_fits(setups: list, outcomes: list):
-    """Each candidate's FitResult, from its setup and engine state, or its exception."""
-    for setup, outcome in zip(setups, outcomes):
-        if isinstance(outcome, Exception):
-            yield outcome
-            continue
-        try:
-            yield _finish(setup, outcome)
-        except (ValueError, np.linalg.LinAlgError) as exc:
-            yield exc
-
-
-def _run_group(task: tuple) -> list:
-    """One selection-grid group's engine run; a process-pool task."""
-    return _sa_engine(*task)
+            setup = exc
+            first.append(i)
+        setups.append(setup)
+    distinct = [i for i, j in enumerate(first) if i == j]
+    states = dict(zip(distinct, _engine_states([setups[i] for i in distinct], opts, (), map_groups)))
+    outcomes = [states[i] if i == j else copy.deepcopy(states[j]) for i, j in enumerate(first)]
+    return _finished(setups, outcomes)
 
 
 # ---------------------------------------------------------------------------

@@ -11,14 +11,11 @@ only through beta = omega gamma, which is identified up to an r x r rotation:
 (p, 1, q, 0) as the one diagonal fit of its p, and each such fit runs once
 however many rows share it. Those rows carry its log-likelihood bit for bit
 and their own parameter counts, so a duplicate never beats its equivalent.
-The distinct fits run as lockstep groups: one switching-engine batch per
-engine q, padded to the group's largest lags and rank with each candidate's
-missing lags and rank masked, all over one gram set per panel, with the
-CIAAR starts sharing one Johansen fit per (max(p, s) - 1, r). Each row
-equals its candidate's single fit. A candidate whose fit raises is a failed
-row carrying that error; stop records why a fit's sweeps ended ("tol",
-"max_iter" or "no_free_params") and sigma_cond the conditioning of its
-residual covariance.
+The distinct fits take the engine path of every fit (estimators._fit_grid),
+each equal to its candidate's single fit. A candidate whose fit raises is a
+failed row carrying that error; stop records why a fit's sweeps ended
+("tol", "max_iter" or "no_free_params") and sigma_cond the conditioning of
+its residual covariance.
 """
 
 from __future__ import annotations

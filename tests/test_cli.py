@@ -186,6 +186,15 @@ class TestErrors:
         assert code == 1
         assert "s <= p" in capsys.readouterr().err
 
+    def test_select_rejects_a_model_it_cannot_search(self, sim_dir, tmp_path, capsys):
+        cfg = tmp_path / "select.cfg"
+        cfg.write_text("model = vhari\n")
+        out = tmp_path / "sel"
+        code = run_cli("select", "--config", cfg, "--input", sim_dir / "panel.csv", "--out", out)
+        assert code == 1
+        assert "'vhari'" in capsys.readouterr().err
+        assert not (out / "ic_table.csv").exists()
+
     def test_unknown_config_key(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("bogus = 1\n")

@@ -80,11 +80,12 @@ def monotone(trace, slack=1e-8):
 def padded_batches(draw, Te=40):
     """Stacked grams of B random panels with nd diagonal lags and 1 to 3 vec
     channels (the EC block when ec, then the index lags), each member's own
-    (nd_i, na_i, r_i) masked by _member_masks as a selection grid pads it.
-    Each member's data come with the lags it lacks zeroed: the design its
-    masked grams stand for. As in a selection grid, a member without index
-    lags has r_i = q (its setup's identified equivalent, _setup_ciaar), so
-    every member has an omega channel of full rank."""
+    (nd_i, na_i, r_i) padded as a selection grid pads it: its grams of the
+    lags it lacks are zero and _member_masks pins them. Each member's data
+    come with those lags zeroed: the design its padded grams stand for. As
+    in a selection grid, a member without index lags has r_i = q (its
+    setup's identified equivalent, _setup_ciaar), so every member has an
+    omega channel of full rank."""
     n = draw(st.integers(2, 6))
     q = draw(st.integers(1, n - 1))
     nd = draw(st.integers(0, 2))
@@ -102,15 +103,16 @@ def padded_batches(draw, Te=40):
         Z, ec_X = rng.standard_normal((2, Te, n))
         diag_X = list(rng.standard_normal((nd, Te, n)))
         index_X = list(rng.standard_normal((na, Te, n)))
-        grams.append(_Grams.of(Z, diag_X, ec_X if ec else None, index_X))
         members.append(dict(
             Z=Z, ec_X=ec_X, nd=nd_i, na=na_i, r=r_i,
             diag_X=[X * (j < nd_i) for j, X in enumerate(diag_X)],
             index_X=[X * (j < na_i) for j, X in enumerate(index_X)],
         ))
+        padded = members[-1]
+        grams.append(_Grams.of(Z, padded["diag_X"], ec_X if ec else None, padded["index_X"]))
     grams, masks = _Grams.stack(grams), {}
     if any(shape != (nd, na, r) for shape in shapes):
-        grams, masks = _member_masks(grams, shapes, q, r)
+        masks = _member_masks(shapes, n, q, (nd, na, r))
     return grams, masks, members, rng, (n, q, nd, r)
 
 
@@ -601,10 +603,11 @@ class TestBatchAxis:
         opts = FitOptions(max_iter=60)
         setups = [_setup_mai(Y, 2, 2) for Y in panels]
         grams = _Grams.stack([_Grams.of(s.Z, s.diag_X, None, s.index_X) for s in setups])
-        starts = _default_starts([
+        starts = [
             s.start(s.grams(), opts) if omega0 is None else (None, omega0, [])
             for s, omega0 in zip(setups, omega0s)
-        ], setups[0], opts)
+        ]
+        _default_starts(starts, [(i, s.q, s.shape) for i, s in enumerate(setups)], opts)
         states = _sa_engine(grams, 2, 0, starts, opts)
         failed = []
         for Y, setup, omega0, state in zip(panels, setups, omega0s, states):
@@ -655,6 +658,21 @@ class TestBatchAxis:
             single = fit_ciaar(W, p, s, q, r, opts=opts, init=ref)
             assert fit.iterations == single.iterations
             assert fit.diagnostics["stop"] == single.diagnostics["stop"]
+
+    def test_fit_many_solves_its_starts_in_one_batch(self, monkeypatch):
+        # 50 sliding windows share one Johansen regression and one truncation
+        Y = simulate_ciaar(random_ciaar_params(6, 2, 1, 2, 2, seed=0), 250, seed=7)
+        windows = [Panel(Y.values[i: i + 200]) for i in range(50)]
+        calls = []
+
+        def counting(name, fn):
+            return lambda *args: calls.append(name) or fn(*args)
+
+        for name in ("_start_regression", "_index_start"):
+            monkeypatch.setattr(estimators, name, counting(name, getattr(estimators, name)))
+        fits = list(fit_many("ciaar", windows, opts=FitOptions(max_iter=5), p=2, s=2, q=2, r=1))
+        assert len(fits) == 50
+        assert sorted(calls) == ["_index_start", "_start_regression"]
 
     def test_failing_windows_leave_the_batch_with_their_single_fit_errors(self):
         # equal-length CIAAR panels: two healthy ones, one whose lag design
@@ -863,8 +881,10 @@ class TestMixedRankBatch:
         shapes = [(len(s.diag_X), len(s.index_X), s.r) for s in setups]
         nd, na, r = (max(col) for col in zip(*shapes))
         assert (nd, na, r) == (2, 2, 3)
-        full = _grid_setup("ciaar", Y, (3, 3, 3, 0), t_start).grams()
-        grams = _Grams.stack([_engine_grams(full, nd, na, r)] * len(setups))
+        G = np.zeros((len(setups), 1 + nd + 1 + na, 1 + nd + 1 + na, 6, 6))
+        for out, setup, shape in zip(G, setups, shapes):
+            _engine_grams(setup.grams(), shape, (nd, na, r), out)
+        grams = _Grams.blocks(G, nd, setups[0].Z.shape[0])
         states = _sa_engine(grams, 3, r, starts, opts, shapes)
         for orders, setup, start, state in zip(self.CANDIDATES, setups, starts, states):
             _, _, q, r_i = orders

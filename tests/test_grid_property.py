@@ -61,9 +61,9 @@ def traced_grid_search(Y, p_range, q_range, model):
     start_regression, run_group = estimators._start_regression, estimators._run_group
     fit_grid = select._fit_grid
 
-    def counted(setup, opts, G, Te):
-        regression_calls.append((G.shape[1], setup.r))
-        return start_regression(setup, opts, G, Te)
+    def counted(grams, r, opts):
+        regression_calls.append((grams.G.shape[1], r))
+        return start_regression(grams, r, opts)
 
     def recorded(task):
         _, q, _, starts, _, shapes = task
