@@ -284,6 +284,7 @@ def _cmd_select(cfg: RunConfig, outdir) -> None:
     with open(outdir / "ic_table.csv", "a") as fh:
         fh.write(f"# best marks the {cfg.criterion} minimizer over T_eff = {table.T_eff}\n")
         fh.write("# n_params excludes the innovation covariance (constant across candidates)\n")
+        fh.write(f"# pruned rows are unfitted: {cfg.criterion} at loglik_bound exceeds the best\n")
 
 
 def _cmd_forecast(cfg: RunConfig, outdir) -> None:

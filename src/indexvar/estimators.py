@@ -18,7 +18,7 @@ from __future__ import annotations
 import copy
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import chain, starmap, zip_longest
+from itertools import chain, zip_longest
 from typing import Callable
 
 import numpy as np
@@ -215,12 +215,13 @@ def _demeaned(Y: Panel, demean: bool, differences: bool = False):
 class _Setup:
     """One panel's engine inputs, and what its FitResult needs besides them.
 
-    diag_X and index_X are prefixes of one list of lags. start(full, opts)
+    diag_X and index_X are prefixes of one list of lags. start(opts)
     checks the data of the default start and returns the grams to solve it
-    from: full, this setup's grams(), whenever the rows agree. q is the
-    engine's index count, which a CIAAR order with no index lag sets to r
-    (_setup_ciaar). params(out) builds the model parameters, and memo is
-    the gram memo of the data the setup slices (_memo_grams).
+    from, this setup's grams() whenever the rows agree. q is the engine's
+    index count, which a CIAAR order with no index lag sets to r
+    (_setup_ciaar). params(out) builds the model parameters, memo is the
+    gram memo of the data the setup slices (_memo_grams), and n_params is
+    the count of free parameters params' n_free_params() gives.
     """
 
     model: str
@@ -235,6 +236,7 @@ class _Setup:
     start: Callable
     params: Callable
     memo: dict
+    n_params: int
 
     def grams(self) -> "_Grams":
         """The grams of [Z | lags | ec_X], every block the engine or Johansen reads."""
@@ -390,6 +392,7 @@ def _sa_engine(
         "alpha0": np.zeros((len(members), n, r)),
         "alphas": np.zeros((len(members), na, n, q)),
     }
+    del grams                                          # st holds it until a compaction
     if any(shapes[m] != (nd, na, r) for m in members):
         st.update(_member_masks([shapes[m] for m in members], n, q, (nd, na, r)))
     st["UU"], st["GU"] = _target_grams(st["grams"], ds)   # refreshed whenever D moves
@@ -741,26 +744,31 @@ def _solve_rrr_eig(S00, S01, S11):
 # ---------------------------------------------------------------------------
 
 
-def _engine_states(setups, opts: FitOptions, starts=(), map_groups=map) -> list:
+def _engine_states(setups, opts: FitOptions, starts=(), map_groups=map, prune=None) -> list:
     """Each setup's final engine state, or the exception that ended its fit, in order.
 
     setups yields _Setups, or the exceptions building them raised;
     starts[i], when not None, overrides setup i's default start. Only each
     setup's grams and start are kept, so its data can go as the next one is
     built. The default starts are solved in batches (_default_starts), and
-    one lockstep engine batch runs per engine q, padded to the group's
-    largest (nd, na, r) (_engine_grams), by map_groups: map or a pool's map.
+    one lockstep engine batch runs per engine q, in ascending q, padded to
+    the group's largest (nd, na, r) (_engine_grams), by map_groups: map or
+    a pool's map.
+
+    prune, when given, is called before each group with the outcomes so far
+    and the group's member indices, and returns the members to skip, whose
+    outcome is None. A group keeps the padded size of all its members, so
+    what is skipped leaves every other member's fit as it is.
     """
     outcomes, members = [], []                         # members: (index, q, shape, grams)
     for setup, start in zip_longest(setups, starts):
         if isinstance(setup, Exception):
             outcomes.append(setup)
             continue
-        full = setup.grams()
-        members.append((len(outcomes), setup.q, setup.shape, full))
+        members.append((len(outcomes), setup.q, setup.shape, setup.grams()))
         if start is None:
             try:
-                start = setup.start(full, opts)
+                start = setup.start(opts)
             except (ValueError, np.linalg.LinAlgError) as exc:
                 start = exc
         outcomes.append(start)
@@ -769,33 +777,48 @@ def _engine_states(setups, opts: FitOptions, starts=(), map_groups=map) -> list:
     for i, q, shape, full in members:
         if not isinstance(outcomes[i], Exception):
             groups.setdefault(q, []).append((i, shape, full))
-
-    def task(q, group):
-        shapes = [shape for _, shape, _ in group]
-        nd, na, r = size = tuple(map(max, zip(*shapes)))
-        k, n = 1 + nd + (r > 0) + na, group[0][2].n
-        G = np.zeros((len(group), k, k, n, n))
-        for out, (_, shape, full) in zip(G, group):
-            _engine_grams(full, shape, size, out)
-        starts = [outcomes[i] for i, _, _ in group]
-        return _Grams.blocks(G, nd, group[0][2].Te), q, r, starts, opts, shapes
-
-    for group, states in zip(groups.values(), map_groups(_run_group, starmap(task, groups.items()))):
+    for q in sorted(groups):
+        size = tuple(map(max, zip(*(shape for _, shape, _ in groups[q]))))
+        if prune is not None:
+            for i in prune(outcomes, [i for i, _, _ in groups[q]]):
+                outcomes[i] = None
+        group = [member for member in groups[q] if outcomes[member[0]] is not None]
+        if not group:
+            continue
+        task = ([full for *_, full in group], q, size, [outcomes[i] for i, _, _ in group], opts,
+                [shape for _, shape, _ in group])
+        states, = map_groups(_run_group, [task])
         for (i, _, _), state in zip(group, states):
             outcomes[i] = state
     return outcomes
 
 
 def _run_group(task: tuple) -> list:
-    """One engine group's run; a process-pool task."""
-    return _sa_engine(*task)
+    """One engine group's run, a process-pool task: (members' grams, q, the
+    group's padded (nd, na, r), starts, opts, members' shapes). The padded
+    gram tensor is built here and handed to the engine alone, so it is freed
+    at the engine's first compaction."""
+    fulls, q, size, starts, opts, shapes = task
+    return _sa_engine(_padded_grams(fulls, shapes, size), q, size[2], starts, opts, shapes)
+
+
+def _padded_grams(fulls: list, shapes: list, size: tuple) -> _Grams:
+    """The engine grams of a group of size (nd, na, r): each member's grams
+    of [Z | lags | ec_X] written into its zeroed slot (_engine_grams)."""
+    nd, na, r = size
+    k, n = 1 + nd + (r > 0) + na, fulls[0].n
+    G = np.zeros((len(fulls), k, k, n, n))
+    for out, full, shape in zip(G, fulls, shapes):
+        _engine_grams(full, shape, size, out)
+    return _Grams.blocks(G, nd, fulls[0].Te)
 
 
 def _finished(setups, outcomes):
-    """Each member's FitResult from its setup and engine state, or its exception."""
+    """Each member's FitResult from its setup and engine state; any other
+    outcome (its exception, a pruned candidate) as it is."""
     for setup, outcome in zip(setups, outcomes):
         try:
-            yield outcome if isinstance(outcome, Exception) else _finish(setup, outcome)
+            yield _finish(setup, outcome) if isinstance(outcome, dict) else outcome
         except (ValueError, np.linalg.LinAlgError) as exc:
             yield exc
 
@@ -892,8 +915,9 @@ def _setup_mai(
 
     return _Setup(
         "mai", Z, [], lags, None, q, 0, first, dict(means),
-        lambda full, opts: _start_grams(Z, lags, None, 0, full, opts.ridge),
+        lambda opts: _start_grams(Z, lags, None, 0, memo, opts.ridge),
         lambda out: MAIParams(out["omega"], out["alphas"], out["sigma"]), memo,
+        MAIParams.count(n, p, q),
     )
 
 
@@ -937,11 +961,12 @@ def _setup_vhari(Yd: Panel, q: int, demean: bool = True, t_start: int | None = N
     Z = values[first:]
     X = [A[first - 1: Yd.T - 1] for A in (values, Yw.values, Ym.values)]
     _check_sample(Z.shape[0], 3 * n)
-
+    memo = {}
     return _Setup(
         "vhari", Z, [], X, None, q, 0, first, {"level": mu},
-        lambda full, opts: _start_grams(Z, X, None, 0, full, opts.ridge),
-        lambda out: VHARIParams(out["omega"], *out["alphas"], out["sigma"]), {},
+        lambda opts: _start_grams(Z, X, None, 0, memo, opts.ridge),
+        lambda out: VHARIParams(out["omega"], *out["alphas"], out["sigma"]), memo,
+        VHARIParams.count(n, q),
     )
 
 
@@ -985,8 +1010,9 @@ def _setup_iaar(
     _check_sample(Z.shape[0], n * p)
     return _Setup(
         "iaar", Z, diag_X, index_X, None, q, 0, first, dict(means),
-        lambda full, opts: _start_grams(Z, diag_X, None, 0, full, opts.ridge),
+        lambda opts: _start_grams(Z, diag_X, None, 0, memo, opts.ridge),
         lambda out: IAARParams(out["ds"], out["alphas"], out["omega"], out["sigma"]), memo,
+        IAARParams.count(n, p, len(index_X), q),
     )
 
 
@@ -1032,20 +1058,25 @@ def _ec_data(Y: Panel, m: int, data: tuple, t_start: int | None = None):
     return dvalues[first - 1:], lags, levels[first - 1: Y.T - 1], first, dict(means)
 
 
-def _start_grams(Z, lags, ec_X, r: int, full: _Grams | None = None, ridge: float = 0.0) -> _Grams:
-    """The grams of [Z | lags | ec_X] (full, when formed) a default start is
-    solved from, once r, the sample size and the lag design pass their
-    checks. Unpenalized, the lag design takes ols's singular-value test
-    (check_rank), whose SVD runs only when the lag block of the grams
+def _start_grams(Z, lags, ec_X, r: int, memo: dict | None = None, ridge: float = 0.0) -> _Grams:
+    """The grams of [Z | lags | ec_X] (from memo, _memo_grams) a default
+    start is solved from, once r, the sample size and the lag design pass
+    their checks. Unpenalized, the lag design takes ols's singular-value
+    test (check_rank), whose SVD runs only when the lag block of the grams
     cannot certify it (_certifies_rank), so every accept, reject and message
-    is that test's."""
+    is that test's. The memo keeps the certificate's verdict, one per count
+    of rows and lags."""
     if not 0 <= r < Z.shape[1]:
         raise ValueError(f"need 0 <= r < n, got r={r}")
     _check_sample(Z.shape[0], len(lags) * Z.shape[1] + r)
-    full = full if full is not None else _Grams.of(Z, lags, ec_X, [])
-    lag_gram = full.G[0, 1: 1 + len(lags), 1: 1 + len(lags)]
-    if lags and ridge == 0.0 and not _certifies_rank(lag_gram, Z.shape[0]):
-        check_rank(np.hstack(lags))
+    memo = {} if memo is None else memo
+    full = _memo_grams(memo, Z, lags, ec_X)
+    if lags and ridge == 0.0:
+        key = "rank certified", Z.shape[0], len(lags)
+        if key not in memo:
+            memo[key] = _certifies_rank(full.G[0, 1: 1 + len(lags), 1: 1 + len(lags)], Z.shape[0])
+        if not memo[key]:
+            check_rank(np.hstack(lags))
     return full
 
 
@@ -1226,10 +1257,9 @@ def _setup_ciaar(
     data = data or _demeaned(Y, demean, differences=True)
     Z, lags, ec_X, first, means = _ec_data(Y, max(nd, na), data, t_start)
 
-    def start(full: _Grams, opts: FitOptions) -> _Grams:
-        # Johansen's rows, whose grams are full unless t_start moves the engine's later
-        rows = _ec_data(Y, len(lags), data)[:3]
-        return _start_grams(*rows, r, _memo_grams(data[3], *rows))
+    def start(opts: FitOptions) -> _Grams:
+        # Johansen's rows, whose grams are grams() unless t_start moves the engine's later
+        return _start_grams(*_ec_data(Y, len(lags), data)[:3], r, data[3])
 
     def params(out):
         omega, gamma, alpha0 = out["omega"], out["gamma"], out["alpha0"]
@@ -1241,7 +1271,8 @@ def _setup_ciaar(
         return CIAARParams(out["ds"], alpha0, gamma, omega, out["alphas"], out["sigma"])
 
     return _Setup(
-        "ciaar", Z, lags[:nd], lags[:na], ec_X, q_fit, r, first, means, start, params, data[3]
+        "ciaar", Z, lags[:nd], lags[:na], ec_X, q_fit, r, first, means, start, params, data[3],
+        CIAARParams.count(n, nd, na, q, r),
     )
 
 
@@ -1362,8 +1393,21 @@ def _grid_setup(model: str, Y: Panel, orders: tuple, t_start: int, data=None) ->
     return _SETUPS[model](Y, **keywords, t_start=t_start, data=data)
 
 
+PRUNE_RTOL = 1e-8   # a pruned candidate's criterion bound exceeds the best fitted one by this
+
+
+@dataclass
+class _Pruned:
+    """A selection-grid candidate left unfitted: its criterion at its
+    log-likelihood bound exceeds a fitted candidate's (_fit_grid)."""
+
+    n_params: int
+    T_eff: int
+
+
 def _fit_grid(
-    model: str, Y: Panel, candidates: list, opts: FitOptions, t_start: int, map_groups=map
+    model: str, Y: Panel, candidates: list, opts: FitOptions, t_start: int, map_groups=map,
+    criterion: Callable | None = None,
 ):
     """Fit one panel at every candidate (p, s, q, r) of a selection grid.
 
@@ -1373,8 +1417,20 @@ def _fit_grid(
     Candidates whose setups run the same engine fit (a CIAAR order with
     s = 1 and its identified equivalent, _setup_ciaar) are fit once and
     the others copy its state; the distinct fits run through
-    _engine_states. Returns an iterator over the candidates in order,
-    giving each one's FitResult or the exception its single fit raises.
+    _engine_states.
+
+    criterion(loglik, n_params, T_eff), when given and opts.ridge == 0, is
+    the score the grid is searched for, and the grid prunes by it. Each
+    candidate's log-likelihood is bounded by its unrestricted model's on
+    the same rows and lags (_loglik_bounds). The engine groups run in
+    ascending q, and before each a distinct fit is skipped when every
+    candidate sharing it is certified: its criterion at its bound exceeds
+    the best fitted candidate's by a relative PRUNE_RTOL, so it cannot be
+    the minimizer. A candidate whose bound is not finite, or whose
+    criterion raises at it, is never certified. Returns an iterator over
+    the candidates in order, giving (outcome, bound): its FitResult, the
+    exception its single fit raises, or _Pruned, and its log-likelihood
+    bound (nan when not computed).
     """
     data = _demeaned(Y, True, differences=model == "ciaar")
     setups, fitted, first = [], {}, []                 # first: the candidate whose fit it takes
@@ -1387,9 +1443,89 @@ def _fit_grid(
             first.append(i)
         setups.append(setup)
     distinct = [i for i, j in enumerate(first) if i == j]
-    states = dict(zip(distinct, _engine_states([setups[i] for i in distinct], opts, (), map_groups)))
-    outcomes = [states[i] if i == j else copy.deepcopy(states[j]) for i, j in enumerate(first)]
-    return _finished(setups, outcomes)
+    T_eff = Y.T - t_start
+    bounds, prune = [np.nan] * len(candidates), None
+    if criterion is not None and opts.ridge == 0.0:
+        solved = {}                                    # one bound solve per count of lags
+        for i, setup in enumerate(setups):
+            if not isinstance(setup, Exception):
+                lags = max(len(setup.diag_X), len(setup.index_X))
+                if lags not in solved:
+                    solved[lags] = _loglik_bounds(setup.grams())
+                bounds[i] = float(solved[lags][setup.r])
+        shares = {}                                    # distinct fit -> its candidates
+        for i, j in enumerate(first):
+            shares.setdefault(j, []).append(i)
+        lower = [_score(criterion, bound, setup.n_params, T_eff) if np.isfinite(bound) else np.nan
+                 for bound, setup in zip(bounds, setups)]
+
+        def prune(outcomes, group):
+            scored = sorted(
+                (score, i, d) for d, state in enumerate(outcomes) if isinstance(state, dict)
+                for i in shares[distinct[d]]
+                if not np.isnan(score := _score(
+                    criterion, float(state["trace"][-1]), setups[i].n_params, T_eff))
+            )
+            # the best reported candidate: its criterion is defined and its params build
+            best = next((score for score, i, d in scored if _builds(setups[i], outcomes[d])), None)
+            if best is None:
+                return []
+            cut = best + PRUNE_RTOL * abs(best)
+            return [d for d in group if all(lower[i] > cut for i in shares[distinct[d]])]
+
+    states = dict(zip(distinct, _engine_states(
+        [setups[i] for i in distinct], opts, (), map_groups, prune)))
+    outcomes = [
+        _Pruned(setups[i].n_params, T_eff) if states[j] is None
+        else states[i] if i == j else copy.deepcopy(states[j])
+        for i, j in enumerate(first)
+    ]
+    return zip(_finished(setups, outcomes), bounds)
+
+
+def _score(criterion: Callable, loglik: float, n_params: int, T_eff: int) -> float:
+    """criterion(loglik, n_params, T_eff), or nan when it raises."""
+    try:
+        return criterion(loglik, n_params, T_eff)
+    except ValueError:
+        return np.nan
+
+
+def _builds(setup: _Setup, state: dict) -> bool:
+    """Whether setup's parameters build from an engine state, as _finish builds them."""
+    try:
+        setup.params(state)
+    except (ValueError, np.linalg.LinAlgError):
+        return False
+    return True
+
+
+def _loglik_bounds(full: _Grams) -> np.ndarray:
+    """The maximized log-likelihood of the unrestricted model on the data of
+    full, a panel's grams of [Z | lags | ec_X], at each rank r = 0, 1, ..:
+    Johansen's VECM of rank r when full holds the levels block ec_X, else
+    the OLS VAR of Z on the lags (r = 0 alone). With S00 the moments of Z
+    concentrated on the lags and l_i the squared canonical correlations of
+    Z and ec_X given the lags, in descending order,
+
+        ll(r) = -(Te/2)(n log 2pi + n + log|S00| + sum_{i<=r} log(1 - l_i))
+
+    (Johansen 1995). Each index model of a selection grid is nested in the
+    one of its rank on its own rows and lags, so its log-likelihood is at
+    most ll(r). A bound that cannot be formed, or is not finite, is nan.
+    """
+    B, k, _, n, _ = full.G.shape
+    M = full.G.transpose(0, 1, 3, 2, 4).reshape(B, k * n, k * n)
+    x = (1 + full.nd) * n                              # the levels block, if any, starts here
+    try:
+        (vals, _), S, _ = _reduced_rank(M, slice(0, n), slice(n, x), slice(x, None), full.Te)
+        ll = gaussian_loglik((S[0, :n, :n] + S[0, :n, :n].T) / 2.0, full.Te)
+    except np.linalg.LinAlgError:
+        return np.full(n + 1, np.nan)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        drops = np.cumsum(np.log1p(-vals[0]))
+    ll = ll - 0.5 * full.Te * np.concatenate([[0.0], drops])
+    return np.where(np.isfinite(ll), ll, np.nan)
 
 
 # ---------------------------------------------------------------------------

@@ -149,9 +149,13 @@ class MAIParams(_Stationary):
         n, q = self.omega.shape
         return StateForm(self.omega.T, np.reshape(self.alphas, (self.p, n, q)), np.zeros((q, q)))
 
-    def n_free_params(self) -> int:
-        n, q, p = self.n, self.q, self.p
+    @staticmethod
+    def count(n: int, p: int, q: int) -> int:
+        """The free parameters of a MAI with p lags and q indexes."""
         return n * q * (p + 1) - q * q
+
+    def n_free_params(self) -> int:
+        return self.count(self.n, self.p, self.q)
 
 
 @dataclass
@@ -196,9 +200,13 @@ class VHARIParams(_Stationary):
         K = np.array([am + (j < 5) * aw + (j == 0) * self.alpha_d for j in range(22)])
         return StateForm(self.omega.T, K, np.zeros((self.q, self.q)))
 
-    def n_free_params(self) -> int:
-        n, q = self.n, self.q
+    @staticmethod
+    def count(n: int, q: int) -> int:
+        """The free parameters of a VHARI with q indexes."""
         return n * q * 4 - q * q
+
+    def n_free_params(self) -> int:
+        return self.count(self.n, self.q)
 
 
 @dataclass
@@ -258,9 +266,13 @@ class IAARParams(_Stationary):
         """The levels: E = I, K_j = diag(delta_j) + alpha_j omega'."""
         return var_form(_lag_sums(self.ds, self.alphas, self.omega), self.n)
 
-    def n_free_params(self) -> int:
-        n, q, p, s = self.n, self.q, self.p, self.s
+    @staticmethod
+    def count(n: int, p: int, s: int, q: int) -> int:
+        """The free parameters of an IAAR with p diagonal and s index lags."""
         return n * (q * s + q + p) - q * q
+
+    def n_free_params(self) -> int:
+        return self.count(self.n, self.p, self.s, self.q)
 
 
 @dataclass
@@ -425,16 +437,14 @@ class CIAARParams(_ErrorCorrection):
         eigs = np.linalg.eigvals(companion_matrix(self.var_coeffs()))
         return int(np.sum(np.abs(eigs - 1.0) < tol))
 
+    @staticmethod
+    def count(n: int, nd: int, na: int, q: int, r: int) -> int:
+        """The free parameters of a CIAAR with nd diagonal and na index
+        difference lags, q indexes and rank r."""
+        return n * nd + n * q * na + n * q - q * q + n * r + r * (q - r)
+
     def n_free_params(self) -> int:
-        n, q, r = self.n, self.q, self.r
-        return (
-            n * len(self.ds)
-            + n * q * len(self.alphas)
-            + n * q
-            - q * q
-            + n * r
-            + r * (q - r)
-        )
+        return self.count(self.n, len(self.ds), len(self.alphas), self.q, self.r)
 
 
 def _as_2d_cols(a, rows: int | None = None) -> np.ndarray:

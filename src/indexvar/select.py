@@ -16,6 +16,16 @@ each equal to its candidate's single fit. A candidate whose fit raises is a
 failed row carrying that error; stop records why a fit's sweeps ended
 ("tol", "max_iter" or "no_free_params") and sigma_cond the conditioning of
 its residual covariance.
+
+The search is a branch and bound for the table's criterion (Furnival and
+Wilson 1974). Every candidate is nested in the unrestricted model of its
+lags and rank on the same rows (Johansen's VECM for CIAAR, the OLS VAR in
+levels for MAI and IAAR), whose maximized log-likelihood bounds the
+candidate's. The engine groups run in ascending q, and a candidate whose
+criterion at that bound exceeds the best fitted one's is not fitted: its
+row has stop "pruned", its parameter count and its bound, and no
+log-likelihood. So a table defines the minimizer of its own criterion
+only; grid_search(prune=False) fits every candidate.
 """
 
 from __future__ import annotations
@@ -24,10 +34,11 @@ import concurrent.futures
 import csv
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
-from .estimators import FitOptions, _fit_grid
+from .estimators import FitOptions, _fit_grid, _Pruned
 from .estimators import fit_ciaar, fit_mai  # noqa: F401  (traced by perfbench/workloads.py)
 from .tscore import Panel
 
@@ -57,12 +68,16 @@ class ICRow:
     well conditioned it was.
 
     stop is the fit's diagnostics["stop"] ("tol", "max_iter" or
-    "no_free_params"), empty when the fit raised; error holds that
-    exception, or why its criteria could not be computed. sigma_cond is the
-    fit's diagnostics["sigma_cond"] (least over largest eigenvalue of its
-    residual covariance); to_csv leaves it empty on failed rows. A CIAAR
-    row with s = 1 holds the fit of its identified equivalent (module
-    docstring) and its own parameter count.
+    "no_free_params"), "pruned" when the candidate's bound certified that
+    it cannot win and it was not fitted (its loglik and criteria are nan),
+    and empty when the fit raised; error holds that exception, or why its
+    criteria could not be computed. sigma_cond is the fit's
+    diagnostics["sigma_cond"] (least over largest eigenvalue of its
+    residual covariance); to_csv leaves it empty on failed and pruned rows.
+    loglik_bound is the maximized log-likelihood of the unrestricted model
+    the candidate is nested in (module docstring), nan when the search did
+    not bound it. A CIAAR row with s = 1 holds the fit of its identified
+    equivalent (module docstring) and its own parameter count.
     """
 
     model: str
@@ -80,6 +95,7 @@ class ICRow:
     stop: str = ""
     error: str = ""
     sigma_cond: float = math.nan
+    loglik_bound: float = math.nan
 
     def orders(self) -> tuple:
         return (self.p, self.s, self.q, self.r)
@@ -87,12 +103,14 @@ class ICRow:
 
 @dataclass
 class ICTable:
-    """One row per candidate plus the argmin per criterion.
+    """One row per candidate plus the argmin of its criterion.
 
-    best maps each criterion name to the index of its minimizer among the
-    non-failed rows, tie-broken by parameter count then lexicographic
-    orders. kind is the criterion the search was run for; to_csv marks its
-    minimizer.
+    kind is the criterion the search was run for, and best maps it to the
+    index of its minimizer among the fitted rows (neither failed nor
+    pruned), tie-broken by parameter count then lexicographic orders. A
+    pruned row is certified to lose under kind alone, so best holds no
+    other criterion and best_row of another raises ValueError. to_csv marks
+    the minimizer.
     """
 
     rows: list[ICRow]
@@ -102,26 +120,30 @@ class ICTable:
 
     def __post_init__(self):
         if not self.best:
-            self.best = {k: self._argmin(k) for k in CRITERIA}
+            self.best = {self.kind: self._argmin(self.kind)}
 
     def _argmin(self, kind: str) -> int:
         candidates = [
             (getattr(row, kind), row.n_params, row.orders(), i)
             for i, row in enumerate(self.rows)
-            if not row.failed
+            if not row.failed and row.stop != "pruned"
         ]
         if not candidates:
             raise ValueError("all candidate fits failed")
         return min(candidates)[-1]
 
     def best_row(self, kind: str) -> ICRow:
+        if kind not in self.best:
+            raise ValueError(
+                f"the table was searched for {self.kind!r}; its {kind!r} minimizer is not defined"
+            )
         return self.rows[self.best[kind]]
 
     def to_csv(self, path) -> None:
         """Write one line per candidate; best marks the minimizer of kind."""
         best = self.best[self.kind]
         header = (
-            "model,p,s,q,r,loglik,n_params,aic,bic,hq,sigma_cond,"
+            "model,p,s,q,r,loglik,n_params,loglik_bound,aic,bic,hq,sigma_cond,"
             "converged,failed,stop,error,best"
         )
         with open(path, "w", newline="") as fh:
@@ -130,8 +152,9 @@ class ICTable:
             for i, row in enumerate(self.rows):
                 out.writerow([
                     row.model, row.p, row.s, row.q, row.r, f"{row.loglik:.17g}", row.n_params,
+                    "" if math.isnan(row.loglik_bound) else f"{row.loglik_bound:.17g}",
                     f"{row.aic:.17g}", f"{row.bic:.17g}", f"{row.hq:.17g}",
-                    "" if row.failed else f"{row.sigma_cond:.17g}",
+                    "" if row.failed or row.stop == "pruned" else f"{row.sigma_cond:.17g}",
                     int(row.converged), int(row.failed), row.stop, row.error, int(i == best),
                 ])
 
@@ -158,14 +181,19 @@ def _candidate_grid(model, p_range, q_range, n, s_max=None, r_max=None):
     return combos
 
 
-def _ic_row(model: str, orders: tuple, fit) -> ICRow:
-    """The table row of a candidate's FitResult, or of the exception it raised."""
+def _ic_row(model: str, orders: tuple, fit, bound: float) -> ICRow:
+    """The table row of a candidate's FitResult, of the exception it raised,
+    or of its pruning, with its log-likelihood bound."""
     if isinstance(fit, Exception):  # failed fits stay in the table, out of the argmin
         return ICRow(model, *orders, np.nan, 0, np.nan, np.nan, np.nan, False,
-                     failed=True, error=f"{type(fit).__name__}: {fit}")
+                     failed=True, error=f"{type(fit).__name__}: {fit}", loglik_bound=bound)
+    if isinstance(fit, _Pruned):    # so do pruned candidates
+        return ICRow(model, *orders, np.nan, fit.n_params, np.nan, np.nan, np.nan, False,
+                     stop="pruned", loglik_bound=bound)
     diagnostics = dict(
         stop=fit.diagnostics.get("stop", ""),
         sigma_cond=fit.diagnostics.get("sigma_cond", math.nan),
+        loglik_bound=bound,
     )
     try:
         crits = [info_criterion(fit.loglik, fit.n_params, fit.T_eff, c) for c in CRITERIA]
@@ -185,15 +213,18 @@ def grid_search(
     s_max: int | None = None,
     r_max: int | None = None,
     workers: int = 1,
+    prune: bool = True,
 ) -> ICTable:
-    """Fit every admissible (p, s, q, r) and tabulate the criteria.
+    """Search every admissible (p, s, q, r) for the minimizer of kind.
 
     model selects the candidate family: "ciaar" searches the full quadruple
     (s <= p, r <= q), "iaar" the triple with r = 0, and "mai" the pair
     (p, q). All fits condition on the grid's maximum lag so likelihoods are
-    comparable; kind is recorded as the table's criterion (all three are
-    tabulated). The distinct fits of each engine q run as one lockstep
-    group; workers > 1 fits the groups in a process pool.
+    comparable. The distinct fits of each engine q run as one lockstep
+    group; workers > 1 fits the groups in a process pool. With prune, a
+    candidate certified to lose under kind is not fitted (module
+    docstring); pruning is off when opts.ridge > 0. prune=False fits and
+    tabulates every candidate. Either way the table's best is kind's.
     """
     if kind not in CRITERIA:
         raise ValueError(f"kind must be one of {CRITERIA}, got {kind!r}")
@@ -205,14 +236,15 @@ def grid_search(
     # longest lag in levels (and, for ciaar, the max(p-1, s-1) difference lags
     # plus the differencing row)
     t_start = Y.t0 + max(max(p, s) for p, s, _, _ in combos)
+    criterion = partial(info_criterion, kind=kind) if prune else None
     if workers > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            fits = _fit_grid(model, Y, combos, opts, t_start, pool.map)
+            fits = _fit_grid(model, Y, combos, opts, t_start, pool.map, criterion)
     else:
-        fits = _fit_grid(model, Y, combos, opts, t_start)
+        fits = _fit_grid(model, Y, combos, opts, t_start, criterion=criterion)
     rows, T_eff = [], None
-    for orders, fit in zip(combos, fits):        # each fit is dropped once tabulated
-        rows.append(_ic_row(model, orders, fit))
+    for orders, (fit, bound) in zip(combos, fits):   # each fit is dropped once tabulated
+        rows.append(_ic_row(model, orders, fit, bound))
         if not rows[-1].failed:
             T_eff = fit.T_eff
     if T_eff is None:

@@ -125,6 +125,25 @@ class TestFitPipeline:
         assert all(row["stop"] in ("tol", "max_iter") for row in cells)
         assert all(0.0 < float(row["sigma_cond"]) <= 1.0 for row in cells)
 
+    def test_select_reruns_write_identical_tables(self, sim_dir, tmp_path):
+        # c15 for select, on a grid that prunes: pruned rows, bounds and all
+        tables = []
+        for name in ("sel", "again"):
+            assert run_cli(
+                "select", "--input", sim_dir / "panel.csv", "--model", "ciaar",
+                "--p-min", 1, "--p-max", 2, "--q-min", 1, "--q-max", 3, "--out", tmp_path / name,
+            ) == 0
+            tables.append((tmp_path / name / "ic_table.csv").read_bytes())
+        assert tables[0] == tables[1]
+        lines = [line for line in tables[0].decode().splitlines() if not line.startswith("#")]
+        header = lines[0].split(",")
+        assert header[5:8] == ["loglik", "n_params", "loglik_bound"]
+        cells = [dict(zip(header, line.split(","))) for line in lines[1:]]
+        pruned = [row for row in cells if row["stop"] == "pruned"]
+        assert pruned and all(row["best"] == "0" and row["sigma_cond"] == "" for row in pruned)
+        assert all(float(row["loglik_bound"]) >= float(row["loglik"]) for row in cells
+                   if row["stop"] != "pruned")
+
     def test_montecarlo(self, tmp_path):
         out = tmp_path / "mc"
         assert run_cli(

@@ -604,7 +604,7 @@ class TestBatchAxis:
         setups = [_setup_mai(Y, 2, 2) for Y in panels]
         grams = _Grams.stack([_Grams.of(s.Z, s.diag_X, None, s.index_X) for s in setups])
         starts = [
-            s.start(s.grams(), opts) if omega0 is None else (None, omega0, [])
+            s.start(opts) if omega0 is None else (None, omega0, [])
             for s, omega0 in zip(setups, omega0s)
         ]
         _default_starts(starts, [(i, s.q, s.shape) for i, s in enumerate(setups)], opts)
@@ -823,7 +823,7 @@ class TestGramStarts:
         p, q = orders["p"], orders["q"]
         orders_row = (p, orders.get("s", p), q, 0)
         t_start = panels[1].t0 + p
-        outcome = next(_fit_grid(model, panels[1], [orders_row], FitOptions(), t_start))
+        outcome, _ = next(_fit_grid(model, panels[1], [orders_row], FitOptions(), t_start))
         with pytest.raises(SingularDesignError) as ref:
             fit(panels[1], t_start=t_start, **orders)
         assert isinstance(outcome, SingularDesignError)
@@ -856,6 +856,19 @@ class TestGramStarts:
             assert str(got.value) == expected
         # the gram certifies the well-conditioned design; the SVD decides the rest
         assert len(svds) == (ratio < 1e-4)
+
+    def test_grid_certifies_each_lag_block_once(self, monkeypatch):
+        # a c12 grid's default starts read two lag blocks (1 and 2 lagged
+        # differences, each at its own rows); the 0-lag block has no design
+        calls, certifies = [], estimators._certifies_rank
+        monkeypatch.setattr(
+            estimators, "_certifies_rank", lambda blocks, T: calls.append((len(blocks), T))
+            or certifies(blocks, T)
+        )
+        Y = simulate_ciaar(random_ciaar_params(6, 2, 1, 2, 2, seed=0), 1000, seed=0)
+        candidates = _candidate_grid("ciaar", (1, 3), (1, 3), Y.n)
+        list(_fit_grid("ciaar", Y, candidates, FitOptions(max_iter=5), Y.t0 + 3))
+        assert sorted(calls) == [(1, 998), (2, 997)]
 
 
 class TestMixedRankBatch:

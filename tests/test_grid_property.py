@@ -71,15 +71,15 @@ def traced_grid_search(Y, p_range, q_range, model):
             group_starts.setdefault((q, r), []).append(start)
         return run_group(task)
 
-    def kept(*args):
-        for outcome in fit_grid(*args):
+    def kept(*args, **kwargs):
+        for outcome, bound in fit_grid(*args, **kwargs):
             outcomes.append(outcome)
-            yield outcome
+            yield outcome, bound
 
     estimators._start_regression, estimators._run_group = counted, recorded
     select._fit_grid = kept
     try:
-        table = grid_search(Y, p_range, q_range, opts=OPTS, model=model)
+        table = grid_search(Y, p_range, q_range, opts=OPTS, model=model, prune=False)
     finally:
         estimators._start_regression, estimators._run_group = start_regression, run_group
         select._fit_grid = fit_grid

@@ -47,7 +47,7 @@ def test_s1_rows_single_batched_and_perturbed_fits_agree(dgp, T, seed, p_range, 
     Y = simulate_ciaar(dgp, T, seed=seed)
     z = np.random.default_rng(seed).standard_normal(Y.values.shape)
     perturbed = Panel(Y.values * (1.0 + 1e-15 * z))
-    table = grid_search(Y, p_range, q_range, opts=opts)
+    table = grid_search(Y, p_range, q_range, opts=opts, prune=False)
     t_start = Y.t0 + p_range[1]
     shared = {}                                        # (p, r) -> the rows of one engine fit
     for row in table.rows:
@@ -78,16 +78,29 @@ def test_s1_rows_single_batched_and_perturbed_fits_agree(dgp, T, seed, p_range, 
             assert row.n_params == n * (p - 1) + n * q - q * q + n * r + r * (q - r)
 
 
-def test_c12_grid_runs_each_distinct_model_once(monkeypatch):
-    # 54 candidates; the 27 with s = 1 are 12 distinct fits: (p, 1, r, r) for
-    # r = 1..3 and the diagonal fit (p, 1, 0, 0), for each p
+def engine_members(monkeypatch) -> list:
+    """The shapes of the members every engine group runs, as they run."""
     members, run_group = [], estimators._run_group
     monkeypatch.setattr(
         estimators, "_run_group", lambda task: members.extend(task[5]) or run_group(task)
     )
+    return members
+
+
+def test_c12_grid_runs_each_distinct_model_once(monkeypatch):
+    # 54 candidates; the 27 with s = 1 are 12 distinct fits: (p, 1, r, r) for
+    # r = 1..3 and the diagonal fit (p, 1, 0, 0), for each p
+    members = engine_members(monkeypatch)
+    Y = simulate_ciaar(C12, 1000, seed=0)
+    table = grid_search(Y, (1, 3), (1, 3), opts=FitOptions(max_iter=120), prune=False)
+    assert len(table.rows) == 54 and len(members) == 39
+
+
+def test_default_c12_grid_prunes_engine_members(monkeypatch):
+    members = engine_members(monkeypatch)
     Y = simulate_ciaar(C12, 1000, seed=0)
     table = grid_search(Y, (1, 3), (1, 3), opts=FitOptions(max_iter=120))
-    assert len(table.rows) == 54 and len(members) == 39
+    assert len(table.rows) == 54 and len(members) < 39
 
 
 def test_vecim_with_one_lag_follows_the_same_rule():

@@ -73,7 +73,7 @@ def test_fit_is_invariant_to_the_basis_of_the_start_omega(case):
         start = init_ciaar(Y, **orders)
     else:
         setup = (_setup_mai if model == "mai" else _setup_iaar)(Y, **orders)
-        starts = [setup.start(setup.grams(), OPTS)]
+        starts = [setup.start(OPTS)]
         _default_starts(starts, [(0, setup.q, setup.shape)], OPTS)
         start = starts[0]
     gamma0, omega0, d0 = start

@@ -1,9 +1,11 @@
 import csv
 import math
+from functools import partial
 
 import numpy as np
 import pytest
 
+from indexvar.estimators import _fit_grid, _Pruned
 from indexvar.select import ICRow, ICTable, grid_search, info_criterion
 from indexvar.simulate import (
     random_ciaar_params,
@@ -58,7 +60,7 @@ class TestICTable:
             _row("mai", 1, 1, 2, 0, -104.0, 4),
         ]
         assert rows[0].aic == rows[1].aic
-        table = ICTable(rows, 500)
+        table = ICTable(rows, 500, kind="aic")
         assert table.best["aic"] == 1  # fewer parameters wins
 
         # equal counts fall back to lexicographic orders
@@ -66,7 +68,7 @@ class TestICTable:
             _row("mai", 2, 2, 1, 0, -100.0, 8),
             _row("mai", 1, 1, 2, 0, -100.0, 8),
         ]
-        table = ICTable(rows, 500)
+        table = ICTable(rows, 500, kind="aic")
         assert table.best["aic"] == 1
 
     def test_failed_rows_excluded(self):
@@ -75,7 +77,7 @@ class TestICTable:
             _row("mai", 2, 2, 1, 0, -100.0, 8),
         ]
         rows[0].aic = rows[0].bic = rows[0].hq = np.nan
-        table = ICTable(rows, 500)
+        table = ICTable(rows, 500, kind="aic")
         assert table.best["aic"] == 1
 
     def test_all_failed_raises(self):
@@ -190,7 +192,7 @@ class TestGridSearch:
         # a sample too short for the largest candidates fails but is tabulated
         params = random_ciaar_params(4, 1, 1, 1, 1, seed=12)
         Y = simulate_ciaar(params, 18, seed=13)
-        table = grid_search(Y, (1, 6), (1, 3), opts=FitOptions(max_iter=20))
+        table = grid_search(Y, (1, 6), (1, 3), opts=FitOptions(max_iter=20), prune=False)
         assert any(r.failed for r in table.rows)
         assert not table.rows[table.best["hq"]].failed
 
@@ -207,3 +209,53 @@ class TestGridSearch:
             assert rows[orders].failed
             assert rows[orders].error == f"LinAlgError: {SIGMA_ERROR}"
         assert not table.best_row("hq").failed
+        assert not any(row.stop == "pruned" for row in table.rows)
+
+
+class TestPruning:
+    """grid_search skips the candidates its log-likelihood bound certifies
+    to lose under the table's criterion (tests/test_prune_property.py holds
+    the property against prune=False)."""
+
+    @staticmethod
+    def panel():
+        return simulate_ciaar(random_ciaar_params(4, 1, 1, 2, 2, seed=4), 400, seed=5)
+
+    def test_pruned_rows_keep_their_counts_and_bounds(self):
+        table = grid_search(self.panel(), (1, 2), (1, 3))
+        pruned = [row for row in table.rows if row.stop == "pruned"]
+        assert pruned
+        n = 4
+        for row in pruned:
+            p, s, q, r = row.orders()
+            expected = n * (p - 1) + n * q * (s - 1) + n * q - q * q + n * r + r * (q - r)
+            assert row.n_params == expected
+            assert not row.failed and not row.converged
+            assert math.isnan(row.loglik) and math.isnan(row.hq)
+            assert info_criterion(row.loglik_bound, row.n_params, table.T_eff, "hq") > (
+                table.best_row("hq").hq
+            )
+
+    def test_ridge_prunes_nothing(self):
+        table = grid_search(self.panel(), (1, 2), (1, 3), opts=FitOptions(ridge=1e-6))
+        assert all(row.stop != "pruned" for row in table.rows)
+        assert all(math.isnan(row.loglik_bound) for row in table.rows)
+
+    def test_a_grid_whose_fitted_rows_all_fail_prunes_nothing(self):
+        # T_eff = 7: the q = 1 fit runs but its 7 parameters leave no criterion,
+        # and the q = 2, 3 fits have a singular residual covariance
+        Y = simulate_mai(random_mai_params(4, 1, 1, seed=0), 8, seed=0)
+        candidates = [(1, 1, q, 0) for q in (1, 2, 3)]
+        hq = partial(info_criterion, kind="hq")
+        outcomes = list(_fit_grid("mai", Y, candidates, FitOptions(), Y.t0 + 1, criterion=hq))
+        assert all(np.isfinite(bound) for _, bound in outcomes)
+        assert not any(isinstance(fit, _Pruned) for fit, _ in outcomes)
+        with pytest.raises(ValueError, match="all candidate fits failed"):
+            grid_search(Y, (1, 1), (1, 3), model="mai")
+
+    def test_best_row_of_another_criterion_raises(self):
+        table = grid_search(self.panel(), (1, 2), (1, 2), kind="bic")
+        assert table.best_row("bic") is table.rows[table.best["bic"]]
+        for other in ("aic", "hq"):
+            with pytest.raises(ValueError, match="'bic'"):
+                table.best_row(other)
