@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import csv
 import functools
 import json
 import sys
@@ -59,7 +60,7 @@ class RunConfig:
     origins: int = 0
     refit: int = 1
     reps: int = 20
-    workers: int = 1
+    workers: int = 1              # montecarlo's process pool; select fits in one process
     max_iter: int = 500
     tol: float = 1e-8
     ridge: float = 0.0
@@ -278,7 +279,7 @@ def _cmd_select(cfg: RunConfig, outdir) -> None:
     Y = read_panel_csv(cfg.input)
     table = grid_search(
         Y, (cfg.p_min, cfg.p_max), (cfg.q_min, cfg.q_max),
-        kind=cfg.criterion, opts=cfg.fit_options(), model=cfg.model, workers=cfg.workers,
+        kind=cfg.criterion, opts=cfg.fit_options(), model=cfg.model,
     )
     table.to_csv(outdir / "ic_table.csv")
     with open(outdir / "ic_table.csv", "a") as fh:
@@ -330,11 +331,11 @@ def _cmd_montecarlo(cfg: RunConfig, outdir) -> None:
     else:
         results = [_mc_one(t) for t in tasks]
     results.sort(key=lambda row: row[0])
-    lines = ["rep,loglik,iterations,converged,omega_subspace_distance,error"]
-    for rep, ll, iters, conv, dist, err in results:
-        lines.append(f"{rep},{_fmt(ll)},{iters},{conv},{_fmt(dist)},{err}")
-    with open(outdir / "mc_results.csv", "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    with open(outdir / "mc_results.csv", "w", newline="") as fh:
+        out = csv.writer(fh, lineterminator="\n")     # an error cell may hold commas
+        out.writerow("rep,loglik,iterations,converged,omega_subspace_distance,error".split(","))
+        for rep, ll, iters, conv, dist, err in results:
+            out.writerow([rep, _fmt(ll), iters, conv, _fmt(dist), err])
 
 
 # ---------------------------------------------------------------------------
@@ -455,7 +456,7 @@ def _parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--input", default=None)
     p.add_argument("--model", default=None, choices=SELECT_MODELS)
-    for name in ("p-min", "p-max", "q-min", "q-max", "workers", "max-iter"):
+    for name in ("p-min", "p-max", "q-min", "q-max", "max-iter"):
         p.add_argument(f"--{name}", dest=name.replace("-", "_"), type=int, default=None)
     p.add_argument("--criterion", default=None, choices=("aic", "bic", "hq"))
     p.add_argument("--tol", type=float, default=None)

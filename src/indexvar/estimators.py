@@ -744,16 +744,17 @@ def _solve_rrr_eig(S00, S01, S11):
 # ---------------------------------------------------------------------------
 
 
-def _engine_states(setups, opts: FitOptions, starts=(), map_groups=map, prune=None) -> list:
+def _engine_states(setups, opts: FitOptions, starts=(), prune=None) -> list:
     """Each setup's final engine state, or the exception that ended its fit, in order.
 
     setups yields _Setups, or the exceptions building them raised;
     starts[i], when not None, overrides setup i's default start. Only each
     setup's grams and start are kept, so its data can go as the next one is
     built. The default starts are solved in batches (_default_starts), and
-    one lockstep engine batch runs per engine q, in ascending q, padded to
-    the group's largest (nd, na, r) (_engine_grams), by map_groups: map or
-    a pool's map.
+    one lockstep engine batch runs per engine q, in ascending q and one
+    after another in this process, padded to the group's largest
+    (nd, na, r) (_engine_grams). The padded gram tensor is handed to the
+    engine alone, so it is freed at the engine's first compaction.
 
     prune, when given, is called before each group with the outcomes so far
     and the group's member indices, and returns the members to skip, whose
@@ -785,21 +786,12 @@ def _engine_states(setups, opts: FitOptions, starts=(), map_groups=map, prune=No
         group = [member for member in groups[q] if outcomes[member[0]] is not None]
         if not group:
             continue
-        task = ([full for *_, full in group], q, size, [outcomes[i] for i, _, _ in group], opts,
-                [shape for _, shape, _ in group])
-        states, = map_groups(_run_group, [task])
+        shapes = [shape for _, shape, _ in group]
+        states = _sa_engine(_padded_grams([full for *_, full in group], shapes, size), q, size[2],
+                            [outcomes[i] for i, _, _ in group], opts, shapes)
         for (i, _, _), state in zip(group, states):
             outcomes[i] = state
     return outcomes
-
-
-def _run_group(task: tuple) -> list:
-    """One engine group's run, a process-pool task: (members' grams, q, the
-    group's padded (nd, na, r), starts, opts, members' shapes). The padded
-    gram tensor is built here and handed to the engine alone, so it is freed
-    at the engine's first compaction."""
-    fulls, q, size, starts, opts, shapes = task
-    return _sa_engine(_padded_grams(fulls, shapes, size), q, size[2], starts, opts, shapes)
 
 
 def _padded_grams(fulls: list, shapes: list, size: tuple) -> _Grams:
@@ -1406,7 +1398,7 @@ class _Pruned:
 
 
 def _fit_grid(
-    model: str, Y: Panel, candidates: list, opts: FitOptions, t_start: int, map_groups=map,
+    model: str, Y: Panel, candidates: list, opts: FitOptions, t_start: int,
     criterion: Callable | None = None,
 ):
     """Fit one panel at every candidate (p, s, q, r) of a selection grid.
@@ -1417,7 +1409,7 @@ def _fit_grid(
     Candidates whose setups run the same engine fit (a CIAAR order with
     s = 1 and its identified equivalent, _setup_ciaar) are fit once and
     the others copy its state; the distinct fits run through
-    _engine_states.
+    _engine_states, in this process.
 
     criterion(loglik, n_params, T_eff), when given and opts.ridge == 0, is
     the score the grid is searched for, and the grid prunes by it. Each
@@ -1473,8 +1465,7 @@ def _fit_grid(
             cut = best + PRUNE_RTOL * abs(best)
             return [d for d in group if all(lower[i] > cut for i in shares[distinct[d]])]
 
-    states = dict(zip(distinct, _engine_states(
-        [setups[i] for i in distinct], opts, (), map_groups, prune)))
+    states = dict(zip(distinct, _engine_states([setups[i] for i in distinct], opts, (), prune)))
     outcomes = [
         _Pruned(setups[i].n_params, T_eff) if states[j] is None
         else states[i] if i == j else copy.deepcopy(states[j])

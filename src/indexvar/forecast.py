@@ -165,17 +165,16 @@ def rolling_evaluate(
     h: int,
     n_origins: int,
     refit: bool = True,
-    min_window: int | None = None,
 ):
     """Rolling-origin out-of-sample evaluation with a fixed estimation window.
 
     fitter maps a list of equal-length windows (Panels) to an iterable of
     their FitResults, in order; estimators.fit_many is such a map, and
     refits every window in one lockstep run of the switching engine. The
-    window width is set by the first origin (or min_window) and rolled
-    forward; refit=True re-estimates at every origin, refit=False passes the
-    first window alone and reuses its parameters (the cheaper mode, flagged
-    in the returned info). The fits are consumed one at a time, each kept
+    window width is set by the first origin and rolled forward;
+    refit=True re-estimates at every origin, refit=False passes the first
+    window alone and reuses its parameters (the cheaper mode, flagged in
+    the returned info). The fits are consumed one at a time, each kept
     only as its continuation's arguments, and the paths of all origins come
     from one _continue call per recursion shape (one call for fixed orders)
     and are scored by one evaluate. Raises ValueError when the fitter
@@ -185,8 +184,6 @@ def rolling_evaluate(
     if n_origins < 1 or h < 1:
         raise ValueError("need n_origins >= 1 and h >= 1")
     first_origin = Y.T - h - n_origins
-    if min_window is not None:
-        first_origin = max(first_origin, min_window - 1)
     if first_origin < 1:
         raise ValueError("sample too short for the requested evaluation window")
     width = first_origin + 1

@@ -21,16 +21,15 @@ The search is a branch and bound for the table's criterion (Furnival and
 Wilson 1974). Every candidate is nested in the unrestricted model of its
 lags and rank on the same rows (Johansen's VECM for CIAAR, the OLS VAR in
 levels for MAI and IAAR), whose maximized log-likelihood bounds the
-candidate's. The engine groups run in ascending q, and a candidate whose
-criterion at that bound exceeds the best fitted one's is not fitted: its
-row has stop "pruned", its parameter count and its bound, and no
-log-likelihood. So a table defines the minimizer of its own criterion
-only; grid_search(prune=False) fits every candidate.
+candidate's. The engine groups run one after another in this process, in
+ascending q, and a candidate whose criterion at that bound exceeds the best
+fitted one's is not fitted: its row has stop "pruned", its parameter count
+and its bound, and no log-likelihood. So a table defines the minimizer of
+its own criterion only; grid_search(prune=False) fits every candidate.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
 import csv
 import math
 from dataclasses import dataclass, field
@@ -159,7 +158,7 @@ class ICTable:
                 ])
 
 
-def _candidate_grid(model, p_range, q_range, n, s_max=None, r_max=None):
+def _candidate_grid(model, p_range, q_range, n):
     p_lo, p_hi = p_range
     q_lo, q_hi = q_range
     if q_hi >= n:
@@ -169,13 +168,12 @@ def _candidate_grid(model, p_range, q_range, n, s_max=None, r_max=None):
         if model == "mai":
             combos.extend((p, p, q, 0) for q in range(max(q_lo, 1), q_hi + 1))
             continue
-        for s in range(1, (p if s_max is None else min(p, s_max)) + 1):
+        for s in range(1, p + 1):
             for q in range(max(q_lo, 1), q_hi + 1):
                 if model == "iaar":
                     combos.append((p, s, q, 0))
                 else:
-                    cap = q if r_max is None else min(q, r_max)
-                    combos.extend((p, s, q, r) for r in range(0, cap + 1))
+                    combos.extend((p, s, q, r) for r in range(0, q + 1))
     if not combos:
         raise ValueError("empty candidate grid")
     return combos
@@ -210,8 +208,6 @@ def grid_search(
     kind: str = "hq",
     opts: FitOptions | None = None,
     model: str = "ciaar",
-    s_max: int | None = None,
-    r_max: int | None = None,
     workers: int = 1,
     prune: bool = True,
 ) -> ICTable:
@@ -221,27 +217,31 @@ def grid_search(
     (s <= p, r <= q), "iaar" the triple with r = 0, and "mai" the pair
     (p, q). All fits condition on the grid's maximum lag so likelihoods are
     comparable. The distinct fits of each engine q run as one lockstep
-    group; workers > 1 fits the groups in a process pool. With prune, a
-    candidate certified to lose under kind is not fitted (module
-    docstring); pruning is off when opts.ridge > 0. prune=False fits and
-    tabulates every candidate. Either way the table's best is kind's.
+    group, and the groups run in this process in ascending q. workers is
+    kept for callers that pass 1: a pool would hold one group at a time,
+    since each is pruned by the ones before, so any other value raises
+    ValueError. With prune, a candidate certified to lose under kind is not
+    fitted (module docstring); pruning is off when opts.ridge > 0.
+    prune=False fits and tabulates every candidate. Either way the table's
+    best is kind's.
     """
+    if workers != 1:
+        raise ValueError(
+            f"grid_search fits in one process (got workers={workers}): the q groups run in "
+            "order, each pruned by the ones before"
+        )
     if kind not in CRITERIA:
         raise ValueError(f"kind must be one of {CRITERIA}, got {kind!r}")
     if model not in ("ciaar", "iaar", "mai"):
         raise ValueError(f"model must be 'ciaar', 'iaar' or 'mai', got {model!r}")
     opts = opts or FitOptions()
-    combos = _candidate_grid(model, p_range, q_range, Y.n, s_max, r_max)
+    combos = _candidate_grid(model, p_range, q_range, Y.n)
     # conditioning offset shared by all candidates: t0 + max(p, s) covers the
     # longest lag in levels (and, for ciaar, the max(p-1, s-1) difference lags
     # plus the differencing row)
     t_start = Y.t0 + max(max(p, s) for p, s, _, _ in combos)
     criterion = partial(info_criterion, kind=kind) if prune else None
-    if workers > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            fits = _fit_grid(model, Y, combos, opts, t_start, pool.map, criterion)
-    else:
-        fits = _fit_grid(model, Y, combos, opts, t_start, criterion=criterion)
+    fits = _fit_grid(model, Y, combos, opts, t_start, criterion)
     rows, T_eff = [], None
     for orders, (fit, bound) in zip(combos, fits):   # each fit is dropped once tabulated
         rows.append(_ic_row(model, orders, fit, bound))

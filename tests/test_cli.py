@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -180,6 +182,22 @@ class TestFitPipeline:
         assert len(rows) == 2
         assert all(row.endswith(",LinAlgError: x") for row in rows)
 
+    def test_montecarlo_quotes_an_error_cell_holding_commas(self, tmp_path, sim_dir):
+        from indexvar.estimators import fit_iaar
+
+        out = tmp_path / "mc"
+        assert run_cli(
+            "montecarlo", "--model", "iaar", "--n", 4, "--q", 1, "--p", 1, "--s", 0,
+            "--T", 200, "--reps", 2, "--out", out,
+        ) == 0
+        with open(out / "mc_results.csv", newline="") as fh:
+            header, *rows = list(csv.reader(fh))
+        assert len(header) == 6 and len(rows) == 2 and all(len(row) == 6 for row in rows)
+        with pytest.raises(ValueError) as raised:
+            fit_iaar(read_panel_csv(sim_dir / "panel.csv"), p=1, s=0, q=1)
+        assert "," in str(raised.value)
+        assert all(row[-1] == f"ValueError: {raised.value}" for row in rows)
+
     def test_montecarlo_worker_pool_matches_serial(self, tmp_path):
         written = []
         for workers in (1, 2):
@@ -213,6 +231,20 @@ class TestErrors:
         assert code == 1
         assert "'vhari'" in capsys.readouterr().err
         assert not (out / "ic_table.csv").exists()
+
+    def test_select_has_no_workers_flag(self, sim_dir, tmp_path, capsys):
+        with pytest.raises(SystemExit):
+            run_cli("select", "--input", sim_dir / "panel.csv", "--workers", 2,
+                    "--out", tmp_path / "flag")
+        assert "--workers" in capsys.readouterr().err
+        # an old manifest's workers key still parses, and select fits in one process
+        cfg = tmp_path / "select.cfg"
+        cfg.write_text("workers = 2\nmodel = mai\np_max = 1\nq_max = 1\n")
+        out = tmp_path / "sel"
+        assert run_cli("select", "--config", cfg, "--input", sim_dir / "panel.csv",
+                       "--out", out) == 0
+        assert (out / "ic_table.csv").exists()
+        assert "workers = 2" in (out / "manifest.txt").read_text()
 
     def test_unknown_config_key(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"

@@ -786,16 +786,9 @@ class TestGramStarts:
         Y = _ols_case(model)[0][0]
         candidates = _candidate_grid(model, (1, 3), (1, 2), Y.n)
         t_start = Y.t0 + 3
-        tasks, run_group = [], estimators._run_group
-
-        def recorded(task):
-            tasks.append(task)
-            return run_group(task)
-
-        monkeypatch.setattr(estimators, "_run_group", recorded)
-        list(_fit_grid(model, Y, candidates, FitOptions(max_iter=40), t_start))
-        monkeypatch.undo()
-        starts = iter(start for task in tasks for start in task[3])
+        starts, _ = self._engine_starts(monkeypatch, lambda: list(
+            _fit_grid(model, Y, candidates, FitOptions(max_iter=40), t_start)))
+        starts = iter(starts)
         for q in sorted({c[2] for c in candidates}):
             for p, s, q_, _ in candidates:
                 if q_ == q:

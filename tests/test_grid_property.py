@@ -58,30 +58,29 @@ def traced_grid_search(Y, p_range, q_range, model):
     members, keyed by q and the member's rank, and the row outcomes (a
     FitResult or an exception)."""
     regression_calls, group_starts, outcomes = [], {}, []
-    start_regression, run_group = estimators._start_regression, estimators._run_group
+    start_regression, engine = estimators._start_regression, estimators._sa_engine
     fit_grid = select._fit_grid
 
     def counted(grams, r, opts):
         regression_calls.append((grams.G.shape[1], r))
         return start_regression(grams, r, opts)
 
-    def recorded(task):
-        _, q, _, starts, _, shapes = task
-        for start, (_, _, r) in zip(starts, shapes):
-            group_starts.setdefault((q, r), []).append(start)
-        return run_group(task)
+    def recorded(grams, q, r, starts, opts, shapes):
+        for start, (_, _, r_i) in zip(starts, shapes):
+            group_starts.setdefault((q, r_i), []).append(start)
+        return engine(grams, q, r, starts, opts, shapes)
 
     def kept(*args, **kwargs):
         for outcome, bound in fit_grid(*args, **kwargs):
             outcomes.append(outcome)
             yield outcome, bound
 
-    estimators._start_regression, estimators._run_group = counted, recorded
+    estimators._start_regression, estimators._sa_engine = counted, recorded
     select._fit_grid = kept
     try:
         table = grid_search(Y, p_range, q_range, opts=OPTS, model=model, prune=False)
     finally:
-        estimators._start_regression, estimators._run_group = start_regression, run_group
+        estimators._start_regression, estimators._sa_engine = start_regression, engine
         select._fit_grid = fit_grid
     return table, regression_calls, group_starts, outcomes
 

@@ -80,9 +80,11 @@ def test_s1_rows_single_batched_and_perturbed_fits_agree(dgp, T, seed, p_range, 
 
 def engine_members(monkeypatch) -> list:
     """The shapes of the members every engine group runs, as they run."""
-    members, run_group = [], estimators._run_group
+    members, engine = [], estimators._sa_engine
     monkeypatch.setattr(
-        estimators, "_run_group", lambda task: members.extend(task[5]) or run_group(task)
+        estimators, "_sa_engine",
+        lambda grams, q, r, starts, opts, shapes: members.extend(shapes) or engine(
+            grams, q, r, starts, opts, shapes),
     )
     return members
 

@@ -180,13 +180,15 @@ class TestGridSearch:
         assert header[at - 1: at + 2] == ["hq", "sigma_cond", "converged"]
         assert [c[at] for c in cells] == ["", "0.33333333333333331"]
 
-    def test_worker_pool_matches_serial(self):
+    def test_grid_fits_in_one_process(self):
         params = random_ciaar_params(4, 1, 1, 2, 2, seed=4)
         Y = simulate_ciaar(params, 400, seed=5)
-        serial = grid_search(Y, (1, 2), (1, 2))
-        pooled = grid_search(Y, (1, 2), (1, 2), workers=2)
-        assert pooled.rows == serial.rows
-        assert pooled.best == serial.best
+        with pytest.raises(ValueError, match="each pruned by the ones before"):
+            grid_search(Y, (1, 2), (1, 2), workers=2)
+        default = grid_search(Y, (1, 2), (1, 2))
+        serial = grid_search(Y, (1, 2), (1, 2), workers=1)
+        assert serial.rows == default.rows
+        assert serial.best == default.best
 
     def test_failed_candidates_recorded(self):
         # a sample too short for the largest candidates fails but is tabulated
