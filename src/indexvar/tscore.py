@@ -141,13 +141,17 @@ def gaussian_loglik(sigma: np.ndarray, T: int) -> float:
 
     The quadratic form collapses to m, giving
     -(T/2)(m log 2pi + log det sigma + m). A stack of covariances
-    (..., m, m) gives one value each. Raises LinAlgError when any sigma is
-    not positive definite.
+    (..., m, m) gives one value each. log det sigma is 2 sum log diag L of
+    the Cholesky factor L, so any sigma that is not positive definite
+    raises LinAlgError (a determinant's sign cannot tell an even count of
+    negative eigenvalues from none).
     """
     m = sigma.shape[-1]
-    sign, logdet = np.linalg.slogdet(sigma)
-    if (sign <= 0).any():
-        raise np.linalg.LinAlgError("residual covariance is not positive definite")
+    try:
+        L = np.linalg.cholesky(sigma)
+    except np.linalg.LinAlgError:
+        raise np.linalg.LinAlgError("residual covariance is not positive definite") from None
+    logdet = 2.0 * np.log(np.diagonal(L, axis1=-2, axis2=-1)).sum(axis=-1)
     return -0.5 * T * (m * np.log(2.0 * np.pi) + logdet + m)
 
 

@@ -88,6 +88,24 @@ class TestGaussianLoglik:
         with pytest.raises(np.linalg.LinAlgError, match="not positive definite"):
             gaussian_loglik(np.diag([1.0, 0.0]), 50)
 
+    def test_indefinite_sigma_with_a_positive_determinant_raises(self):
+        # two negative eigenvalues: det > 0, so a determinant's sign passes it
+        indefinite = np.diag([-1.0, -2.0, 3.0])
+        assert np.linalg.det(indefinite) > 0
+        with pytest.raises(np.linalg.LinAlgError, match="not positive definite"):
+            gaussian_loglik(indefinite, 100)
+        with pytest.raises(np.linalg.LinAlgError, match="not positive definite"):
+            gaussian_loglik(np.stack([np.eye(3), indefinite]), 100)
+
+    def test_stack_gives_each_sigma_its_value(self):
+        sigmas = np.stack([np.eye(3), np.diag([0.5, 2.0, 4.0])])
+        got = gaussian_loglik(sigmas, 100)
+        assert got.shape == (2,)
+        for value, sigma in zip(got, sigmas):
+            assert value == gaussian_loglik(sigma, 100)
+            ref = -50.0 * (3 * np.log(2 * np.pi) + np.linalg.slogdet(sigma)[1] + 3)
+            assert abs(value - ref) <= 1e-14 * abs(ref)
+
     def test_exact_fit_regression_raises_only_for_loglik(self):
         y = np.arange(1.0, 9.0).reshape(8, 1)
         out = ols(y, y)
