@@ -217,19 +217,16 @@ def grid_search(
     (s <= p, r <= q), "iaar" the triple with r = 0, and "mai" the pair
     (p, q). All fits condition on the grid's maximum lag so likelihoods are
     comparable. The distinct fits of each engine q run as one lockstep
-    group, and the groups run in this process in ascending q. workers is
-    kept for callers that pass 1: a pool would hold one group at a time,
-    since each is pruned by the ones before, so any other value raises
-    ValueError. With prune, a candidate certified to lose under kind is not
-    fitted (module docstring); pruning is off when opts.ridge > 0.
-    prune=False fits and tabulates every candidate. Either way the table's
-    best is kind's.
+    group, and the groups run in this process in ascending q, each pruned by
+    the ones before; workers is kept for callers that pass 1, and any other
+    value raises ValueError. With prune, a candidate certified to lose under
+    kind is not fitted (module docstring); pruning is off when
+    opts.ridge > 0. prune=False fits and tabulates every candidate. Either
+    way the table's best is kind's.
     """
     if workers != 1:
-        raise ValueError(
-            f"grid_search fits in one process (got workers={workers}): the q groups run in "
-            "order, each pruned by the ones before"
-        )
+        raise ValueError(f"grid_search fits in one process, got workers={workers}: the q groups "
+                         "run in order, each pruned by the ones before")
     if kind not in CRITERIA:
         raise ValueError(f"kind must be one of {CRITERIA}, got {kind!r}")
     if model not in ("ciaar", "iaar", "mai"):
