@@ -15,7 +15,6 @@ log-likelihood is evaluated at.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import chain, zip_longest
@@ -36,6 +35,7 @@ from .tscore import (
     SingularDesignError,
     autocov,
     check_rank,
+    cholesky_loglik,
     fix_signs,
     gaussian_loglik,
     har_aggregates,
@@ -188,15 +188,17 @@ def _demeaned(Y: Panel, demean: bool, differences: bool = False):
 # reason; when a member stops, its final state is written out and the active
 # arrays are compacted to the members still running. Compaction happens only
 # then, so a batch of one never fancy-indexes. Each sweep runs in two phases
-# (step 1 with the log-likelihood, then steps 2 and 3); when a phase raises,
-# it is rerun member by member, and a member that raises on its own (a
-# rank-deficient step, step-2 or step-3 normal equations or a covariance that
-# are not positive definite) leaves the batch carrying the exception its
-# single fit would raise, while the others go on.
+# (step 1 with the log-likelihood, then steps 2 and 3). Step 1 factors sigma
+# once (_sigma_factor), and the factor gives both the log-likelihood
+# (cholesky_loglik) and step 2's sigma^-1. When a phase raises, it is rerun
+# member by member, and a member that raises on its own (a rank-deficient
+# step, step-2 or step-3 normal equations or a covariance that are not
+# positive definite) leaves the batch carrying the exception its single fit
+# would raise, while the others go on.
 #
 # Members may also differ in their lags and cointegration rank, as a
 # selection grid's candidates of one q do. Each member's own grams are then
-# zero-padded to the batch's largest (nd, na, r) (_engine_grams), and its
+# zero-padded to the batch's largest (nd, na, r) (_padded_grams), and its
 # inactive delta, loading and step-3 index-lag coordinates are pinned: their
 # rows and columns in steps 1-3 become a diagonal with a zero right-hand
 # side, so they solve to zero and leave the member's own block, its rank
@@ -303,19 +305,6 @@ def _memo_grams(memo: dict, Z, lags: list, ec_X) -> _Grams:
     return memo[key]
 
 
-def _engine_grams(full: _Grams, shape: tuple, size: tuple, out: np.ndarray) -> None:
-    """Write the engine's gram blocks of a member of shape (nd_i, na_i, r_i)
-    into out, its zeroed (k, k, n, n) slot in a batch of size (nd, na, r),
-    from its grams of [Z | lags | ec_X]: the target, nd_i diagonal lags,
-    ec_X (if r > 0) and na_i index lags, each lag channel padded with zeros
-    to the batch's count."""
-    (nd_i, na_i, _), (nd, na, r) = shape, size
-    ec = [1 + full.nd] if r > 0 else []
-    src = [*range(1 + nd_i), *ec, *range(1, 1 + na_i)]
-    dst = np.array([*range(1 + nd_i), *range(1 + nd, 1 + nd + len(ec) + na_i)])
-    out[dst[:, None], dst] = full.G[0][src][:, src]
-
-
 def _target_grams(g: _Grams, ds: np.ndarray):
     """U'U and X_a'U for U = Z - sum_j X_j diag(d_j), for every data block a.
 
@@ -348,7 +337,7 @@ def _sa_engine(
     shapes[i] = (nd_i, na_i, r_i), when given, is member i's own count of
     diagonal and index lags and its rank, at most the batch's (nd, na, r);
     its D0 holds nd_i vectors, its gamma0 r_i columns, its grams of the lags
-    it lacks are zero (_engine_grams), and its missing lags and rank are
+    it lacks are zero (_padded_grams), and its missing lags and rank are
     pinned (_member_masks).
 
     Returns each member's final state in order (its final parameters, and
@@ -404,27 +393,28 @@ def _sa_engine(
         omega, UU = st["omega"], st["UU"]
         weights = ([omega @ st["gamma"]] if r > 0 else []) + [omega] * na  # regressor = X_c @ W_c
         if not weights:
-            sigma = (UU + UU.transpose(0, 2, 1)) / (2.0 * Te)
-            return {"sigma": sigma, "ll": _step_loglik(sigma, Te)}
-        M, v = _normal_blocks(st["grams"].Gcc, weights, st["GU"][:, 1 + nd:])
-        _pin(M, st.get("pin1"))
-        _check_step_rank(M)
-        solve_M = M + opts.ridge * np.eye(M.shape[-1]) if opts.ridge > 0.0 else M
-        coef = np.linalg.solve(solve_M, v)
-        coefT = coef.transpose(0, 2, 1)
-        sigma = (UU - v.transpose(0, 2, 1) @ coef - coefT @ v + coefT @ M @ coef) / Te
-        sigma = (sigma + sigma.transpose(0, 2, 1)) / 2.0
-        return {
-            "sigma": sigma,
-            "ll": _step_loglik(sigma, Te),
-            "alpha0": coefT[:, :, :r],
-            "alphas": coefT[:, :, r:].reshape(len(coef), n, na, q).transpose(0, 2, 1, 3),
-        }
+            sigma, out = (UU + UU.transpose(0, 2, 1)) / (2.0 * Te), {}
+        else:
+            M, v = _normal_blocks(st["grams"].Gcc, weights, st["GU"][:, 1 + nd:])
+            _pin(M, st.get("pin1"))
+            _check_step_rank(M)
+            solve_M = M + opts.ridge * np.eye(M.shape[-1]) if opts.ridge > 0.0 else M
+            coef = np.linalg.solve(solve_M, v)
+            coefT = coef.transpose(0, 2, 1)
+            sigma = (UU - v.transpose(0, 2, 1) @ coef - coefT @ v + coefT @ M @ coef) / Te
+            sigma = (sigma + sigma.transpose(0, 2, 1)) / 2.0
+            out = {
+                "alpha0": coefT[:, :, :r],
+                "alphas": coefT[:, :, r:].reshape(len(coef), n, na, q).transpose(0, 2, 1, 3),
+            }
+        chol = _sigma_factor(sigma)                    # step 2 forms sigma^-1 from it
+        return {"sigma": sigma, "chol": chol, "ll": cholesky_loglik(chol, Te), **out}
 
     def index_step(st: dict) -> dict:
         # Step 2: weighted OLS for (Vec(omega'), delta) given the rest
         grams, omega, UU, GU = st["grams"], st["omega"], st["UU"], st["GU"]
-        sinv = _sigma_inverse(st["sigma"])
+        Linv = np.linalg.inv(st["chol"])
+        sinv = Linv.transpose(0, 2, 1) @ Linv
         loadings = st["alphas"]                        # omega-channel loadings a_c
         if r > 0:
             ec_loading = st["alpha0"] @ st["gamma"].transpose(0, 2, 1)
@@ -532,7 +522,7 @@ def _each_member(phase, st: dict, members: list, finals: list):
 def _member_masks(shapes: list, n: int, q: int, size: tuple) -> dict:
     """Pin each member's lags and rank beyond its own (nd_i, na_i, r_i) in a
     batch of size (nd, na, r): its grams of those lags are zero
-    (_engine_grams), so their coordinates decouple from every step's normal
+    (_padded_grams), so their coordinates decouple from every step's normal
     equations with a zero right-hand side, and _pin gives them a diagonal.
     Its alpha0 coordinates at or beyond r_i are pinned too: their gamma
     columns, and so their step-1 weights, are zero. Returns pin1 over step
@@ -545,22 +535,17 @@ def _member_masks(shapes: list, n: int, q: int, size: tuple) -> dict:
     diag_off = np.arange(nd) >= nd_i                   # (B, nd) lags a member lacks
     index_off = np.arange(na) >= na_i                  # (B, na)
     vec_omega = n * q if q > 0 and (na > 0 or r > 0) else 0    # step 2's free Vec(omega')
-    masks = {
-        "pin1": _pin_mask(
-            np.concatenate([np.arange(r) >= r_i, np.repeat(index_off, q, axis=1)], axis=1)
-        ),
-        "pin2": _pin_mask(np.pad(np.repeat(diag_off, n, axis=1), ((0, 0), (0, vec_omega)))),
-        "pin3": _pin_mask(np.repeat(index_off, q, axis=1)),
+    pinned = {
+        "pin1": np.concatenate([np.arange(r) >= r_i, np.repeat(index_off, q, axis=1)], axis=1),
+        "pin2": np.pad(np.repeat(diag_off, n, axis=1), ((0, 0), (0, vec_omega))),
+        "pin3": np.repeat(index_off, q, axis=1),
     }
+    # each mask is (B, 2, k): the pinned coordinates, and 1/count on the member's free ones
+    masks = {key: np.stack([off, ~off / np.maximum((~off).sum(axis=1, keepdims=True), 1)], axis=1)
+             for key, off in pinned.items()}
     if (r_i != r).any():
         masks["rank"] = r_i[:, 0]
     return masks
-
-
-def _pin_mask(pinned: np.ndarray) -> np.ndarray:
-    """(B, 2, k): the pinned coordinates, and 1/count on each member's free ones."""
-    free = ~pinned
-    return np.stack([pinned, free / np.maximum(free.sum(axis=1, keepdims=True), 1)], axis=1)
 
 
 def _pin(A: np.ndarray, pin: np.ndarray | None) -> None:
@@ -608,25 +593,13 @@ def _normal_blocks(Gcc: np.ndarray, weights: list, XU: np.ndarray):
     return WbT @ Gcc @ Wb, WbT @ XU.reshape(B, C * n, n)
 
 
-def _step_loglik(sigma: np.ndarray, Te: int) -> np.ndarray:
-    """gaussian_loglik of step 1's stacked sigma; one that is not positive
-    definite raises LinAlgError(SIGMA_ERROR), as _sigma_inverse does."""
+def _sigma_factor(sigma: np.ndarray) -> np.ndarray:
+    """Cholesky factors of the stacked sigma; one that is not positive
+    definite raises LinAlgError(SIGMA_ERROR)."""
     try:
-        return gaussian_loglik(sigma, Te)
+        return np.linalg.cholesky(sigma)
     except np.linalg.LinAlgError:
         raise np.linalg.LinAlgError(SIGMA_ERROR) from None
-
-
-def _sigma_inverse(sigma: np.ndarray) -> np.ndarray:
-    """Inverses of the stacked sigma by one stacked Cholesky factorization.
-
-    A sigma that is not positive definite raises LinAlgError(SIGMA_ERROR).
-    """
-    try:
-        Linv = np.linalg.inv(np.linalg.cholesky(sigma))
-    except np.linalg.LinAlgError:
-        raise np.linalg.LinAlgError(SIGMA_ERROR) from None
-    return Linv.transpose(0, 2, 1) @ Linv
 
 
 def _solve_pd(A: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -753,7 +726,7 @@ def _engine_states(setups, opts: FitOptions, starts=(), prune=None) -> list:
     built. The default starts are solved in batches (_default_starts), and
     one lockstep engine batch runs per engine q, in ascending q and one
     after another in this process, padded to the group's largest
-    (nd, na, r) (_engine_grams). The padded gram tensor is handed to the
+    (nd, na, r) (_padded_grams). The padded gram tensor is handed to the
     engine alone, so it is freed at the engine's first compaction.
 
     prune, when given, is called before each group with the outcomes so far
@@ -795,13 +768,18 @@ def _engine_states(setups, opts: FitOptions, starts=(), prune=None) -> list:
 
 
 def _padded_grams(fulls: list, shapes: list, size: tuple) -> _Grams:
-    """The engine grams of a group of size (nd, na, r): each member's grams
-    of [Z | lags | ec_X] written into its zeroed slot (_engine_grams)."""
+    """The engine grams of a group of size (nd, na, r). Member i's slot holds
+    its grams of [Z | lags | ec_X] in the engine's block order: the target,
+    its nd_i diagonal lags, ec_X (if r > 0) and its na_i index lags, each lag
+    channel padded with zero blocks to the group's count."""
     nd, na, r = size
     k, n = 1 + nd + (r > 0) + na, fulls[0].n
     G = np.zeros((len(fulls), k, k, n, n))
-    for out, full, shape in zip(G, fulls, shapes):
-        _engine_grams(full, shape, size, out)
+    for out, full, (nd_i, na_i, _) in zip(G, fulls, shapes):
+        ec = [1 + full.nd] if r > 0 else []
+        src = [*range(1 + nd_i), *ec, *range(1, 1 + na_i)]
+        dst = np.array([*range(1 + nd_i), *range(1 + nd, 1 + nd + len(ec) + na_i)])
+        out[dst[:, None], dst] = full.G[0][src][:, src]
     return _Grams.blocks(G, nd, fulls[0].Te)
 
 
@@ -1408,7 +1386,7 @@ def _fit_grid(
     t_start, and its setup slices one demeaned copy of the panel.
     Candidates whose setups run the same engine fit (a CIAAR order with
     s = 1 and its identified equivalent, _setup_ciaar) are fit once and
-    the others copy its state; the distinct fits run through
+    the others share its state; the distinct fits run through
     _engine_states, in this process.
 
     criterion(loglik, n_params, T_eff), when given and opts.ridge == 0, is
@@ -1466,11 +1444,8 @@ def _fit_grid(
             return [d for d in group if all(lower[i] > cut for i in shares[distinct[d]])]
 
     states = dict(zip(distinct, _engine_states([setups[i] for i in distinct], opts, (), prune)))
-    outcomes = [
-        _Pruned(setups[i].n_params, T_eff) if states[j] is None
-        else states[i] if i == j else copy.deepcopy(states[j])
-        for i, j in enumerate(first)
-    ]
+    outcomes = [_Pruned(setups[i].n_params, T_eff) if states[j] is None else states[j]
+                for i, j in enumerate(first)]
     return zip(_finished(setups, outcomes), bounds)
 
 

@@ -146,11 +146,16 @@ def gaussian_loglik(sigma: np.ndarray, T: int) -> float:
     raises LinAlgError (a determinant's sign cannot tell an even count of
     negative eigenvalues from none).
     """
-    m = sigma.shape[-1]
     try:
         L = np.linalg.cholesky(sigma)
     except np.linalg.LinAlgError:
         raise np.linalg.LinAlgError("residual covariance is not positive definite") from None
+    return cholesky_loglik(L, T)
+
+
+def cholesky_loglik(L: np.ndarray, T: int) -> float:
+    """gaussian_loglik of sigma = L L' from its (stacked) Cholesky factor L."""
+    m = L.shape[-1]
     logdet = 2.0 * np.log(np.diagonal(L, axis1=-2, axis2=-1)).sum(axis=-1)
     return -0.5 * T * (m * np.log(2.0 * np.pi) + logdet + m)
 

@@ -10,17 +10,17 @@ from indexvar.estimators import (
     _Grams,
     _default_starts,
     _each_member,
-    _engine_grams,
     _finish,
     _fit_grid,
     _grid_setup,
     _member_masks,
     _normal_blocks,
+    _padded_grams,
     _sa_engine,
     _setup_iaar,
     _setup_mai,
     _setup_vhari,
-    _sigma_inverse,
+    _sigma_factor,
     _solve_pd,
     _start_grams,
     _step2_solve,
@@ -554,23 +554,23 @@ class TestBatchAxis:
         assert np.allclose(x, [[1.0, 1.0, 1e13], [0.5, 0.25, 1.0]], rtol=1e-12, atol=0.0)
 
     def test_sigma_that_is_not_positive_definite_leaves_the_batch(self):
-        # the stacked inverse raises SIGMA_ERROR; run member by member, only
-        # the failing member leaves, and the others keep their own inverses
+        # the stacked factorization raises SIGMA_ERROR; run member by member,
+        # only the failing member leaves, and the others keep their own factors
         rng = np.random.default_rng(3)
         A = rng.standard_normal((4, 4))
         pd = A @ A.T + np.eye(4)
         sigma = np.stack([pd, np.diag([1.0, 2.0, 0.5, 0.0]), 2.0 * pd])
         with pytest.raises(np.linalg.LinAlgError, match=SIGMA_ERROR.split(" (")[0]):
-            _sigma_inverse(sigma)
+            _sigma_factor(sigma)
         finals = [None, None, None]
         out, _, members = _each_member(
-            lambda st: {"inv": _sigma_inverse(st["sigma"])}, {"sigma": sigma}, [0, 1, 2], finals
+            lambda st: {"chol": _sigma_factor(st["sigma"])}, {"sigma": sigma}, [0, 1, 2], finals
         )
         assert members == [0, 2]
         assert isinstance(finals[1], np.linalg.LinAlgError) and str(finals[1]) == SIGMA_ERROR
-        for inv, i in zip(out["inv"], members):
-            assert np.array_equal(inv, _sigma_inverse(sigma[i: i + 1])[0])
-            assert np.abs(inv @ sigma[i] - np.eye(4)).max() < 1e-10
+        for L, i in zip(out["chol"], members):
+            assert np.array_equal(L, _sigma_factor(sigma[i: i + 1])[0])
+            assert np.abs(L @ L.T - sigma[i]).max() < 1e-10 * np.abs(sigma[i]).max()
 
     def test_error_in_one_member_raises_as_its_single_fit(self):
         # y4_t = y1_{t-1} has no innovation, so a MAI(2) with q = 2 fits it
@@ -887,10 +887,7 @@ class TestMixedRankBatch:
         shapes = [(len(s.diag_X), len(s.index_X), s.r) for s in setups]
         nd, na, r = (max(col) for col in zip(*shapes))
         assert (nd, na, r) == (2, 2, 3)
-        G = np.zeros((len(setups), 1 + nd + 1 + na, 1 + nd + 1 + na, 6, 6))
-        for out, setup, shape in zip(G, setups, shapes):
-            _engine_grams(setup.grams(), shape, (nd, na, r), out)
-        grams = _Grams.blocks(G, nd, setups[0].Z.shape[0])
+        grams = _padded_grams([setup.grams() for setup in setups], shapes, (nd, na, r))
         states = _sa_engine(grams, 3, r, starts, opts, shapes)
         for orders, setup, start, state in zip(self.CANDIDATES, setups, starts, states):
             _, _, q, r_i = orders
