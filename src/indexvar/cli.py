@@ -23,6 +23,7 @@ import numpy as np
 
 from . import __version__, decomp, estimators, simulate as sim
 from .forecast import forecast as forecast_path, rolling_evaluate
+from .params import IAARParams
 from .select import grid_search
 from .tscore import Panel, read_panel_csv, subspace_distance
 
@@ -78,8 +79,8 @@ class RunConfig:
                 raise ValueError(f"cannot simulate model {self.model!r}")
             if self.q >= self.n:
                 raise ValueError(f"need q < n, got q={self.q}, n={self.n}")
-        if self.model == "iaar" and self.s > self.p:
-            raise ValueError(f"need s <= p, got s={self.s} > p={self.p}")
+        if self.model == "iaar":
+            IAARParams.check_orders(self.p, self.s, self.q)
         if self.model == "ciaar" and self.p >= 2 and self.s > self.p:
             raise ValueError(f"need s <= p, got s={self.s} > p={self.p}")
         if self.model in ("ciaar", "vecim", "vecm") and self.r > self.q:
@@ -138,14 +139,6 @@ def _write_params_text(params, path, extra: dict | None = None) -> None:
 
 def _array_lines(arr: np.ndarray) -> list:
     return ["  " + line for line in _format_rows(arr.tolist(), " ")]
-
-
-def _write_trace_csv(fit, path) -> None:
-    lines = ["iteration,loglik"]
-    for i, ll in enumerate(fit.loglik_trace, start=1):
-        lines.append(f"{i},{ll:.17g}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
 
 
 def _write_series_csv(path, columns: dict) -> None:
@@ -251,7 +244,9 @@ def _cmd_fit(cfg: RunConfig, outdir):
             "iterations": fit.iterations, "T_eff": fit.T_eff,
         },
     )
-    _write_trace_csv(fit, outdir / "loglik_trace.csv")
+    trace = fit.loglik_trace                           # "%.17g" writes iteration 1.0 as 1
+    _write_series_csv(outdir / "loglik_trace.csv",
+                      {"iteration": np.arange(1.0, len(trace) + 1), "loglik": trace})
     return fit, Y
 
 

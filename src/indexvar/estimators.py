@@ -969,9 +969,7 @@ def _setup_iaar(
     n = Y.n
     if not 0 <= q < n:
         raise ValueError(f"need 0 <= q < n, got q={q}")
-    if p < 1 or s > p or s < min(q, 1):
-        # with no index lag omega enters no term, so only q = 0 may take s = 0
-        raise ValueError(f"need 1 <= s <= p, or s = 0 with q = 0 (got p={p}, s={s}, q={q})")
+    IAARParams.check_orders(p, s, q)
     values, _, means, memo = data or _demeaned(Y, demean)
     first = max(Y.t0 + p, t_start if t_start is not None else 0)
     Z = values[first:]
@@ -1298,14 +1296,9 @@ def _normalize_gamma(gamma: np.ndarray, alpha0: np.ndarray, diagnostics: dict):
 def _setup_vecim(
     Y: Panel, p: int, q: int, r: int, demean: bool = True, t_start: int | None = None
 ):
-    n = Y.n
-    if not 1 <= q < n:
-        raise ValueError(f"need 1 <= q < n, got q={q}")
-    if not 0 <= r <= q:
-        raise ValueError(f"need 0 <= r <= q, got r={r}")
+    setup = _setup_ciaar(Y, 0, p, q, r, demean, t_start)   # checks q, then r
     if p < 1:
         raise ValueError("need p >= 1")
-    setup = _setup_ciaar(Y, 0, p, q, r, demean, t_start)
     setup.model = "vecim"
     return setup
 

@@ -267,6 +267,14 @@ class IAARParams(_Stationary):
         return var_form(_lag_sums(self.ds, self.alphas, self.omega), self.n)
 
     @staticmethod
+    def check_orders(p: int, s: int, q: int) -> None:
+        """Raise ValueError unless 1 <= s <= p, or s = 0 with q = 0: with no
+        index lag omega enters no term, so only the diagonal model (q = 0)
+        may take s = 0. The IAAR fitter, simulator and CLI share this rule."""
+        if p < 1 or s > p or s < min(q, 1):
+            raise ValueError(f"need 1 <= s <= p, or s = 0 with q = 0 (got p={p}, s={s}, q={q})")
+
+    @staticmethod
     def count(n: int, p: int, s: int, q: int) -> int:
         """The free parameters of an IAAR with p diagonal and s index lags."""
         return n * (q * s + q + p) - q * q

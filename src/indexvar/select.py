@@ -239,11 +239,6 @@ def grid_search(
     t_start = Y.t0 + max(max(p, s) for p, s, _, _ in combos)
     criterion = partial(info_criterion, kind=kind) if prune else None
     fits = _fit_grid(model, Y, combos, opts, t_start, criterion)
-    rows, T_eff = [], None
-    for orders, (fit, bound) in zip(combos, fits):   # each fit is dropped once tabulated
-        rows.append(_ic_row(model, orders, fit, bound))
-        if not rows[-1].failed:
-            T_eff = fit.T_eff
-    if T_eff is None:
-        raise ValueError("all candidate fits failed")
-    return ICTable(rows, T_eff, kind=kind)
+    # each fit is dropped once tabulated; ICTable raises when every row failed
+    rows = [_ic_row(model, orders, fit, bound) for orders, (fit, bound) in zip(combos, fits)]
+    return ICTable(rows, Y.T - t_start, kind=kind)

@@ -273,7 +273,9 @@ def random_mai_params(
 def random_iaar_params(
     n: int, q: int, p: int, s: int, seed: int = 0, diag: float = 0.3
 ) -> IAARParams:
-    """Stationary IAAR draw with own-lag diagonals around `diag`."""
+    """Stationary IAAR draw with own-lag diagonals around `diag`, at orders
+    the IAAR fitter accepts (IAARParams.check_orders)."""
+    IAARParams.check_orders(p, s, q)
     rng = np.random.default_rng(seed)
     for attempt in range(64):
         shrink = 0.9 ** attempt

@@ -182,21 +182,19 @@ class TestFitPipeline:
         assert len(rows) == 2
         assert all(row.endswith(",LinAlgError: x") for row in rows)
 
-    def test_montecarlo_quotes_an_error_cell_holding_commas(self, tmp_path, sim_dir):
-        from indexvar.estimators import fit_iaar
+    def test_montecarlo_quotes_an_error_cell_holding_commas(self, tmp_path, monkeypatch):
+        message = "need 1 <= q < n, got q=4, n=4"
 
+        def failing(cfg, panels):
+            raise ValueError(message)
+
+        monkeypatch.setattr(cli, "_fit_from_config", failing)
         out = tmp_path / "mc"
-        assert run_cli(
-            "montecarlo", "--model", "iaar", "--n", 4, "--q", 1, "--p", 1, "--s", 0,
-            "--T", 200, "--reps", 2, "--out", out,
-        ) == 0
+        assert run_cli(*self.MC_ARGS, "--out", out) == 0
         with open(out / "mc_results.csv", newline="") as fh:
             header, *rows = list(csv.reader(fh))
         assert len(header) == 6 and len(rows) == 2 and all(len(row) == 6 for row in rows)
-        with pytest.raises(ValueError) as raised:
-            fit_iaar(read_panel_csv(sim_dir / "panel.csv"), p=1, s=0, q=1)
-        assert "," in str(raised.value)
-        assert all(row[-1] == f"ValueError: {raised.value}" for row in rows)
+        assert all(row[-1] == f"ValueError: {message}" for row in rows)
 
     def test_montecarlo_worker_pool_matches_serial(self, tmp_path):
         written = []
@@ -208,6 +206,44 @@ class TestFitPipeline:
             ) == 0
             written.append((out / "mc_results.csv").read_bytes())
         assert written[0] == written[1]
+
+
+class TestOtherModels:
+    """fit and decompose for the models outside the CIAAR family; each
+    report is byte-identical on a rerun (c15)."""
+
+    @staticmethod
+    def run_twice(tmp_path, *args):
+        trees = []
+        for name in ("first", "again"):
+            assert run_cli(*args, "--out", tmp_path / name) == 0
+            tree = read_bytes_tree(tmp_path / name)
+            del tree["manifest.txt"]                   # manifests echo the out path
+            trees.append(tree)
+        assert trees[0] == trees[1]
+        return trees[0]
+
+    @pytest.mark.parametrize("model, labels", [
+        ("drvar", ("dynamic", "static", "nu")),
+        ("mai", ("chi", "iota")),
+    ])
+    def test_decompose(self, model, labels, sim_dir, tmp_path):
+        tree = self.run_twice(tmp_path, "decompose", "--input", sim_dir / "panel.csv",
+                              "--model", model, "--p", 2, "--q", 2)
+        header = tree["components.csv"].decode().splitlines()[0]
+        names = read_panel_csv(sim_dir / "panel.csv").names
+        assert header == ",".join(f"{label}_{name}" for label in labels for name in names)
+
+    @pytest.mark.parametrize("model, want", [
+        ("drvar", 2 * (5 - 2) + 2 * 2 ** 2),           # q(n - q) + p q^2, n = 5, q = 2, p = 2
+        ("vecm", 2 * 5 * 1 - 1 ** 2 + (2 - 1) * 5 ** 2),   # 2nr - r^2 + (p - 1)n^2, r = 1
+    ])
+    def test_fit_counts_free_params(self, model, want, sim_dir, tmp_path):
+        tree = self.run_twice(tmp_path, "fit", "--input", sim_dir / "panel.csv",
+                              "--model", model, "--p", 2, "--q", 2, "--r", 1)
+        assert f"n_free_params = {want}" in tree["fit_params.txt"].decode().splitlines()
+        trace = tree["loglik_trace.csv"].decode().splitlines()
+        assert trace[0] == "iteration,loglik" and trace[1].startswith("1,") and len(trace) == 2
 
 
 class TestErrors:
@@ -222,6 +258,20 @@ class TestErrors:
                        "--p", 2, "--s", 3, "--r", 1, "--out", tmp_path / "o")
         assert code == 1
         assert "s <= p" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["simulate", "montecarlo"])
+    def test_iaar_orders_the_fitter_rejects(self, command, tmp_path, capsys):
+        # q index directions with no index lag: rejected before anything is drawn
+        out = tmp_path / "o"
+        shared = ("--model", "iaar", "--n", 4, "--p", 1, "--s", 0, "--T", 200, "--out", out)
+        shared += ("--reps", 2) if command == "montecarlo" else ()
+        code = run_cli(command, *shared, "--q", 1)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "need 1 <= s <= p, or s = 0 with q = 0 (got p=1, s=0, q=1)" in err
+        assert not out.exists()
+        # the diagonal model (s = q = 0) is admissible
+        assert run_cli(command, *shared, "--q", 0) == 0
 
     def test_select_rejects_a_model_it_cannot_search(self, sim_dir, tmp_path, capsys):
         cfg = tmp_path / "select.cfg"

@@ -28,14 +28,15 @@ EC_KINDS = ("ciaar", "vecm")
 
 def random_fit(kind, n, lags, r, seed):
     """A FitResult of `kind` with drawn parameters and means: stationary kinds
-    get lags + 1 levels lags, error-correction kinds `lags` short-run lags
+    get lags + 1 levels lags (an IAAR max(lags, 1) index lags, as its one
+    index direction needs one), error-correction kinds `lags` short-run lags
     (none at lags = 0) and cointegration rank r <= 1."""
     rng = np.random.default_rng(seed)
     means = {"level": rng.standard_normal(n)}
     if kind == "mai":
         params = random_mai_params(n, 1, lags + 1, seed=seed)
     elif kind == "iaar":
-        params = random_iaar_params(n, 1, lags + 1, lags, seed=seed)
+        params = random_iaar_params(n, 1, lags + 1, max(lags, 1), seed=seed)
     elif kind == "drvar":
         params = random_drvar_params(n, 1, lags + 1, seed=seed)
     else:

@@ -5,6 +5,7 @@ from functools import partial
 import numpy as np
 import pytest
 
+from indexvar import estimators
 from indexvar.estimators import _fit_grid, _Pruned
 from indexvar.select import ICRow, ICTable, grid_search, info_criterion
 from indexvar.simulate import (
@@ -254,6 +255,33 @@ class TestPruning:
         assert not any(isinstance(fit, _Pruned) for fit, _ in outcomes)
         with pytest.raises(ValueError, match="all candidate fits failed"):
             grid_search(Y, (1, 1), (1, 3), model="mai")
+
+    def test_an_incumbent_whose_params_fail_to_build_is_passed_over(self, monkeypatch):
+        # the best fit's parameters raise as they are built: its row fails
+        # carrying that error, and the search prunes against the next best
+        # fit, so it picks what prune=False picks
+        Y = self.panel()
+        target = grid_search(Y, (1, 2), (1, 3), prune=False).best_row("hq").orders()
+        assert target[2] < 3                           # fitted before the last q group
+        grid_setup = estimators._grid_setup
+
+        def raise_value_error(state):
+            raise ValueError("params do not build")
+
+        def setup_of(model, Y, orders, t_start, data=None):
+            setup = grid_setup(model, Y, orders, t_start, data)
+            if orders == target:
+                setup.params = raise_value_error
+            return setup
+
+        monkeypatch.setattr(estimators, "_grid_setup", setup_of)
+        pruned, full = (grid_search(Y, (1, 2), (1, 3), prune=prune) for prune in (True, False))
+        for table in (pruned, full):
+            row = next(row for row in table.rows if row.orders() == target)
+            assert row.failed and row.error == "ValueError: params do not build"
+        assert any(row.stop == "pruned" for row in pruned.rows)
+        assert pruned.best == full.best
+        assert pruned.best_row("hq").orders() != target
 
     def test_best_row_of_another_criterion_raises(self):
         table = grid_search(self.panel(), (1, 2), (1, 2), kind="bic")

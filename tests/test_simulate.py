@@ -212,6 +212,17 @@ class TestSimulateCiaar:
             simulate_ciaar(bad, 100, seed=0)
 
 
+class TestSimulateIaar:
+    def test_orders_the_fitter_rejects(self):
+        # q index directions and no index lag: omega would enter no term
+        message = r"need 1 <= s <= p, or s = 0 with q = 0 \(got p=1, s=0, q=1\)"
+        with pytest.raises(ValueError, match=message):
+            random_iaar_params(4, 1, 1, 0)
+        params = random_iaar_params(4, 0, 1, 0)            # the diagonal model
+        assert (params.q, params.s) == (0, 0)
+        assert np.isfinite(simulate_iaar(params, 100, seed=0).values).all()
+
+
 class TestNestingAcrossSimulators:
     def test_iaar_nests_mai(self):
         from indexvar.params import IAARParams
