@@ -79,12 +79,13 @@ class RunConfig:
                 raise ValueError(f"cannot simulate model {self.model!r}")
             if self.q >= self.n:
                 raise ValueError(f"need q < n, got q={self.q}, n={self.n}")
-        if self.model == "iaar":
-            IAARParams.check_orders(self.p, self.s, self.q)
-        if self.model == "ciaar" and self.p >= 2 and self.s > self.p:
-            raise ValueError(f"need s <= p, got s={self.s} > p={self.p}")
-        if self.model in ("ciaar", "vecim", "vecm") and self.r > self.q:
-            raise ValueError(f"need r <= q, got r={self.r} > q={self.q}")
+        if self.subcommand != "select":                # select reads no p, s, q or r
+            if self.model == "iaar":
+                IAARParams.check_orders(self.p, self.s, self.q)
+            if self.model == "ciaar" and self.p >= 2 and self.s > self.p:
+                raise ValueError(f"need s <= p, got s={self.s} > p={self.p}")
+            if self.model in ("ciaar", "vecim", "vecm") and self.r > self.q:
+                raise ValueError(f"need r <= q, got r={self.r} > q={self.q}")
         if self.criterion not in ("aic", "bic", "hq"):
             raise ValueError(f"unknown criterion {self.criterion!r}")
 

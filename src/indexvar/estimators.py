@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import chain, zip_longest
+from itertools import zip_longest
 from typing import Callable
 
 import numpy as np
@@ -83,6 +83,28 @@ class FitOptions:
 
 
 @dataclass
+class _Deferred:
+    """Residuals not formed yet: form() returns the T_eff x n array."""
+
+    form: Callable
+    T_eff: int
+
+
+class _Residuals:
+    """FitResult.residuals: the array given, or a _Deferred's, formed on first read."""
+
+    def __get__(self, fit, owner=None):
+        if fit is None:
+            raise AttributeError("residuals")       # no class default: a required field
+        if isinstance(fit._residuals, _Deferred):
+            fit._residuals = fit._residuals.form()
+        return fit._residuals
+
+    def __set__(self, fit, value):
+        fit._residuals = value
+
+
+@dataclass
 class FitResult:
     """Estimation output common to all model classes.
 
@@ -90,12 +112,14 @@ class FitResult:
     target, so residual row i corresponds to panel row t_start + i. means
     holds the offsets subtracted before fitting ("level", and "diff" for
     error-correction fits). loglik == gaussian_loglik(params.sigma, T_eff).
+    An engine fit's residuals are formed when first read (_finish); T_eff
+    and n_params leave them unformed, and a pickle holds them formed.
     """
 
     model: str
     params: object
     loglik_trace: np.ndarray
-    residuals: np.ndarray
+    residuals: np.ndarray = _Residuals()
     converged: bool
     iterations: int
     t_start: int
@@ -108,11 +132,16 @@ class FitResult:
 
     @property
     def T_eff(self) -> int:
-        return self.residuals.shape[0]
+        held = self._residuals
+        return held.T_eff if isinstance(held, _Deferred) else held.shape[0]
 
     @property
     def n_params(self) -> int:
         return self.params.n_free_params()
+
+    def __getstate__(self) -> dict:
+        self.residuals                                 # form them: a _Deferred does not pickle
+        return self.__dict__
 
 
 # ---------------------------------------------------------------------------
@@ -248,6 +277,26 @@ class _Setup:
     def shape(self) -> tuple:
         """(nd, na, r): the engine's diagonal and index lag counts and rank."""
         return len(self.diag_X), len(self.index_X), self.r
+
+    @property
+    def T_eff(self) -> int:
+        return self.Z.shape[0]
+
+    def full(self) -> "_Setup":
+        return self
+
+
+@dataclass
+class _Head:
+    """What a fit keeps of its _Setup past the engine run (_lockstep);
+    full() builds the setup again, for the fit's residuals."""
+
+    model: str
+    first: int
+    means: dict
+    params: Callable
+    T_eff: int
+    full: Callable
 
 
 @dataclass
@@ -784,8 +833,8 @@ def _padded_grams(fulls: list, shapes: list, size: tuple) -> _Grams:
 
 
 def _finished(setups, outcomes):
-    """Each member's FitResult from its setup and engine state; any other
-    outcome (its exception, a pruned candidate) as it is."""
+    """Each member's FitResult from its _Setup or _Head and engine state;
+    any other outcome (its exception, a pruned candidate) as it is."""
     for setup, outcome in zip(setups, outcomes):
         try:
             yield _finish(setup, outcome) if isinstance(outcome, dict) else outcome
@@ -802,21 +851,40 @@ def _raised(outcome):
 def _lockstep(make_setup, panels: list, opts: FitOptions | None, starts: list | None = None):
     """Fit every panel in one lockstep engine run; returns an iterator of FitResults.
 
-    make_setup(Y) validates a panel and builds its _Setup. The iterator
-    raises a failed fit's exception in its turn and goes on. Each setup is
-    built again for its residual pass but the last panel's, built first.
+    make_setup(Y) validates a panel and builds its _Setup, once per panel
+    for the engine run: the last panel's first, so an invalid order raises
+    here. Past the run each fit keeps its setup's _Head, and builds the
+    setup again only if its residuals are read; the last panel's setup is
+    held instead. The iterator raises a failed fit's exception in its turn
+    and goes on.
     """
-    last = make_setup(panels[-1])
+    last, heads = make_setup(panels[-1]), []
+    sources = [partial(make_setup, Y) for Y in panels[:-1]] + [lambda: last]
 
     def setups():
-        return chain(map(make_setup, panels[:-1]), [last])
+        for source in sources:
+            setup = source()
+            heads.append(_Head(setup.model, setup.first, setup.means, setup.params,
+                               setup.T_eff, source))
+            yield setup
 
     states = _engine_states(setups(), opts or FitOptions(), starts or ())
-    return map(_raised, _finished(setups(), states))
+    return map(_raised, _finished(heads, states))
 
 
-def _finish(setup: _Setup, state: dict) -> FitResult:
-    """A member's residuals by one dense pass; its parameters and sigma are the engine's."""
+def _finish(setup, state: dict) -> FitResult:
+    """A member's FitResult from its _Setup or _Head and engine state. Its
+    parameters and sigma are the engine's, and its residuals are formed from
+    setup.full() when first read (_residuals)."""
+    return FitResult(
+        setup.model, setup.params(state), state["trace"],
+        _Deferred(lambda: _residuals(setup.full(), state), setup.T_eff), state["converged"],
+        state["iterations"], setup.first, means=setup.means, diagnostics=state["diagnostics"],
+    )
+
+
+def _residuals(setup: _Setup, state: dict) -> np.ndarray:
+    """A member's residuals at its engine state, by one dense pass over its data."""
     omega, resid = state["omega"], setup.Z.copy()
     for d, X in zip(state["ds"], setup.diag_X):
         resid -= X * d
@@ -824,10 +892,7 @@ def _finish(setup: _Setup, state: dict) -> FitResult:
         resid -= (setup.ec_X @ (omega @ state["gamma"])) @ state["alpha0"].T
     for X, a in zip(setup.index_X, state["alphas"]):
         resid -= (X @ omega) @ a.T
-    return FitResult(
-        setup.model, setup.params(state), state["trace"], resid, state["converged"],
-        state["iterations"], setup.first, means=setup.means, diagnostics=state["diagnostics"],
-    )
+    return resid
 
 
 def fit_many(
@@ -845,9 +910,11 @@ def fit_many(
     Every panel starts from its own default starting values and keeps its
     own trace and stop reason, so each fit equals the single fitter's on
     that panel. Returns an iterator over the FitResults in panel order; the
-    switching runs before this returns, and each fit's residuals are formed
-    as it is consumed. A panel whose fit fails does not stop the others:
-    the iterator raises that fit's exception in its turn and goes on.
+    switching runs before this returns, and each fit's parameters are built
+    as it is consumed, and its residuals only if read, from its panel's
+    setup built again (_lockstep). A panel whose fit fails does not stop
+    the others: the iterator raises that fit's exception in its turn and
+    goes on.
     The diagonal IAAR (q = 0) runs the engine too. Raises ValueError when
     the panels differ in length, width or first usable row.
     """

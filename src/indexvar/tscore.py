@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -81,9 +82,31 @@ class Panel:
 def read_panel_csv(path) -> Panel:
     """Read a panel from CSV: first row header, columns = series, rows = time.
 
-    Cells must be decimal numbers with no missing entries; parse failures
-    report the offending row and column.
+    Cells must be numbers float() reads, with no missing entries; parse
+    failures report the offending row and column. The header goes through
+    csv.reader and the data rows through numpy's C reader. Wherever that
+    reader might disagree with csv.reader and float() (a quoted header, a
+    blank line, a non-ASCII data row, a cell it cannot parse, a row count or
+    width other than the file's), the file is read again row by row
+    (_read_rows), which gives every error message.
     """
+    try:
+        with open(path) as fh:
+            header, _, body = fh.read().partition("\n")
+        # numpy's reader strips \x1c-\x1f as whitespace, float() does not
+        if '"' not in header and body.strip() and body.isascii() \
+                and not any(c in body for c in "\x1c\x1d\x1e\x1f"):
+            names = [s.strip() for s in next(csv.reader([header]))]
+            values = np.loadtxt(io.StringIO(body), delimiter=",", comments=None, ndmin=2)
+            if values.shape == (body.count("\n") + (body[-1] != "\n"), len(names)):
+                return Panel(values, names)
+    except ValueError:
+        pass
+    return _read_rows(path)
+
+
+def _read_rows(path) -> Panel:
+    """read_panel_csv by csv.reader and float(), one row at a time."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:

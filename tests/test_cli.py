@@ -282,6 +282,20 @@ class TestErrors:
         assert "'vhari'" in capsys.readouterr().err
         assert not (out / "ic_table.csv").exists()
 
+    @pytest.mark.parametrize("model, orders", [
+        ("iaar", "s = 2\np = 1\n"),                    # s > p: no IAAR fit takes it
+        ("ciaar", "r = 3\n"),                          # r > q = 1
+    ], ids=["iaar-s-above-p", "ciaar-r-above-q"])
+    def test_select_ignores_single_fit_orders(self, model, orders, sim_dir, tmp_path):
+        # select searches its own grid and reads no p, s, q or r, so a config
+        # holding orders no single fit takes still selects
+        cfg = tmp_path / "select.cfg"
+        cfg.write_text(f"model = {model}\n{orders}p_max = 1\nq_max = 1\n")
+        out = tmp_path / "sel"
+        assert run_cli("select", "--config", cfg, "--input", sim_dir / "panel.csv",
+                       "--out", out) == 0
+        assert (out / "ic_table.csv").exists()
+
     def test_select_has_no_workers_flag(self, sim_dir, tmp_path, capsys):
         with pytest.raises(SystemExit):
             run_cli("select", "--input", sim_dir / "panel.csv", "--workers", 2,

@@ -471,10 +471,13 @@ class TestStep2Rewrite:
             channels = [m["ec_X"]] * ec + m["index_X"]
             blocks.append(sum(vec_omega_block(X, S @ a_c) for X, a_c in zip(channels, a)))
             free = list(range(m["nd"] * n)) + list(range(nd * n, nd * n + n * q))
-            X2 = np.hstack(blocks)
+            # the least-squares solution of the ridge-augmented row-level
+            # design solves the normal equations without squaring its
+            # condition number, as forming X2' X2 here would
+            X2 = np.vstack([np.hstack(blocks), np.sqrt(ridge) * np.eye(len(free))])
+            y2 = np.concatenate([(m["Z"] @ S).ravel(), np.zeros(len(free))])
             ref = np.zeros_like(got)
-            lhs = X2.T @ X2 + ridge * np.eye(len(free))
-            ref[free] = np.linalg.solve(lhs, X2.T @ (m["Z"] @ S).ravel())
+            ref[free] = np.linalg.lstsq(X2, y2, rcond=None)[0]
             assert np.abs(got - ref).max() <= 1e-10 * np.abs(ref).max()
 
     @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])

@@ -246,6 +246,55 @@ class TestPanelCsv:
         with pytest.raises(ValueError, match="non-finite"):
             Panel(np.array([[1.0, np.nan]]))
 
+    # What the reader accepts, with the values it reads, and what it rejects,
+    # with its message. Several are files numpy's C reader reads differently
+    # on its own (a quoted cell, a blank line, a "#" line, "1_0", \x1c).
+    ACCEPTED = {
+        "quoted cells": ('a,b\n"1.5",2\n', [[1.5, 2.0]]),
+        "underscore": ("a,b\n1_0,2\n", [[10.0, 2.0]]),
+        "crlf": ("a,b\r\n1,2\r\n3,4\r\n", [[1.0, 2.0], [3.0, 4.0]]),
+        "spaces around cells": ("a,b\n 1.5 ,\t2 \n", [[1.5, 2.0]]),
+        "one data row, no final newline": ("a,b\n1,2", [[1.0, 2.0]]),
+        "one column": ("a\n1\n2\n", [[1.0], [2.0]]),
+        "non-ASCII digit": ("a,b\n١,2\n", [[1.0, 2.0]]),
+    }
+    REJECTED = {
+        "blank line in the middle": ("a,b\n1,2\n\n3,4\n", "row 3 has 0 cells, expected 2"),
+        "blank line at the end": ("a,b\n1,2\n\n", "row 3 has 0 cells, expected 2"),
+        "comment line": ("a,b\n#x\n1,2\n", "row 2 has 1 cells, expected 2"),
+        "comment after a cell": ("a,b\n1,2#x\n", "row 2, column 'b': cannot parse '2#x'"),
+        "nan": ("a,b\nnan,2\n", "panel contains non-finite values"),
+        "inf": ("a,b\n1,-inf\n", "panel contains non-finite values"),
+        "short row": ("a,b\n1,2\n3\n", "row 3 has 1 cells, expected 2"),
+        "every row short": ("a,b\n1\n3\n", "row 2 has 1 cells, expected 2"),
+        "header only": ("a,b\n", "no data rows"),
+        "empty file": ("", "empty file"),
+        "unparsable cell": ("a,b\n1,2\n3,x4\n", "row 3, column 'b': cannot parse 'x4'"),
+        "empty cell": ("a,b\n1,\n", "row 2, column 'b': cannot parse ''"),
+        "whitespace line": ("a\n1\n  \n", "row 3, column 'a': cannot parse '  '"),
+        "separator control": ("a,b\n1\x1c,2\n", "row 2, column 'a': cannot parse '1\\x1c'"),
+        "quote spanning the header": ('"a\n1\n', "no data rows"),
+    }
+
+    @pytest.mark.parametrize("case", ACCEPTED)
+    def test_accepts(self, tmp_path, case):
+        text, values = self.ACCEPTED[case]
+        path = tmp_path / "p.csv"
+        path.write_bytes(text.encode())
+        panel = read_panel_csv(path)
+        assert panel.values.tolist() == values
+        assert panel.names == ["a", "b"][:len(values[0])]
+
+    @pytest.mark.parametrize("case", REJECTED)
+    def test_rejects(self, tmp_path, case):
+        text, message = self.REJECTED[case]
+        path = tmp_path / "p.csv"
+        path.write_bytes(text.encode())
+        with pytest.raises(ValueError) as info:
+            read_panel_csv(path)
+        prefix = "" if message.startswith("panel") else f"{path}: "
+        assert str(info.value) == prefix + message
+
 
 class TestSubspace:
     def test_rotation_invariant(self):
