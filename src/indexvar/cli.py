@@ -23,14 +23,22 @@ import numpy as np
 
 from . import __version__, decomp, estimators, simulate as sim
 from .forecast import forecast as forecast_path, rolling_evaluate
-from .params import IAARParams
+from .params import CIAARParams, DRVARParams, IAARParams, MAIParams, VHARIParams
 from .select import grid_search
 from .tscore import Panel, read_panel_csv, subspace_distance
 
 __all__ = ["RunConfig", "run", "main"]
 
 MODELS = ("mai", "vhari", "iaar", "ciaar", "vecim", "vecm", "drvar")
-SIM_MODELS = ("mai", "vhari", "iaar", "ciaar", "drvar")
+# each simulated model's params class, whose check_orders is its fitter's
+# order rule, and the orders, among (p, s, q, r), that rule reads after n
+SIM_MODELS = {
+    "mai": (MAIParams, ("p", "q")),
+    "vhari": (VHARIParams, ("q",)),
+    "iaar": (IAARParams, ("p", "s", "q")),
+    "ciaar": (CIAARParams, ("p", "s", "q", "r")),
+    "drvar": (DRVARParams, ("p", "q")),
+}
 SELECT_MODELS = ("ciaar", "iaar", "mai")
 
 
@@ -74,18 +82,11 @@ class RunConfig:
         if self.subcommand in ("fit", "decompose", "forecast"):
             if self.model not in MODELS:
                 raise ValueError(f"missing or unknown model {self.model!r}")
-        if self.subcommand in ("simulate", "montecarlo"):
+        if self.subcommand in ("simulate", "montecarlo"):   # the others leave orders to the fitter
             if self.model not in SIM_MODELS:
                 raise ValueError(f"cannot simulate model {self.model!r}")
-            if self.q >= self.n:
-                raise ValueError(f"need q < n, got q={self.q}, n={self.n}")
-        if self.subcommand != "select":                # select reads no p, s, q or r
-            if self.model == "iaar":
-                IAARParams.check_orders(self.p, self.s, self.q)
-            if self.model == "ciaar" and self.p >= 2 and self.s > self.p:
-                raise ValueError(f"need s <= p, got s={self.s} > p={self.p}")
-            if self.model in ("ciaar", "vecim", "vecm") and self.r > self.q:
-                raise ValueError(f"need r <= q, got r={self.r} > q={self.q}")
+            params, orders = SIM_MODELS[self.model]
+            params.check_orders(self.n, *(getattr(self, k) for k in orders))
         if self.criterion not in ("aic", "bic", "hq"):
             raise ValueError(f"unknown criterion {self.criterion!r}")
 
@@ -264,8 +265,6 @@ def _cmd_decompose(cfg: RunConfig, outdir) -> None:
         d = decomp.common_uncommon(fit, Y)
         parts = {"chi": d.chi, "iota": d.iota}
     for label, block in parts.items():
-        if block is None:
-            continue
         for i, name in enumerate(Y.names):
             cols[f"{label}_{name}"] = block[:, i]
     _write_series_csv(outdir / "components.csv", cols)

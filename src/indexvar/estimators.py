@@ -938,10 +938,7 @@ def _setup_mai(
     Y: Panel, p: int, q: int, demean: bool = True, t_start: int | None = None, data=None
 ):
     n = Y.n
-    if not 1 <= q <= n:
-        raise ValueError(f"need 1 <= q <= n, got q={q}")
-    if p < 1:
-        raise ValueError("need p >= 1")
+    MAIParams.check_orders(n, p, q)
     values, _, means, memo = data or _demeaned(Y, demean)
     first = max(Y.t0 + p, t_start if t_start is not None else 0)
     if first + 1 >= Y.T:
@@ -987,8 +984,7 @@ def fit_mai(
 
 def _setup_vhari(Yd: Panel, q: int, demean: bool = True, t_start: int | None = None):
     n = Yd.n
-    if not 1 <= q <= n:
-        raise ValueError(f"need 1 <= q <= n, got q={q}")
+    VHARIParams.check_orders(n, q)
     if Yd.T < 22 + n + 2:
         raise ValueError("sample too short for the 22-day cascade")
     values, mu = _demean(Yd.values, Yd.t0, demean)
@@ -1034,9 +1030,7 @@ def _setup_iaar(
     Y: Panel, p: int, s: int, q: int, demean: bool = True, t_start: int | None = None, data=None
 ):
     n = Y.n
-    if not 0 <= q < n:
-        raise ValueError(f"need 0 <= q < n, got q={q}")
-    IAARParams.check_orders(p, s, q)
+    IAARParams.check_orders(n, p, s, q)
     values, _, means, memo = data or _demeaned(Y, demean)
     first = max(Y.t0 + p, t_start if t_start is not None else 0)
     Z = values[first:]
@@ -1279,12 +1273,7 @@ def _setup_ciaar(
     data=None,
 ):
     n = Y.n
-    if not 1 <= q < n:
-        raise ValueError(f"need 1 <= q < n, got q={q}")
-    if not 0 <= r <= q:
-        raise ValueError(f"need 0 <= r <= q, got r={r}")
-    if p >= 2 and s > p:
-        raise ValueError(f"need s <= p when the diagonal channel is present (p={p}, s={s})")
+    CIAARParams.check_orders(n, p, s, q, r)
     nd, na = max(p - 1, 0), max(s - 1, 0)
     # with no index lag omega enters only through beta = omega gamma: run the
     # identified equivalent (p, s, r, r), gamma = I_r, and complete omega in params
@@ -1363,7 +1352,7 @@ def _normalize_gamma(gamma: np.ndarray, alpha0: np.ndarray, diagnostics: dict):
 def _setup_vecim(
     Y: Panel, p: int, q: int, r: int, demean: bool = True, t_start: int | None = None
 ):
-    setup = _setup_ciaar(Y, 0, p, q, r, demean, t_start)   # checks q, then r
+    setup = _setup_ciaar(Y, 0, p, q, r, demean, t_start)   # checks CIAAR's q, then r
     if p < 1:
         raise ValueError("need p >= 1")
     setup.model = "vecim"
@@ -1569,8 +1558,7 @@ def fit_drvar_omega(Y: Panel, p0: int, q: int):
     n = Y.n
     if p0 < 1:
         raise ValueError("need p0 >= 1")
-    if not 1 <= q < n:
-        raise ValueError(f"need 1 <= q < n, got q={q}")
+    DRVARParams.check_orders(n, 1, q)                  # p is fit_drvar_coeffs' to check
     if p0 >= Y.T - 1:
         raise ValueError(f"p0={p0} too large for sample length {Y.T}")
     usable = Panel(Y.usable(), list(Y.names))

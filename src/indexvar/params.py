@@ -15,7 +15,9 @@ radius of its companion:
 var_coeffs() expands a container into the coefficient matrices of its
 levels VAR (K_j E for the stationary classes). The error-correction classes
 also give ec_form(), the factors alpha0 and beta of alpha0 beta' and the
-short-run lags, and unit_roots().
+short-run lags, and unit_roots(). The containers take any orders their
+recursions can run; each simulated class's check_orders(n, ...) holds the
+narrower rule of its fitter, which the fitter and the simulating CLI share.
 """
 
 from __future__ import annotations
@@ -37,16 +39,40 @@ __all__ = [
 ]
 
 
-def _check_pd(sigma: np.ndarray, what: str = "sigma") -> None:
-    sigma = np.asarray(sigma)
+def _pd(sigma) -> np.ndarray:
+    """sigma as a float matrix, which must be symmetric positive definite."""
+    sigma = np.asarray(sigma, float)
     if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1]:
-        raise ValueError(f"{what} must be square, got shape {sigma.shape}")
+        raise ValueError(f"sigma must be square, got shape {sigma.shape}")
     if not np.allclose(sigma, sigma.T, atol=1e-10):
-        raise ValueError(f"{what} must be symmetric")
+        raise ValueError("sigma must be symmetric")
     try:
         np.linalg.cholesky(sigma)
     except np.linalg.LinAlgError:
-        raise ValueError(f"{what} is not positive definite") from None
+        raise ValueError("sigma is not positive definite") from None
+    return sigma
+
+
+def _matrix(a, shape: tuple, what: str) -> np.ndarray:
+    """a as a float matrix, which must have the given shape."""
+    a = np.atleast_2d(np.asarray(a, float))
+    if a.shape != shape:
+        raise ValueError(f"{what} has shape {a.shape}, expected {shape}")
+    return a
+
+
+def _lags(mats, shape: tuple, what: str) -> list[np.ndarray]:
+    """The lag matrices what_1, what_2, ... as float matrices of one shape."""
+    return [_matrix(a, shape, f"{what}_{j}") for j, a in enumerate(mats, start=1)]
+
+
+def _diagonals(ds, n: int) -> list[np.ndarray]:
+    """The diagonals delta_1, delta_2, ... as float vectors of length n."""
+    ds = [np.asarray(d, float).ravel() for d in ds]
+    for j, d in enumerate(ds, start=1):
+        if d.shape != (n,):
+            raise ValueError(f"delta_{j} has length {d.size}, expected {n}")
+    return ds
 
 
 def _check_full_rank(mat: np.ndarray, what: str) -> None:
@@ -55,6 +81,18 @@ def _check_full_rank(mat: np.ndarray, what: str) -> None:
     sv = np.linalg.svd(mat, compute_uv=False)
     if sv[-1] < 1e-10 * sv[0]:
         raise ValueError(f"{what} is not full rank")
+
+
+class _Indexed:
+    """n and q of a class with n x q index weights omega."""
+
+    @property
+    def n(self) -> int:
+        return self.omega.shape[0]
+
+    @property
+    def q(self) -> int:
+        return self.omega.shape[1]
 
 
 class _Stationary:
@@ -112,7 +150,7 @@ class _ErrorCorrection:
 
 
 @dataclass
-class MAIParams(_Stationary):
+class MAIParams(_Indexed, _Stationary):
     """Multivariate autoregressive index model: Y_t = sum_j alpha_j omega' Y_{t-j} + e_t."""
 
     omega: np.ndarray                 # n x q loading weights, full column rank
@@ -121,28 +159,24 @@ class MAIParams(_Stationary):
 
     def __post_init__(self):
         self.omega = np.atleast_2d(np.asarray(self.omega, float))
-        self.alphas = [np.atleast_2d(np.asarray(a, float)) for a in self.alphas]
-        self.sigma = np.asarray(self.sigma, float)
         n, q = self.omega.shape
         if q > n:
             raise ValueError(f"q={q} exceeds n={n}")
         _check_full_rank(self.omega, "omega")
-        for j, a in enumerate(self.alphas):
-            if a.shape != (n, q):
-                raise ValueError(f"alpha_{j + 1} has shape {a.shape}, expected ({n}, {q})")
-        _check_pd(self.sigma)
-
-    @property
-    def n(self) -> int:
-        return self.omega.shape[0]
-
-    @property
-    def q(self) -> int:
-        return self.omega.shape[1]
+        self.alphas = _lags(self.alphas, (n, q), "alpha")
+        self.sigma = _pd(self.sigma)
 
     @property
     def p(self) -> int:
         return len(self.alphas)
+
+    @staticmethod
+    def check_orders(n: int, p: int, q: int) -> None:
+        """Raise ValueError unless 1 <= q <= n and p >= 1: the MAI fitter's rule."""
+        if not 1 <= q <= n:
+            raise ValueError(f"need 1 <= q <= n, got q={q}")
+        if p < 1:
+            raise ValueError("need p >= 1")
 
     def state_form(self) -> StateForm:
         """The indexes f_t = omega'Y_t: E = omega', K_j = alpha_j."""
@@ -159,7 +193,7 @@ class MAIParams(_Stationary):
 
 
 @dataclass
-class VHARIParams(_Stationary):
+class VHARIParams(_Indexed, _Stationary):
     """Vector heterogeneous autoregressive index model on daily data.
 
     Y_t = alpha_d omega' Y_{t-1} + alpha_w omega' Yw_{t-1} + alpha_m omega' Ym_{t-1} + e_t
@@ -177,20 +211,8 @@ class VHARIParams(_Stationary):
         n, q = self.omega.shape
         _check_full_rank(self.omega, "omega")
         for name in ("alpha_d", "alpha_w", "alpha_m"):
-            a = np.atleast_2d(np.asarray(getattr(self, name), float))
-            setattr(self, name, a)
-            if a.shape != (n, q):
-                raise ValueError(f"{name} has shape {a.shape}, expected ({n}, {q})")
-        self.sigma = np.asarray(self.sigma, float)
-        _check_pd(self.sigma)
-
-    @property
-    def n(self) -> int:
-        return self.omega.shape[0]
-
-    @property
-    def q(self) -> int:
-        return self.omega.shape[1]
+            setattr(self, name, _matrix(getattr(self, name), (n, q), name))
+        self.sigma = _pd(self.sigma)
 
     def state_form(self) -> StateForm:
         """The indexes f_t = omega'Y_t with the 22 daily loadings of the
@@ -199,6 +221,12 @@ class VHARIParams(_Stationary):
         am, aw = self.alpha_m / 22.0, self.alpha_w / 5.0
         K = np.array([am + (j < 5) * aw + (j == 0) * self.alpha_d for j in range(22)])
         return StateForm(self.omega.T, K, np.zeros((self.q, self.q)))
+
+    @staticmethod
+    def check_orders(n: int, q: int) -> None:
+        """Raise ValueError unless 1 <= q <= n: the VHARI fitter's rule."""
+        if not 1 <= q <= n:
+            raise ValueError(f"need 1 <= q <= n, got q={q}")
 
     @staticmethod
     def count(n: int, q: int) -> int:
@@ -210,7 +238,7 @@ class VHARIParams(_Stationary):
 
 
 @dataclass
-class IAARParams(_Stationary):
+class IAARParams(_Indexed, _Stationary):
     """Index-augmented autoregression: own-lag diagonals plus lagged indexes.
 
     Y_t = sum_{j<=p} D_j Y_{t-j} + sum_{j<=s} alpha_j omega' Y_{t-j} + e_t,
@@ -225,34 +253,18 @@ class IAARParams(_Stationary):
     def __post_init__(self):
         self.omega = np.atleast_2d(np.asarray(self.omega, float))
         n, q = self.omega.shape
-        if q > 0:
-            _check_full_rank(self.omega, "omega")
-        self.ds = [np.asarray(d, float).ravel() for d in self.ds]
-        for j, d in enumerate(self.ds):
-            if d.shape != (n,):
-                raise ValueError(f"delta_{j + 1} has length {d.size}, expected {n}")
-        self.alphas = [np.atleast_2d(np.asarray(a, float)) for a in self.alphas]
-        for j, a in enumerate(self.alphas):
-            if a.shape != (n, q):
-                raise ValueError(f"alpha_{j + 1} has shape {a.shape}, expected ({n}, {q})")
+        _check_full_rank(self.omega, "omega")
+        self.ds = _diagonals(self.ds, n)
+        self.alphas = _lags(self.alphas, (n, q), "alpha")
         if len(self.alphas) > len(self.ds):
             raise ValueError("need s <= p (no more index lags than diagonal lags)")
-        self.sigma = np.asarray(self.sigma, float)
-        _check_pd(self.sigma)
+        self.sigma = _pd(self.sigma)
         if self.s == self.p >= 2 and not q < n - 1:
             warnings.warn(
                 f"q={q} with s=p={self.p} is not more parsimonious than the "
                 f"unrestricted VAR (needs q < n-1)",
                 stacklevel=2,
             )
-
-    @property
-    def n(self) -> int:
-        return self.omega.shape[0]
-
-    @property
-    def q(self) -> int:
-        return self.omega.shape[1]
 
     @property
     def p(self) -> int:
@@ -267,10 +279,13 @@ class IAARParams(_Stationary):
         return var_form(_lag_sums(self.ds, self.alphas, self.omega), self.n)
 
     @staticmethod
-    def check_orders(p: int, s: int, q: int) -> None:
-        """Raise ValueError unless 1 <= s <= p, or s = 0 with q = 0: with no
-        index lag omega enters no term, so only the diagonal model (q = 0)
-        may take s = 0. The IAAR fitter, simulator and CLI share this rule."""
+    def check_orders(n: int, p: int, s: int, q: int) -> None:
+        """Raise ValueError unless 0 <= q < n and 1 <= s <= p, or s = 0 with
+        q = 0: with no index lag omega enters no term, so only the diagonal
+        model (q = 0) may take s = 0. The IAAR fitter's rule, which
+        random_iaar_params applies too."""
+        if not 0 <= q < n:
+            raise ValueError(f"need 0 <= q < n, got q={q}")
         if p < 1 or s > p or s < min(q, 1):
             raise ValueError(f"need 1 <= s <= p, or s = 0 with q = 0 (got p={p}, s={s}, q={q})")
 
@@ -284,7 +299,7 @@ class IAARParams(_Stationary):
 
 
 @dataclass
-class DRVARParams(_Stationary):
+class DRVARParams(_Indexed, _Stationary):
     """Dimension-reducible VAR: Y_t = sum_j omega phi_j f_{t-j} + e_t, f = omega'Y."""
 
     omega: np.ndarray                 # n x q, orthonormal columns
@@ -296,24 +311,21 @@ class DRVARParams(_Stationary):
         n, q = self.omega.shape
         if not np.allclose(self.omega.T @ self.omega, np.eye(q), atol=1e-10):
             raise ValueError("omega columns must be orthonormal")
-        self.phis = [np.atleast_2d(np.asarray(f, float)) for f in self.phis]
-        for j, f in enumerate(self.phis):
-            if f.shape != (q, q):
-                raise ValueError(f"phi_{j + 1} has shape {f.shape}, expected ({q}, {q})")
-        self.sigma = np.asarray(self.sigma, float)
-        _check_pd(self.sigma)
-
-    @property
-    def n(self) -> int:
-        return self.omega.shape[0]
-
-    @property
-    def q(self) -> int:
-        return self.omega.shape[1]
+        self.phis = _lags(self.phis, (q, q), "phi")
+        self.sigma = _pd(self.sigma)
 
     @property
     def p(self) -> int:
         return len(self.phis)
+
+    @staticmethod
+    def check_orders(n: int, p: int, q: int) -> None:
+        """Raise ValueError unless 1 <= q < n and p >= 1: the rule of
+        fit_drvar_omega for q and of fit_drvar_coeffs for p."""
+        if not 1 <= q < n:
+            raise ValueError(f"need 1 <= q < n, got q={q}")
+        if p < 1:
+            raise ValueError("need p >= 1")
 
     def state_form(self) -> StateForm:
         """The indexes f_t = omega'Y_t: E = omega', K_j = omega phi_j."""
@@ -341,13 +353,8 @@ class VECMParams(_ErrorCorrection):
             raise ValueError("alpha0 and beta must have matching shapes")
         _check_full_rank(self.alpha0, "alpha0")
         _check_full_rank(self.beta, "beta")
-        self.pis = [np.atleast_2d(np.asarray(m, float)) for m in self.pis]
-        n = self.alpha0.shape[0]
-        for j, m in enumerate(self.pis):
-            if m.shape != (n, n):
-                raise ValueError(f"Pi_{j + 1} has shape {m.shape}, expected ({n}, {n})")
-        self.sigma = np.asarray(self.sigma, float)
-        _check_pd(self.sigma)
+        self.pis = _lags(self.pis, (self.n, self.n), "Pi")
+        self.sigma = _pd(self.sigma)
 
     @property
     def n(self) -> int:
@@ -371,7 +378,7 @@ class VECMParams(_ErrorCorrection):
 
 
 @dataclass
-class CIAARParams(_ErrorCorrection):
+class CIAARParams(_Indexed, _ErrorCorrection):
     """Cointegrated index-augmented autoregression.
 
     dY_t = sum_{j<=len(ds)} D_j dY_{t-j} + alpha0 gamma' omega' Y_{t-1}
@@ -391,36 +398,17 @@ class CIAARParams(_ErrorCorrection):
     def __post_init__(self):
         self.omega = np.atleast_2d(np.asarray(self.omega, float))
         n, q = self.omega.shape
-        if q > 0:
-            _check_full_rank(self.omega, "omega")
+        _check_full_rank(self.omega, "omega")
         self.alpha0 = _as_2d_cols(self.alpha0, rows=n)
         r = self.alpha0.shape[1]
-        self.gamma = _as_2d_cols(self.gamma, rows=q)
-        if self.gamma.shape != (q, r):
-            raise ValueError(f"gamma has shape {self.gamma.shape}, expected ({q}, {r})")
+        self.gamma = _matrix(_as_2d_cols(self.gamma, rows=q), (q, r), "gamma")
         if r > q:
             raise ValueError(f"r={r} exceeds q={q}")
-        if r > 0:
-            _check_full_rank(self.gamma, "gamma")
-            _check_full_rank(self.beta, "beta = omega gamma")
-        self.ds = [np.asarray(d, float).ravel() for d in self.ds]
-        for j, d in enumerate(self.ds):
-            if d.shape != (n,):
-                raise ValueError(f"delta_{j + 1} has length {d.size}, expected {n}")
-        self.alphas = [np.atleast_2d(np.asarray(a, float)) for a in self.alphas]
-        for j, a in enumerate(self.alphas):
-            if a.shape != (n, q):
-                raise ValueError(f"alpha_{j + 1} has shape {a.shape}, expected ({n}, {q})")
-        self.sigma = np.asarray(self.sigma, float)
-        _check_pd(self.sigma)
-
-    @property
-    def n(self) -> int:
-        return self.omega.shape[0]
-
-    @property
-    def q(self) -> int:
-        return self.omega.shape[1]
+        _check_full_rank(self.gamma, "gamma")
+        _check_full_rank(self.beta, "beta = omega gamma")
+        self.ds = _diagonals(self.ds, n)
+        self.alphas = _lags(self.alphas, (n, q), "alpha")
+        self.sigma = _pd(self.sigma)
 
     @property
     def r(self) -> int:
@@ -444,6 +432,18 @@ class CIAARParams(_ErrorCorrection):
         """Number of companion eigenvalues within tol of 1."""
         eigs = np.linalg.eigvals(companion_matrix(self.var_coeffs()))
         return int(np.sum(np.abs(eigs - 1.0) < tol))
+
+    @staticmethod
+    def check_orders(n: int, p: int, s: int, q: int, r: int) -> None:
+        """Raise ValueError unless 1 <= q < n, 0 <= r <= q, and s <= p when
+        p >= 2 (a diagonal channel is present): the CIAAR fitter's rule,
+        which fit_vecim applies with p = 0."""
+        if not 1 <= q < n:
+            raise ValueError(f"need 1 <= q < n, got q={q}")
+        if not 0 <= r <= q:
+            raise ValueError(f"need 0 <= r <= q, got r={r}")
+        if p >= 2 and s > p:
+            raise ValueError(f"need s <= p when the diagonal channel is present (p={p}, s={s})")
 
     @staticmethod
     def count(n: int, nd: int, na: int, q: int, r: int) -> int:

@@ -275,7 +275,7 @@ def random_iaar_params(
 ) -> IAARParams:
     """Stationary IAAR draw with own-lag diagonals around `diag`, at orders
     the IAAR fitter accepts (IAARParams.check_orders)."""
-    IAARParams.check_orders(p, s, q)
+    IAARParams.check_orders(n, p, s, q)
     rng = np.random.default_rng(seed)
     for attempt in range(64):
         shrink = 0.9 ** attempt

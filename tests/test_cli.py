@@ -1,11 +1,12 @@
 import csv
+from itertools import product
 
 import numpy as np
 import pytest
 
-from indexvar import cli
+from indexvar import cli, estimators
 from indexvar.cli import main
-from indexvar.tscore import read_panel_csv
+from indexvar.tscore import Panel, read_panel_csv
 
 
 def run_cli(*args):
@@ -272,6 +273,61 @@ class TestErrors:
         assert not out.exists()
         # the diagonal model (s = q = 0) is admissible
         assert run_cli(command, *shared, "--q", 0) == 0
+
+    # the orders each simulated model reads, and their box: n = 4, p and s in 0..3, q and r in 0..4
+    SIM_ORDERS = {"mai": "pq", "vhari": "q", "iaar": "psq", "ciaar": "psqr", "drvar": "pq"}
+    BOX = {"p": range(4), "s": range(4), "q": range(5), "r": range(5)}
+
+    @staticmethod
+    def error_of(call, *args, **kwargs):
+        try:
+            call(*args, **kwargs)
+        except ValueError as exc:
+            return str(exc)
+        return None
+
+    @staticmethod
+    def fit_drvar(Y, p, q):
+        omega, _ = estimators.fit_drvar_omega(Y, cli.RunConfig.p0, q)
+        estimators.fit_drvar_coeffs(Y, omega, p)
+
+    @pytest.mark.parametrize("model", list(SIM_ORDERS))
+    def test_simulated_orders_are_the_fitters(self, model):
+        # simulate and montecarlo reject exactly the orders the model's fitter
+        # rejects on a 4-column panel, with its message, before drawing anything
+        Y = Panel(np.random.default_rng(0).standard_normal((60, 4)))
+        setup = self.fit_drvar if model == "drvar" else estimators._SETUPS[model]
+        names = self.SIM_ORDERS[model]
+        for values in product(*(self.BOX[k] for k in names)):
+            orders = dict(zip(names, values))
+            cfg = cli.RunConfig(subcommand="simulate", out="unused", model=model, n=4, **orders)
+            assert self.error_of(cfg.validate) == self.error_of(setup, Y, **orders), orders
+
+    @pytest.mark.parametrize("model, orders, message", [
+        ("mai", ("--p", 1, "--q", 0), "need 1 <= q <= n, got q=0"),
+        ("mai", ("--p", 0, "--q", 1), "need p >= 1"),
+        ("drvar", ("--p", 0, "--q", 1), "need p >= 1"),
+    ])
+    def test_montecarlo_rejects_before_simulating(self, model, orders, message, tmp_path, capsys):
+        out = tmp_path / "mc"
+        code = run_cli("montecarlo", "--model", model, "--n", 4, *orders, "--T", 100,
+                       "--reps", 2, "--out", out)
+        assert code == 1
+        assert capsys.readouterr().err == f"indexvar: error: {message}\n"
+        assert not out.exists()
+
+    def test_vecm_takes_no_q(self, sim_dir, tmp_path):
+        # r = 2 exceeds the default q = 1, which a VECM does not read
+        assert run_cli("fit", "--input", sim_dir / "panel.csv", "--model", "vecm",
+                       "--p", 2, "--r", 2, "--out", tmp_path / "vecm") == 0
+
+    @pytest.mark.parametrize("model", ["mai", "vhari"])
+    def test_simulate_takes_q_equal_to_n(self, model, tmp_path):
+        # the MAI and VHARI fitters take q = n, the unrestricted VAR
+        orders = ("--model", model, "--p", 1, "--q", 4)
+        assert run_cli("simulate", *orders, "--n", 4, "--T", 200, "--out", tmp_path / "sim") == 0
+        assert run_cli("fit", *orders, "--input", tmp_path / "sim" / "panel.csv",
+                       "--out", tmp_path / "fit") == 0
 
     def test_select_rejects_a_model_it_cannot_search(self, sim_dir, tmp_path, capsys):
         cfg = tmp_path / "select.cfg"

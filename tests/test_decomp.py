@@ -217,6 +217,20 @@ class TestPermTrans:
             closed[j] = w.thetas[j - 1] @ sb @ a0p @ np.linalg.inv(a0p.T @ sb @ a0p)
         assert np.abs(direct - closed).max() < 1e-10
 
+    def test_without_the_panel(self, vecim_fit):
+        # the components need only the fit; the panel adds the baseline and the check
+        _, Y, fit = vecim_fit
+        bare, full = perm_trans(fit), perm_trans(fit, Y=Y)
+        for name in ("eps_chi", "eps_iota", "eps_pi", "eps_tau"):
+            np.testing.assert_array_equal(getattr(bare, name), getattr(full, name))
+        # the same recursion, run with and without the baseline column: rounding apart
+        for name in ("chi", "iota", "pi", "tau"):
+            np.testing.assert_allclose(getattr(bare, name), getattr(full, name), rtol=0, atol=1e-10)
+        for name in ("dpi", "dtau", "diota"):
+            np.testing.assert_allclose(bare.extras[name], full.extras[name], rtol=0, atol=1e-10)
+        assert bare.baseline is None and np.isnan(bare.recon_error)
+        assert full.baseline is not None and full.recon_error < 1e-8
+
     def test_degenerate_flags(self):
         params = random_ciaar_params(5, 2, 2, 0, 2, seed=2)
         Y = simulate_ciaar(params, 800, seed=3)

@@ -116,6 +116,18 @@ def padded_batches(draw, Te=40):
     return grams, masks, members, rng, (n, q, nd, r)
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("max_iter", 0, "max_iter must be >= 1"),
+    ("tol", 0.0, "tol must be > 0"),
+    ("ridge", -1e-3, "ridge must be >= 0"),
+])
+def test_fit_options_rejections(field, value, message):
+    with pytest.raises(ValueError) as info:
+        FitOptions(**{field: value})
+    assert type(info.value) is ValueError
+    assert str(info.value) == message
+
+
 class TestFitMai:
     def test_q_equals_n_matches_unrestricted_var(self):
         params = random_mai_params(4, 2, 1, seed=0)

@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from indexvar.params import IAARParams, MAIParams, VECMParams
+from indexvar.params import (
+    CIAARParams,
+    DRVARParams,
+    IAARParams,
+    MAIParams,
+    VECMParams,
+    VHARIParams,
+)
 from indexvar.simulate import (
     random_ciaar_params,
     random_iaar_params,
@@ -107,3 +114,94 @@ def test_mai_rotation_leaves_fitted_values_identical():
     )
     for a, b in zip(params.var_coeffs(), rotated.var_coeffs()):
         assert np.abs(a - b).max() < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# every container rejection: its exception type and exact message
+# ---------------------------------------------------------------------------
+
+E1, E12 = np.eye(3)[:, :1], np.eye(3)[:, :2]
+RANK_1 = np.array([[1.0, 1.0], [0.0, 0.0], [0.0, 0.0]])   # 3 x 2 of rank 1
+SIGMA_CASES = [
+    ({"sigma": np.ones((3, 2))}, "sigma must be square, got shape (3, 2)"),
+    ({"sigma": np.triu(np.ones((3, 3)))}, "sigma must be symmetric"),
+    ({"sigma": np.diag([1.0, 0.0, 1.0])}, "sigma is not positive definite"),
+]
+VALID = {
+    MAIParams: dict(omega=E1, alphas=[np.zeros((3, 1))], sigma=np.eye(3)),
+    VHARIParams: dict(omega=E1, alpha_d=np.zeros((3, 1)), alpha_w=np.zeros((3, 1)),
+                      alpha_m=np.zeros((3, 1)), sigma=np.eye(3)),
+    IAARParams: dict(ds=[np.full(3, 0.1)], alphas=[np.zeros((3, 1))], omega=E1, sigma=np.eye(3)),
+    DRVARParams: dict(omega=E1, phis=[[[0.5]]], sigma=np.eye(3)),
+    VECMParams: dict(alpha0=-0.5 * E1, beta=E1, pis=[np.zeros((3, 3))], sigma=np.eye(3)),
+    CIAARParams: dict(ds=[np.full(3, 0.1)], alpha0=-0.3 * E1, gamma=[[1.0], [0.0]], omega=E12,
+                      alphas=[np.zeros((3, 2))], sigma=np.eye(3)),
+}
+
+
+def _assert_rejects(cls, override, message):
+    cls(**VALID[cls])                                  # the valid base is accepted
+    with pytest.raises(ValueError) as info:
+        cls(**{**VALID[cls], **override})
+    assert type(info.value) is ValueError
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("override, message", [
+    ({"omega": np.ones((2, 3)), "alphas": []}, "q=3 exceeds n=2"),
+    ({"omega": RANK_1, "alphas": [np.zeros((3, 2))]}, "omega is not full rank"),
+    ({"alphas": [np.zeros((3, 1)), np.zeros((2, 1))]}, "alpha_2 has shape (2, 1), expected (3, 1)"),
+] + SIGMA_CASES)
+def test_mai_rejections(override, message):
+    _assert_rejects(MAIParams, override, message)
+
+
+@pytest.mark.parametrize("override, message", [
+    ({"omega": RANK_1}, "omega is not full rank"),
+    ({"alpha_w": np.zeros((3, 2))}, "alpha_w has shape (3, 2), expected (3, 1)"),
+] + SIGMA_CASES)
+def test_vhari_rejections(override, message):
+    _assert_rejects(VHARIParams, override, message)
+
+
+@pytest.mark.parametrize("override, message", [
+    ({"omega": RANK_1, "alphas": [np.zeros((3, 2))]}, "omega is not full rank"),
+    ({"ds": [np.zeros(3), np.zeros(2)]}, "delta_2 has length 2, expected 3"),
+    ({"alphas": [np.zeros((3, 2))]}, "alpha_1 has shape (3, 2), expected (3, 1)"),
+    ({"alphas": [np.zeros((3, 1))] * 2}, "need s <= p (no more index lags than diagonal lags)"),
+] + SIGMA_CASES)
+def test_iaar_rejections(override, message):
+    _assert_rejects(IAARParams, override, message)
+
+
+@pytest.mark.parametrize("override, message", [
+    ({"omega": 2 * E1}, "omega columns must be orthonormal"),
+    ({"phis": [[[0.5]], np.zeros((2, 2))]}, "phi_2 has shape (2, 2), expected (1, 1)"),
+] + SIGMA_CASES)
+def test_drvar_rejections(override, message):
+    _assert_rejects(DRVARParams, override, message)
+
+
+@pytest.mark.parametrize("override, message", [
+    ({"beta": E12}, "alpha0 and beta must have matching shapes"),
+    ({"alpha0": RANK_1, "beta": E12}, "alpha0 is not full rank"),
+    ({"alpha0": E12, "beta": RANK_1}, "beta is not full rank"),
+    ({"pis": [np.zeros((3, 3)), np.zeros((3, 2))]}, "Pi_2 has shape (3, 2), expected (3, 3)"),
+] + SIGMA_CASES)
+def test_vecm_rejections(override, message):
+    _assert_rejects(VECMParams, override, message)
+
+
+@pytest.mark.parametrize("override, message", [
+    ({"omega": RANK_1}, "omega is not full rank"),
+    ({"gamma": E1}, "gamma has shape (3, 1), expected (2, 1)"),
+    ({"alpha0": np.eye(3), "gamma": np.eye(2, 3)}, "r=3 exceeds q=2"),
+    ({"alpha0": E12, "gamma": [[1.0, 1.0], [0.0, 0.0]]}, "gamma is not full rank"),
+    # each factor's singular values span 1e-6, their product's 1e-12
+    ({"alpha0": E12, "gamma": np.diag([1.0, 1e-6]), "omega": np.diag([1.0, 1e-6, 0.0])[:, :2]},
+     "beta = omega gamma is not full rank"),
+    ({"ds": [np.zeros(2)]}, "delta_1 has length 2, expected 3"),
+    ({"alphas": [np.zeros((3, 2)), np.zeros((3, 1))]}, "alpha_2 has shape (3, 1), expected (3, 2)"),
+] + SIGMA_CASES)
+def test_ciaar_rejections(override, message):
+    _assert_rejects(CIAARParams, override, message)

@@ -283,6 +283,18 @@ class TestPruning:
         assert pruned.best == full.best
         assert pruned.best_row("hq").orders() != target
 
+    def test_a_candidate_whose_setup_raises_is_a_failed_row(self):
+        # T = 20: the p = 3 setups need 18 regressors from 17 rows and raise,
+        # which fails their rows, pruned or not, and leaves the pick alone
+        Y = simulate_mai(random_mai_params(6, 2, 1, seed=0), 20, seed=1)
+        tables = [grid_search(Y, (1, 3), (1, 2), model="mai", prune=prune) for prune in (True, False)]
+        for table in tables:
+            rows = {row.orders(): row for row in table.rows}
+            for orders in ((3, 3, 1, 0), (3, 3, 2, 0)):
+                assert rows[orders].failed
+                assert rows[orders].error == "ValueError: effective sample 17 too small for 18 regressors"
+        assert tables[0].best == tables[1].best == {"hq": 0}
+
     def test_best_row_of_another_criterion_raises(self):
         table = grid_search(self.panel(), (1, 2), (1, 2), kind="bic")
         assert table.best_row("bic") is table.rows[table.best["bic"]]
