@@ -1,4 +1,8 @@
+import argparse
 import csv
+import os
+import subprocess
+import sys
 from itertools import product
 
 import numpy as np
@@ -392,6 +396,64 @@ class TestParser:
         first, second = manifest(tmp_path / "a"), manifest(tmp_path / "b")
         assert (first["max_iter"], first["tol"], first["seed"]) == ("7", "0.5", "9")
         assert (second["max_iter"], second["tol"], second["seed"]) == ("500", "1e-08", "0")
+
+    # each subcommand's flags as (option, dest, type, choices, default), in --help order
+    COMMON = [("--config", "config", None, None, None), ("--out", "out", None, None, None),
+              ("--seed", "seed", int, None, None)]
+    FITTING = [
+        ("--model", "model", None, ("mai", "vhari", "iaar", "ciaar", "vecim", "vecm", "drvar"), None),
+        ("--p", "p", int, None, None), ("--s", "s", int, None, None),
+        ("--q", "q", int, None, None), ("--r", "r", int, None, None),
+        ("--p0", "p0", int, None, None), ("--max-iter", "max_iter", int, None, None),
+        ("--tol", "tol", float, None, None), ("--ridge", "ridge", float, None, None),
+        ("--method", "method", None, ("ols", "gls"), None),
+    ]
+    DGP = [("--n", "n", int, None, None), ("--T", "T", int, None, None),
+           ("--burn", "burn", int, None, None), ("--dgp-seed", "dgp_seed", int, None, None)]
+    DIST = [("--dist", "dist", None, ("gaussian", "lognormal_garch"), None)]
+    INPUT = [("--input", "input", None, None, None)]
+    HORIZON = [("--horizon", "horizon", int, None, None)]
+    EXPECTED = {
+        "simulate": COMMON + FITTING + DGP + DIST,
+        "fit": COMMON + FITTING + INPUT,
+        "decompose": COMMON + FITTING + INPUT + HORIZON,
+        "forecast": COMMON + FITTING + INPUT + HORIZON + [
+            ("--origins", "origins", int, None, None), ("--refit", "refit", int, None, None)],
+        "select": COMMON + INPUT + [
+            ("--model", "model", None, ("ciaar", "iaar", "mai"), None),
+            ("--p-min", "p_min", int, None, None), ("--p-max", "p_max", int, None, None),
+            ("--q-min", "q_min", int, None, None), ("--q-max", "q_max", int, None, None),
+            ("--max-iter", "max_iter", int, None, None),
+            ("--criterion", "criterion", None, ("aic", "bic", "hq"), None),
+            ("--tol", "tol", float, None, None), ("--ridge", "ridge", float, None, None),
+        ],
+        "montecarlo": COMMON + FITTING + DGP + [
+            ("--reps", "reps", int, None, None), ("--workers", "workers", int, None, None)] + DIST,
+    }
+
+    def test_each_subcommand_keeps_its_flags(self):
+        from indexvar.cli import _parser
+
+        subparsers, = (a for a in _parser()._actions if isinstance(a, argparse._SubParsersAction))
+        assert list(subparsers.choices) == list(self.EXPECTED)
+        counts = {"simulate": 18, "fit": 14, "decompose": 15, "forecast": 17, "select": 13,
+                  "montecarlo": 20}
+        for name, parser in subparsers.choices.items():
+            flags = [
+                (a.option_strings[0], a.dest, a.type, a.choices and tuple(a.choices), a.default)
+                for a in parser._actions if a.dest != "help"
+            ]
+            assert flags == self.EXPECTED[name], name
+            assert len(flags) == counts[name], name
+
+    @pytest.mark.parametrize("sub", [[], ["simulate"], ["fit"], ["decompose"], ["forecast"],
+                                     ["select"], ["montecarlo"]], ids=lambda s: s[0] if s else "top")
+    def test_help_exits_zero(self, sub):
+        done = subprocess.run([sys.executable, "-m", "indexvar.cli", *sub, "--help"],
+                              capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.startswith(f"usage: indexvar {sub[0] + ' ' if sub else ''}[-h]")
 
 
 class TestReportFormatting:
