@@ -1,7 +1,9 @@
 """Command-line front end: simulate | fit | select | decompose | forecast | montecarlo.
 
 Configuration comes from a flat key = value file plus flag overrides (flags
-win). Every run writes a manifest that echoes the resolved configuration --
+win). Every flag but --config sets the RunConfig field of its name
+(--max-iter sets max_iter), and a flag and a config key are converted by
+that field's type. Every run writes a manifest that echoes the resolved configuration --
 the manifest is itself a valid config file, so a run can be reproduced from
 it alone. All numbers are written with 17 significant digits and all
 randomness flows from one 64-bit seed through SeedSequence spawning, so
@@ -18,13 +20,14 @@ import json
 import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
 from . import __version__, decomp, estimators, simulate as sim
 from .forecast import forecast as forecast_path, rolling_evaluate
 from .params import CIAARParams, DRVARParams, IAARParams, MAIParams, VHARIParams
-from .select import grid_search
+from .select import CRITERIA, FAMILIES, grid_search
 from .tscore import Panel, read_panel_csv, subspace_distance
 
 __all__ = ["RunConfig", "run", "main"]
@@ -39,7 +42,6 @@ SIM_MODELS = {
     "ciaar": (CIAARParams, ("p", "s", "q", "r")),
     "drvar": (DRVARParams, ("p", "q")),
 }
-SELECT_MODELS = ("ciaar", "iaar", "mai")
 
 
 @dataclass
@@ -77,17 +79,19 @@ class RunConfig:
     def validate(self) -> None:
         if self.subcommand == "select":
             self.model = self.model or "ciaar"
-            if self.model not in SELECT_MODELS:
-                raise ValueError(f"select searches {', '.join(SELECT_MODELS)}, not {self.model!r}")
+            if self.model not in FAMILIES:
+                raise ValueError(f"select searches {', '.join(FAMILIES)}, not {self.model!r}")
         if self.subcommand in ("fit", "decompose", "forecast"):
             if self.model not in MODELS:
                 raise ValueError(f"missing or unknown model {self.model!r}")
+        if self.subcommand == "decompose" and self.model == "vecm":   # decomp splits no VECM
+            raise ValueError(f"no common/uncommon split for model {self.model!r}")
         if self.subcommand in ("simulate", "montecarlo"):   # the others leave orders to the fitter
             if self.model not in SIM_MODELS:
                 raise ValueError(f"cannot simulate model {self.model!r}")
             params, orders = SIM_MODELS[self.model]
             params.check_orders(self.n, *(getattr(self, k) for k in orders))
-        if self.criterion not in ("aic", "bic", "hq"):
+        if self.criterion not in CRITERIA:
             raise ValueError(f"unknown criterion {self.criterion!r}")
 
     def fit_options(self) -> estimators.FitOptions:
@@ -156,29 +160,16 @@ def _write_series_csv(path, columns: dict) -> None:
 
 
 def _dgp_params(cfg: RunConfig):
+    """The model's random_<model>_params draw at the orders SIM_MODELS names."""
+    orders = {k: getattr(cfg, k) for k in SIM_MODELS[cfg.model][1]}
     seed = cfg.dgp_seed if cfg.dgp_seed >= 0 else cfg.seed
-    if cfg.model == "mai":
-        return sim.random_mai_params(cfg.n, cfg.q, cfg.p, seed)
-    if cfg.model == "vhari":
-        return sim.random_vhari_params(cfg.n, cfg.q, seed)
-    if cfg.model == "iaar":
-        return sim.random_iaar_params(cfg.n, cfg.q, cfg.p, cfg.s, seed)
-    if cfg.model == "ciaar":
-        return sim.random_ciaar_params(cfg.n, cfg.q, cfg.r, cfg.p, cfg.s, seed)
-    if cfg.model == "drvar":
-        return sim.random_drvar_params(cfg.n, cfg.q, cfg.p, seed)
-    raise ValueError(f"cannot simulate model {cfg.model!r}")
+    return getattr(sim, f"random_{cfg.model}_params")(cfg.n, seed=seed, **orders)
 
 
 def _simulate_panel(cfg: RunConfig, params, seed):
-    kw = dict(T=cfg.T, burn=cfg.burn, seed=seed, dist=cfg.dist)
-    return {
-        "mai": sim.simulate_mai,
-        "vhari": sim.simulate_vhari,
-        "iaar": sim.simulate_iaar,
-        "ciaar": sim.simulate_ciaar,
-        "drvar": sim.simulate_drvar,
-    }[cfg.model](params, **kw)
+    # looked up at call time, so a patched simulate_<model> is the one run
+    simulate = getattr(sim, f"simulate_{cfg.model}")
+    return simulate(params, T=cfg.T, burn=cfg.burn, seed=seed, dist=cfg.dist)
 
 
 def _params_to_jsonable(params) -> dict:
@@ -223,8 +214,6 @@ def _fit_from_config(cfg: RunConfig, panels: list):
         return [estimators.johansen_rrr(Y, cfg.p, cfg.r) for Y in panels]
     if m == "drvar":
         return [_fit_drvar(cfg, Y) for Y in panels]
-    if m not in estimators.ENGINE_ORDERS:
-        raise ValueError(f"unknown model {m!r}")
     orders = {k: getattr(cfg, k) for k in estimators.ENGINE_ORDERS[m]}
     if len(panels) == 1:
         return [getattr(estimators, f"fit_{m}")(panels[0], opts=opts, **orders)]
@@ -338,8 +327,40 @@ def _cmd_montecarlo(cfg: RunConfig, outdir) -> None:
 # ---------------------------------------------------------------------------
 
 
+# each RunConfig field's converter for its flag and its config value: int or
+# float for a numeric field, None (the text as given) for a string field
+_CONVERTERS = {k: None if t is str else t for k, t in get_type_hints(RunConfig).items()}
+
+_FITTING = ("model", "p", "s", "q", "r", "p0", "max_iter", "tol", "ridge", "method")
+_DGP = ("n", "T", "burn", "dgp_seed")
+# each subcommand's flags after --config, --out and --seed, in --help order,
+# as the RunConfig fields they set: field max_iter is flag --max-iter
+FLAGS = {
+    "simulate": (*_FITTING, *_DGP, "dist"),
+    "fit": (*_FITTING, "input"),
+    "decompose": (*_FITTING, "input", "horizon"),
+    "forecast": (*_FITTING, "input", "horizon", "origins", "refit"),
+    "select": ("input", "model", "p_min", "p_max", "q_min", "q_max", "max_iter", "criterion",
+               "tol", "ridge"),
+    "montecarlo": (*_FITTING, *_DGP, "reps", "workers", "dist"),
+}
+# a flag's choices and help by field, or by (subcommand, field) where one subcommand's differ
+CHOICES = {"model": MODELS, ("select", "model"): FAMILIES, "method": ("ols", "gls"),
+           "dist": ("gaussian", "lognormal_garch"), "criterion": CRITERIA}
+HELP = {
+    "out": "output directory",
+    "input": "input panel CSV",
+    ("decompose", "horizon"): "accepted so a configuration shared with forecast parses; "
+                              "decompose writes exact components and reads no horizon",
+}
+COMMANDS = {                                           # the subcommands --help describes
+    "simulate": "simulate a reference DGP and write panel.csv",
+    "select": "information-criterion grid search",
+    "montecarlo": "simulate-and-refit replications",
+}
+
+
 def _read_config_file(path) -> dict:
-    known = {f.name: f.type for f in fields(RunConfig)}
     out = {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -350,30 +371,22 @@ def _read_config_file(path) -> dict:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value'")
             key, _, value = line.partition("=")
             key, value = key.strip(), value.strip()
-            if key not in known:
+            if key not in _CONVERTERS:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-            out[key] = value
+            convert = _CONVERTERS[key]
+            out[key] = convert(value) if convert else value
     return out
-
-
-def _coerce(value, target):
-    if isinstance(value, str) and isinstance(target, int):
-        return int(value)
-    if isinstance(value, str) and isinstance(target, float):
-        return float(value)
-    return value
 
 
 def build_config(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig(subcommand=args.subcommand, out=args.out or ".")
-    if getattr(args, "config", None):
+    if args.config:
         for key, value in _read_config_file(args.config).items():
-            if key == "subcommand":
-                continue
-            setattr(cfg, key, _coerce(value, getattr(cfg, key)))
+            if key != "subcommand":
+                setattr(cfg, key, value)
     for f in fields(RunConfig):
         flag = getattr(args, f.name, None)
-        if flag is not None and f.name not in ("subcommand",):
+        if flag is not None and f.name != "subcommand":
             setattr(cfg, f.name, flag)
     cfg.validate()
     return cfg
@@ -398,21 +411,6 @@ def run(cfg: RunConfig) -> int:
     return 0
 
 
-def _add_common(parser):
-    parser.add_argument("--config", help="flat key = value configuration file")
-    parser.add_argument("--out", help="output directory", default=None)
-    parser.add_argument("--seed", type=int, default=None)
-
-
-def _add_model_flags(parser):
-    parser.add_argument("--model", default=None, choices=MODELS)
-    for name in ("p", "s", "q", "r", "p0", "max-iter"):
-        parser.add_argument(f"--{name}", dest=name.replace("-", "_"), type=int, default=None)
-    parser.add_argument("--tol", type=float, default=None)
-    parser.add_argument("--ridge", type=float, default=None)
-    parser.add_argument("--method", default=None, choices=("ols", "gls"))
-
-
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
     """The command-line parser, built on first use and kept for the process.
@@ -425,44 +423,15 @@ def _parser() -> argparse.ArgumentParser:
         description="Index-structured VAR toolkit: simulate, fit, select, decompose, forecast.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    ps = sub.add_parser("simulate", help="simulate a reference DGP and write panel.csv")
-    _add_common(ps)
-    _add_model_flags(ps)
-    for name in ("n", "T", "burn", "dgp-seed"):
-        ps.add_argument(f"--{name}", dest=name.replace("-", "_"), type=int, default=None)
-    ps.add_argument("--dist", default=None, choices=("gaussian", "lognormal_garch"))
-
-    for name, extra in (
-        ("fit", ()),
-        ("decompose", ("horizon",)),
-        ("forecast", ("horizon", "origins", "refit")),
-    ):
-        p = sub.add_parser(name)
-        _add_common(p)
-        _add_model_flags(p)
-        p.add_argument("--input", default=None, help="input panel CSV")
-        for e in extra:
-            p.add_argument(f"--{e}", dest=e, type=int, default=None, help=(
-                "accepted so a configuration shared with forecast parses; decompose writes "
-                "exact components and reads no horizon" if name == "decompose" else None))
-
-    p = sub.add_parser("select", help="information-criterion grid search")
-    _add_common(p)
-    p.add_argument("--input", default=None)
-    p.add_argument("--model", default=None, choices=SELECT_MODELS)
-    for name in ("p-min", "p-max", "q-min", "q-max", "max-iter"):
-        p.add_argument(f"--{name}", dest=name.replace("-", "_"), type=int, default=None)
-    p.add_argument("--criterion", default=None, choices=("aic", "bic", "hq"))
-    p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--ridge", type=float, default=None)
-
-    p = sub.add_parser("montecarlo", help="simulate-and-refit replications")
-    _add_common(p)
-    _add_model_flags(p)
-    for name in ("n", "T", "burn", "dgp-seed", "reps", "workers"):
-        p.add_argument(f"--{name}", dest=name.replace("-", "_"), type=int, default=None)
-    p.add_argument("--dist", default=None, choices=("gaussian", "lognormal_garch"))
+    for name, flags in FLAGS.items():
+        p = sub.add_parser(name, **({"help": COMMANDS[name]} if name in COMMANDS else {}))
+        p.add_argument("--config", help="flat key = value configuration file")
+        for field in ("out", "seed", *flags):
+            p.add_argument(
+                "--" + field.replace("_", "-"), type=_CONVERTERS[field],
+                choices=CHOICES.get((name, field), CHOICES.get(field)),
+                help=HELP.get((name, field), HELP.get(field)),
+            )
     return parser
 
 

@@ -1446,23 +1446,28 @@ def _fit_grid(
     candidate sharing it is certified: its criterion at its bound exceeds
     the best fitted candidate's by a relative PRUNE_RTOL, so it cannot be
     the minimizer. A candidate whose bound is not finite, or whose
-    criterion raises at it, is never certified. Returns an iterator over
-    the candidates in order, giving (outcome, bound): its FitResult, the
-    exception its single fit raises, or _Pruned, and its log-likelihood
-    bound (nan when not computed).
+    criterion raises at it, is never certified. A candidate with at least
+    T_eff parameters has no criterion and is not fitted: its outcome is
+    info_criterion's ValueError. Returns an iterator over the candidates in
+    order, giving (outcome, bound): its FitResult, the exception its single
+    fit raises, or _Pruned, and its log-likelihood bound (nan when not
+    computed).
     """
     data = _demeaned(Y, True, differences=model == "ciaar")
+    T_eff = Y.T - t_start
     setups, fitted, first = [], {}, []                 # first: the candidate whose fit it takes
     for i, orders in enumerate(candidates):
         try:
             setup = _grid_setup(model, Y, orders, t_start, data)
+            if setup.n_params >= T_eff:                # info_criterion's rule, before any fit
+                raise ValueError(
+                    f"effective sample {T_eff} not larger than {setup.n_params} parameters")
             first.append(fitted.setdefault((setup.q, setup.shape), i))
         except (ValueError, np.linalg.LinAlgError) as exc:
             setup = exc
             first.append(i)
         setups.append(setup)
     distinct = [i for i, j in enumerate(first) if i == j]
-    T_eff = Y.T - t_start
     bounds, prune = [np.nan] * len(candidates), None
     if criterion is not None and opts.ridge == 0.0:
         solved = {}                                    # one bound solve per count of lags

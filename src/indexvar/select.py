@@ -41,9 +41,10 @@ from .estimators import FitOptions, _fit_grid, _Pruned
 from .estimators import fit_ciaar, fit_mai  # noqa: F401  (traced by perfbench/workloads.py)
 from .tscore import Panel
 
-__all__ = ["ICRow", "ICTable", "info_criterion", "grid_search"]
+__all__ = ["CRITERIA", "FAMILIES", "ICRow", "ICTable", "info_criterion", "grid_search"]
 
 CRITERIA = ("aic", "bic", "hq")
+FAMILIES = ("ciaar", "iaar", "mai")        # the candidate families grid_search searches
 
 
 def info_criterion(loglik: float, n_params: int, T_eff: int, kind: str) -> float:
@@ -229,8 +230,8 @@ def grid_search(
                          "run in order, each pruned by the ones before")
     if kind not in CRITERIA:
         raise ValueError(f"kind must be one of {CRITERIA}, got {kind!r}")
-    if model not in ("ciaar", "iaar", "mai"):
-        raise ValueError(f"model must be 'ciaar', 'iaar' or 'mai', got {model!r}")
+    if model not in FAMILIES:
+        raise ValueError(f"model must be one of {FAMILIES}, got {model!r}")
     opts = opts or FitOptions()
     combos = _candidate_grid(model, p_range, q_range, Y.n)
     # conditioning offset shared by all candidates: t0 + max(p, s) covers the

@@ -320,6 +320,14 @@ class TestErrors:
         assert capsys.readouterr().err == f"indexvar: error: {message}\n"
         assert not out.exists()
 
+    def test_decompose_rejects_vecm_before_writing(self, sim_dir, tmp_path, capsys):
+        out = tmp_path / "dec"
+        code = run_cli("decompose", "--input", sim_dir / "panel.csv", "--model", "vecm",
+                       "--p", 2, "--r", 1, "--out", out)
+        assert code == 1
+        assert capsys.readouterr().err == "indexvar: error: no common/uncommon split for model 'vecm'\n"
+        assert not out.exists()
+
     def test_vecm_takes_no_q(self, sim_dir, tmp_path):
         # r = 2 exceeds the default q = 1, which a VECM does not read
         assert run_cli("fit", "--input", sim_dir / "panel.csv", "--model", "vecm",

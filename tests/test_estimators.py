@@ -15,6 +15,7 @@ from indexvar.estimators import (
     _grid_setup,
     _member_masks,
     _normal_blocks,
+    _normalize_gamma,
     _padded_grams,
     _sa_engine,
     _setup_iaar,
@@ -379,6 +380,16 @@ class TestFitCiaar:
         fit = fit_ciaar(Y, 1, 2, 3, 1)
         head = fit.params.gamma[:1, :]
         assert np.abs(head - np.eye(1)).max() < 1e-10
+
+    def test_gamma_with_a_singular_head_is_left_unnormalized(self):
+        # q = 3, r = 2: the leading 2 x 2 block has rank 1, so no rotation
+        # brings it to I_r; gamma and alpha0 come back as they are, flagged
+        gamma = np.array([[1.0, 2.0], [2.0, 4.0], [0.5, -1.0]])
+        alpha0 = np.arange(10.0).reshape(5, 2)
+        diagnostics = {}
+        got = _normalize_gamma(gamma, alpha0, diagnostics)
+        assert got[0] is gamma and got[1] is alpha0
+        assert diagnostics["gamma_unnormalized"] is True
 
     def test_unidentified_omega_direction_handled(self):
         # with s = 1 the weights enter only through the rank-r EC loading,

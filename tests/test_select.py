@@ -244,15 +244,36 @@ class TestPruning:
         assert all(row.stop != "pruned" for row in table.rows)
         assert all(math.isnan(row.loglik_bound) for row in table.rows)
 
-    def test_a_grid_whose_fitted_rows_all_fail_prunes_nothing(self):
-        # T_eff = 7: the q = 1 fit runs but its 7 parameters leave no criterion,
-        # and the q = 2, 3 fits have a singular residual covariance
+    @staticmethod
+    def raise_value_error(state):
+        raise ValueError("params do not build")
+
+    def test_a_grid_whose_fitted_rows_all_fail_prunes_nothing(self, monkeypatch):
+        # T_eff = 7 is not larger than any candidate's count (7, 12, 15): each
+        # fails before the engine, unbounded, and the search raises
         Y = simulate_mai(random_mai_params(4, 1, 1, seed=0), 8, seed=0)
         candidates = [(1, 1, q, 0) for q in (1, 2, 3)]
         hq = partial(info_criterion, kind="hq")
         outcomes = list(_fit_grid("mai", Y, candidates, FitOptions(), Y.t0 + 1, criterion=hq))
+        assert [f"{type(fit).__name__}: {fit}" for fit, _ in outcomes] == [
+            f"ValueError: effective sample 7 not larger than {k} parameters" for k in (7, 12, 15)]
+        assert all(np.isnan(bound) for _, bound in outcomes)
+        with pytest.raises(ValueError, match="all candidate fits failed"):
+            grid_search(Y, (1, 1), (1, 3), model="mai")
+        # every candidate is fitted and bounded but no params build: with no
+        # incumbent to prune against, nothing is pruned, and the search raises
+        Y = simulate_mai(random_mai_params(4, 1, 1, seed=0), 60, seed=0)
+        grid_setup = estimators._grid_setup
+
+        def setup_of(*args):
+            setup = grid_setup(*args)
+            setup.params = self.raise_value_error
+            return setup
+
+        monkeypatch.setattr(estimators, "_grid_setup", setup_of)
+        outcomes = list(_fit_grid("mai", Y, candidates, FitOptions(), Y.t0 + 1, criterion=hq))
         assert all(np.isfinite(bound) for _, bound in outcomes)
-        assert not any(isinstance(fit, _Pruned) for fit, _ in outcomes)
+        assert all(str(fit) == "params do not build" for fit, _ in outcomes)
         with pytest.raises(ValueError, match="all candidate fits failed"):
             grid_search(Y, (1, 1), (1, 3), model="mai")
 
@@ -265,13 +286,10 @@ class TestPruning:
         assert target[2] < 3                           # fitted before the last q group
         grid_setup = estimators._grid_setup
 
-        def raise_value_error(state):
-            raise ValueError("params do not build")
-
         def setup_of(model, Y, orders, t_start, data=None):
             setup = grid_setup(model, Y, orders, t_start, data)
             if orders == target:
-                setup.params = raise_value_error
+                setup.params = self.raise_value_error
             return setup
 
         monkeypatch.setattr(estimators, "_grid_setup", setup_of)
@@ -283,17 +301,31 @@ class TestPruning:
         assert pruned.best == full.best
         assert pruned.best_row("hq").orders() != target
 
-    def test_a_candidate_whose_setup_raises_is_a_failed_row(self):
+    def test_a_candidate_whose_setup_raises_is_a_failed_row(self, monkeypatch):
         # T = 20: the p = 3 setups need 18 regressors from 17 rows and raise,
-        # which fails their rows, pruned or not, and leaves the pick alone
+        # and three more candidates have at least 17 parameters, so no
+        # criterion: all fail before the engine, pruned or not, and leave the
+        # pick alone
         Y = simulate_mai(random_mai_params(6, 2, 1, seed=0), 20, seed=1)
-        tables = [grid_search(Y, (1, 3), (1, 2), model="mai", prune=prune) for prune in (True, False)]
-        for table in tables:
+        seen, engine = [], estimators._sa_engine
+
+        def recorded(grams, q, r, starts, opts, shapes=None):
+            seen.append((q, shapes))
+            return engine(grams, q, r, starts, opts, shapes)
+
+        monkeypatch.setattr(estimators, "_sa_engine", recorded)
+        for prune in (True, False):
+            seen.clear()
+            table = grid_search(Y, (1, 3), (1, 2), model="mai", prune=prune)
             rows = {row.orders(): row for row in table.rows}
             for orders in ((3, 3, 1, 0), (3, 3, 2, 0)):
                 assert rows[orders].failed
                 assert rows[orders].error == "ValueError: effective sample 17 too small for 18 regressors"
-        assert tables[0].best == tables[1].best == {"hq": 0}
+            for orders, k in (((1, 1, 2, 0), 20), ((2, 2, 1, 0), 17), ((2, 2, 2, 0), 32)):
+                assert rows[orders].failed and math.isnan(rows[orders].loglik)
+                assert rows[orders].error == f"ValueError: effective sample 17 not larger than {k} parameters"
+            assert table.best == {"hq": 0}
+            assert seen == [(1, [(0, 1, 0)])]              # only (1, 1, 1, 0) reaches the engine
 
     def test_best_row_of_another_criterion_raises(self):
         table = grid_search(self.panel(), (1, 2), (1, 2), kind="bic")
