@@ -273,6 +273,7 @@ class TestPruning:
         monkeypatch.setattr(estimators, "_grid_setup", setup_of)
         outcomes = list(_fit_grid("mai", Y, candidates, FitOptions(), Y.t0 + 1, criterion=hq))
         assert all(np.isfinite(bound) for _, bound in outcomes)
+        assert not any(isinstance(fit, _Pruned) for fit, _ in outcomes)
         assert all(str(fit) == "params do not build" for fit, _ in outcomes)
         with pytest.raises(ValueError, match="all candidate fits failed"):
             grid_search(Y, (1, 1), (1, 3), model="mai")
