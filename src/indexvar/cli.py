@@ -13,7 +13,6 @@ identical configurations produce byte-identical report files.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import csv
 import functools
 import json
@@ -71,7 +70,6 @@ class RunConfig:
     origins: int = 0
     refit: int = 1
     reps: int = 20
-    workers: int = 1              # montecarlo's process pool; select fits in one process
     max_iter: int = 500
     tol: float = 1e-8
     ridge: float = 0.0
@@ -204,19 +202,17 @@ def _cmd_simulate(cfg: RunConfig, outdir) -> None:
 def _fit_from_config(cfg: RunConfig, panels: list):
     """The configured model's fits to equal-length panels, in order.
 
-    One panel goes to the model's fitter. Several panels of a
-    switching-engine model share one lockstep run of estimators.fit_many;
-    vecm and drvar are fitted panel by panel.
+    The panels of a switching-engine model share one lockstep run of
+    estimators.fit_many, which for one panel is the model's fitter; vecm and
+    drvar are fitted panel by panel as the fits are read.
     """
     opts = cfg.fit_options()
     m = cfg.model
     if m == "vecm":
-        return [estimators.johansen_rrr(Y, cfg.p, cfg.r) for Y in panels]
-    if m == "drvar":
-        return [_fit_drvar(cfg, Y) for Y in panels]
+        return map(lambda Y: estimators.johansen_rrr(Y, cfg.p, cfg.r), panels)
+    if m == "drvar":                               # map goes on past a fit that raises
+        return map(functools.partial(_fit_drvar, cfg), panels)
     orders = {k: getattr(cfg, k) for k in estimators.ENGINE_ORDERS[m]}
-    if len(panels) == 1:
-        return [getattr(estimators, f"fit_{m}")(panels[0], opts=opts, **orders)]
     return estimators.fit_many(m, panels, opts=opts, **orders)
 
 
@@ -289,37 +285,37 @@ def _cmd_forecast(cfg: RunConfig, outdir) -> None:
             fh.write(f"# refit_each_origin = {info['refit_each_origin']}\n")
 
 
-def _mc_one(args):
-    cfg, params, rep, child = args
-    panel = _simulate_panel(cfg, params, child)
+MC_CHUNK = 50   # replications per lockstep fit: bounds the panels held at once
+
+
+def _mc_rows(cfg: RunConfig, params, children: list):
+    """The mc_results.csv cells, after rep, of each child seed's replication."""
+    panels = [_simulate_panel(cfg, params, child) for child in children]
     try:
-        fit, = _fit_from_config(cfg, [panel])
-        omega_hat = getattr(fit.params, "omega", None)
-        dist = (
-            subspace_distance(omega_hat, params.omega)
-            if omega_hat is not None and omega_hat.shape[1]
-            else float("nan")
-        )
-        return rep, fit.loglik, fit.iterations, int(fit.converged), dist, ""
-    except (ValueError, np.linalg.LinAlgError) as exc:   # a failed fit, not a bug
-        return rep, float("nan"), 0, 0, float("nan"), f"{type(exc).__name__}: {exc}"
+        fits = iter(_fit_from_config(cfg, panels))
+    except (ValueError, np.linalg.LinAlgError) as exc:   # a setup error fails every panel alike
+        fits = iter([exc] * len(panels))
+    for _ in panels:
+        try:
+            fit = next(fits)
+            if isinstance(fit, Exception):
+                raise fit
+            omega_hat = fit.params.omega              # nan below: IAAR's q = 0 has no index
+            dist = subspace_distance(omega_hat, params.omega) if omega_hat.size else float("nan")
+            yield _fmt(fit.loglik), fit.iterations, int(fit.converged), _fmt(dist), ""
+        except (ValueError, np.linalg.LinAlgError) as exc:   # a failed fit, not a bug
+            yield "nan", 0, 0, "nan", f"{type(exc).__name__}: {exc}"
 
 
 def _cmd_montecarlo(cfg: RunConfig, outdir) -> None:
     params = _dgp_params(cfg)
     children = np.random.SeedSequence(cfg.seed).spawn(cfg.reps)
-    tasks = [(cfg, params, rep, children[rep]) for rep in range(cfg.reps)]
-    if cfg.workers > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            results = list(pool.map(_mc_one, tasks))
-    else:
-        results = [_mc_one(t) for t in tasks]
-    results.sort(key=lambda row: row[0])
     with open(outdir / "mc_results.csv", "w", newline="") as fh:
         out = csv.writer(fh, lineterminator="\n")     # an error cell may hold commas
         out.writerow("rep,loglik,iterations,converged,omega_subspace_distance,error".split(","))
-        for rep, ll, iters, conv, dist, err in results:
-            out.writerow([rep, _fmt(ll), iters, conv, _fmt(dist), err])
+        for first in range(0, cfg.reps, MC_CHUNK):
+            rows = _mc_rows(cfg, params, children[first:first + MC_CHUNK])
+            out.writerows([rep, *row] for rep, row in enumerate(rows, first))
 
 
 # ---------------------------------------------------------------------------
@@ -342,7 +338,7 @@ FLAGS = {
     "forecast": (*_FITTING, "input", "horizon", "origins", "refit"),
     "select": ("input", "model", "p_min", "p_max", "q_min", "q_max", "max_iter", "criterion",
                "tol", "ridge"),
-    "montecarlo": (*_FITTING, *_DGP, "reps", "workers", "dist"),
+    "montecarlo": (*_FITTING, *_DGP, "reps", "dist"),
 }
 # a flag's choices and help by field, or by (subcommand, field) where one subcommand's differ
 CHOICES = {"model": MODELS, ("select", "model"): FAMILIES, "method": ("ols", "gls"),
@@ -371,6 +367,8 @@ def _read_config_file(path) -> dict:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value'")
             key, _, value = line.partition("=")
             key, value = key.strip(), value.strip()
+            if key == "workers":                      # an old manifest's montecarlo pool size
+                continue
             if key not in _CONVERTERS:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
             convert = _CONVERTERS[key]

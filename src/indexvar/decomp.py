@@ -36,7 +36,7 @@ __all__ = [
     "drvar_decompose",
 ]
 
-RECON_TOL = 1e-8
+RECON_TOL = 1e-8   # the largest reconstruction error, as a share of max |demeaned target|
 
 
 @dataclass
@@ -191,7 +191,7 @@ def _components(fit: FitResult, Y: Panel | None, filters):
     the actual pre-target rows (demeaned levels for stationary fits,
     demeaned differences for error-correction fits), is the recursion's last
     column. The components are exact, so a reconstruction error above
-    RECON_TOL means the residuals are not those of the fitted parameters.
+    RECON_TOL relative to the data means the residuals are not the fit's.
     """
     drive = np.stack([eps @ W.T for W, eps in filters], axis=2)
     comps, levels = _fitted_recursion(fit, drive, Y)
@@ -200,10 +200,11 @@ def _components(fit: FitResult, Y: Panel | None, filters):
     k = len(filters)
     base = comps[..., k] - fit.means.get("diff", 0.0)
     comps, levels = comps[..., :k], None if levels is None else levels[..., :k]
-    err = float(np.max(np.abs(comps.sum(axis=2) + base - _demeaned_targets(fit, Y, levels is not None))))
-    if err > RECON_TOL:
+    target = _demeaned_targets(fit, Y, levels is not None)
+    err = float(np.max(np.abs(comps.sum(axis=2) + base - target)))
+    if err > RECON_TOL * np.max(np.abs(target)):
         raise ValueError(
-            f"components miss the data by {err:.2e} (above {RECON_TOL:.0e}): "
+            f"components miss the data by {err:.2e} (above {RECON_TOL:.0e} of its largest value): "
             "the residuals do not match the fitted parameters"
         )
     return comps, levels, base, err

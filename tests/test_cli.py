@@ -10,7 +10,7 @@ import pytest
 
 from indexvar import cli, estimators
 from indexvar.cli import main
-from indexvar.tscore import Panel, read_panel_csv
+from indexvar.tscore import Panel, read_panel_csv, subspace_distance
 
 
 def run_cli(*args):
@@ -201,16 +201,76 @@ class TestFitPipeline:
         assert len(header) == 6 and len(rows) == 2 and all(len(row) == 6 for row in rows)
         assert all(row[-1] == f"ValueError: {message}" for row in rows)
 
-    def test_montecarlo_worker_pool_matches_serial(self, tmp_path):
-        written = []
-        for workers in (1, 2):
-            out = tmp_path / f"mc{workers}"
-            assert run_cli(
-                "montecarlo", "--model", "mai", "--n", 4, "--q", 1, "--p", 1,
-                "--T", 200, "--reps", 4, "--seed", 7, "--workers", workers, "--out", out,
-            ) == 0
-            written.append((out / "mc_results.csv").read_bytes())
-        assert written[0] == written[1]
+
+class TestMontecarloBatch:
+    """montecarlo fits cli.MC_CHUNK replications in one lockstep run; every
+    row equals a loop of the model's single fitter over the same panels."""
+
+    ORDERS = {
+        "mai": ("--p", 2, "--q", 1),
+        "iaar": ("--p", 2, "--s", 1, "--q", 1),
+        "vhari": ("--q", 1),
+        "ciaar": ("--p", 2, "--s", 2, "--q", 2, "--r", 1),
+        "drvar": ("--p", 1, "--q", 1),
+    }
+
+    @staticmethod
+    def single_fit(cfg, Y):
+        if cfg.model == "drvar":
+            omega, _ = estimators.fit_drvar_omega(Y, cfg.p0, cfg.q)
+            return estimators.fit_drvar_coeffs(Y, omega, cfg.p, method=cfg.method)
+        orders = {k: getattr(cfg, k) for k in estimators.ENGINE_ORDERS[cfg.model]}
+        return getattr(estimators, f"fit_{cfg.model}")(Y, opts=cfg.fit_options(), **orders)
+
+    def check_rows(self, model, reps, out):
+        args = ["montecarlo", "--model", model, "--n", 4, *self.ORDERS[model],
+                "--T", 150, "--max-iter", 60, "--reps", reps, "--seed", 3, "--out", out]
+        assert run_cli(*args) == 0
+        cfg = cli.build_config(cli._parser().parse_args([str(a) for a in args]))
+        params = cli._dgp_params(cfg)
+        with open(out / "mc_results.csv", newline="") as fh:
+            header, *rows = list(csv.reader(fh))
+        assert len(rows) == reps
+        errors = []
+        for rep, (row, child) in enumerate(zip(rows, np.random.SeedSequence(3).spawn(reps))):
+            got = dict(zip(header, row))
+            assert got["rep"] == str(rep)
+            try:
+                fit = self.single_fit(cfg, cli._simulate_panel(cfg, params, child))
+            except (ValueError, np.linalg.LinAlgError) as exc:
+                errors.append(rep)
+                assert (got["loglik"], got["iterations"], got["converged"]) == ("nan", "0", "0")
+                assert got["error"] == f"{type(exc).__name__}: {exc}"
+                continue
+            assert (got["iterations"], got["converged"], got["error"]) == (
+                str(fit.iterations), str(int(fit.converged)), "")
+            dist = subspace_distance(fit.params.omega, params.omega)
+            for name, want in (("loglik", fit.loglik), ("omega_subspace_distance", dist)):
+                assert float(got[name]) == pytest.approx(want, rel=1e-10, abs=0), (rep, name)
+        return errors
+
+    @pytest.mark.parametrize("model", list(ORDERS))
+    def test_rows_equal_the_single_fits(self, model, tmp_path):
+        # one chunk more than MC_CHUNK, so the trailing chunk holds a single panel
+        assert self.check_rows(model, cli.MC_CHUNK + 1, tmp_path / "mc") == []
+
+    @pytest.mark.parametrize("model", list(ORDERS))
+    def test_a_degenerate_rep_fails_alone(self, model, tmp_path, monkeypatch):
+        simulate = cli._simulate_panel
+
+        def constant_column_at_rep_2(cfg, params, child):
+            Y = simulate(cfg, params, child)
+            if child.spawn_key == (2,):
+                values = Y.values.copy()
+                values[:, 0] = 1.0
+                Y = Panel(values, Y.names)
+            return Y
+
+        monkeypatch.setattr(cli, "_simulate_panel", constant_column_at_rep_2)
+        out = tmp_path / "mc"
+        assert self.check_rows(model, 5, out) == [2]
+        error = list(csv.reader((out / "mc_results.csv").read_text().splitlines()))[3][-1]
+        assert ("rank deficient" if model != "drvar" else "not positive definite") in error
 
 
 class TestOtherModels:
@@ -377,7 +437,18 @@ class TestErrors:
         assert run_cli("select", "--config", cfg, "--input", sim_dir / "panel.csv",
                        "--out", out) == 0
         assert (out / "ic_table.csv").exists()
-        assert "workers = 2" in (out / "manifest.txt").read_text()
+        assert not any(line.startswith("workers") for line in
+                       (out / "manifest.txt").read_text().splitlines())
+
+    def test_an_old_montecarlo_manifest_still_reproduces(self, tmp_path):
+        # montecarlo has no workers field; a manifest that holds one still runs
+        first = tmp_path / "first"
+        assert run_cli(*TestFitPipeline.MC_ARGS, "--out", first) == 0
+        old = tmp_path / "old_manifest.txt"
+        old.write_text((first / "manifest.txt").read_text() + "workers = 2\n")
+        again = tmp_path / "again"
+        assert run_cli("montecarlo", "--config", old, "--out", again) == 0
+        assert (again / "mc_results.csv").read_bytes() == (first / "mc_results.csv").read_bytes()
 
     def test_unknown_config_key(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
@@ -436,8 +507,7 @@ class TestParser:
             ("--criterion", "criterion", None, ("aic", "bic", "hq"), None),
             ("--tol", "tol", float, None, None), ("--ridge", "ridge", float, None, None),
         ],
-        "montecarlo": COMMON + FITTING + DGP + [
-            ("--reps", "reps", int, None, None), ("--workers", "workers", int, None, None)] + DIST,
+        "montecarlo": COMMON + FITTING + DGP + [("--reps", "reps", int, None, None)] + DIST,
     }
 
     def test_each_subcommand_keeps_its_flags(self):
@@ -446,7 +516,7 @@ class TestParser:
         subparsers, = (a for a in _parser()._actions if isinstance(a, argparse._SubParsersAction))
         assert list(subparsers.choices) == list(self.EXPECTED)
         counts = {"simulate": 18, "fit": 14, "decompose": 15, "forecast": 17, "select": 13,
-                  "montecarlo": 20}
+                  "montecarlo": 19}
         for name, parser in subparsers.choices.items():
             flags = [
                 (a.option_strings[0], a.dest, a.type, a.choices and tuple(a.choices), a.default)

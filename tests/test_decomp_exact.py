@@ -126,3 +126,25 @@ def test_residuals_off_the_parameters_rejected(name):
     for call in calls:
         with pytest.raises(ValueError, match="residuals do not match the fitted parameters"):
             call(off, Y)
+
+
+@pytest.mark.parametrize("k", [-30, 30])
+def test_reconstruction_check_is_scale_free(k):
+    # Y -> cY with c = 2^k, exact in floating point, scales the fit's means and
+    # residuals by c and sigma by c^2. The components scale by c, and residuals
+    # moved off the parameters by 1e-6 of their size fail at every scale.
+    c = 2.0 ** k
+    Y, fit = _panel_and_fit("ciaar_r1")
+    cY = Panel(c * Y.values, Y.names)
+    scaled = dataclasses.replace(
+        fit, params=dataclasses.replace(fit.params, sigma=c * c * fit.params.sigma),
+        residuals=c * fit.residuals, means={key: c * v for key, v in fit.means.items()},
+    )
+    noise = 1e-6 * c * np.random.default_rng(0).standard_normal(fit.residuals.shape)
+    off = dataclasses.replace(scaled, residuals=scaled.residuals + noise)
+    for call in (common_uncommon, lambda f, Y: perm_trans(f, Y=Y)):
+        ref, got = call(fit, Y), call(scaled, cY)
+        for name in ("chi", "iota"):
+            _close(getattr(got, name), c * getattr(ref, name))
+        with pytest.raises(ValueError, match="residuals do not match the fitted parameters"):
+            call(off, cY)

@@ -1,0 +1,123 @@
+"""Time ``indexvar montecarlo`` in fresh processes, alternating between source trees.
+
+    python tools/mc_timing.py --tree parent=../parent/src --tree change=src \\
+        --rounds 10 --blas 1 -- --model mai --n 20 --q 2 --p 2 --T 2000 --reps 200 --seed 5
+
+Each ``--tree`` is ``LABEL=SRC_DIR``, optionally followed by montecarlo
+arguments for that tree alone (``"w2=../parent/src --workers 2"``). Every
+round runs each tree once, in an order that rotates from round to round, as
+a fresh ``python -m indexvar.cli montecarlo`` process with ``PYTHONPATH`` at
+``SRC_DIR`` and the arguments after ``--``. ``--blas 1`` sets
+OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and MKL_NUM_THREADS to 1; ``--blas
+default`` removes them, so OpenBLAS picks its own thread count.
+
+Wall time is taken around the whole process, interpreter start and imports
+included. Peak RSS is the ``ru_maxrss`` that ``wait4`` reports: the largest
+single process of the run, so for a process pool it is one process's, not
+the pool's sum. Every run is printed, then each tree's median and IQR
+(quartiles by the inclusive method) of both, the number of rounds whose
+``mc_results.csv`` equals the first tree's byte for byte, and the machine:
+cores, the thread count the OpenBLAS that numpy loaded reports under the
+chosen environment, and the numpy and Python versions.
+"""
+
+import argparse
+import os
+import shlex
+import statistics
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+BLAS_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+# run in a child under the timed runs' environment, so it sees their BLAS setting
+MACHINE = """
+import ctypes, glob, os, platform, numpy as np
+threads = None
+libdir = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+for path in glob.glob(os.path.join(libdir, "*openblas*")):
+    lib = ctypes.CDLL(path)
+    for symbol in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
+                   "openblas_get_num_threads"):
+        fn = getattr(lib, symbol, None)
+        if fn is not None and threads is None:
+            fn.restype, fn.argtypes = ctypes.c_int, []
+            threads = fn()
+print(f"cores={os.cpu_count()} blas_threads={threads} numpy={np.__version__} "
+      f"python={platform.python_version()}")
+"""
+
+
+def _env(blas: str) -> dict:
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_ENV}
+    if blas == "1":
+        env.update({k: "1" for k in BLAS_ENV})
+    return env
+
+
+def _run(src: str, args: list, env: dict, out: Path) -> tuple:
+    """One fresh montecarlo process: (wall seconds, peak RSS in MB, exit status)."""
+    cmd = [sys.executable, "-m", "indexvar.cli", "montecarlo", *args, "--out", str(out)]
+    start = time.perf_counter()
+    proc = subprocess.Popen(cmd, env=dict(env, PYTHONPATH=str(Path(src).resolve())),
+                            stdout=subprocess.DEVNULL)
+    _, status, usage = os.wait4(proc.pid, 0)
+    wall = time.perf_counter() - start
+    proc.returncode = os.waitstatus_to_exitcode(status)   # reaped here, not by Popen
+    return wall, usage.ru_maxrss / 1024, proc.returncode
+
+
+def _summary(values: tuple) -> str:
+    if len(values) == 1:                       # quantiles needs two points
+        values *= 2
+    q1, med, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return f"median {med:.3f} IQR {q3 - q1:.3f} [{q1:.3f}-{q3:.3f}]"
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--tree", action="append", required=True,
+                        help="LABEL=SRC_DIR [extra montecarlo arguments], repeatable")
+    parser.add_argument("--rounds", type=int, default=10)
+    parser.add_argument("--blas", choices=("1", "default"), default="1")
+    parser.add_argument("args", nargs=argparse.REMAINDER, help="-- then montecarlo arguments")
+    opts = parser.parse_args(argv)
+    args = opts.args[1:] if opts.args[:1] == ["--"] else opts.args
+    trees = []
+    for spec in opts.tree:
+        label, _, rest = spec.partition("=")
+        src, *extra = shlex.split(rest)
+        trees.append((label, src, extra))
+    env = _env(opts.blas)
+    machine = subprocess.run([sys.executable, "-c", MACHINE], env=env, check=True,
+                             capture_output=True, text=True).stdout.strip()
+    print(f"machine: {machine} (--blas {opts.blas})")
+    print(f"montecarlo {' '.join(args)}")
+    runs = {label: [] for label, _, _ in trees}
+    same = {label: 0 for label, _, _ in trees}
+    with tempfile.TemporaryDirectory() as tmp:
+        for rnd in range(opts.rounds):
+            order = trees[rnd % len(trees):] + trees[:rnd % len(trees)]
+            for label, src, extra in order:
+                out = Path(tmp, f"{rnd}-{label}")
+                wall, rss, code = _run(src, args + extra, env, out)
+                print(f"round {rnd} {label}: wall {wall:.3f} s, peak RSS {rss:.1f} MB, exit {code}",
+                      flush=True)
+                if code != 0:
+                    return 1
+                runs[label].append((wall, rss))
+            first = Path(tmp, f"{rnd}-{trees[0][0]}", "mc_results.csv").read_bytes()
+            for label in runs:
+                same[label] += Path(tmp, f"{rnd}-{label}", "mc_results.csv").read_bytes() == first
+    for label, _, extra in trees:
+        walls, rsss = zip(*runs[label])
+        print(f"{label} {' '.join(extra)}: wall s {_summary(walls)}; peak RSS MB {_summary(rsss)}; "
+              f"mc_results.csv equal to {trees[0][0]}'s in {same[label]}/{opts.rounds} rounds")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
