@@ -6,7 +6,6 @@ from .tscore import (
     RegressionOut,
     SingularDesignError,
     autocov,
-    build_lag_matrix,
     companion_spectral_radius,
     har_aggregates,
     ols,

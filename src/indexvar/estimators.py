@@ -151,6 +151,8 @@ class FitResult:
 SIGMA_RTOL = 1e-12   # a fit's least sigma eigenvalue over its largest must exceed this
 SIGMA_ERROR = f"residual covariance is not positive definite (eigenvalue ratio <= {SIGMA_RTOL:.0e})"
 STEP_ERROR = "switching-step normal equations are not positive definite"
+RRR_ERROR = ("reduced-rank regression: the level moments concentrated on the lags are not "
+             "positive definite (too few rows, or collinear levels)")
 
 
 def _qr_normalize(omega: np.ndarray):
@@ -197,12 +199,12 @@ def _demeaned(Y: Panel, demean: bool, differences: bool = False):
 # ---------------------------------------------------------------------------
 #
 # Every conditional-maximization step only touches the data through the n x n
-# cross-products of the data matrices, so those are formed once per fit and
-# no sweep depends on the sample length. Each step is assembled by a few
-# batched matmuls over the stacked gram tensor, each gram operand transposed
-# so that the index it sums over is last (step 2's Kronecker sums run over
-# channel pairs, the target grams over the diagonal lags). The transposed
-# copies are formed anew each call: keeping them measured no faster. Step 1
+# cross-products of the data matrices, so those are formed once per fit, as
+# the one flat X'X of all its data blocks (_Grams), and no sweep depends on
+# the sample length. Each step is assembled by a few batched matmuls over
+# slices of the stacked X'X; step 2 reshapes and transposes its slices so that
+# the index it sums over is last (its Kronecker sums run over channel pairs),
+# forming those copies anew each call, as keeping them measured no faster. Step 1
 # and step 3 cost O((C n)^2 C q) for C vec channels, and step 2 is dominated
 # by the factorization of its (nd n + n q)-square normal equations,
 # O(n^3 (nd + q)^3) per sweep. The stacked row-level design never gets built
@@ -301,53 +303,45 @@ class _Head:
 
 @dataclass
 class _Grams:
-    """Stacked cross-products X_a' X_b of the target, diagonal, EC and index data.
+    """Stacked cross-products X'X of the target, diagonal, EC and index data.
 
-    G[i, a, b] = X_a' X_b of batch member i, with the blocks ordered target,
-    diagonal lags, then the vec channels (the EC block when present, then
-    the index lags). Gcc[i] lays member i's vec-channel grams out as one
-    (C n) x (C n) matrix. Te is the members' common effective sample.
+    M[i] is batch member i's (k n) x (k n) gram of X = [Z | X_1 .. X_k-1],
+    its k data blocks of n columns ordered target, diagonal lags, then the
+    vec channels (the EC block when present, then the index lags), so
+    X_a' X_b is M[i] at rows a n:(a + 1) n and columns b n:(b + 1) n. It is
+    the one array held: every reader slices it, Gcc among them. Te is the
+    members' common effective sample.
     """
 
-    G: np.ndarray
-    Gcc: np.ndarray
+    M: np.ndarray
+    n: int
     nd: int
     Te: int
 
     @classmethod
     def of(cls, Z, diag_X, ec_X, index_X) -> "_Grams":
         """The grams of one panel's data matrices, as a batch of one."""
-        mats = [Z] + list(diag_X) + ([ec_X] if ec_X is not None else []) + list(index_X)
-        k, n = len(mats), Z.shape[1]
-        X = np.hstack(mats)
-        G = (X.T @ X).reshape(1, k, n, k, n).transpose(0, 1, 3, 2, 4)
-        return cls.blocks(G, len(diag_X), Z.shape[0])
-
-    @classmethod
-    def blocks(cls, G: np.ndarray, nd: int, Te: int) -> "_Grams":
-        """The grams of a (B, k, k, n, n) block tensor whose first nd + 1
-        blocks are the target and the diagonal lags."""
-        B, k, _, n, _ = G.shape
-        C = k - 1 - nd
-        Gcc = G[:, 1 + nd:, 1 + nd:].transpose(0, 1, 3, 2, 4).reshape(B, C * n, C * n)
-        return cls(np.ascontiguousarray(G), Gcc, nd, Te)
+        X = np.hstack([Z, *diag_X, *([ec_X] if ec_X is not None else []), *index_X])
+        return cls((X.T @ X)[None], Z.shape[1], len(diag_X), Z.shape[0])
 
     @classmethod
     def stack(cls, members: list) -> "_Grams":
         first = members[0]
-        G = np.concatenate([g.G for g in members])
-        return cls(G, np.concatenate([g.Gcc for g in members]), first.nd, first.Te)
+        return cls(np.concatenate([g.M for g in members]), first.n, first.nd, first.Te)
 
     def __getitem__(self, rows) -> "_Grams":
-        return _Grams(self.G[rows], self.Gcc[rows], self.nd, self.Te)
+        return _Grams(self.M[rows], self.n, self.nd, self.Te)
 
     @property
-    def n(self) -> int:
-        return self.G.shape[-1]
+    def Gcc(self) -> np.ndarray:
+        """The vec channels' (B, C n, C n) gram, a view of M."""
+        c = (1 + self.nd) * self.n
+        return self.M[:, c:, c:]
 
 
 def _memo_grams(memo: dict, Z, lags: list, ec_X) -> _Grams:
-    """_Grams.of(Z, lags, ec_X, []), formed once per memo and count of rows and lags."""
+    """The gram of [Z | lags | ec_X] (_Grams.of(Z, lags, ec_X, [])), formed
+    once per memo and count of rows and lags."""
     key = Z.shape[0], len(lags), ec_X is not None
     if key not in memo:
         memo[key] = _Grams.of(Z, lags, ec_X, [])
@@ -358,18 +352,18 @@ def _target_grams(g: _Grams, ds: np.ndarray):
     """U'U and X_a'U for U = Z - sum_j X_j diag(d_j), for every data block a.
 
     ds is (B, nd, n); returns UU (B, n, n) and GU (B, k, n, n). With D the
-    stacked diagonals [diag(d_1); ..; diag(d_nd)], X_a'U = X_a'Z - [X_a'X_j]_j D
-    and U'U = Z'U - D'[X_j'U]_j, one batched product each.
+    stacked diagonals [diag(d_1); ..; diag(d_nd)], X'U = X'Z - X'[X_j]_j D,
+    M's target columns less its lag columns times D, and U'U = Z'U -
+    D'[X_j'U]_j, one batched product each.
     """
-    B, k, _, n, _ = g.G.shape
-    nd = g.nd
+    M, n, nd = g.M, g.n, g.nd
+    B = len(M)
     D = np.zeros((B, nd, n, n))
     D[:, :, np.arange(n), np.arange(n)] = ds
     D = D.reshape(B, nd * n, n)
-    lags = g.G[:, :, 1: 1 + nd].transpose(0, 1, 3, 2, 4).reshape(B, k * n, nd * n)
-    GU = g.G[:, :, 0] - (lags @ D).reshape(B, k, n, n)
-    UU = GU[:, 0] - D.swapaxes(1, 2) @ GU[:, 1: 1 + nd].reshape(B, nd * n, n)
-    return UU, GU
+    XU = M[:, :, :n] - M[:, :, n: (1 + nd) * n] @ D
+    UU = XU[:, :n] - D.swapaxes(1, 2) @ XU[:, n: (1 + nd) * n]
+    return UU, XU.reshape(B, -1, n, n)
 
 
 def _sa_engine(
@@ -377,7 +371,7 @@ def _sa_engine(
 ) -> list:
     """Run the switching algorithm in lockstep on a batch of prepared fits.
 
-    Member i has the grams grams.G[i] and starts from
+    Member i has the grams grams.M[i] and starts from
     starts[i] = (gamma0, omega0, D0), the order init_ciaar returns. The
     diagonal channels feed the matrices D_j, the index channels the loadings
     alpha_j omega', and the EC channel (levels, present when r > 0) the
@@ -396,7 +390,7 @@ def _sa_engine(
     "no_free_params" (nothing beyond the loadings to estimate, so one OLS
     step is the fit); diagnostics["sigma_cond"] is its final sigma's least
     over largest eigenvalue, and a member stopping at or below SIGMA_RTOL
-    ends with LinAlgError, as its likelihood can grow without bound.
+    ends with _sigma_cond's LinAlgError.
     """
     n, nd, Te = grams.n, grams.nd, grams.Te
     na = grams.Gcc.shape[-1] // n - (r > 0)
@@ -509,9 +503,12 @@ def _sa_engine(
                 stop = "max_iter"
             else:
                 continue
-            diagnostics[m]["stop"] = stop
-            w = np.linalg.eigvalsh(st["sigma"][row])    # the sigma guard
-            diagnostics[m]["sigma_cond"] = float(w[0] / w[-1])
+            stopped.append(row)
+            try:
+                diagnostics[m].update(stop=stop, sigma_cond=_sigma_cond(st["sigma"][row]))
+            except np.linalg.LinAlgError as exc:
+                finals[m] = exc
+                continue
             finals[m] = {
                 "omega": st["omega"][row].copy(),
                 "gamma": st["gamma"][row, :, :r_m].copy(),
@@ -524,9 +521,6 @@ def _sa_engine(
                 "iterations": it,
                 "diagnostics": diagnostics[m],
             }
-            if diagnostics[m]["sigma_cond"] <= SIGMA_RTOL:
-                finals[m] = np.linalg.LinAlgError(SIGMA_ERROR)
-            stopped.append(row)
         if len(stopped) == len(members):
             break
         if stopped:
@@ -642,6 +636,17 @@ def _normal_blocks(Gcc: np.ndarray, weights: list, XU: np.ndarray):
     return WbT @ Gcc @ Wb, WbT @ XU.reshape(B, C * n, n)
 
 
+def _sigma_cond(sigma: np.ndarray) -> float:
+    """The guard on a fit's residual covariance: its least over largest
+    eigenvalue, or LinAlgError(SIGMA_ERROR) when that is at most SIGMA_RTOL,
+    where the likelihood can grow without bound."""
+    w = np.linalg.eigvalsh(sigma)
+    cond = float(w[0] / w[-1])
+    if not cond > SIGMA_RTOL:
+        raise np.linalg.LinAlgError(SIGMA_ERROR)
+    return cond
+
+
 def _sigma_factor(sigma: np.ndarray) -> np.ndarray:
     """Cholesky factors of the stacked sigma; one that is not positive
     definite raises LinAlgError(SIGMA_ERROR)."""
@@ -671,25 +676,26 @@ def _step2_solve(grams, sinv, loadings, nd, q, estimate_omega, opts, pinned=None
 
     For theta = (delta_1..delta_nd, Vec(omega')) the blocks are
     G_jl * sinv (Hadamard) between diagonals, sum_ab G_ab kron W_ab with
-    W_ab = a_a' sinv a_b for omega, and the matching cross terms. Each
-    product is one batched matmul with its gram operand transposed to
-    (batch, rows, summed index): the omega block sums G_ab[i, j] W_ab[k, l]
-    over the channel pairs (a, b), the cross block G_jc[k, K] (sinv a_c)[k, m]
-    over c, and the omega right-hand side G_c0[i, k] (sinv a_c)[k, m] over
-    (k, c). sinv is (B, n, n) and loadings (B, C, n, q); returns theta as
+    W_ab = a_a' sinv a_b for omega, and the matching cross terms, G_ab the
+    n x n blocks X_a' X_b of grams.M. Each product is one batched matmul
+    with its slice of M reshaped and transposed to (batch, rows, summed
+    index): the omega block sums G_ab[i, j] W_ab[k, l] over the channel
+    pairs (a, b), the cross block G_jc[k, K] (sinv a_c)[k, m] over c, and the
+    omega right-hand side G_c0[i, k] (sinv a_c)[k, m] over (k, c). sinv is
+    (B, n, n) and loadings (B, C, n, q); returns theta as
     (B, nd n + n q), or raises LinAlgError(STEP_ERROR) when a system is not
     positive definite (_solve_pd). pinned marks the missing-lag coordinates of
     padded members (_member_masks).
     """
-    n, G = grams.n, grams.G
-    B = len(G)
+    n, M = grams.n, grams.M
+    B = len(M)
     ow = nd * n                                     # start of the Vec(omega') block
+    c = n + ow                                      # start of M's vec channels
     k2 = ow + (n * q if estimate_omega else 0)
-    dd, cc = slice(1, 1 + nd), slice(1 + nd, None)
     G2 = np.empty((B, k2, k2))
     rhs = np.empty((B, k2))
-    G2[:, :ow, :ow] = (G[:, dd, dd] * sinv[:, None, None]).transpose(0, 1, 3, 2, 4).reshape(B, ow, ow)
-    rhs[:, :ow] = (G[:, dd, 0] * sinv.swapaxes(1, 2)[:, None]).sum(-1).reshape(B, ow)
+    G2[:, :ow, :ow] = (M[:, n:c, n:c].reshape(B, nd, n, nd, n) * sinv[:, None, :, None]).reshape(B, ow, ow)
+    rhs[:, :ow] = (M[:, n:c, :n].reshape(B, nd, n, n) * sinv.swapaxes(1, 2)[:, None]).sum(-1).reshape(B, ow)
     if estimate_omega:
         A = np.asarray(loadings)                    # (B, C, n, q) channel loadings a_c
         C = A.shape[1]
@@ -697,14 +703,14 @@ def _step2_solve(grams, sinv, loadings, nd, q, estimate_omega, opts, pinned=None
         SA = sinv @ A
         # W_ab[k, l] = (a_a' sinv a_b)[k, l] at [(a, b), (k, l)]
         W = (A.swapaxes(1, 2) @ SA).reshape(B, C, q, C, q).transpose(0, 1, 3, 2, 4)
-        Gab = G[:, cc, cc].transpose(0, 3, 4, 1, 2).reshape(B, n * n, C * C)
+        Gab = M[:, c:, c:].reshape(B, C, n, C, n).transpose(0, 2, 4, 1, 3).reshape(B, n * n, C * C)
         omega_block = (Gab @ W.reshape(B, C * C, q * q)).reshape(B, n, n, q, q)
         G2[:, ow:, ow:] = omega_block.transpose(0, 1, 3, 2, 4).reshape(B, n * q, n * q)
         SA = SA.reshape(B, n, C, q)                 # (sinv a_c)[k, m] at [k, c, m]
-        cross = G[:, dd, cc].transpose(0, 1, 3, 4, 2) @ SA[:, None]
+        cross = M[:, n:c, c:].reshape(B, nd, n, C, n).transpose(0, 1, 2, 4, 3) @ SA[:, None]
         G2[:, :ow, ow:] = cross.reshape(B, ow, n * q)
         G2[:, ow:, :ow] = G2[:, :ow, ow:].transpose(0, 2, 1)
-        Gc0 = G[:, cc, 0].transpose(0, 2, 3, 1).reshape(B, n, n * C)
+        Gc0 = M[:, c:, :n].reshape(B, C, n, n).transpose(0, 2, 3, 1).reshape(B, n, n * C)
         rhs[:, ow:] = (Gc0 @ SA.reshape(B, n * C, q)).reshape(B, n * q)
     _pin(G2, pinned)
     if opts.ridge > 0.0:
@@ -747,9 +753,13 @@ def _solve_rrr_eig(S00, S01, S11):
 
     Solved through the Cholesky factor of S11 so the eigenvalues are the
     squared canonical correlations, all in [0, 1). Leading axes are a stack
-    of problems, each solved and sorted on its own.
+    of problems, each solved and sorted on its own. An S11, the level
+    moments, that is not positive definite raises LinAlgError(RRR_ERROR).
     """
-    L = np.linalg.cholesky(S11)
+    try:
+        L = np.linalg.cholesky(S11)
+    except np.linalg.LinAlgError:
+        raise np.linalg.LinAlgError(RRR_ERROR) from None
     Linv = np.linalg.inv(L)
     LinvT = Linv.swapaxes(-1, -2)
     mid = np.linalg.solve(S00, S01)
@@ -775,8 +785,8 @@ def _engine_states(setups, opts: FitOptions, starts=(), prune=None) -> list:
     built. The default starts are solved in batches (_default_starts), and
     one lockstep engine batch runs per engine q, in ascending q and one
     after another in this process, padded to the group's largest
-    (nd, na, r) (_padded_grams). The padded gram tensor is handed to the
-    engine alone, so it is freed at the engine's first compaction.
+    (nd, na, r) (_padded_grams). The padded grams are handed to the
+    engine alone, so they are freed at the engine's first compaction.
 
     prune, when given, is called before each group with the outcomes so far
     and the group's member indices, and returns the members to skip, whose
@@ -820,16 +830,17 @@ def _padded_grams(fulls: list, shapes: list, size: tuple) -> _Grams:
     """The engine grams of a group of size (nd, na, r). Member i's slot holds
     its grams of [Z | lags | ec_X] in the engine's block order: the target,
     its nd_i diagonal lags, ec_X (if r > 0) and its na_i index lags, each lag
-    channel padded with zero blocks to the group's count."""
+    channel padded with zero rows and columns to the group's count."""
     nd, na, r = size
     k, n = 1 + nd + (r > 0) + na, fulls[0].n
-    G = np.zeros((len(fulls), k, k, n, n))
-    for out, full, (nd_i, na_i, _) in zip(G, fulls, shapes):
+    M = np.zeros((len(fulls), k * n, k * n))
+    for out, full, (nd_i, na_i, _) in zip(M, fulls, shapes):
         ec = [1 + full.nd] if r > 0 else []
         src = [*range(1 + nd_i), *ec, *range(1, 1 + na_i)]
-        dst = np.array([*range(1 + nd_i), *range(1 + nd, 1 + nd + len(ec) + na_i)])
-        out[dst[:, None], dst] = full.G[0][src][:, src]
-    return _Grams.blocks(G, nd, fulls[0].Te)
+        dst = [*range(1 + nd_i), *range(1 + nd, 1 + nd + len(ec) + na_i)]
+        src, dst = ((n * np.array(blocks)[:, None] + np.arange(n)).ravel() for blocks in (src, dst))
+        out[dst[:, None], dst] = full.M[0][src[:, None], src]
+    return _Grams(M, n, nd, fulls[0].Te)
 
 
 def _finished(setups, outcomes):
@@ -1103,15 +1114,16 @@ def _start_grams(Z, lags, ec_X, r: int, memo: dict | None = None, ridge: float =
     if lags and ridge == 0.0:
         key = "rank certified", Z.shape[0], len(lags)
         if key not in memo:
-            memo[key] = _certifies_rank(full.G[0, 1: 1 + len(lags), 1: 1 + len(lags)], Z.shape[0])
+            x = slice(full.n, (1 + len(lags)) * full.n)     # the lag block of the gram
+            memo[key] = _certifies_rank(full.M[0, x, x], Z.shape[0])
         if not memo[key]:
             check_rank(np.hstack(lags))
     return full
 
 
-def _certifies_rank(blocks: np.ndarray, T: int) -> bool:
-    """Whether the computed gram X'X of a T x k design X, given as its
-    (L, L, n, n) blocks, proves that X passes check_rank.
+def _certifies_rank(gram: np.ndarray, T: int) -> bool:
+    """Whether the computed k x k gram X'X of a T x k design X proves that
+    X passes check_rank.
 
     Forming X'X perturbs it by E with |E_ij| <= T eps |x_i| |x_j| (each entry
     is a T-term dot product), so ||E|| <= T eps trace(X'X) <= T k eps l_max,
@@ -1122,26 +1134,25 @@ def _certifies_rank(blocks: np.ndarray, T: int) -> bool:
     about (T k + k^2) eps >= 4e-16, far above RANK_RTOL^2 = 1e-20, and the
     SVD test passes. Below that the gram cannot tell, and the SVD decides.
     """
-    L, _, n, _ = blocks.shape
-    k = L * n
-    w = np.linalg.eigvalsh(blocks.transpose(0, 2, 1, 3).reshape(k, k))
+    k = len(gram)
+    w = np.linalg.eigvalsh(gram)
     return bool(w[0] > 2.0 * (T * k + k * k) * np.finfo(float).eps * w[-1])
 
 
-def _johansen(G: np.ndarray, Te: int, r: int) -> dict:
-    """Johansen's reduced-rank regression on a stack of (B, m + 2, m + 2, n, n)
-    grams of [dY_t | dY_{t-1} .. dY_{t-m} | Y_{t-1}]: beta holds the r
-    leading eigenvectors, alpha0 and the Pi_j solve the normal equations
-    given beta. Returns the eigenvalues, beta, alpha0 and the Pi_j (B, m, n, n).
+def _johansen(grams: _Grams, r: int) -> dict:
+    """Johansen's reduced-rank regression on stacked grams of
+    [dY_t | dY_{t-1} .. dY_{t-m} | Y_{t-1}], read from grams.M as they are:
+    beta holds the r leading eigenvectors, alpha0 and the Pi_j solve the
+    normal equations given beta. Returns the eigenvalues, beta, alpha0 and
+    the Pi_j (B, m, n, n).
     """
-    B, k, _, n, _ = G.shape
-    M = G.transpose(0, 1, 3, 2, 4).reshape(B, k * n, k * n)
-    L = slice((k - 1) * n, None)
-    (vals, vecs), S, sol = _reduced_rank(M, slice(0, n), slice(n, (k - 1) * n), L, Te)
+    M, n = grams.M, grams.n
+    L = slice(M.shape[-1] - n, None)
+    (vals, vecs), S, sol = _reduced_rank(M, slice(0, n), slice(n, L.start), L, grams.Te)
     beta = fix_signs(vecs[:, :, :r])
     betaT = beta.swapaxes(1, 2)
     alpha0 = np.linalg.solve(betaT @ S[:, L, L] @ beta, betaT @ S[:, L, :n]).swapaxes(1, 2)
-    pisT = (sol[:, :, :n] - sol[:, :, -n:] @ beta @ alpha0.swapaxes(1, 2)).reshape(B, k - 2, n, n)
+    pisT = (sol[:, :, :n] - sol[:, :, -n:] @ beta @ alpha0.swapaxes(1, 2)).reshape(len(M), -1, n, n)
     return {"vals": vals, "beta": beta, "alpha0": alpha0, "pis": pisT.swapaxes(2, 3)}
 
 
@@ -1165,7 +1176,7 @@ def johansen_rrr(
         raise ValueError("need p >= 1")
     data = _demeaned(Y, demean, differences=True)
     Z, lags, ec_X, first, means = _ec_data(Y, p - 1, data, t_start)
-    jo = _johansen(_start_grams(Z, lags, ec_X, r).G, Z.shape[0], r)
+    jo = _johansen(_start_grams(Z, lags, ec_X, r), r)
     alpha0, beta, pis = jo["alpha0"][0], jo["beta"][0], list(jo["pis"][0])
     resid = Z - (ec_X @ beta) @ alpha0.T - sum(X @ pi.T for X, pi in zip(lags, pis))
     sigma = resid.T @ resid / Z.shape[0]
@@ -1200,7 +1211,7 @@ def init_ciaar(
     """
     data = _demeaned(Y, demean, differences=True)
     Z, lags, ec_X, _, _ = _ec_data(Y, max(p, s, 1) - 1, data)
-    jo = _johansen(_start_grams(Z, lags, ec_X, r).G, Z.shape[0], r)
+    jo = _johansen(_start_grams(Z, lags, ec_X, r), r)
     return _index_start(jo, max(p - 1, 0), q)[0]
 
 
@@ -1214,7 +1225,7 @@ def _default_starts(inits: list, members: list, opts: FitOptions) -> None:
     for i, q, (nd, _, r), *_ in members:
         g = inits[i]
         if isinstance(g, _Grams):
-            batches.setdefault((g.G.shape[1:], g.nd, g.Te, r), {})[i] = nd, q
+            batches.setdefault((g.M.shape[1:], g.n, g.nd, g.Te, r), {})[i] = nd, q
     for (*_, r), batch in batches.items():
         grams = _Grams.stack([inits[i] for i in batch])
         jo, _, alive = _each_member(
@@ -1234,11 +1245,10 @@ def _start_regression(grams: _Grams, r: int, opts: FitOptions) -> dict:
     else the VAR coefficients of the target on the lags by their
     (ridge-penalized) normal equations."""
     if grams.Gcc.shape[-1]:
-        return _johansen(grams.G, grams.Te, r)
-    B, k, _, n, _ = grams.G.shape
-    M = grams.G.transpose(0, 1, 3, 2, 4).reshape(B, k * n, k * n)
-    C = np.linalg.solve(M[:, n:, n:] + opts.ridge * np.eye((k - 1) * n), M[:, n:, :n])
-    return {"pis": C.reshape(B, k - 1, n, n).swapaxes(2, 3), "beta": np.zeros((B, n, 0))}
+        return _johansen(grams, r)
+    M, n = grams.M, grams.n
+    C = np.linalg.solve(M[:, n:, n:] + opts.ridge * np.eye(M.shape[-1] - n), M[:, n:, :n])
+    return {"pis": C.reshape(len(M), -1, n, n).swapaxes(2, 3), "beta": np.zeros((len(M), n, 0))}
 
 
 def _index_start(jo: dict, nd: int, q: int) -> list:
@@ -1534,11 +1544,10 @@ def _loglik_bounds(full: _Grams) -> np.ndarray:
     one of its rank on its own rows and lags, so its log-likelihood is at
     most ll(r). A bound that cannot be formed, or is not finite, is nan.
     """
-    B, k, _, n, _ = full.G.shape
-    M = full.G.transpose(0, 1, 3, 2, 4).reshape(B, k * n, k * n)
+    n = full.n
     x = (1 + full.nd) * n                              # the levels block, if any, starts here
     try:
-        (vals, _), S, _ = _reduced_rank(M, slice(0, n), slice(n, x), slice(x, None), full.Te)
+        (vals, _), S, _ = _reduced_rank(full.M, slice(0, n), slice(n, x), slice(x, None), full.Te)
         ll = gaussian_loglik((S[0, :n, :n] + S[0, :n, :n].T) / 2.0, full.Te)
     except np.linalg.LinAlgError:
         return np.full(n + 1, np.nan)
@@ -1588,9 +1597,11 @@ def fit_drvar_coeffs(
 
     OLS regresses Y_t on the lagged indexes and projects the coefficient
     matrices onto the form omega phi_j; GLS re-solves the projected system
-    weighting by the inverse residual covariance of a first OLS pass,
-    falling back to OLS (with a diagnostics flag) when that covariance is
-    singular.
+    weighting by the inverse residual covariance of a first OLS pass. Both
+    that covariance and the final one take the engine's sigma guard
+    (_sigma_cond): at an eigenvalue ratio at most SIGMA_RTOL the fit raises
+    LinAlgError(SIGMA_ERROR), and diagnostics["sigma_cond"] records the
+    final one's ratio.
     """
     if method not in ("ols", "gls"):
         raise ValueError(f"method must be 'ols' or 'gls', got {method!r}")
@@ -1610,21 +1621,19 @@ def fit_drvar_coeffs(
 
     B = ols(Xf, Z).coeffs                        # (p q) x n, unrestricted loadings
     phis = [omega.T @ B[j * q: (j + 1) * q].T for j in range(p)]
-    diagnostics: dict = {}
-    if method == "gls":
-        resid0 = Z - Xf @ np.vstack([(omega @ ph).T for ph in phis])
-        sigma0 = resid0.T @ resid0 / Te
-        try:
-            W = np.linalg.inv(sigma0)
-            G = omega.T @ W @ omega
-            Syx = Z.T @ Xf / Te
-            Sxx = Xf.T @ Xf / Te
-            phi_all = np.linalg.solve(G, omega.T @ W @ Syx) @ np.linalg.inv(Sxx)
-            phis = [phi_all[:, j * q: (j + 1) * q] for j in range(p)]
-        except np.linalg.LinAlgError:
-            diagnostics["gls_fallback"] = True
     resid = Z - Xf @ np.vstack([(omega @ ph).T for ph in phis])
+    if method == "gls":
+        sigma0 = resid.T @ resid / Te
+        _sigma_cond(sigma0)
+        W = np.linalg.inv(sigma0)
+        G = omega.T @ W @ omega
+        Syx = Z.T @ Xf / Te
+        Sxx = Xf.T @ Xf / Te
+        phi_all = np.linalg.solve(G, omega.T @ W @ Syx) @ np.linalg.inv(Sxx)
+        phis = [phi_all[:, j * q: (j + 1) * q] for j in range(p)]
+        resid = Z - Xf @ np.vstack([(omega @ ph).T for ph in phis])
     sigma = resid.T @ resid / Te
+    diagnostics = {"sigma_cond": _sigma_cond(sigma)}
     ll = gaussian_loglik(sigma, Te)
     params = DRVARParams(omega, phis, sigma)
     return FitResult(

@@ -14,7 +14,6 @@ __all__ = [
     "RegressionOut",
     "SingularDesignError",
     "read_panel_csv",
-    "build_lag_matrix",
     "ols",
     "check_rank",
     "autocov",
@@ -203,33 +202,6 @@ def check_rank(X: np.ndarray) -> None:
             f"design is rank deficient: min/max singular value "
             f"{sv[-1]:.3e}/{sv[0]:.3e} below relative tolerance {RANK_RTOL:.0e}"
         )
-
-
-def build_lag_matrix(
-    Y: Panel | np.ndarray,
-    lags: list[int],
-    difference: bool = False,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Targets and stacked lag regressors for a (possibly differenced) panel.
-
-    Row t of the regressor matrix stacks Y_{t-j} (or the differenced series)
-    for each requested lag j, in the given order; the target rows are the
-    aligned Y_t. Both have T - max(lags) - (1 if difference) rows.
-    """
-    values = Y.values if isinstance(Y, Panel) else np.atleast_2d(np.asarray(Y, float))
-    if len(lags) == 0:
-        raise ValueError("empty lag list")
-    if any(j < 0 for j in lags):
-        raise ValueError("lags must be nonnegative")
-    if difference:
-        values = np.diff(values, axis=0)
-    T = values.shape[0]
-    maxlag = max(lags)
-    if maxlag >= T:
-        raise ValueError(f"max lag {maxlag} exceeds usable sample length {T}")
-    targets = values[maxlag:]
-    regressors = np.hstack([values[maxlag - j: T - j] for j in lags])
-    return targets, regressors
 
 
 def autocov(Y: Panel | np.ndarray, j: int) -> np.ndarray:

@@ -318,6 +318,23 @@ class TestErrors:
         assert code == 1
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["fit", "decompose", "forecast"])
+    def test_twelve_row_panel_fails_with_the_reduced_rank_message(self, command, tmp_path, capsys):
+        # Johansen's start has singular level moments on 12 rows; select on
+        # the same panel still exits 0, its larger orders failing the sample check
+        from indexvar.simulate import random_ciaar_params, simulate_ciaar
+
+        Y = simulate_ciaar(random_ciaar_params(6, 2, 1, 2, 2, seed=0), 400, seed=1)
+        cli.write_panel_csv(Panel(Y.values[:12], Y.names), tmp_path / "short.csv")
+        code = run_cli(command, "--input", tmp_path / "short.csv", "--model", "ciaar",
+                       "--p", 2, "--s", 2, "--q", 2, "--r", 1, "--out", tmp_path / "o")
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "Matrix is not positive definite" not in err
+        assert estimators.RRR_ERROR in err
+        assert run_cli("select", "--input", tmp_path / "short.csv", "--model", "ciaar",
+                       "--out", tmp_path / "s") == 0
+
     def test_inadmissible_orders_rejected(self, tmp_path, capsys):
         code = run_cli("simulate", "--model", "ciaar", "--n", 4, "--q", 2,
                        "--p", 2, "--s", 3, "--r", 1, "--out", tmp_path / "o")

@@ -5,6 +5,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from indexvar import estimators
 from indexvar.estimators import (
     FitOptions,
+    RRR_ERROR,
     SIGMA_ERROR,
     STEP_ERROR,
     _Grams,
@@ -560,11 +561,11 @@ class TestBatchAxis:
         opts = FitOptions()
 
         def phase(st):
-            grams = _Grams(st["G"], st["Gcc"], 2, 40)
+            grams = _Grams(st["M"], 5, 2, 40)
             return {"theta": _step2_solve(grams, st["sinv"], st["a"], 2, 2, True, opts)}
 
         both = _Grams.stack(grams)
-        st = {"G": both.G, "Gcc": both.Gcc, "sinv": sinv, "a": loadings}
+        st = {"M": both.M, "sinv": sinv, "a": loadings}
         with pytest.raises(np.linalg.LinAlgError, match=STEP_ERROR):
             phase(st)
         finals = [None, None]
@@ -868,7 +869,7 @@ class TestGramStarts:
         monkeypatch.setattr(estimators, "check_rank", lambda X: svds.append(1) or check_rank(X))
         Z, lags = rng.standard_normal((T, n)), [X[:, :n], X[:, n:]]
         if expected is None:
-            assert _start_grams(Z, lags, None, 0).G.shape == (1, 3, 3, n, n)
+            assert _start_grams(Z, lags, None, 0).M.shape == (1, 3 * n, 3 * n)
         else:
             with pytest.raises(SingularDesignError) as got:
                 _start_grams(Z, lags, None, 0)
@@ -878,11 +879,12 @@ class TestGramStarts:
 
     def test_grid_certifies_each_lag_block_once(self, monkeypatch):
         # a c12 grid's default starts read two lag blocks (1 and 2 lagged
-        # differences, each at its own rows); the 0-lag block has no design
+        # differences, each at its own rows); the 0-lag block has no design.
+        # The gram of L lags of the n = 6 series is 6 L square
         calls, certifies = [], estimators._certifies_rank
         monkeypatch.setattr(
-            estimators, "_certifies_rank", lambda blocks, T: calls.append((len(blocks), T))
-            or certifies(blocks, T)
+            estimators, "_certifies_rank", lambda gram, T: calls.append((len(gram) // 6, T))
+            or certifies(gram, T)
         )
         Y = simulate_ciaar(random_ciaar_params(6, 2, 1, 2, 2, seed=0), 1000, seed=0)
         candidates = _candidate_grid("ciaar", (1, 3), (1, 3), Y.n)
@@ -994,6 +996,18 @@ class TestJohansen:
         with pytest.raises(ValueError):
             johansen_rrr(Y, 1, 3)
 
+    def test_collinear_levels_raise_the_reduced_rank_error(self):
+        # a level column equal to column 0 plus 1e-9 noise leaves the level
+        # moments concentrated on the lags without a Cholesky factor
+        Y = simulate_ciaar(random_ciaar_params(6, 2, 1, 2, 2, seed=0), 400, seed=1)
+        values = Y.values.copy()
+        values[:, 5] = values[:, 0] + 1e-9 * np.random.default_rng(0).standard_normal(len(values))
+        for fit in (lambda: johansen_rrr(Panel(values), 2, 1),
+                    lambda: fit_ciaar(Panel(values), 2, 2, 2, 1)):
+            with pytest.raises(np.linalg.LinAlgError) as info:
+                fit()
+            assert str(info.value) == RRR_ERROR
+
 
 class TestInitCiaar:
     def test_exact_low_rank_recovery(self):
@@ -1090,6 +1104,25 @@ class TestDrvar:
         se = ests.std(axis=0)
         inside = np.abs(ests - dp.phis[0]) <= 3.0 * se
         assert inside.mean() >= 0.95
+
+    @pytest.mark.parametrize("method", ["ols", "gls"])
+    def test_duplicate_column_fails_the_sigma_guard(self, method):
+        # a copy of column 0 leaves sigma's eigenvalue ratio at 1.8e-16, where
+        # both methods used to report a log-likelihood of 3305.27
+        Y = simulate_drvar(random_drvar_params(5, 2, 1, seed=0), 400, seed=1)
+        Z = Panel(np.hstack([Y.values, Y.values[:, :1]]))
+        omega, _ = fit_drvar_omega(Z, 2, 2)
+        with pytest.raises(np.linalg.LinAlgError) as info:
+            fit_drvar_coeffs(Z, omega, 1, method)
+        assert str(info.value) == SIGMA_ERROR
+
+    @pytest.mark.parametrize("method", ["ols", "gls"])
+    def test_fit_records_its_sigma_conditioning(self, method):
+        Y = simulate_drvar(random_drvar_params(5, 2, 1, seed=0), 400, seed=1)
+        fit = fit_drvar_coeffs(Y, fit_drvar_omega(Y, 2, 2)[0], 1, method)
+        w = np.linalg.eigvalsh(fit.params.sigma)
+        assert fit.diagnostics == {"sigma_cond": w[0] / w[-1]}
+        assert 1e-3 < fit.diagnostics["sigma_cond"] < 1.0
 
     def test_orthonormality_required(self):
         Y = Panel(np.random.default_rng(6).standard_normal((200, 4)))

@@ -62,7 +62,7 @@ def traced_grid_search(Y, p_range, q_range, model):
     fit_grid = select._fit_grid
 
     def counted(grams, r, opts):
-        regression_calls.append((grams.G.shape[1], r))
+        regression_calls.append((grams.M.shape[1] // grams.n, r))
         return start_regression(grams, r, opts)
 
     def recorded(grams, q, r, starts, opts, shapes):

@@ -5,7 +5,6 @@ from indexvar.tscore import (
     Panel,
     SingularDesignError,
     autocov,
-    build_lag_matrix,
     companion_matrix,
     companion_spectral_radius,
     gaussian_loglik,
@@ -15,33 +14,6 @@ from indexvar.tscore import (
     read_panel_csv,
     subspace_distance,
 )
-
-
-class TestBuildLagMatrix:
-    def test_single_lag_alignment(self):
-        Y = np.array([[1.0], [2.0], [3.0]])
-        targets, regressors = build_lag_matrix(Y, [1])
-        assert targets.ravel().tolist() == [2.0, 3.0]
-        assert regressors.ravel().tolist() == [1.0, 2.0]
-
-    def test_difference_before_lagging(self):
-        Y = np.array([[1.0], [2.0], [4.0]])
-        targets, regressors = build_lag_matrix(Y, [1], difference=True)
-        assert targets.ravel().tolist() == [2.0]
-        assert regressors.ravel().tolist() == [1.0]
-
-    def test_dimensions_two_lags(self):
-        Y = np.arange(10.0).reshape(5, 2)
-        targets, regressors = build_lag_matrix(Y, [1, 2])
-        assert regressors.shape == (3, 4)
-        assert targets.shape == (3, 2)
-
-    def test_errors(self):
-        Y = np.arange(6.0).reshape(3, 2)
-        with pytest.raises(ValueError, match="empty lag list"):
-            build_lag_matrix(Y, [])
-        with pytest.raises(ValueError, match="exceeds"):
-            build_lag_matrix(Y, [5])
 
 
 class TestOls:
@@ -211,11 +183,11 @@ class TestHarAggregates:
 
 class TestLagOlsPipeline:
     def test_matches_one_shot_var_ols(self):
-        # build_lag_matrix + ols reproduces the direct VAR OLS estimate
+        # ols on the stacked lag design reproduces the direct VAR OLS estimate
         rng = np.random.default_rng(8)
         n, T, p = 3, 400, 2
         Y = rng.standard_normal((T, n))
-        targets, regressors = build_lag_matrix(Y, [1, 2])
+        targets, regressors = Y[p:], np.hstack([Y[p - j: T - j] for j in (1, 2)])
         out = ols(regressors, targets)
         X = np.hstack([Y[p - 1: T - 1], Y[p - 2: T - 2]])
         direct, *_ = np.linalg.lstsq(X, Y[p:], rcond=None)

@@ -1,0 +1,152 @@
+"""Check that source trees fit a fixed battery of cases to the same results.
+
+    python tools/same_fits.py --tree parent=../parent/src --tree change=src
+
+Each ``--tree`` is ``LABEL=SRC_DIR``. Every tree runs the whole battery in
+one fresh process with ``PYTHONPATH`` at ``SRC_DIR`` and ``--blas`` as in
+``tools/mc_timing.py``. A case's result is the ``repr`` of everything it
+returns: a fit's log-likelihood trace, parameters, sigma, diagnostics,
+residuals, iterations and stop; a grid's rows (log-likelihoods, bounds,
+criteria, stops and errors) and picks; or the type and message of the
+exception it raised. Floats print exactly, so equal text means equal bits.
+
+The battery (39 cases):
+- c12 grids (CIAAR, HQ, n = 6, T = 1000), seeds 0-3, pruned and with
+  prune=False;
+- five CIAAR orders on n = 6, T = 400 panels, seeds 0-3;
+- fit_many over 50 sliding CIAAR windows;
+- fit_mai at n = 20, T = 2000, seeds 0-2 (the mc-wide shape);
+- IAAR with q = 0 and q = 1, the IAAR grid, and a MAI grid on 40 rows whose
+  largest order fails the sample check;
+- VHARI, johansen_rrr and init_ciaar.
+
+Prints each tree's wall time, every case whose text differs from the first
+tree's with the first differing characters, and the machine. Exits 1 when
+a case differs.
+"""
+
+import argparse
+import json
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+from mc_timing import MACHINE, _env
+
+
+def _plain(value):
+    """value with arrays as nested lists, recursively, so repr shows every bit."""
+    if hasattr(value, "tolist"):
+        return value.tolist()
+    if isinstance(value, dict):
+        return {k: _plain(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_plain(v) for v in value]
+    return value
+
+
+def _fit(fit) -> list:
+    return _plain([fit.model, fit.loglik_trace, fit.iterations, fit.converged, fit.t_start,
+                   fit.means, fit.diagnostics, vars(fit.params), fit.residuals])
+
+
+def _grid(table) -> list:
+    return [table.rows, table.best, table.T_eff, table.kind]
+
+
+def battery() -> dict:
+    """Each case's name and a callable returning its plain result."""
+    from indexvar import estimators as est, simulate as sim
+    from indexvar.select import grid_search
+    from indexvar.tscore import Panel
+
+    cases = {}
+    ciaar = sim.random_ciaar_params(6, 2, 1, 2, 2, seed=0)
+    for seed in range(4):
+        Y = sim.simulate_ciaar(ciaar, 1000, seed=seed)
+        for prune in (True, False):
+            cases[f"c12 seed={seed} prune={prune}"] = lambda Y=Y, prune=prune: _grid(grid_search(
+                Y, (1, 3), (1, 3), kind="hq", opts=est.FitOptions(max_iter=120), prune=prune))
+    for orders in ((2, 2, 2, 1), (3, 3, 2, 1), (2, 1, 2, 1), (0, 2, 2, 1), (2, 2, 3, 0)):
+        for seed in range(4):
+            Y = sim.simulate_ciaar(ciaar, 400, seed=seed)
+            cases[f"fit_ciaar {orders} seed={seed}"] = lambda Y=Y, o=orders: _fit(est.fit_ciaar(Y, *o))
+    Y = sim.simulate_ciaar(ciaar, 250, seed=7)
+    windows = [Panel(Y.values[i: i + 200]) for i in range(50)]
+    cases["fit_many ciaar 50 windows"] = lambda: [_fit(fit) for fit in est.fit_many(
+        "ciaar", windows, opts=est.FitOptions(max_iter=60), p=2, s=2, q=2, r=1)]
+    mai = sim.random_mai_params(20, 2, 2, seed=0)
+    for seed in range(3):
+        cases[f"fit_mai n=20 T=2000 seed={seed}"] = lambda seed=seed: _fit(
+            est.fit_mai(sim.simulate_mai(mai, 2000, burn=500, seed=seed), 2, 2))
+    Yi = sim.simulate_iaar(sim.random_iaar_params(5, 1, 2, 2, seed=0), 500, seed=1)
+    cases["fit_iaar q=0"] = lambda: _fit(est.fit_iaar(Yi, 2, 0, 0))
+    cases["fit_iaar q=1"] = lambda: _fit(est.fit_iaar(Yi, 2, 2, 1))
+    cases["iaar grid"] = lambda: _grid(grid_search(Yi, (1, 3), (1, 2), kind="hq", model="iaar"))
+    Ym = sim.simulate_mai(sim.random_mai_params(5, 2, 2, seed=1), 40, seed=2)
+    cases["mai grid"] = lambda: _grid(grid_search(Ym, (1, 3), (1, 3), kind="bic", model="mai"))
+    Yd = sim.simulate_vhari(sim.random_vhari_params(5, 2, seed=0), 800, seed=1)
+    cases["fit_vhari q=2"] = lambda: _fit(est.fit_vhari(Yd, 2))
+    Y = sim.simulate_ciaar(ciaar, 400, seed=5)
+    cases["johansen_rrr p=2 r=1"] = lambda: _fit(est.johansen_rrr(Y, 2, 1))
+    cases["init_ciaar (2,2,2,1)"] = lambda: _plain(est.init_ciaar(Y, 2, 2, 2, 1))
+    return cases
+
+
+def run_battery() -> dict:
+    """Each case's repr, or its exception's type and message."""
+    out = {}
+    for name, case in battery().items():
+        try:
+            out[name] = repr(case())
+        except Exception as exc:               # a raised error is a result too
+            out[name] = f"raised {type(exc).__name__}: {exc}"
+    return out
+
+
+def _first_difference(a: str, b: str) -> str:
+    i = next((i for i, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))
+    return f"at char {i}: {a[max(i - 40, 0): i + 40]!r} vs {b[max(i - 40, 0): i + 40]!r}"
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--tree", action="append", help="LABEL=SRC_DIR, repeatable")
+    parser.add_argument("--blas", choices=("1", "default"), default="1")
+    parser.add_argument("--dump", help=argparse.SUPPRESS)   # child mode: write the reprs here
+    opts = parser.parse_args(argv)
+    if opts.dump:
+        Path(opts.dump).write_text(json.dumps(run_battery()))
+        return 0
+    if not opts.tree:
+        parser.error("give at least one --tree")
+    env = _env(opts.blas)
+    machine = subprocess.run([sys.executable, "-c", MACHINE], env=env, check=True,
+                             capture_output=True, text=True).stdout.strip()
+    results = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for spec in opts.tree:
+            label, _, src = spec.partition("=")
+            dump = Path(tmp, f"{len(results)}.json")
+            start = time.perf_counter()
+            subprocess.run([sys.executable, __file__, "--dump", str(dump)], check=True,
+                           env=dict(env, PYTHONPATH=str(Path(src).resolve())))
+            print(f"{label} ({src}): battery ran in {time.perf_counter() - start:.1f} s", flush=True)
+            results.append((label, json.loads(dump.read_text())))
+    (first, ref), differing = results[0], 0
+    for label, got in results[1:]:
+        for name in sorted(ref.keys() | got.keys()):
+            a, b = ref.get(name, "<missing>"), got.get(name, "<missing>")
+            if a != b:
+                differing += 1
+                print(f"DIFFERS {label} vs {first}: {name} {_first_difference(a, b)}")
+        print(f"{label}: {sum(got.get(k) == v for k, v in ref.items())}/{len(ref)} cases "
+              f"equal to {first}'s")
+    print(f"machine: {machine} (--blas {opts.blas})")
+    return 1 if differing else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
