@@ -245,13 +245,20 @@ def common_uncommon(fit: FitResult, Y: Panel) -> Decomposition:
 
 
 def _perm_trans_weights(fit: FitResult):
-    """Index-space pieces: alpha0_bar, Sigma_bar, and the two shock maps."""
+    """Index-space pieces: omega, Sigma omega, alpha0_bar, Sigma_bar,
+    alpha0_bar_perp, Cov(eps_tau), W_tau, and the shocks eps_chi and eps_tau."""
     omega = _fitted_omega(fit)
     sigma = fit.params.sigma
     a0_bar = omega.T @ fit.params.alpha0            # q x r
     sig_bar = omega.T @ sigma @ omega               # q x q
     a0_perp = orth_complement(a0_bar)               # q x (q-r)
-    return omega, sigma, a0_bar, sig_bar, a0_perp
+    sb_inv_a0 = np.linalg.solve(sig_bar, a0_bar)
+    cov_tau = a0_bar.T @ sb_inv_a0                  # Cov(eps_tau), exact at the fit
+    sig_omega = sigma @ omega
+    # Delta tau_t = Psi(L) Sigma omega Sigma_bar^-1 a0_bar (a0_bar' Sigma_bar^-1 a0_bar)^-1 eps_tau
+    w_tau = sig_omega @ sb_inv_a0 @ np.linalg.inv(cov_tau)
+    eps_chi = fit.residuals @ omega
+    return omega, sig_omega, a0_bar, sig_bar, a0_perp, cov_tau, w_tau, eps_chi, eps_chi @ sb_inv_a0
 
 
 def perm_trans(fit: FitResult, Y: Panel | None = None) -> Decomposition:
@@ -265,18 +272,12 @@ def perm_trans(fit: FitResult, Y: Panel | None = None) -> Decomposition:
     """
     if fit.model not in ("ciaar", "vecim"):
         raise ValueError(f"permanent/transitory split needs a CIAAR/VECIM fit, got {fit.model!r}")
-    omega, sigma, a0_bar, sig_bar, a0_perp = _perm_trans_weights(fit)
+    omega, sig_omega, a0_bar, sig_bar, a0_perp, _, w_tau, eps_chi, eps_tau = _perm_trans_weights(fit)
     q, r = omega.shape[1], a0_bar.shape[1]
-    eps_chi = fit.residuals @ omega
     eps_iota, w_iota = _uncommon(fit, omega)
     eps_pi = eps_chi @ a0_perp
-    sb_inv_a0 = np.linalg.solve(sig_bar, a0_bar)
-    eps_tau = eps_chi @ sb_inv_a0
-    sig_omega = sigma @ omega
     # Delta pi_t = Psi(L) Sigma omega a0_perp (a0_perp' Sigma_bar a0_perp)^-1 eps_pi
     w_pi = sig_omega @ a0_perp @ np.linalg.inv(a0_perp.T @ sig_bar @ a0_perp)
-    # Delta tau_t = Psi(L) Sigma omega Sigma_bar^-1 a0_bar (a0_bar' Sigma_bar^-1 a0_bar)^-1 eps_tau
-    w_tau = sig_omega @ sb_inv_a0 @ np.linalg.inv(a0_bar.T @ sb_inv_a0)
     comps, levels, base, err = _components(
         fit, Y, [(w_pi, eps_pi), (w_tau, eps_tau), (w_iota, eps_iota)]
     )
@@ -312,12 +313,10 @@ def structural_transitory_irf(fit: FitResult, H: int = 200) -> StructuralIRF:
     """
     if fit.model not in ("ciaar", "vecim"):
         raise ValueError(f"structural transitory shocks need a CIAAR/VECIM fit, got {fit.model!r}")
-    omega, sigma, a0_bar, sig_bar, _ = _perm_trans_weights(fit)
-    r = a0_bar.shape[1]
+    *_, cov_tau, w_tau, _, eps_tau = _perm_trans_weights(fit)
+    r = len(cov_tau)
     if r < 1:
         raise ValueError("structural transitory shocks need r >= 1")
-    sb_inv_a0 = np.linalg.solve(sig_bar, a0_bar)
-    w_tau = sigma @ omega @ sb_inv_a0 @ np.linalg.inv(a0_bar.T @ sb_inv_a0)
     w = wold(fit, H)
     t_seq = w.psis @ w_tau                        # (H+1) x n x r, T(L) coefficients
     D = t_seq[0][:r, :]
@@ -327,9 +326,7 @@ def structural_transitory_irf(fit: FitResult, H: int = 200) -> StructuralIRF:
             "first r rows of the impact transitory response are rank deficient; "
             "reorder the variables so the leading block is nonsingular"
         )
-    cov_tau = a0_bar.T @ sb_inv_a0                # Cov(eps_tau), exact at the fit
     C = np.linalg.cholesky(D @ cov_tau @ D.T)
-    eps_tau = (fit.residuals @ omega) @ sb_inv_a0
     shocks = eps_tau @ (np.linalg.solve(C, D)).T
     theta_seq = t_seq @ np.linalg.solve(D, C)
     return StructuralIRF(theta_seq, shocks, C)

@@ -310,13 +310,15 @@ class _Grams:
     vec channels (the EC block when present, then the index lags), so
     X_a' X_b is M[i] at rows a n:(a + 1) n and columns b n:(b + 1) n. It is
     the one array held: every reader slices it, Gcc among them. Te is the
-    members' common effective sample.
+    members' common effective sample. solved maps a rank r to the start
+    regression of a batch of one at r, or the error it raised (_default_starts).
     """
 
     M: np.ndarray
     n: int
     nd: int
     Te: int
+    solved: dict = field(default_factory=dict, repr=False)
 
     @classmethod
     def of(cls, Z, diag_X, ec_X, index_X) -> "_Grams":
@@ -776,22 +778,17 @@ def _solve_rrr_eig(S00, S01, S11):
 # ---------------------------------------------------------------------------
 
 
-def _engine_states(setups, opts: FitOptions, starts=(), prune=None) -> list:
+def _engine_states(setups, opts: FitOptions, starts=(), size=None) -> list:
     """Each setup's final engine state, or the exception that ended its fit, in order.
 
-    setups yields _Setups, or the exceptions building them raised;
-    starts[i], when not None, overrides setup i's default start. Only each
-    setup's grams and start are kept, so its data can go as the next one is
-    built. The default starts are solved in batches (_default_starts), and
-    one lockstep engine batch runs per engine q, in ascending q and one
-    after another in this process, padded to the group's largest
-    (nd, na, r) (_padded_grams). The padded grams are handed to the
-    engine alone, so they are freed at the engine's first compaction.
-
-    prune, when given, is called before each group with the outcomes so far
-    and the group's member indices, and returns the members to skip, whose
-    outcome is None. A group keeps the padded size of all its members, so
-    what is skipped leaves every other member's fit as it is.
+    setups yields _Setups of one engine q, or the exceptions building them
+    raised; starts[i], when not None, overrides setup i's default start.
+    Only each setup's grams and start are kept, so its data can go as the
+    next one is built. The default starts are solved together
+    (_default_starts), and the members whose starts hold run as one lockstep
+    engine batch, padded to size = (nd, na, r), by default their largest
+    (_padded_grams). The padded grams are handed to the engine alone, so
+    they are freed at the engine's first compaction.
     """
     outcomes, members = [], []                         # members: (index, q, shape, grams)
     for setup, start in zip_longest(setups, starts):
@@ -806,22 +803,13 @@ def _engine_states(setups, opts: FitOptions, starts=(), prune=None) -> list:
                 start = exc
         outcomes.append(start)
     _default_starts(outcomes, members, opts)
-    groups = {}                                        # engine q -> [(index, shape, grams)]
-    for i, q, shape, full in members:
-        if not isinstance(outcomes[i], Exception):
-            groups.setdefault(q, []).append((i, shape, full))
-    for q in sorted(groups):
-        size = tuple(map(max, zip(*(shape for _, shape, _ in groups[q]))))
-        if prune is not None:
-            for i in prune(outcomes, [i for i, _, _ in groups[q]]):
-                outcomes[i] = None
-        group = [member for member in groups[q] if outcomes[member[0]] is not None]
-        if not group:
-            continue
-        shapes = [shape for _, shape, _ in group]
-        states = _sa_engine(_padded_grams([full for *_, full in group], shapes, size), q, size[2],
-                            [outcomes[i] for i, _, _ in group], opts, shapes)
-        for (i, _, _), state in zip(group, states):
+    group = [member for member in members if not isinstance(outcomes[member[0]], Exception)]
+    if group:
+        shapes = [shape for _, _, shape, _ in group]
+        size = size or tuple(map(max, zip(*shapes)))
+        states = _sa_engine(_padded_grams([full for *_, full in group], shapes, size), group[0][1],
+                            size[2], [outcomes[i] for i, *_ in group], opts, shapes)
+        for (i, *_), state in zip(group, states):
             outcomes[i] = state
     return outcomes
 
@@ -843,14 +831,15 @@ def _padded_grams(fulls: list, shapes: list, size: tuple) -> _Grams:
     return _Grams(M, n, nd, fulls[0].Te)
 
 
-def _finished(setups, outcomes):
-    """Each member's FitResult from its _Setup or _Head and engine state;
-    any other outcome (its exception, a pruned candidate) as it is."""
-    for setup, outcome in zip(setups, outcomes):
-        try:
-            yield _finish(setup, outcome) if isinstance(outcome, dict) else outcome
-        except (ValueError, np.linalg.LinAlgError) as exc:
-            yield exc
+def _finished(setup, outcome):
+    """A member's FitResult from its _Setup or _Head and engine state, or
+    the exception building it raised; any other outcome as it is."""
+    if not isinstance(outcome, dict):
+        return outcome
+    try:
+        return _finish(setup, outcome)
+    except (ValueError, np.linalg.LinAlgError) as exc:
+        return exc
 
 
 def _raised(outcome):
@@ -880,7 +869,7 @@ def _lockstep(make_setup, panels: list, opts: FitOptions | None, starts: list | 
             yield setup
 
     states = _engine_states(setups(), opts or FitOptions(), starts or ())
-    return map(_raised, _finished(heads, states))
+    return map(_raised, map(_finished, heads, states))
 
 
 def _finish(setup, state: dict) -> FitResult:
@@ -1170,7 +1159,9 @@ def johansen_rrr(
     eigenvectors of the r largest canonical correlations, and the other
     coefficients solve the normal equations given beta; one pass over the
     data forms the residuals. The lag design takes ols's rank check
-    (SingularDesignError). diagnostics["eigenvalues"] holds the eigenvalues.
+    (SingularDesignError) and sigma the engine's guard (_sigma_cond, whose
+    ratio diagnostics["sigma_cond"] holds); diagnostics["eigenvalues"] holds
+    the eigenvalues.
     """
     if p < 1:
         raise ValueError("need p >= 1")
@@ -1183,7 +1174,7 @@ def johansen_rrr(
     return FitResult(
         "vecm", VECMParams(alpha0, beta, pis, sigma),
         np.asarray([gaussian_loglik(sigma, Z.shape[0])]), resid, True, 1, first,
-        means=means, diagnostics={"eigenvalues": jo["vals"][0]},
+        means=means, diagnostics={"eigenvalues": jo["vals"][0], "sigma_cond": _sigma_cond(sigma)},
     )
 
 
@@ -1218,25 +1209,35 @@ def init_ciaar(
 def _default_starts(inits: list, members: list, opts: FitOptions) -> None:
     """Replace each grams entry of inits (its setup.start's) by its start, in
     place. members holds (index into inits, engine q, (nd, na, r), ...)
-    records. One start regression runs per layout of the grams and rank,
-    one truncation per (nd, q) within it; a member failing on its own gets
-    its exception."""
-    batches = {}                                       # (layout, r) -> {index: (nd, q)}
+    records. Each distinct pair of start grams and rank is regressed once
+    and the solution kept on the grams (_Grams.solved), the pairs not yet
+    solved in one stacked regression per layout and rank; one truncation
+    runs per layout, rank and (nd, q). A member whose regression fails on
+    its own gets its exception."""
+    batches, unsolved = {}, {}                         # (layout, r[, nd, q]) -> indices / grams
     for i, q, (nd, _, r), *_ in members:
         g = inits[i]
         if isinstance(g, _Grams):
-            batches.setdefault((g.M.shape[1:], g.n, g.nd, g.Te, r), {})[i] = nd, q
-    for (*_, r), batch in batches.items():
-        grams = _Grams.stack([inits[i] for i in batch])
-        jo, _, alive = _each_member(
-            lambda st: _start_regression(st["grams"], r, opts), {"grams": grams}, list(batch), inits
-        )
-        rows = {}                                      # (nd, q) -> rows of jo
-        for row, i in enumerate(alive):
-            rows.setdefault(batch[i], []).append(row)
-        for (nd, q), part in rows.items():
-            for row, start in zip(part, _index_start({k: v[part] for k, v in jo.items()}, nd, q)):
-                inits[alive[row]] = start
+            layout = g.M.shape[1:], g.n, g.nd, g.Te, r
+            batches.setdefault((*layout, nd, q), []).append(i)
+            if r not in g.solved:
+                unsolved.setdefault(layout, {})[id(g)] = g
+    for (*_, r), distinct in unsolved.items():
+        distinct, out = [*distinct.values()], [None] * len(distinct)
+        jo, _, alive = _each_member(lambda st: _start_regression(st["grams"], r, opts),
+                                    {"grams": _Grams.stack(distinct)}, [*range(len(out))], out)
+        for row, k in enumerate(alive):
+            out[k] = {key: v[row: row + 1] for key, v in jo.items()}
+        for g, solution in zip(distinct, out):
+            g.solved[r] = solution
+    for (*_, r, nd, q), batch in batches.items():
+        for i in batch:
+            inits[i] = inits[i].solved[r]
+        ok = [i for i in batch if isinstance(inits[i], dict)]
+        if ok:
+            stacked = {key: np.concatenate([inits[i][key] for i in ok]) for key in inits[ok[0]]}
+            for i, start in zip(ok, _index_start(stacked, nd, q)):
+                inits[i] = start
 
 
 def _start_regression(grams: _Grams, r: int, opts: FitOptions) -> dict:
@@ -1445,19 +1446,21 @@ def _fit_grid(
     t_start, and its setup slices one demeaned copy of the panel.
     Candidates whose setups run the same engine fit (a CIAAR order with
     s = 1 and its identified equivalent, _setup_ciaar) are fit once and
-    the others share its state; the distinct fits run through
-    _engine_states, in this process.
+    the others share its state. The distinct fits of each engine q form a
+    group, and the groups run one after another in this process, in
+    ascending q, each through _engine_states padded to the largest lags
+    and rank of all its fits; its candidates are finished as it returns.
 
     criterion(loglik, n_params, T_eff), when given and opts.ridge == 0, is
     the score the grid is searched for, and the grid prunes by it. Each
     candidate's log-likelihood is bounded by its unrestricted model's on
-    the same rows and lags (_loglik_bounds). The engine groups run in
-    ascending q, and before each a distinct fit is skipped when every
-    candidate sharing it is certified: its criterion at its bound exceeds
-    the best fitted candidate's by a relative PRUNE_RTOL, so it cannot be
-    the minimizer. A candidate whose bound is not finite, or whose
-    criterion raises at it, is never certified. A candidate with at least
-    T_eff parameters has no criterion and is not fitted: its outcome is
+    the same rows and lags (_loglik_bounds). Before each group runs, a
+    distinct fit is skipped, its start never solved, when every candidate
+    sharing it is certified: its criterion at its bound exceeds the best
+    finished candidate's by a relative PRUNE_RTOL, so it cannot be the
+    minimizer. A candidate whose bound is not finite, or whose criterion
+    raises at it, is never certified. A candidate with at least T_eff
+    parameters has no criterion and is not fitted: its outcome is
     info_criterion's ValueError. Returns an iterator over the candidates in
     order, giving (outcome, bound): its FitResult, the exception its single
     fit raises, or _Pruned, and its log-likelihood bound (nan when not
@@ -1477,8 +1480,12 @@ def _fit_grid(
             setup = exc
             first.append(i)
         setups.append(setup)
-    distinct = [i for i, j in enumerate(first) if i == j]
-    bounds, prune = [np.nan] * len(candidates), None
+    groups, shares = {}, {}                            # engine q -> distinct fits -> candidates
+    for i, j in enumerate(first):
+        shares.setdefault(j, []).append(i)
+        if i == j and not isinstance(setups[i], Exception):
+            groups.setdefault(setups[i].q, []).append(i)
+    bounds, lower = [np.nan] * len(candidates), [np.nan] * len(candidates)
     if criterion is not None and opts.ridge == 0.0:
         solved = {}                                    # one bound solve per count of lags
         for i, setup in enumerate(setups):
@@ -1487,30 +1494,19 @@ def _fit_grid(
                 if lags not in solved:
                     solved[lags] = _loglik_bounds(setup.grams())
                 bounds[i] = float(solved[lags][setup.r])
-        shares = {}                                    # distinct fit -> its candidates
-        for i, j in enumerate(first):
-            shares.setdefault(j, []).append(i)
-        lower = [_score(criterion, bound, setup.n_params, T_eff) if np.isfinite(bound) else np.nan
-                 for bound, setup in zip(bounds, setups)]
-
-        def prune(outcomes, group):
-            scored = sorted(
-                (score, i, d) for d, state in enumerate(outcomes) if isinstance(state, dict)
-                for i in shares[distinct[d]]
-                if not np.isnan(score := _score(
-                    criterion, float(state["trace"][-1]), setups[i].n_params, T_eff))
-            )
-            # the best reported candidate: its criterion is defined and its params build
-            best = next((score for score, i, d in scored if _builds(setups[i], outcomes[d])), None)
-            if best is None:
-                return []
-            cut = best + PRUNE_RTOL * abs(best)
-            return [d for d in group if all(lower[i] > cut for i in shares[distinct[d]])]
-
-    states = dict(zip(distinct, _engine_states([setups[i] for i in distinct], opts, (), prune)))
-    outcomes = [_Pruned(setups[i].n_params, T_eff) if states[j] is None else states[j]
-                for i, j in enumerate(first)]
-    return zip(_finished(setups, outcomes), bounds)
+                lower[i] = _score(criterion, bounds[i], setup.n_params, T_eff)
+    fits = [s if isinstance(s, Exception) else _Pruned(s.n_params, T_eff) for s in setups]
+    best = np.inf                                      # the least criterion of a finished fit
+    for q in sorted(groups):
+        size = tuple(map(max, zip(*(setups[j].shape for j in groups[q]))))
+        cut = best + PRUNE_RTOL * abs(best)
+        run = [j for j in groups[q] if not all(lower[i] > cut for i in shares[j])]
+        for j, state in zip(run, _engine_states([setups[j] for j in run], opts, size=size)):
+            for i in shares[j]:
+                fit = fits[i] = _finished(setups[i], state)
+                if criterion is not None and isinstance(fit, FitResult):
+                    best = np.fmin(best, _score(criterion, fit.loglik, setups[i].n_params, T_eff))
+    return zip(fits, bounds)
 
 
 def _score(criterion: Callable, loglik: float, n_params: int, T_eff: int) -> float:
@@ -1519,15 +1515,6 @@ def _score(criterion: Callable, loglik: float, n_params: int, T_eff: int) -> flo
         return criterion(loglik, n_params, T_eff)
     except ValueError:
         return np.nan
-
-
-def _builds(setup: _Setup, state: dict) -> bool:
-    """Whether setup's parameters build from an engine state, as _finish builds them."""
-    try:
-        setup.params(state)
-    except (ValueError, np.linalg.LinAlgError):
-        return False
-    return True
 
 
 def _loglik_bounds(full: _Grams) -> np.ndarray:

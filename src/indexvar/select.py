@@ -23,8 +23,8 @@ lags and rank on the same rows (Johansen's VECM for CIAAR, the OLS VAR in
 levels for MAI and IAAR), whose maximized log-likelihood bounds the
 candidate's. The engine groups run one after another in this process, in
 ascending q, and a candidate whose criterion at that bound exceeds the best
-fitted one's is not fitted: its row has stop "pruned", its parameter count
-and its bound, and no log-likelihood. So a table defines the minimizer of
+fitted one's is not fitted, nor is its start solved: its row has stop
+"pruned", its parameter count and its bound, and no log-likelihood. So a table defines the minimizer of
 its own criterion only; grid_search(prune=False) fits every candidate.
 """
 
@@ -219,7 +219,7 @@ def grid_search(
     (p, q). All fits condition on the grid's maximum lag so likelihoods are
     comparable. The distinct fits of each engine q run as one lockstep
     group, and the groups run in this process in ascending q, each pruned by
-    the ones before; workers is kept for callers that pass 1, and any other
+    the fits finished before it; workers is kept for callers that pass 1, and any other
     value raises ValueError. With prune, a candidate certified to lose under
     kind is not fitted (module docstring); pruning is off when
     opts.ridge > 0. prune=False fits and tabulates every candidate. Either
@@ -240,6 +240,6 @@ def grid_search(
     t_start = Y.t0 + max(max(p, s) for p, s, _, _ in combos)
     criterion = partial(info_criterion, kind=kind) if prune else None
     fits = _fit_grid(model, Y, combos, opts, t_start, criterion)
-    # each fit is dropped once tabulated; ICTable raises when every row failed
+    # ICTable raises when every row failed
     rows = [_ic_row(model, orders, fit, bound) for orders, (fit, bound) in zip(combos, fits)]
     return ICTable(rows, Y.T - t_start, kind=kind)

@@ -335,6 +335,19 @@ class TestErrors:
         assert run_cli("select", "--input", tmp_path / "short.csv", "--model", "ciaar",
                        "--out", tmp_path / "s") == 0
 
+    def test_vecm_fit_of_a_lagged_copy_fails_the_sigma_guard(self, tmp_path, capsys):
+        # y4_t = y1_{t-1} leaves the Johansen residual covariance singular
+        from indexvar.simulate import random_ciaar_params, simulate_ciaar
+
+        Y = simulate_ciaar(random_ciaar_params(6, 2, 1, 2, 2, seed=0), 300, seed=2)
+        values = Y.values.copy()
+        values[1:, 3] = values[:-1, 0]
+        cli.write_panel_csv(Panel(values, Y.names), tmp_path / "copy.csv")
+        code = run_cli("fit", "--input", tmp_path / "copy.csv", "--model", "vecm",
+                       "--p", 2, "--r", 1, "--out", tmp_path / "o")
+        assert code == 1
+        assert estimators.SIGMA_ERROR in capsys.readouterr().err
+
     def test_inadmissible_orders_rejected(self, tmp_path, capsys):
         code = run_cli("simulate", "--model", "ciaar", "--n", 4, "--q", 2,
                        "--p", 2, "--s", 3, "--r", 1, "--out", tmp_path / "o")

@@ -61,7 +61,7 @@ from indexvar.tscore import (
     ols,
     subspace_distance,
 )
-from indexvar.select import _candidate_grid
+from indexvar.select import _candidate_grid, grid_search
 from rowlevel import (
     ciaar_inputs,
     dense_ols_start,
@@ -891,6 +891,38 @@ class TestGramStarts:
         list(_fit_grid("ciaar", Y, candidates, FitOptions(max_iter=5), Y.t0 + 3))
         assert sorted(calls) == [(1, 998), (2, 997)]
 
+    def test_pruned_grid_solves_starts_only_for_fits_that_run(self, monkeypatch):
+        # c12's seed-0 grid prunes 15 of its 39 distinct fits: each start
+        # truncation row is a member the engine runs, and Johansen regresses
+        # each pair of start grams (its lag count) and rank once
+        truncated, engine_ids, regressed, shapes = [], [], [], []
+        index_start, johansen, engine = (
+            estimators._index_start, estimators._johansen, estimators._sa_engine)
+
+        def traced_index_start(jo, nd, q):
+            starts = index_start(jo, nd, q)
+            truncated.extend(id(omega0) for _, omega0, _ in starts)
+            return starts
+
+        def traced_johansen(grams, r):
+            lags = grams.M.shape[1] // grams.n - 2     # target, lags, levels
+            regressed.extend([(lags, r)] * len(grams.M))
+            return johansen(grams, r)
+
+        def traced_engine(grams, q, r, starts, opts, shapes_=None):
+            engine_ids.extend(id(omega0) for _, omega0, _ in starts)
+            shapes.extend(shapes_)
+            return engine(grams, q, r, starts, opts, shapes_)
+
+        monkeypatch.setattr(estimators, "_index_start", traced_index_start)
+        monkeypatch.setattr(estimators, "_johansen", traced_johansen)
+        monkeypatch.setattr(estimators, "_sa_engine", traced_engine)
+        Y = simulate_ciaar(random_ciaar_params(6, 2, 1, 2, 2, seed=0), 1000, seed=0)
+        table = grid_search(Y, (1, 3), (1, 3), kind="hq", opts=FitOptions(max_iter=120))
+        assert sum(row.stop == "pruned" for row in table.rows) > 0
+        assert sorted(truncated) == sorted(engine_ids)
+        assert sorted(regressed) == sorted({(max(nd, na), r) for nd, na, r in shapes})
+
 
 class TestMixedRankBatch:
     """One q = 3 engine batch whose members differ in lags and in rank, as a
@@ -1007,6 +1039,21 @@ class TestJohansen:
             with pytest.raises(np.linalg.LinAlgError) as info:
                 fit()
             assert str(info.value) == RRR_ERROR
+
+    def test_lagged_copy_fails_the_sigma_guard(self):
+        # y4_t = y1_{t-1}: dy4_t is a lagged difference, so the residual
+        # covariance is singular (eigenvalue ratio -1.3e-16), where the fit
+        # used to report a log-likelihood of +5997.48
+        Y = simulate_ciaar(random_ciaar_params(6, 2, 1, 2, 2, seed=0), 300, seed=2)
+        values = Y.values.copy()
+        values[1:, 3] = values[:-1, 0]
+        with pytest.raises(np.linalg.LinAlgError) as info:
+            johansen_rrr(Panel(values), 2, 1)
+        assert str(info.value) == SIGMA_ERROR
+        fit = johansen_rrr(Y, 2, 1)
+        w = np.linalg.eigvalsh(fit.params.sigma)
+        assert fit.diagnostics["sigma_cond"] == w[0] / w[-1]
+        assert 1e-3 < fit.diagnostics["sigma_cond"] < 1.0
 
 
 class TestInitCiaar:

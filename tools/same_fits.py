@@ -10,9 +10,11 @@ residuals, iterations and stop; a grid's rows (log-likelihoods, bounds,
 criteria, stops and errors) and picks; or the type and message of the
 exception it raised. Floats print exactly, so equal text means equal bits.
 
-The battery (39 cases):
+The battery (51 cases):
 - c12 grids (CIAAR, HQ, n = 6, T = 1000), seeds 0-3, pruned and with
-  prune=False;
+  prune=False, and pruned under AIC and under BIC, seeds 0-1;
+- CIAAR and IAAR grids on the first 30 and 40 rows of an n = 6 CIAAR
+  panel, pruned and with prune=False, each with failed rows;
 - five CIAAR orders on n = 6, T = 400 panels, seeds 0-3;
 - fit_many over 50 sliding CIAAR windows;
 - fit_mai at n = 20, T = 2000, seeds 0-2 (the mc-wide shape);
@@ -69,6 +71,15 @@ def battery() -> dict:
         for prune in (True, False):
             cases[f"c12 seed={seed} prune={prune}"] = lambda Y=Y, prune=prune: _grid(grid_search(
                 Y, (1, 3), (1, 3), kind="hq", opts=est.FitOptions(max_iter=120), prune=prune))
+            for kind in ("aic", "bic") if seed < 2 and prune else ():
+                cases[f"c12 seed={seed} {kind}"] = lambda Y=Y, kind=kind: _grid(grid_search(
+                    Y, (1, 3), (1, 3), kind=kind, opts=est.FitOptions(max_iter=120)))
+    for rows in (30, 40):
+        Y = Panel(sim.simulate_ciaar(ciaar, 1000, seed=0).values[:rows])
+        for model in ("ciaar", "iaar"):
+            for prune in (True, False):
+                cases[f"{model} grid {rows} rows prune={prune}"] = lambda Y=Y, m=model, p=prune: (
+                    _grid(grid_search(Y, (1, 3), (1, 3), model=m, prune=p)))
     for orders in ((2, 2, 2, 1), (3, 3, 2, 1), (2, 1, 2, 1), (0, 2, 2, 1), (2, 2, 3, 0)):
         for seed in range(4):
             Y = sim.simulate_ciaar(ciaar, 400, seed=seed)
