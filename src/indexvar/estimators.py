@@ -220,8 +220,10 @@ def _demeaned(Y: Panel, demean: bool, differences: bool = False):
 # arrays are compacted to the members still running. Compaction happens only
 # then, so a batch of one never fancy-indexes. Each sweep runs in two phases
 # (step 1 with the log-likelihood, then steps 2 and 3). Step 1 factors sigma
-# once (_sigma_factor), and the factor gives both the log-likelihood
-# (cholesky_loglik) and step 2's sigma^-1. When a phase raises, it is rerun
+# once (_sigma_factor), and the factor gives the log-likelihood
+# (cholesky_loglik) and, for a batch with diagonal channels, step 2's
+# sigma^-1; a batch without them needs only sigma^-1 times the loadings, one
+# solve against sigma (_step2_solve). When a phase raises, it is rerun
 # member by member, and a member that raises on its own (a rank-deficient
 # step, step-2 or step-3 normal equations or a covariance that are not
 # positive definite) leaves the batch carrying the exception its single fit
@@ -237,7 +239,8 @@ def _demeaned(Y: Panel, demean: bool, differences: bool = False):
 # r_i keeps gamma's columns at or beyond r_i zero, so its step-1 weights
 # there vanish and its alpha0 coordinates there are pinned; only members
 # with 0 < r_i < q take step 3. A batch of equal members carries no masks
-# and pays nothing for them.
+# and pays nothing for them, and a lone fit whose grams are already in the
+# engine's block order runs on them uncopied.
 # Every member of a batch that estimates omega has an omega channel: a CIAAR
 # order with no index lag runs as its identified equivalent (_setup_ciaar),
 # so a well-posed fit's step-2 system is positive definite and no step needs
@@ -452,19 +455,18 @@ def _sa_engine(
                 "alpha0": coefT[:, :, :r],
                 "alphas": coefT[:, :, r:].reshape(len(coef), n, na, q).transpose(0, 2, 1, 3),
             }
-        chol = _sigma_factor(sigma)                    # step 2 forms sigma^-1 from it
+        chol = _sigma_factor(sigma)                    # step 2's sigma^-1, when it has diagonals
         return {"sigma": sigma, "chol": chol, "ll": cholesky_loglik(chol, Te), **out}
 
     def index_step(st: dict) -> dict:
         # Step 2: weighted OLS for (Vec(omega'), delta) given the rest
         grams, omega, UU, GU = st["grams"], st["omega"], st["UU"], st["GU"]
-        Linv = np.linalg.inv(st["chol"])
-        sinv = Linv.transpose(0, 2, 1) @ Linv
         loadings = st["alphas"]                        # omega-channel loadings a_c
         if r > 0:
             ec_loading = st["alpha0"] @ st["gamma"].transpose(0, 2, 1)
             loadings = np.concatenate([ec_loading[:, None], loadings], axis=1)
-        theta = _step2_solve(grams, sinv, loadings, nd, q, estimate_omega, opts, st.get("pin2"))
+        theta = _step2_solve(grams, st["sigma"], st["chol"], loadings, nd, q, estimate_omega, opts,
+                             st.get("pin2"))
         out = {}
         if nd:
             out["ds"] = theta[:, :nd * n].reshape(len(theta), nd, n)
@@ -673,21 +675,25 @@ def _solve_pd(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.linalg.solve(A, b)
 
 
-def _step2_solve(grams, sinv, loadings, nd, q, estimate_omega, opts, pinned=None):
+def _step2_solve(grams, sigma, chol, loadings, nd, q, estimate_omega, opts, pinned=None):
     """Solve the stacked Vec regressions through their normal equations.
 
     For theta = (delta_1..delta_nd, Vec(omega')) the blocks are
     G_jl * sinv (Hadamard) between diagonals, sum_ab G_ab kron W_ab with
     W_ab = a_a' sinv a_b for omega, and the matching cross terms, G_ab the
-    n x n blocks X_a' X_b of grams.M. Each product is one batched matmul
-    with its slice of M reshaped and transposed to (batch, rows, summed
-    index): the omega block sums G_ab[i, j] W_ab[k, l] over the channel
-    pairs (a, b), the cross block G_jc[k, K] (sinv a_c)[k, m] over c, and the
-    omega right-hand side G_c0[i, k] (sinv a_c)[k, m] over (k, c). sinv is
-    (B, n, n) and loadings (B, C, n, q); returns theta as
-    (B, nd n + n q), or raises LinAlgError(STEP_ERROR) when a system is not
-    positive definite (_solve_pd). pinned marks the missing-lag coordinates of
-    padded members (_member_masks).
+    n x n blocks X_a' X_b of grams.M and sinv = sigma^-1. Each product is
+    one batched matmul with its slice of M reshaped and transposed to
+    (batch, rows, summed index): the omega block sums G_ab[i, j] W_ab[k, l]
+    over the channel pairs (a, b), the cross block G_jc[k, K]
+    (sinv a_c)[k, m] over c, and the omega right-hand side
+    G_c0[i, k] (sinv a_c)[k, m] over (k, c). sigma is (B, n, n), chol its
+    Cholesky factors (step 1's) and loadings (B, C, n, q). Only the diagonal
+    blocks read sinv itself, so it is formed from chol only when nd > 0;
+    with no diagonal channel the omega blocks read sinv A alone, one solve
+    against sigma. Returns theta as (B, nd n + n q), or raises
+    LinAlgError(STEP_ERROR) when a system is not positive definite
+    (_solve_pd). pinned marks the missing-lag coordinates of padded members
+    (_member_masks).
     """
     n, M = grams.n, grams.M
     B = len(M)
@@ -696,22 +702,26 @@ def _step2_solve(grams, sinv, loadings, nd, q, estimate_omega, opts, pinned=None
     k2 = ow + (n * q if estimate_omega else 0)
     G2 = np.empty((B, k2, k2))
     rhs = np.empty((B, k2))
-    G2[:, :ow, :ow] = (M[:, n:c, n:c].reshape(B, nd, n, nd, n) * sinv[:, None, :, None]).reshape(B, ow, ow)
-    rhs[:, :ow] = (M[:, n:c, :n].reshape(B, nd, n, n) * sinv.swapaxes(1, 2)[:, None]).sum(-1).reshape(B, ow)
+    if nd:
+        Linv = np.linalg.inv(chol)
+        sinv = Linv.transpose(0, 2, 1) @ Linv
+        G2[:, :ow, :ow] = (M[:, n:c, n:c].reshape(B, nd, n, nd, n) * sinv[:, None, :, None]).reshape(B, ow, ow)
+        rhs[:, :ow] = (M[:, n:c, :n].reshape(B, nd, n, n) * sinv.swapaxes(1, 2)[:, None]).sum(-1).reshape(B, ow)
     if estimate_omega:
         A = np.asarray(loadings)                    # (B, C, n, q) channel loadings a_c
         C = A.shape[1]
         A = A.transpose(0, 2, 1, 3).reshape(B, n, C * q)    # [a_1 .. a_C]
-        SA = sinv @ A
+        SA = sinv @ A if nd else np.linalg.solve(sigma, A)
         # W_ab[k, l] = (a_a' sinv a_b)[k, l] at [(a, b), (k, l)]
         W = (A.swapaxes(1, 2) @ SA).reshape(B, C, q, C, q).transpose(0, 1, 3, 2, 4)
         Gab = M[:, c:, c:].reshape(B, C, n, C, n).transpose(0, 2, 4, 1, 3).reshape(B, n * n, C * C)
         omega_block = (Gab @ W.reshape(B, C * C, q * q)).reshape(B, n, n, q, q)
         G2[:, ow:, ow:] = omega_block.transpose(0, 1, 3, 2, 4).reshape(B, n * q, n * q)
         SA = SA.reshape(B, n, C, q)                 # (sinv a_c)[k, m] at [k, c, m]
-        cross = M[:, n:c, c:].reshape(B, nd, n, C, n).transpose(0, 1, 2, 4, 3) @ SA[:, None]
-        G2[:, :ow, ow:] = cross.reshape(B, ow, n * q)
-        G2[:, ow:, :ow] = G2[:, :ow, ow:].transpose(0, 2, 1)
+        if nd:
+            cross = M[:, n:c, c:].reshape(B, nd, n, C, n).transpose(0, 1, 2, 4, 3) @ SA[:, None]
+            G2[:, :ow, ow:] = cross.reshape(B, ow, n * q)
+            G2[:, ow:, :ow] = G2[:, :ow, ow:].transpose(0, 2, 1)
         Gc0 = M[:, c:, :n].reshape(B, C, n, n).transpose(0, 2, 3, 1).reshape(B, n, n * C)
         rhs[:, ow:] = (Gc0 @ SA.reshape(B, n * C, q)).reshape(B, n * q)
     _pin(G2, pinned)
@@ -818,15 +828,23 @@ def _padded_grams(fulls: list, shapes: list, size: tuple) -> _Grams:
     """The engine grams of a group of size (nd, na, r). Member i's slot holds
     its grams of [Z | lags | ec_X] in the engine's block order: the target,
     its nd_i diagonal lags, ec_X (if r > 0) and its na_i index lags, each lag
-    channel padded with zero rows and columns to the group's count."""
+    channel padded with zero rows and columns to the group's count. A batch
+    of one whose grams already hold exactly those blocks in that order (MAI,
+    VHARI, the diagonal IAAR) gets its grams' own array, uncopied: the
+    engine only reads it."""
     nd, na, r = size
     k, n = 1 + nd + (r > 0) + na, fulls[0].n
-    M = np.zeros((len(fulls), k * n, k * n))
-    for out, full, (nd_i, na_i, _) in zip(M, fulls, shapes):
+    blocks = []                                        # each member's (src, dst) blocks
+    for full, (nd_i, na_i, _) in zip(fulls, shapes):
         ec = [1 + full.nd] if r > 0 else []
-        src = [*range(1 + nd_i), *ec, *range(1, 1 + na_i)]
-        dst = [*range(1 + nd_i), *range(1 + nd, 1 + nd + len(ec) + na_i)]
-        src, dst = ((n * np.array(blocks)[:, None] + np.arange(n)).ravel() for blocks in (src, dst))
+        blocks.append(([*range(1 + nd_i), *ec, *range(1, 1 + na_i)],
+                       [*range(1 + nd_i), *range(1 + nd, 1 + nd + len(ec) + na_i)]))
+    src, dst = blocks[0]
+    if len(fulls) == 1 and src == dst == [*range(k)] and fulls[0].M.shape[-1] == k * n:
+        return _Grams(fulls[0].M, n, nd, fulls[0].Te)
+    M = np.zeros((len(fulls), k * n, k * n))
+    for out, full, (src, dst) in zip(M, fulls, blocks):
+        src, dst = ((n * np.array(b)[:, None] + np.arange(n)).ravel() for b in (src, dst))
         out[dst[:, None], dst] = full.M[0][src[:, None], src]
     return _Grams(M, n, nd, fulls[0].Te)
 
@@ -1112,20 +1130,31 @@ def _start_grams(Z, lags, ec_X, r: int, memo: dict | None = None, ridge: float =
 
 def _certifies_rank(gram: np.ndarray, T: int) -> bool:
     """Whether the computed k x k gram X'X of a T x k design X proves that
-    X passes check_rank.
+    X passes check_rank: whether one Cholesky factorization of the gram
+    shifted down by d = 2 (2 T + 2 k + 3) eps t, t its trace, runs to
+    completion.
 
-    Forming X'X perturbs it by E with |E_ij| <= T eps |x_i| |x_j| (each entry
-    is a T-term dot product), so ||E|| <= T eps trace(X'X) <= T k eps l_max,
-    and eigvalsh is backward stable, adding well under k^2 eps l_max. Each
-    computed eigenvalue is therefore within d = (T k + k^2) eps l_max of
-    the true one. A least computed eigenvalue above 2 d leaves the true
-    least one above d, so the true ratio sigma_min^2 / sigma_max^2 exceeds
-    about (T k + k^2) eps >= 4e-16, far above RANK_RTOL^2 = 1e-20, and the
-    SVD test passes. Below that the gram cannot tell, and the SVD decides.
+    With u = eps, forming X'X perturbs it by E with |E_ij| <= T u |x_i| |x_j|
+    (each entry is a T-term dot product), so ||E|| <= T u trace(X'X) <=
+    2 T u t. Subtracting d from the diagonal rounds each diagonal entry by
+    at most u t. A Cholesky factorization that completes on a symmetric A
+    gives R with R'R = A + F, |F| <= g |R'| |R| and g = (k + 1) u / (1 -
+    (k + 1) u) (Higham 2002, section 10.1; the analysis needs only that it
+    completes), so ||F|| <= g trace(R'R) <= 2 (k + 1) u t; R'R is
+    semidefinite, so the least eigenvalue of A is at least -||F||.
+    Together the true least eigenvalue of X'X is at least
+    d - (2 T + 2 k + 3) u t = (2 T + 2 k + 3) u t, and its largest at most
+    about t, so sigma_min^2 / sigma_max^2 exceeds 2 T eps >= 4e-16, far
+    above RANK_RTOL^2 = 1e-20, and the SVD test passes. When the
+    factorization fails the gram cannot tell, and the SVD decides.
     """
     k = len(gram)
-    w = np.linalg.eigvalsh(gram)
-    return bool(w[0] > 2.0 * (T * k + k * k) * np.finfo(float).eps * w[-1])
+    shift = 2.0 * (2 * T + 2 * k + 3) * np.finfo(float).eps * np.trace(gram)
+    try:
+        np.linalg.cholesky(gram - shift * np.eye(k))
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def _johansen(grams: _Grams, r: int) -> dict:

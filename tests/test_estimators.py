@@ -9,16 +9,19 @@ from indexvar.estimators import (
     SIGMA_ERROR,
     STEP_ERROR,
     _Grams,
+    _certifies_rank,
     _default_starts,
     _each_member,
     _finish,
     _fit_grid,
     _grid_setup,
+    _lockstep,
     _member_masks,
     _normal_blocks,
     _normalize_gamma,
     _padded_grams,
     _sa_engine,
+    _setup_ciaar,
     _setup_iaar,
     _setup_mai,
     _setup_vhari,
@@ -486,7 +489,7 @@ class TestStep2Rewrite:
             if ec and m["r"] == 0:                    # alpha0 gamma' of a member of rank 0
                 a[0] = 0.0
         theta = _step2_solve(
-            grams, np.linalg.inv(np.stack(sigmas)), loadings, nd, q, True,
+            grams, np.stack(sigmas), np.linalg.cholesky(sigmas), loadings, nd, q, True,
             FitOptions(ridge=ridge), masks.get("pin2"),
         )
         for got, m, sigma, a in zip(theta, members, sigmas, loadings):
@@ -552,7 +555,8 @@ class TestBatchAxis:
         # member by member only member 1 leaves, with the fixed step error
         cases = [TestStep2Rewrite._multichannel_case(seed) for seed in (0, 1)]
         grams = [_Grams.of(Z, diag_X, ec_X, index_X) for _, Z, diag_X, index_X, ec_X in cases]
-        sinv = np.stack([np.linalg.inv(params.sigma) for params, *_ in cases])
+        sigma = np.stack([params.sigma for params, *_ in cases])
+        chol = np.linalg.cholesky(sigma)
         params = cases[0][0]
         loadings = np.stack([
             [params.alpha0 @ params.gamma.T] + list(params.alphas),
@@ -562,17 +566,17 @@ class TestBatchAxis:
 
         def phase(st):
             grams = _Grams(st["M"], 5, 2, 40)
-            return {"theta": _step2_solve(grams, st["sinv"], st["a"], 2, 2, True, opts)}
+            return {"theta": _step2_solve(grams, st["sigma"], st["chol"], st["a"], 2, 2, True, opts)}
 
         both = _Grams.stack(grams)
-        st = {"M": both.M, "sinv": sinv, "a": loadings}
+        st = {"M": both.M, "sigma": sigma, "chol": chol, "a": loadings}
         with pytest.raises(np.linalg.LinAlgError, match=STEP_ERROR):
             phase(st)
         finals = [None, None]
         out, _, members = _each_member(phase, st, [0, 1], finals)
         assert members == [0]
         assert isinstance(finals[1], np.linalg.LinAlgError) and str(finals[1]) == STEP_ERROR
-        ref = _step2_solve(grams[0], sinv[:1], loadings[:1], 2, 2, True, opts)[0]
+        ref = _step2_solve(grams[0], sigma[:1], chol[:1], loadings[:1], 2, 2, True, opts)[0]
         assert np.array_equal(out["theta"][0], ref)
         # a positive definite system keeps the exact solve however small its
         # least eigenvalue
@@ -922,6 +926,57 @@ class TestGramStarts:
         assert sum(row.stop == "pruned" for row in table.rows) > 0
         assert sorted(truncated) == sorted(engine_ids)
         assert sorted(regressed) == sorted({(max(nd, na), r) for nd, na, r in shapes})
+
+    @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        T=st.integers(10, 400), k=st.integers(2, 8), log_eps=st.floats(-15.0, -2.0),
+        scale=st.integers(-30, 30), seed=st.integers(0, 2**32 - 1), data=st.data(),
+    )
+    def test_rank_certificate_implies_the_svd_test(self, T, k, log_eps, scale, seed, data):
+        # one column equals another plus eps noise, the design scaled by 2^scale:
+        # whenever the gram's Cholesky certificate holds, check_rank passes
+        rng = np.random.default_rng(seed)
+        X = rng.standard_normal((T, k))
+        i, j = data.draw(st.lists(st.integers(0, k - 1), min_size=2, max_size=2, unique=True))
+        X[:, j] = X[:, i] + 10.0**log_eps * rng.standard_normal(T)
+        X *= 2.0**scale
+        if _certifies_rank(X.T @ X, T):
+            check_rank(X)
+
+    def test_mc_wide_and_c12_lag_grams_take_the_cholesky_certificate(self, monkeypatch):
+        # the mc-wide fit's 40-square lag gram and the c12 grid's 6- and
+        # 12-square ones certify, so no singular-value test runs
+        verdicts, svds, certifies = [], [], estimators._certifies_rank
+        monkeypatch.setattr(estimators, "_certifies_rank", lambda gram, T: verdicts.append(
+            (len(gram), certifies(gram, T))) or verdicts[-1][1])
+        monkeypatch.setattr(estimators, "check_rank", lambda X: svds.append(X.shape))
+        fit_mai(simulate_mai(random_mai_params(20, 2, 2, seed=0), 2000, burn=500, seed=1), 2, 2)
+        Y = simulate_ciaar(random_ciaar_params(6, 2, 1, 2, 2, seed=0), 1000, seed=0)
+        grid_search(Y, (1, 3), (1, 3), kind="hq", opts=FitOptions(max_iter=5))
+        assert sorted(verdicts) == [(6, True), (12, True), (40, True)]
+        assert svds == []
+
+    def test_lone_fit_runs_on_its_memo_grams_uncopied(self, monkeypatch):
+        # a lone MAI fit hands the engine the memo's own gram array, which the
+        # fit leaves as it was, so a second fit from the same setup is the first
+        Y = simulate_mai(random_mai_params(20, 2, 2, seed=0), 2000, burn=500, seed=1)
+        setup = _setup_mai(Y, 2, 2)
+        memo_M = setup.grams().M
+        before = memo_M.copy()
+        seen, engine = [], estimators._sa_engine
+        monkeypatch.setattr(estimators, "_sa_engine", lambda grams, *args: seen.append(grams.M)
+                            or engine(grams, *args))
+        first, second = (next(_lockstep(lambda _: setup, [Y], None)) for _ in range(2))
+        assert len(seen) == 2 and all(M is memo_M for M in seen)
+        assert np.array_equal(memo_M, before)
+        assert first.iterations == second.iterations
+        for a, b in ((first.loglik_trace, second.loglik_trace), (first.params.omega, second.params.omega),
+                     (first.params.alphas, second.params.alphas), (first.params.sigma, second.params.sigma)):
+            assert np.array_equal(a, b)
+        # grams in another block order are still copied into the engine's
+        ciaar = _setup_ciaar(simulate_ciaar(random_ciaar_params(6, 2, 1, 2, 2, seed=0), 300), 2, 2, 2, 1)
+        padded = _padded_grams([ciaar.grams()], [ciaar.shape], ciaar.shape)
+        assert padded.M is not ciaar.grams().M
 
 
 class TestMixedRankBatch:

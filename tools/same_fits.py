@@ -4,13 +4,13 @@
 
 Each ``--tree`` is ``LABEL=SRC_DIR``. Every tree runs the whole battery in
 one fresh process with ``PYTHONPATH`` at ``SRC_DIR`` and ``--blas`` as in
-``tools/mc_timing.py``. A case's result is the ``repr`` of everything it
-returns: a fit's log-likelihood trace, parameters, sigma, diagnostics,
-residuals, iterations and stop; a grid's rows (log-likelihoods, bounds,
-criteria, stops and errors) and picks; or the type and message of the
-exception it raised. Floats print exactly, so equal text means equal bits.
+``tools/mc_timing.py``. A case's result is everything it returns, as JSON:
+a fit's log-likelihood trace, parameters, sigma, diagnostics, residuals,
+iterations and stop; a grid's rows (log-likelihoods, bounds, criteria,
+stops and errors) and picks; or the type and message of the exception it
+raised. Floats print exactly, so equal text means equal bits.
 
-The battery (51 cases):
+The battery (52 cases):
 - c12 grids (CIAAR, HQ, n = 6, T = 1000), seeds 0-3, pruned and with
   prune=False, and pruned under AIC and under BIC, seeds 0-1;
 - CIAAR and IAAR grids on the first 30 and 40 rows of an n = 6 CIAAR
@@ -20,42 +20,54 @@ The battery (51 cases):
 - fit_mai at n = 20, T = 2000, seeds 0-2 (the mc-wide shape);
 - IAAR with q = 0 and q = 1, the IAAR grid, and a MAI grid on 40 rows whose
   largest order fails the sample check;
-- VHARI, johansen_rrr and init_ciaar.
+- VHARI, fit_vecim(Y, 1, 2, 1), johansen_rrr and init_ciaar.
 
-Prints each tree's wall time, every case whose text differs from the first
-tree's with the first differing characters, and the machine. Exits 1 when
-a case differs.
+Prints each tree's wall time and every case whose text differs from the
+first tree's, with the first differing characters, the largest relative
+difference among its floats (over each array, relative to its largest
+magnitude), and whether its iterations, stop reasons, error texts and
+picks are equal; then the machine. Exits 1 when a case differs.
 """
 
 import argparse
+import dataclasses
 import json
+import math
 import subprocess
 import sys
 import tempfile
 import time
 from pathlib import Path
 
+import numpy as np
 from mc_timing import MACHINE, _env
 
 
+DISCRETE = ("iterations", "stop", "error", "best")    # a case's fields compared for equality
+
+
 def _plain(value):
-    """value with arrays as nested lists, recursively, so repr shows every bit."""
+    """value as JSON data: arrays as nested lists and dataclasses as dicts,
+    recursively."""
     if hasattr(value, "tolist"):
         return value.tolist()
+    if dataclasses.is_dataclass(value):
+        return _plain(vars(value))
     if isinstance(value, dict):
-        return {k: _plain(v) for k, v in value.items()}
+        return {str(k): _plain(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_plain(v) for v in value]
     return value
 
 
-def _fit(fit) -> list:
-    return _plain([fit.model, fit.loglik_trace, fit.iterations, fit.converged, fit.t_start,
-                   fit.means, fit.diagnostics, vars(fit.params), fit.residuals])
+def _fit(fit) -> dict:
+    return _plain({"model": fit.model, "trace": fit.loglik_trace, "iterations": fit.iterations,
+                   "converged": fit.converged, "t_start": fit.t_start, "means": fit.means,
+                   "diagnostics": fit.diagnostics, "params": fit.params, "residuals": fit.residuals})
 
 
-def _grid(table) -> list:
-    return [table.rows, table.best, table.T_eff, table.kind]
+def _grid(table) -> dict:
+    return _plain({"rows": table.rows, "best": table.best, "T_eff": table.T_eff, "kind": table.kind})
 
 
 def battery() -> dict:
@@ -100,6 +112,8 @@ def battery() -> dict:
     cases["mai grid"] = lambda: _grid(grid_search(Ym, (1, 3), (1, 3), kind="bic", model="mai"))
     Yd = sim.simulate_vhari(sim.random_vhari_params(5, 2, seed=0), 800, seed=1)
     cases["fit_vhari q=2"] = lambda: _fit(est.fit_vhari(Yd, 2))
+    Yv = sim.simulate_ciaar(ciaar, 400, seed=6)
+    cases["fit_vecim p=1 q=2 r=1"] = lambda: _fit(est.fit_vecim(Yv, 1, 2, 1))
     Y = sim.simulate_ciaar(ciaar, 400, seed=5)
     cases["johansen_rrr p=2 r=1"] = lambda: _fit(est.johansen_rrr(Y, 2, 1))
     cases["init_ciaar (2,2,2,1)"] = lambda: _plain(est.init_ciaar(Y, 2, 2, 2, 1))
@@ -107,19 +121,84 @@ def battery() -> dict:
 
 
 def run_battery() -> dict:
-    """Each case's repr, or its exception's type and message."""
+    """Each case's result, or its exception's type and message."""
     out = {}
     for name, case in battery().items():
         try:
-            out[name] = repr(case())
+            out[name] = case()
         except Exception as exc:               # a raised error is a result too
-            out[name] = f"raised {type(exc).__name__}: {exc}"
+            out[name] = {"error": f"raised {type(exc).__name__}: {exc}"}
     return out
 
 
 def _first_difference(a: str, b: str) -> str:
     i = next((i for i, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))
     return f"at char {i}: {a[max(i - 40, 0): i + 40]!r} vs {b[max(i - 40, 0): i + 40]!r}"
+
+
+def _numbers(value) -> list | None:
+    """The floats of a float or of a nested list that holds floats alone,
+    flat; None for anything else."""
+    if isinstance(value, float):
+        return [value]
+    if not isinstance(value, list):
+        return None
+    out = []
+    for item in value:
+        numbers = _numbers(item)
+        if numbers is None:
+            return None
+        out += numbers
+    return out
+
+
+def _largest_float_difference(a, b) -> float | None:
+    """The largest relative difference between two results' floats: over
+    each array (a nested list of floats) or float at the same place, max
+    |x - y| over its largest magnitude (inf where only one is nan). None
+    when they are laid out differently."""
+    xs, ys = _numbers(a), _numbers(b)
+    if xs is not None and ys is not None:
+        if len(xs) != len(ys):
+            return None
+        x, y = np.array(xs), np.array(ys)
+        differ = (x != y) & ~(np.isnan(x) & np.isnan(y))
+        if not differ.any():
+            return 0.0
+        if np.isnan(x[differ]).any() or np.isnan(y[differ]).any():
+            return math.inf
+        size = np.abs(np.concatenate([x, y]))
+        scale = size[np.isfinite(size)].max(initial=0.0)
+        return float(np.abs(x - y)[differ].max() / scale) if scale else math.inf
+    if isinstance(a, dict) and isinstance(b, dict) and a.keys() == b.keys():
+        parts = [_largest_float_difference(a[k], b[k]) for k in a]
+    elif isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+        parts = [_largest_float_difference(x, y) for x, y in zip(a, b)]
+    else:
+        return 0.0 if type(a) is type(b) and not isinstance(a, (dict, list)) else None
+    return None if None in parts else max(parts, default=0.0)
+
+
+def _fields(value, key: str) -> list:
+    """Every value stored under key anywhere in a result, in order."""
+    found = []
+    if isinstance(value, dict):
+        for k, x in value.items():
+            found += ([x] if k == key else []) + _fields(x, key)
+    elif isinstance(value, list):
+        for x in value:
+            found += _fields(x, key)
+    return found
+
+
+def _describe(a, b) -> str:
+    """How two differing results differ: their largest relative float
+    difference, and which of their discrete fields are equal."""
+    rel = _largest_float_difference(a, b)
+    floats = "layout differs" if rel is None else f"largest relative float difference {rel:.3g}"
+    equal = ", ".join(f"{key} {'equal' if _fields(a, key) == _fields(b, key) else 'DIFFER'}"
+                      for key in DISCRETE)
+    return f"{floats}; {equal}"
 
 
 def main(argv=None) -> int:
@@ -148,13 +227,17 @@ def main(argv=None) -> int:
             results.append((label, json.loads(dump.read_text())))
     (first, ref), differing = results[0], 0
     for label, got in results[1:]:
+        equal = 0
         for name in sorted(ref.keys() | got.keys()):
             a, b = ref.get(name, "<missing>"), got.get(name, "<missing>")
-            if a != b:
-                differing += 1
-                print(f"DIFFERS {label} vs {first}: {name} {_first_difference(a, b)}")
-        print(f"{label}: {sum(got.get(k) == v for k, v in ref.items())}/{len(ref)} cases "
-              f"equal to {first}'s")
+            text_a, text_b = json.dumps(a), json.dumps(b)
+            if text_a == text_b:
+                equal += 1
+                continue
+            differing += 1
+            print(f"DIFFERS {label} vs {first}: {name} {_first_difference(text_a, text_b)}\n"
+                  f"    {_describe(a, b)}")
+        print(f"{label}: {equal}/{len(ref)} cases equal to {first}'s")
     print(f"machine: {machine} (--blas {opts.blas})")
     return 1 if differing else 0
 
