@@ -239,8 +239,7 @@ def _demeaned(Y: Panel, demean: bool, differences: bool = False):
 # r_i keeps gamma's columns at or beyond r_i zero, so its step-1 weights
 # there vanish and its alpha0 coordinates there are pinned; only members
 # with 0 < r_i < q take step 3. A batch of equal members carries no masks
-# and pays nothing for them, and a lone fit whose grams are already in the
-# engine's block order runs on them uncopied.
+# and pays nothing for them.
 # Every member of a batch that estimates omega has an omega channel: a CIAAR
 # order with no index lag runs as its identified equivalent (_setup_ciaar),
 # so a well-posed fit's step-2 system is positive definite and no step needs
@@ -718,10 +717,9 @@ def _step2_solve(grams, sigma, chol, loadings, nd, q, estimate_omega, opts, pinn
         omega_block = (Gab @ W.reshape(B, C * C, q * q)).reshape(B, n, n, q, q)
         G2[:, ow:, ow:] = omega_block.transpose(0, 1, 3, 2, 4).reshape(B, n * q, n * q)
         SA = SA.reshape(B, n, C, q)                 # (sinv a_c)[k, m] at [k, c, m]
-        if nd:
-            cross = M[:, n:c, c:].reshape(B, nd, n, C, n).transpose(0, 1, 2, 4, 3) @ SA[:, None]
-            G2[:, :ow, ow:] = cross.reshape(B, ow, n * q)
-            G2[:, ow:, :ow] = G2[:, :ow, ow:].transpose(0, 2, 1)
+        cross = M[:, n:c, c:].reshape(B, nd, n, C, n).transpose(0, 1, 2, 4, 3) @ SA[:, None]
+        G2[:, :ow, ow:] = cross.reshape(B, ow, n * q)
+        G2[:, ow:, :ow] = G2[:, :ow, ow:].transpose(0, 2, 1)
         Gc0 = M[:, c:, :n].reshape(B, C, n, n).transpose(0, 2, 3, 1).reshape(B, n, n * C)
         rhs[:, ow:] = (Gc0 @ SA.reshape(B, n * C, q)).reshape(B, n * q)
     _pin(G2, pinned)
@@ -828,23 +826,15 @@ def _padded_grams(fulls: list, shapes: list, size: tuple) -> _Grams:
     """The engine grams of a group of size (nd, na, r). Member i's slot holds
     its grams of [Z | lags | ec_X] in the engine's block order: the target,
     its nd_i diagonal lags, ec_X (if r > 0) and its na_i index lags, each lag
-    channel padded with zero rows and columns to the group's count. A batch
-    of one whose grams already hold exactly those blocks in that order (MAI,
-    VHARI, the diagonal IAAR) gets its grams' own array, uncopied: the
-    engine only reads it."""
+    channel padded with zero rows and columns to the group's count."""
     nd, na, r = size
     k, n = 1 + nd + (r > 0) + na, fulls[0].n
-    blocks = []                                        # each member's (src, dst) blocks
-    for full, (nd_i, na_i, _) in zip(fulls, shapes):
-        ec = [1 + full.nd] if r > 0 else []
-        blocks.append(([*range(1 + nd_i), *ec, *range(1, 1 + na_i)],
-                       [*range(1 + nd_i), *range(1 + nd, 1 + nd + len(ec) + na_i)]))
-    src, dst = blocks[0]
-    if len(fulls) == 1 and src == dst == [*range(k)] and fulls[0].M.shape[-1] == k * n:
-        return _Grams(fulls[0].M, n, nd, fulls[0].Te)
     M = np.zeros((len(fulls), k * n, k * n))
-    for out, full, (src, dst) in zip(M, fulls, blocks):
-        src, dst = ((n * np.array(b)[:, None] + np.arange(n)).ravel() for b in (src, dst))
+    for out, full, (nd_i, na_i, _) in zip(M, fulls, shapes):
+        ec = [1 + full.nd] if r > 0 else []
+        src = [*range(1 + nd_i), *ec, *range(1, 1 + na_i)]
+        dst = [*range(1 + nd_i), *range(1 + nd, 1 + nd + len(ec) + na_i)]
+        src, dst = ((n * np.array(blocks)[:, None] + np.arange(n)).ravel() for blocks in (src, dst))
         out[dst[:, None], dst] = full.M[0][src[:, None], src]
     return _Grams(M, n, nd, fulls[0].Te)
 

@@ -103,8 +103,8 @@ def _simulate(form: StateForm, sigma, T, burn, seed, shocks, dist) -> Panel:
     shocks = np.asarray(shocks, float)
     if shocks.shape != (burn + T, sigma.shape[0]):
         raise ValueError(f"shocks must have shape ({burn + T}, {sigma.shape[0]})")
-    out = form.run(shocks, first=burn)
-    return Panel(out[1] if form.integrated else out)
+    out = form.run(shocks)
+    return Panel((out[1] if form.integrated else out)[burn:])
 
 
 def simulate_var(

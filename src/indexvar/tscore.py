@@ -240,18 +240,6 @@ def companion_spectral_radius(phis: list[np.ndarray]) -> float:
     return float(np.max(np.abs(np.linalg.eigvals(companion_matrix(phis)))))
 
 
-# StateForm.run lifts only the rows it returns, not the burn-in before them,
-# when the lift x @ K' is a product whose rows keep their bits whatever rows
-# precede them. Measured with OpenBLAS 0.3.31 on AVX-512 cores, that held for
-# all 20,954 products tried with K (n x p k) C-contiguous, at least two rows
-# and two columns and at least LIFT_MIN_ENTRIES entries (p k up to 440, n up
-# to 64, up to 5,003 rows). It fails for a transposed K (q = 1), for products
-# of at most 1,200 entries with p k >= 32, and for matrix-vector products (one
-# row or column): those run other kernels, whose roundings depend on the row
-# count, so run lifts every row of them.
-LIFT_MIN_ENTRIES = 4096
-
-
 @dataclass
 class StateForm:
     """A fitted lag recursion as the VAR of a state s_t that carries its history.
@@ -291,8 +279,8 @@ class StateForm:
         recursion: d = mean - sum_j K_j (I - carry) E mean (stacks too)."""
         return mean - (self.K.sum(axis=-3) @ (self.observed @ mean[..., None]))[..., 0]
 
-    def run(self, drive, init=None, level=None, first=0):
-        """The observations y_t for the rows d_t of drive from row first on.
+    def run(self, drive, init=None, level=None):
+        """The observations y_t for every row d_t of drive.
 
         init holds the latest pre-sample observations (at most p rows;
         earlier ones, or all when None, read as zero) and level, for an
@@ -300,16 +288,12 @@ class StateForm:
         s_{-1} carries and the levels cumulate onto. A row is a length-n
         vector or an n x c matrix. Returns y, or (y, levels) for an
         integrated form; a form with no lags or no state passes drive
-        through. The state recursion runs from row 0 and an integrated form
-        cumulates every row; a stationary form whose state does not lead
-        with y lifts only the returned rows where that keeps their bits
-        (LIFT_MIN_ENTRIES), so every returned row equals its row in a run
-        from row 0.
+        through.
         """
         drive = np.asarray(drive, dtype=float)
         p, T = len(self.K), len(drive)
         if not self.K.size:
-            return drive[first:]
+            return drive
         (k, n), rows = self.E.shape, drive.shape[2:]
         s0 = np.zeros((p, k) + rows)                  # s_{-p}..s_{-1}
         if init is not None:
@@ -317,21 +301,16 @@ class StateForm:
         if level is not None:
             s0[-1] += _apply(self.carry @ self.E, level[None])[0]
         states = var_recursion(list(self.phis()), s0, _apply(self.E, drive))
-        lift = 0                                      # the row y starts at
         if k >= n and not self.carry[:n].any() and np.array_equal(self.E[:n], np.eye(n)):
             y = states[:, :n]                         # the state leads with y_t itself
         else:                                         # y_t = d_t + [K_1 .. K_p] [s_{t-1}; ..; s_{t-p}]
-            K = self.K.transpose(1, 0, 2).reshape(n, -1)
-            if (not self.integrated and K.flags.c_contiguous and min(T - first, n) > 1
-                    and (T - first) * n >= LIFT_MIN_ENTRIES):
-                lift = first
             states = np.concatenate([s0, states])
-            lagged = np.concatenate([states[p - j + lift: p - j + T] for j in range(1, p + 1)], axis=1)
-            y = drive[lift:] + _apply(K, lagged)
+            lagged = np.concatenate([states[p - j: p - j + T] for j in range(1, p + 1)], axis=1)
+            y = drive + _apply(self.K.transpose(1, 0, 2).reshape(n, -1), lagged)
         if not self.integrated:
-            return y[first - lift:]
+            return y
         levels = np.cumsum(y, axis=0)
-        return y[first:], (levels if level is None else levels + level)[first:]
+        return y, levels if level is None else levels + level
 
 
 def var_form(phis, n: int) -> StateForm:

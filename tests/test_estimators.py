@@ -15,13 +15,11 @@ from indexvar.estimators import (
     _finish,
     _fit_grid,
     _grid_setup,
-    _lockstep,
     _member_masks,
     _normal_blocks,
     _normalize_gamma,
     _padded_grams,
     _sa_engine,
-    _setup_ciaar,
     _setup_iaar,
     _setup_mai,
     _setup_vhari,
@@ -955,28 +953,6 @@ class TestGramStarts:
         grid_search(Y, (1, 3), (1, 3), kind="hq", opts=FitOptions(max_iter=5))
         assert sorted(verdicts) == [(6, True), (12, True), (40, True)]
         assert svds == []
-
-    def test_lone_fit_runs_on_its_memo_grams_uncopied(self, monkeypatch):
-        # a lone MAI fit hands the engine the memo's own gram array, which the
-        # fit leaves as it was, so a second fit from the same setup is the first
-        Y = simulate_mai(random_mai_params(20, 2, 2, seed=0), 2000, burn=500, seed=1)
-        setup = _setup_mai(Y, 2, 2)
-        memo_M = setup.grams().M
-        before = memo_M.copy()
-        seen, engine = [], estimators._sa_engine
-        monkeypatch.setattr(estimators, "_sa_engine", lambda grams, *args: seen.append(grams.M)
-                            or engine(grams, *args))
-        first, second = (next(_lockstep(lambda _: setup, [Y], None)) for _ in range(2))
-        assert len(seen) == 2 and all(M is memo_M for M in seen)
-        assert np.array_equal(memo_M, before)
-        assert first.iterations == second.iterations
-        for a, b in ((first.loglik_trace, second.loglik_trace), (first.params.omega, second.params.omega),
-                     (first.params.alphas, second.params.alphas), (first.params.sigma, second.params.sigma)):
-            assert np.array_equal(a, b)
-        # grams in another block order are still copied into the engine's
-        ciaar = _setup_ciaar(simulate_ciaar(random_ciaar_params(6, 2, 1, 2, 2, seed=0), 300), 2, 2, 2, 1)
-        padded = _padded_grams([ciaar.grams()], [ciaar.shape], ciaar.shape)
-        assert padded.M is not ciaar.grams().M
 
 
 class TestMixedRankBatch:
