@@ -72,7 +72,6 @@ class RunConfig:
     reps: int = 20
     max_iter: int = 500
     tol: float = 1e-8
-    ridge: float = 0.0
 
     def validate(self) -> None:
         if self.subcommand == "select":
@@ -93,7 +92,7 @@ class RunConfig:
             raise ValueError(f"unknown criterion {self.criterion!r}")
 
     def fit_options(self) -> estimators.FitOptions:
-        return estimators.FitOptions(max_iter=self.max_iter, tol=self.tol, ridge=self.ridge)
+        return estimators.FitOptions(max_iter=self.max_iter, tol=self.tol)
 
 
 def _fmt(x) -> str:
@@ -327,7 +326,7 @@ def _cmd_montecarlo(cfg: RunConfig, outdir) -> None:
 # float for a numeric field, None (the text as given) for a string field
 _CONVERTERS = {k: None if t is str else t for k, t in get_type_hints(RunConfig).items()}
 
-_FITTING = ("model", "p", "s", "q", "r", "p0", "max_iter", "tol", "ridge", "method")
+_FITTING = ("model", "p", "s", "q", "r", "p0", "max_iter", "tol", "method")
 _DGP = ("n", "T", "burn", "dgp_seed")
 # each subcommand's flags after --config, --out and --seed, in --help order,
 # as the RunConfig fields they set: field max_iter is flag --max-iter
@@ -337,7 +336,7 @@ FLAGS = {
     "decompose": (*_FITTING, "input", "horizon"),
     "forecast": (*_FITTING, "input", "horizon", "origins", "refit"),
     "select": ("input", "model", "p_min", "p_max", "q_min", "q_max", "max_iter", "criterion",
-               "tol", "ridge"),
+               "tol"),
     "montecarlo": (*_FITTING, *_DGP, "reps", "dist"),
 }
 # a flag's choices and help by field, or by (subcommand, field) where one subcommand's differ
@@ -368,6 +367,11 @@ def _read_config_file(path) -> dict:
             key, _, value = line.partition("=")
             key, value = key.strip(), value.strip()
             if key == "workers":                      # an old manifest's montecarlo pool size
+                continue
+            if key == "ridge":                        # every old manifest holds ridge = 0
+                if value not in ("0", "0.0"):
+                    raise ValueError(f"{path}:{lineno}: the ridge penalty was removed; "
+                                     "only ridge = 0 is accepted")
                 continue
             if key not in _CONVERTERS:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")

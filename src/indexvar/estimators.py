@@ -63,23 +63,21 @@ __all__ = [
 class FitOptions:
     """Switching-algorithm controls.
 
-    tol is the relative log-likelihood convergence tolerance; ridge adds an
-    l2 penalty to the normal equations of both SA steps. Every sweep
+    max_iter caps the sweeps and tol is the relative log-likelihood
+    convergence tolerance. Every step is an exact conditional maximum, so
+    in exact arithmetic the log-likelihood never falls. Every sweep
     orthonormalizes omega by QR (absorbed into the loadings, so fitted
     values are unchanged).
     """
 
     max_iter: int = 500
     tol: float = 1e-8
-    ridge: float = 0.0
 
     def __post_init__(self):
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
         if self.tol <= 0:
             raise ValueError("tol must be > 0")
-        if self.ridge < 0:
-            raise ValueError("ridge must be >= 0")
 
 
 @dataclass
@@ -250,7 +248,7 @@ def _demeaned(Y: Panel, demean: bool, differences: bool = False):
 class _Setup:
     """One panel's engine inputs, and what its FitResult needs besides them.
 
-    diag_X and index_X are prefixes of one list of lags. start(opts)
+    diag_X and index_X are prefixes of one list of lags. start()
     checks the data of the default start and returns the grams to solve it
     from, this setup's grams() whenever the rows agree. q is the engine's
     index count, which a CIAAR order with no index lag sets to r
@@ -444,9 +442,10 @@ def _sa_engine(
         else:
             M, v = _normal_blocks(st["grams"].Gcc, weights, st["GU"][:, 1 + nd:])
             _pin(M, st.get("pin1"))
-            _check_step_rank(M)
-            solve_M = M + opts.ridge * np.eye(M.shape[-1]) if opts.ridge > 0.0 else M
-            coef = np.linalg.solve(solve_M, v)
+            try:
+                coef = _solve_pd(M, v)
+            except np.linalg.LinAlgError:
+                raise SingularDesignError("switching-step design is rank deficient") from None
             coefT = coef.transpose(0, 2, 1)
             sigma = (UU - v.transpose(0, 2, 1) @ coef - coefT @ v + coefT @ M @ coef) / Te
             sigma = (sigma + sigma.transpose(0, 2, 1)) / 2.0
@@ -464,7 +463,7 @@ def _sa_engine(
         if r > 0:
             ec_loading = st["alpha0"] @ st["gamma"].transpose(0, 2, 1)
             loadings = np.concatenate([ec_loading[:, None], loadings], axis=1)
-        theta = _step2_solve(grams, st["sigma"], st["chol"], loadings, nd, q, estimate_omega, opts,
+        theta = _step2_solve(grams, st["sigma"], st["chol"], loadings, nd, q, estimate_omega,
                              st.get("pin2"))
         out = {}
         if nd:
@@ -600,26 +599,14 @@ def _pin(A: np.ndarray, pin: np.ndarray | None) -> None:
     The pinned rows and columns of A are zero (their grams are zero), so
     the coordinates solve to their zero right-hand side. The diagonal is the
     mean of the member's free diagonal (1 when it has none), which lies
-    between the free block's extreme eigenvalues, so rank checks and
-    eigenvalue cut-offs see the free block alone.
+    between the free block's extreme eigenvalues, so positive-definiteness
+    tests and eigenvalue cut-offs see the free block alone.
     """
     if pin is None:
         return
     diag = np.einsum("bii->bi", A)                     # a writable view
     level = np.einsum("bi,bi->b", diag, pin[:, 1])
     diag += pin[:, 0] * np.where(level > 0.0, level, 1.0)[:, None]
-
-
-def _check_step_rank(M: np.ndarray) -> None:
-    """Raise SingularDesignError when a member's gram has least over largest
-    eigenvalue below 1e-20. The message states the threshold only: near a
-    singular design the ratio is rounding noise, which differs between a
-    padded batch member and its single fit."""
-    w = np.linalg.eigvalsh(M)
-    if (w[:, 0] < 1e-20 * np.maximum(w[:, -1], 1e-300)).any():
-        raise SingularDesignError(
-            "switching-step design is rank deficient (gram eigenvalue ratio below 1e-20)"
-        )
 
 
 def _normal_blocks(Gcc: np.ndarray, weights: list, XU: np.ndarray):
@@ -674,7 +661,7 @@ def _solve_pd(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.linalg.solve(A, b)
 
 
-def _step2_solve(grams, sigma, chol, loadings, nd, q, estimate_omega, opts, pinned=None):
+def _step2_solve(grams, sigma, chol, loadings, nd, q, estimate_omega, pinned=None):
     """Solve the stacked Vec regressions through their normal equations.
 
     For theta = (delta_1..delta_nd, Vec(omega')) the blocks are
@@ -723,8 +710,6 @@ def _step2_solve(grams, sigma, chol, loadings, nd, q, estimate_omega, opts, pinn
         Gc0 = M[:, c:, :n].reshape(B, C, n, n).transpose(0, 2, 3, 1).reshape(B, n, n * C)
         rhs[:, ow:] = (Gc0 @ SA.reshape(B, n * C, q)).reshape(B, n * q)
     _pin(G2, pinned)
-    if opts.ridge > 0.0:
-        G2 += opts.ridge * np.eye(k2)
     return _solve_pd(G2, rhs[:, :, None])[:, :, 0]
 
 
@@ -741,18 +726,16 @@ def _rrr_gamma(Gcc, omega, UU, XU, Te: int, r: int, pinned=None) -> np.ndarray:
     M, v = _normal_blocks(Gcc, [omega] * XU.shape[1], XU)
     _pin(M[:, q:, q:], pinned)
     UEF = np.concatenate([np.concatenate([UU, v.swapaxes(1, 2)], 2), np.concatenate([v, M], 2)], 1)
-    (_, vecs), _, _ = _reduced_rank(
-        UEF, slice(0, n), slice(n + q, None), slice(n, n + q), Te, _solve_pd
-    )
+    (_, vecs), _, _ = _reduced_rank(UEF, slice(0, n), slice(n + q, None), slice(n, n + q), Te)
     return fix_signs(vecs[:, :, :r])
 
 
-def _reduced_rank(M, y, w, x, Te: int, solve=np.linalg.solve):
+def _reduced_rank(M, y, w, x, Te: int):
     """The reduced-rank regression of block y on block x of the stacked gram
     M, both concentrated on block w (y, w, x slice M's rows). Returns
     _solve_rrr_eig's solution, the concentrated moments S (the Schur
-    complement of M[w, w], over Te) and sol = M[w, w]^-1 M[w, :]."""
-    sol = solve(M[:, w, w], M[:, w])
+    complement of M[w, w], over Te) and sol = M[w, w]^-1 M[w, :] (_solve_pd)."""
+    sol = _solve_pd(M[:, w, w], M[:, w])
     S = (M - M[:, :, w] @ sol) / Te
     S00, S11 = ((A + A.swapaxes(1, 2)) / 2.0 for A in (S[:, y, y], S[:, x, x]))
     return _solve_rrr_eig(S00, S[:, y, x], S11), S, sol
@@ -764,12 +747,20 @@ def _solve_rrr_eig(S00, S01, S11):
     Solved through the Cholesky factor of S11 so the eigenvalues are the
     squared canonical correlations, all in [0, 1). Leading axes are a stack
     of problems, each solved and sorted on its own. An S11, the level
-    moments, that is not positive definite raises LinAlgError(RRR_ERROR).
+    moments, that is not positive definite, or whose squared Cholesky
+    pivots have least over largest at most SIGMA_RTOL, raises
+    LinAlgError(RRR_ERROR). The pivots lie between S11's extreme
+    eigenvalues, so that ratio is never below the eigenvalue ratio, and the
+    margin keeps the verdict off the rounding floor, where it would depend
+    on the BLAS kernel.
     """
     try:
         L = np.linalg.cholesky(S11)
     except np.linalg.LinAlgError:
         raise np.linalg.LinAlgError(RRR_ERROR) from None
+    pivots = L.diagonal(0, -2, -1) ** 2
+    if pivots.size and not (pivots.min(-1) > SIGMA_RTOL * pivots.max(-1)).all():
+        raise np.linalg.LinAlgError(RRR_ERROR)
     Linv = np.linalg.inv(L)
     LinvT = Linv.swapaxes(-1, -2)
     mid = np.linalg.solve(S00, S01)
@@ -806,11 +797,11 @@ def _engine_states(setups, opts: FitOptions, starts=(), size=None) -> list:
         members.append((len(outcomes), setup.q, setup.shape, setup.grams()))
         if start is None:
             try:
-                start = setup.start(opts)
+                start = setup.start()
             except (ValueError, np.linalg.LinAlgError) as exc:
                 start = exc
         outcomes.append(start)
-    _default_starts(outcomes, members, opts)
+    _default_starts(outcomes, members)
     group = [member for member in members if not isinstance(outcomes[member[0]], Exception)]
     if group:
         shapes = [shape for _, _, shape, _ in group]
@@ -957,7 +948,7 @@ def _setup_mai(
 
     return _Setup(
         "mai", Z, [], lags, None, q, 0, first, dict(means),
-        lambda opts: _start_grams(Z, lags, None, 0, memo, opts.ridge),
+        lambda: _start_grams(Z, lags, None, 0, memo),
         lambda out: MAIParams(out["omega"], out["alphas"], out["sigma"]), memo,
         MAIParams.count(n, p, q),
     )
@@ -1005,7 +996,7 @@ def _setup_vhari(Yd: Panel, q: int, demean: bool = True, t_start: int | None = N
     memo = {}
     return _Setup(
         "vhari", Z, [], X, None, q, 0, first, {"level": mu},
-        lambda opts: _start_grams(Z, X, None, 0, memo, opts.ridge),
+        lambda: _start_grams(Z, X, None, 0, memo),
         lambda out: VHARIParams(out["omega"], *out["alphas"], out["sigma"]), memo,
         VHARIParams.count(n, q),
     )
@@ -1047,7 +1038,7 @@ def _setup_iaar(
     _check_sample(Z.shape[0], n * p)
     return _Setup(
         "iaar", Z, diag_X, index_X, None, q, 0, first, dict(means),
-        lambda opts: _start_grams(Z, diag_X, None, 0, memo, opts.ridge),
+        lambda: _start_grams(Z, diag_X, None, 0, memo),
         lambda out: IAARParams(out["ds"], out["alphas"], out["omega"], out["sigma"]), memo,
         IAARParams.count(n, p, len(index_X), q),
     )
@@ -1095,11 +1086,10 @@ def _ec_data(Y: Panel, m: int, data: tuple, t_start: int | None = None):
     return dvalues[first - 1:], lags, levels[first - 1: Y.T - 1], first, dict(means)
 
 
-def _start_grams(Z, lags, ec_X, r: int, memo: dict | None = None, ridge: float = 0.0) -> _Grams:
+def _start_grams(Z, lags, ec_X, r: int, memo: dict | None = None) -> _Grams:
     """The grams of [Z | lags | ec_X] (from memo, _memo_grams) a default
     start is solved from, once r, the sample size and the lag design pass
-    their checks. Unpenalized, the lag design takes ols's singular-value
-    test (check_rank), whose SVD runs only when the lag block of the grams
+    their checks. The lag design takes ols's singular-value test (check_rank), whose SVD runs only when the lag block of the grams
     cannot certify it (_certifies_rank), so every accept, reject and message
     is that test's. The memo keeps the certificate's verdict, one per count
     of rows and lags."""
@@ -1108,7 +1098,7 @@ def _start_grams(Z, lags, ec_X, r: int, memo: dict | None = None, ridge: float =
     _check_sample(Z.shape[0], len(lags) * Z.shape[1] + r)
     memo = {} if memo is None else memo
     full = _memo_grams(memo, Z, lags, ec_X)
-    if lags and ridge == 0.0:
+    if lags:
         key = "rank certified", Z.shape[0], len(lags)
         if key not in memo:
             x = slice(full.n, (1 + len(lags)) * full.n)     # the lag block of the gram
@@ -1225,7 +1215,7 @@ def init_ciaar(
     return _index_start(jo, max(p - 1, 0), q)[0]
 
 
-def _default_starts(inits: list, members: list, opts: FitOptions) -> None:
+def _default_starts(inits: list, members: list) -> None:
     """Replace each grams entry of inits (its setup.start's) by its start, in
     place. members holds (index into inits, engine q, (nd, na, r), ...)
     records. Each distinct pair of start grams and rank is regressed once
@@ -1243,7 +1233,7 @@ def _default_starts(inits: list, members: list, opts: FitOptions) -> None:
                 unsolved.setdefault(layout, {})[id(g)] = g
     for (*_, r), distinct in unsolved.items():
         distinct, out = [*distinct.values()], [None] * len(distinct)
-        jo, _, alive = _each_member(lambda st: _start_regression(st["grams"], r, opts),
+        jo, _, alive = _each_member(lambda st: _start_regression(st["grams"], r),
                                     {"grams": _Grams.stack(distinct)}, [*range(len(out))], out)
         for row, k in enumerate(alive):
             out[k] = {key: v[row: row + 1] for key, v in jo.items()}
@@ -1259,15 +1249,15 @@ def _default_starts(inits: list, members: list, opts: FitOptions) -> None:
                 inits[i] = start
 
 
-def _start_regression(grams: _Grams, r: int, opts: FitOptions) -> dict:
+def _start_regression(grams: _Grams, r: int) -> dict:
     """What a default start truncates, from its stacked grams: Johansen's
     rank-r estimates when they hold the levels block (_ec_data's Y_{t-1}),
-    else the VAR coefficients of the target on the lags by their
-    (ridge-penalized) normal equations."""
+    else the VAR coefficients of the target on the lags by their normal
+    equations (_solve_pd)."""
     if grams.Gcc.shape[-1]:
         return _johansen(grams, r)
     M, n = grams.M, grams.n
-    C = np.linalg.solve(M[:, n:, n:] + opts.ridge * np.eye(M.shape[-1] - n), M[:, n:, :n])
+    C = _solve_pd(M[:, n:, n:], M[:, n:, :n])
     return {"pis": C.reshape(len(M), -1, n, n).swapaxes(2, 3), "beta": np.zeros((len(M), n, 0))}
 
 
@@ -1311,7 +1301,7 @@ def _setup_ciaar(
     data = data or _demeaned(Y, demean, differences=True)
     Z, lags, ec_X, first, means = _ec_data(Y, max(nd, na), data, t_start)
 
-    def start(opts: FitOptions) -> _Grams:
+    def start() -> _Grams:
         # Johansen's rows, whose grams are grams() unless t_start moves the engine's later
         return _start_grams(*_ec_data(Y, len(lags), data)[:3], r, data[3])
 
@@ -1470,10 +1460,10 @@ def _fit_grid(
     ascending q, each through _engine_states padded to the largest lags
     and rank of all its fits; its candidates are finished as it returns.
 
-    criterion(loglik, n_params, T_eff), when given and opts.ridge == 0, is
-    the score the grid is searched for, and the grid prunes by it. Each
-    candidate's log-likelihood is bounded by its unrestricted model's on
-    the same rows and lags (_loglik_bounds). Before each group runs, a
+    criterion(loglik, n_params, T_eff), when given, is the score the grid
+    is searched for, and the grid prunes by it. Each candidate's
+    log-likelihood is bounded by its unrestricted model's on the same rows
+    and lags (_loglik_bounds). Before each group runs, a
     distinct fit is skipped, its start never solved, when every candidate
     sharing it is certified: its criterion at its bound exceeds the best
     finished candidate's by a relative PRUNE_RTOL, so it cannot be the
@@ -1505,7 +1495,7 @@ def _fit_grid(
         if i == j and not isinstance(setups[i], Exception):
             groups.setdefault(setups[i].q, []).append(i)
     bounds, lower = [np.nan] * len(candidates), [np.nan] * len(candidates)
-    if criterion is not None and opts.ridge == 0.0:
+    if criterion is not None:
         solved = {}                                    # one bound solve per count of lags
         for i, setup in enumerate(setups):
             if not isinstance(setup, Exception):

@@ -21,7 +21,8 @@ The search is a branch and bound for the table's criterion (Furnival and
 Wilson 1974). Every candidate is nested in the unrestricted model of its
 lags and rank on the same rows (Johansen's VECM for CIAAR, the OLS VAR in
 levels for MAI and IAAR), whose maximized log-likelihood bounds the
-candidate's. The engine groups run one after another in this process, in
+log-likelihood of every parameter value of the candidate, its fit's
+included. The engine groups run one after another in this process, in
 ascending q, and a candidate whose criterion at that bound exceeds the best
 fitted one's is not fitted, nor is its start solved: its row has stop
 "pruned", its parameter count and its bound, and no log-likelihood. So a table defines the minimizer of
@@ -221,9 +222,8 @@ def grid_search(
     group, and the groups run in this process in ascending q, each pruned by
     the fits finished before it; workers is kept for callers that pass 1, and any other
     value raises ValueError. With prune, a candidate certified to lose under
-    kind is not fitted (module docstring); pruning is off when
-    opts.ridge > 0. prune=False fits and tabulates every candidate. Either
-    way the table's best is kind's.
+    kind is not fitted (module docstring). prune=False fits and tabulates
+    every candidate. Either way the table's best is kind's.
     """
     if workers != 1:
         raise ValueError(f"grid_search fits in one process, got workers={workers}: the q groups "

@@ -75,10 +75,8 @@ def row_level_sa(Z, index_X, ec_X, omega0, gamma0, r, opts):
     Targets Z load on index_X @ omega and, for r > 0, on the
     error-correction term ec_X @ omega @ gamma. With r = 0 and level lags
     as index_X this is the MAI fit; with differences it is the VECIM fit.
-    Both steps are unpenalized minimum-norm least squares.
+    Both steps are minimum-norm least squares.
     """
-    if opts.ridge:
-        raise ValueError("the row-level reference takes no ridge")
     Te, n = Z.shape
     q = omega0.shape[1]
     omega = omega0

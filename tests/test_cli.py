@@ -471,14 +471,26 @@ class TestErrors:
                        (out / "manifest.txt").read_text().splitlines())
 
     def test_an_old_montecarlo_manifest_still_reproduces(self, tmp_path):
-        # montecarlo has no workers field; a manifest that holds one still runs
+        # montecarlo has no workers or ridge field; an old manifest holds
+        # workers and ridge = 0, and still runs to the same results
         first = tmp_path / "first"
         assert run_cli(*TestFitPipeline.MC_ARGS, "--out", first) == 0
         old = tmp_path / "old_manifest.txt"
-        old.write_text((first / "manifest.txt").read_text() + "workers = 2\n")
+        old.write_text((first / "manifest.txt").read_text() + "workers = 2\nridge = 0\n")
         again = tmp_path / "again"
         assert run_cli("montecarlo", "--config", old, "--out", again) == 0
         assert (again / "mc_results.csv").read_bytes() == (first / "mc_results.csv").read_bytes()
+        assert "ridge" not in (again / "manifest.txt").read_text()
+
+    def test_a_nonzero_ridge_is_refused(self, tmp_path, capsys):
+        with pytest.raises(SystemExit):
+            run_cli(*TestFitPipeline.MC_ARGS, "--ridge", 0.1, "--out", tmp_path / "flag")
+        assert "--ridge" in capsys.readouterr().err
+        cfg = tmp_path / "ridge.cfg"
+        cfg.write_text("ridge = 1e-3\n")
+        assert run_cli(*TestFitPipeline.MC_ARGS, "--config", cfg, "--out", tmp_path / "o") == 1
+        assert "ridge.cfg:1: the ridge penalty was removed" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_unknown_config_key(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
@@ -515,8 +527,7 @@ class TestParser:
         ("--p", "p", int, None, None), ("--s", "s", int, None, None),
         ("--q", "q", int, None, None), ("--r", "r", int, None, None),
         ("--p0", "p0", int, None, None), ("--max-iter", "max_iter", int, None, None),
-        ("--tol", "tol", float, None, None), ("--ridge", "ridge", float, None, None),
-        ("--method", "method", None, ("ols", "gls"), None),
+        ("--tol", "tol", float, None, None), ("--method", "method", None, ("ols", "gls"), None),
     ]
     DGP = [("--n", "n", int, None, None), ("--T", "T", int, None, None),
            ("--burn", "burn", int, None, None), ("--dgp-seed", "dgp_seed", int, None, None)]
@@ -535,7 +546,7 @@ class TestParser:
             ("--q-min", "q_min", int, None, None), ("--q-max", "q_max", int, None, None),
             ("--max-iter", "max_iter", int, None, None),
             ("--criterion", "criterion", None, ("aic", "bic", "hq"), None),
-            ("--tol", "tol", float, None, None), ("--ridge", "ridge", float, None, None),
+            ("--tol", "tol", float, None, None),
         ],
         "montecarlo": COMMON + FITTING + DGP + [("--reps", "reps", int, None, None)] + DIST,
     }
@@ -545,8 +556,8 @@ class TestParser:
 
         subparsers, = (a for a in _parser()._actions if isinstance(a, argparse._SubParsersAction))
         assert list(subparsers.choices) == list(self.EXPECTED)
-        counts = {"simulate": 18, "fit": 14, "decompose": 15, "forecast": 17, "select": 13,
-                  "montecarlo": 19}
+        counts = {"simulate": 17, "fit": 13, "decompose": 14, "forecast": 16, "select": 12,
+                  "montecarlo": 18}
         for name, parser in subparsers.choices.items():
             flags = [
                 (a.option_strings[0], a.dest, a.type, a.choices and tuple(a.choices), a.default)

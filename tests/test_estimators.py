@@ -122,7 +122,6 @@ def padded_batches(draw, Te=40):
 @pytest.mark.parametrize("field, value, message", [
     ("max_iter", 0, "max_iter must be >= 1"),
     ("tol", 0.0, "tol must be > 0"),
-    ("ridge", -1e-3, "ridge must be >= 0"),
 ])
 def test_fit_options_rejections(field, value, message):
     with pytest.raises(ValueError) as info:
@@ -301,13 +300,6 @@ class TestFitIaar:
             errs.append(np.abs(fit.params.ds[0] - ip.ds[0]).max())
         assert np.median(errs) < 0.1
 
-    def test_ridge_continuity(self):
-        ip = random_iaar_params(5, 1, 1, 1, seed=3)
-        Y = simulate_iaar(ip, 800, seed=4)
-        base = fit_iaar(Y, 1, 1, 1, opts=FitOptions())
-        ridged = fit_iaar(Y, 1, 1, 1, opts=FitOptions(ridge=1e-8))
-        assert abs(base.loglik - ridged.loglik) < 1e-4
-
     def test_s_greater_than_p_rejected(self):
         Y = Panel(np.random.default_rng(5).standard_normal((100, 3)))
         with pytest.raises(ValueError):
@@ -473,10 +465,9 @@ class TestStep2Rewrite:
         assert len(params.ds) == len(params.alphas) == 2
         return params, Z, diag_X, index_X, ec_X
 
-    @pytest.mark.parametrize("ridge", [0.0, 0.5])
     @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(case=padded_batches())
-    def test_batched_step2_matches_row_level_normal_equations(self, ridge, case):
+    def test_batched_step2_matches_row_level_normal_equations(self, case):
         # each member's theta solves its row-level normal equations over its
         # own lags, and is zero on the coordinates its padding pins
         grams, masks, members, rng, (n, q, nd, r) = case
@@ -488,7 +479,7 @@ class TestStep2Rewrite:
                 a[0] = 0.0
         theta = _step2_solve(
             grams, np.stack(sigmas), np.linalg.cholesky(sigmas), loadings, nd, q, True,
-            FitOptions(ridge=ridge), masks.get("pin2"),
+            masks.get("pin2"),
         )
         for got, m, sigma, a in zip(theta, members, sigmas, loadings):
             S = sym_inv_sqrt(sigma)
@@ -496,13 +487,12 @@ class TestStep2Rewrite:
             channels = [m["ec_X"]] * ec + m["index_X"]
             blocks.append(sum(vec_omega_block(X, S @ a_c) for X, a_c in zip(channels, a)))
             free = list(range(m["nd"] * n)) + list(range(nd * n, nd * n + n * q))
-            # the least-squares solution of the ridge-augmented row-level
-            # design solves the normal equations without squaring its
-            # condition number, as forming X2' X2 here would
-            X2 = np.vstack([np.hstack(blocks), np.sqrt(ridge) * np.eye(len(free))])
-            y2 = np.concatenate([(m["Z"] @ S).ravel(), np.zeros(len(free))])
+            # the least-squares solution of the row-level design solves the
+            # normal equations without squaring its condition number, as
+            # forming X2' X2 here would
+            X2 = np.hstack(blocks)
             ref = np.zeros_like(got)
-            ref[free] = np.linalg.lstsq(X2, y2, rcond=None)[0]
+            ref[free] = np.linalg.lstsq(X2, (m["Z"] @ S).ravel(), rcond=None)[0]
             assert np.abs(got - ref).max() <= 1e-10 * np.abs(ref).max()
 
     @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -560,11 +550,10 @@ class TestBatchAxis:
             [params.alpha0 @ params.gamma.T] + list(params.alphas),
             np.zeros((3, 5, 2)),
         ])
-        opts = FitOptions()
 
         def phase(st):
             grams = _Grams(st["M"], 5, 2, 40)
-            return {"theta": _step2_solve(grams, st["sigma"], st["chol"], st["a"], 2, 2, True, opts)}
+            return {"theta": _step2_solve(grams, st["sigma"], st["chol"], st["a"], 2, 2, True)}
 
         both = _Grams.stack(grams)
         st = {"M": both.M, "sigma": sigma, "chol": chol, "a": loadings}
@@ -574,7 +563,7 @@ class TestBatchAxis:
         out, _, members = _each_member(phase, st, [0, 1], finals)
         assert members == [0]
         assert isinstance(finals[1], np.linalg.LinAlgError) and str(finals[1]) == STEP_ERROR
-        ref = _step2_solve(grams[0], sigma[:1], chol[:1], loadings[:1], 2, 2, True, opts)[0]
+        ref = _step2_solve(grams[0], sigma[:1], chol[:1], loadings[:1], 2, 2, True)[0]
         assert np.array_equal(out["theta"][0], ref)
         # a positive definite system keeps the exact solve however small its
         # least eigenvalue
@@ -633,10 +622,10 @@ class TestBatchAxis:
         setups = [_setup_mai(Y, 2, 2) for Y in panels]
         grams = _Grams.stack([_Grams.of(s.Z, s.diag_X, None, s.index_X) for s in setups])
         starts = [
-            s.start(opts) if omega0 is None else (None, omega0, [])
+            s.start() if omega0 is None else (None, omega0, [])
             for s, omega0 in zip(setups, omega0s)
         ]
-        _default_starts(starts, [(i, s.q, s.shape) for i, s in enumerate(setups)], opts)
+        _default_starts(starts, [(i, s.q, s.shape) for i, s in enumerate(setups)])
         states = _sa_engine(grams, 2, 0, starts, opts)
         failed = []
         for Y, setup, omega0, state in zip(panels, setups, omega0s, states):
@@ -1061,7 +1050,9 @@ class TestJohansen:
 
     def test_collinear_levels_raise_the_reduced_rank_error(self):
         # a level column equal to column 0 plus 1e-9 noise leaves the level
-        # moments concentrated on the lags without a Cholesky factor
+        # moments concentrated on the lags singular to rounding: under some
+        # BLAS kernels their Cholesky fails, under others its squared pivots
+        # fall below the SIGMA_RTOL margin
         Y = simulate_ciaar(random_ciaar_params(6, 2, 1, 2, 2, seed=0), 400, seed=1)
         values = Y.values.copy()
         values[:, 5] = values[:, 0] + 1e-9 * np.random.default_rng(0).standard_normal(len(values))

@@ -61,9 +61,9 @@ def traced_grid_search(Y, p_range, q_range, model):
     start_regression, engine = estimators._start_regression, estimators._sa_engine
     fit_grid = select._fit_grid
 
-    def counted(grams, r, opts):
+    def counted(grams, r):
         regression_calls.append((grams.M.shape[1] // grams.n, r))
-        return start_regression(grams, r, opts)
+        return start_regression(grams, r)
 
     def recorded(grams, q, r, starts, opts, shapes):
         for start, (_, _, r_i) in zip(starts, shapes):

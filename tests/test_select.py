@@ -239,11 +239,6 @@ class TestPruning:
                 table.best_row("hq").hq
             )
 
-    def test_ridge_prunes_nothing(self):
-        table = grid_search(self.panel(), (1, 2), (1, 3), opts=FitOptions(ridge=1e-6))
-        assert all(row.stop != "pruned" for row in table.rows)
-        assert all(math.isnan(row.loglik_bound) for row in table.rows)
-
     @staticmethod
     def raise_value_error(state):
         raise ValueError("params do not build")

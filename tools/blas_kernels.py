@@ -1,0 +1,74 @@
+"""Run the Tier-1 tests once under each OpenBLAS kernel, each in a fresh process.
+
+    python tools/blas_kernels.py
+
+The OpenBLAS in numpy's wheel is built with DYNAMIC_ARCH, so the
+``OPENBLAS_CORETYPE`` environment variable picks its kernel per process. For
+each of SkylakeX, Haswell, Zen, SandyBridge and Nehalem one child runs the
+Tier-1 command (``python -m pytest -q --continue-on-collection-errors``)
+from the repository root, with ``PYTHONPATH`` at ``src``,
+``OPENBLAS_CORETYPE`` set and one BLAS thread (``--blas 1`` of
+``tools/mc_timing.py``). Only the children's environments change, nothing
+of the machine.
+
+Prints, per kernel, the core name OpenBLAS reports under it (Zen runs the
+Haswell kernels), the passed and failed counts and every failing test id;
+then the machine. Exits 1 when pytest fails under any kernel.
+"""
+
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+from mc_timing import MACHINE, _env
+
+KERNELS = ("SkylakeX", "Haswell", "Zen", "SandyBridge", "Nehalem")
+TIER1 = ("-m", "pytest", "-q", "--continue-on-collection-errors", "-rfE")
+ROOT = Path(__file__).resolve().parent.parent
+
+# the kernel OpenBLAS runs under the child's environment
+CORENAME = """
+import ctypes, glob, os, numpy as np
+libdir = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+for path in glob.glob(os.path.join(libdir, "*openblas*")):
+    fn = getattr(ctypes.CDLL(path), "scipy_openblas_get_corename64_", None)
+    if fn is not None:
+        fn.restype, fn.argtypes = ctypes.c_char_p, []
+        print(fn().decode())
+"""
+
+
+def _run(kernel: str) -> tuple:
+    """One kernel's run: (core name, {outcome: count}, failing ids, pytest's exit status)."""
+    env = dict(_env("1"), OPENBLAS_CORETYPE=kernel, PYTHONPATH=str(ROOT / "src"))
+    core = subprocess.run([sys.executable, "-c", CORENAME], env=env, capture_output=True,
+                          text=True).stdout.strip() or "?"
+    proc = subprocess.run([sys.executable, *TIER1], cwd=ROOT, env=env,
+                          capture_output=True, text=True)
+    lines = proc.stdout.splitlines()
+    summary = next((line for line in reversed(lines) if re.search(r" in [\d.]+s", line)), "")
+    counts = {kind: int(k) for k, kind in re.findall(r"(\d+) (\w+)", summary)}
+    failing = [line.split(" ", 1)[1].split(" - ")[0] for line in lines
+               if line.startswith(("FAILED ", "ERROR "))]
+    return core, counts, failing, proc.returncode
+
+
+def main() -> int:
+    bad = False
+    for kernel in KERNELS:
+        core, counts, failing, status = _run(kernel)
+        failed = counts.get("failed", 0) + counts.get("error", 0) + counts.get("errors", 0)
+        print(f"{kernel} (core {core}): {counts.get('passed', 0)} passed, {failed} failed"
+              + ("" if counts else f", no pytest summary (exit {status})"), flush=True)
+        for test in failing:
+            print(f"  {test}", flush=True)
+        bad |= status != 0
+    machine = subprocess.run([sys.executable, "-c", MACHINE], env=_env("1"), capture_output=True,
+                             text=True).stdout.strip()
+    print(machine)
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
