@@ -229,15 +229,16 @@ def _demeaned(Y: Panel, demean: bool, differences: bool = False):
 #
 # Members may also differ in their lags and cointegration rank, as a
 # selection grid's candidates of one q do. Each member's own grams are then
-# zero-padded to the batch's largest (nd, na, r) (_padded_grams), and its
-# inactive delta, loading and step-3 index-lag coordinates are pinned: their
-# rows and columns in steps 1-3 become a diagonal with a zero right-hand
-# side, so they solve to zero and leave the member's own block, its rank
-# checks and its eigenvalue cut-offs as in its single fit. A member of rank
-# r_i keeps gamma's columns at or beyond r_i zero, so its step-1 weights
-# there vanish and its alpha0 coordinates there are pinned; only members
-# with 0 < r_i < q take step 3. A batch of equal members carries no masks
-# and pays nothing for them.
+# padded to the batch's largest (nd, na, r) (_padded_grams): every lag it
+# lacks gets an identity gram and no cross-products. Its delta and loadings
+# at those lags start at zero, and each step solves them to zero again,
+# from a positive definite block decoupled from the rest with a zero
+# right-hand side; step 2's omega block reads those lags only through their
+# zero loadings. A Cholesky or LU solve meets the member's own block only
+# through exact zeros, so its verdicts and solutions are its single fit's.
+# A member of rank r_i keeps gamma's columns at or beyond r_i zero, so its
+# step-1 weights there vanish and its alpha0 coordinates there get a unit
+# diagonal; only members with 0 < r_i < q take step 3.
 # Every member of a batch that estimates omega has an omega channel: a CIAAR
 # order with no index lag runs as its identified equivalent (_setup_ciaar),
 # so a well-posed fit's step-2 system is positive definite and no step needs
@@ -381,9 +382,8 @@ def _sa_engine(
     r == q and estimated by the reduced-rank eigenstep when 0 < r < q.
     shapes[i] = (nd_i, na_i, r_i), when given, is member i's own count of
     diagonal and index lags and its rank, at most the batch's (nd, na, r);
-    its D0 holds nd_i vectors, its gamma0 r_i columns, its grams of the lags
-    it lacks are zero (_padded_grams), and its missing lags and rank are
-    pinned (_member_masks).
+    its D0 holds nd_i vectors, its gamma0 r_i columns, and its grams of the
+    lags it lacks are identity blocks (_padded_grams).
 
     Returns each member's final state in order (its final parameters, and
     sigma, step 1's covariance at them), or the exception that ended its
@@ -427,8 +427,8 @@ def _sa_engine(
         "alphas": np.zeros((len(members), na, n, q)),
     }
     del grams                                          # st holds it until a compaction
-    if any(shapes[m] != (nd, na, r) for m in members):
-        st.update(_member_masks([shapes[m] for m in members], n, q, (nd, na, r)))
+    if any(shapes[m][2] != r for m in members):
+        st["rank"] = np.array([shapes[m][2] for m in members])
     st["UU"], st["GU"] = _target_grams(st["grams"], ds)   # refreshed whenever D moves
     traces = [[] for _ in starts]
     diagnostics = [{} for _ in starts]
@@ -441,7 +441,8 @@ def _sa_engine(
             sigma, out = (UU + UU.transpose(0, 2, 1)) / (2.0 * Te), {}
         else:
             M, v = _normal_blocks(st["grams"].Gcc, weights, st["GU"][:, 1 + nd:])
-            _pin(M, st.get("pin1"))
+            if "rank" in st:                           # alpha0 beyond r_i: zero weights
+                M[:, np.arange(r), np.arange(r)] += np.arange(r) >= st["rank"][:, None]
             try:
                 coef = _solve_pd(M, v)
             except np.linalg.LinAlgError:
@@ -463,8 +464,7 @@ def _sa_engine(
         if r > 0:
             ec_loading = st["alpha0"] @ st["gamma"].transpose(0, 2, 1)
             loadings = np.concatenate([ec_loading[:, None], loadings], axis=1)
-        theta = _step2_solve(grams, st["sigma"], st["chol"], loadings, nd, q, estimate_omega,
-                             st.get("pin2"))
+        theta = _step2_solve(grams, st["sigma"], st["chol"], loadings, nd, q, estimate_omega)
         out = {}
         if nd:
             out["ds"] = theta[:, :nd * n].reshape(len(theta), nd, n)
@@ -480,10 +480,10 @@ def _sa_engine(
             out["gamma"] = gamma = st["gamma"].copy()
             if len(rows):
                 Gcc, XU = grams.Gcc[rows], GU[rows, 1 + nd:]
-                eig = _rrr_gamma(Gcc, omega[rows], UU[rows], XU, Te, r, st["pin3"][rows])
+                eig = _rrr_gamma(Gcc, omega[rows], UU[rows], XU, Te, r)
                 gamma[rows] = eig * (np.arange(r) < rank[rows, None])[:, None]
         elif 0 < r < q:
-            out["gamma"] = _rrr_gamma(grams.Gcc, omega, UU, GU[:, 1 + nd:], Te, r, st.get("pin3"))
+            out["gamma"] = _rrr_gamma(grams.Gcc, omega, UU, GU[:, 1 + nd:], Te, r)
         return out
 
     for it in range(1, opts.max_iter + 1):
@@ -564,51 +564,6 @@ def _each_member(phase, st: dict, members: list, finals: list):
     return out, {k: v[keep] for k, v in st.items()}, [members[row] for row in keep]
 
 
-def _member_masks(shapes: list, n: int, q: int, size: tuple) -> dict:
-    """Pin each member's lags and rank beyond its own (nd_i, na_i, r_i) in a
-    batch of size (nd, na, r): its grams of those lags are zero
-    (_padded_grams), so their coordinates decouple from every step's normal
-    equations with a zero right-hand side, and _pin gives them a diagonal.
-    Its alpha0 coordinates at or beyond r_i are pinned too: their gamma
-    columns, and so their step-1 weights, are zero. Returns pin1 over step
-    1's (alpha0, alphas) coordinates, pin2 over step 2's (delta,
-    Vec(omega')), pin3 over step 3's index-lag coordinates, and rank (each
-    r_i) when the members' ranks differ.
-    """
-    nd, na, r = size
-    nd_i, na_i, r_i = (np.array(col)[:, None] for col in zip(*shapes))
-    diag_off = np.arange(nd) >= nd_i                   # (B, nd) lags a member lacks
-    index_off = np.arange(na) >= na_i                  # (B, na)
-    vec_omega = n * q if q > 0 and (na > 0 or r > 0) else 0    # step 2's free Vec(omega')
-    pinned = {
-        "pin1": np.concatenate([np.arange(r) >= r_i, np.repeat(index_off, q, axis=1)], axis=1),
-        "pin2": np.pad(np.repeat(diag_off, n, axis=1), ((0, 0), (0, vec_omega))),
-        "pin3": np.repeat(index_off, q, axis=1),
-    }
-    # each mask is (B, 2, k): the pinned coordinates, and 1/count on the member's free ones
-    masks = {key: np.stack([off, ~off / np.maximum((~off).sum(axis=1, keepdims=True), 1)], axis=1)
-             for key, off in pinned.items()}
-    if (r_i != r).any():
-        masks["rank"] = r_i[:, 0]
-    return masks
-
-
-def _pin(A: np.ndarray, pin: np.ndarray | None) -> None:
-    """Put a diagonal on each member's pinned coordinates of A, in place.
-
-    The pinned rows and columns of A are zero (their grams are zero), so
-    the coordinates solve to their zero right-hand side. The diagonal is the
-    mean of the member's free diagonal (1 when it has none), which lies
-    between the free block's extreme eigenvalues, so positive-definiteness
-    tests and eigenvalue cut-offs see the free block alone.
-    """
-    if pin is None:
-        return
-    diag = np.einsum("bii->bi", A)                     # a writable view
-    level = np.einsum("bi,bi->b", diag, pin[:, 1])
-    diag += pin[:, 0] * np.where(level > 0.0, level, 1.0)[:, None]
-
-
 def _normal_blocks(Gcc: np.ndarray, weights: list, XU: np.ndarray):
     """X1'X1 and X1'U for X1 = [X_c @ W_c], one (B, n, w_c) weight per vec channel.
 
@@ -661,7 +616,7 @@ def _solve_pd(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.linalg.solve(A, b)
 
 
-def _step2_solve(grams, sigma, chol, loadings, nd, q, estimate_omega, pinned=None):
+def _step2_solve(grams, sigma, chol, loadings, nd, q, estimate_omega):
     """Solve the stacked Vec regressions through their normal equations.
 
     For theta = (delta_1..delta_nd, Vec(omega')) the blocks are
@@ -678,8 +633,7 @@ def _step2_solve(grams, sigma, chol, loadings, nd, q, estimate_omega, pinned=Non
     with no diagonal channel the omega blocks read sinv A alone, one solve
     against sigma. Returns theta as (B, nd n + n q), or raises
     LinAlgError(STEP_ERROR) when a system is not positive definite
-    (_solve_pd). pinned marks the missing-lag coordinates of padded members
-    (_member_masks).
+    (_solve_pd).
     """
     n, M = grams.n, grams.M
     B = len(M)
@@ -709,22 +663,19 @@ def _step2_solve(grams, sigma, chol, loadings, nd, q, estimate_omega, pinned=Non
         G2[:, ow:, :ow] = G2[:, :ow, ow:].transpose(0, 2, 1)
         Gc0 = M[:, c:, :n].reshape(B, C, n, n).transpose(0, 2, 3, 1).reshape(B, n, n * C)
         rhs[:, ow:] = (Gc0 @ SA.reshape(B, n * C, q)).reshape(B, n * q)
-    _pin(G2, pinned)
     return _solve_pd(G2, rhs[:, :, None])[:, :, 0]
 
 
-def _rrr_gamma(Gcc, omega, UU, XU, Te: int, r: int, pinned=None) -> np.ndarray:
+def _rrr_gamma(Gcc, omega, UU, XU, Te: int, r: int) -> np.ndarray:
     """The r leading eigenvectors of the reduced-rank regression of the
     diagonal-adjusted targets U on the lagged index levels E = ec_X omega,
     concentrated on the weighted index lags F. The step-1 normal blocks
     with every vec channel weighted by omega hold the grams of [E | F], the
     target grams UU and XU (the vec channels' X_c'U) at the current D the
-    rest. omega is (B, n, q); returns gamma (B, q, r); pinned marks padded
-    members' missing lags.
+    rest. omega is (B, n, q); returns gamma (B, q, r).
     """
     n, q = omega.shape[1:]
     M, v = _normal_blocks(Gcc, [omega] * XU.shape[1], XU)
-    _pin(M[:, q:, q:], pinned)
     UEF = np.concatenate([np.concatenate([UU, v.swapaxes(1, 2)], 2), np.concatenate([v, M], 2)], 1)
     (_, vecs), _, _ = _reduced_rank(UEF, slice(0, n), slice(n + q, None), slice(n, n + q), Te)
     return fix_signs(vecs[:, :, :r])
@@ -816,17 +767,21 @@ def _engine_states(setups, opts: FitOptions, starts=(), size=None) -> list:
 def _padded_grams(fulls: list, shapes: list, size: tuple) -> _Grams:
     """The engine grams of a group of size (nd, na, r). Member i's slot holds
     its grams of [Z | lags | ec_X] in the engine's block order: the target,
-    its nd_i diagonal lags, ec_X (if r > 0) and its na_i index lags, each lag
-    channel padded with zero rows and columns to the group's count."""
+    its nd_i diagonal lags, ec_X (if r > 0) and its na_i index lags. Each
+    lag it lacks gets an identity gram and no cross-products, so that lag's
+    coordinates decouple in every step with a zero right-hand side."""
     nd, na, r = size
     k, n = 1 + nd + (r > 0) + na, fulls[0].n
     M = np.zeros((len(fulls), k * n, k * n))
+    within = np.arange(n)                              # a block's offsets
     for out, full, (nd_i, na_i, _) in zip(M, fulls, shapes):
         ec = [1 + full.nd] if r > 0 else []
         src = [*range(1 + nd_i), *ec, *range(1, 1 + na_i)]
         dst = [*range(1 + nd_i), *range(1 + nd, 1 + nd + len(ec) + na_i)]
-        src, dst = ((n * np.array(blocks)[:, None] + np.arange(n)).ravel() for blocks in (src, dst))
+        src, dst = ((n * np.array(blocks)[:, None] + within).ravel() for blocks in (src, dst))
         out[dst[:, None], dst] = full.M[0][src[:, None], src]
+        for block in [*range(1 + nd_i, 1 + nd), *range(1 + nd + len(ec) + na_i, k)]:
+            out[block * n + within, block * n + within] = 1.0
     return _Grams(M, n, nd, fulls[0].Te)
 
 

@@ -15,7 +15,6 @@ from indexvar.estimators import (
     _finish,
     _fit_grid,
     _grid_setup,
-    _member_masks,
     _normal_blocks,
     _normalize_gamma,
     _padded_grams,
@@ -84,8 +83,8 @@ def padded_batches(draw, Te=40):
     """Stacked grams of B random panels with nd diagonal lags and 1 to 3 vec
     channels (the EC block when ec, then the index lags), each member's own
     (nd_i, na_i, r_i) padded as a selection grid pads it: its grams of the
-    lags it lacks are zero and _member_masks pins them. Each member's data
-    come with those lags zeroed: the design its padded grams stand for. As
+    lags it lacks are identity blocks with no cross-products. Each member's
+    data come with those lags zeroed: the design its own grams stand for. As
     in a selection grid, a member without index lags has r_i = q (its
     setup's identified equivalent, _setup_ciaar), so every member has an
     omega channel of full rank."""
@@ -113,10 +112,10 @@ def padded_batches(draw, Te=40):
         ))
         padded = members[-1]
         grams.append(_Grams.of(Z, padded["diag_X"], ec_X if ec else None, padded["index_X"]))
-    grams, masks = _Grams.stack(grams), {}
-    if any(shape != (nd, na, r) for shape in shapes):
-        masks = _member_masks(shapes, n, q, (nd, na, r))
-    return grams, masks, members, rng, (n, q, nd, r)
+        lacking = [*range(1 + nd_i, 1 + nd), *range(1 + nd + ec + na_i, 1 + nd + ec + na)]
+        for block in lacking:
+            grams[-1].M[0, block * n: (block + 1) * n, block * n: (block + 1) * n] = np.eye(n)
+    return _Grams.stack(grams), members, rng, (n, q, nd, r)
 
 
 @pytest.mark.parametrize("field, value, message", [
@@ -469,18 +468,16 @@ class TestStep2Rewrite:
     @given(case=padded_batches())
     def test_batched_step2_matches_row_level_normal_equations(self, case):
         # each member's theta solves its row-level normal equations over its
-        # own lags, and is zero on the coordinates its padding pins
-        grams, masks, members, rng, (n, q, nd, r) = case
+        # own lags, and is zero on the coordinates of the lags it lacks
+        grams, members, rng, (n, q, nd, r) = case
         ec = int(r > 0)
         sigmas = [L @ L.T + n * np.eye(n) for L in rng.standard_normal((len(members), n, n))]
         loadings = rng.standard_normal((len(members), grams.Gcc.shape[-1] // n, n, q))
         for a, m in zip(loadings, members):
             if ec and m["r"] == 0:                    # alpha0 gamma' of a member of rank 0
                 a[0] = 0.0
-        theta = _step2_solve(
-            grams, np.stack(sigmas), np.linalg.cholesky(sigmas), loadings, nd, q, True,
-            masks.get("pin2"),
-        )
+            a[ec + m["na"]:] = 0.0                    # the engine's loadings of lacking lags
+        theta = _step2_solve(grams, np.stack(sigmas), np.linalg.cholesky(sigmas), loadings, nd, q, True)
         for got, m, sigma, a in zip(theta, members, sigmas, loadings):
             S = sym_inv_sqrt(sigma)
             blocks = [vec_diag_block(X, S) for X in m["diag_X"][:m["nd"]]]
@@ -498,9 +495,13 @@ class TestStep2Rewrite:
     @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(case=padded_batches())
     def test_batched_normal_blocks_match_explicit_design(self, case):
-        grams, _, members, rng, (n, q, nd, r) = case
+        # the design of each member's own lags, plus W_c' W_c on the block of
+        # each index lag it lacks, whose gram is the identity
+        grams, members, rng, (n, q, nd, r) = case
         B, ec = len(members), int(r > 0)
         ds = rng.standard_normal((B, nd, n))
+        for d, m in zip(ds, members):
+            d[m["nd"]:] = 0.0                         # the engine's diagonals of lacking lags
         UU, GU = _target_grams(grams, ds)
         weights = [rng.standard_normal((B, n, r))] * ec      # widths r (EC), then q
         weights += [rng.standard_normal((B, n, q)) for _ in members[0]["index_X"]]
@@ -509,8 +510,12 @@ class TestStep2Rewrite:
             Z, vec = m["Z"], [m["ec_X"]] * ec + m["index_X"]
             U = Z - sum((X * d for X, d in zip(m["diag_X"], ds[i])), np.zeros((1, n)))
             X1 = np.hstack([X @ W[i] for X, W in zip(vec, weights)])
+            XX = X1.T @ X1
+            for c in range(ec + m["na"], len(vec)):
+                at = slice(ec * r + (c - ec) * q, ec * r + (c - ec + 1) * q)
+                XX[at, at] += weights[c][i].T @ weights[c][i]
             XU = np.stack([X.T @ U for X in [Z] + m["diag_X"] + vec])
-            for got, ref in ((M[i], X1.T @ X1), (v[i], X1.T @ U), (UU[i], U.T @ U), (GU[i], XU)):
+            for got, ref in ((M[i], XX), (v[i], X1.T @ U), (UU[i], U.T @ U), (GU[i], XU)):
                 assert got.shape == ref.shape
                 assert np.abs(got - ref).max() <= 1e-10 * np.abs(ref).max()
 
@@ -987,6 +992,72 @@ class TestMixedRankBatch:
             assert abs(got.loglik - ref.loglik) <= 1e-8 * abs(ref.loglik)
             assert np.abs(got.params.gamma - ref.params.gamma).max(initial=0.0) <= 1e-6
         assert sum(isinstance(state, Exception) for state in states) == 1
+
+
+class TestPaddedGroup:
+    """The q = 2 group of a c12 grid: (p, s, 2, r) for every p, s <= p and
+    r, which differ in their diagonal and index lags and in rank."""
+
+    @staticmethod
+    def _group():
+        Y = simulate_ciaar(random_ciaar_params(6, 2, 1, 2, 2, seed=0), 1000, seed=0)
+        setups = [_grid_setup("ciaar", Y, orders, Y.t0 + 3)
+                  for orders in _candidate_grid("ciaar", (1, 3), (1, 3), 6)]
+        group = [setup for setup in setups if setup.q == 2]
+        shapes = [setup.shape for setup in group]
+        assert tuple(map(max, zip(*shapes))) == (2, 2, 2)
+        assert {(0, 0, 2), (1, 1, 0), (2, 1, 1)} <= set(shapes)
+        return group, shapes
+
+    def test_padded_grams_hold_own_grams_and_identity_blocks(self):
+        group, shapes = self._group()
+        n, size = 6, (2, 2, 2)
+        M = _padded_grams([setup.grams() for setup in group], shapes, size).M
+        assert M.shape == (len(group), 6 * n, 6 * n)   # target, 2 diagonal, EC, 2 index
+        for got, setup, (nd_i, na_i, _) in zip(M, group, shapes):
+            # the member's own data in engine order, at their slots
+            X = np.hstack([setup.Z, *setup.diag_X, setup.ec_X, *setup.index_X])
+            slots = [0, *range(1, 1 + nd_i), 3, *range(4, 4 + na_i)]
+            cols = np.concatenate([np.arange(b * n, (b + 1) * n) for b in slots])
+            own = got[np.ix_(cols, cols)]
+            assert np.abs(own - X.T @ X).max() <= 1e-12 * np.abs(X.T @ X).max()
+            lacking = [b for b in range(6) if b not in slots]
+            assert len(lacking) == (2 - nd_i) + (2 - na_i)
+            for b in lacking:
+                rows = slice(b * n, (b + 1) * n)
+                expected = np.zeros((n, 6 * n))
+                expected[:, rows] = np.eye(n)
+                assert np.array_equal(got[rows], expected)
+                assert np.array_equal(got[:, rows], expected.T)
+
+    def test_lacking_lags_and_rank_stay_exactly_zero(self, monkeypatch):
+        # every sweep's step-1 solution (alpha0, alphas) and step-2 diagonals
+        # are exactly zero at the lags a member lacks and, for alpha0, beyond
+        # its rank
+        group, shapes = self._group()
+        each_member, phases = estimators._each_member, []
+
+        def recorded(phase, st, members, finals):
+            out, st, members = each_member(phase, st, members, finals)
+            phases.append((list(members), out))
+            return out, st, members
+
+        monkeypatch.setattr(estimators, "_each_member", recorded)
+        states = estimators._engine_states(iter(group), FitOptions(max_iter=120))
+        assert all(isinstance(state, dict) for state in states)
+        checked = {"alphas": 0, "alpha0": 0, "ds": 0}
+        for members, out in phases:
+            for row, m in enumerate(members):
+                nd_i, na_i, r_i = shapes[m]
+                zeros = {"alphas": out["alphas"][row, na_i:] if "alphas" in out else None,
+                         "alpha0": out["alpha0"][row, :, r_i:] if "alpha0" in out else None,
+                         "ds": out["ds"][row, nd_i:] if "ds" in out else None}
+                for key, block in zeros.items():
+                    if block is not None and block.size:
+                        assert not block.any(), (key, group[m].shape)
+                        checked[key] += 1
+        assert min(checked.values()) > 100
+        assert max(state["iterations"] for state in states) > 10
 
 
 class TestSigmaGuard:

@@ -11,9 +11,12 @@ from the repository root, with ``PYTHONPATH`` at ``src``,
 ``tools/mc_timing.py``). Only the children's environments change, nothing
 of the machine.
 
-Prints, per kernel, the core name OpenBLAS reports under it (Zen runs the
-Haswell kernels), the passed and failed counts and every failing test id;
-then the machine. Exits 1 when pytest fails under any kernel.
+Prints, per kernel, the core name OpenBLAS reports under it, the passed and
+failed counts and every failing test id; then the machine. A kernel whose
+core an earlier kernel already ran is not run again, and its line names the
+kernel it shares that core with (Zen runs the Haswell kernels); an
+unreported core is always run. Exits 1 when
+pytest fails under any kernel.
 """
 
 import re
@@ -39,11 +42,14 @@ for path in glob.glob(os.path.join(libdir, "*openblas*")):
 """
 
 
-def _run(kernel: str) -> tuple:
-    """One kernel's run: (core name, {outcome: count}, failing ids, pytest's exit status)."""
-    env = dict(_env("1"), OPENBLAS_CORETYPE=kernel, PYTHONPATH=str(ROOT / "src"))
-    core = subprocess.run([sys.executable, "-c", CORENAME], env=env, capture_output=True,
+def _core(env: dict) -> str:
+    """The core name OpenBLAS reports under env."""
+    return subprocess.run([sys.executable, "-c", CORENAME], env=env, capture_output=True,
                           text=True).stdout.strip() or "?"
+
+
+def _run(env: dict) -> tuple:
+    """One kernel's run: ({outcome: count}, failing ids, pytest's exit status)."""
     proc = subprocess.run([sys.executable, *TIER1], cwd=ROOT, env=env,
                           capture_output=True, text=True)
     lines = proc.stdout.splitlines()
@@ -51,13 +57,19 @@ def _run(kernel: str) -> tuple:
     counts = {kind: int(k) for k, kind in re.findall(r"(\d+) (\w+)", summary)}
     failing = [line.split(" ", 1)[1].split(" - ")[0] for line in lines
                if line.startswith(("FAILED ", "ERROR "))]
-    return core, counts, failing, proc.returncode
+    return counts, failing, proc.returncode
 
 
 def main() -> int:
-    bad = False
+    bad, ran = False, {}                               # ran: core name -> the kernel that ran it
     for kernel in KERNELS:
-        core, counts, failing, status = _run(kernel)
+        env = dict(_env("1"), OPENBLAS_CORETYPE=kernel, PYTHONPATH=str(ROOT / "src"))
+        core = _core(env)
+        if core in ran and core != "?":
+            print(f"{kernel} (core {core}): not run, the same core as {ran[core]}", flush=True)
+            continue
+        ran[core] = kernel
+        counts, failing, status = _run(env)
         failed = counts.get("failed", 0) + counts.get("error", 0) + counts.get("errors", 0)
         print(f"{kernel} (core {core}): {counts.get('passed', 0)} passed, {failed} failed"
               + ("" if counts else f", no pytest summary (exit {status})"), flush=True)
