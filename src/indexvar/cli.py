@@ -339,9 +339,12 @@ FLAGS = {
                "tol"),
     "montecarlo": (*_FITTING, *_DGP, "reps", "dist"),
 }
-# a flag's choices and help by field, or by (subcommand, field) where one subcommand's differ
-CHOICES = {"model": MODELS, ("select", "model"): FAMILIES, "method": ("ols", "gls"),
-           "dist": ("gaussian", "lognormal_garch"), "criterion": CRITERIA}
+# a flag's choices and help by field, or by (subcommand, field) where one subcommand's differ;
+# RunConfig.validate holds a configuration file's values to the same models
+CHOICES = {"model": MODELS, ("select", "model"): FAMILIES,
+           ("simulate", "model"): (*SIM_MODELS,), ("montecarlo", "model"): (*SIM_MODELS,),
+           ("decompose", "model"): tuple(m for m in MODELS if m != "vecm"),
+           "method": ("ols", "gls"), "dist": ("gaussian", "lognormal_garch"), "criterion": CRITERIA}
 HELP = {
     "out": "output directory",
     "input": "input panel CSV",

@@ -31,6 +31,8 @@ from .params import (
     VHARIParams,
 )
 from .tscore import (
+    SIGMA_ERROR,
+    SIGMA_RTOL,
     Panel,
     SingularDesignError,
     autocov,
@@ -41,6 +43,8 @@ from .tscore import (
     har_aggregates,
     ols,
     orth_complement,
+    pd_factor,
+    sigma_cond,
 )
 
 __all__ = [
@@ -146,8 +150,6 @@ class FitResult:
 # shared numerical pieces
 # ---------------------------------------------------------------------------
 
-SIGMA_RTOL = 1e-12   # a fit's least sigma eigenvalue over its largest must exceed this
-SIGMA_ERROR = f"residual covariance is not positive definite (eigenvalue ratio <= {SIGMA_RTOL:.0e})"
 STEP_ERROR = "switching-step normal equations are not positive definite"
 RRR_ERROR = ("reduced-rank regression: the level moments concentrated on the lags are not "
              "positive definite (too few rows, or collinear levels)")
@@ -218,7 +220,7 @@ def _demeaned(Y: Panel, demean: bool, differences: bool = False):
 # arrays are compacted to the members still running. Compaction happens only
 # then, so a batch of one never fancy-indexes. Each sweep runs in two phases
 # (step 1 with the log-likelihood, then steps 2 and 3). Step 1 factors sigma
-# once (_sigma_factor), and the factor gives the log-likelihood
+# once (pd_factor), and the factor gives the log-likelihood
 # (cholesky_loglik) and, for a batch with diagonal channels, step 2's
 # sigma^-1; a batch without them needs only sigma^-1 times the loadings, one
 # solve against sigma (_step2_solve). When a phase raises, it is rerun
@@ -390,9 +392,7 @@ def _sa_engine(
     fit. A state's diagnostics["stop"] says why its sweeps ended: "tol"
     (converged), "max_iter" (the sweep cap, not converged), or
     "no_free_params" (nothing beyond the loadings to estimate, so one OLS
-    step is the fit); diagnostics["sigma_cond"] is its final sigma's least
-    over largest eigenvalue, and a member stopping at or below SIGMA_RTOL
-    ends with _sigma_cond's LinAlgError.
+    step is the fit). Its sigma is judged once, when it is finished (_finish).
     """
     n, nd, Te = grams.n, grams.nd, grams.Te
     na = grams.Gcc.shape[-1] // n - (r > 0)
@@ -454,7 +454,7 @@ def _sa_engine(
                 "alpha0": coefT[:, :, :r],
                 "alphas": coefT[:, :, r:].reshape(len(coef), n, na, q).transpose(0, 2, 1, 3),
             }
-        chol = _sigma_factor(sigma)                    # step 2's sigma^-1, when it has diagonals
+        chol = pd_factor(sigma, SIGMA_ERROR)          # step 2's sigma^-1, when it has diagonals
         return {"sigma": sigma, "chol": chol, "ll": cholesky_loglik(chol, Te), **out}
 
     def index_step(st: dict) -> dict:
@@ -506,11 +506,7 @@ def _sa_engine(
             else:
                 continue
             stopped.append(row)
-            try:
-                diagnostics[m].update(stop=stop, sigma_cond=_sigma_cond(st["sigma"][row]))
-            except np.linalg.LinAlgError as exc:
-                finals[m] = exc
-                continue
+            diagnostics[m]["stop"] = stop
             finals[m] = {
                 "omega": st["omega"][row].copy(),
                 "gamma": st["gamma"][row, :, :r_m].copy(),
@@ -581,26 +577,6 @@ def _normal_blocks(Gcc: np.ndarray, weights: list, XU: np.ndarray):
     return WbT @ Gcc @ Wb, WbT @ XU.reshape(B, C * n, n)
 
 
-def _sigma_cond(sigma: np.ndarray) -> float:
-    """The guard on a fit's residual covariance: its least over largest
-    eigenvalue, or LinAlgError(SIGMA_ERROR) when that is at most SIGMA_RTOL,
-    where the likelihood can grow without bound."""
-    w = np.linalg.eigvalsh(sigma)
-    cond = float(w[0] / w[-1])
-    if not cond > SIGMA_RTOL:
-        raise np.linalg.LinAlgError(SIGMA_ERROR)
-    return cond
-
-
-def _sigma_factor(sigma: np.ndarray) -> np.ndarray:
-    """Cholesky factors of the stacked sigma; one that is not positive
-    definite raises LinAlgError(SIGMA_ERROR)."""
-    try:
-        return np.linalg.cholesky(sigma)
-    except np.linalg.LinAlgError:
-        raise np.linalg.LinAlgError(SIGMA_ERROR) from None
-
-
 def _solve_pd(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve every A_i x = b_i of a stack of positive definite systems.
 
@@ -609,10 +585,7 @@ def _solve_pd(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     LinAlgError(STEP_ERROR), which _each_member turns into that member's
     final state.
     """
-    try:
-        np.linalg.cholesky(A)
-    except np.linalg.LinAlgError:
-        raise np.linalg.LinAlgError(STEP_ERROR) from None
+    pd_factor(A, STEP_ERROR)
     return np.linalg.solve(A, b)
 
 
@@ -698,17 +671,14 @@ def _solve_rrr_eig(S00, S01, S11):
     Solved through the Cholesky factor of S11 so the eigenvalues are the
     squared canonical correlations, all in [0, 1). Leading axes are a stack
     of problems, each solved and sorted on its own. An S11, the level
-    moments, that is not positive definite, or whose squared Cholesky
-    pivots have least over largest at most SIGMA_RTOL, raises
-    LinAlgError(RRR_ERROR). The pivots lie between S11's extreme
-    eigenvalues, so that ratio is never below the eigenvalue ratio, and the
-    margin keeps the verdict off the rounding floor, where it would depend
-    on the BLAS kernel.
+    moments, that is not positive definite (pd_factor), or whose squared
+    Cholesky pivots have least over largest at most SIGMA_RTOL, raises
+    LinAlgError(RRR_ERROR): the sigma guard's margin, taken on the factor
+    every step-3 sweep forms instead of on eigenvalues. The pivots lie
+    between S11's extreme eigenvalues, so their ratio is never below the
+    eigenvalue ratio, and no S11 the guard (sigma_cond) accepts is refused.
     """
-    try:
-        L = np.linalg.cholesky(S11)
-    except np.linalg.LinAlgError:
-        raise np.linalg.LinAlgError(RRR_ERROR) from None
+    L = pd_factor(S11, RRR_ERROR)
     pivots = L.diagonal(0, -2, -1) ** 2
     if pivots.size and not (pivots.min(-1) > SIGMA_RTOL * pivots.max(-1)).all():
         raise np.linalg.LinAlgError(RRR_ERROR)
@@ -829,7 +799,9 @@ def _lockstep(make_setup, panels: list, opts: FitOptions | None, starts: list | 
 def _finish(setup, state: dict) -> FitResult:
     """A member's FitResult from its _Setup or _Head and engine state. Its
     parameters and sigma are the engine's, and its residuals are formed from
-    setup.full() when first read (_residuals)."""
+    setup.full() when first read (_residuals). Its sigma first takes the
+    guard, whose ratio diagnostics["sigma_cond"] records (sigma_cond)."""
+    state["diagnostics"]["sigma_cond"] = sigma_cond(state["sigma"])
     return FitResult(
         setup.model, setup.params(state), state["trace"],
         _Deferred(lambda: _residuals(setup.full(), state), setup.T_eff), state["converged"],
@@ -1123,9 +1095,9 @@ def johansen_rrr(
     eigenvectors of the r largest canonical correlations, and the other
     coefficients solve the normal equations given beta; one pass over the
     data forms the residuals. The lag design takes ols's rank check
-    (SingularDesignError) and sigma the engine's guard (_sigma_cond, whose
-    ratio diagnostics["sigma_cond"] holds); diagnostics["eigenvalues"] holds
-    the eigenvalues.
+    (SingularDesignError) and sigma, before any params are built, the guard
+    (sigma_cond, whose ratio diagnostics["sigma_cond"] holds);
+    diagnostics["eigenvalues"] holds the eigenvalues.
     """
     if p < 1:
         raise ValueError("need p >= 1")
@@ -1135,10 +1107,11 @@ def johansen_rrr(
     alpha0, beta, pis = jo["alpha0"][0], jo["beta"][0], list(jo["pis"][0])
     resid = Z - (ec_X @ beta) @ alpha0.T - sum(X @ pi.T for X, pi in zip(lags, pis))
     sigma = resid.T @ resid / Z.shape[0]
+    diagnostics = {"eigenvalues": jo["vals"][0], "sigma_cond": sigma_cond(sigma)}
     return FitResult(
         "vecm", VECMParams(alpha0, beta, pis, sigma),
         np.asarray([gaussian_loglik(sigma, Z.shape[0])]), resid, True, 1, first,
-        means=means, diagnostics={"eigenvalues": jo["vals"][0], "sigma_cond": _sigma_cond(sigma)},
+        means=means, diagnostics=diagnostics,
     )
 
 
@@ -1493,7 +1466,8 @@ def _loglik_bounds(full: _Grams) -> np.ndarray:
 
     (Johansen 1995). Each index model of a selection grid is nested in the
     one of its rank on its own rows and lags, so its log-likelihood is at
-    most ll(r). A bound that cannot be formed, or is not finite, is nan.
+    most ll(r). A bound that cannot be formed, or is not finite, is nan: so
+    is every bound of an S00 that fails the sigma guard (gaussian_loglik).
     """
     n = full.n
     x = (1 + full.nd) * n                              # the levels block, if any, starts here
@@ -1549,8 +1523,8 @@ def fit_drvar_coeffs(
     OLS regresses Y_t on the lagged indexes and projects the coefficient
     matrices onto the form omega phi_j; GLS re-solves the projected system
     weighting by the inverse residual covariance of a first OLS pass. Both
-    that covariance and the final one take the engine's sigma guard
-    (_sigma_cond): at an eigenvalue ratio at most SIGMA_RTOL the fit raises
+    that covariance and the final one take the sigma guard
+    (sigma_cond): at an eigenvalue ratio at most SIGMA_RTOL the fit raises
     LinAlgError(SIGMA_ERROR), and diagnostics["sigma_cond"] records the
     final one's ratio.
     """
@@ -1575,7 +1549,7 @@ def fit_drvar_coeffs(
     resid = Z - Xf @ np.vstack([(omega @ ph).T for ph in phis])
     if method == "gls":
         sigma0 = resid.T @ resid / Te
-        _sigma_cond(sigma0)
+        sigma_cond(sigma0)
         W = np.linalg.inv(sigma0)
         G = omega.T @ W @ omega
         Syx = Z.T @ Xf / Te
@@ -1584,10 +1558,8 @@ def fit_drvar_coeffs(
         phis = [phi_all[:, j * q: (j + 1) * q] for j in range(p)]
         resid = Z - Xf @ np.vstack([(omega @ ph).T for ph in phis])
     sigma = resid.T @ resid / Te
-    diagnostics = {"sigma_cond": _sigma_cond(sigma)}
-    ll = gaussian_loglik(sigma, Te)
-    params = DRVARParams(omega, phis, sigma)
+    diagnostics = {"sigma_cond": sigma_cond(sigma)}
     return FitResult(
-        "drvar", params, np.asarray([ll]), resid, True, 1, first,
-        means={"level": mu}, diagnostics=diagnostics,
+        "drvar", DRVARParams(omega, phis, sigma), np.asarray([gaussian_loglik(sigma, Te)]), resid,
+        True, 1, first, means={"level": mu}, diagnostics=diagnostics,
     )

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tscore import StateForm, companion_matrix, orth_complement, var_form
+from .tscore import StateForm, companion_matrix, orth_complement, sigma_cond, var_form
 
 __all__ = [
     "MAIParams",
@@ -40,14 +40,14 @@ __all__ = [
 
 
 def _pd(sigma) -> np.ndarray:
-    """sigma as a float matrix, which must be symmetric positive definite."""
+    """sigma as a float matrix, which must be symmetric and pass the sigma guard (sigma_cond)."""
     sigma = np.asarray(sigma, float)
     if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1]:
         raise ValueError(f"sigma must be square, got shape {sigma.shape}")
     if not np.allclose(sigma, sigma.T, atol=1e-10):
         raise ValueError("sigma must be symmetric")
     try:
-        np.linalg.cholesky(sigma)
+        sigma_cond(sigma)
     except np.linalg.LinAlgError:
         raise ValueError("sigma is not positive definite") from None
     return sigma

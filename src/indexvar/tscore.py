@@ -30,6 +30,8 @@ __all__ = [
 # Rank tolerance for OLS designs: smallest singular value below RANK_RTOL times
 # the largest triggers SingularDesignError.
 RANK_RTOL = 1e-10
+SIGMA_RTOL = 1e-12   # a covariance's least eigenvalue over its largest must exceed this
+SIGMA_ERROR = f"residual covariance is not positive definite (eigenvalue ratio <= {SIGMA_RTOL:.0e})"
 
 
 class SingularDesignError(ValueError):
@@ -163,16 +165,32 @@ def gaussian_loglik(sigma: np.ndarray, T: int) -> float:
 
     The quadratic form collapses to m, giving
     -(T/2)(m log 2pi + log det sigma + m). A stack of covariances
-    (..., m, m) gives one value each. log det sigma is 2 sum log diag L of
-    the Cholesky factor L, so any sigma that is not positive definite
-    raises LinAlgError (a determinant's sign cannot tell an even count of
-    negative eigenvalues from none).
+    (..., m, m) gives one value each. sigma must pass the guard
+    (sigma_cond); log det sigma is 2 sum log diag L of its Cholesky factor L.
     """
+    sigma_cond(sigma)
+    return cholesky_loglik(pd_factor(sigma, SIGMA_ERROR), T)
+
+
+def sigma_cond(sigma: np.ndarray):
+    """The one guard on a residual covariance, or on each of a stack: its
+    least over largest eigenvalue, or LinAlgError(SIGMA_ERROR) when that is
+    at most SIGMA_RTOL, where the likelihood can grow without bound. The
+    margin keeps the verdict off the rounding floor, where a Cholesky's
+    would depend on the BLAS kernel."""
+    w = np.linalg.eigvalsh(sigma)
+    if not np.all(w[..., 0] > SIGMA_RTOL * w[..., -1]):    # judged before dividing: no 0/0
+        raise np.linalg.LinAlgError(SIGMA_ERROR)
+    cond = w[..., 0] / w[..., -1]
+    return float(cond) if cond.ndim == 0 else cond
+
+
+def pd_factor(A: np.ndarray, message: str) -> np.ndarray:
+    """The Cholesky factor of a (stacked) positive definite A, else LinAlgError(message)."""
     try:
-        L = np.linalg.cholesky(sigma)
+        return np.linalg.cholesky(A)
     except np.linalg.LinAlgError:
-        raise np.linalg.LinAlgError("residual covariance is not positive definite") from None
-    return cholesky_loglik(L, T)
+        raise np.linalg.LinAlgError(message) from None
 
 
 def cholesky_loglik(L: np.ndarray, T: int) -> float:

@@ -411,12 +411,34 @@ class TestErrors:
         assert not out.exists()
 
     def test_decompose_rejects_vecm_before_writing(self, sim_dir, tmp_path, capsys):
+        # the flag is not among decompose's --model choices; a configuration
+        # file's value is refused by RunConfig.validate
         out = tmp_path / "dec"
-        code = run_cli("decompose", "--input", sim_dir / "panel.csv", "--model", "vecm",
-                       "--p", 2, "--r", 1, "--out", out)
+        with pytest.raises(SystemExit) as info:
+            run_cli("decompose", "--input", sim_dir / "panel.csv", "--model", "vecm",
+                    "--p", 2, "--r", 1, "--out", out)
+        assert info.value.code == 2
+        assert "argument --model: invalid choice: 'vecm'" in capsys.readouterr().err
+        config = tmp_path / "vecm.cfg"
+        config.write_text("model = vecm\np = 2\nr = 1\n")
+        code = run_cli("decompose", "--config", config, "--input", sim_dir / "panel.csv",
+                       "--out", out)
         assert code == 1
         message = "no common/uncommon split for model 'vecm'"
         assert capsys.readouterr().err == f"indexvar: error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "montecarlo"])
+    def test_models_that_cannot_be_simulated_are_refused(self, command, tmp_path, capsys):
+        out = tmp_path / "o"
+        for model in ("vecim", "vecm"):
+            with pytest.raises(SystemExit):
+                run_cli(command, "--model", model, "--out", out)
+            assert f"invalid choice: '{model}'" in capsys.readouterr().err
+            config = tmp_path / f"{model}.cfg"
+            config.write_text(f"model = {model}\n")
+            assert run_cli(command, "--config", config, "--out", out) == 1
+            assert capsys.readouterr().err == f"indexvar: error: cannot simulate model '{model}'\n"
         assert not out.exists()
 
     def test_vecm_takes_no_q(self, sim_dir, tmp_path):
@@ -522,8 +544,12 @@ class TestParser:
     # each subcommand's flags as (option, dest, type, choices, default), in --help order
     COMMON = [("--config", "config", None, None, None), ("--out", "out", None, None, None),
               ("--seed", "seed", int, None, None)]
-    FITTING = [
-        ("--model", "model", None, ("mai", "vhari", "iaar", "ciaar", "vecim", "vecm", "drvar"), None),
+    # --model's choices: what fit and forecast take, what decompose splits,
+    # and what simulate and montecarlo draw
+    FIT = [("--model", "model", None, ("mai", "vhari", "iaar", "ciaar", "vecim", "vecm", "drvar"), None)]
+    SPLIT = [("--model", "model", None, ("mai", "vhari", "iaar", "ciaar", "vecim", "drvar"), None)]
+    DRAW = [("--model", "model", None, ("mai", "vhari", "iaar", "ciaar", "drvar"), None)]
+    ORDERS = [
         ("--p", "p", int, None, None), ("--s", "s", int, None, None),
         ("--q", "q", int, None, None), ("--r", "r", int, None, None),
         ("--p0", "p0", int, None, None), ("--max-iter", "max_iter", int, None, None),
@@ -535,10 +561,10 @@ class TestParser:
     INPUT = [("--input", "input", None, None, None)]
     HORIZON = [("--horizon", "horizon", int, None, None)]
     EXPECTED = {
-        "simulate": COMMON + FITTING + DGP + DIST,
-        "fit": COMMON + FITTING + INPUT,
-        "decompose": COMMON + FITTING + INPUT + HORIZON,
-        "forecast": COMMON + FITTING + INPUT + HORIZON + [
+        "simulate": COMMON + DRAW + ORDERS + DGP + DIST,
+        "fit": COMMON + FIT + ORDERS + INPUT,
+        "decompose": COMMON + SPLIT + ORDERS + INPUT + HORIZON,
+        "forecast": COMMON + FIT + ORDERS + INPUT + HORIZON + [
             ("--origins", "origins", int, None, None), ("--refit", "refit", int, None, None)],
         "select": COMMON + INPUT + [
             ("--model", "model", None, ("ciaar", "iaar", "mai"), None),
@@ -548,7 +574,7 @@ class TestParser:
             ("--criterion", "criterion", None, ("aic", "bic", "hq"), None),
             ("--tol", "tol", float, None, None),
         ],
-        "montecarlo": COMMON + FITTING + DGP + [("--reps", "reps", int, None, None)] + DIST,
+        "montecarlo": COMMON + DRAW + ORDERS + DGP + [("--reps", "reps", int, None, None)] + DIST,
     }
 
     def test_each_subcommand_keeps_its_flags(self):

@@ -13,6 +13,7 @@ from indexvar.estimators import (
     _default_starts,
     _each_member,
     _finish,
+    _finished,
     _fit_grid,
     _grid_setup,
     _normal_blocks,
@@ -22,7 +23,6 @@ from indexvar.estimators import (
     _setup_iaar,
     _setup_mai,
     _setup_vhari,
-    _sigma_factor,
     _solve_pd,
     _start_grams,
     _step2_solve,
@@ -59,6 +59,7 @@ from indexvar.tscore import (
     gaussian_loglik,
     har_aggregates,
     ols,
+    pd_factor,
     subspace_distance,
 )
 from indexvar.select import _candidate_grid, grid_search
@@ -583,16 +584,18 @@ class TestBatchAxis:
         A = rng.standard_normal((4, 4))
         pd = A @ A.T + np.eye(4)
         sigma = np.stack([pd, np.diag([1.0, 2.0, 0.5, 0.0]), 2.0 * pd])
-        with pytest.raises(np.linalg.LinAlgError, match=SIGMA_ERROR.split(" (")[0]):
-            _sigma_factor(sigma)
+        with pytest.raises(np.linalg.LinAlgError) as info:
+            pd_factor(sigma, SIGMA_ERROR)
+        assert str(info.value) == SIGMA_ERROR
         finals = [None, None, None]
         out, _, members = _each_member(
-            lambda st: {"chol": _sigma_factor(st["sigma"])}, {"sigma": sigma}, [0, 1, 2], finals
+            lambda st: {"chol": pd_factor(st["sigma"], SIGMA_ERROR)}, {"sigma": sigma}, [0, 1, 2],
+            finals,
         )
         assert members == [0, 2]
         assert isinstance(finals[1], np.linalg.LinAlgError) and str(finals[1]) == SIGMA_ERROR
         for L, i in zip(out["chol"], members):
-            assert np.array_equal(L, _sigma_factor(sigma[i: i + 1])[0])
+            assert np.array_equal(L, pd_factor(sigma[i: i + 1], SIGMA_ERROR)[0])
             assert np.abs(L @ L.T - sigma[i]).max() < 1e-10 * np.abs(sigma[i]).max()
 
     def test_error_in_one_member_raises_as_its_single_fit(self):
@@ -634,14 +637,14 @@ class TestBatchAxis:
         states = _sa_engine(grams, 2, 0, starts, opts)
         failed = []
         for Y, setup, omega0, state in zip(panels, setups, omega0s, states):
+            got = _finished(setup, state)              # sigma is judged as a fit is finished
             try:
                 ref = fit_mai(Y, 2, 2, opts=opts, omega0=omega0)
             except (ValueError, np.linalg.LinAlgError) as exc:
-                assert type(state) is type(exc)
-                assert str(state) == str(exc)
+                assert type(got) is type(exc)
+                assert str(got) == str(exc)
                 failed.append(type(exc))
                 continue
-            got = _finish(setup, state)
             assert got.iterations == ref.iterations
             assert got.diagnostics == ref.diagnostics
             gap = np.abs(got.loglik_trace - ref.loglik_trace).max()

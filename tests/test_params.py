@@ -139,6 +139,13 @@ VALID = {
 }
 
 
+@pytest.mark.parametrize("cls", list(VALID))
+def test_sigma_below_the_guard_margin_is_rejected(cls):
+    # positive definite, with a Cholesky that completes, but an eigenvalue
+    # ratio of 1e-13: at or below SIGMA_RTOL, where every fit refuses it too
+    _assert_rejects(cls, {"sigma": np.diag([1.0, 1.0, 1e-13])}, "sigma is not positive definite")
+
+
 def _assert_rejects(cls, override, message):
     cls(**VALID[cls])                                  # the valid base is accepted
     with pytest.raises(ValueError) as info:

@@ -214,6 +214,33 @@ class TestGridSearch:
         assert not table.best_row("hq").failed
         assert not any(row.stop == "pruned" for row in table.rows)
 
+    @staticmethod
+    def lagged_copy():
+        """A CIAAR panel with y4_t = y1_{t-1}."""
+        Y = simulate_ciaar(random_ciaar_params(6, 2, 1, 2, 2, seed=0), 300, seed=2)
+        values = Y.values.copy()
+        values[1:, 3] = values[:-1, 0]
+        return Panel(values)
+
+    def test_bound_of_a_lag_count_that_fits_a_series_exactly_is_empty(self):
+        # the unrestricted VAR(2) and VAR(3) in levels fit y4 exactly, so
+        # their residual covariances fail the sigma guard and no bound is
+        # formed (finite 1537.48 and 1623.0 before the guard); nothing prunes
+        table = grid_search(self.lagged_copy(), (1, 3), (1, 3), model="iaar")
+        for row in table.rows:
+            assert math.isnan(row.loglik_bound) == (row.p > 1), row.orders()
+        best = table.best_row("hq")
+        assert (best.orders(), best.stop) == ((2, 2, 3, 0), "max_iter")
+
+    def test_ciaar_bounds_on_the_lagged_copy_are_kept(self):
+        # in differences the copy leaves a demeaning offset, so every bound
+        # that could be formed before the guard still is, and the pick holds
+        table = grid_search(self.lagged_copy(), (1, 3), (1, 3))
+        for row in table.rows:
+            assert math.isnan(row.loglik_bound) == (row.p > 2), row.orders()
+        best = table.best_row("hq")
+        assert (best.orders(), best.stop) == ((2, 1, 3, 3), "tol")
+
 
 class TestPruning:
     """grid_search skips the candidates its log-likelihood bound certifies

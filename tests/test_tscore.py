@@ -1,7 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from indexvar.tscore import (
+    SIGMA_ERROR,
+    SIGMA_RTOL,
     Panel,
     SingularDesignError,
     autocov,
@@ -11,7 +15,9 @@ from indexvar.tscore import (
     har_aggregates,
     ols,
     orth_complement,
+    pd_factor,
     read_panel_csv,
+    sigma_cond,
     subspace_distance,
 )
 
@@ -68,6 +74,14 @@ class TestGaussianLoglik:
             gaussian_loglik(indefinite, 100)
         with pytest.raises(np.linalg.LinAlgError, match="not positive definite"):
             gaussian_loglik(np.stack([np.eye(3), indefinite]), 100)
+
+    def test_sigma_below_the_guard_margin_raises_the_guard_error(self):
+        # the Cholesky completes; the eigenvalue ratio 1e-13 is below SIGMA_RTOL
+        sigma = np.diag([1.0, 1.0, 1e-13])
+        np.linalg.cholesky(sigma)
+        with pytest.raises(np.linalg.LinAlgError) as info:
+            gaussian_loglik(sigma, 100)
+        assert str(info.value) == SIGMA_ERROR
 
     def test_stack_gives_each_sigma_its_value(self):
         sigmas = np.stack([np.eye(3), np.diag([0.5, 2.0, 4.0])])
@@ -287,3 +301,32 @@ class TestSubspace:
         assert perp.shape == (5, 3)
         assert np.abs(perp.T @ om).max() < 1e-12
         assert np.abs(perp.T @ perp - np.eye(3)).max() < 1e-12
+
+
+class TestSigmaGuard:
+    def test_ratio_and_margin(self):
+        assert sigma_cond(np.diag([4.0, 1.0, 2.0])) == 0.25
+        assert sigma_cond(np.diag([1.0, 2e-12])) == 2e-12
+        for sigma in (np.diag([1.0, SIGMA_RTOL]), np.diag([1.0, -1.0]), np.diag([1.0, 0.0])):
+            with pytest.raises(np.linalg.LinAlgError) as info:
+                sigma_cond(sigma)
+            assert str(info.value) == SIGMA_ERROR
+
+    def test_zero_covariance_raises_without_dividing(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(np.linalg.LinAlgError, match="not positive definite"):
+                sigma_cond(np.zeros((3, 3)))
+
+    def test_stack_gives_each_ratio_and_fails_as_a_whole(self):
+        sigmas = np.stack([np.eye(2), np.diag([1.0, 0.5])])
+        assert np.array_equal(sigma_cond(sigmas), [1.0, 0.5])
+        with pytest.raises(np.linalg.LinAlgError):
+            sigma_cond(np.stack([np.eye(2), np.diag([1.0, 0.0])]))
+
+    def test_pd_factor_gives_the_factor_or_the_callers_message(self):
+        A = np.array([[4.0, 2.0], [2.0, 3.0]])
+        assert np.array_equal(pd_factor(A, "unused"), np.linalg.cholesky(A))
+        with pytest.raises(np.linalg.LinAlgError) as info:
+            pd_factor(np.stack([A, np.diag([1.0, -1.0])]), "the caller's message")
+        assert str(info.value) == "the caller's message"

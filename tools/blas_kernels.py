@@ -11,7 +11,8 @@ from the repository root, with ``PYTHONPATH`` at ``src``,
 ``tools/mc_timing.py``). Only the children's environments change, nothing
 of the machine.
 
-Prints, per kernel, the core name OpenBLAS reports under it, the passed and
+Prints, per kernel, the core name OpenBLAS reports under it (the
+``blas_core`` of ``tools/mc_timing.py``'s machine line), the passed and
 failed counts and every failing test id; then the machine. A kernel whose
 core an earlier kernel already ran is not run again, and its line names the
 kernel it shares that core with (Zen runs the Haswell kernels); an
@@ -30,22 +31,17 @@ KERNELS = ("SkylakeX", "Haswell", "Zen", "SandyBridge", "Nehalem")
 TIER1 = ("-m", "pytest", "-q", "--continue-on-collection-errors", "-rfE")
 ROOT = Path(__file__).resolve().parent.parent
 
-# the kernel OpenBLAS runs under the child's environment
-CORENAME = """
-import ctypes, glob, os, numpy as np
-libdir = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
-for path in glob.glob(os.path.join(libdir, "*openblas*")):
-    fn = getattr(ctypes.CDLL(path), "scipy_openblas_get_corename64_", None)
-    if fn is not None:
-        fn.restype, fn.argtypes = ctypes.c_char_p, []
-        print(fn().decode())
-"""
+
+def _machine(env: dict) -> str:
+    """The machine line (mc_timing.MACHINE) under env."""
+    return subprocess.run([sys.executable, "-c", MACHINE], env=env, capture_output=True,
+                          text=True).stdout.strip()
 
 
 def _core(env: dict) -> str:
     """The core name OpenBLAS reports under env."""
-    return subprocess.run([sys.executable, "-c", CORENAME], env=env, capture_output=True,
-                          text=True).stdout.strip() or "?"
+    core = re.search(r"blas_core=(\S+)", _machine(env))
+    return core.group(1) if core and core.group(1) != "None" else "?"
 
 
 def _run(env: dict) -> tuple:
@@ -76,9 +72,7 @@ def main() -> int:
         for test in failing:
             print(f"  {test}", flush=True)
         bad |= status != 0
-    machine = subprocess.run([sys.executable, "-c", MACHINE], env=_env("1"), capture_output=True,
-                             text=True).stdout.strip()
-    print(machine)
+    print(_machine(_env("1")))
     return 1 if bad else 0
 
 

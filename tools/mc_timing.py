@@ -4,7 +4,7 @@
         --rounds 10 --blas 1 -- --model mai --n 20 --q 2 --p 2 --T 2000 --reps 200 --seed 5
 
 Each ``--tree`` is ``LABEL=SRC_DIR``, optionally followed by montecarlo
-arguments for that tree alone (``"w2=../parent/src --workers 2"``). Every
+arguments for that tree alone (``"loose=src --tol 1e-4"``). Every
 round runs each tree once, in an order that rotates from round to round, as
 a fresh ``python -m indexvar.cli montecarlo`` process with ``PYTHONPATH`` at
 ``SRC_DIR`` and the arguments after ``--``. ``--blas 1`` sets
@@ -17,8 +17,8 @@ single process of the run, so for a process pool it is one process's, not
 the pool's sum. Every run is printed, then each tree's median and IQR
 (quartiles by the inclusive method) of both, the number of rounds whose
 ``mc_results.csv`` equals the first tree's byte for byte, and the machine:
-cores, the thread count the OpenBLAS that numpy loaded reports under the
-chosen environment, and the numpy and Python versions.
+cores, the thread count and core (kernel) the OpenBLAS that numpy loaded
+reports under the chosen environment, and the numpy and Python versions.
 """
 
 import argparse
@@ -36,17 +36,20 @@ BLAS_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 # run in a child under the timed runs' environment, so it sees their BLAS setting
 MACHINE = """
 import ctypes, glob, os, platform, numpy as np
-threads = None
+threads = core = None
 libdir = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
 for path in glob.glob(os.path.join(libdir, "*openblas*")):
     lib = ctypes.CDLL(path)
-    for symbol in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
-                   "openblas_get_num_threads"):
-        fn = getattr(lib, symbol, None)
+    for symbol in ("scipy_openblas_{}64_", "openblas_{}64_", "openblas_{}"):
+        fn = getattr(lib, symbol.format("get_num_threads"), None)
         if fn is not None and threads is None:
             fn.restype, fn.argtypes = ctypes.c_int, []
             threads = fn()
-print(f"cores={os.cpu_count()} blas_threads={threads} numpy={np.__version__} "
+        fn = getattr(lib, symbol.format("get_corename"), None)
+        if fn is not None and core is None:
+            fn.restype, fn.argtypes = ctypes.c_char_p, []
+            core = fn().decode()
+print(f"cores={os.cpu_count()} blas_threads={threads} blas_core={core} numpy={np.__version__} "
       f"python={platform.python_version()}")
 """
 

@@ -10,7 +10,7 @@ iterations and stop; a grid's rows (log-likelihoods, bounds, criteria,
 stops and errors) and picks; or the type and message of the exception it
 raised. Floats print exactly, so equal text means equal bits.
 
-The battery (52 cases):
+The battery (55 cases):
 - c12 grids (CIAAR, HQ, n = 6, T = 1000), seeds 0-3, pruned and with
   prune=False, and pruned under AIC and under BIC, seeds 0-1;
 - CIAAR and IAAR grids on the first 30 and 40 rows of an n = 6 CIAAR
@@ -20,7 +20,10 @@ The battery (52 cases):
 - fit_mai at n = 20, T = 2000, seeds 0-2 (the mc-wide shape);
 - IAAR with q = 0 and q = 1, the IAAR grid, and a MAI grid on 40 rows whose
   largest order fails the sample check;
-- VHARI, fit_vecim(Y, 1, 2, 1), johansen_rrr and init_ciaar.
+- VHARI, fit_vecim(Y, 1, 2, 1), johansen_rrr and init_ciaar;
+- degenerate covariances: on an n = 6 CIAAR panel with y4_t = y1_{t-1},
+  the IAAR grid and johansen_rrr(Y, 2, 1); and MAIParams built with a
+  sigma whose eigenvalue ratio is 1e-13.
 
 Prints each tree's wall time and every case whose text differs from the
 first tree's, with the first differing characters, the largest relative
@@ -73,6 +76,7 @@ def _grid(table) -> dict:
 def battery() -> dict:
     """Each case's name and a callable returning its plain result."""
     from indexvar import estimators as est, simulate as sim
+    from indexvar.params import MAIParams
     from indexvar.select import grid_search
     from indexvar.tscore import Panel
 
@@ -117,6 +121,13 @@ def battery() -> dict:
     Y = sim.simulate_ciaar(ciaar, 400, seed=5)
     cases["johansen_rrr p=2 r=1"] = lambda: _fit(est.johansen_rrr(Y, 2, 1))
     cases["init_ciaar (2,2,2,1)"] = lambda: _plain(est.init_ciaar(Y, 2, 2, 2, 1))
+    copy = sim.simulate_ciaar(ciaar, 300, seed=2).values.copy()
+    copy[1:, 3] = copy[:-1, 0]                          # y4_t = y1_{t-1}
+    cases["lagged copy iaar grid"] = lambda: _grid(grid_search(
+        Panel(copy), (1, 3), (1, 3), model="iaar"))
+    cases["lagged copy johansen_rrr p=2 r=1"] = lambda: _fit(est.johansen_rrr(Panel(copy), 2, 1))
+    cases["MAIParams sigma ratio 1e-13"] = lambda: _plain(MAIParams(
+        np.eye(3)[:, :1], [np.zeros((3, 1))], np.diag([1.0, 1.0, 1e-13])))
     return cases
 
 
