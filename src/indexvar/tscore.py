@@ -179,10 +179,11 @@ def sigma_cond(sigma: np.ndarray):
     margin keeps the verdict off the rounding floor, where a Cholesky's
     would depend on the BLAS kernel."""
     w = np.linalg.eigvalsh(sigma)
-    if not np.all(w[..., 0] > SIGMA_RTOL * w[..., -1]):    # judged before dividing: no 0/0
+    least, largest = w[..., 0], w[..., -1]
+    passed = least > SIGMA_RTOL * largest                  # judged before dividing: no 0/0
+    if not (passed if w.ndim == 1 else passed.all()):     # a scalar's all() costs a reduction
         raise np.linalg.LinAlgError(SIGMA_ERROR)
-    cond = w[..., 0] / w[..., -1]
-    return float(cond) if cond.ndim == 0 else cond
+    return float(least / largest) if w.ndim == 1 else least / largest
 
 
 def pd_factor(A: np.ndarray, message: str) -> np.ndarray:
