@@ -1559,7 +1559,9 @@ def fit_drvar_coeffs(
         resid = Z - Xf @ np.vstack([(omega @ ph).T for ph in phis])
     sigma = resid.T @ resid / Te
     diagnostics = {"sigma_cond": sigma_cond(sigma)}
+    ll = gaussian_loglik(sigma, Te)
+    params = DRVARParams(omega, phis, sigma)
     return FitResult(
-        "drvar", DRVARParams(omega, phis, sigma), np.asarray([gaussian_loglik(sigma, Te)]), resid,
-        True, 1, first, means={"level": mu}, diagnostics=diagnostics,
+        "drvar", params, np.asarray([ll]), resid, True, 1, first,
+        means={"level": mu}, diagnostics=diagnostics,
     )
