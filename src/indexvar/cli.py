@@ -70,8 +70,8 @@ class RunConfig:
     origins: int = 0
     refit: int = 1
     reps: int = 20
-    max_iter: int = 500
-    tol: float = 1e-8
+    max_iter: int = estimators.FitOptions.max_iter
+    tol: float = estimators.FitOptions.tol
 
     def validate(self) -> None:
         if self.subcommand == "select":

@@ -22,7 +22,7 @@ import numpy as np
 
 from .estimators import FitResult
 from .forecast import _presample
-from .tscore import Panel, orth_complement, var_recursion
+from .tscore import STABLE_RADIUS, Panel, full_rank, orth_complement, var_recursion
 
 __all__ = [
     "WoldSeq",
@@ -109,7 +109,7 @@ def _fitted_recursion(fit: FitResult, drive: np.ndarray, Y: Panel | None = None)
     stable, so that the fit's Wold sequence converges.
     """
     form = fit.params.state_form()
-    if form.spectral_radius() >= 1.0 - 1e-8:
+    if form.spectral_radius() >= STABLE_RADIUS:
         if form.integrated:
             raise ValueError("fitted model has unstable non-unit companion roots")
         raise ValueError("fitted model is not stationary")
@@ -163,8 +163,7 @@ def cc_projectors(sigma: np.ndarray, omega: np.ndarray):
     sigma = np.asarray(sigma, float)
     omega = np.atleast_2d(np.asarray(omega, float))
     mid = omega.T @ sigma @ omega
-    sv = np.linalg.svd(mid, compute_uv=False)
-    if sv[0] == 0.0 or sv[-1] < 1e-12 * sv[0]:
+    if not full_rank(np.linalg.svd(mid, compute_uv=False)):
         raise ValueError("omega' Sigma omega is singular")
     p_common = sigma @ omega @ np.linalg.solve(mid, omega.T)
     operp = orth_complement(omega)
@@ -320,8 +319,7 @@ def structural_transitory_irf(fit: FitResult, H: int = 200) -> StructuralIRF:
     w = wold(fit, H)
     t_seq = w.psis @ w_tau                        # (H+1) x n x r, T(L) coefficients
     D = t_seq[0][:r, :]
-    sv = np.linalg.svd(D, compute_uv=False)
-    if sv[-1] < 1e-12 * max(sv[0], 1e-300):
+    if not full_rank(np.linalg.svd(D, compute_uv=False)):
         raise ValueError(
             "first r rows of the impact transitory response are rank deficient; "
             "reorder the variables so the leading block is nonsingular"

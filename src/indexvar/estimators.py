@@ -39,9 +39,9 @@ from .tscore import (
     check_rank,
     cholesky_loglik,
     fix_signs,
+    full_rank,
     gaussian_loglik,
     har_aggregates,
-    ols,
     orth_complement,
     pd_factor,
     sigma_cond,
@@ -237,7 +237,9 @@ def _demeaned(Y: Panel, demean: bool, differences: bool = False):
 # from a positive definite block decoupled from the rest with a zero
 # right-hand side; step 2's omega block reads those lags only through their
 # zero loadings. A Cholesky or LU solve meets the member's own block only
-# through exact zeros, so its verdicts and solutions are its single fit's.
+# through exact zeros, yet a larger system's BLAS sums may round otherwise:
+# its solutions equal its single fit's to 1.2e-15 relative on c12 grids, and
+# bit for bit only among members of one shape, as fit_many's are.
 # A member of rank r_i keeps gamma's columns at or beyond r_i zero, so its
 # step-1 weights there vanish and its alpha0 coordinates there get a unit
 # diagonal; only members with 0 < r_i < q take step 3.
@@ -867,8 +869,6 @@ def _setup_mai(
     MAIParams.check_orders(n, p, q)
     values, _, means, memo = data or _demeaned(Y, demean)
     first = max(Y.t0 + p, t_start if t_start is not None else 0)
-    if first + 1 >= Y.T:
-        raise ValueError("sample too short for the requested lag order")
     Z = values[first:]
     lags = [values[first - j: Y.T - j] for j in range(1, p + 1)]
     _check_sample(Z.shape[0], n * p)  # the initialization regresses on all n p lags
@@ -911,8 +911,6 @@ def fit_mai(
 def _setup_vhari(Yd: Panel, q: int, demean: bool = True, t_start: int | None = None):
     n = Yd.n
     VHARIParams.check_orders(n, q)
-    if Yd.T < 22 + n + 2:
-        raise ValueError("sample too short for the 22-day cascade")
     values, mu = _demean(Yd.values, Yd.t0, demean)
     dm = Panel(values, list(Yd.names), Yd.t0)
     Yw, Ym = har_aggregates(dm)
@@ -1096,7 +1094,7 @@ def johansen_rrr(
     coefficients solve the normal equations given beta; one pass over the
     data forms the residuals. The lag design takes ols's rank check
     (SingularDesignError) and sigma, before any params are built, the guard
-    (sigma_cond, whose ratio diagnostics["sigma_cond"] holds);
+    once (sigma_cond, whose ratio diagnostics["sigma_cond"] holds);
     diagnostics["eigenvalues"] holds the eigenvalues.
     """
     if p < 1:
@@ -1108,9 +1106,9 @@ def johansen_rrr(
     resid = Z - (ec_X @ beta) @ alpha0.T - sum(X @ pi.T for X, pi in zip(lags, pis))
     sigma = resid.T @ resid / Z.shape[0]
     diagnostics = {"eigenvalues": jo["vals"][0], "sigma_cond": sigma_cond(sigma)}
+    ll = cholesky_loglik(pd_factor(sigma, SIGMA_ERROR), Z.shape[0])
     return FitResult(
-        "vecm", VECMParams(alpha0, beta, pis, sigma),
-        np.asarray([gaussian_loglik(sigma, Z.shape[0])]), resid, True, 1, first,
+        "vecm", VECMParams(alpha0, beta, pis, sigma), np.asarray([ll]), resid, True, 1, first,
         means=means, diagnostics=diagnostics,
     )
 
@@ -1290,8 +1288,7 @@ def _normalize_gamma(gamma: np.ndarray, alpha0: np.ndarray, diagnostics: dict):
     """Scale the leading r x r block of gamma to the identity (reporting only)."""
     r = gamma.shape[1]
     head = gamma[:r, :]
-    sv = np.linalg.svd(head, compute_uv=False)
-    if sv.size == 0 or sv[-1] < 1e-10 * max(sv[0], 1e-300):
+    if not full_rank(np.linalg.svd(head, compute_uv=False)):
         diagnostics["gamma_unnormalized"] = True
         return gamma, alpha0
     return gamma @ np.linalg.inv(head), alpha0 @ head.T
@@ -1520,20 +1517,18 @@ def fit_drvar_coeffs(
 ) -> FitResult:
     """OLS or feasible one-step GLS for the small-scale VAR coefficients.
 
-    OLS regresses Y_t on the lagged indexes and projects the coefficient
-    matrices onto the form omega phi_j; GLS re-solves the projected system
-    weighting by the inverse residual covariance of a first OLS pass. Both
-    that covariance and the final one take the sigma guard
-    (sigma_cond): at an eigenvalue ratio at most SIGMA_RTOL the fit raises
-    LinAlgError(SIGMA_ERROR), and diagnostics["sigma_cond"] records the
-    final one's ratio.
+    The loadings B of Y_t on the lagged indexes Xf (after check_rank) are
+    projected onto the form omega phi_j by one weighted solve, phi =
+    (omega'W omega)^-1 omega'W B': OLS takes W = I, and GLS the inverse
+    residual covariance of that OLS pass. Each pass's covariance takes the
+    sigma guard once (sigma_cond): at an eigenvalue ratio at most SIGMA_RTOL
+    the fit raises LinAlgError(SIGMA_ERROR), and diagnostics["sigma_cond"]
+    records the final one's. omega must pass DRVARParams.check_omega.
     """
     if method not in ("ols", "gls"):
         raise ValueError(f"method must be 'ols' or 'gls', got {method!r}")
-    omega = np.atleast_2d(np.asarray(omega, float))
+    omega = DRVARParams.check_omega(omega)
     n, q = omega.shape
-    if not np.allclose(omega.T @ omega, np.eye(q), atol=1e-8):
-        raise ValueError("omega must have orthonormal columns")
     if p < 1:
         raise ValueError("need p >= 1")
     values, mu = _demean(Y.values, Y.t0, demean)
@@ -1544,23 +1539,18 @@ def fit_drvar_coeffs(
     Te = Z.shape[0]
     _check_sample(Te, p * q)
 
-    B = ols(Xf, Z).coeffs                        # (p q) x n, unrestricted loadings
-    phis = [omega.T @ B[j * q: (j + 1) * q].T for j in range(p)]
-    resid = Z - Xf @ np.vstack([(omega @ ph).T for ph in phis])
-    if method == "gls":
-        sigma0 = resid.T @ resid / Te
-        sigma_cond(sigma0)
-        W = np.linalg.inv(sigma0)
-        G = omega.T @ W @ omega
-        Syx = Z.T @ Xf / Te
-        Sxx = Xf.T @ Xf / Te
-        phi_all = np.linalg.solve(G, omega.T @ W @ Syx) @ np.linalg.inv(Sxx)
-        phis = [phi_all[:, j * q: (j + 1) * q] for j in range(p)]
-        resid = Z - Xf @ np.vstack([(omega @ ph).T for ph in phis])
-    sigma = resid.T @ resid / Te
-    diagnostics = {"sigma_cond": sigma_cond(sigma)}
-    ll = gaussian_loglik(sigma, Te)
-    params = DRVARParams(omega, phis, sigma)
+    check_rank(Xf)
+    Bt = np.linalg.solve(Xf.T @ Xf, Xf.T @ Z).T       # n x (p q), unrestricted loadings B'
+    W = np.eye(n)
+    for gls in range(1 + (method == "gls")):
+        if gls:
+            W = np.linalg.inv(sigma)                   # the OLS pass's, just guarded
+        phi_all = np.linalg.solve(omega.T @ W @ omega, omega.T @ W @ Bt)   # [phi_1 .. phi_p]
+        resid = Z - Xf @ (omega @ phi_all).T
+        sigma = resid.T @ resid / Te
+        diagnostics = {"sigma_cond": sigma_cond(sigma)}
+    ll = cholesky_loglik(pd_factor(sigma, SIGMA_ERROR), Te)   # sigma just passed the guard
+    params = DRVARParams(omega, [phi_all[:, j * q: (j + 1) * q] for j in range(p)], sigma)
     return FitResult(
         "drvar", params, np.asarray([ll]), resid, True, 1, first,
         means={"level": mu}, diagnostics=diagnostics,

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tscore import StateForm, companion_matrix, orth_complement, sigma_cond, var_form
+from .tscore import StateForm, companion_matrix, full_rank, orth_complement, sigma_cond, var_form
 
 __all__ = [
     "MAIParams",
@@ -76,10 +76,7 @@ def _diagonals(ds, n: int) -> list[np.ndarray]:
 
 
 def _check_full_rank(mat: np.ndarray, what: str) -> None:
-    if min(mat.shape) == 0:
-        return
-    sv = np.linalg.svd(mat, compute_uv=False)
-    if sv[-1] < 1e-10 * sv[0]:
+    if not full_rank(np.linalg.svd(mat, compute_uv=False)):
         raise ValueError(f"{what} is not full rank")
 
 
@@ -307,12 +304,18 @@ class DRVARParams(_Indexed, _Stationary):
     sigma: np.ndarray
 
     def __post_init__(self):
-        self.omega = np.atleast_2d(np.asarray(self.omega, float))
-        n, q = self.omega.shape
-        if not np.allclose(self.omega.T @ self.omega, np.eye(q), atol=1e-10):
-            raise ValueError("omega columns must be orthonormal")
+        self.omega = self.check_omega(self.omega)
+        q = self.omega.shape[1]
         self.phis = _lags(self.phis, (q, q), "phi")
         self.sigma = _pd(self.sigma)
+
+    @staticmethod
+    def check_omega(omega) -> np.ndarray:
+        """omega as floats, refused unless omega'omega is within 1e-10 of I in every entry."""
+        omega = np.atleast_2d(np.asarray(omega, float))
+        if not np.allclose(omega.T @ omega, np.eye(omega.shape[1]), rtol=0, atol=1e-10):
+            raise ValueError("omega columns must be orthonormal")
+        return omega
 
     @property
     def p(self) -> int:

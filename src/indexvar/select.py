@@ -12,7 +12,7 @@ only through beta = omega gamma, which is identified up to an r x r rotation:
 however many rows share it. Those rows carry its log-likelihood bit for bit
 and their own parameter counts, so a duplicate never beats its equivalent.
 The distinct fits take the engine path of every fit (estimators._fit_grid),
-each equal to its candidate's single fit. A candidate whose fit raises is a
+each its candidate's single fit up to rounding. A candidate whose fit raises is a
 failed row carrying that error; stop records why a fit's sweeps ended
 ("tol", "max_iter" or "no_free_params") and sigma_cond the conditioning of
 its residual covariance.

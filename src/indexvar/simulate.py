@@ -22,7 +22,7 @@ from .params import (
     MAIParams,
     VHARIParams,
 )
-from .tscore import Panel, StateForm, fix_signs, orth_complement, var_form
+from .tscore import STABLE_RADIUS, Panel, StateForm, fix_signs, orth_complement, var_form
 
 __all__ = [
     "simulate_var",
@@ -84,9 +84,9 @@ def _garch_variances(u: np.ndarray, a: float, b: float) -> np.ndarray:
 
 
 def _stable(form: StateForm) -> StateForm:
-    """form, once its state companion's radius is below 1 - 1e-8."""
+    """form, once its state companion's radius is below STABLE_RADIUS."""
     radius = form.spectral_radius()
-    if radius >= 1.0 - 1e-8:
+    if radius >= STABLE_RADIUS:
         raise ValueError(f"nonstationary parameters: state companion spectral radius {radius:.6f}")
     return form
 
@@ -206,6 +206,7 @@ def _validate_i1(params: CIAARParams) -> StateForm:
     """The state form of I(1) parameters: raises unless alpha0_perp' PiBar
     beta_perp is nonsingular and the state (dY_t, beta'Y_t) is stable, which
     leaves exactly n - r unit roots in the levels (Johansen 1995)."""
+    # a margin on parameters, not tscore.full_rank: it decides which random_ciaar_params draws stay
     sv = np.linalg.svd(params.i1_matrix(), compute_uv=False)
     if sv.size and (sv[0] == 0.0 or sv[-1] < 1e-8 * sv[0]):
         raise ValueError(

@@ -16,6 +16,7 @@ __all__ = [
     "read_panel_csv",
     "ols",
     "check_rank",
+    "full_rank",
     "autocov",
     "companion_spectral_radius",
     "companion_matrix",
@@ -27,9 +28,8 @@ __all__ = [
     "fix_signs",
 ]
 
-# Rank tolerance for OLS designs: smallest singular value below RANK_RTOL times
-# the largest triggers SingularDesignError.
-RANK_RTOL = 1e-10
+RANK_RTOL = 1e-10    # a full-rank matrix's least singular value over its largest must exceed this
+STABLE_RADIUS = 1.0 - 1e-8   # a stable state companion's spectral radius is below this
 SIGMA_RTOL = 1e-12   # a covariance's least eigenvalue over its largest must exceed this
 SIGMA_ERROR = f"residual covariance is not positive definite (eigenvalue ratio <= {SIGMA_RTOL:.0e})"
 
@@ -213,10 +213,16 @@ def ols(X: np.ndarray, Y: np.ndarray) -> RegressionOut:
     return RegressionOut(coeffs, resid, resid.T @ resid / X.shape[0])
 
 
+def full_rank(sv: np.ndarray) -> bool:
+    """The one rank rule, on singular values sv in svd's order: the least exceeds RANK_RTOL times
+    the largest, judged before dividing, so an empty matrix passes and a zero one fails."""
+    return not sv.size or sv[-1] > RANK_RTOL * sv[0]
+
+
 def check_rank(X: np.ndarray) -> None:
-    """Raise SingularDesignError when X's singular values span more than 1/RANK_RTOL."""
+    """Raise SingularDesignError unless the design X is full rank (full_rank)."""
     sv = np.linalg.svd(X, compute_uv=False)
-    if sv[0] == 0.0 or sv[-1] < RANK_RTOL * sv[0]:
+    if not full_rank(sv):
         raise SingularDesignError(
             f"design is rank deficient: min/max singular value "
             f"{sv[-1]:.3e}/{sv[0]:.3e} below relative tolerance {RANK_RTOL:.0e}"
@@ -433,14 +439,13 @@ def fix_signs(V: np.ndarray) -> np.ndarray:
 
 
 def orth_complement(omega: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the null space of omega' (n x (n-q)), sign fixed."""
+    """Orthonormal basis of the null space of a full-rank omega' (n x (n-q)), sign fixed."""
     omega = np.atleast_2d(omega)
     n, q = omega.shape
     if q >= n:
         return np.zeros((n, 0))
     U, s, _ = np.linalg.svd(omega, full_matrices=True)
-    rank = int(np.sum(s > 1e-12 * (s[0] if s.size else 1.0)))
-    if rank < q:
+    if not full_rank(s):
         raise ValueError("omega is not full column rank")
     return fix_signs(U[:, q:])
 

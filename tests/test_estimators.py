@@ -195,6 +195,23 @@ class TestFitMai:
             fit_mai(Y, 1, 4)
 
 
+class TestShortPanels:
+    # each setup leaves a short panel to the one sample check, whose message
+    # every model shares
+
+    @pytest.mark.parametrize("T", [2, 3])
+    def test_mai_with_at_most_one_row_past_its_lags(self, T):
+        Y = Panel(np.random.default_rng(0).standard_normal((T, 3)))
+        with pytest.raises(ValueError, match=f"^effective sample {T - 2} too small for 6 regressors$"):
+            fit_mai(Y, 2, 1)
+
+    @pytest.mark.parametrize("T", [22, 23, 25, 26])
+    def test_vhari_shorter_than_the_cascade_and_its_regressors(self, T):
+        Y = Panel(np.random.default_rng(1).standard_normal((T, 3)))
+        with pytest.raises(ValueError, match=f"^effective sample {T - 22} too small for 9 regressors$"):
+            fit_vhari(Y, 1)
+
+
 class TestFitVhari:
     def test_fitted_cascade_identities(self):
         vp = random_vhari_params(5, 2, seed=0)
@@ -1268,6 +1285,14 @@ class TestDrvar:
         w = np.linalg.eigvalsh(fit.params.sigma)
         assert fit.diagnostics == {"sigma_cond": w[0] / w[-1]}
         assert 1e-3 < fit.diagnostics["sigma_cond"] < 1.0
+
+    @pytest.mark.parametrize("norm", [1.0 + 4e-6, 1.0 - 4e-6])
+    def test_omega_off_unit_length_is_refused(self, norm):
+        # the params' rule, with no relative slack, before any regression
+        Y = simulate_drvar(random_drvar_params(5, 2, 1, seed=0), 400, seed=1)
+        omega = fit_drvar_omega(Y, 2, 2)[0] * norm
+        with pytest.raises(ValueError, match="^omega columns must be orthonormal$"):
+            fit_drvar_coeffs(Y, omega, 1)
 
     def test_orthonormality_required(self):
         Y = Panel(np.random.default_rng(6).standard_normal((200, 4)))

@@ -212,3 +212,20 @@ def test_vecm_rejections(override, message):
 ] + SIGMA_CASES)
 def test_ciaar_rejections(override, message):
     _assert_rejects(CIAARParams, override, message)
+
+
+@pytest.mark.parametrize("cls, override, message", [
+    (MAIParams, {"omega": np.zeros((3, 1))}, "omega is not full rank"),
+    (VECMParams, {"alpha0": np.zeros((3, 1))}, "alpha0 is not full rank"),
+    (CIAARParams, {"gamma": np.zeros((2, 1))}, "gamma is not full rank"),
+])
+def test_zero_matrices_are_not_full_rank(cls, override, message):
+    # every singular value of a zero matrix is 0, which does not exceed 1e-10 times 0
+    _assert_rejects(cls, override, message)
+
+
+@pytest.mark.parametrize("norm", [1.0 + 4e-6, 1.0 - 4e-6])
+def test_drvar_omega_off_unit_length_is_rejected(norm):
+    # omega'omega - I is about 8e-6 on the diagonal: inside np.allclose's
+    # default relative slack, far outside the 1e-10 rule
+    _assert_rejects(DRVARParams, {"omega": norm * E1}, "omega columns must be orthonormal")

@@ -4,13 +4,16 @@ import numpy as np
 import pytest
 
 from indexvar.tscore import (
+    RANK_RTOL,
     SIGMA_ERROR,
     SIGMA_RTOL,
     Panel,
     SingularDesignError,
     autocov,
+    check_rank,
     companion_matrix,
     companion_spectral_radius,
+    full_rank,
     gaussian_loglik,
     har_aggregates,
     ols,
@@ -330,3 +333,37 @@ class TestSigmaGuard:
         with pytest.raises(np.linalg.LinAlgError) as info:
             pd_factor(np.stack([A, np.diag([1.0, -1.0])]), "the caller's message")
         assert str(info.value) == "the caller's message"
+
+
+def _sv(A) -> np.ndarray:
+    return np.linalg.svd(np.asarray(A, float), compute_uv=False)
+
+
+class TestRankRule:
+    def test_empty_matrix_passes(self):
+        for shape in ((0, 0), (3, 0), (0, 3)):
+            assert full_rank(_sv(np.zeros(shape)))
+        check_rank(np.zeros((4, 0)))
+
+    def test_zero_matrix_fails_without_dividing(self):
+        # 0 > RANK_RTOL * 0 is false, where the ratio test read 0 < 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert not full_rank(_sv(np.zeros((3, 2))))
+            with pytest.raises(SingularDesignError, match="rank deficient"):
+                check_rank(np.zeros((5, 2)))
+            with pytest.raises(ValueError, match="omega is not full column rank"):
+                orth_complement(np.zeros((3, 1)))
+
+    def test_ratio_at_the_tolerance_fails(self):
+        assert np.array_equal(_sv(np.diag([1.0, RANK_RTOL])), [1.0, RANK_RTOL])
+        assert not full_rank(_sv(np.diag([1.0, RANK_RTOL])))
+        assert full_rank(_sv(np.diag([1.0, 2.0 * RANK_RTOL])))
+        with pytest.raises(SingularDesignError, match="1e-10"):
+            check_rank(np.diag([1.0, RANK_RTOL]))
+
+    def test_orth_complement_takes_the_rule(self):
+        # a least over largest singular value of 1e-11 passed the old 1e-12 test
+        with pytest.raises(ValueError, match="omega is not full column rank"):
+            orth_complement(np.diag([1.0, 1e-11, 0.0])[:, :2])
+        assert orth_complement(np.diag([1.0, 1e-9, 0.0])[:, :2]).shape == (3, 1)

@@ -10,7 +10,7 @@ iterations and stop; a grid's rows (log-likelihoods, bounds, criteria,
 stops and errors) and picks; or the type and message of the exception it
 raised. Floats print exactly, so equal text means equal bits.
 
-The battery (55 cases):
+The battery (60 cases):
 - c12 grids (CIAAR, HQ, n = 6, T = 1000), seeds 0-3, pruned and with
   prune=False, and pruned under AIC and under BIC, seeds 0-1;
 - CIAAR and IAAR grids on the first 30 and 40 rows of an n = 6 CIAAR
@@ -23,7 +23,10 @@ The battery (55 cases):
 - VHARI, fit_vecim(Y, 1, 2, 1), johansen_rrr and init_ciaar;
 - degenerate covariances: on an n = 6 CIAAR panel with y4_t = y1_{t-1},
   the IAAR grid and johansen_rrr(Y, 2, 1); and MAIParams built with a
-  sigma whose eigenvalue ratio is 1e-13.
+  sigma whose eigenvalue ratio is 1e-13;
+- fit_drvar_coeffs by OLS and by GLS; cc_projectors and
+  structural_transitory_irf on a fitted CIAAR; and MAIParams built with a
+  zero omega.
 
 Prints each tree's wall time and every case whose text differs from the
 first tree's, with the first differing characters, the largest relative
@@ -75,7 +78,7 @@ def _grid(table) -> dict:
 
 def battery() -> dict:
     """Each case's name and a callable returning its plain result."""
-    from indexvar import estimators as est, simulate as sim
+    from indexvar import decomp, estimators as est, simulate as sim
     from indexvar.params import MAIParams
     from indexvar.select import grid_search
     from indexvar.tscore import Panel
@@ -128,6 +131,17 @@ def battery() -> dict:
     cases["lagged copy johansen_rrr p=2 r=1"] = lambda: _fit(est.johansen_rrr(Panel(copy), 2, 1))
     cases["MAIParams sigma ratio 1e-13"] = lambda: _plain(MAIParams(
         np.eye(3)[:, :1], [np.zeros((3, 1))], np.diag([1.0, 1.0, 1e-13])))
+    Yr = sim.simulate_drvar(sim.random_drvar_params(5, 2, 2, seed=0), 400, seed=1)
+    for method in ("ols", "gls"):
+        cases[f"fit_drvar_coeffs {method}"] = lambda m=method: _fit(
+            est.fit_drvar_coeffs(Yr, est.fit_drvar_omega(Yr, 2, 2)[0], 2, m))
+    fitted = est.fit_ciaar(sim.simulate_ciaar(ciaar, 400, seed=0), 2, 2, 2, 1)
+    cases["cc_projectors fitted ciaar"] = lambda: _plain(decomp.cc_projectors(
+        fitted.params.sigma, fitted.params.omega))
+    cases["structural_transitory_irf fitted ciaar"] = lambda: _plain(
+        decomp.structural_transitory_irf(fitted, 20))
+    cases["MAIParams zero omega"] = lambda: _plain(MAIParams(
+        np.zeros((3, 1)), [np.zeros((3, 1))], np.eye(3)))
     return cases
 
 
