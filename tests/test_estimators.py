@@ -205,7 +205,7 @@ class TestShortPanels:
         with pytest.raises(ValueError, match=f"^effective sample {T - 2} too small for 6 regressors$"):
             fit_mai(Y, 2, 1)
 
-    @pytest.mark.parametrize("T", [22, 23, 25, 26])
+    @pytest.mark.parametrize("T", range(22, 27))
     def test_vhari_shorter_than_the_cascade_and_its_regressors(self, T):
         Y = Panel(np.random.default_rng(1).standard_normal((T, 3)))
         with pytest.raises(ValueError, match=f"^effective sample {T - 22} too small for 9 regressors$"):
