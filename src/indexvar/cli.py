@@ -198,12 +198,13 @@ def _cmd_simulate(cfg: RunConfig, outdir) -> None:
         fh.write("\n")
 
 
-def _fit_from_config(cfg: RunConfig, panels: list):
+def _fit_from_config(cfg: RunConfig, panels: list, start: tuple | None = None):
     """The configured model's fits to equal-length panels, in order.
 
     The panels of a switching-engine model share one lockstep run of
-    estimators.fit_many, which for one panel is the model's fitter; vecm and
-    drvar are fitted panel by panel as the fits are read.
+    estimators.fit_many, which for one panel is the model's fitter, each
+    from start = (gamma0, omega0, D0) when given; vecm and drvar are fitted
+    panel by panel as the fits are read, and take no start.
     """
     opts = cfg.fit_options()
     m = cfg.model
@@ -212,7 +213,7 @@ def _fit_from_config(cfg: RunConfig, panels: list):
     if m == "drvar":                               # map goes on past a fit that raises
         return map(functools.partial(_fit_drvar, cfg), panels)
     orders = {k: getattr(cfg, k) for k in estimators.ENGINE_ORDERS[m]}
-    return estimators.fit_many(m, panels, opts=opts, **orders)
+    return estimators.fit_many(m, panels, opts=opts, init=start, **orders)
 
 
 def _fit_drvar(cfg: RunConfig, Y: Panel):
@@ -275,8 +276,12 @@ def _cmd_forecast(cfg: RunConfig, outdir) -> None:
         cols[name] = path.values[:, i]
     _write_series_csv(outdir / "forecast.csv", cols)
     if cfg.origins > 0:
+        start = None                                   # an engine model's windows start from fit
+        if cfg.model in estimators.ENGINE_ORDERS:
+            params = fit.params
+            start = getattr(params, "gamma", None), params.omega, getattr(params, "ds", [])
         table, _, info = rolling_evaluate(
-            Y, lambda windows: _fit_from_config(cfg, windows), cfg.horizon, cfg.origins,
+            Y, lambda windows: _fit_from_config(cfg, windows, start), cfg.horizon, cfg.origins,
             refit=bool(cfg.refit),
         )
         table.to_csv(outdir / "msfe.csv")

@@ -259,7 +259,9 @@ class _Setup:
     index count, which a CIAAR order with no index lag sets to r
     (_setup_ciaar). params(out) builds the model parameters, memo is the
     gram memo of the data the setup slices (_memo_grams), and n_params is
-    the count of free parameters params' n_free_params() gives.
+    the count of free parameters params' n_free_params() gives. warm(init)
+    maps a supplied start (gamma0, omega0, D0) at the model's orders to the
+    engine's, by default as it is.
     """
 
     model: str
@@ -275,6 +277,7 @@ class _Setup:
     params: Callable
     memo: dict
     n_params: int
+    warm: Callable = lambda init: init
 
     def grams(self) -> "_Grams":
         """The grams of [Z | lags | ec_X], every block the engine or Johansen reads."""
@@ -779,10 +782,11 @@ def _lockstep(make_setup, panels: list, opts: FitOptions | None, starts: list | 
 
     make_setup(Y) validates a panel and builds its _Setup, once per panel
     for the engine run: the last panel's first, so an invalid order raises
-    here. Past the run each fit keeps its setup's _Head, and builds the
-    setup again only if its residuals are read; the last panel's setup is
-    held instead. The iterator raises a failed fit's exception in its turn
-    and goes on.
+    here, as does a start its warm() cannot map; starts[i], when not None,
+    is panel i's start at the model's orders. Past the run each fit keeps
+    its setup's _Head, and builds the setup again only if its residuals are
+    read; the last panel's setup is held instead. The iterator raises a
+    failed fit's exception in its turn and goes on.
     """
     last, heads = make_setup(panels[-1]), []
     sources = [partial(make_setup, Y) for Y in panels[:-1]] + [lambda: last]
@@ -794,7 +798,8 @@ def _lockstep(make_setup, panels: list, opts: FitOptions | None, starts: list | 
                                setup.T_eff, source))
             yield setup
 
-    states = _engine_states(setups(), opts or FitOptions(), starts or ())
+    starts = [None if start is None else last.warm(start) for start in starts or ()]
+    states = _engine_states(setups(), opts or FitOptions(), starts)
     return map(_raised, map(_finished, heads, states))
 
 
@@ -829,20 +834,22 @@ def fit_many(
     opts: FitOptions | None = None,
     demean: bool = True,
     t_start: int | None = None,
+    init: tuple | None = None,
     **orders,
 ):
     """Fit one model at fixed orders to equal-length panels in one lockstep run.
 
     model is "mai", "vhari", "iaar", "ciaar" or "vecim", and orders are the
     orders its fitter takes, by keyword (p=2, s=2, q=2, r=1 for "ciaar").
-    Every panel starts from its own default starting values and keeps its
-    own trace and stop reason, so each fit equals the single fitter's on
-    that panel. Returns an iterator over the FitResults in panel order; the
-    switching runs before this returns, and each fit's parameters are built
-    as it is consumed, and its residuals only if read, from its panel's
-    setup built again (_lockstep). A panel whose fit fails does not stop
-    the others: the iterator raises that fit's exception in its turn and
-    goes on.
+    Every panel starts from its own default starting values, or from init =
+    (gamma0, omega0, D0) when given, mapped as fit_ciaar maps its init, and
+    keeps its own trace and stop reason, so each fit equals the single
+    fitter's on that panel from the same start. Returns an iterator over the
+    FitResults in panel order; the switching runs before this returns, and
+    each fit's parameters are built as it is consumed, and its residuals
+    only if read, from its panel's setup built again (_lockstep). A panel
+    whose fit fails does not stop the others: the iterator raises that
+    fit's exception in its turn and goes on.
     The diagonal IAAR (q = 0) runs the engine too. Raises ValueError when
     the panels differ in length, width or first usable row.
     """
@@ -854,7 +861,7 @@ def fit_many(
     if len({(Y.T, Y.n, Y.t0) for Y in panels}) > 1:
         raise ValueError("fit_many needs panels of equal length, width and t0")
     make_setup = partial(_SETUPS[model], demean=demean, t_start=t_start, **orders)
-    return _lockstep(make_setup, panels, opts)
+    return _lockstep(make_setup, panels, opts, [init] * len(panels))
 
 
 # ---------------------------------------------------------------------------
@@ -1240,9 +1247,17 @@ def _setup_ciaar(
             gamma, alpha0 = _normalize_gamma(gamma, alpha0, out["diagnostics"])
         return CIAARParams(out["ds"], alpha0, gamma, omega, out["alphas"], out["sigma"])
 
+    def warm(init):
+        # the identified equivalent starts from the basis of beta0 = omega0 gamma0
+        if q_fit == q:
+            return init
+        gamma0, omega0, d0 = init
+        beta0 = np.asarray(omega0, float) @ np.asarray(gamma0, float).reshape(q, r)
+        return np.eye(r), _qr_normalize(beta0)[0], d0
+
     return _Setup(
         "ciaar", Z, lags[:nd], lags[:na], ec_X, q_fit, r, first, means, start, params, data[3],
-        CIAARParams.count(n, nd, na, q, r),
+        CIAARParams.count(n, nd, na, q, r), warm,
     )
 
 
@@ -1276,10 +1291,6 @@ def fit_ciaar(
     gamma = [I_r; 0]: the same beta, alpha0, D and sigma, and the parameter
     count of (p, s, q, r).
     """
-    if init is not None and s <= 1 and r < q:
-        gamma0, omega0, d0 = init
-        beta0 = np.asarray(omega0, float) @ np.asarray(gamma0, float).reshape(q, r)
-        init = (np.eye(r), _qr_normalize(beta0)[0], d0)
     make_setup = partial(_setup_ciaar, p=p, s=s, q=q, r=r, demean=demean, t_start=t_start)
     return next(_lockstep(make_setup, [Y], opts, [init]))
 
@@ -1495,9 +1506,9 @@ def fit_drvar_omega(Y: Panel, p0: int, q: int):
     if p0 < 1:
         raise ValueError("need p0 >= 1")
     DRVARParams.check_orders(n, 1, q)                  # p is fit_drvar_coeffs' to check
-    if p0 >= Y.T - 1:
-        raise ValueError(f"p0={p0} too large for sample length {Y.T}")
     usable = Panel(Y.usable(), list(Y.names))
+    if p0 >= usable.T - 1:
+        raise ValueError(f"p0={p0} too large for usable sample length {usable.T}")
     M = np.zeros((n, n))
     for j in range(1, p0 + 1):
         C = autocov(usable, j)

@@ -1299,6 +1299,15 @@ class TestDrvar:
         with pytest.raises(ValueError, match="orthonormal"):
             fit_drvar_coeffs(Y, np.ones((4, 2)), 1)
 
+    @pytest.mark.parametrize("t0, p0", [(10, 9), (10, 15), (0, 19)])
+    def test_p0_is_checked_against_the_usable_rows(self, t0, p0):
+        # autocovariances run over rows t0 on, so p0 must fit in those
+        Y = Panel(np.random.default_rng(7).standard_normal((20, 4)), t0=t0)
+        with pytest.raises(ValueError, match=f"^p0={p0} too large for usable sample length "
+                                             f"{20 - t0}$"):
+            fit_drvar_omega(Y, p0, 2)
+        fit_drvar_omega(Y, 20 - t0 - 2, 2)
+
 
 class TestMonotonicityFuzz:
     @pytest.mark.filterwarnings("ignore:.*parsimonious.*")

@@ -10,13 +10,15 @@ iterations and stop; a grid's rows (log-likelihoods, bounds, criteria,
 stops and errors) and picks; or the type and message of the exception it
 raised. Floats print exactly, so equal text means equal bits.
 
-The battery (60 cases):
+The battery (63 cases):
 - c12 grids (CIAAR, HQ, n = 6, T = 1000), seeds 0-3, pruned and with
   prune=False, and pruned under AIC and under BIC, seeds 0-1;
 - CIAAR and IAAR grids on the first 30 and 40 rows of an n = 6 CIAAR
   panel, pruned and with prune=False, each with failed rows;
 - five CIAAR orders on n = 6, T = 400 panels, seeds 0-3;
-- fit_many over 50 sliding CIAAR windows;
+- fit_many over 50 sliding CIAAR windows from their default starts, and
+  from the whole panel's fit at (2, 2, 2, 1) and (2, 1, 3, 1), and over 50
+  MAI windows from the whole panel's fit, as the CLI's forecast refits;
 - fit_mai at n = 20, T = 2000, seeds 0-2 (the mc-wide shape);
 - IAAR with q = 0 and q = 1, the IAAR grid, and a MAI grid on 40 rows whose
   largest order fails the sample check;
@@ -107,6 +109,19 @@ def battery() -> dict:
     windows = [Panel(Y.values[i: i + 200]) for i in range(50)]
     cases["fit_many ciaar 50 windows"] = lambda: [_fit(fit) for fit in est.fit_many(
         "ciaar", windows, opts=est.FitOptions(max_iter=60), p=2, s=2, q=2, r=1)]
+
+    def warm(model, windows, full, **orders):
+        # every window from the start the CLI's forecast takes: full's (gamma, omega, D)
+        params = full.params
+        start = getattr(params, "gamma", None), params.omega, getattr(params, "ds", [])
+        return [_fit(fit) for fit in est.fit_many(model, windows, init=start, **orders)]
+
+    for orders in ((2, 2, 2, 1), (2, 1, 3, 1)):
+        cases[f"fit_many ciaar {orders} 50 windows warm"] = lambda Y=Y, w=windows, o=orders: warm(
+            "ciaar", w, est.fit_ciaar(Y, *o), **dict(zip("psqr", o)))
+    Yw = sim.simulate_mai(sim.random_mai_params(6, 2, 2, seed=0), 250, seed=7)
+    cases["fit_many mai 50 windows warm"] = lambda Y=Yw: warm(
+        "mai", [Panel(Y.values[i: i + 200]) for i in range(50)], est.fit_mai(Y, 2, 2), p=2, q=2)
     mai = sim.random_mai_params(20, 2, 2, seed=0)
     for seed in range(3):
         cases[f"fit_mai n=20 T=2000 seed={seed}"] = lambda seed=seed: _fit(
