@@ -25,22 +25,13 @@ import numpy as np
 
 from . import __version__, decomp, estimators, simulate as sim
 from .forecast import forecast as forecast_path, rolling_evaluate
-from .params import CIAARParams, DRVARParams, IAARParams, MAIParams, VHARIParams
 from .select import CRITERIA, FAMILIES, grid_search
 from .tscore import Panel, read_panel_csv, subspace_distance
 
 __all__ = ["RunConfig", "run", "main"]
 
-MODELS = ("mai", "vhari", "iaar", "ciaar", "vecim", "vecm", "drvar")
-# each simulated model's params class, whose check_orders is its fitter's
-# order rule, and the orders, among (p, s, q, r), that rule reads after n
-SIM_MODELS = {
-    "mai": (MAIParams, ("p", "q")),
-    "vhari": (VHARIParams, ("q",)),
-    "iaar": (IAARParams, ("p", "s", "q")),
-    "ciaar": (CIAARParams, ("p", "s", "q", "r")),
-    "drvar": (DRVARParams, ("p", "q")),
-}
+# the models simulate draws (estimators.MODELS gives each one's params class)
+SIMULATED = tuple(m for m, model in estimators.MODELS.items() if model.simulated)
 
 
 @dataclass
@@ -79,15 +70,15 @@ class RunConfig:
             if self.model not in FAMILIES:
                 raise ValueError(f"select searches {', '.join(FAMILIES)}, not {self.model!r}")
         if self.subcommand in ("fit", "decompose", "forecast"):
-            if self.model not in MODELS:
+            if self.model not in estimators.MODELS:
                 raise ValueError(f"missing or unknown model {self.model!r}")
         if self.subcommand == "decompose" and self.model == "vecm":   # decomp splits no VECM
             raise ValueError(f"no common/uncommon split for model {self.model!r}")
         if self.subcommand in ("simulate", "montecarlo"):   # the others leave orders to the fitter
-            if self.model not in SIM_MODELS:
+            if self.model not in SIMULATED:
                 raise ValueError(f"cannot simulate model {self.model!r}")
-            params, orders = SIM_MODELS[self.model]
-            params.check_orders(self.n, *(getattr(self, k) for k in orders))
+            model = estimators.MODELS[self.model]
+            model.simulated.check_orders(self.n, *(getattr(self, k) for k in model.orders))
         if self.criterion not in CRITERIA:
             raise ValueError(f"unknown criterion {self.criterion!r}")
 
@@ -157,8 +148,8 @@ def _write_series_csv(path, columns: dict) -> None:
 
 
 def _dgp_params(cfg: RunConfig):
-    """The model's random_<model>_params draw at the orders SIM_MODELS names."""
-    orders = {k: getattr(cfg, k) for k in SIM_MODELS[cfg.model][1]}
+    """The model's random_<model>_params draw at its orders (estimators.MODELS)."""
+    orders = {k: getattr(cfg, k) for k in estimators.MODELS[cfg.model].orders}
     seed = cfg.dgp_seed if cfg.dgp_seed >= 0 else cfg.seed
     return getattr(sim, f"random_{cfg.model}_params")(cfg.n, seed=seed, **orders)
 
@@ -207,13 +198,12 @@ def _fit_from_config(cfg: RunConfig, panels: list, start: tuple | None = None):
     panel by panel as the fits are read, and take no start.
     """
     opts = cfg.fit_options()
-    m = cfg.model
-    if m == "vecm":
-        return map(lambda Y: estimators.johansen_rrr(Y, cfg.p, cfg.r), panels)
-    if m == "drvar":                               # map goes on past a fit that raises
+    orders = {k: getattr(cfg, k) for k in estimators.MODELS[cfg.model].orders}
+    if cfg.model == "vecm":
+        return map(lambda Y: estimators.johansen_rrr(Y, **orders), panels)
+    if cfg.model == "drvar":                       # map goes on past a fit that raises
         return map(functools.partial(_fit_drvar, cfg), panels)
-    orders = {k: getattr(cfg, k) for k in estimators.ENGINE_ORDERS[m]}
-    return estimators.fit_many(m, panels, opts=opts, init=start, **orders)
+    return estimators.fit_many(cfg.model, panels, opts=opts, init=start, **orders)
 
 
 def _fit_drvar(cfg: RunConfig, Y: Panel):
@@ -277,7 +267,7 @@ def _cmd_forecast(cfg: RunConfig, outdir) -> None:
     _write_series_csv(outdir / "forecast.csv", cols)
     if cfg.origins > 0:
         start = None                                   # an engine model's windows start from fit
-        if cfg.model in estimators.ENGINE_ORDERS:
+        if estimators.MODELS[cfg.model].setup:
             params = fit.params
             start = getattr(params, "gamma", None), params.omega, getattr(params, "ds", [])
         table, _, info = rolling_evaluate(
@@ -346,9 +336,9 @@ FLAGS = {
 }
 # a flag's choices and help by field, or by (subcommand, field) where one subcommand's differ;
 # RunConfig.validate holds a configuration file's values to the same models
-CHOICES = {"model": MODELS, ("select", "model"): FAMILIES,
-           ("simulate", "model"): (*SIM_MODELS,), ("montecarlo", "model"): (*SIM_MODELS,),
-           ("decompose", "model"): tuple(m for m in MODELS if m != "vecm"),
+CHOICES = {"model": (*estimators.MODELS,), ("select", "model"): FAMILIES,
+           ("simulate", "model"): SIMULATED, ("montecarlo", "model"): SIMULATED,
+           ("decompose", "model"): tuple(m for m in estimators.MODELS if m != "vecm"),
            "method": ("ols", "gls"), "dist": ("gaussian", "lognormal_garch"), "criterion": CRITERIA}
 HELP = {
     "out": "output directory",

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .estimators import FitResult
+from .estimators import MODELS, FitResult
 from .forecast import _presample
 from .tscore import STABLE_RADIUS, Panel, full_rank, orth_complement, var_recursion
 
@@ -225,7 +225,7 @@ def common_uncommon(fit: FitResult, Y: Panel) -> Decomposition:
     recursion driven by their projections. For error-correction fits the
     recursion runs on increments and the components cumulate them from zero.
     """
-    if fit.model not in ("mai", "iaar", "vhari", "ciaar", "vecim"):
+    if fit.model not in MODELS or MODELS[fit.model].setup is None:   # not a switching-engine fit
         raise ValueError(f"no common/uncommon split for model {fit.model!r}")
     omega = _fitted_omega(fit)
     eps_chi = fit.residuals @ omega

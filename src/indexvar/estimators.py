@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import zip_longest
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -56,6 +56,7 @@ __all__ = [
     "fit_ciaar",
     "fit_vecim",
     "fit_many",
+    "MODELS",
     "johansen_rrr",
     "init_ciaar",
     "fit_drvar_omega",
@@ -251,7 +252,8 @@ def _demeaned(Y: Panel, demean: bool, differences: bool = False):
 
 @dataclass
 class _Setup:
-    """One panel's engine inputs, and what its FitResult needs besides them.
+    """One panel's engine inputs, and what its FitResult needs besides them,
+    as the setup of a MODELS entry builds them.
 
     diag_X and index_X are prefixes of one list of lags. start()
     checks the data of the default start and returns the grams to solve it
@@ -298,7 +300,7 @@ class _Setup:
 
 @dataclass
 class _Head:
-    """What a fit keeps of its _Setup past the engine run (_lockstep);
+    """What a fit keeps of its _Setup past the engine run (fit_many);
     full() builds the setup again, for the fit's residuals."""
 
     model: str
@@ -777,32 +779,6 @@ def _raised(outcome):
     return outcome
 
 
-def _lockstep(make_setup, panels: list, opts: FitOptions | None, starts: list | None = None):
-    """Fit every panel in one lockstep engine run; returns an iterator of FitResults.
-
-    make_setup(Y) validates a panel and builds its _Setup, once per panel
-    for the engine run: the last panel's first, so an invalid order raises
-    here, as does a start its warm() cannot map; starts[i], when not None,
-    is panel i's start at the model's orders. Past the run each fit keeps
-    its setup's _Head, and builds the setup again only if its residuals are
-    read; the last panel's setup is held instead. The iterator raises a
-    failed fit's exception in its turn and goes on.
-    """
-    last, heads = make_setup(panels[-1]), []
-    sources = [partial(make_setup, Y) for Y in panels[:-1]] + [lambda: last]
-
-    def setups():
-        for source in sources:
-            setup = source()
-            heads.append(_Head(setup.model, setup.first, setup.means, setup.params,
-                               setup.T_eff, source))
-            yield setup
-
-    starts = [None if start is None else last.warm(start) for start in starts or ()]
-    states = _engine_states(setups(), opts or FitOptions(), starts)
-    return map(_raised, map(_finished, heads, states))
-
-
 def _finish(setup, state: dict) -> FitResult:
     """A member's FitResult from its _Setup or _Head and engine state. Its
     parameters and sigma are the engine's, and its residuals are formed from
@@ -839,52 +815,77 @@ def fit_many(
 ):
     """Fit one model at fixed orders to equal-length panels in one lockstep run.
 
-    model is "mai", "vhari", "iaar", "ciaar" or "vecim", and orders are the
-    orders its fitter takes, by keyword (p=2, s=2, q=2, r=1 for "ciaar").
-    Every panel starts from its own default starting values, or from init =
-    (gamma0, omega0, D0) when given, mapped as fit_ciaar maps its init, and
-    keeps its own trace and stop reason, so each fit equals the single
-    fitter's on that panel from the same start. Returns an iterator over the
+    model is a MODELS entry with an engine setup, and orders are the orders
+    its fitter takes, by keyword (p=2, s=2, q=2, r=1 for "ciaar"); each
+    single fitter is this function on one panel. Every panel starts from its
+    own default starting values, or from init = (gamma0, omega0, D0) when
+    given, mapped once by the setup's warm(), and keeps its own trace and
+    stop reason. The last panel's setup is built first, so an invalid order,
+    or an init warm() cannot map, raises here. Returns an iterator over the
     FitResults in panel order; the switching runs before this returns, and
     each fit's parameters are built as it is consumed, and its residuals
-    only if read, from its panel's setup built again (_lockstep). A panel
-    whose fit fails does not stop the others: the iterator raises that
-    fit's exception in its turn and goes on.
+    only if read, from its panel's setup built again (the last panel's is
+    held). A panel whose fit fails does not stop the others: the iterator
+    raises that fit's exception in its turn and goes on.
     The diagonal IAAR (q = 0) runs the engine too. Raises ValueError when
     the panels differ in length, width or first usable row.
     """
     panels = list(panels)
-    if model not in _SETUPS:
+    build = MODELS[model].setup if model in MODELS else None
+    if build is None:
         raise ValueError(f"fit_many cannot fit model {model!r}")
     if not panels:
         raise ValueError("no panels to fit")
     if len({(Y.T, Y.n, Y.t0) for Y in panels}) > 1:
         raise ValueError("fit_many needs panels of equal length, width and t0")
-    make_setup = partial(_SETUPS[model], demean=demean, t_start=t_start, **orders)
-    return _lockstep(make_setup, panels, opts, [init] * len(panels))
+    make_setup = partial(build, demean=demean, t_start=t_start, **orders)
+    last, heads = make_setup(panels[-1]), []
+    start = None if init is None else last.warm(init)
+    sources = [partial(make_setup, Y) for Y in panels[:-1]] + [lambda: last]
+
+    def setups():
+        for source in sources:
+            setup = source()
+            heads.append(_Head(setup.model, setup.first, setup.means, setup.params,
+                               setup.T_eff, source))
+            yield setup
+
+    states = _engine_states(setups(), opts or FitOptions(), [start] * len(panels))
+    return map(_raised, map(_finished, heads, states))
 
 
 # ---------------------------------------------------------------------------
-# MAI
+# MAI and IAAR: one setup on the lags of the levels
 # ---------------------------------------------------------------------------
+
+
+def _setup_levels(
+    model: str, Y: Panel, p: int, nd: int, na: int, q: int, demean: bool, t_start: int | None,
+    data, params: Callable, n_params: int,
+):
+    """The setup of a model on the p lags of Y's levels, its diagonal lags
+    the first nd of them and its index lags the first na, both prefixes of
+    one list: MAI is (0, p), IAAR (p, s), or (p, 0) when q = 0. The default
+    start regresses on all p lags."""
+    values, _, means, memo = data or _demeaned(Y, demean)
+    first = max(Y.t0 + p, t_start if t_start is not None else 0)
+    Z = values[first:]
+    lags = [values[first - j: Y.T - j] for j in range(1, p + 1)]
+    _check_sample(Z.shape[0], Y.n * p)
+    return _Setup(
+        model, Z, lags[:nd], lags[:na], None, q, 0, first, dict(means),
+        lambda: _start_grams(Z, lags, None, 0, memo), params, memo, n_params,
+    )
 
 
 def _setup_mai(
     Y: Panel, p: int, q: int, demean: bool = True, t_start: int | None = None, data=None
 ):
-    n = Y.n
-    MAIParams.check_orders(n, p, q)
-    values, _, means, memo = data or _demeaned(Y, demean)
-    first = max(Y.t0 + p, t_start if t_start is not None else 0)
-    Z = values[first:]
-    lags = [values[first - j: Y.T - j] for j in range(1, p + 1)]
-    _check_sample(Z.shape[0], n * p)  # the initialization regresses on all n p lags
-
-    return _Setup(
-        "mai", Z, [], lags, None, q, 0, first, dict(means),
-        lambda: _start_grams(Z, lags, None, 0, memo),
-        lambda out: MAIParams(out["omega"], out["alphas"], out["sigma"]), memo,
-        MAIParams.count(n, p, q),
+    MAIParams.check_orders(Y.n, p, q)
+    return _setup_levels(
+        "mai", Y, p, 0, p, q, demean, t_start, data,
+        lambda out: MAIParams(out["omega"], out["alphas"], out["sigma"]),
+        MAIParams.count(Y.n, p, q),
     )
 
 
@@ -905,9 +906,8 @@ def fit_mai(
     unrestricted VAR. The starting omega spans the leading right-singular
     subspace of the stacked OLS VAR coefficients unless supplied.
     """
-    make_setup = partial(_setup_mai, p=p, q=q, demean=demean, t_start=t_start)
-    start = None if omega0 is None else (None, omega0, [])
-    return next(_lockstep(make_setup, [Y], opts, [start]))
+    init = None if omega0 is None else (None, omega0, [])
+    return next(fit_many("mai", [Y], opts, demean, t_start, init, p=p, q=q))
 
 
 # ---------------------------------------------------------------------------
@@ -948,8 +948,7 @@ def fit_vhari(
     5/22-day cascade identities exactly), and the SA runs on the three
     aggregate regressors.
     """
-    make_setup = partial(_setup_vhari, q=q, demean=demean, t_start=t_start)
-    return next(_lockstep(make_setup, [Yd], opts))
+    return next(fit_many("vhari", [Yd], opts, demean, t_start, q=q))
 
 
 # ---------------------------------------------------------------------------
@@ -960,19 +959,12 @@ def fit_vhari(
 def _setup_iaar(
     Y: Panel, p: int, s: int, q: int, demean: bool = True, t_start: int | None = None, data=None
 ):
-    n = Y.n
-    IAARParams.check_orders(n, p, s, q)
-    values, _, means, memo = data or _demeaned(Y, demean)
-    first = max(Y.t0 + p, t_start if t_start is not None else 0)
-    Z = values[first:]
-    diag_X = [values[first - j: Y.T - j] for j in range(1, p + 1)]
-    index_X = diag_X[:s] if q else []                  # omega is n x 0: no index channel
-    _check_sample(Z.shape[0], n * p)
-    return _Setup(
-        "iaar", Z, diag_X, index_X, None, q, 0, first, dict(means),
-        lambda: _start_grams(Z, diag_X, None, 0, memo),
-        lambda out: IAARParams(out["ds"], out["alphas"], out["omega"], out["sigma"]), memo,
-        IAARParams.count(n, p, len(index_X), q),
+    IAARParams.check_orders(Y.n, p, s, q)
+    na = s if q else 0                                 # omega is n x 0: no index channel
+    return _setup_levels(
+        "iaar", Y, p, p, na, q, demean, t_start, data,
+        lambda out: IAARParams(out["ds"], out["alphas"], out["omega"], out["sigma"]),
+        IAARParams.count(Y.n, p, na, q),
     )
 
 
@@ -992,8 +984,7 @@ def fit_iaar(
     diagonal VAR, whose equations share sigma but not regressors, so its ML
     alternates sigma with the GLS solve for the diagonals, not equation-wise OLS.
     """
-    make_setup = partial(_setup_iaar, p=p, s=s, q=q, demean=demean, t_start=t_start)
-    return next(_lockstep(make_setup, [Y], opts))
+    return next(fit_many("iaar", [Y], opts, demean, t_start, p=p, s=s, q=q))
 
 
 def _svd_truncate(stack: np.ndarray, q: int):
@@ -1291,8 +1282,7 @@ def fit_ciaar(
     gamma = [I_r; 0]: the same beta, alpha0, D and sigma, and the parameter
     count of (p, s, q, r).
     """
-    make_setup = partial(_setup_ciaar, p=p, s=s, q=q, r=r, demean=demean, t_start=t_start)
-    return next(_lockstep(make_setup, [Y], opts, [init]))
+    return next(fit_many("ciaar", [Y], opts, demean, t_start, init, p=p, s=s, q=q, r=r))
 
 
 def _normalize_gamma(gamma: np.ndarray, alpha0: np.ndarray, diagnostics: dict):
@@ -1333,25 +1323,29 @@ def fit_vecim(
     row-level Vec/Kronecker loop in tests/rowlevel.py is the independent
     check of it.
     """
-    make_setup = partial(_setup_vecim, p=p, q=q, r=r, demean=demean, t_start=t_start)
-    return next(_lockstep(make_setup, [Y], opts))
+    return next(fit_many("vecim", [Y], opts, demean, t_start, p=p, q=q, r=r))
 
 
-_SETUPS = {
-    "mai": _setup_mai,
-    "vhari": _setup_vhari,
-    "iaar": _setup_iaar,
-    "ciaar": _setup_ciaar,
-    "vecim": _setup_vecim,
-}
+class _Model(NamedTuple):
+    """A MODELS entry: the orders, among (p, s, q, r), the model's fitter
+    takes by keyword; the setup of its switching-engine fit (None for a
+    closed-form fit); and the params class simulate draws it from, whose
+    check_orders(n, *orders) is the fitter's order rule (None when it is
+    not simulated)."""
 
-# the orders, among (p, s, q, r), each model's setup and fitter take by keyword
-ENGINE_ORDERS = {
-    "mai": ("p", "q"),
-    "vhari": ("q",),
-    "iaar": ("p", "s", "q"),
-    "ciaar": ("p", "s", "q", "r"),
-    "vecim": ("p", "q", "r"),
+    orders: tuple
+    setup: Callable | None
+    simulated: type | None
+
+
+MODELS = {
+    "mai": _Model(("p", "q"), _setup_mai, MAIParams),
+    "vhari": _Model(("q",), _setup_vhari, VHARIParams),
+    "iaar": _Model(("p", "s", "q"), _setup_iaar, IAARParams),
+    "ciaar": _Model(("p", "s", "q", "r"), _setup_ciaar, CIAARParams),
+    "vecim": _Model(("p", "q", "r"), _setup_vecim, None),
+    "vecm": _Model(("p", "r"), None, None),
+    "drvar": _Model(("p", "q"), None, DRVARParams),
 }
 
 
@@ -1364,8 +1358,8 @@ def _grid_setup(model: str, Y: Panel, orders: tuple, t_start: int, data=None) ->
     """A candidate's setup at orders (p, s, q, r); data, when given, is the
     panel's _demeaned data, shared by every candidate's setup."""
     named = dict(zip("psqr", orders))
-    keywords = {k: named[k] for k in ENGINE_ORDERS[model]}
-    return _SETUPS[model](Y, **keywords, t_start=t_start, data=data)
+    keywords = {k: named[k] for k in MODELS[model].orders}
+    return MODELS[model].setup(Y, **keywords, t_start=t_start, data=data)
 
 
 PRUNE_RTOL = 1e-8   # a pruned candidate's criterion bound exceeds the best fitted one by this

@@ -219,7 +219,7 @@ class TestMontecarloBatch:
         if cfg.model == "drvar":
             omega, _ = estimators.fit_drvar_omega(Y, cfg.p0, cfg.q)
             return estimators.fit_drvar_coeffs(Y, omega, cfg.p, method=cfg.method)
-        orders = {k: getattr(cfg, k) for k in estimators.ENGINE_ORDERS[cfg.model]}
+        orders = {k: getattr(cfg, k) for k in estimators.MODELS[cfg.model].orders}
         return getattr(estimators, f"fit_{cfg.model}")(Y, opts=cfg.fit_options(), **orders)
 
     def check_rows(self, model, reps, out):
@@ -390,7 +390,7 @@ class TestErrors:
         # simulate and montecarlo reject exactly the orders the model's fitter
         # rejects on a 4-column panel, with its message, before drawing anything
         Y = Panel(np.random.default_rng(0).standard_normal((60, 4)))
-        setup = self.fit_drvar if model == "drvar" else estimators._SETUPS[model]
+        setup = self.fit_drvar if model == "drvar" else estimators.MODELS[model].setup
         names = self.SIM_ORDERS[model]
         for values in product(*(self.BOX[k] for k in names)):
             orders = dict(zip(names, values))

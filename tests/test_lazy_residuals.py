@@ -42,7 +42,8 @@ def passes(monkeypatch):
 
     setup = counted("setups", estimators._setup_ciaar)
     monkeypatch.setattr(estimators, "_setup_ciaar", setup)
-    monkeypatch.setitem(estimators._SETUPS, "ciaar", setup)
+    monkeypatch.setitem(estimators.MODELS, "ciaar",
+                        estimators.MODELS["ciaar"]._replace(setup=setup))
     monkeypatch.setattr(estimators, "_residuals", counted("residuals", estimators._residuals))
     return counts
 

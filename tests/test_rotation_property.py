@@ -2,8 +2,6 @@
 the column space, so starting from omega0 R for an invertible R gives the
 same fitted values and log-likelihood trace."""
 
-from functools import partial
-
 import numpy as np
 import pytest
 
@@ -13,11 +11,11 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from indexvar.estimators import (
     FitOptions,
     _default_starts,
-    _lockstep,
     _setup_iaar,
     _setup_mai,
     fit_ciaar,
     fit_mai,
+    fit_many,
     init_ciaar,
 )
 from indexvar.simulate import random_ciaar_params, random_iaar_params, simulate_ciaar, simulate_iaar
@@ -61,7 +59,7 @@ def fit_from(model, orders, Y, start):
     if model == "mai":
         return fit_mai(Y, opts=OPTS, omega0=start[1], **orders)
     if model == "iaar":
-        return next(_lockstep(partial(_setup_iaar, **orders), [Y], OPTS, [start]))
+        return next(fit_many("iaar", [Y], OPTS, init=start, **orders))
     return fit_ciaar(Y, opts=OPTS, init=start, **orders)
 
 

@@ -10,7 +10,7 @@ iterations and stop; a grid's rows (log-likelihoods, bounds, criteria,
 stops and errors) and picks; or the type and message of the exception it
 raised. Floats print exactly, so equal text means equal bits.
 
-The battery (63 cases):
+The battery (70 cases):
 - c12 grids (CIAAR, HQ, n = 6, T = 1000), seeds 0-3, pruned and with
   prune=False, and pruned under AIC and under BIC, seeds 0-1;
 - CIAAR and IAAR grids on the first 30 and 40 rows of an n = 6 CIAAR
@@ -19,9 +19,13 @@ The battery (63 cases):
 - fit_many over 50 sliding CIAAR windows from their default starts, and
   from the whole panel's fit at (2, 2, 2, 1) and (2, 1, 3, 1), and over 50
   MAI windows from the whole panel's fit, as the CLI's forecast refits;
+- fit_many over 50 sliding windows of IAAR (2, 2, 1), VHARI (q = 2) and
+  VECIM (1, 2, 1), each from the default starts and from the whole panel's
+  fit;
 - fit_mai at n = 20, T = 2000, seeds 0-2 (the mc-wide shape);
-- IAAR with q = 0 and q = 1, the IAAR grid, and a MAI grid on 40 rows whose
-  largest order fails the sample check;
+- IAAR with q = 0 and q = 1, MAI with q = n (which the IAAR rule refuses),
+  the IAAR grid, and a MAI grid on 40 rows whose largest order fails the
+  sample check;
 - VHARI, fit_vecim(Y, 1, 2, 1), johansen_rrr and init_ciaar;
 - degenerate covariances: on an n = 6 CIAAR panel with y4_t = y1_{t-1},
   the IAAR grid and johansen_rrr(Y, 2, 1); and MAIParams built with a
@@ -122,17 +126,30 @@ def battery() -> dict:
     Yw = sim.simulate_mai(sim.random_mai_params(6, 2, 2, seed=0), 250, seed=7)
     cases["fit_many mai 50 windows warm"] = lambda Y=Yw: warm(
         "mai", [Panel(Y.values[i: i + 200]) for i in range(50)], est.fit_mai(Y, 2, 2), p=2, q=2)
+    iaar, vhari = sim.random_iaar_params(5, 1, 2, 2, seed=0), sim.random_vhari_params(5, 2, seed=0)
+    refits = {                                          # model: (whole panel, orders)
+        "iaar": (sim.simulate_iaar(iaar, 250, seed=7), dict(p=2, s=2, q=1)),
+        "vhari": (sim.simulate_vhari(vhari, 250, seed=7), dict(q=2)),
+        "vecim": (Y, dict(p=1, q=2, r=1)),
+    }
+    for model, (whole, orders) in refits.items():
+        wins = [Panel(whole.values[i: i + 200]) for i in range(50)]
+        cases[f"fit_many {model} 50 windows"] = lambda m=model, w=wins, o=orders: [
+            _fit(fit) for fit in est.fit_many(m, w, **o)]
+        cases[f"fit_many {model} 50 windows warm"] = lambda m=model, Y=whole, w=wins, o=orders: (
+            warm(m, w, getattr(est, f"fit_{m}")(Y, **o), **o))
     mai = sim.random_mai_params(20, 2, 2, seed=0)
     for seed in range(3):
         cases[f"fit_mai n=20 T=2000 seed={seed}"] = lambda seed=seed: _fit(
             est.fit_mai(sim.simulate_mai(mai, 2000, burn=500, seed=seed), 2, 2))
-    Yi = sim.simulate_iaar(sim.random_iaar_params(5, 1, 2, 2, seed=0), 500, seed=1)
+    Yi = sim.simulate_iaar(iaar, 500, seed=1)
     cases["fit_iaar q=0"] = lambda: _fit(est.fit_iaar(Yi, 2, 0, 0))
     cases["fit_iaar q=1"] = lambda: _fit(est.fit_iaar(Yi, 2, 2, 1))
+    cases["fit_mai q=n"] = lambda: _fit(est.fit_mai(Yi, 2, 5))
     cases["iaar grid"] = lambda: _grid(grid_search(Yi, (1, 3), (1, 2), kind="hq", model="iaar"))
     Ym = sim.simulate_mai(sim.random_mai_params(5, 2, 2, seed=1), 40, seed=2)
     cases["mai grid"] = lambda: _grid(grid_search(Ym, (1, 3), (1, 3), kind="bic", model="mai"))
-    Yd = sim.simulate_vhari(sim.random_vhari_params(5, 2, seed=0), 800, seed=1)
+    Yd = sim.simulate_vhari(vhari, 800, seed=1)
     cases["fit_vhari q=2"] = lambda: _fit(est.fit_vhari(Yd, 2))
     Yv = sim.simulate_ciaar(ciaar, 400, seed=6)
     cases["fit_vecim p=1 q=2 r=1"] = lambda: _fit(est.fit_vecim(Yv, 1, 2, 1))
