@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import zip_longest
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -263,7 +262,7 @@ class _Setup:
     gram memo of the data the setup slices (_memo_grams), and n_params is
     the count of free parameters params' n_free_params() gives. warm(init)
     maps a supplied start (gamma0, omega0, D0) at the model's orders to the
-    engine's, by default as it is.
+    engine's, by default as it is; None takes the default start instead.
     """
 
     model: str
@@ -320,8 +319,8 @@ class _Grams:
     vec channels (the EC block when present, then the index lags), so
     X_a' X_b is M[i] at rows a n:(a + 1) n and columns b n:(b + 1) n. It is
     the one array held: every reader slices it, Gcc among them. Te is the
-    members' common effective sample. solved maps a rank r to the start
-    regression of a batch of one at r, or the error it raised (_default_starts).
+    members' common effective sample. solved maps a rank r to these grams'
+    start regression at r, or the error it raised (_default_starts).
     """
 
     M: np.ndarray
@@ -705,38 +704,26 @@ def _solve_rrr_eig(S00, S01, S11):
 # ---------------------------------------------------------------------------
 
 
-def _engine_states(setups, opts: FitOptions, starts=(), size=None) -> list:
-    """Each setup's final engine state, or the exception that ended its fit, in order.
+def _engine_states(q: int, shapes: list, grams: list, starts: list, opts: FitOptions,
+                   size=None) -> list:
+    """Each member's final engine state, or the exception that ended its fit, in order.
 
-    setups yields _Setups of one engine q, or the exceptions building them
-    raised; starts[i], when not None, overrides setup i's default start.
-    Only each setup's grams and start are kept, so its data can go as the
-    next one is built. The default starts are solved together
-    (_default_starts), and the members whose starts hold run as one lockstep
-    engine batch, padded to size = (nd, na, r), by default their largest
+    Member i has the engine shape shapes[i] = (nd, na, r), its grams of
+    [Z | lags | ec_X] grams[i] (_Setup.grams) and the start starts[i] =
+    (gamma0, omega0, D0), or the exception solving it raised, which is its
+    outcome. The members whose starts hold run as one lockstep engine batch
+    of index count q, padded to size = (nd, na, r), by default their largest
     (_padded_grams). The padded grams are handed to the engine alone, so
     they are freed at the engine's first compaction.
     """
-    outcomes, members = [], []                         # members: (index, q, shape, grams)
-    for setup, start in zip_longest(setups, starts):
-        if isinstance(setup, Exception):
-            outcomes.append(setup)
-            continue
-        members.append((len(outcomes), setup.q, setup.shape, setup.grams()))
-        if start is None:
-            try:
-                start = setup.start()
-            except (ValueError, np.linalg.LinAlgError) as exc:
-                start = exc
-        outcomes.append(start)
-    _default_starts(outcomes, members)
-    group = [member for member in members if not isinstance(outcomes[member[0]], Exception)]
+    outcomes = list(starts)
+    group = [i for i, start in enumerate(starts) if not isinstance(start, Exception)]
     if group:
-        shapes = [shape for _, _, shape, _ in group]
+        shapes = [shapes[i] for i in group]
         size = size or tuple(map(max, zip(*shapes)))
-        states = _sa_engine(_padded_grams([full for *_, full in group], shapes, size), group[0][1],
-                            size[2], [outcomes[i] for i, *_ in group], opts, shapes)
-        for (i, *_), state in zip(group, states):
+        states = _sa_engine(_padded_grams([grams[i] for i in group], shapes, size), q, size[2],
+                            [starts[i] for i in group], opts, shapes)
+        for i, state in zip(group, states):
             outcomes[i] = state
     return outcomes
 
@@ -818,15 +805,17 @@ def fit_many(
     model is a MODELS entry with an engine setup, and orders are the orders
     its fitter takes, by keyword (p=2, s=2, q=2, r=1 for "ciaar"); each
     single fitter is this function on one panel. Every panel starts from its
-    own default starting values, or from init = (gamma0, omega0, D0) when
-    given, mapped once by the setup's warm(), and keeps its own trace and
-    stop reason. The last panel's setup is built first, so an invalid order,
-    or an init warm() cannot map, raises here. Returns an iterator over the
-    FitResults in panel order; the switching runs before this returns, and
-    each fit's parameters are built as it is consumed, and its residuals
-    only if read, from its panel's setup built again (the last panel's is
-    held). A panel whose fit fails does not stop the others: the iterator
-    raises that fit's exception in its turn and goes on.
+    own default starting values, solved together (_default_starts) from the
+    start grams kept, with its grams, as its setup goes; or from init =
+    (gamma0, omega0, D0) when given, mapped once by the setup's warm() (None
+    keeps the default ones). Each keeps its own trace and stop reason. The
+    last panel's setup is built first, so an invalid order, or an init
+    warm() cannot map, raises here. Returns an iterator over the FitResults
+    in panel order; the switching runs before this returns, and each fit's
+    parameters are built as it is consumed, and its residuals only if read,
+    from its panel's setup built again (the last panel's is held). A panel
+    whose fit fails does not stop the others: the iterator raises that
+    fit's exception in its turn and goes on.
     The diagonal IAAR (q = 0) runs the engine too. Raises ValueError when
     the panels differ in length, width or first usable row.
     """
@@ -842,15 +831,16 @@ def fit_many(
     last, heads = make_setup(panels[-1]), []
     start = None if init is None else last.warm(init)
     sources = [partial(make_setup, Y) for Y in panels[:-1]] + [lambda: last]
-
-    def setups():
-        for source in sources:
-            setup = source()
-            heads.append(_Head(setup.model, setup.first, setup.means, setup.params,
-                               setup.T_eff, source))
-            yield setup
-
-    states = _engine_states(setups(), opts or FitOptions(), [start] * len(panels))
+    grams, inits = [], []
+    for source in sources:                             # each setup goes as the next is built
+        setup = source()
+        heads.append(_Head(setup.model, setup.first, setup.means, setup.params, setup.T_eff, source))
+        grams.append(setup.grams())
+        if start is None:
+            inits.append(_start_or_error(setup))
+    (nd, _, r), q = last.shape, last.q
+    starts = [start] * len(panels) if start is not None else _default_starts(inits, r, nd, q)
+    states = _engine_states(q, [last.shape] * len(panels), grams, starts, opts or FitOptions())
     return map(_raised, map(_finished, heads, states))
 
 
@@ -1139,38 +1129,38 @@ def init_ciaar(
     return _index_start(jo, max(p - 1, 0), q)[0]
 
 
-def _default_starts(inits: list, members: list) -> None:
-    """Replace each grams entry of inits (its setup.start's) by its start, in
-    place. members holds (index into inits, engine q, (nd, na, r), ...)
-    records. Each distinct pair of start grams and rank is regressed once
-    and the solution kept on the grams (_Grams.solved), the pairs not yet
-    solved in one stacked regression per layout and rank; one truncation
-    runs per layout, rank and (nd, q). A member whose regression fails on
-    its own gets its exception."""
-    batches, unsolved = {}, {}                         # (layout, r[, nd, q]) -> indices / grams
-    for i, q, (nd, _, r), *_ in members:
-        g = inits[i]
-        if isinstance(g, _Grams):
-            layout = g.M.shape[1:], g.n, g.nd, g.Te, r
-            batches.setdefault((*layout, nd, q), []).append(i)
-            if r not in g.solved:
-                unsolved.setdefault(layout, {})[id(g)] = g
-    for (*_, r), distinct in unsolved.items():
-        distinct, out = [*distinct.values()], [None] * len(distinct)
+def _default_starts(inits: list, r: int, nd: int, q: int) -> list:
+    """The default starts of one batch of fits of rank r, nd diagonal lags
+    and engine index count q, in order. inits holds each fit's start grams
+    (its setup's start()), or the exception building them raised, which is
+    returned as it is. The grams not yet solved at r (_Grams.solved) are
+    regressed in one stacked _start_regression, a member whose regression
+    fails on its own getting its exception, and the solutions are truncated
+    in one _index_start."""
+    fresh = [g for g in inits if isinstance(g, _Grams) and r not in g.solved]
+    if fresh:
+        out = [None] * len(fresh)
         jo, _, alive = _each_member(lambda st: _start_regression(st["grams"], r),
-                                    {"grams": _Grams.stack(distinct)}, [*range(len(out))], out)
+                                    {"grams": _Grams.stack(fresh)}, [*range(len(fresh))], out)
         for row, k in enumerate(alive):
             out[k] = {key: v[row: row + 1] for key, v in jo.items()}
-        for g, solution in zip(distinct, out):
+        for g, solution in zip(fresh, out):
             g.solved[r] = solution
-    for (*_, r, nd, q), batch in batches.items():
-        for i in batch:
-            inits[i] = inits[i].solved[r]
-        ok = [i for i in batch if isinstance(inits[i], dict)]
-        if ok:
-            stacked = {key: np.concatenate([inits[i][key] for i in ok]) for key in inits[ok[0]]}
-            for i, start in zip(ok, _index_start(stacked, nd, q)):
-                inits[i] = start
+    starts = [g.solved[r] if isinstance(g, _Grams) else g for g in inits]
+    ok = [i for i, start in enumerate(starts) if isinstance(start, dict)]
+    if ok:
+        stacked = {key: np.concatenate([starts[i][key] for i in ok]) for key in starts[ok[0]]}
+        for i, start in zip(ok, _index_start(stacked, nd, q)):
+            starts[i] = start
+    return starts
+
+
+def _start_or_error(setup: _Setup):
+    """setup.start()'s grams, or the exception its checks raised."""
+    try:
+        return setup.start()
+    except (ValueError, np.linalg.LinAlgError) as exc:
+        return exc
 
 
 def _start_regression(grams: _Grams, r: int) -> dict:
@@ -1239,6 +1229,9 @@ def _setup_ciaar(
         return CIAARParams(out["ds"], alpha0, gamma, omega, out["alphas"], out["sigma"])
 
     def warm(init):
+        # with no short-run lag the fit is Johansen's, and the default start its maximum
+        if nd == na == 0:
+            return None
         # the identified equivalent starts from the basis of beta0 = omega0 gamma0
         if q_fit == q:
             return init
@@ -1280,7 +1273,8 @@ def fit_ciaar(
     r = 0), from init's beta0 = omega0 gamma0 when given, and reported with
     omega = [omega_r | orth_complement(omega_r)[:, :q - r]] and
     gamma = [I_r; 0]: the same beta, alpha0, D and sigma, and the parameter
-    count of (p, s, q, r).
+    count of (p, s, q, r). With p <= 1 too, the fit is Johansen's, whose
+    default start is its maximum, so init is not used.
     """
     return next(fit_many("ciaar", [Y], opts, demean, t_start, init, p=p, s=s, q=q, r=r))
 
@@ -1389,6 +1383,8 @@ def _fit_grid(
     group, and the groups run one after another in this process, in
     ascending q, each through _engine_states padded to the largest lags
     and rank of all its fits; its candidates are finished as it returns.
+    Each fit's default start is solved alone, its regression kept on the
+    start grams its lags share (_Grams.solved).
 
     criterion(loglik, n_params, T_eff), when given, is the score the grid
     is searched for, and the grid prunes by it. Each candidate's
@@ -1440,7 +1436,11 @@ def _fit_grid(
         size = tuple(map(max, zip(*(setups[j].shape for j in groups[q]))))
         cut = best + PRUNE_RTOL * abs(best)
         run = [j for j in groups[q] if not all(lower[i] > cut for i in shares[j])]
-        for j, state in zip(run, _engine_states([setups[j] for j in run], opts, size=size)):
+        shapes = [setups[j].shape for j in run]
+        starts = [_default_starts([_start_or_error(setups[j])], r, nd, q)[0]
+                  for j, (nd, _, r) in zip(run, shapes)]
+        states = _engine_states(q, shapes, [setups[j].grams() for j in run], starts, opts, size)
+        for j, state in zip(run, states):
             for i in shares[j]:
                 fit = fits[i] = _finished(setups[i], state)
                 if criterion is not None and isinstance(fit, FitResult):

@@ -39,7 +39,6 @@ from functools import partial
 import numpy as np
 
 from .estimators import FitOptions, _fit_grid, _Pruned
-from .estimators import fit_ciaar, fit_mai  # noqa: F401  (traced by perfbench/workloads.py)
 from .tscore import Panel
 
 __all__ = ["CRITERIA", "FAMILIES", "ICRow", "ICTable", "info_criterion", "grid_search"]

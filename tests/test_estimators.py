@@ -20,6 +20,7 @@ from indexvar.estimators import (
     _normalize_gamma,
     _padded_grams,
     _sa_engine,
+    _setup_ciaar,
     _setup_iaar,
     _setup_mai,
     _setup_vhari,
@@ -646,11 +647,9 @@ class TestBatchAxis:
         opts = FitOptions(max_iter=60)
         setups = [_setup_mai(Y, 2, 2) for Y in panels]
         grams = _Grams.stack([_Grams.of(s.Z, s.diag_X, None, s.index_X) for s in setups])
-        starts = [
-            s.start() if omega0 is None else (None, omega0, [])
-            for s, omega0 in zip(setups, omega0s)
-        ]
-        _default_starts(starts, [(i, s.q, s.shape) for i, s in enumerate(setups)])
+        nd, _, r = setups[0].shape
+        starts = _default_starts([s.start() for s in setups[:3]], r, nd, 2)
+        starts.append((None, omega0s[3], []))
         states = _sa_engine(grams, 2, 0, starts, opts)
         failed = []
         for Y, setup, omega0, state in zip(panels, setups, omega0s, states):
@@ -748,6 +747,47 @@ class TestBatchAxis:
             assert np.array_equal(got.loglik_trace, ref.loglik_trace)
             assert np.array_equal(got.residuals, ref.residuals)
         assert failed == [SingularDesignError, np.linalg.LinAlgError]
+
+    def test_default_starts_solve_one_batch_in_order(self, monkeypatch):
+        # the panels of the test above, undemeaned: the collinear one's start
+        # grams raise and pass through as its entry; y4_{t-1} = y1_{t-1} -
+        # dy1_{t-1} exactly, so the lagged copy's levels concentrated on its
+        # lags are singular and its Johansen regression fails on its own; and
+        # the healthy ones get the starts a batch of one gives them, bit for bit
+        dgp = random_ciaar_params(6, 2, 1, 2, 2, seed=0)
+        panels = [simulate_ciaar(dgp, 300, seed=seed) for seed in (0, 1, 2, 4)]
+        dup, lag = panels[1].values.copy(), panels[2].values.copy()
+        dup[:, 2] = dup[:, 1]
+        lag[1:, 3] = lag[:-1, 0]
+        panels[1:3] = [Panel(dup), Panel(lag)]
+        inits = []
+        for Y in panels:
+            try:
+                inits.append(_setup_ciaar(Y, 2, 2, 2, 1, demean=False).start())
+            except SingularDesignError as exc:
+                inits.append(exc)
+        starts = _default_starts(inits, 1, 1, 2)
+        assert starts[1] is inits[1]
+        with pytest.raises(np.linalg.LinAlgError) as info:
+            init_ciaar(panels[2], 2, 2, 2, 1, demean=False)
+        assert type(starts[2]) is type(info.value) and str(starts[2]) == str(info.value)
+        for i in (0, 3):
+            setup = _setup_ciaar(panels[i], 2, 2, 2, 1, demean=False)
+            alone = _default_starts([setup.start()], 1, 1, 2)[0]
+            for got, want in zip(starts[i], alone):
+                assert np.array_equal(np.asarray(got), np.asarray(want))
+        # grams already solved at r are not regressed again, fresh ones are
+        regressed, start_regression = [], estimators._start_regression
+        monkeypatch.setattr(estimators, "_start_regression",
+                            lambda grams, r: regressed.append(len(grams.M)) or
+                            start_regression(grams, r))
+        fresh = _setup_ciaar(panels[0], 2, 2, 2, 1, demean=False).start()
+        again = _default_starts([*inits, fresh], 1, 1, 2)
+        assert regressed == [1]
+        assert again[1:3] == starts[1:3]
+        for got, want in zip([*again[:1], *again[3:]], [starts[0], starts[3], starts[0]]):
+            for a, b in zip(got, want):
+                assert np.array_equal(np.asarray(a), np.asarray(b))
 
     def test_fit_many_rejects_unequal_lengths(self):
         params = random_ciaar_params(6, 2, 1, 2, 2, seed=0)
@@ -1063,7 +1103,9 @@ class TestPaddedGroup:
             return out, st, members
 
         monkeypatch.setattr(estimators, "_each_member", recorded)
-        states = estimators._engine_states(iter(group), FitOptions(max_iter=120))
+        starts = [estimators._default_starts([s.start()], s.r, s.shape[0], s.q)[0] for s in group]
+        states = estimators._engine_states(2, shapes, [s.grams() for s in group], starts,
+                                           FitOptions(max_iter=120))
         assert all(isinstance(state, dict) for state in states)
         lacking = {                                    # a member's part of each output held at zero
             "alphas": lambda a, nd_i, na_i, r_i: a[na_i:],

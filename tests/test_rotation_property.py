@@ -71,9 +71,7 @@ def test_fit_is_invariant_to_the_basis_of_the_start_omega(case):
         start = init_ciaar(Y, **orders)
     else:
         setup = (_setup_mai if model == "mai" else _setup_iaar)(Y, **orders)
-        starts = [setup.start()]
-        _default_starts(starts, [(0, setup.q, setup.shape)])
-        start = starts[0]
+        start = _default_starts([setup.start()], setup.r, setup.shape[0], setup.q)[0]
     gamma0, omega0, d0 = start
     rotated = (np.linalg.solve(R, gamma0) if gamma0 is not None else None, omega0 @ R, d0)
     ref, got = fit_from(model, orders, Y, start), fit_from(model, orders, Y, rotated)

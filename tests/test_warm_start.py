@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from indexvar import cli
+from indexvar import cli, estimators
 from indexvar.cli import RunConfig, _fit_from_config
 from indexvar.estimators import FitOptions, fit_ciaar, fit_mai, fit_many
 from indexvar.forecast import rolling_evaluate
@@ -85,3 +85,18 @@ def test_warm_and_cold_windows_reach_the_same_maximum(n, orders, seed):
             assert abs(a.loglik - b.loglik) <= 1e-9 * abs(a.loglik)
         else:
             assert b.loglik > a.loglik
+
+
+@pytest.mark.parametrize("model, orders", [("vecim", (1, 2, 1)), ("ciaar", (1, 1, 2, 1))])
+def test_no_lag_windows_take_their_default_starts(model, orders):
+    # with no short-run lag the fit is Johansen's, whose default start is the
+    # maximum: the CLI's 50 windows of 939 rows (T = 1000, h = 12) fitted
+    # from the full-sample start are the cold windows, bit for bit
+    Y = simulate_ciaar(random_ciaar_params(6, 2, 1, 2, 2, seed=0), 1000, seed=1)
+    named = dict(zip(estimators.MODELS[model].orders, orders))
+    start = _start(next(fit_many(model, [Y], **named)).params)
+    cfg = RunConfig(subcommand="forecast", out=".", model=model, **named)
+    windows = _windows(Y, 939, 50)
+    cold = fit_many(model, windows, **named)
+    for fit, ref in zip(_fit_from_config(cfg, windows, start), cold):
+        _assert_bit_equal(fit, ref)

@@ -10,7 +10,7 @@ iterations and stop; a grid's rows (log-likelihoods, bounds, criteria,
 stops and errors) and picks; or the type and message of the exception it
 raised. Floats print exactly, so equal text means equal bits.
 
-The battery (70 cases):
+The battery (71 cases):
 - c12 grids (CIAAR, HQ, n = 6, T = 1000), seeds 0-3, pruned and with
   prune=False, and pruned under AIC and under BIC, seeds 0-1;
 - CIAAR and IAAR grids on the first 30 and 40 rows of an n = 6 CIAAR
@@ -19,6 +19,8 @@ The battery (70 cases):
 - fit_many over 50 sliding CIAAR windows from their default starts, and
   from the whole panel's fit at (2, 2, 2, 1) and (2, 1, 3, 1), and over 50
   MAI windows from the whole panel's fit, as the CLI's forecast refits;
+- fit_many over 50 undemeaned CIAAR (2, 2, 2, 1) windows from their default
+  starts, one of them with y4_t = y1_{t-1}, whose start regression fails;
 - fit_many over 50 sliding windows of IAAR (2, 2, 1), VHARI (q = 2) and
   VECIM (1, 2, 1), each from the default starts and from the whole panel's
   fit;
@@ -78,6 +80,18 @@ def _fit(fit) -> dict:
                    "diagnostics": fit.diagnostics, "params": fit.params, "residuals": fit.residuals})
 
 
+def _each_fit(fits) -> list:
+    """Each fit of a fit_many iterator, or its exception's type and message."""
+    out = []
+    while True:
+        try:
+            out.append(_fit(next(fits)))
+        except StopIteration:
+            return out
+        except Exception as exc:               # a raised error is a result too
+            out.append({"error": f"raised {type(exc).__name__}: {exc}"})
+
+
 def _grid(table) -> dict:
     return _plain({"rows": table.rows, "best": table.best, "T_eff": table.T_eff, "kind": table.kind})
 
@@ -113,6 +127,11 @@ def battery() -> dict:
     windows = [Panel(Y.values[i: i + 200]) for i in range(50)]
     cases["fit_many ciaar 50 windows"] = lambda: [_fit(fit) for fit in est.fit_many(
         "ciaar", windows, opts=est.FitOptions(max_iter=60), p=2, s=2, q=2, r=1)]
+    copy = windows[25].values.copy()
+    copy[1:, 3] = copy[:-1, 0]                          # undemeaned, its start regression fails
+    singular = [*windows[:25], Panel(copy), *windows[26:]]
+    cases["fit_many ciaar 50 windows one singular start"] = lambda: _each_fit(est.fit_many(
+        "ciaar", singular, opts=est.FitOptions(max_iter=60), demean=False, p=2, s=2, q=2, r=1))
 
     def warm(model, windows, full, **orders):
         # every window from the start the CLI's forecast takes: full's (gamma, omega, D)
