@@ -98,10 +98,22 @@ def _format_rows(rows: list, sep: str) -> list:
     return [template % tuple(row) for row in rows]
 
 
-def write_panel_csv(panel: Panel, path) -> None:
-    lines = [",".join(panel.names)] + _format_rows(panel.values.tolist(), ",")
+REPORT_BLOCK = 256   # rows a CSV report formats at a time: bounds its text held in memory
+
+
+def _write_csv(path, header, blocks) -> None:
+    """The header line, then each 2-D block's rows as "%.17g" cells joined by
+    commas; only one block's text exists at a time."""
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(",".join(header) + "\n")
+        for block in blocks:
+            fh.write("\n".join(_format_rows(block.tolist(), ",")) + "\n")
+
+
+def write_panel_csv(panel: Panel, path) -> None:
+    values = panel.values
+    _write_csv(path, panel.names,
+               (values[i:i + REPORT_BLOCK] for i in range(0, len(values), REPORT_BLOCK)))
 
 
 def _write_manifest(cfg: RunConfig, path) -> None:
@@ -136,10 +148,11 @@ def _array_lines(arr: np.ndarray) -> list:
 
 
 def _write_series_csv(path, columns: dict) -> None:
-    rows = np.column_stack(list(columns.values())).tolist()
-    lines = [",".join(columns)] + _format_rows(rows, ",")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    """The columns side by side under their names, stacked a block of rows at a time."""
+    arrays = list(columns.values())
+    T, = {len(a) for a in arrays}        # one length, as a whole column_stack would demand
+    _write_csv(path, columns, (np.column_stack([a[i:i + REPORT_BLOCK] for a in arrays])
+                               for i in range(0, T, REPORT_BLOCK)))
 
 
 # ---------------------------------------------------------------------------

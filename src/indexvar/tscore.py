@@ -85,10 +85,10 @@ def read_panel_csv(path) -> Panel:
 
     Cells must be numbers float() reads, with no missing entries; parse
     failures report the offending row and column. The header goes through
-    csv.reader and the data rows through numpy's C reader. Wherever that
-    reader might disagree with csv.reader and float() (a quoted header, a
-    blank line, a non-ASCII data row, a cell it cannot parse, a row count or
-    width other than the file's), the file is read again row by row
+    csv.reader and the data rows, as ASCII bytes, through numpy's C reader.
+    Wherever that reader might disagree with csv.reader and float() (a quoted
+    header, a blank line, a non-ASCII data row, a cell it cannot parse, a row
+    count or width other than the file's), the file is read again row by row
     (_read_rows), which gives every error message.
     """
     try:
@@ -98,7 +98,8 @@ def read_panel_csv(path) -> Panel:
         if '"' not in header and body.strip() and body.isascii() \
                 and not any(c in body for c in "\x1c\x1d\x1e\x1f"):
             names = [s.strip() for s in next(csv.reader([header]))]
-            values = np.loadtxt(io.StringIO(body), delimiter=",", comments=None, ndmin=2)
+            data = io.BytesIO(body.encode("ascii"))     # a byte a character; StringIO holds 4
+            values = np.loadtxt(data, delimiter=",", comments=None, ndmin=2)
             if values.shape == (body.count("\n") + (body[-1] != "\n"), len(names)):
                 return Panel(values, names)
     except ValueError:

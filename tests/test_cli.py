@@ -637,3 +637,36 @@ class TestReportFormatting:
         rows = np.column_stack(list(columns.values()))
         want = "\n".join(["step,x,y"] + self.per_cell(rows, ",")) + "\n"
         assert (tmp_path / "series.csv").read_text() == want
+
+    @pytest.mark.parametrize("blocks, extra", [(0, 1), (1, -1), (1, 0), (1, 1), (2, 1)])
+    def test_csv_writers_write_the_per_cell_bytes_across_blocks(self, tmp_path, blocks, extra):
+        from indexvar.cli import REPORT_BLOCK, _write_series_csv, write_panel_csv
+
+        T = blocks * REPORT_BLOCK + extra
+        finite = np.resize(self.VALUES[[0, 2]], (T, 5))
+        write_panel_csv(Panel(finite, list("abcde")), tmp_path / "panel.csv")
+        want = "\n".join(["a,b,c,d,e"] + self.per_cell(finite, ",")) + "\n"
+        assert (tmp_path / "panel.csv").read_text() == want
+        tiled = np.resize(self.VALUES, (T, 5))
+        columns = {"step": np.arange(1.0, T + 1), **{k: tiled[:, j] for j, k in enumerate("vwxyz")}}
+        _write_series_csv(tmp_path / "series.csv", columns)
+        rows = np.column_stack(list(columns.values()))
+        want = "\n".join(["step,v,w,x,y,z"] + self.per_cell(rows, ",")) + "\n"
+        assert (tmp_path / "series.csv").read_text() == want
+
+    def test_series_report_memory_does_not_grow_with_its_rows(self, tmp_path):
+        import tracemalloc
+
+        from indexvar.cli import _write_series_csv
+
+        rng = np.random.default_rng(0)
+        columns = {f"c{j}": rng.standard_normal(2000) for j in range(24)}
+        path = tmp_path / "series.csv"
+        tracemalloc.start()
+        try:
+            _write_series_csv(path, columns)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the whole report held as rows, lines and text at once peaks near 5x the file
+        assert peak < path.stat().st_size / 2

@@ -1,22 +1,25 @@
-"""Time ``indexvar montecarlo`` in fresh processes, alternating between source trees.
+"""Time an ``indexvar`` subcommand in fresh processes, alternating between source trees.
 
     python tools/mc_timing.py --tree parent=../parent/src --tree change=src \\
-        --rounds 10 --blas 1 -- --model mai --n 20 --q 2 --p 2 --T 2000 --reps 200 --seed 5
+        --rounds 10 --blas 1 -- montecarlo --model mai --n 20 --q 2 --p 2 --T 2000 --reps 200
 
-Each ``--tree`` is ``LABEL=SRC_DIR``, optionally followed by montecarlo
-arguments for that tree alone (``"loose=src --tol 1e-4"``). Every
-round runs each tree once, in an order that rotates from round to round, as
-a fresh ``python -m indexvar.cli montecarlo`` process with ``PYTHONPATH`` at
-``SRC_DIR`` and the arguments after ``--``. ``--blas 1`` sets
-OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and MKL_NUM_THREADS to 1; ``--blas
-default`` removes them, so OpenBLAS picks its own thread count.
+The first argument after ``--`` names the subcommand (``simulate``, ``fit``,
+``select``, ``decompose``, ``forecast`` or ``montecarlo``) and the rest are
+its arguments, less ``--out``. Each ``--tree`` is ``LABEL=SRC_DIR``,
+optionally followed by arguments for that tree alone (``"loose=src --tol
+1e-4"``). Every round runs each tree once, in an order that rotates from
+round to round, as a fresh ``python -m indexvar.cli SUBCOMMAND`` process with
+``PYTHONPATH`` at ``SRC_DIR`` and the arguments after the subcommand.
+``--blas 1`` sets OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and MKL_NUM_THREADS
+to 1; ``--blas default`` removes them, so OpenBLAS picks its own thread count.
 
 Wall time is taken around the whole process, interpreter start and imports
 included. Peak RSS is the ``ru_maxrss`` that ``wait4`` reports: the largest
 single process of the run, so for a process pool it is one process's, not
 the pool's sum. Every run is printed, then each tree's median and IQR
-(quartiles by the inclusive method) of both, the number of rounds whose
-``mc_results.csv`` equals the first tree's byte for byte, and the machine:
+(quartiles by the inclusive method) of both, the number of rounds in which
+every file the run wrote but ``manifest.txt`` (which names its output
+directory) equals the first tree's byte for byte, and the machine:
 cores, the thread count and core (kernel) the OpenBLAS that numpy loaded
 reports under the chosen environment, and the numpy and Python versions.
 """
@@ -62,8 +65,8 @@ def _env(blas: str) -> dict:
 
 
 def _run(src: str, args: list, env: dict, out: Path) -> tuple:
-    """One fresh montecarlo process: (wall seconds, peak RSS in MB, exit status)."""
-    cmd = [sys.executable, "-m", "indexvar.cli", "montecarlo", *args, "--out", str(out)]
+    """One fresh indexvar process: (wall seconds, peak RSS in MB, exit status)."""
+    cmd = [sys.executable, "-m", "indexvar.cli", *args, "--out", str(out)]
     start = time.perf_counter()
     proc = subprocess.Popen(cmd, env=dict(env, PYTHONPATH=str(Path(src).resolve())),
                             stdout=subprocess.DEVNULL)
@@ -71,6 +74,11 @@ def _run(src: str, args: list, env: dict, out: Path) -> tuple:
     wall = time.perf_counter() - start
     proc.returncode = os.waitstatus_to_exitcode(status)   # reaped here, not by Popen
     return wall, usage.ru_maxrss / 1024, proc.returncode
+
+
+def _reports(out: Path) -> dict:
+    """Every file a run wrote but its manifest, by name: its bytes."""
+    return {p.name: p.read_bytes() for p in sorted(out.iterdir()) if p.name != "manifest.txt"}
 
 
 def _summary(values: tuple) -> str:
@@ -83,12 +91,15 @@ def _summary(values: tuple) -> str:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--tree", action="append", required=True,
-                        help="LABEL=SRC_DIR [extra montecarlo arguments], repeatable")
+                        help="LABEL=SRC_DIR [extra subcommand arguments], repeatable")
     parser.add_argument("--rounds", type=int, default=10)
     parser.add_argument("--blas", choices=("1", "default"), default="1")
-    parser.add_argument("args", nargs=argparse.REMAINDER, help="-- then montecarlo arguments")
+    parser.add_argument("args", nargs=argparse.REMAINDER,
+                        help="-- then the subcommand and its arguments")
     opts = parser.parse_args(argv)
     args = opts.args[1:] if opts.args[:1] == ["--"] else opts.args
+    if not args or args[0].startswith("-"):
+        parser.error("name the subcommand first after --, as in -- montecarlo --model mai")
     trees = []
     for spec in opts.tree:
         label, _, rest = spec.partition("=")
@@ -98,7 +109,7 @@ def main(argv=None) -> int:
     machine = subprocess.run([sys.executable, "-c", MACHINE], env=env, check=True,
                              capture_output=True, text=True).stdout.strip()
     print(f"machine: {machine} (--blas {opts.blas})")
-    print(f"montecarlo {' '.join(args)}")
+    print(" ".join(args))
     runs = {label: [] for label, _, _ in trees}
     same = {label: 0 for label, _, _ in trees}
     with tempfile.TemporaryDirectory() as tmp:
@@ -112,13 +123,13 @@ def main(argv=None) -> int:
                 if code != 0:
                     return 1
                 runs[label].append((wall, rss))
-            first = Path(tmp, f"{rnd}-{trees[0][0]}", "mc_results.csv").read_bytes()
+            first = _reports(Path(tmp, f"{rnd}-{trees[0][0]}"))
             for label in runs:
-                same[label] += Path(tmp, f"{rnd}-{label}", "mc_results.csv").read_bytes() == first
+                same[label] += _reports(Path(tmp, f"{rnd}-{label}")) == first
     for label, _, extra in trees:
         walls, rsss = zip(*runs[label])
         print(f"{label} {' '.join(extra)}: wall s {_summary(walls)}; peak RSS MB {_summary(rsss)}; "
-              f"mc_results.csv equal to {trees[0][0]}'s in {same[label]}/{opts.rounds} rounds")
+              f"reports equal to {trees[0][0]}'s in {same[label]}/{opts.rounds} rounds")
     return 0
 
 
