@@ -78,10 +78,10 @@ class FitOptions:
     tol: float = 1e-8
 
     def __post_init__(self):
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
-        if self.tol <= 0:
-            raise ValueError("tol must be > 0")
+        if not (isinstance(self.max_iter, (int, np.integer)) and self.max_iter >= 1):
+            raise ValueError("max_iter must be an integer >= 1")
+        if not (np.isfinite(self.tol) and self.tol > 0):
+            raise ValueError("tol must be finite and > 0")
 
 
 @dataclass
@@ -293,9 +293,6 @@ class _Setup:
     def T_eff(self) -> int:
         return self.Z.shape[0]
 
-    def full(self) -> "_Setup":
-        return self
-
 
 @dataclass
 class _Head:
@@ -398,7 +395,7 @@ def _sa_engine(
     fit. A state's diagnostics["stop"] says why its sweeps ended: "tol"
     (converged), "max_iter" (the sweep cap, not converged), or
     "no_free_params" (nothing beyond the loadings to estimate, so one OLS
-    step is the fit). Its sigma is judged once, when it is finished (_finish).
+    step is the fit). Its sigma is judged once, after the run (_judged).
     """
     n, nd, Te = grams.n, grams.nd, grams.Te
     na = grams.Gcc.shape[-1] // n - (r > 0)
@@ -749,13 +746,24 @@ def _padded_grams(fulls: list, shapes: list, size: tuple) -> _Grams:
     return _Grams(M, n, nd, fulls[0].Te)
 
 
-def _finished(setup, outcome):
-    """A member's FitResult from its _Setup or _Head and engine state, or
-    the exception building it raised; any other outcome as it is."""
-    if not isinstance(outcome, dict):
-        return outcome
+def _judged(outcome):
+    """A state whose sigma passes the guard, its ratio in diagnostics["sigma_cond"]
+    (sigma_cond), else the guard's error; any other outcome as it is. Every
+    state takes the guard here once, in a grid (_fit_grid) or a fit (_finished)."""
+    if isinstance(outcome, dict):
+        try:
+            outcome["diagnostics"]["sigma_cond"] = sigma_cond(outcome["sigma"])
+        except (ValueError, np.linalg.LinAlgError) as exc:
+            return exc
+    return outcome
+
+
+def _finished(head, outcome):
+    """A member's FitResult from its _Head and judged engine outcome (_judged),
+    or the exception judging or building it raised; any other outcome as it is."""
+    outcome = _judged(outcome)
     try:
-        return _finish(setup, outcome)
+        return _finish(head, outcome) if isinstance(outcome, dict) else outcome
     except (ValueError, np.linalg.LinAlgError) as exc:
         return exc
 
@@ -766,16 +774,15 @@ def _raised(outcome):
     return outcome
 
 
-def _finish(setup, state: dict) -> FitResult:
-    """A member's FitResult from its _Setup or _Head and engine state. Its
-    parameters and sigma are the engine's, and its residuals are formed from
-    setup.full() when first read (_residuals). Its sigma first takes the
-    guard, whose ratio diagnostics["sigma_cond"] records (sigma_cond)."""
-    state["diagnostics"]["sigma_cond"] = sigma_cond(state["sigma"])
+def _finish(head: _Head, state: dict) -> FitResult:
+    """A member's FitResult from its _Head and engine state, whose sigma has
+    passed the guard (_judged). Its parameters and sigma are the engine's,
+    in the container head.params builds, which checks its own input again;
+    its residuals are formed from head.full() when first read (_residuals)."""
     return FitResult(
-        setup.model, setup.params(state), state["trace"],
-        _Deferred(lambda: _residuals(setup.full(), state), setup.T_eff), state["converged"],
-        state["iterations"], setup.first, means=setup.means, diagnostics=state["diagnostics"],
+        head.model, head.params(state), state["trace"],
+        _Deferred(lambda: _residuals(head.full(), state), head.T_eff), state["converged"],
+        state["iterations"], head.first, means=head.means, diagnostics=state["diagnostics"],
     )
 
 
@@ -1359,15 +1366,6 @@ def _grid_setup(model: str, Y: Panel, orders: tuple, t_start: int, data=None) ->
 PRUNE_RTOL = 1e-8   # a pruned candidate's criterion bound exceeds the best fitted one by this
 
 
-@dataclass
-class _Pruned:
-    """A selection-grid candidate left unfitted: its criterion at its
-    log-likelihood bound exceeds a fitted candidate's (_fit_grid)."""
-
-    n_params: int
-    T_eff: int
-
-
 def _fit_grid(
     model: str, Y: Panel, candidates: list, opts: FitOptions, t_start: int,
     criterion: Callable | None = None,
@@ -1382,9 +1380,10 @@ def _fit_grid(
     the others share its state. The distinct fits of each engine q form a
     group, and the groups run one after another in this process, in
     ascending q, each through _engine_states padded to the largest lags
-    and rank of all its fits; its candidates are finished as it returns.
-    Each fit's default start is solved alone, its regression kept on the
-    start grams its lags share (_Grams.solved).
+    and rank of all its fits; its states are judged (_judged) as it
+    returns, and none becomes a FitResult or a params container. Each
+    fit's default start is solved alone, its regression kept on the start
+    grams its lags share (_Grams.solved).
 
     criterion(loglik, n_params, T_eff), when given, is the score the grid
     is searched for, and the grid prunes by it. Each candidate's
@@ -1397,9 +1396,9 @@ def _fit_grid(
     raises at it, is never certified. A candidate with at least T_eff
     parameters has no criterion and is not fitted: its outcome is
     info_criterion's ValueError. Returns an iterator over the candidates in
-    order, giving (outcome, bound): its FitResult, the exception its single
-    fit raises, or _Pruned, and its log-likelihood bound (nan when not
-    computed).
+    order, giving (outcome, n_params, bound): its judged engine state (one
+    dict per distinct fit), the exception its fit raised or None if pruned,
+    its setup's parameter count (0 if none), and its bound (nan if none).
     """
     data = _demeaned(Y, True, differences=model == "ciaar")
     T_eff = Y.T - t_start
@@ -1430,8 +1429,8 @@ def _fit_grid(
                     solved[lags] = _loglik_bounds(setup.grams())
                 bounds[i] = float(solved[lags][setup.r])
                 lower[i] = _score(criterion, bounds[i], setup.n_params, T_eff)
-    fits = [s if isinstance(s, Exception) else _Pruned(s.n_params, T_eff) for s in setups]
-    best = np.inf                                      # the least criterion of a finished fit
+    outcomes = [s if isinstance(s, Exception) else None for s in setups]   # None: pruned
+    best = np.inf                                      # the least criterion of a judged state
     for q in sorted(groups):
         size = tuple(map(max, zip(*(setups[j].shape for j in groups[q]))))
         cut = best + PRUNE_RTOL * abs(best)
@@ -1440,12 +1439,13 @@ def _fit_grid(
         starts = [_default_starts([_start_or_error(setups[j])], r, nd, q)[0]
                   for j, (nd, _, r) in zip(run, shapes)]
         states = _engine_states(q, shapes, [setups[j].grams() for j in run], starts, opts, size)
-        for j, state in zip(run, states):
+        for j, state in zip(run, map(_judged, states)):
             for i in shares[j]:
-                fit = fits[i] = _finished(setups[i], state)
-                if criterion is not None and isinstance(fit, FitResult):
-                    best = np.fmin(best, _score(criterion, fit.loglik, setups[i].n_params, T_eff))
-    return zip(fits, bounds)
+                outcomes[i] = state
+                if criterion is not None and isinstance(state, dict):
+                    loglik = float(state["trace"][-1])
+                    best = np.fmin(best, _score(criterion, loglik, setups[i].n_params, T_eff))
+    return zip(outcomes, [0 if isinstance(s, Exception) else s.n_params for s in setups], bounds)
 
 
 def _score(criterion: Callable, loglik: float, n_params: int, T_eff: int) -> float:

@@ -12,10 +12,10 @@ only through beta = omega gamma, which is identified up to an r x r rotation:
 however many rows share it. Those rows carry its log-likelihood bit for bit
 and their own parameter counts, so a duplicate never beats its equivalent.
 The distinct fits take the engine path of every fit (estimators._fit_grid),
-each its candidate's single fit up to rounding. A candidate whose fit raises is a
-failed row carrying that error; stop records why a fit's sweeps ended
-("tol", "max_iter" or "no_free_params") and sigma_cond the conditioning of
-its residual covariance.
+each its candidate's single fit up to rounding; a row reads its fit's engine
+state, and no parameter container is built. A failed fit's row carries its
+error; stop records why a fit's sweeps ended ("tol", "max_iter" or
+"no_free_params") and sigma_cond the conditioning of its residual covariance.
 
 The search is a branch and bound for the table's criterion (Furnival and
 Wilson 1974). Every candidate is nested in the unrestricted model of its
@@ -38,7 +38,7 @@ from functools import partial
 
 import numpy as np
 
-from .estimators import FitOptions, _fit_grid, _Pruned
+from .estimators import FitOptions, _fit_grid
 from .tscore import Panel
 
 __all__ = ["CRITERIA", "FAMILIES", "ICRow", "ICTable", "info_criterion", "grid_search"]
@@ -180,26 +180,24 @@ def _candidate_grid(model, p_range, q_range, n):
     return combos
 
 
-def _ic_row(model: str, orders: tuple, fit, bound: float) -> ICRow:
-    """The table row of a candidate's FitResult, of the exception it raised,
-    or of its pruning, with its log-likelihood bound."""
-    if isinstance(fit, Exception):  # failed fits stay in the table, out of the argmin
+def _ic_row(model: str, orders: tuple, state, n_params: int, bound: float, T_eff: int) -> ICRow:
+    """The table row of a candidate's judged engine state, of the exception
+    its fit raised, or of its pruning (None), with its parameter count and
+    log-likelihood bound (estimators._fit_grid)."""
+    if isinstance(state, Exception):    # failed fits stay in the table, out of the argmin
         return ICRow(model, *orders, np.nan, 0, np.nan, np.nan, np.nan, False,
-                     failed=True, error=f"{type(fit).__name__}: {fit}", loglik_bound=bound)
-    if isinstance(fit, _Pruned):    # so do pruned candidates
-        return ICRow(model, *orders, np.nan, fit.n_params, np.nan, np.nan, np.nan, False,
+                     failed=True, error=f"{type(state).__name__}: {state}", loglik_bound=bound)
+    if state is None:                   # so do pruned candidates
+        return ICRow(model, *orders, np.nan, n_params, np.nan, np.nan, np.nan, False,
                      stop="pruned", loglik_bound=bound)
-    diagnostics = dict(
-        stop=fit.diagnostics.get("stop", ""),
-        sigma_cond=fit.diagnostics.get("sigma_cond", math.nan),
-        loglik_bound=bound,
-    )
+    loglik, diagnostics = float(state["trace"][-1]), state["diagnostics"]
     try:
-        crits = [info_criterion(fit.loglik, fit.n_params, fit.T_eff, c) for c in CRITERIA]
-    except ValueError as exc:
-        return ICRow(model, *orders, fit.loglik, fit.n_params, np.nan, np.nan, np.nan,
-                     fit.converged, failed=True, error=str(exc), **diagnostics)
-    return ICRow(model, *orders, fit.loglik, fit.n_params, *crits, fit.converged, **diagnostics)
+        crits, error = [info_criterion(loglik, n_params, T_eff, c) for c in CRITERIA], ""
+    except ValueError as exc:           # no criterion: a failed row that keeps its fit's figures
+        crits, error = [np.nan] * len(CRITERIA), str(exc)
+    return ICRow(model, *orders, loglik, n_params, *crits, state["converged"], failed=bool(error),
+                 stop=diagnostics["stop"], error=error, sigma_cond=diagnostics["sigma_cond"],
+                 loglik_bound=bound)
 
 
 def grid_search(
@@ -238,7 +236,8 @@ def grid_search(
     # plus the differencing row)
     t_start = Y.t0 + max(max(p, s) for p, s, _, _ in combos)
     criterion = partial(info_criterion, kind=kind) if prune else None
-    fits = _fit_grid(model, Y, combos, opts, t_start, criterion)
+    outcomes = _fit_grid(model, Y, combos, opts, t_start, criterion)
+    T_eff = Y.T - t_start
     # ICTable raises when every row failed
-    rows = [_ic_row(model, orders, fit, bound) for orders, (fit, bound) in zip(combos, fits)]
-    return ICTable(rows, Y.T - t_start, kind=kind)
+    rows = [_ic_row(model, orders, *outcome, T_eff) for orders, outcome in zip(combos, outcomes)]
+    return ICTable(rows, T_eff, kind=kind)

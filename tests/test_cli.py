@@ -348,6 +348,17 @@ class TestErrors:
         assert code == 1
         assert estimators.SIGMA_ERROR in capsys.readouterr().err
 
+    def test_a_non_finite_tol_is_refused(self, sim_dir, tmp_path, capsys):
+        # inf stopped every fit after two sweeps as converged, and nan ran
+        # every fit silently to the sweep cap
+        config = tmp_path / "nan.cfg"
+        config.write_text("tol = nan\n")
+        fit = ("fit", "--input", sim_dir / "panel.csv", "--model", "ciaar", "--p", 2, "--s", 2,
+               "--q", 2, "--r", 1, "--out", tmp_path / "o")
+        for extra in (("--tol", "inf"), ("--config", config)):
+            assert run_cli(*fit, *extra) == 1
+            assert capsys.readouterr().err == "indexvar: error: tol must be finite and > 0\n"
+
     def test_inadmissible_orders_rejected(self, tmp_path, capsys):
         code = run_cli("simulate", "--model", "ciaar", "--n", 4, "--q", 2,
                        "--p", 2, "--s", 3, "--r", 1, "--out", tmp_path / "o")

@@ -121,8 +121,11 @@ def padded_batches(draw, Te=40):
 
 
 @pytest.mark.parametrize("field, value, message", [
-    ("max_iter", 0, "max_iter must be >= 1"),
-    ("tol", 0.0, "tol must be > 0"),
+    ("max_iter", 0, "max_iter must be an integer >= 1"),
+    ("max_iter", 2.5, "max_iter must be an integer >= 1"),
+    ("tol", 0.0, "tol must be finite and > 0"),
+    ("tol", np.inf, "tol must be finite and > 0"),
+    ("tol", np.nan, "tol must be finite and > 0"),
 ])
 def test_fit_options_rejections(field, value, message):
     with pytest.raises(ValueError) as info:
@@ -899,7 +902,7 @@ class TestGramStarts:
         p, q = orders["p"], orders["q"]
         orders_row = (p, orders.get("s", p), q, 0)
         t_start = panels[1].t0 + p
-        outcome, _ = next(_fit_grid(model, panels[1], [orders_row], FitOptions(), t_start))
+        outcome, _, _ = next(_fit_grid(model, panels[1], [orders_row], FitOptions(), t_start))
         with pytest.raises(SingularDesignError) as ref:
             fit(panels[1], t_start=t_start, **orders)
         assert isinstance(outcome, SingularDesignError)

@@ -55,8 +55,8 @@ def single_fit(model, Y, orders, t_start):
 def traced_grid_search(Y, p_range, q_range, model):
     """grid_search, with the (block count, r) of each start regression it
     solves (Johansen's or the OLS VAR's), the starts of each group's
-    members, keyed by q and the member's rank, and the row outcomes (a
-    FitResult or an exception)."""
+    members, keyed by q and the member's rank, and the row outcomes (an
+    engine state or an exception)."""
     regression_calls, group_starts, outcomes = [], {}, []
     start_regression, engine = estimators._start_regression, estimators._sa_engine
     fit_grid = select._fit_grid
@@ -71,9 +71,9 @@ def traced_grid_search(Y, p_range, q_range, model):
         return engine(grams, q, r, starts, opts, shapes)
 
     def kept(*args, **kwargs):
-        for outcome, bound in fit_grid(*args, **kwargs):
-            outcomes.append(outcome)
-            yield outcome, bound
+        for outcome in fit_grid(*args, **kwargs):
+            outcomes.append(outcome[0])
+            yield outcome
 
     estimators._start_regression, estimators._sa_engine = counted, recorded
     select._fit_grid = kept
@@ -105,9 +105,9 @@ def test_grid_rows_equal_single_fits(case):
         return
     assert [row.orders() for row in table.rows] == combos
     assert len(outcomes) == len(combos)
-    for row, fit in zip(table.rows, outcomes):
-        if not isinstance(fit, Exception):
-            assert fit.loglik == gaussian_loglik(fit.params.sigma, fit.T_eff)
+    for row, state in zip(table.rows, outcomes):
+        if not isinstance(state, Exception):
+            assert state["trace"][-1] == gaussian_loglik(state["sigma"], table.T_eff)
         try:
             ref = single_fit(model, Y, row.orders(), t_start)
         except (ValueError, np.linalg.LinAlgError) as exc:

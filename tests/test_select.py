@@ -1,20 +1,23 @@
 import csv
 import math
+import warnings
 from functools import partial
 
 import numpy as np
 import pytest
 
-from indexvar import estimators
-from indexvar.estimators import _fit_grid, _Pruned
+from indexvar import estimators, params
+from indexvar.estimators import _fit_grid
 from indexvar.select import ICRow, ICTable, grid_search, info_criterion
 from indexvar.simulate import (
     random_ciaar_params,
+    random_iaar_params,
     random_mai_params,
     simulate_ciaar,
+    simulate_iaar,
     simulate_mai,
 )
-from indexvar.estimators import SIGMA_ERROR, FitOptions
+from indexvar.estimators import RRR_ERROR, SIGMA_ERROR, STEP_ERROR, FitOptions, fit_ciaar
 from indexvar.tscore import Panel
 
 
@@ -241,6 +244,92 @@ class TestGridSearch:
         best = table.best_row("hq")
         assert (best.orders(), best.stop) == ((2, 1, 3, 3), "tol")
 
+    RANK_DEFICIENT = "SingularDesignError: design is rank deficient: "
+
+    @pytest.mark.parametrize("prune", [True, False])
+    @pytest.mark.parametrize("model", ["ciaar", "iaar", "mai"])
+    def test_lagged_copy_grids_keep_their_failed_rows(self, model, prune):
+        # each family's failed rows and their errors, pruned or not; the
+        # rank-deficient texts end in kernel-dependent singular values, and
+        # (2, 2, 3, 1) fails at the step-2 Cholesky under OpenBLAS's SkylakeX
+        # kernel, at the sigma guard under Haswell, SandyBridge and Nehalem
+        table = grid_search(self.lagged_copy(), (1, 3), (1, 3), model=model, prune=prune)
+        failed = {row.orders(): row.error for row in table.rows if row.failed}
+        if model == "ciaar":
+            assert failed.pop((2, 2, 3, 1)) in {f"LinAlgError: {e}" for e in (STEP_ERROR, SIGMA_ERROR)}
+            expected = {orders: f"LinAlgError: {SIGMA_ERROR}" for orders in (
+                (2, 2, 1, 1), (2, 2, 2, 1), (2, 2, 2, 2), (2, 2, 3, 2), (2, 2, 3, 3))}
+            expected.update({(3, s, q, r): f"LinAlgError: {RRR_ERROR}"
+                             for s in (1, 2, 3) for q in (1, 2, 3) for r in range(q + 1)})
+            assert failed == expected and len(failed) == 32
+            assert sum(row.stop == "pruned" for row in table.rows) == (5 if prune else 0)
+        else:                                          # the p = 3 lag designs are singular
+            s_range = (3,) if model == "mai" else (1, 2, 3)
+            assert sorted(failed) == [(3, s, q, 0) for s in s_range for q in (1, 2, 3)]
+            assert all(error.startswith(self.RANK_DEFICIENT) for error in failed.values())
+        best = table.best_row("hq")
+        if model != "mai":
+            assert (best.orders(), best.stop) == {
+                "ciaar": ((2, 1, 3, 3), "tol"), "iaar": ((2, 2, 3, 0), "max_iter")}[model]
+
+
+class TestGridStates:
+    """A grid tabulates its fits' engine states: it builds no FitResult and
+    no params container, and judges each distinct fit's sigma once."""
+
+    @staticmethod
+    def c12_grid(Y, prune):
+        return grid_search(Y, (1, 3), (1, 3), kind="hq", opts=FitOptions(max_iter=120),
+                           prune=prune)
+
+    @staticmethod
+    def c12_panel():
+        return simulate_ciaar(random_ciaar_params(6, 2, 1, 2, 2, seed=0), 1000, seed=0)
+
+    @pytest.mark.parametrize("prune", [True, False])
+    def test_a_grid_builds_no_fit_result_or_params_container(self, prune, monkeypatch):
+        Y, built = self.c12_panel(), []                # simulating builds the DGP's params
+        for cls in (estimators.FitResult, *(getattr(params, name) for name in params.__all__)):
+            def counted(self, *args, init=cls.__init__, name=cls.__name__, **kwargs):
+                built.append(name)
+                init(self, *args, **kwargs)
+            monkeypatch.setattr(cls, "__init__", counted)
+        table = self.c12_grid(Y, prune)
+        assert built == []
+        assert not table.best_row("hq").failed
+
+    @pytest.mark.parametrize("prune", [True, False])
+    def test_sigma_is_judged_once_per_distinct_fit(self, prune, monkeypatch):
+        judged, states = [], []
+        guard, engine = estimators.sigma_cond, estimators._sa_engine
+
+        def counted(sigma):
+            judged.append(sigma)
+            return guard(sigma)
+
+        def recorded(*args):
+            finals = engine(*args)
+            states.extend(final for final in finals if isinstance(final, dict))
+            return finals
+
+        monkeypatch.setattr(estimators, "sigma_cond", counted)
+        monkeypatch.setattr(estimators, "_sa_engine", recorded)
+        table = self.c12_grid(self.c12_panel(), prune)
+        # the s = 1 rows share their equivalents' fits, so there are more rows than states
+        fitted = [row for row in table.rows if row.stop != "pruned" and not row.failed]
+        assert len(fitted) > len(states)
+        assert sorted(map(id, judged)) == sorted(id(state["sigma"]) for state in states)
+
+    def test_an_iaar_grid_raises_no_parsimony_warning(self):
+        # (2, 2, 3, 0) and (3, 3, 3, 0) are not more parsimonious than the
+        # unrestricted VAR, which IAARParams warns of; a grid builds none
+        Y = simulate_iaar(random_iaar_params(4, 1, 2, 2, seed=0), 400, seed=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = grid_search(Y, (1, 3), (1, 3), model="iaar", prune=False)
+        rows = {row.orders(): row for row in table.rows}
+        assert not any(rows[orders].failed for orders in ((2, 2, 3, 0), (3, 3, 3, 0)))
+
 
 class TestPruning:
     """grid_search skips the candidates its log-likelihood bound certifies
@@ -266,10 +355,6 @@ class TestPruning:
                 table.best_row("hq").hq
             )
 
-    @staticmethod
-    def raise_value_error(state):
-        raise ValueError("params do not build")
-
     def test_a_grid_whose_fitted_rows_all_fail_prunes_nothing(self, monkeypatch):
         # T_eff = 7 is not larger than any candidate's count (7, 12, 15): each
         # fails before the engine, unbounded, and the search raises
@@ -277,49 +362,48 @@ class TestPruning:
         candidates = [(1, 1, q, 0) for q in (1, 2, 3)]
         hq = partial(info_criterion, kind="hq")
         outcomes = list(_fit_grid("mai", Y, candidates, FitOptions(), Y.t0 + 1, criterion=hq))
-        assert [f"{type(fit).__name__}: {fit}" for fit, _ in outcomes] == [
+        assert [f"{type(fit).__name__}: {fit}" for fit, _, _ in outcomes] == [
             f"ValueError: effective sample 7 not larger than {k} parameters" for k in (7, 12, 15)]
-        assert all(np.isnan(bound) for _, bound in outcomes)
+        assert all(np.isnan(bound) for _, _, bound in outcomes)
         with pytest.raises(ValueError, match="all candidate fits failed"):
             grid_search(Y, (1, 1), (1, 3), model="mai")
-        # every candidate is fitted and bounded but no params build: with no
-        # incumbent to prune against, nothing is pruned, and the search raises
+        # every candidate is fitted and bounded but every sigma fails the
+        # guard as the grid judges it: with no incumbent to prune against,
+        # nothing is pruned, and the search raises
         Y = simulate_mai(random_mai_params(4, 1, 1, seed=0), 60, seed=0)
-        grid_setup = estimators._grid_setup
 
-        def setup_of(*args):
-            setup = grid_setup(*args)
-            setup.params = self.raise_value_error
-            return setup
+        def refused(sigma):
+            raise np.linalg.LinAlgError(SIGMA_ERROR)
 
-        monkeypatch.setattr(estimators, "_grid_setup", setup_of)
+        monkeypatch.setattr(estimators, "sigma_cond", refused)
         outcomes = list(_fit_grid("mai", Y, candidates, FitOptions(), Y.t0 + 1, criterion=hq))
-        assert all(np.isfinite(bound) for _, bound in outcomes)
-        assert not any(isinstance(fit, _Pruned) for fit, _ in outcomes)
-        assert all(str(fit) == "params do not build" for fit, _ in outcomes)
+        assert all(np.isfinite(bound) for _, _, bound in outcomes)
+        assert not any(fit is None for fit, _, _ in outcomes)
+        assert all(str(fit) == SIGMA_ERROR for fit, _, _ in outcomes)
         with pytest.raises(ValueError, match="all candidate fits failed"):
             grid_search(Y, (1, 1), (1, 3), model="mai")
 
-    def test_an_incumbent_whose_params_fail_to_build_is_passed_over(self, monkeypatch):
-        # the best fit's parameters raise as they are built: its row fails
-        # carrying that error, and the search prunes against the next best
-        # fit, so it picks what prune=False picks
+    def test_an_incumbent_whose_sigma_fails_the_guard_is_passed_over(self, monkeypatch):
+        # the best fit's sigma fails the guard as the grid judges it: its row
+        # fails carrying that error, and the search prunes against the next
+        # best fit, so it picks what prune=False picks
         Y = self.panel()
         target = grid_search(Y, (1, 2), (1, 3), prune=False).best_row("hq").orders()
-        assert target[2] < 3                           # fitted before the last q group
-        grid_setup = estimators._grid_setup
+        assert target[2] < 3 and target[1] > 1         # fitted before the last q group, alone
+        sigma = fit_ciaar(Y, *target, t_start=Y.t0 + 2).params.sigma   # at the grid's rows
+        guard = estimators.sigma_cond
 
-        def setup_of(model, Y, orders, t_start, data=None):
-            setup = grid_setup(model, Y, orders, t_start, data)
-            if orders == target:
-                setup.params = self.raise_value_error
-            return setup
+        def judged(s):
+            if np.abs(s - sigma).max() <= 1e-9 * np.abs(sigma).max():
+                raise np.linalg.LinAlgError(SIGMA_ERROR)
+            return guard(s)
 
-        monkeypatch.setattr(estimators, "_grid_setup", setup_of)
+        monkeypatch.setattr(estimators, "sigma_cond", judged)
         pruned, full = (grid_search(Y, (1, 2), (1, 3), prune=prune) for prune in (True, False))
         for table in (pruned, full):
-            row = next(row for row in table.rows if row.orders() == target)
-            assert row.failed and row.error == "ValueError: params do not build"
+            failed = [row for row in table.rows if row.failed]
+            assert [row.orders() for row in failed] == [target]
+            assert failed[0].error == f"LinAlgError: {SIGMA_ERROR}"
         assert any(row.stop == "pruned" for row in pruned.rows)
         assert pruned.best == full.best
         assert pruned.best_row("hq").orders() != target

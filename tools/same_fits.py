@@ -10,9 +10,10 @@ iterations and stop; a grid's rows (log-likelihoods, bounds, criteria,
 stops and errors) and picks; or the type and message of the exception it
 raised. Floats print exactly, so equal text means equal bits.
 
-The battery (71 cases):
+The battery (76 cases):
 - c12 grids (CIAAR, HQ, n = 6, T = 1000), seeds 0-3, pruned and with
-  prune=False, and pruned under AIC and under BIC, seeds 0-1;
+  prune=False, pruned under AIC and under BIC, seeds 0-1, and seed 0
+  pruned at max_iter = 1 and at max_iter = 2;
 - CIAAR and IAAR grids on the first 30 and 40 rows of an n = 6 CIAAR
   panel, pruned and with prune=False, each with failed rows;
 - five CIAAR orders on n = 6, T = 400 panels, seeds 0-3;
@@ -26,12 +27,14 @@ The battery (71 cases):
   fit;
 - fit_mai at n = 20, T = 2000, seeds 0-2 (the mc-wide shape);
 - IAAR with q = 0 and q = 1, MAI with q = n (which the IAAR rule refuses),
-  the IAAR grid, and a MAI grid on 40 rows whose largest order fails the
-  sample check;
+  the IAAR grid, an n = 4 IAAR grid with prune=False whose (2, 2, 3, 0) and
+  (3, 3, 3, 0) are not more parsimonious than the unrestricted VAR, and a
+  MAI grid on 40 rows whose largest order fails the sample check;
 - VHARI, fit_vecim(Y, 1, 2, 1), johansen_rrr and init_ciaar;
 - degenerate covariances: on an n = 6 CIAAR panel with y4_t = y1_{t-1},
-  the IAAR grid and johansen_rrr(Y, 2, 1); and MAIParams built with a
-  sigma whose eigenvalue ratio is 1e-13;
+  the IAAR grid, the CIAAR grid pruned and with prune=False, and
+  johansen_rrr(Y, 2, 1); and MAIParams built with a sigma whose eigenvalue
+  ratio is 1e-13;
 - fit_drvar_coeffs by OLS and by GLS; cc_projectors and
   structural_transitory_irf on a fitted CIAAR; and MAIParams built with a
   zero omega.
@@ -113,6 +116,9 @@ def battery() -> dict:
             for kind in ("aic", "bic") if seed < 2 and prune else ():
                 cases[f"c12 seed={seed} {kind}"] = lambda Y=Y, kind=kind: _grid(grid_search(
                     Y, (1, 3), (1, 3), kind=kind, opts=est.FitOptions(max_iter=120)))
+        for max_iter in (1, 2) if seed == 0 else ():
+            cases[f"c12 seed=0 max_iter={max_iter}"] = lambda Y=Y, m=max_iter: _grid(grid_search(
+                Y, (1, 3), (1, 3), kind="hq", opts=est.FitOptions(max_iter=m)))
     for rows in (30, 40):
         Y = Panel(sim.simulate_ciaar(ciaar, 1000, seed=0).values[:rows])
         for model in ("ciaar", "iaar"):
@@ -166,6 +172,9 @@ def battery() -> dict:
     cases["fit_iaar q=1"] = lambda: _fit(est.fit_iaar(Yi, 2, 2, 1))
     cases["fit_mai q=n"] = lambda: _fit(est.fit_mai(Yi, 2, 5))
     cases["iaar grid"] = lambda: _grid(grid_search(Yi, (1, 3), (1, 2), kind="hq", model="iaar"))
+    Yn = sim.simulate_iaar(sim.random_iaar_params(4, 1, 2, 2, seed=0), 400, seed=1)
+    cases["iaar grid n=4 prune=False"] = lambda: _grid(grid_search(
+        Yn, (1, 3), (1, 3), model="iaar", prune=False))
     Ym = sim.simulate_mai(sim.random_mai_params(5, 2, 2, seed=1), 40, seed=2)
     cases["mai grid"] = lambda: _grid(grid_search(Ym, (1, 3), (1, 3), kind="bic", model="mai"))
     Yd = sim.simulate_vhari(vhari, 800, seed=1)
@@ -179,6 +188,9 @@ def battery() -> dict:
     copy[1:, 3] = copy[:-1, 0]                          # y4_t = y1_{t-1}
     cases["lagged copy iaar grid"] = lambda: _grid(grid_search(
         Panel(copy), (1, 3), (1, 3), model="iaar"))
+    for prune in (True, False):
+        cases[f"lagged copy ciaar grid prune={prune}"] = lambda p=prune: _grid(grid_search(
+            Panel(copy), (1, 3), (1, 3), prune=p))
     cases["lagged copy johansen_rrr p=2 r=1"] = lambda: _fit(est.johansen_rrr(Panel(copy), 2, 1))
     cases["MAIParams sigma ratio 1e-13"] = lambda: _plain(MAIParams(
         np.eye(3)[:, :1], [np.zeros((3, 1))], np.diag([1.0, 1.0, 1e-13])))
