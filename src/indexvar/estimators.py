@@ -28,6 +28,7 @@ from .params import (
     MAIParams,
     VECMParams,
     VHARIParams,
+    _check_full_rank,
 )
 from .tscore import (
     SIGMA_ERROR,
@@ -114,7 +115,7 @@ class FitResult:
     target, so residual row i corresponds to panel row t_start + i. means
     holds the offsets subtracted before fitting ("level", and "diff" for
     error-correction fits). loglik == gaussian_loglik(params.sigma, T_eff).
-    An engine fit's residuals are formed when first read (_finish); T_eff
+    An engine fit's residuals are formed when first read (_finished); T_eff
     and n_params leave them unformed, and a pickle holds them formed.
     """
 
@@ -251,18 +252,16 @@ def _demeaned(Y: Panel, demean: bool, differences: bool = False):
 
 @dataclass
 class _Setup:
-    """One panel's engine inputs, and what its FitResult needs besides them,
-    as the setup of a MODELS entry builds them.
+    """One panel's engine inputs, and what its FitResult needs besides them, as the setup of a
+    MODELS entry builds them.
 
-    diag_X and index_X are prefixes of one list of lags. start()
-    checks the data of the default start and returns the grams to solve it
-    from, this setup's grams() whenever the rows agree. q is the engine's
-    index count, which a CIAAR order with no index lag sets to r
-    (_setup_ciaar). params(out) builds the model parameters, memo is the
-    gram memo of the data the setup slices (_memo_grams), and n_params is
-    the count of free parameters params' n_free_params() gives. warm(init)
-    maps a supplied start (gamma0, omega0, D0) at the model's orders to the
-    engine's, by default as it is; None takes the default start instead.
+    diag_X and index_X are prefixes of one list of lags. start() checks the data of the default
+    start and returns the grams to solve it from, this setup's grams() whenever the rows agree. q is
+    the engine's index count, which a CIAAR order with no index lag sets to r (_setup_ciaar).
+    params(out) builds the model parameters from a checked state, checks(st) makes a batch's stacked
+    checks of them (_finished), memo is the gram memo of the data the setup slices (_memo_grams),
+    and n_params is the count of free parameters params' n_free_params() gives. warm(init) maps a
+    supplied start (gamma0, omega0, D0) at the model's orders to the engine's (None: the default).
     """
 
     model: str
@@ -279,6 +278,7 @@ class _Setup:
     memo: dict
     n_params: int
     warm: Callable = lambda init: init
+    checks: Callable = lambda st: {}
 
     def grams(self) -> "_Grams":
         """The grams of [Z | lags | ec_X], every block the engine or Johansen reads."""
@@ -292,19 +292,6 @@ class _Setup:
     @property
     def T_eff(self) -> int:
         return self.Z.shape[0]
-
-
-@dataclass
-class _Head:
-    """What a fit keeps of its _Setup past the engine run (fit_many);
-    full() builds the setup again, for the fit's residuals."""
-
-    model: str
-    first: int
-    means: dict
-    params: Callable
-    T_eff: int
-    full: Callable
 
 
 @dataclass
@@ -395,7 +382,7 @@ def _sa_engine(
     fit. A state's diagnostics["stop"] says why its sweeps ended: "tol"
     (converged), "max_iter" (the sweep cap, not converged), or
     "no_free_params" (nothing beyond the loadings to estimate, so one OLS
-    step is the fit). Its sigma is judged once, after the run (_judged).
+    step is the fit). Its sigma is judged once, after the run (_finished).
     """
     n, nd, Te = grams.n, grams.nd, grams.Te
     na = grams.Gcc.shape[-1] // n - (r > 0)
@@ -726,46 +713,56 @@ def _engine_states(q: int, shapes: list, grams: list, starts: list, opts: FitOpt
 
 
 def _padded_grams(fulls: list, shapes: list, size: tuple) -> _Grams:
-    """The engine grams of a group of size (nd, na, r). Member i's slot holds
-    its grams of [Z | lags | ec_X] in the engine's block order: the target,
-    its nd_i diagonal lags, ec_X (if r > 0) and its na_i index lags. Each
-    lag it lacks gets an identity gram and no cross-products, so that lag's
-    coordinates decouple in every step with a zero right-hand side."""
+    """The engine grams of a group of size (nd, na, r). Member i's slot holds its grams of
+    [Z | lags | ec_X] in the engine's block order: the target, its nd_i diagonal lags, ec_X (if
+    r > 0) and its na_i index lags. Each lag it lacks gets an identity gram and no cross-products,
+    so that lag's coordinates decouple in every step with a zero right-hand side. One fancy index
+    gathers the members of each (nd_i, na_i), all of fit_many's."""
     nd, na, r = size
     k, n = 1 + nd + (r > 0) + na, fulls[0].n
     M = np.zeros((len(fulls), k * n, k * n))
-    within = np.arange(n)                              # a block's offsets
-    for out, full, (nd_i, na_i, _) in zip(M, fulls, shapes):
-        ec = [1 + full.nd] if r > 0 else []
+    M[:, np.arange(k * n), np.arange(k * n)] = 1.0     # kept only at the lags a member lacks
+    for nd_i, na_i in {shape[:2] for shape in shapes}:
+        rows = [i for i, shape in enumerate(shapes) if shape[:2] == (nd_i, na_i)]
+        ec = [1 + fulls[rows[0]].nd] if r > 0 else []
         src = [*range(1 + nd_i), *ec, *range(1, 1 + na_i)]
         dst = [*range(1 + nd_i), *range(1 + nd, 1 + nd + len(ec) + na_i)]
-        src, dst = ((n * np.array(blocks)[:, None] + within).ravel() for blocks in (src, dst))
-        out[dst[:, None], dst] = full.M[0][src[:, None], src]
-        for block in [*range(1 + nd_i, 1 + nd), *range(1 + nd + len(ec) + na_i, k)]:
-            out[block * n + within, block * n + within] = 1.0
+        src, dst = ((n * np.array(blocks)[:, None] + np.arange(n)).ravel() for blocks in (src, dst))
+        M[np.ix_(rows, dst, dst)] = _Grams.stack([fulls[i] for i in rows]).M[:, src[:, None], src]
     return _Grams(M, n, nd, fulls[0].Te)
 
 
-def _judged(outcome):
-    """A state whose sigma passes the guard, its ratio in diagnostics["sigma_cond"]
-    (sigma_cond), else the guard's error; any other outcome as it is. Every
-    state takes the guard here once, in a grid (_fit_grid) or a fit (_finished)."""
-    if isinstance(outcome, dict):
-        try:
-            outcome["diagnostics"]["sigma_cond"] = sigma_cond(outcome["sigma"])
-        except (ValueError, np.linalg.LinAlgError) as exc:
-            return exc
-    return outcome
+def _finished(states: list, setup: _Setup | None = None, sources=(), means=()) -> list:
+    """One engine run's outcomes finished as one batch, in order: each state's sigma takes the
+    guard (sigma_cond), its ratio kept in diagnostics. With fit_many's setup, common to the
+    batch, member i also takes its params' checks the engine does not prove (omega's rank if no
+    step 2 ran, as one leaves QR's Q, and setup.checks), and becomes a FitResult with means[i],
+    params built once (from_checked) and residuals formed from sources[i]() if read. Each check
+    is one stacked call, rerun member by member when it raises (_each_member), so a member that
+    fails keeps its single fit's exception and the others finish."""
 
+    def checks(st):
+        out = {"sigma_cond": sigma_cond(st["sigma"])}
+        if setup is not None:
+            _check_full_rank(st["omega"][st["iterations"] == 1], "omega")
+            out.update(setup.checks(st))
+        return out
 
-def _finished(head, outcome):
-    """A member's FitResult from its _Head and judged engine outcome (_judged),
-    or the exception judging or building it raised; any other outcome as it is."""
-    outcome = _judged(outcome)
-    try:
-        return _finish(head, outcome) if isinstance(outcome, dict) else outcome
-    except (ValueError, np.linalg.LinAlgError) as exc:
-        return exc
+    outcomes, live = list(states), [i for i, state in enumerate(states) if isinstance(state, dict)]
+    if not live:
+        return outcomes
+    keys = ("sigma",) if setup is None else ("sigma", "omega", "gamma", "alpha0", "iterations")
+    st = {k: np.stack([states[i][k] for i in live]) for k in keys}
+    out, _, live = _each_member(checks, st, live, outcomes)
+    for row, i in enumerate(live):
+        state = states[i]
+        state["diagnostics"]["sigma_cond"] = float(out["sigma_cond"][row])
+        if setup is not None:
+            outcomes[i] = FitResult(
+                setup.model, setup.params({**state, **{k: v[row] for k, v in out.items()}}),
+                state["trace"], _Deferred(partial(_residuals, sources[i], state), setup.T_eff),
+                state["converged"], state["iterations"], setup.first, means[i], state["diagnostics"])
+    return outcomes
 
 
 def _raised(outcome):
@@ -774,20 +771,9 @@ def _raised(outcome):
     return outcome
 
 
-def _finish(head: _Head, state: dict) -> FitResult:
-    """A member's FitResult from its _Head and engine state, whose sigma has
-    passed the guard (_judged). Its parameters and sigma are the engine's,
-    in the container head.params builds, which checks its own input again;
-    its residuals are formed from head.full() when first read (_residuals)."""
-    return FitResult(
-        head.model, head.params(state), state["trace"],
-        _Deferred(lambda: _residuals(head.full(), state), head.T_eff), state["converged"],
-        state["iterations"], head.first, means=head.means, diagnostics=state["diagnostics"],
-    )
-
-
-def _residuals(setup: _Setup, state: dict) -> np.ndarray:
-    """A member's residuals at its engine state, by one dense pass over its data."""
+def _residuals(source: Callable, state: dict) -> np.ndarray:
+    """A member's residuals at its engine state, by one dense pass over the data of source()."""
+    setup = source()
     omega, resid = state["omega"], setup.Z.copy()
     for d, X in zip(state["ds"], setup.diag_X):
         resid -= X * d
@@ -809,21 +795,17 @@ def fit_many(
 ):
     """Fit one model at fixed orders to equal-length panels in one lockstep run.
 
-    model is a MODELS entry with an engine setup, and orders are the orders
-    its fitter takes, by keyword (p=2, s=2, q=2, r=1 for "ciaar"); each
-    single fitter is this function on one panel. Every panel starts from its
-    own default starting values, solved together (_default_starts) from the
-    start grams kept, with its grams, as its setup goes; or from init =
-    (gamma0, omega0, D0) when given, mapped once by the setup's warm() (None
-    keeps the default ones). Each keeps its own trace and stop reason. The
-    last panel's setup is built first, so an invalid order, or an init
-    warm() cannot map, raises here. Returns an iterator over the FitResults
-    in panel order; the switching runs before this returns, and each fit's
-    parameters are built as it is consumed, and its residuals only if read,
-    from its panel's setup built again (the last panel's is held). A panel
-    whose fit fails does not stop the others: the iterator raises that
-    fit's exception in its turn and goes on.
-    The diagonal IAAR (q = 0) runs the engine too. Raises ValueError when
+    model is a MODELS entry with an engine setup, and orders are the orders its fitter takes, by
+    keyword (p=2, s=2, q=2, r=1 for "ciaar"); each single fitter is this function on one panel.
+    Every panel starts from its own default starting values, solved together (_default_starts)
+    from the start grams kept, with its grams, as its setup goes; or from init = (gamma0, omega0,
+    D0) when given, mapped once by the setup's warm() (None keeps the default ones). Each keeps its
+    own trace and stop reason. The last panel's setup is built first, so an invalid order, or an
+    init warm() cannot map, raises here. Returns an iterator over the FitResults in panel order;
+    the switching and the batch finish (_finished) run before this returns, and a fit's residuals
+    are formed only if read, from its panel's setup built again (the last panel's is held). A
+    panel whose fit fails does not stop the others: the iterator raises that fit's exception in
+    its turn and goes on. The diagonal IAAR (q = 0) runs the engine too. Raises ValueError when
     the panels differ in length, width or first usable row.
     """
     panels = list(panels)
@@ -835,20 +817,20 @@ def fit_many(
     if len({(Y.T, Y.n, Y.t0) for Y in panels}) > 1:
         raise ValueError("fit_many needs panels of equal length, width and t0")
     make_setup = partial(build, demean=demean, t_start=t_start, **orders)
-    last, heads = make_setup(panels[-1]), []
+    last = make_setup(panels[-1])
     start = None if init is None else last.warm(init)
     sources = [partial(make_setup, Y) for Y in panels[:-1]] + [lambda: last]
-    grams, inits = [], []
+    means, grams, inits = [], [], []
     for source in sources:                             # each setup goes as the next is built
         setup = source()
-        heads.append(_Head(setup.model, setup.first, setup.means, setup.params, setup.T_eff, source))
+        means.append(setup.means)
         grams.append(setup.grams())
         if start is None:
             inits.append(_start_or_error(setup))
     (nd, _, r), q = last.shape, last.q
     starts = [start] * len(panels) if start is not None else _default_starts(inits, r, nd, q)
     states = _engine_states(q, [last.shape] * len(panels), grams, starts, opts or FitOptions())
-    return map(_raised, map(_finished, heads, states))
+    return map(_raised, _finished(states, last, sources, means))
 
 
 # ---------------------------------------------------------------------------
@@ -881,7 +863,7 @@ def _setup_mai(
     MAIParams.check_orders(Y.n, p, q)
     return _setup_levels(
         "mai", Y, p, 0, p, q, demean, t_start, data,
-        lambda out: MAIParams(out["omega"], out["alphas"], out["sigma"]),
+        lambda out: MAIParams.from_checked(out["omega"], out["alphas"], out["sigma"]),
         MAIParams.count(Y.n, p, q),
     )
 
@@ -926,7 +908,7 @@ def _setup_vhari(Yd: Panel, q: int, demean: bool = True, t_start: int | None = N
     return _Setup(
         "vhari", Z, [], X, None, q, 0, first, {"level": mu},
         lambda: _start_grams(Z, X, None, 0, memo),
-        lambda out: VHARIParams(out["omega"], *out["alphas"], out["sigma"]), memo,
+        lambda out: VHARIParams.from_checked(out["omega"], *out["alphas"], out["sigma"]), memo,
         VHARIParams.count(n, q),
     )
 
@@ -960,7 +942,7 @@ def _setup_iaar(
     na = s if q else 0                                 # omega is n x 0: no index channel
     return _setup_levels(
         "iaar", Y, p, p, na, q, demean, t_start, data,
-        lambda out: IAARParams(out["ds"], out["alphas"], out["omega"], out["sigma"]),
+        lambda out: IAARParams.from_checked(out["ds"], out["alphas"], out["omega"], out["sigma"]),
         IAARParams.count(Y.n, p, na, q),
     )
 
@@ -1227,13 +1209,21 @@ def _setup_ciaar(
         return _start_grams(*_ec_data(Y, len(lags), data)[:3], r, data[3])
 
     def params(out):
-        omega, gamma, alpha0 = out["omega"], out["gamma"], out["alpha0"]
+        omega, gamma = out["omega"], out["gamma"]
         if q_fit < q:
             omega = np.hstack([omega, orth_complement(omega)[:, :q - r]])
             gamma = np.eye(q, r)
-        elif 0 < r < q:
-            gamma, alpha0 = _normalize_gamma(gamma, alpha0, out["diagnostics"])
-        return CIAARParams(out["ds"], alpha0, gamma, omega, out["alphas"], out["sigma"])
+        if out.get("gamma_unnormalized"):
+            out["diagnostics"]["gamma_unnormalized"] = True
+        return CIAARParams.from_checked(out["ds"], out["alpha0"], gamma, omega, out["alphas"], out["sigma"])
+
+    def checks(st):
+        if not 0 < r < q_fit:                          # else gamma is I_q's first r columns
+            return {}
+        gamma, alpha0, unnormalized = _normalize_gamma(st["gamma"], st["alpha0"])
+        _check_full_rank(gamma, "gamma")
+        _check_full_rank(st["omega"] @ gamma, "beta = omega gamma")
+        return {"gamma": gamma, "alpha0": alpha0, "gamma_unnormalized": unnormalized}
 
     def warm(init):
         # with no short-run lag the fit is Johansen's, and the default start its maximum
@@ -1248,7 +1238,7 @@ def _setup_ciaar(
 
     return _Setup(
         "ciaar", Z, lags[:nd], lags[:na], ec_X, q_fit, r, first, means, start, params, data[3],
-        CIAARParams.count(n, nd, na, q, r), warm,
+        CIAARParams.count(n, nd, na, q, r), warm, checks,
     )
 
 
@@ -1286,14 +1276,14 @@ def fit_ciaar(
     return next(fit_many("ciaar", [Y], opts, demean, t_start, init, p=p, s=s, q=q, r=r))
 
 
-def _normalize_gamma(gamma: np.ndarray, alpha0: np.ndarray, diagnostics: dict):
-    """Scale the leading r x r block of gamma to the identity (reporting only)."""
-    r = gamma.shape[1]
-    head = gamma[:r, :]
-    if not full_rank(np.linalg.svd(head, compute_uv=False)):
-        diagnostics["gamma_unnormalized"] = True
-        return gamma, alpha0
-    return gamma @ np.linalg.inv(head), alpha0 @ head.T
+def _normalize_gamma(gamma: np.ndarray, alpha0: np.ndarray):
+    """Each (gamma, alpha0) of a stack with gamma's leading r x r block scaled to the identity
+    (reporting only), or left, and flagged, where that block is not full rank."""
+    r = gamma.shape[-1]
+    keep = ~full_rank(np.linalg.svd(gamma[:, :r], compute_uv=False))[:, None, None]
+    head = np.where(keep, np.eye(r), gamma[:, :r])
+    return (np.where(keep, gamma, gamma @ np.linalg.inv(head)),
+            np.where(keep, alpha0, alpha0 @ head.swapaxes(1, 2)), keep[:, 0, 0])
 
 
 def _setup_vecim(
@@ -1372,18 +1362,15 @@ def _fit_grid(
 ):
     """Fit one panel at every candidate (p, s, q, r) of a selection grid.
 
-    model is "mai" (candidates (p, p, q, 0)), "iaar" (r = 0, q >= 1) or
-    "ciaar". Every candidate's first regression target is panel row
-    t_start, and its setup slices one demeaned copy of the panel.
-    Candidates whose setups run the same engine fit (a CIAAR order with
-    s = 1 and its identified equivalent, _setup_ciaar) are fit once and
-    the others share its state. The distinct fits of each engine q form a
-    group, and the groups run one after another in this process, in
-    ascending q, each through _engine_states padded to the largest lags
-    and rank of all its fits; its states are judged (_judged) as it
-    returns, and none becomes a FitResult or a params container. Each
-    fit's default start is solved alone, its regression kept on the start
-    grams its lags share (_Grams.solved).
+    model is "mai" (candidates (p, p, q, 0)), "iaar" (r = 0, q >= 1) or "ciaar". Every candidate's
+    first regression target is panel row t_start, and its setup slices one demeaned copy of the
+    panel. Candidates whose setups run the same engine fit (a CIAAR order with s = 1 and its
+    identified equivalent, _setup_ciaar) are fit once and the others share its state. The distinct
+    fits of each engine q form a group, and the groups run one after another in this process, in
+    ascending q, each through _engine_states padded to the largest lags and rank of all its fits;
+    its states are judged in one batch finish (_finished) as it returns, and none becomes a
+    FitResult or a params container. Each fit's default start is solved alone, its regression kept
+    on the start grams its lags share (_Grams.solved).
 
     criterion(loglik, n_params, T_eff), when given, is the score the grid
     is searched for, and the grid prunes by it. Each candidate's
@@ -1439,7 +1426,7 @@ def _fit_grid(
         starts = [_default_starts([_start_or_error(setups[j])], r, nd, q)[0]
                   for j, (nd, _, r) in zip(run, shapes)]
         states = _engine_states(q, shapes, [setups[j].grams() for j in run], starts, opts, size)
-        for j, state in zip(run, map(_judged, states)):
+        for j, state in zip(run, _finished(states)):
             for i in shares[j]:
                 outcomes[i] = state
                 if criterion is not None and isinstance(state, dict):

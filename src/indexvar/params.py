@@ -23,7 +23,7 @@ narrower rule of its fitter, which the fitter and the simulating CLI share.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -76,12 +76,24 @@ def _diagonals(ds, n: int) -> list[np.ndarray]:
 
 
 def _check_full_rank(mat: np.ndarray, what: str) -> None:
-    if not full_rank(np.linalg.svd(mat, compute_uv=False)):
+    if not full_rank(np.linalg.svd(mat, compute_uv=False)).all():
         raise ValueError(f"{what} is not full rank")
 
 
 class _Indexed:
-    """n and q of a class with n x q index weights omega."""
+    """n and q of a class with n x q index weights omega, and its containers of checked values."""
+
+    @classmethod
+    def from_checked(cls, *values):
+        """The container of values, one per field in order, as they are: for values that have
+        passed __post_init__'s checks (estimators._finished). It warns as __post_init__ does."""
+        params = object.__new__(cls)
+        vars(params).update(zip([f.name for f in fields(cls)], values))
+        params._note()
+        return params
+
+    def _note(self) -> None:
+        """Warn of what valid parameters imply; nothing by default."""
 
     @property
     def n(self) -> int:
@@ -256,12 +268,12 @@ class IAARParams(_Indexed, _Stationary):
         if len(self.alphas) > len(self.ds):
             raise ValueError("need s <= p (no more index lags than diagonal lags)")
         self.sigma = _pd(self.sigma)
-        if self.s == self.p >= 2 and not q < n - 1:
-            warnings.warn(
-                f"q={q} with s=p={self.p} is not more parsimonious than the "
-                f"unrestricted VAR (needs q < n-1)",
-                stacklevel=2,
-            )
+        self._note()
+
+    def _note(self) -> None:
+        if self.s == self.p >= 2 and not self.q < self.n - 1:
+            warnings.warn(f"q={self.q} with s=p={self.p} is not more parsimonious than the "
+                          "unrestricted VAR (needs q < n-1)", stacklevel=3)
 
     @property
     def p(self) -> int:

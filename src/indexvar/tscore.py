@@ -214,10 +214,11 @@ def ols(X: np.ndarray, Y: np.ndarray) -> RegressionOut:
     return RegressionOut(coeffs, resid, resid.T @ resid / X.shape[0])
 
 
-def full_rank(sv: np.ndarray) -> bool:
-    """The one rank rule, on singular values sv in svd's order: the least exceeds RANK_RTOL times
-    the largest, judged before dividing, so an empty matrix passes and a zero one fails."""
-    return not sv.size or sv[-1] > RANK_RTOL * sv[0]
+def full_rank(sv: np.ndarray):
+    """The one rank rule, on singular values sv in svd's order, each of a stack's on its own: the
+    least exceeds RANK_RTOL times the largest, judged before dividing, so an empty matrix passes
+    and a zero one fails."""
+    return sv[..., -1] > RANK_RTOL * sv[..., 0] if sv.shape[-1] else np.ones(sv.shape[:-1], bool)
 
 
 def check_rank(X: np.ndarray) -> None:

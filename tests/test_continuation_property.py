@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from indexvar.estimators import FitResult
 from indexvar.forecast import ForecastPath, _continue, _presample, evaluate, rolling_evaluate
@@ -99,6 +99,8 @@ def test_stacked_continuation_equals_each_member(kind, n, lags, r, B, h, seed):
     alternate=st.booleans(),
     seed=st.integers(0, 2**16),
 )
+# an MSFE entry of 3.0e-8 that the two sums round apart by 7.7e-20 under some BLAS kernels
+@example(kind="drvar", n=2, lags=0, r=0, h=2, n_origins=1, refit=False, alternate=False, seed=474)
 def test_rolling_evaluate_equals_per_origin_loop(kind, n, lags, r, h, n_origins, refit, alternate, seed):
     Y = random_panel(np.random.default_rng(seed), 12 + h + n_origins, n)
     returned = []
@@ -121,7 +123,8 @@ def test_rolling_evaluate_equals_per_origin_loop(kind, n, lags, r, h, n_origins,
         assert np.abs(path.values - ref.values).max() <= 1e-12 * np.abs(ref.values).max()
     msfe, counts = loop_evaluate(refs, Y)
     assert np.array_equal(table.counts, counts)
-    np.testing.assert_allclose(table.msfe, msfe, rtol=1e-12, atol=0)
+    # relative to the table's largest entry, as the paths are to their largest value
+    np.testing.assert_allclose(table.msfe, msfe, rtol=0, atol=1e-12 * np.nanmax(np.abs(msfe)))
 
 
 @SETTINGS

@@ -12,7 +12,6 @@ from indexvar.estimators import (
     _certifies_rank,
     _default_starts,
     _each_member,
-    _finish,
     _finished,
     _fit_grid,
     _grid_setup,
@@ -401,10 +400,13 @@ class TestFitCiaar:
         # brings it to I_r; gamma and alpha0 come back as they are, flagged
         gamma = np.array([[1.0, 2.0], [2.0, 4.0], [0.5, -1.0]])
         alpha0 = np.arange(10.0).reshape(5, 2)
-        diagnostics = {}
-        got = _normalize_gamma(gamma, alpha0, diagnostics)
-        assert got[0] is gamma and got[1] is alpha0
-        assert diagnostics["gamma_unnormalized"] is True
+        # a stack of it and a normalizable one: each member is judged on its own
+        ok = np.array([[2.0, 0.0], [1.0, 4.0], [0.5, -1.0]])
+        got = _normalize_gamma(np.stack([gamma, ok]), np.stack([alpha0, alpha0]))
+        assert np.array_equal(got[0][0], gamma) and np.array_equal(got[1][0], alpha0)
+        assert got[2].tolist() == [True, False]
+        assert np.abs(got[0][1][:2] - np.eye(2)).max() <= 1e-15
+        assert np.abs(got[1][1] @ got[0][1].T - alpha0 @ ok.T).max() <= 1e-12
 
     def test_unidentified_omega_direction_handled(self):
         # with s = 1 the weights enter only through the rank-r EC loading,
@@ -655,8 +657,8 @@ class TestBatchAxis:
         starts.append((None, omega0s[3], []))
         states = _sa_engine(grams, 2, 0, starts, opts)
         failed = []
-        for Y, setup, omega0, state in zip(panels, setups, omega0s, states):
-            got = _finished(setup, state)              # sigma is judged as a fit is finished
+        finished = _finished(states, setups[0], [None] * 4, [setup.means for setup in setups])
+        for Y, omega0, got in zip(panels, omega0s, finished):   # sigma judged as they finish
             try:
                 ref = fit_mai(Y, 2, 2, opts=opts, omega0=omega0)
             except (ValueError, np.linalg.LinAlgError) as exc:
@@ -1048,7 +1050,7 @@ class TestMixedRankBatch:
                 assert type(state) is SingularDesignError
                 assert str(state) == str(exc)
                 continue
-            got = _finish(setup, state)
+            got = _finished([state], setup, [None], [setup.means])[0]
             assert got.params.gamma.shape == (q, r_i) and got.params.alpha0.shape == (6, r_i)
             assert got.iterations == ref.iterations
             assert got.diagnostics["stop"] == ref.diagnostics["stop"]

@@ -59,6 +59,17 @@ def test_fit_many_residuals_equal_each_window_single_fit(panel, passes):
     assert passes == {"setups": 4 + 4 + 3, "residuals": 8}
 
 
+def test_each_window_of_a_50_window_batch_forms_its_own_residuals(panel):
+    # every member's deferred residuals hold its own setup and state, not
+    # the batch's last ones
+    windows = [Panel(panel.values[i: i + 200], list(panel.names)) for i in range(50)]
+    fits = list(estimators.fit_many("ciaar", windows, **ORDERS))
+    for i in (0, 25, 49):
+        ref = estimators.fit_ciaar(windows[i], **ORDERS)
+        assert np.array_equal(fits[i].residuals, ref.residuals)
+    assert not np.array_equal(fits[0].residuals, fits[49].residuals)
+
+
 def test_T_eff_and_n_params_leave_the_residuals_unformed(panel, passes):
     fit = estimators.fit_ciaar(panel, **ORDERS)
     assert fit.T_eff == panel.T - fit.t_start

@@ -10,7 +10,7 @@ iterations and stop; a grid's rows (log-likelihoods, bounds, criteria,
 stops and errors) and picks; or the type and message of the exception it
 raised. Floats print exactly, so equal text means equal bits.
 
-The battery (76 cases):
+The battery (79 cases):
 - c12 grids (CIAAR, HQ, n = 6, T = 1000), seeds 0-3, pruned and with
   prune=False, pruned under AIC and under BIC, seeds 0-1, and seed 0
   pruned at max_iter = 1 and at max_iter = 2;
@@ -22,6 +22,11 @@ The battery (76 cases):
   MAI windows from the whole panel's fit, as the CLI's forecast refits;
 - fit_many over 50 undemeaned CIAAR (2, 2, 2, 1) windows from their default
   starts, one of them with y4_t = y1_{t-1}, whose start regression fails;
+  and over 50 demeaned ones, one with y4_t = y1_{t-1} + y2_{t-1}, whose
+  engine run ends but whose sigma fails the guard as the batch finishes;
+- fit_many over 50 CIAAR (2, 2, 3, 1) windows at max_iter = 1 from the whole
+  panel's fit, so each keeps the start's omega, and over 50 n = 20, T = 500
+  MAI panels, the CLI's montecarlo chunk;
 - fit_many over 50 sliding windows of IAAR (2, 2, 1), VHARI (q = 2) and
   VECIM (1, 2, 1), each from the default starts and from the whole panel's
   fit;
@@ -138,16 +143,23 @@ def battery() -> dict:
     singular = [*windows[:25], Panel(copy), *windows[26:]]
     cases["fit_many ciaar 50 windows one singular start"] = lambda: _each_fit(est.fit_many(
         "ciaar", singular, opts=est.FitOptions(max_iter=60), demean=False, p=2, s=2, q=2, r=1))
+    copy = windows[25].values.copy()
+    copy[1:, 3] = copy[:-1, 0] + copy[:-1, 1]           # its run ends, its sigma fails the guard
+    failing = [*windows[:25], Panel(copy), *windows[26:]]
+    cases["fit_many ciaar 50 windows one failing the finish"] = lambda: _each_fit(est.fit_many(
+        "ciaar", failing, opts=est.FitOptions(max_iter=60), p=2, s=2, q=2, r=1))
 
-    def warm(model, windows, full, **orders):
+    def warm(model, windows, full, opts=None, **orders):
         # every window from the start the CLI's forecast takes: full's (gamma, omega, D)
         params = full.params
         start = getattr(params, "gamma", None), params.omega, getattr(params, "ds", [])
-        return [_fit(fit) for fit in est.fit_many(model, windows, init=start, **orders)]
+        return [_fit(fit) for fit in est.fit_many(model, windows, opts, init=start, **orders)]
 
     for orders in ((2, 2, 2, 1), (2, 1, 3, 1)):
         cases[f"fit_many ciaar {orders} 50 windows warm"] = lambda Y=Y, w=windows, o=orders: warm(
             "ciaar", w, est.fit_ciaar(Y, *o), **dict(zip("psqr", o)))
+    cases["fit_many ciaar (2, 2, 3, 1) 50 windows warm max_iter=1"] = lambda Y=Y, w=windows: warm(
+        "ciaar", w, est.fit_ciaar(Y, 2, 2, 3, 1), est.FitOptions(max_iter=1), p=2, s=2, q=3, r=1)
     Yw = sim.simulate_mai(sim.random_mai_params(6, 2, 2, seed=0), 250, seed=7)
     cases["fit_many mai 50 windows warm"] = lambda Y=Yw: warm(
         "mai", [Panel(Y.values[i: i + 200]) for i in range(50)], est.fit_mai(Y, 2, 2), p=2, q=2)
@@ -164,6 +176,9 @@ def battery() -> dict:
         cases[f"fit_many {model} 50 windows warm"] = lambda m=model, Y=whole, w=wins, o=orders: (
             warm(m, w, getattr(est, f"fit_{m}")(Y, **o), **o))
     mai = sim.random_mai_params(20, 2, 2, seed=0)
+    chunk = [sim.simulate_mai(mai, 500, burn=500, seed=seed) for seed in range(10, 60)]
+    cases["fit_many mai n=20 T=500 50 panels"] = lambda: [
+        _fit(fit) for fit in est.fit_many("mai", chunk, p=2, q=2)]
     for seed in range(3):
         cases[f"fit_mai n=20 T=2000 seed={seed}"] = lambda seed=seed: _fit(
             est.fit_mai(sim.simulate_mai(mai, 2000, burn=500, seed=seed), 2, 2))
