@@ -3,12 +3,10 @@ estimation, model selection, structural decompositions, and forecasting."""
 
 from .tscore import (
     Panel,
-    RegressionOut,
     SingularDesignError,
     autocov,
     companion_spectral_radius,
     har_aggregates,
-    ols,
     read_panel_csv,
     subspace_distance,
 )
@@ -39,7 +37,6 @@ from .estimators import (
     fit_many,
     fit_vecim,
     fit_vhari,
-    init_ciaar,
     johansen_rrr,
 )
 from .decomp import (

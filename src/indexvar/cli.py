@@ -32,6 +32,9 @@ __all__ = ["RunConfig", "run", "main"]
 
 # the models simulate draws (estimators.MODELS gives each one's params class)
 SIMULATED = tuple(m for m, model in estimators.MODELS.items() if model.simulated)
+# the least value of each seed and count a subcommand reads (dgp_seed -1: draw from seed)
+LEAST = {"simulate": {"seed": 0, "dgp_seed": -1}, "forecast": {"horizon": 1, "origins": 0},
+         "montecarlo": {"seed": 0, "dgp_seed": -1, "reps": 0}}
 
 
 @dataclass
@@ -65,6 +68,12 @@ class RunConfig:
     tol: float = estimators.FitOptions.tol
 
     def validate(self) -> None:
+        for key, least in LEAST.get(self.subcommand, {}).items():
+            if getattr(self, key) < least:
+                raise ValueError(f"--{key.replace('_', '-')} must be >= {least}, "
+                                 f"got {getattr(self, key)}")
+        if self.subcommand == "forecast" and self.refit not in (0, 1):
+            raise ValueError(f"--refit must be 0 or 1, got {self.refit}")
         if self.subcommand == "select":
             self.model = self.model or "ciaar"
             if self.model not in FAMILIES:

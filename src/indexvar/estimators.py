@@ -58,7 +58,6 @@ __all__ = [
     "fit_many",
     "MODELS",
     "johansen_rrr",
-    "init_ciaar",
     "fit_drvar_omega",
     "fit_drvar_coeffs",
 ]
@@ -367,7 +366,7 @@ def _sa_engine(
     """Run the switching algorithm in lockstep on a batch of prepared fits.
 
     Member i has the grams grams.M[i] and starts from
-    starts[i] = (gamma0, omega0, D0), the order init_ciaar returns. The
+    starts[i] = (gamma0, omega0, D0), the order _index_start returns. The
     diagonal channels feed the matrices D_j, the index channels the loadings
     alpha_j omega', and the EC channel (levels, present when r > 0) the
     error-correction term alpha0 gamma' omega'. gamma is fixed to I_q when
@@ -991,10 +990,11 @@ def _ec_data(Y: Panel, m: int, data: tuple, t_start: int | None = None):
 def _start_grams(Z, lags, ec_X, r: int, memo: dict | None = None) -> _Grams:
     """The grams of [Z | lags | ec_X] (from memo, _memo_grams) a default
     start is solved from, once r, the sample size and the lag design pass
-    their checks. The lag design takes ols's singular-value test (check_rank), whose SVD runs only when the lag block of the grams
-    cannot certify it (_certifies_rank), so every accept, reject and message
-    is that test's. The memo keeps the certificate's verdict, one per count
-    of rows and lags."""
+    their checks. The lag design takes check_rank's singular-value test,
+    whose SVD runs only when the lag block of the grams cannot certify it
+    (_certifies_rank), so every accept, reject and message is that test's.
+    The memo keeps the certificate's verdict, one per count of rows and
+    lags."""
     if not 0 <= r < Z.shape[1]:
         raise ValueError(f"need 0 <= r < n, got r={r}")
     _check_sample(Z.shape[0], len(lags) * Z.shape[1] + r)
@@ -1069,7 +1069,7 @@ def johansen_rrr(
     the grams of [dY_t | lagged differences | Y_{t-1}], beta the
     eigenvectors of the r largest canonical correlations, and the other
     coefficients solve the normal equations given beta; one pass over the
-    data forms the residuals. The lag design takes ols's rank check
+    data forms the residuals. The lag design takes check_rank's test
     (SingularDesignError) and sigma, before any params are built, the guard
     once (sigma_cond, whose ratio diagnostics["sigma_cond"] holds);
     diagnostics["eigenvalues"] holds the eigenvalues.
@@ -1093,29 +1093,6 @@ def johansen_rrr(
 # ---------------------------------------------------------------------------
 # Starting values: the Johansen start, and the SVD truncation of every start
 # ---------------------------------------------------------------------------
-
-
-def init_ciaar(
-    Y: Panel,
-    p: int,
-    s: int,
-    q: int,
-    r: int,
-    demean: bool = True,
-):
-    """Starting values (gamma0, omega0, D0) for the cointegrated index fit.
-
-    Johansen estimates with m = max(p, s) - 1 lagged differences (moments
-    and rank check as in johansen_rrr) are stripped of their diagonals,
-    stacked together with the transposed error-correction coefficient, and
-    the first q right-singular vectors give omega0; the rank-q truncation
-    supplies the diagonal starting values, and gamma0 = omega0' beta
-    regresses beta on omega0. Lockstep fits batch this over their panels.
-    """
-    data = _demeaned(Y, demean, differences=True)
-    Z, lags, ec_X, _, _ = _ec_data(Y, max(p, s, 1) - 1, data)
-    jo = _johansen(_start_grams(Z, lags, ec_X, r), r)
-    return _index_start(jo, max(p - 1, 0), q)[0]
 
 
 def _default_starts(inits: list, r: int, nd: int, q: int) -> list:
@@ -1309,7 +1286,7 @@ def fit_vecim(
 
     dY_t = alpha0 gamma' f_{t-1} + sum_{j<p} alpha_j df_{t-j} + e_t with
     f = omega'Y. This is fit_ciaar with no diagonal channel and s = p, run
-    from the same init_ciaar start and labelled "vecim", so p = 1 is fit as
+    from the same Johansen/SVD start and labelled "vecim", so p = 1 is fit as
     its identified equivalent (1, r, r) and reported at q (fit_ciaar). The
     row-level Vec/Kronecker loop in tests/rowlevel.py is the independent
     check of it.

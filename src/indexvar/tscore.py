@@ -11,10 +11,8 @@ import numpy as np
 
 __all__ = [
     "Panel",
-    "RegressionOut",
     "SingularDesignError",
     "read_panel_csv",
-    "ols",
     "check_rank",
     "full_rank",
     "autocov",
@@ -142,25 +140,6 @@ def _is_float(s: str) -> bool:
         return False
 
 
-@dataclass
-class RegressionOut:
-    """Multivariate least-squares output.
-
-    sigma is the 1/T_eff residual covariance and loglik the Gaussian
-    log-likelihood evaluated at that covariance,
-    -(T_eff/2) * (m log 2pi + log det sigma + m). An exact fit is a valid
-    regression, so loglik is evaluated on access and raises only then.
-    """
-
-    coeffs: np.ndarray
-    residuals: np.ndarray
-    sigma: np.ndarray
-
-    @property
-    def loglik(self) -> float:
-        return gaussian_loglik(self.sigma, self.residuals.shape[0])
-
-
 def gaussian_loglik(sigma: np.ndarray, T: int) -> float:
     """Concentrated Gaussian log-likelihood at a 1/T residual covariance.
 
@@ -200,18 +179,6 @@ def cholesky_loglik(L: np.ndarray, T: int) -> float:
     m = L.shape[-1]
     logdet = 2.0 * np.log(np.diagonal(L, axis1=-2, axis2=-1)).sum(axis=-1)
     return -0.5 * T * (m * np.log(2.0 * np.pi) + logdet + m)
-
-
-def ols(X: np.ndarray, Y: np.ndarray) -> RegressionOut:
-    """Multivariate OLS of Y (T x m) on X (T x k), after check_rank(X)."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    Y = np.atleast_2d(np.asarray(Y, dtype=float))
-    if Y.shape[0] != X.shape[0]:
-        raise ValueError(f"X has {X.shape[0]} rows, Y has {Y.shape[0]}")
-    check_rank(X)
-    coeffs, *_ = np.linalg.lstsq(X, Y, rcond=None)
-    resid = Y - X @ coeffs
-    return RegressionOut(coeffs, resid, resid.T @ resid / X.shape[0])
 
 
 def full_rank(sv: np.ndarray):

@@ -14,9 +14,10 @@ levels_i1_classification is the levels-companion I(1) rule that the state
 form's radius replaced; wold_convolution
 filters shocks with the Wold sequence one lag at a time, as an oracle for the
 recursive decomposition components. dense_johansen /
-dense_init_ciaar run Johansen's reduced-rank regression and the CIAAR start
-on the data matrices, with ols, and dense_ols_start the MAI / VHARI / IAAR
-start, as oracles for the library's moment-based solves, and diagonal_gls
+dense_ciaar_start run Johansen's reduced-rank regression and the CIAAR start
+on the data matrices, by least squares after check_rank, and dense_ols_start
+the MAI / VHARI / IAAR start, as oracles for the library's moment-based
+solves, and diagonal_gls
 the GLS solve of the diagonal VAR, as the oracle for its ML fit. loop_evaluate
 scores forecast paths one step of one path at a time, as an oracle for
 forecast.evaluate's single reduction, and loop_lognormal_garch draws the
@@ -26,9 +27,9 @@ an oracle for simulate.draw_shocks' blocked recursion.
 
 import numpy as np
 
-from indexvar.estimators import _converged, _index_start, _qr_normalize, _solve_rrr_eig
+from indexvar.estimators import _converged, _qr_normalize
 from indexvar.params import CIAARParams
-from indexvar.tscore import companion_matrix, fix_signs, gaussian_loglik, ols
+from indexvar.tscore import check_rank, companion_matrix, fix_signs, gaussian_loglik
 
 
 def diag_selection_matrix(n: int) -> np.ndarray:
@@ -113,7 +114,7 @@ def row_level_sa(Z, index_X, ec_X, omega0, gamma0, r, opts):
                 F = np.hstack([X @ omega for X in index_X])
                 R0 = Z - F @ np.linalg.lstsq(F, Z, rcond=None)[0]
                 R1 = ecf - F @ np.linalg.lstsq(F, ecf, rcond=None)[0]
-            _, vecs = _solve_rrr_eig(R0.T @ R0 / Te, R0.T @ R1 / Te, R1.T @ R1 / Te)
+            _, vecs = rrr_eig(R0.T @ R0 / Te, R0.T @ R1 / Te, R1.T @ R1 / Te)
             gamma = fix_signs(vecs[:, :r])
     return {"omega": omega, "gamma": gamma, "alpha0": alpha0, "alphas": alphas,
             "sigma": sigma, "trace": np.asarray(trace), "iterations": it}
@@ -209,23 +210,39 @@ def wold_convolution(psis, shocks):
     return out
 
 
+def lstsq(X, Y):
+    """Least-squares coefficients of Y on X, after check_rank(X)."""
+    check_rank(X)
+    return np.linalg.lstsq(X, Y, rcond=None)[0]
+
+
 def dense_ols_start(X, Z, nd, q):
-    """The MAI / VHARI / IAAR start from one lstsq of Z on the lag blocks X
-    (after ols's rank check): the first nd blocks keep their diagonals apart,
-    and the SVD truncation of the rest gives (gamma0, omega0, D0)."""
-    C = ols(np.hstack(X), Z).coeffs
+    """The MAI / VHARI / IAAR start from one lstsq of Z on the lag blocks X:
+    the truncation of dense_index_start with no error-correction term."""
+    C = lstsq(np.hstack(X), Z)
     n = Z.shape[1]
-    pis = C.reshape(-1, n, n).swapaxes(1, 2)[None]
-    return _index_start({"pis": pis, "beta": np.zeros((1, n, 0))}, nd, q)[0]
+    pis = [C[j * n: (j + 1) * n].T for j in range(len(X))]
+    return dense_index_start(pis, np.zeros((n, 0)), np.zeros((n, 0)), nd, q)
+
+
+def rrr_eig(S00, S01, S11):
+    """The eigenvalues, descending, and eigenvectors v, scaled to v'S11 v = 1, of
+    S11^-1 S10 S00^-1 S01: the reduced-rank regression's eigenproblem as one
+    nonsymmetric np.linalg.eig."""
+    vals, vecs = np.linalg.eig(np.linalg.solve(S11, S01.T @ np.linalg.solve(S00, S01)))
+    order = np.argsort(vals.real)[::-1]
+    vals, vecs = vals.real[order], vecs.real[:, order]
+    return vals, vecs / np.sqrt(np.einsum("ij,ij->j", vecs, S11 @ vecs))
 
 
 def dense_johansen(Y, p, r):
     """Johansen's reduced-rank regression on the data matrices (demeaned, t0 = 0).
 
     R0 and R1 are the OLS residuals of dY_t and Y_{t-1} on the p - 1 lagged
-    differences, S_ij = R_i'R_j / T, and alpha0 and the Pi_j come from one
-    OLS of dY_t on [Y_{t-1} beta | lags]. Returns (eigenvalues, beta,
-    alpha0, [Pi_j], sigma).
+    differences, S_ij = R_i'R_j / T, beta the r leading eigenvectors of
+    rrr_eig, and alpha0 and the Pi_j come from one OLS of dY_t on
+    [Y_{t-1} beta | lags].
+    Returns (eigenvalues, beta, alpha0, [Pi_j], sigma).
     """
     levels = Y.values - Y.values.mean(axis=0)
     d = np.diff(Y.values, axis=0)
@@ -237,28 +254,34 @@ def dense_johansen(Y, p, r):
     R0, R1 = dY, lev
     if lagged:
         W = np.hstack(lagged)
-        R0 = dY - W @ ols(W, dY).coeffs
-        R1 = lev - W @ ols(W, lev).coeffs
+        R0 = dY - W @ lstsq(W, dY)
+        R1 = lev - W @ lstsq(W, lev)
     Te = dY.shape[0]
-    vals, vecs = _solve_rrr_eig(R0.T @ R0 / Te, R0.T @ R1 / Te, R1.T @ R1 / Te)
+    vals, vecs = rrr_eig(R0.T @ R0 / Te, R0.T @ R1 / Te, R1.T @ R1 / Te)
     beta = fix_signs(vecs[:, :r])
     regs = ([lev @ beta] if r else []) + lagged
     alpha0, pis, resid = np.zeros((n, r)), [], dY
     if regs:
         X = np.hstack(regs)
-        B = ols(X, dY).coeffs
+        B = lstsq(X, dY)
         resid = dY - X @ B
         alpha0 = B[:r].T
         pis = [B[r + j * n: r + (j + 1) * n].T for j in range(p - 1)]
     return vals, beta, alpha0, pis, resid.T @ resid / Te
 
 
-def dense_init_ciaar(Y, p, s, q, r):
-    """The CIAAR start from dense_johansen: diagonal-stripped Pi_j and
-    alpha0 beta' stacked, a full SVD with singular values sorted here, and
-    gamma0 by least squares of beta on omega0."""
+def dense_ciaar_start(Y, p, s, q, r):
+    """The CIAAR start from dense_johansen (dense_index_start)."""
     _, beta, alpha0, pis, _ = dense_johansen(Y, max(p, s, 1), r)
-    n, nd = Y.n, max(p - 1, 0)
+    return dense_index_start(pis, alpha0, beta, max(p - 1, 0), q)
+
+
+def dense_index_start(pis, alpha0, beta, nd, q):
+    """The index start (gamma0, omega0, D0) from VAR or VECM coefficients: the
+    Pi_j, diagonal-stripped for the first nd lags, and alpha0 beta' stacked, a
+    full SVD with singular values sorted here, and gamma0 by least squares of
+    beta on omega0."""
+    n, r = beta.shape
     blocks = [pi - np.diag(np.diag(pi)) if j < nd else pi for j, pi in enumerate(pis)]
     blocks += [alpha0 @ beta.T] if r else []
     if not blocks:

@@ -21,7 +21,6 @@ from indexvar.estimators import (
     fit_mai,
     fit_vecim,
     fit_vhari,
-    init_ciaar,
 )
 from indexvar.params import IAARParams, MAIParams
 from indexvar.select import grid_search
@@ -39,6 +38,7 @@ from indexvar.simulate import (
 )
 from indexvar.tscore import Panel, har_aggregates, orth_complement, subspace_distance
 from rowlevel import ciaar_inputs, diag_selection_matrix, row_level_sa, sym_inv_sqrt
+from starts import engine_start
 
 
 def report(num, name, detail):
@@ -259,7 +259,7 @@ def test_c09_nesting_identities():
     Y2 = simulate_ciaar(p2, 1500, seed=10)
     # the VECIM through the gram engine against the row-level Vec/Kronecker
     # loop, both from the Johansen/SVD start
-    gamma0, omega0, _ = init_ciaar(Y2, 0, 3, 2, 1)
+    gamma0, omega0, _ = engine_start("ciaar", Y2, p=0, s=3, q=2, r=1)
     Z, _, index_X, ec_X = ciaar_inputs(Y2, 0, 2)
     ref = row_level_sa(Z, index_X, ec_X, omega0, gamma0, 1, FitOptions())
     gap_vecim = abs(fit_ciaar(Y2, 0, 3, 2, 1).loglik - ref["trace"][-1])
@@ -338,7 +338,8 @@ def test_c13_initialization_consistency():
         ds = []
         for seed in range(100):
             Y = simulate_ciaar(params, T, seed=seed)
-            _, omega0, _ = init_ciaar(Y, 2, 2, 2, 1)
+            # a one-sweep fit reports its start's omega (TestOneSweepFit)
+            omega0 = fit_ciaar(Y, 2, 2, 2, 1, opts=FitOptions(max_iter=1)).params.omega
             ds.append(subspace_distance(omega0, params.omega))
         medians.append(float(np.median(ds)))
     assert medians[0] > medians[1] > medians[2]

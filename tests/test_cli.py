@@ -421,6 +421,34 @@ class TestErrors:
         assert capsys.readouterr().err == f"indexvar: error: {message}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, flags, config, message", [
+        ("forecast", ("--origins", -3), "", "--origins must be >= 0, got -3"),
+        ("forecast", ("--refit", 7), "", "--refit must be 0 or 1, got 7"),
+        ("forecast", ("--refit", -1), "", "--refit must be 0 or 1, got -1"),
+        ("forecast", ("--horizon", 0), "", "--horizon must be >= 1, got 0"),
+        ("montecarlo", ("--reps", -2), "", "--reps must be >= 0, got -2"),
+        ("montecarlo", ("--seed", -1), "", "--seed must be >= 0, got -1"),
+        ("montecarlo", ("--dgp-seed", -2), "", "--dgp-seed must be >= -1, got -2"),
+        ("simulate", ("--seed", -1), "", "--seed must be >= 0, got -1"),
+        ("simulate", ("--dgp-seed", -2), "", "--dgp-seed must be >= -1, got -2"),
+        ("forecast", (), "origins = -3\n", "--origins must be >= 0, got -3"),
+    ])
+    def test_out_of_range_values_are_refused_before_any_output(
+        self, command, flags, config, message, sim_dir, tmp_path, capsys
+    ):
+        # each is refused by RunConfig.validate, naming its flag, before the output directory
+        # is made: no numpy message, no partial report
+        base = {"forecast": ("--input", sim_dir / "panel.csv", "--model", "mai", "--p", 1),
+                "simulate": ("--model", "mai", "--n", 4, "--T", 100),
+                "montecarlo": ("--model", "mai", "--n", 4, "--T", 100, "--reps", 2)}[command]
+        if config:
+            (tmp_path / "run.cfg").write_text(config)
+            flags = ("--config", tmp_path / "run.cfg", *flags)
+        out = tmp_path / "o"
+        assert run_cli(command, *base, *flags, "--out", out) == 1
+        assert capsys.readouterr().err == f"indexvar: error: {message}\n"
+        assert not out.exists()
+
     def test_decompose_rejects_vecm_before_writing(self, sim_dir, tmp_path, capsys):
         # the flag is not among decompose's --model choices; a configuration
         # file's value is refused by RunConfig.validate

@@ -35,7 +35,6 @@ from indexvar.estimators import (
     fit_many,
     fit_vecim,
     fit_vhari,
-    init_ciaar,
     johansen_rrr,
     _svd_truncate,
 )
@@ -58,7 +57,6 @@ from indexvar.tscore import (
     check_rank,
     gaussian_loglik,
     har_aggregates,
-    ols,
     pd_factor,
     subspace_distance,
 )
@@ -68,11 +66,13 @@ from rowlevel import (
     dense_ols_start,
     diag_selection_matrix,
     diagonal_gls,
+    lstsq,
     row_level_sa,
     sym_inv_sqrt,
     vec_diag_block,
     vec_omega_block,
 )
+from starts import engine_start
 
 
 def monotone(trace, slack=1e-8):
@@ -140,8 +140,8 @@ class TestFitMai:
         fit = fit_mai(Y, 1, 4)
         mu = Y.values.mean(axis=0)
         Z = Y.values - mu
-        out = ols(Z[:-1], Z[1:])
-        assert abs(fit.loglik - out.loglik) < 1e-8
+        resid = Z[1:] - Z[:-1] @ lstsq(Z[:-1], Z[1:])
+        assert abs(fit.loglik - gaussian_loglik(resid.T @ resid / len(resid), len(resid))) < 1e-8
 
     def test_recovery_and_monotonicity(self):
         params = random_mai_params(6, 2, 1, seed=12)
@@ -289,10 +289,9 @@ class TestFitIaar:
         sigma = fit.residuals.T @ fit.residuals / fit.T_eff
         assert np.abs(fit.params.sigma - sigma).max() <= 1e-12
         # the equation-wise OLS reference is dominated
-        resid = np.column_stack([
-            ols(np.column_stack([X[:, i] for X in lags]), target[:, i: i + 1]).residuals[:, 0]
-            for i in range(4)
-        ])
+        designs = [np.column_stack([X[:, i] for X in lags]) for i in range(4)]
+        resid = np.column_stack([target[:, i] - X @ lstsq(X, target[:, i])
+                                 for i, X in enumerate(designs)])
         assert fit.loglik >= gaussian_loglik(resid.T @ resid / len(resid), len(resid))
 
     def test_q0_runs_the_engine_alone_or_in_a_batch(self, monkeypatch):
@@ -352,7 +351,7 @@ class TestFitCiaar:
         params = random_ciaar_params(5, 2, 1, 0, 2, seed=3)
         Y = simulate_ciaar(params, 1200, seed=4)
         fit = fit_vecim(Y, 2, 2, 1)
-        gamma0, omega0, _ = init_ciaar(Y, 0, 2, 2, 1)
+        gamma0, omega0, _ = engine_start("ciaar", Y, p=0, s=2, q=2, r=1)
         Z, _, index_X, ec_X = ciaar_inputs(Y, 0, 1)
         ref = row_level_sa(Z, index_X, ec_X, omega0, gamma0, 1, FitOptions())
         assert abs(fit.loglik - ref["trace"][-1]) < 1e-6
@@ -680,7 +679,7 @@ class TestBatchAxis:
     ])
     def test_fit_many_starts_every_window_from_its_init_ciaar(self, model, orders, monkeypatch):
         # 50 sliding windows, as rolling_evaluate refits them: the batched
-        # Johansen starts equal init_ciaar's, and so do the fits they start
+        # Johansen starts equal each window's own start, and so do the fits they start
         Y = simulate_ciaar(random_ciaar_params(6, 2, 1, 2, 2, seed=0), 250, seed=7)
         windows = [Panel(Y.values[i: i + 200]) for i in range(50)]
         starts, engine = [], estimators._sa_engine
@@ -697,7 +696,7 @@ class TestBatchAxis:
         p, s = (orders["p"], orders["s"]) if model == "ciaar" else (0, orders["p"])
         assert len(starts) == len(fits) == 50
         for W, (gamma0, omega0, d0), fit in zip(windows, starts, fits):
-            ref = init_ciaar(W, p, s, q, r)
+            ref = engine_start(model, W, **orders)
             for got, want in ((gamma0, ref[0]), (omega0, ref[1]), (d0, ref[2])):
                 got, want = np.asarray(got), np.asarray(want)
                 assert got.shape == want.shape
@@ -774,7 +773,7 @@ class TestBatchAxis:
         starts = _default_starts(inits, 1, 1, 2)
         assert starts[1] is inits[1]
         with pytest.raises(np.linalg.LinAlgError) as info:
-            init_ciaar(panels[2], 2, 2, 2, 1, demean=False)
+            engine_start("ciaar", panels[2], p=2, s=2, q=2, r=1, demean=False)
         assert type(starts[2]) is type(info.value) and str(starts[2]) == str(info.value)
         for i in (0, 3):
             setup = _setup_ciaar(panels[i], 2, 2, 2, 1, demean=False)
@@ -1014,6 +1013,29 @@ class TestGramStarts:
         assert svds == []
 
 
+class TestOneSweepFit:
+    """A max_iter=1 fit stops before any step 2 runs, so its reported omega and D are its
+    start: the start tests read from it (c13) is the one the engine ran."""
+
+    @pytest.mark.parametrize("model, orders", [
+        ("mai", dict(p=2, q=2)), ("vhari", dict(q=2)), ("iaar", dict(p=2, s=1, q=2)),
+        ("ciaar", dict(p=2, s=2, q=2, r=1)), ("ciaar", dict(p=1, s=2, q=2, r=2)),
+        ("ciaar", dict(p=2, s=1, q=3, r=1)), ("vecim", dict(p=2, q=2, r=1)),
+    ])
+    def test_omega_and_d_are_the_start_the_engine_ran(self, model, orders, monkeypatch):
+        if model in ("ciaar", "vecim"):
+            Y = simulate_ciaar(random_ciaar_params(6, 2, 1, 2, 2, seed=0), 300, seed=5)
+        else:
+            Y = _ols_case(model)[0][0]
+        (start,), (fit,) = TestGramStarts._engine_starts(
+            monkeypatch, lambda: list(fit_many(model, [Y], FitOptions(max_iter=1), **orders)))
+        omega0, d0 = np.asarray(start[1]), np.asarray(start[2])
+        # an order with no index lag reports omega0 completed by its orthogonal complement
+        assert np.array_equal(fit.params.omega[:, :omega0.shape[1]], omega0)
+        assert np.array_equal(np.asarray(getattr(fit.params, "ds", [])), d0)
+        assert fit.iterations == 1 and fit.diagnostics["stop"] == "max_iter"
+
+
 class TestMixedRankBatch:
     """One q = 3 engine batch whose members differ in lags and in rank, as a
     selection grid's q group runs them: each member must be its single fit."""
@@ -1030,7 +1052,8 @@ class TestMixedRankBatch:
         Y = simulate_ciaar(random_ciaar_params(6, 2, 1, 2, 2, seed=0), 300, seed=seed)
         t_start, opts = Y.t0 + 3, FitOptions(max_iter=60)
         setups = [_grid_setup("ciaar", Y, orders, t_start) for orders in self.CANDIDATES]
-        starts = [init_ciaar(Y, *orders) for orders in self.CANDIDATES]
+        starts = [engine_start("ciaar", Y, **dict(zip("psqr", orders)))
+                  for orders in self.CANDIDATES]
         broken = self.CANDIDATES.index(self.BROKEN)
         gamma0, omega0, d0 = starts[broken]
         starts[broken] = (gamma0, np.hstack([omega0[:, :1]] * 3), d0)
@@ -1173,8 +1196,8 @@ class TestJohansen:
         fit = johansen_rrr(Y, 2, 0)
         d = np.diff(Y.values, axis=0)
         d = d - d.mean(axis=0)
-        out = ols(d[:-1], d[1:])
-        assert abs(fit.loglik - out.loglik) < 1e-8
+        resid = d[1:] - d[:-1] @ lstsq(d[:-1], d[1:])
+        assert abs(fit.loglik - gaussian_loglik(resid.T @ resid / len(resid), len(resid))) < 1e-8
 
     def test_eigenvalues_in_unit_interval(self):
         params = random_ciaar_params(5, 2, 1, 2, 2, seed=2)
@@ -1245,7 +1268,7 @@ class TestInitCiaar:
         ratios = []
         for seed in range(6):
             Y = simulate_ciaar(params, 4000, seed=seed)
-            _, omega0, _ = init_ciaar(Y, 2, 2, 2, 1)
+            omega0 = fit_ciaar(Y, 2, 2, 2, 1, opts=FitOptions(max_iter=1)).params.omega
             fit = fit_ciaar(Y, 2, 2, 2, 1)
             d0 = subspace_distance(omega0, params.omega)
             d1 = subspace_distance(fit.params.omega, params.omega)
@@ -1255,7 +1278,7 @@ class TestInitCiaar:
     def test_d0_lengths(self):
         params = random_ciaar_params(5, 2, 1, 3, 2, seed=1)
         Y = simulate_ciaar(params, 600, seed=2)
-        gamma0, omega0, d0 = init_ciaar(Y, 3, 2, 2, 1)
+        gamma0, omega0, d0 = engine_start("ciaar", Y, p=3, s=2, q=2, r=1)
         assert len(d0) == 2 and omega0.shape == (5, 2) and gamma0.shape == (2, 1)
 
 

@@ -4,8 +4,8 @@ The grid fits its distinct engine orders as lockstep q groups padded to each
 group's largest lags and rank; every row must still match the candidate's own
 fit at the grid's t_start and report the sigma of its log-likelihood, the
 grid must solve one start regression per lag
-count and rank, and its CIAAR starts must equal init_ciaar's at the engine
-orders, one per distinct fit (a CIAAR order with s = 1 runs as (p, 1, r, r)).
+count and rank, and its CIAAR starts must equal each single fit's default start,
+one per distinct fit (a CIAAR order with s = 1 runs as (p, 1, r, r)).
 """
 
 import numpy as np
@@ -15,7 +15,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from indexvar import estimators, select
-from indexvar.estimators import FitOptions, fit_ciaar, fit_iaar, fit_mai, init_ciaar
+from indexvar.estimators import FitOptions, fit_ciaar, fit_iaar, fit_mai
 from indexvar.select import _candidate_grid, grid_search, info_criterion
 from indexvar.tscore import gaussian_loglik
 from indexvar.simulate import (
@@ -24,6 +24,7 @@ from indexvar.simulate import (
     simulate_ciaar,
     simulate_mai,
 )
+from starts import engine_start
 
 N = 4
 CIAAR_DGP = random_ciaar_params(N, 2, 1, 2, 2, seed=0)
@@ -128,7 +129,7 @@ def test_grid_rows_equal_single_fits(case):
     assert len(regression_calls) == len(set(regression_calls))
     if model != "ciaar":
         return
-    # every distinct engine fit starts from init_ciaar's start at its orders
+    # every distinct engine fit starts from its single fit's start, at q_fit
     fits, refs = set(), {}
     for p, s, q, r in combos:
         q_fit = q if s > 1 else r
@@ -136,7 +137,7 @@ def test_grid_rows_equal_single_fits(case):
             continue
         fits.add((p, s, q_fit, r))
         try:
-            refs.setdefault((q_fit, r), []).append(init_ciaar(Y, p, s, q_fit, r))
+            refs.setdefault((q_fit, r), []).append(engine_start("ciaar", Y, p=p, s=s, q=q, r=r))
         except (ValueError, np.linalg.LinAlgError):
             continue
     assert group_starts.keys() == refs.keys()

@@ -1,5 +1,5 @@
-"""Property test: the moment-based Johansen solve and CIAAR start equal the
-dense, ols-based ones of tests/rowlevel.py."""
+"""Property test: the moment-based Johansen solve and the engine's CIAAR start
+equal the dense, least-squares ones of tests/rowlevel.py."""
 
 import numpy as np
 import pytest
@@ -7,10 +7,11 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from indexvar.estimators import init_ciaar, johansen_rrr
+from indexvar.estimators import johansen_rrr
 from indexvar.simulate import random_ciaar_params, simulate_ciaar
 from indexvar.tscore import subspace_distance
-from rowlevel import dense_init_ciaar, dense_johansen
+from rowlevel import dense_ciaar_start, dense_johansen
+from starts import engine_start
 
 DGPS = {n: random_ciaar_params(n, 2, 1, 2, 2, seed=n) for n in range(3, 7)}
 
@@ -50,8 +51,11 @@ def test_moment_johansen_and_start_equal_the_dense_ones(case):
     assert rel_gap(fit.params.pis, pis) <= 1e-10
     assert rel_gap(fit.params.sigma, sigma) <= 1e-10
 
-    gamma0, omega0, d0 = init_ciaar(Y, p, m + 1, q, r)
-    ref = dense_init_ciaar(Y, p, m + 1, q, r)
-    assert subspace_distance(omega0, ref[1]) <= 1e-10
+    # with no index lag (m = 0) the engine starts at q_fit = r
+    q_fit = q if m else r
+    gamma0, omega0, d0 = engine_start("ciaar", Y, p=p, s=m + 1, q=q, r=r)
+    ref = dense_ciaar_start(Y, p, m + 1, q_fit, r)
+    assert omega0.shape == ref[1].shape
+    assert not q_fit or subspace_distance(omega0, ref[1]) <= 1e-10
     assert rel_gap(gamma0, ref[0]) <= 1e-10
     assert len(d0) == len(ref[2]) and rel_gap(d0, ref[2]) <= 1e-10

@@ -8,16 +8,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from indexvar.estimators import (
-    FitOptions,
-    _default_starts,
-    _setup_iaar,
-    _setup_mai,
-    fit_ciaar,
-    fit_mai,
-    fit_many,
-    init_ciaar,
-)
+from indexvar.estimators import MODELS, FitOptions, _default_starts, fit_ciaar, fit_mai, fit_many
 from indexvar.simulate import random_ciaar_params, random_iaar_params, simulate_ciaar, simulate_iaar
 
 N = 4
@@ -67,11 +58,9 @@ def fit_from(model, orders, Y, start):
 @given(cases())
 def test_fit_is_invariant_to_the_basis_of_the_start_omega(case):
     model, orders, Y, R = case
-    if model == "ciaar":
-        start = init_ciaar(Y, **orders)
-    else:
-        setup = (_setup_mai if model == "mai" else _setup_iaar)(Y, **orders)
-        start = _default_starts([setup.start()], setup.r, setup.shape[0], setup.q)[0]
+    # the default start at the model's q, which fit_ciaar maps itself when s = 1
+    setup = MODELS[model].setup(Y, **orders)
+    start = _default_starts([setup.start()], setup.r, setup.shape[0], orders["q"])[0]
     gamma0, omega0, d0 = start
     rotated = (np.linalg.solve(R, gamma0) if gamma0 is not None else None, omega0 @ R, d0)
     ref, got = fit_from(model, orders, Y, start), fit_from(model, orders, Y, rotated)

@@ -16,52 +16,12 @@ from indexvar.tscore import (
     full_rank,
     gaussian_loglik,
     har_aggregates,
-    ols,
     orth_complement,
     pd_factor,
     read_panel_csv,
     sigma_cond,
     subspace_distance,
 )
-
-
-class TestOls:
-    def test_identity_regressor(self):
-        y = np.arange(1.0, 9.0).reshape(8, 1)
-        out = ols(y, y)
-        assert abs(out.coeffs[0, 0] - 1.0) < 1e-14
-        assert np.abs(out.residuals).max() < 1e-14
-
-    def test_orthogonal_regressor_gives_zero(self):
-        X = np.array([[1.0], [-1.0], [1.0], [-1.0]])
-        Y = np.array([[1.0], [1.0], [1.0], [1.0]])
-        out = ols(X, Y)
-        assert abs(out.coeffs[0, 0]) < 1e-14
-
-    def test_exact_recovery(self):
-        # exact linear system: zero noise must reproduce B to 1e-10
-        rng = np.random.default_rng(0)
-        X = rng.standard_normal((50, 3))
-        B = rng.standard_normal((3, 2))
-        out = ols(X, X @ B)
-        assert np.abs(out.coeffs - B).max() < 1e-10
-
-    def test_singular_design_names_tolerance(self):
-        X = np.ones((10, 2))
-        with pytest.raises(SingularDesignError, match="1e-10"):
-            ols(X, np.ones((10, 1)))
-
-    def test_loglik_formula(self):
-        rng = np.random.default_rng(1)
-        X = rng.standard_normal((40, 2))
-        Y = rng.standard_normal((40, 3))
-        out = ols(X, Y)
-        T = 40
-        expected = -0.5 * T * (
-            3 * np.log(2 * np.pi) + np.linalg.slogdet(out.sigma)[1] + 3
-        )
-        assert abs(out.loglik - expected) < 1e-8
-        assert np.abs(out.sigma - out.residuals.T @ out.residuals / T).max() < 1e-12
 
 
 class TestGaussianLoglik:
@@ -94,12 +54,6 @@ class TestGaussianLoglik:
             assert value == gaussian_loglik(sigma, 100)
             ref = -50.0 * (3 * np.log(2 * np.pi) + np.linalg.slogdet(sigma)[1] + 3)
             assert abs(value - ref) <= 1e-14 * abs(ref)
-
-    def test_exact_fit_regression_raises_only_for_loglik(self):
-        y = np.arange(1.0, 9.0).reshape(8, 1)
-        out = ols(y, y)
-        with pytest.raises(np.linalg.LinAlgError):
-            out.loglik
 
 
 class TestAutocov:
@@ -196,19 +150,6 @@ class TestHarAggregates:
     def test_short_sample(self):
         with pytest.raises(ValueError, match="22"):
             har_aggregates(Panel(np.zeros((21, 1)) + 1.0))
-
-
-class TestLagOlsPipeline:
-    def test_matches_one_shot_var_ols(self):
-        # ols on the stacked lag design reproduces the direct VAR OLS estimate
-        rng = np.random.default_rng(8)
-        n, T, p = 3, 400, 2
-        Y = rng.standard_normal((T, n))
-        targets, regressors = Y[p:], np.hstack([Y[p - j: T - j] for j in (1, 2)])
-        out = ols(regressors, targets)
-        X = np.hstack([Y[p - 1: T - 1], Y[p - 2: T - 2]])
-        direct, *_ = np.linalg.lstsq(X, Y[p:], rcond=None)
-        assert np.abs(out.coeffs - direct).max() < 1e-12
 
 
 class TestPanelCsv:
@@ -361,6 +302,10 @@ class TestRankRule:
         assert full_rank(_sv(np.diag([1.0, 2.0 * RANK_RTOL])))
         with pytest.raises(SingularDesignError, match="1e-10"):
             check_rank(np.diag([1.0, RANK_RTOL]))
+
+    def test_singular_design_names_tolerance(self):
+        with pytest.raises(SingularDesignError, match="1e-10"):
+            check_rank(np.ones((10, 2)))
 
     def test_orth_complement_takes_the_rule(self):
         # a least over largest singular value of 1e-11 passed the old 1e-12 test

@@ -35,7 +35,8 @@ The battery (79 cases):
   the IAAR grid, an n = 4 IAAR grid with prune=False whose (2, 2, 3, 0) and
   (3, 3, 3, 0) are not more parsimonious than the unrestricted VAR, and a
   MAI grid on 40 rows whose largest order fails the sample check;
-- VHARI, fit_vecim(Y, 1, 2, 1), johansen_rrr and init_ciaar;
+- VHARI, fit_vecim(Y, 1, 2, 1), johansen_rrr, and the default start of
+  CIAAR (2, 2, 2, 1) as a max_iter = 1 fit reports it (omega, D and gamma);
 - degenerate covariances: on an n = 6 CIAAR panel with y4_t = y1_{t-1},
   the IAAR grid, the CIAAR grid pruned and with prune=False, and
   johansen_rrr(Y, 2, 1); and MAIParams built with a sigma whose eigenvalue
@@ -198,7 +199,12 @@ def battery() -> dict:
     cases["fit_vecim p=1 q=2 r=1"] = lambda: _fit(est.fit_vecim(Yv, 1, 2, 1))
     Y = sim.simulate_ciaar(ciaar, 400, seed=5)
     cases["johansen_rrr p=2 r=1"] = lambda: _fit(est.johansen_rrr(Y, 2, 1))
-    cases["init_ciaar (2,2,2,1)"] = lambda: _plain(est.init_ciaar(Y, 2, 2, 2, 1))
+
+    def default_start():                                # a one-sweep fit reports its start
+        params = est.fit_ciaar(Y, 2, 2, 2, 1, opts=est.FitOptions(max_iter=1)).params
+        return _plain({"omega": params.omega, "ds": params.ds, "gamma": params.gamma})
+
+    cases["default start (2,2,2,1)"] = default_start
     copy = sim.simulate_ciaar(ciaar, 300, seed=2).values.copy()
     copy[1:, 3] = copy[:-1, 0]                          # y4_t = y1_{t-1}
     cases["lagged copy iaar grid"] = lambda: _grid(grid_search(
