@@ -33,8 +33,9 @@ __all__ = ["RunConfig", "run", "main"]
 # the models simulate draws (estimators.MODELS gives each one's params class)
 SIMULATED = tuple(m for m, model in estimators.MODELS.items() if model.simulated)
 # the least value of each seed and count a subcommand reads (dgp_seed -1: draw from seed)
-LEAST = {"simulate": {"seed": 0, "dgp_seed": -1}, "forecast": {"horizon": 1, "origins": 0},
-         "montecarlo": {"seed": 0, "dgp_seed": -1, "reps": 0}}
+_DRAW = {"seed": 0, "dgp_seed": -1, "T": 1, "burn": 0}
+LEAST = {"simulate": _DRAW, "forecast": {"horizon": 1, "origins": 0},
+         "montecarlo": {**_DRAW, "reps": 0}}
 
 
 @dataclass

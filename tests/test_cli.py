@@ -431,6 +431,8 @@ class TestErrors:
         ("montecarlo", ("--dgp-seed", -2), "", "--dgp-seed must be >= -1, got -2"),
         ("simulate", ("--seed", -1), "", "--seed must be >= 0, got -1"),
         ("simulate", ("--dgp-seed", -2), "", "--dgp-seed must be >= -1, got -2"),
+        ("simulate", ("--T", 0), "", "--T must be >= 1, got 0"),
+        ("montecarlo", ("--burn", -1), "", "--burn must be >= 0, got -1"),
         ("forecast", (), "origins = -3\n", "--origins must be >= 0, got -3"),
     ])
     def test_out_of_range_values_are_refused_before_any_output(
