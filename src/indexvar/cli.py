@@ -26,7 +26,7 @@ import numpy as np
 from . import __version__, decomp, estimators, simulate as sim
 from .forecast import forecast as forecast_path, rolling_evaluate
 from .select import CRITERIA, FAMILIES, grid_search
-from .tscore import Panel, read_panel_csv, subspace_distance
+from .tscore import HAR_WINDOWS, Panel, read_panel_csv, subspace_distance
 
 __all__ = ["RunConfig", "run", "main"]
 
@@ -89,6 +89,9 @@ class RunConfig:
                 raise ValueError(f"cannot simulate model {self.model!r}")
             model = estimators.MODELS[self.model]
             model.simulated.check_orders(self.n, *(getattr(self, k) for k in model.orders))
+            if self.model == "vhari" and self.burn < HAR_WINDOWS[-1]:   # simulate_vhari's rule
+                raise ValueError(f"--burn must be >= {HAR_WINDOWS[-1]} for model vhari, "
+                                 f"got {self.burn}")
         if self.criterion not in CRITERIA:
             raise ValueError(f"unknown criterion {self.criterion!r}")
 

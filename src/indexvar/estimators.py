@@ -31,6 +31,7 @@ from .params import (
     _check_full_rank,
 )
 from .tscore import (
+    HAR_WINDOWS,
     SIGMA_ERROR,
     SIGMA_RTOL,
     Panel,
@@ -41,7 +42,7 @@ from .tscore import (
     fix_signs,
     full_rank,
     gaussian_loglik,
-    har_aggregates,
+    har_means,
     orth_complement,
     pd_factor,
     sigma_cond,
@@ -174,23 +175,23 @@ def _check_sample(Te: int, k: int) -> None:
         raise ValueError(f"effective sample {Te} too small for {k} regressors")
 
 
-def _demean(values: np.ndarray, t0: int, demean: bool):
+def _demean(values: np.ndarray, demean: bool):
     if not demean:
         return values, np.zeros(values.shape[1])
-    mu = values[t0:].mean(axis=0)
+    mu = values.mean(axis=0)
     return values - mu, mu
 
 
 def _demeaned(Y: Panel, demean: bool, differences: bool = False):
     """(levels, diffs, means, memo): Y's levels and, with differences, its
-    first differences, each demeaned over its usable rows when demean, and
+    first differences, each demeaned over all its rows when demean, and
     an empty memo of their grams (_memo_grams). A model's setups slice their
     data from these, so the setups of one panel (a selection grid's
     candidates) share them and the grams of equal rows and lags."""
-    levels, mu = _demean(Y.values, Y.t0, demean)
+    levels, mu = _demean(Y.values, demean)
     if not differences:
         return levels, None, {"level": mu}, {}
-    diffs, mu_diff = _demean(np.diff(Y.values, axis=0), max(Y.t0 - 1, 0), demean)
+    diffs, mu_diff = _demean(np.diff(Y.values, axis=0), demean)
     return levels, diffs, {"level": mu, "diff": mu_diff}, {}
 
 
@@ -805,7 +806,7 @@ def fit_many(
     are formed only if read, from its panel's setup built again (the last panel's is held). A
     panel whose fit fails does not stop the others: the iterator raises that fit's exception in
     its turn and goes on. The diagonal IAAR (q = 0) runs the engine too. Raises ValueError when
-    the panels differ in length, width or first usable row.
+    the panels differ in length or width.
     """
     panels = list(panels)
     build = MODELS[model].setup if model in MODELS else None
@@ -813,8 +814,8 @@ def fit_many(
         raise ValueError(f"fit_many cannot fit model {model!r}")
     if not panels:
         raise ValueError("no panels to fit")
-    if len({(Y.T, Y.n, Y.t0) for Y in panels}) > 1:
-        raise ValueError("fit_many needs panels of equal length, width and t0")
+    if len({(Y.T, Y.n) for Y in panels}) > 1:
+        raise ValueError("fit_many needs panels of equal length and width")
     make_setup = partial(build, demean=demean, t_start=t_start, **orders)
     last = make_setup(panels[-1])
     start = None if init is None else last.warm(init)
@@ -846,7 +847,7 @@ def _setup_levels(
     one list: MAI is (0, p), IAAR (p, s), or (p, 0) when q = 0. The default
     start regresses on all p lags."""
     values, _, means, memo = data or _demeaned(Y, demean)
-    first = max(Y.t0 + p, t_start if t_start is not None else 0)
+    first = max(p, t_start or 0)
     Z = values[first:]
     lags = [values[first - j: Y.T - j] for j in range(1, p + 1)]
     _check_sample(Z.shape[0], Y.n * p)
@@ -896,12 +897,10 @@ def fit_mai(
 def _setup_vhari(Yd: Panel, q: int, demean: bool = True, t_start: int | None = None):
     n = Yd.n
     VHARIParams.check_orders(n, q)
-    values, mu = _demean(Yd.values, Yd.t0, demean)
-    dm = Panel(values, list(Yd.names), Yd.t0)
-    Yw, Ym = har_aggregates(dm)
-    first = max(Yw.t0 + 1, t_start if t_start is not None else 0)
+    values, mu = _demean(Yd.values, demean)
+    first = max(HAR_WINDOWS[-1], t_start or 0)   # its regressors are full-window means
     Z = values[first:]
-    X = [A[first - 1: Yd.T - 1] for A in (values, Yw.values, Ym.values)]
+    X = [A[first - 1: Yd.T - 1] for A in (values, *har_means(values))]
     _check_sample(Z.shape[0], 3 * n)
     memo = {}
     return _Setup(
@@ -982,7 +981,7 @@ def _ec_data(Y: Panel, m: int, data: tuple, t_start: int | None = None):
     """dY_t, its m lags, Y_{t-1}, the first target row and the means of the
     EC regressions, sliced from data (Y's _demeaned, with differences)."""
     levels, dvalues, means, _ = data
-    first = max(Y.t0 + m + 1, t_start if t_start is not None else 0)
+    first = max(m + 1, t_start or 0)
     lags = [dvalues[first - 1 - j: Y.T - 1 - j] for j in range(1, m + 1)]
     return dvalues[first - 1:], lags, levels[first - 1: Y.T - 1], first, dict(means)
 
@@ -1464,12 +1463,11 @@ def fit_drvar_omega(Y: Panel, p0: int, q: int):
     if p0 < 1:
         raise ValueError("need p0 >= 1")
     DRVARParams.check_orders(n, 1, q)                  # p is fit_drvar_coeffs' to check
-    usable = Panel(Y.usable(), list(Y.names))
-    if p0 >= usable.T - 1:
-        raise ValueError(f"p0={p0} too large for usable sample length {usable.T}")
+    if p0 >= Y.T - 1:
+        raise ValueError(f"p0={p0} too large for usable sample length {Y.T}")
     M = np.zeros((n, n))
     for j in range(1, p0 + 1):
-        C = autocov(usable, j)
+        C = autocov(Y, j)
         M += C @ C.T
     vals, vecs = np.linalg.eigh(M)
     order = np.argsort(vals)[::-1]
@@ -1500,8 +1498,8 @@ def fit_drvar_coeffs(
     n, q = omega.shape
     if p < 1:
         raise ValueError("need p >= 1")
-    values, mu = _demean(Y.values, Y.t0, demean)
-    first = Y.t0 + p
+    values, mu = _demean(Y.values, demean)
+    first = p
     Z = values[first:]
     f = values @ omega
     Xf = np.hstack([f[first - j: Y.T - j] for j in range(1, p + 1)])

@@ -84,8 +84,8 @@ def _presample(fit: FitResult, Y: Panel, start: int, form=None):
     n, values, p = Y.n, Y.values, len(form.K)
     mu_l = fit.means.get("level", 0.0) + np.zeros(n)
     if not form.integrated:
-        if start - Y.t0 < p:
-            raise ValueError(f"need at least {p} usable observations, got {start - Y.t0}")
+        if start < p:
+            raise ValueError(f"need at least {p} usable observations, got {start}")
         return form, values[start - p: start] - mu_l, np.zeros(n), None, mu_l
     m = p                                             # differences read
     if start < p + 1 and not (form.K[-1] @ form.observed).any():

@@ -27,7 +27,9 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .tscore import StateForm, companion_matrix, full_rank, orth_complement, sigma_cond, var_form
+from .tscore import (
+    HAR_WINDOWS, StateForm, companion_matrix, full_rank, orth_complement, sigma_cond, var_form,
+)
 
 __all__ = [
     "MAIParams",
@@ -226,9 +228,10 @@ class VHARIParams(_Indexed, _Stationary):
     def state_form(self) -> StateForm:
         """The indexes f_t = omega'Y_t with the 22 daily loadings of the
         implied restricted VAR(22): K_j = alpha_m/22 + 1[j <= 5] alpha_w/5
-        + 1[j = 1] alpha_d."""
-        am, aw = self.alpha_m / 22.0, self.alpha_w / 5.0
-        K = np.array([am + (j < 5) * aw + (j == 0) * self.alpha_d for j in range(22)])
+        + 1[j = 1] alpha_d, with 5 and 22 the windows of HAR_WINDOWS."""
+        week, month = HAR_WINDOWS
+        am, aw = self.alpha_m / month, self.alpha_w / week
+        K = np.array([am + (j < week) * aw + (j == 0) * self.alpha_d for j in range(month)])
         return StateForm(self.omega.T, K, np.zeros((self.q, self.q)))
 
     @staticmethod

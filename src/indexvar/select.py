@@ -231,10 +231,10 @@ def grid_search(
         raise ValueError(f"model must be one of {FAMILIES}, got {model!r}")
     opts = opts or FitOptions()
     combos = _candidate_grid(model, p_range, q_range, Y.n)
-    # conditioning offset shared by all candidates: t0 + max(p, s) covers the
+    # conditioning offset shared by all candidates: max(p, s) covers the
     # longest lag in levels (and, for ciaar, the max(p-1, s-1) difference lags
     # plus the differencing row)
-    t_start = Y.t0 + max(max(p, s) for p, s, _, _ in combos)
+    t_start = max(max(p, s) for p, s, _, _ in combos)
     criterion = partial(info_criterion, kind=kind) if prune else None
     outcomes = _fit_grid(model, Y, combos, opts, t_start, criterion)
     T_eff = Y.T - t_start

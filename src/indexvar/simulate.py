@@ -22,7 +22,7 @@ from .params import (
     MAIParams,
     VHARIParams,
 )
-from .tscore import STABLE_RADIUS, Panel, StateForm, fix_signs, orth_complement, var_form
+from .tscore import HAR_WINDOWS, STABLE_RADIUS, Panel, StateForm, fix_signs, orth_complement, var_form
 
 __all__ = [
     "simulate_var",
@@ -164,8 +164,8 @@ def simulate_vhari(
     at most 2.4e-11 after the default burn of 500, 1.4e-2 at burn=100 and
     0.39 at burn=22.
     """
-    if burn < 22:
-        raise ValueError("VHARI simulation needs burn >= 22 to fill the monthly window")
+    if burn < HAR_WINDOWS[-1]:
+        raise ValueError(f"VHARI simulation needs burn >= {HAR_WINDOWS[-1]} to fill the monthly window")
     return _simulate(_stable(params.state_form()), params.sigma, T, burn, seed, shocks, dist)
 
 
@@ -253,22 +253,28 @@ def _zero_diagonal_loading(alpha: np.ndarray, omega: np.ndarray) -> np.ndarray:
     return out
 
 
+def _draw_stationary(seed: int, draw, limit: float, name: str):
+    """The first of draw(rng, shrink) at shrink = 0.9**k, k = 0..63, from one
+    generator, whose spectral radius is below limit."""
+    rng = np.random.default_rng(seed)
+    for attempt in range(64):
+        params = draw(rng, 0.9 ** attempt)
+        if params.spectral_radius() < limit:
+            return params
+    raise RuntimeError(f"could not draw stationary {name} parameters")
+
+
 def random_mai_params(
     n: int, q: int, p: int, seed: int = 0, radius: float = 0.7
 ) -> MAIParams:
     """Stationary MAI draw with index-VAR spectral radius close to `radius`."""
-    rng = np.random.default_rng(seed)
-    for attempt in range(64):
-        shrink = 0.9 ** attempt
+    def draw(rng, shrink):
         omega = _random_omega(rng, n, q)
-        diag_coeffs = [
-            shrink * np.linspace(radius, 0.3 * radius, q) * (0.35 ** j) for j in range(p)
-        ]
+        diag_coeffs = [shrink * np.linspace(radius, 0.3 * radius, q) * (0.35 ** j) for j in range(p)]
         alphas = _index_loadings(rng, omega, diag_coeffs, cross_scale=0.4 * shrink)
-        params = MAIParams(omega, alphas, _random_sigma(rng, n))
-        if params.spectral_radius() < 0.97:
-            return params
-    raise RuntimeError("could not draw stationary MAI parameters")
+        return MAIParams(omega, alphas, _random_sigma(rng, n))
+
+    return _draw_stationary(seed, draw, 0.97, "MAI")
 
 
 def random_iaar_params(
@@ -277,35 +283,26 @@ def random_iaar_params(
     """Stationary IAAR draw with own-lag diagonals around `diag`, at orders
     the IAAR fitter accepts (IAARParams.check_orders)."""
     IAARParams.check_orders(n, p, s, q)
-    rng = np.random.default_rng(seed)
-    for attempt in range(64):
-        shrink = 0.9 ** attempt
+
+    def draw(rng, shrink):
         omega = _random_omega(rng, n, q)
         ds = [shrink * diag * rng.uniform(0.7, 1.0, n) * (0.5 ** j) for j in range(p)]
         diag_coeffs = [shrink * np.linspace(0.5, 0.2, max(q, 1)) * (0.35 ** j) for j in range(s)]
         alphas = _index_loadings(rng, omega, diag_coeffs, cross_scale=0.3 * shrink) if q else []
-        params = IAARParams(ds, alphas, omega, _random_sigma(rng, n))
-        if params.spectral_radius() < 0.97:
-            return params
-    raise RuntimeError("could not draw stationary IAAR parameters")
+        return IAARParams(ds, alphas, omega, _random_sigma(rng, n))
+
+    return _draw_stationary(seed, draw, 0.97, "IAAR")
 
 
 def random_vhari_params(n: int, q: int, seed: int = 0) -> VHARIParams:
     """Persistent VHARI draw mimicking realized-volatility cascades."""
-    rng = np.random.default_rng(seed)
-    for attempt in range(64):
-        shrink = 0.9 ** attempt
+    def draw(rng, shrink):
         omega = _random_omega(rng, n, q)
-        ad, aw, am = _index_loadings(
-            rng,
-            omega,
-            [shrink * np.full(q, 0.35), shrink * np.full(q, 0.30), shrink * np.full(q, 0.22)],
-            cross_scale=0.25 * shrink,
-        )
-        params = VHARIParams(omega, ad, aw, am, _random_sigma(rng, n))
-        if params.spectral_radius() < 0.98:
-            return params
-    raise RuntimeError("could not draw stationary VHARI parameters")
+        diag_coeffs = [shrink * np.full(q, a) for a in (0.35, 0.30, 0.22)]
+        ad, aw, am = _index_loadings(rng, omega, diag_coeffs, cross_scale=0.25 * shrink)
+        return VHARIParams(omega, ad, aw, am, _random_sigma(rng, n))
+
+    return _draw_stationary(seed, draw, 0.98, "VHARI")
 
 
 def random_drvar_params(
@@ -321,9 +318,7 @@ def random_drvar_params(
     common_variance adds innovation variance along the index directions, so
     the factors stay pervasive as n grows.
     """
-    rng = np.random.default_rng(seed)
-    for attempt in range(64):
-        shrink = 0.9 ** attempt
+    def draw(rng, shrink):
         omega = _random_omega(rng, n, q)
         phis = [
             shrink * np.diag(np.linspace(radius, 0.4 * radius, q)) * (0.35 ** j)
@@ -331,10 +326,9 @@ def random_drvar_params(
             for j in range(p)
         ]
         sigma = _random_sigma(rng, n, strength=0.2) + common_variance * (omega @ omega.T)
-        params = DRVARParams(omega, phis, sigma)
-        if params.spectral_radius() < 0.97:
-            return params
-    raise RuntimeError("could not draw stationary DRVAR parameters")
+        return DRVARParams(omega, phis, sigma)
+
+    return _draw_stationary(seed, draw, 0.97, "DRVAR")
 
 
 def random_ciaar_params(

@@ -30,6 +30,7 @@ RANK_RTOL = 1e-10    # a full-rank matrix's least singular value over its larges
 STABLE_RADIUS = 1.0 - 1e-8   # a stable state companion's spectral radius is below this
 SIGMA_RTOL = 1e-12   # a covariance's least eigenvalue over its largest must exceed this
 SIGMA_ERROR = f"residual covariance is not positive definite (eigenvalue ratio <= {SIGMA_RTOL:.0e})"
+HAR_WINDOWS = (5, 22)   # the weekly and monthly windows of the HAR cascade, in daily rows
 
 
 class SingularDesignError(ValueError):
@@ -42,13 +43,12 @@ class Panel:
 
     values: T x n float array, rows are time, columns are series.
     names:  n column labels.
-    t0:     index of the first usable row (rows before t0 exist but are
-            flagged unusable after transformations such as HAR averaging).
+
+    Every row is used; to drop rows, slice the values.
     """
 
     values: np.ndarray
     names: list[str] = field(default_factory=list)
-    t0: int = 0
 
     def __post_init__(self):
         self.values = np.atleast_2d(np.asarray(self.values, dtype=float))
@@ -62,8 +62,8 @@ class Panel:
             )
         if not np.all(np.isfinite(self.values)):
             raise ValueError("panel contains non-finite values")
-        if not 0 <= self.t0 < self.values.shape[0]:
-            raise ValueError(f"t0={self.t0} outside sample of length {self.values.shape[0]}")
+        if not self.values.shape[0]:
+            raise ValueError("panel has no rows")
 
     @property
     def T(self) -> int:
@@ -72,10 +72,6 @@ class Panel:
     @property
     def n(self) -> int:
         return self.values.shape[1]
-
-    def usable(self) -> np.ndarray:
-        """Rows from t0 on."""
-        return self.values[self.t0:]
 
 
 def read_panel_csv(path) -> Panel:
@@ -369,22 +365,21 @@ def _block_length(n: int, p: int, k: int, T: int) -> int:
     return min(cost, key=cost.get)
 
 
-def har_aggregates(Yd: Panel) -> tuple[Panel, Panel]:
-    """Weekly (5-day) and monthly (22-day) trailing means of a daily panel.
+def har_means(values: np.ndarray) -> list:
+    """The weekly and monthly trailing means of daily rows, one per HAR_WINDOWS
+    window: row t averages the window's rows ending at t, or, while fewer
+    rows exist, the rows so far (partial windows, rows 0 to 20)."""
+    month = HAR_WINDOWS[-1]
+    if len(values) < month:
+        raise ValueError(f"need at least {month} daily observations, got {len(values)}")
+    return [_trailing_mean(values, window) for window in HAR_WINDOWS]
 
-    Row t of the outputs averages the last 5 (resp. 22) daily rows ending
-    at t. The first 21 rows use partial windows and are flagged unusable
-    through t0 = 21.
-    """
-    if Yd.T < 22:
-        raise ValueError(f"need at least 22 daily observations, got {Yd.T}")
-    Yw = _trailing_mean(Yd.values, 5)
-    Ym = _trailing_mean(Yd.values, 22)
-    t0 = max(Yd.t0, 21)
-    return (
-        Panel(Yw, [f"{s}_w" for s in Yd.names], t0),
-        Panel(Ym, [f"{s}_m" for s in Yd.names], t0),
-    )
+
+def har_aggregates(Yd: Panel) -> tuple[Panel, Panel]:
+    """Weekly (5-day) and monthly (22-day) trailing means of a daily panel
+    (har_means): its first 21 rows are partial-window means."""
+    Yw, Ym = har_means(Yd.values)
+    return Panel(Yw, [f"{s}_w" for s in Yd.names]), Panel(Ym, [f"{s}_m" for s in Yd.names])
 
 
 def _trailing_mean(values: np.ndarray, window: int) -> np.ndarray:

@@ -121,7 +121,7 @@ def row_level_sa(Z, index_X, ec_X, omega0, gamma0, r, opts):
 
 
 def ciaar_inputs(Y, nd, na):
-    """(Z, diag_X, index_X, ec_X) of a t0 = 0 panel, demeaned as fit_ciaar does."""
+    """(Z, diag_X, index_X, ec_X) of a panel, demeaned as fit_ciaar does."""
     levels = Y.values - Y.values.mean(axis=0)
     d = np.diff(Y.values, axis=0)
     d = d - d.mean(axis=0)
@@ -236,7 +236,7 @@ def rrr_eig(S00, S01, S11):
 
 
 def dense_johansen(Y, p, r):
-    """Johansen's reduced-rank regression on the data matrices (demeaned, t0 = 0).
+    """Johansen's reduced-rank regression on the data matrices (demeaned).
 
     R0 and R1 are the OLS residuals of dY_t and Y_{t-1} on the p - 1 lagged
     differences, S_ij = R_i'R_j / T, beta the r leading eigenvectors of

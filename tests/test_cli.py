@@ -434,6 +434,9 @@ class TestErrors:
         ("simulate", ("--T", 0), "", "--T must be >= 1, got 0"),
         ("montecarlo", ("--burn", -1), "", "--burn must be >= 0, got -1"),
         ("forecast", (), "origins = -3\n", "--origins must be >= 0, got -3"),
+        ("simulate", ("--model", "vhari", "--burn", 5), "", "--burn must be >= 22 for model vhari, got 5"),
+        ("montecarlo", ("--model", "vhari", "--burn", 21), "",
+         "--burn must be >= 22 for model vhari, got 21"),
     ])
     def test_out_of_range_values_are_refused_before_any_output(
         self, command, flags, config, message, sim_dir, tmp_path, capsys

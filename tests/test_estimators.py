@@ -872,7 +872,7 @@ class TestGramStarts:
     def test_grid_starts_equal_the_dense_ols_start(self, model, monkeypatch):
         Y = _ols_case(model)[0][0]
         candidates = _candidate_grid(model, (1, 3), (1, 2), Y.n)
-        t_start = Y.t0 + 3
+        t_start = 3
         starts, _ = self._engine_starts(monkeypatch, lambda: list(
             _fit_grid(model, Y, candidates, FitOptions(max_iter=40), t_start)))
         starts = iter(starts)
@@ -902,7 +902,7 @@ class TestGramStarts:
             return
         p, q = orders["p"], orders["q"]
         orders_row = (p, orders.get("s", p), q, 0)
-        t_start = panels[1].t0 + p
+        t_start = p
         outcome, _, _ = next(_fit_grid(model, panels[1], [orders_row], FitOptions(), t_start))
         with pytest.raises(SingularDesignError) as ref:
             fit(panels[1], t_start=t_start, **orders)
@@ -948,7 +948,7 @@ class TestGramStarts:
         )
         Y = simulate_ciaar(random_ciaar_params(6, 2, 1, 2, 2, seed=0), 1000, seed=0)
         candidates = _candidate_grid("ciaar", (1, 3), (1, 3), Y.n)
-        list(_fit_grid("ciaar", Y, candidates, FitOptions(max_iter=5), Y.t0 + 3))
+        list(_fit_grid("ciaar", Y, candidates, FitOptions(max_iter=5), 3))
         assert sorted(calls) == [(1, 998), (2, 997)]
 
     def test_pruned_grid_solves_starts_only_for_fits_that_run(self, monkeypatch):
@@ -1050,7 +1050,7 @@ class TestMixedRankBatch:
     @pytest.mark.parametrize("seed", [0, 4])
     def test_members_equal_their_single_fits(self, seed):
         Y = simulate_ciaar(random_ciaar_params(6, 2, 1, 2, 2, seed=0), 300, seed=seed)
-        t_start, opts = Y.t0 + 3, FitOptions(max_iter=60)
+        t_start, opts = 3, FitOptions(max_iter=60)
         setups = [_grid_setup("ciaar", Y, orders, t_start) for orders in self.CANDIDATES]
         starts = [engine_start("ciaar", Y, **dict(zip("psqr", orders)))
                   for orders in self.CANDIDATES]
@@ -1089,7 +1089,7 @@ class TestPaddedGroup:
     @staticmethod
     def _group():
         Y = simulate_ciaar(random_ciaar_params(6, 2, 1, 2, 2, seed=0), 1000, seed=0)
-        setups = [_grid_setup("ciaar", Y, orders, Y.t0 + 3)
+        setups = [_grid_setup("ciaar", Y, orders, 3)
                   for orders in _candidate_grid("ciaar", (1, 3), (1, 3), 6)]
         group = [setup for setup in setups if setup.q == 2]
         shapes = [setup.shape for setup in group]
@@ -1369,14 +1369,15 @@ class TestDrvar:
         with pytest.raises(ValueError, match="orthonormal"):
             fit_drvar_coeffs(Y, np.ones((4, 2)), 1)
 
-    @pytest.mark.parametrize("t0, p0", [(10, 9), (10, 15), (0, 19)])
-    def test_p0_is_checked_against_the_usable_rows(self, t0, p0):
-        # autocovariances run over rows t0 on, so p0 must fit in those
-        Y = Panel(np.random.default_rng(7).standard_normal((20, 4)), t0=t0)
+    @pytest.mark.parametrize("first, p0", [(10, 9), (10, 15), (0, 19)])
+    def test_p0_is_checked_against_the_usable_rows(self, first, p0):
+        # autocovariances run over the panel's rows, here those from row first
+        # on, so p0 must fit in those
+        Y = Panel(np.random.default_rng(7).standard_normal((20, 4))[first:])
         with pytest.raises(ValueError, match=f"^p0={p0} too large for usable sample length "
-                                             f"{20 - t0}$"):
+                                             f"{20 - first}$"):
             fit_drvar_omega(Y, p0, 2)
-        fit_drvar_omega(Y, 20 - t0 - 2, 2)
+        fit_drvar_omega(Y, 20 - first - 2, 2)
 
 
 class TestMonotonicityFuzz:

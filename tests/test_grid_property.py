@@ -97,7 +97,7 @@ def assert_same_start(got, ref):
 def test_grid_rows_equal_single_fits(case):
     model, Y, p_range, q_range = case
     combos = _candidate_grid(model, p_range, q_range, N)
-    t_start = Y.t0 + max(max(p, s) for p, s, _, _ in combos)
+    t_start = max(max(p, s) for p, s, _, _ in combos)
     try:
         table, regression_calls, group_starts, outcomes = traced_grid_search(
             Y, p_range, q_range, model)

@@ -48,7 +48,7 @@ def test_s1_rows_single_batched_and_perturbed_fits_agree(dgp, T, seed, p_range, 
     z = np.random.default_rng(seed).standard_normal(Y.values.shape)
     perturbed = Panel(Y.values * (1.0 + 1e-15 * z))
     table = grid_search(Y, p_range, q_range, opts=opts, prune=False)
-    t_start = Y.t0 + p_range[1]
+    t_start = p_range[1]
     shared = {}                                        # (p, r) -> the rows of one engine fit
     for row in table.rows:
         p, s, q, r = row.orders()

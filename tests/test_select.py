@@ -209,7 +209,7 @@ class TestGridSearch:
         Y = simulate_mai(random_mai_params(4, 1, 2, seed=0), 600, seed=1)
         values = Y.values.copy()
         values[1:, 3] = values[:-1, 0]
-        table = grid_search(Panel(values, list(Y.names), Y.t0), (1, 2), (1, 3), model="mai")
+        table = grid_search(Panel(values, list(Y.names)), (1, 2), (1, 3), model="mai")
         rows = {row.orders(): row for row in table.rows}
         for orders in ((2, 2, 2, 0), (2, 2, 3, 0)):
             assert rows[orders].failed
@@ -363,7 +363,7 @@ class TestPruning:
         Y = simulate_mai(random_mai_params(4, 1, 1, seed=0), 8, seed=0)
         candidates = [(1, 1, q, 0) for q in (1, 2, 3)]
         hq = partial(info_criterion, kind="hq")
-        outcomes = list(_fit_grid("mai", Y, candidates, FitOptions(), Y.t0 + 1, criterion=hq))
+        outcomes = list(_fit_grid("mai", Y, candidates, FitOptions(), 1, criterion=hq))
         assert [f"{type(fit).__name__}: {fit}" for fit, _, _ in outcomes] == [
             f"ValueError: effective sample 7 not larger than {k} parameters" for k in (7, 12, 15)]
         assert all(np.isnan(bound) for _, _, bound in outcomes)
@@ -378,7 +378,7 @@ class TestPruning:
             raise np.linalg.LinAlgError(SIGMA_ERROR)
 
         monkeypatch.setattr(estimators, "sigma_cond", refused)
-        outcomes = list(_fit_grid("mai", Y, candidates, FitOptions(), Y.t0 + 1, criterion=hq))
+        outcomes = list(_fit_grid("mai", Y, candidates, FitOptions(), 1, criterion=hq))
         assert all(np.isfinite(bound) for _, _, bound in outcomes)
         assert not any(fit is None for fit, _, _ in outcomes)
         assert all(str(fit) == SIGMA_ERROR for fit, _, _ in outcomes)
@@ -392,7 +392,7 @@ class TestPruning:
         Y = self.panel()
         target = grid_search(Y, (1, 2), (1, 3), prune=False).best_row("hq").orders()
         assert target[2] < 3 and target[1] > 1         # fitted before the last q group, alone
-        sigma = fit_ciaar(Y, *target, t_start=Y.t0 + 2).params.sigma   # at the grid's rows
+        sigma = fit_ciaar(Y, *target, t_start=2).params.sigma   # at the grid's rows
         guard = estimators.sigma_cond
 
         def judged(s):                                 # a stack: refused if it holds the target

@@ -114,11 +114,21 @@ class TestCompanion:
 
 class TestHarAggregates:
     def test_constant_series(self):
-        Yd = Panel(np.full((60, 2), 3.5))
+        Yd = Panel(np.full((60, 2), 3.5), ["a", "b"])
         Yw, Ym = har_aggregates(Yd)
-        assert np.abs(Yw.usable() - 3.5).max() < 1e-12
-        assert np.abs(Ym.usable() - 3.5).max() < 1e-12
-        assert Yw.t0 == Ym.t0 == 21
+        assert np.abs(Yw.values - 3.5).max() < 1e-12
+        assert np.abs(Ym.values - 3.5).max() < 1e-12
+        assert (Yw.names, Ym.names) == (["a_w", "b_w"], ["a_m", "b_m"])
+
+    def test_partial_windows(self):
+        # row t averages the last min(t + 1, window) rows: monthly rows 0-20
+        # (weekly rows 0-3) are means of the rows so far, the later rows
+        # full 5- and 22-row means
+        vals = np.random.default_rng(3).standard_normal((40, 2)).cumsum(axis=0)
+        Yw, Ym = har_aggregates(Panel(vals))
+        for got, window in ((Yw.values, 5), (Ym.values, 22)):
+            expected = [vals[max(t + 1 - window, 0): t + 1].mean(axis=0) for t in range(40)]
+            np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
 
     def test_ramp_mean(self):
         Yd = Panel(np.arange(1.0, 31.0).reshape(30, 1))
@@ -175,6 +185,10 @@ class TestPanelCsv:
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError, match="non-finite"):
             Panel(np.array([[1.0, np.nan]]))
+
+    def test_empty_rejected(self):
+        with pytest.raises(ValueError, match="^panel has no rows$"):
+            Panel(np.zeros((0, 3)))
 
     # What the reader accepts, with the values it reads, and what it rejects,
     # with its message. Several are files numpy's C reader reads differently

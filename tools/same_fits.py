@@ -10,7 +10,7 @@ iterations and stop; a grid's rows (log-likelihoods, bounds, criteria,
 stops and errors) and picks; or the type and message of the exception it
 raised. Floats print exactly, so equal text means equal bits.
 
-The battery (79 cases):
+The battery (82 cases):
 - c12 grids (CIAAR, HQ, n = 6, T = 1000), seeds 0-3, pruned and with
   prune=False, pruned under AIC and under BIC, seeds 0-1, and seed 0
   pruned at max_iter = 1 and at max_iter = 2;
@@ -35,13 +35,15 @@ The battery (79 cases):
   the IAAR grid, an n = 4 IAAR grid with prune=False whose (2, 2, 3, 0) and
   (3, 3, 3, 0) are not more parsimonious than the unrestricted VAR, and a
   MAI grid on 40 rows whose largest order fails the sample check;
-- VHARI, fit_vecim(Y, 1, 2, 1), johansen_rrr, and the default start of
+- VHARI from its first full-window row, from t_start = 30, and on 21 rows
+  (an error), fit_vecim(Y, 1, 2, 1), johansen_rrr, and the default start of
   CIAAR (2, 2, 2, 1) as a max_iter = 1 fit reports it (omega, D and gamma);
 - degenerate covariances: on an n = 6 CIAAR panel with y4_t = y1_{t-1},
   the IAAR grid, the CIAAR grid pruned and with prune=False, and
   johansen_rrr(Y, 2, 1); and MAIParams built with a sigma whose eigenvalue
   ratio is 1e-13;
-- fit_drvar_coeffs by OLS and by GLS; cc_projectors and
+- fit_drvar_omega's omega and eigenvalues, and fit_drvar_coeffs by OLS and
+  by GLS; cc_projectors and
   structural_transitory_irf on a fitted CIAAR; and MAIParams built with a
   zero omega.
 
@@ -195,6 +197,8 @@ def battery() -> dict:
     cases["mai grid"] = lambda: _grid(grid_search(Ym, (1, 3), (1, 3), kind="bic", model="mai"))
     Yd = sim.simulate_vhari(vhari, 800, seed=1)
     cases["fit_vhari q=2"] = lambda: _fit(est.fit_vhari(Yd, 2))
+    cases["fit_vhari q=2 t_start=30"] = lambda: _fit(est.fit_vhari(Yd, 2, t_start=30))
+    cases["fit_vhari q=2 21 rows"] = lambda: _fit(est.fit_vhari(Panel(Yd.values[:21]), 2))
     Yv = sim.simulate_ciaar(ciaar, 400, seed=6)
     cases["fit_vecim p=1 q=2 r=1"] = lambda: _fit(est.fit_vecim(Yv, 1, 2, 1))
     Y = sim.simulate_ciaar(ciaar, 400, seed=5)
@@ -216,6 +220,7 @@ def battery() -> dict:
     cases["MAIParams sigma ratio 1e-13"] = lambda: _plain(MAIParams(
         np.eye(3)[:, :1], [np.zeros((3, 1))], np.diag([1.0, 1.0, 1e-13])))
     Yr = sim.simulate_drvar(sim.random_drvar_params(5, 2, 2, seed=0), 400, seed=1)
+    cases["fit_drvar_omega p0=2 q=2"] = lambda: _plain(est.fit_drvar_omega(Yr, 2, 2))
     for method in ("ols", "gls"):
         cases[f"fit_drvar_coeffs {method}"] = lambda m=method: _fit(
             est.fit_drvar_coeffs(Yr, est.fit_drvar_omega(Yr, 2, 2)[0], 2, m))
