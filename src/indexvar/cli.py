@@ -24,7 +24,7 @@ from typing import get_type_hints
 import numpy as np
 
 from . import __version__, decomp, estimators, simulate as sim
-from .forecast import forecast as forecast_path, rolling_evaluate
+from .forecast import first_origin, forecast as forecast_path, rolling_evaluate
 from .select import CRITERIA, FAMILIES, grid_search
 from .tscore import HAR_WINDOWS, Panel, read_panel_csv, subspace_distance
 
@@ -35,7 +35,7 @@ SIMULATED = tuple(m for m, model in estimators.MODELS.items() if model.simulated
 # the least value of each seed and count a subcommand reads (dgp_seed -1: draw from seed)
 _DRAW = {"seed": 0, "dgp_seed": -1, "T": 1, "burn": 0}
 LEAST = {"simulate": _DRAW, "forecast": {"horizon": 1, "origins": 0},
-         "montecarlo": {**_DRAW, "reps": 0}}
+         "montecarlo": {**_DRAW, "reps": 0}, "select": {"p_max": 1, "q_max": 1}}
 
 
 @dataclass
@@ -79,6 +79,10 @@ class RunConfig:
             self.model = self.model or "ciaar"
             if self.model not in FAMILIES:
                 raise ValueError(f"select searches {', '.join(FAMILIES)}, not {self.model!r}")
+            for x in ("p", "q"):                       # else the candidate grid is empty
+                lo, hi = getattr(self, f"{x}_min"), getattr(self, f"{x}_max")
+                if lo > hi:
+                    raise ValueError(f"--{x}-min must be <= --{x}-max, got {lo} > {hi}")
         if self.subcommand in ("fit", "decompose", "forecast"):
             if self.model not in estimators.MODELS:
                 raise ValueError(f"missing or unknown model {self.model!r}")
@@ -237,8 +241,8 @@ def _fit_drvar(cfg: RunConfig, Y: Panel):
     return estimators.fit_drvar_coeffs(Y, omega, cfg.p, method=cfg.method)
 
 
-def _cmd_fit(cfg: RunConfig, outdir):
-    Y = read_panel_csv(cfg.input)
+def _cmd_fit(cfg: RunConfig, outdir, Y: Panel | None = None):
+    Y = read_panel_csv(cfg.input) if Y is None else Y
     fit, = _fit_from_config(cfg, [Y])
     _write_params_text(
         fit.params, outdir / "fit_params.txt",
@@ -285,7 +289,10 @@ def _cmd_select(cfg: RunConfig, outdir) -> None:
 
 
 def _cmd_forecast(cfg: RunConfig, outdir) -> None:
-    fit, Y = _cmd_fit(cfg, outdir)
+    Y = read_panel_csv(cfg.input)
+    if cfg.origins > 0:                                # refuse a short panel before any report
+        first_origin(Y.T, cfg.horizon, cfg.origins)
+    fit, _ = _cmd_fit(cfg, outdir, Y)
     path = forecast_path(fit, Y, cfg.horizon)
     cols = {"step": np.arange(1, cfg.horizon + 1, dtype=float)}
     for i, name in enumerate(Y.names):

@@ -175,9 +175,9 @@ def cc_projectors(sigma: np.ndarray, omega: np.ndarray):
 def _demeaned_targets(fit: FitResult, Y: Panel, integrated: bool) -> np.ndarray:
     """The (differenced, demeaned) series the residuals refer to."""
     if integrated:
-        d = np.diff(Y.values, axis=0) - fit.means.get("diff", 0.0)
+        d = np.diff(Y.values, axis=0) - fit.means["diff"]
         return d[fit.t_start - 1:]
-    return (Y.values - fit.means.get("level", 0.0))[fit.t_start:]
+    return (Y.values - fit.means["level"])[fit.t_start:]
 
 
 def _components(fit: FitResult, Y: Panel | None, filters):
@@ -343,7 +343,7 @@ def drvar_decompose(fit: FitResult, Y: Panel) -> Decomposition:
         raise ValueError(f"expected a DRVAR fit, got {fit.model!r}")
     omega = fit.params.omega
     operp = orth_complement(omega)
-    Z = (Y.values - fit.means.get("level", 0.0))[fit.t_start:]
+    Z = (Y.values - fit.means["level"])[fit.t_start:]
     f = Z @ omega
     dynamic = f @ omega.T
     static = Z @ operp @ operp.T

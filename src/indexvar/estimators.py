@@ -175,23 +175,22 @@ def _check_sample(Te: int, k: int) -> None:
         raise ValueError(f"effective sample {Te} too small for {k} regressors")
 
 
-def _demean(values: np.ndarray, demean: bool):
-    if not demean:
-        return values, np.zeros(values.shape[1])
+def _demean(values: np.ndarray):
     mu = values.mean(axis=0)
     return values - mu, mu
 
 
-def _demeaned(Y: Panel, demean: bool, differences: bool = False):
+def _demeaned(Y: Panel, differences: bool = False):
     """(levels, diffs, means, memo): Y's levels and, with differences, its
-    first differences, each demeaned over all its rows when demean, and
-    an empty memo of their grams (_memo_grams). A model's setups slice their
-    data from these, so the setups of one panel (a selection grid's
+    first differences, each demeaned over all its rows, and an empty memo
+    of their grams (_memo_grams). Every fit demeans its data so (the index
+    models are written for mean-zero series), and a model's setups slice
+    their data from these, so the setups of one panel (a selection grid's
     candidates) share them and the grams of equal rows and lags."""
-    levels, mu = _demean(Y.values, demean)
+    levels, mu = _demean(Y.values)
     if not differences:
         return levels, None, {"level": mu}, {}
-    diffs, mu_diff = _demean(np.diff(Y.values, axis=0), demean)
+    diffs, mu_diff = _demean(np.diff(Y.values, axis=0))
     return levels, diffs, {"level": mu, "diff": mu_diff}, {}
 
 
@@ -788,7 +787,6 @@ def fit_many(
     model: str,
     panels,
     opts: FitOptions | None = None,
-    demean: bool = True,
     t_start: int | None = None,
     init: tuple | None = None,
     **orders,
@@ -797,16 +795,19 @@ def fit_many(
 
     model is a MODELS entry with an engine setup, and orders are the orders its fitter takes, by
     keyword (p=2, s=2, q=2, r=1 for "ciaar"); each single fitter is this function on one panel.
-    Every panel starts from its own default starting values, solved together (_default_starts)
-    from the start grams kept, with its grams, as its setup goes; or from init = (gamma0, omega0,
-    D0) when given, mapped once by the setup's warm() (None keeps the default ones). Each keeps its
-    own trace and stop reason. The last panel's setup is built first, so an invalid order, or an
-    init warm() cannot map, raises here. Returns an iterator over the FitResults in panel order;
-    the switching and the batch finish (_finished) run before this returns, and a fit's residuals
-    are formed only if read, from its panel's setup built again (the last panel's is held). A
-    panel whose fit fails does not stop the others: the iterator raises that fit's exception in
-    its turn and goes on. The diagonal IAAR (q = 0) runs the engine too. Raises ValueError when
-    the panels differ in length or width.
+    Every panel is demeaned (_demeaned) and starts from its own default starting values, solved
+    together (_default_starts) from the start grams kept, with its grams, as its setup goes; or
+    from init = (gamma0, omega0, D0) when given, the one way to give a fit a start, mapped once by
+    the setup's warm() (None keeps the default ones): a CIAAR order with s <= 1 starts from the
+    basis of beta0 = omega0 gamma0 (_setup_ciaar), and one with p <= 1 too is Johansen's fit,
+    whose default start is its maximum, so init is not used. Each fit keeps its own trace and stop
+    reason. The last panel's setup is built first, so an invalid order, or an init warm() cannot
+    map, raises here. Returns an iterator over the FitResults in panel order; the switching and the
+    batch finish (_finished) run before this returns, and a fit's residuals are formed only if
+    read, from its panel's setup built again (the last panel's is held). A panel whose fit fails
+    does not stop the others: the iterator raises that fit's exception in its turn and goes on.
+    The diagonal IAAR (q = 0) runs the engine too. Raises ValueError when the panels differ in
+    length or width.
     """
     panels = list(panels)
     build = MODELS[model].setup if model in MODELS else None
@@ -816,7 +817,7 @@ def fit_many(
         raise ValueError("no panels to fit")
     if len({(Y.T, Y.n) for Y in panels}) > 1:
         raise ValueError("fit_many needs panels of equal length and width")
-    make_setup = partial(build, demean=demean, t_start=t_start, **orders)
+    make_setup = partial(build, t_start=t_start, **orders)
     last = make_setup(panels[-1])
     start = None if init is None else last.warm(init)
     sources = [partial(make_setup, Y) for Y in panels[:-1]] + [lambda: last]
@@ -839,14 +840,14 @@ def fit_many(
 
 
 def _setup_levels(
-    model: str, Y: Panel, p: int, nd: int, na: int, q: int, demean: bool, t_start: int | None,
+    model: str, Y: Panel, p: int, nd: int, na: int, q: int, t_start: int | None,
     data, params: Callable, n_params: int,
 ):
     """The setup of a model on the p lags of Y's levels, its diagonal lags
     the first nd of them and its index lags the first na, both prefixes of
     one list: MAI is (0, p), IAAR (p, s), or (p, 0) when q = 0. The default
     start regresses on all p lags."""
-    values, _, means, memo = data or _demeaned(Y, demean)
+    values, _, means, memo = data or _demeaned(Y)
     first = max(p, t_start or 0)
     Z = values[first:]
     lags = [values[first - j: Y.T - j] for j in range(1, p + 1)]
@@ -857,12 +858,10 @@ def _setup_levels(
     )
 
 
-def _setup_mai(
-    Y: Panel, p: int, q: int, demean: bool = True, t_start: int | None = None, data=None
-):
+def _setup_mai(Y: Panel, p: int, q: int, t_start: int | None = None, data=None):
     MAIParams.check_orders(Y.n, p, q)
     return _setup_levels(
-        "mai", Y, p, 0, p, q, demean, t_start, data,
+        "mai", Y, p, 0, p, q, t_start, data,
         lambda out: MAIParams.from_checked(out["omega"], out["alphas"], out["sigma"]),
         MAIParams.count(Y.n, p, q),
     )
@@ -873,9 +872,7 @@ def fit_mai(
     p: int,
     q: int,
     opts: FitOptions | None = None,
-    demean: bool = True,
     t_start: int | None = None,
-    omega0: np.ndarray | None = None,
 ) -> FitResult:
     """Switching-algorithm ML fit of the multivariate autoregressive index model.
 
@@ -883,10 +880,9 @@ def fit_mai(
     alternates OLS for the loadings given omega with the Vec-rewritten
     normal equations for omega given the loadings. q = n reproduces the
     unrestricted VAR. The starting omega spans the leading right-singular
-    subspace of the stacked OLS VAR coefficients unless supplied.
+    subspace of the stacked OLS VAR coefficients.
     """
-    init = None if omega0 is None else (None, omega0, [])
-    return next(fit_many("mai", [Y], opts, demean, t_start, init, p=p, q=q))
+    return next(fit_many("mai", [Y], opts, t_start, p=p, q=q))
 
 
 # ---------------------------------------------------------------------------
@@ -894,10 +890,10 @@ def fit_mai(
 # ---------------------------------------------------------------------------
 
 
-def _setup_vhari(Yd: Panel, q: int, demean: bool = True, t_start: int | None = None):
+def _setup_vhari(Yd: Panel, q: int, t_start: int | None = None):
     n = Yd.n
     VHARIParams.check_orders(n, q)
-    values, mu = _demean(Yd.values, demean)
+    values, mu = _demean(Yd.values)
     first = max(HAR_WINDOWS[-1], t_start or 0)   # its regressors are full-window means
     Z = values[first:]
     X = [A[first - 1: Yd.T - 1] for A in (values, *har_means(values))]
@@ -915,7 +911,6 @@ def fit_vhari(
     Yd: Panel,
     q: int,
     opts: FitOptions | None = None,
-    demean: bool = True,
     t_start: int | None = None,
 ) -> FitResult:
     """Switching-algorithm fit of the vector heterogeneous autoregressive index model.
@@ -925,7 +920,7 @@ def fit_vhari(
     5/22-day cascade identities exactly), and the SA runs on the three
     aggregate regressors.
     """
-    return next(fit_many("vhari", [Yd], opts, demean, t_start, q=q))
+    return next(fit_many("vhari", [Yd], opts, t_start, q=q))
 
 
 # ---------------------------------------------------------------------------
@@ -933,13 +928,11 @@ def fit_vhari(
 # ---------------------------------------------------------------------------
 
 
-def _setup_iaar(
-    Y: Panel, p: int, s: int, q: int, demean: bool = True, t_start: int | None = None, data=None
-):
+def _setup_iaar(Y: Panel, p: int, s: int, q: int, t_start: int | None = None, data=None):
     IAARParams.check_orders(Y.n, p, s, q)
     na = s if q else 0                                 # omega is n x 0: no index channel
     return _setup_levels(
-        "iaar", Y, p, p, na, q, demean, t_start, data,
+        "iaar", Y, p, p, na, q, t_start, data,
         lambda out: IAARParams.from_checked(out["ds"], out["alphas"], out["omega"], out["sigma"]),
         IAARParams.count(Y.n, p, na, q),
     )
@@ -951,7 +944,6 @@ def fit_iaar(
     s: int,
     q: int,
     opts: FitOptions | None = None,
-    demean: bool = True,
     t_start: int | None = None,
 ) -> FitResult:
     """Switching-algorithm fit of the index-augmented autoregression.
@@ -961,7 +953,7 @@ def fit_iaar(
     diagonal VAR, whose equations share sigma but not regressors, so its ML
     alternates sigma with the GLS solve for the diagonals, not equation-wise OLS.
     """
-    return next(fit_many("iaar", [Y], opts, demean, t_start, p=p, s=s, q=q))
+    return next(fit_many("iaar", [Y], opts, t_start, p=p, s=s, q=q))
 
 
 def _svd_truncate(stack: np.ndarray, q: int):
@@ -1059,7 +1051,6 @@ def johansen_rrr(
     Y: Panel,
     p: int,
     r: int,
-    demean: bool = True,
     t_start: int | None = None,
 ) -> FitResult:
     """Johansen's reduced-rank regression for the VECM with p - 1 lagged differences.
@@ -1075,7 +1066,7 @@ def johansen_rrr(
     """
     if p < 1:
         raise ValueError("need p >= 1")
-    data = _demeaned(Y, demean, differences=True)
+    data = _demeaned(Y, differences=True)
     Z, lags, ec_X, first, means = _ec_data(Y, p - 1, data, t_start)
     jo = _johansen(_start_grams(Z, lags, ec_X, r), r)
     alpha0, beta, pis = jo["alpha0"][0], jo["beta"][0], list(jo["pis"][0])
@@ -1167,17 +1158,14 @@ def _index_start(jo: dict, nd: int, q: int) -> list:
 # ---------------------------------------------------------------------------
 
 
-def _setup_ciaar(
-    Y: Panel, p: int, s: int, q: int, r: int, demean: bool = True, t_start: int | None = None,
-    data=None,
-):
+def _setup_ciaar(Y: Panel, p: int, s: int, q: int, r: int, t_start: int | None = None, data=None):
     n = Y.n
     CIAARParams.check_orders(n, p, s, q, r)
     nd, na = max(p - 1, 0), max(s - 1, 0)
     # with no index lag omega enters only through beta = omega gamma: run the
     # identified equivalent (p, s, r, r), gamma = I_r, and complete omega in params
     q_fit = q if na else r
-    data = data or _demeaned(Y, demean, differences=True)
+    data = data or _demeaned(Y, differences=True)
     Z, lags, ec_X, first, means = _ec_data(Y, max(nd, na), data, t_start)
 
     def start() -> _Grams:
@@ -1225,9 +1213,7 @@ def fit_ciaar(
     q: int,
     r: int,
     opts: FitOptions | None = None,
-    demean: bool = True,
     t_start: int | None = None,
-    init: tuple | None = None,
 ) -> FitResult:
     """Switching-algorithm ML fit of the cointegrated index-augmented model.
 
@@ -1237,19 +1223,18 @@ def fit_ciaar(
     (the vector error-correction index model), and r = 0 drops the
     error-correction term (an index-augmented model in differences). gamma
     is fixed to the identity when r = q; for 0 < r < q it is re-estimated
-    each sweep from the reduced-rank eigenproblem. init overrides the
-    Johansen/SVD starting values with (gamma0, omega0, D0).
+    each sweep from the reduced-rank eigenproblem. It starts from the
+    Johansen/SVD starting values (fit_many takes another start).
 
     With s <= 1 there is no index lag, so the likelihood sees omega only
     through beta = omega gamma, identified up to an r x r rotation. Such an
     order is fit as its identified equivalent (p, s, r, r) (q = 0 when
-    r = 0), from init's beta0 = omega0 gamma0 when given, and reported with
+    r = 0) and reported with
     omega = [omega_r | orth_complement(omega_r)[:, :q - r]] and
     gamma = [I_r; 0]: the same beta, alpha0, D and sigma, and the parameter
-    count of (p, s, q, r). With p <= 1 too, the fit is Johansen's, whose
-    default start is its maximum, so init is not used.
+    count of (p, s, q, r). With p <= 1 too, the fit is Johansen's.
     """
-    return next(fit_many("ciaar", [Y], opts, demean, t_start, init, p=p, s=s, q=q, r=r))
+    return next(fit_many("ciaar", [Y], opts, t_start, p=p, s=s, q=q, r=r))
 
 
 def _normalize_gamma(gamma: np.ndarray, alpha0: np.ndarray):
@@ -1262,10 +1247,8 @@ def _normalize_gamma(gamma: np.ndarray, alpha0: np.ndarray):
             np.where(keep, alpha0, alpha0 @ head.swapaxes(1, 2)), keep[:, 0, 0])
 
 
-def _setup_vecim(
-    Y: Panel, p: int, q: int, r: int, demean: bool = True, t_start: int | None = None
-):
-    setup = _setup_ciaar(Y, 0, p, q, r, demean, t_start)   # checks CIAAR's q, then r
+def _setup_vecim(Y: Panel, p: int, q: int, r: int, t_start: int | None = None):
+    setup = _setup_ciaar(Y, 0, p, q, r, t_start)   # checks CIAAR's q, then r
     if p < 1:
         raise ValueError("need p >= 1")
     setup.model = "vecim"
@@ -1278,7 +1261,6 @@ def fit_vecim(
     q: int,
     r: int,
     opts: FitOptions | None = None,
-    demean: bool = True,
     t_start: int | None = None,
 ) -> FitResult:
     """Fit of the vector error-correction index model.
@@ -1290,7 +1272,7 @@ def fit_vecim(
     row-level Vec/Kronecker loop in tests/rowlevel.py is the independent
     check of it.
     """
-    return next(fit_many("vecim", [Y], opts, demean, t_start, p=p, q=q, r=r))
+    return next(fit_many("vecim", [Y], opts, t_start, p=p, q=q, r=r))
 
 
 class _Model(NamedTuple):
@@ -1363,7 +1345,7 @@ def _fit_grid(
     dict per distinct fit), the exception its fit raised or None if pruned,
     its setup's parameter count (0 if none), and its bound (nan if none).
     """
-    data = _demeaned(Y, True, differences=model == "ciaar")
+    data = _demeaned(Y, differences=model == "ciaar")
     T_eff = Y.T - t_start
     setups, fitted, first = [], {}, []                 # first: the candidate whose fit it takes
     for i, orders in enumerate(candidates):
@@ -1480,7 +1462,6 @@ def fit_drvar_coeffs(
     omega: np.ndarray,
     p: int,
     method: str = "ols",
-    demean: bool = True,
 ) -> FitResult:
     """OLS or feasible one-step GLS for the small-scale VAR coefficients.
 
@@ -1498,7 +1479,7 @@ def fit_drvar_coeffs(
     n, q = omega.shape
     if p < 1:
         raise ValueError("need p >= 1")
-    values, mu = _demean(Y.values, demean)
+    values, mu = _demean(Y.values)
     first = p
     Z = values[first:]
     f = values @ omega

@@ -82,7 +82,7 @@ def _presample(fit: FitResult, Y: Panel, start: int, form=None):
     """
     form = fit.params.state_form() if form is None else form
     n, values, p = Y.n, Y.values, len(form.K)
-    mu_l = fit.means.get("level", 0.0) + np.zeros(n)
+    mu_l = fit.means["level"]
     if not form.integrated:
         if start < p:
             raise ValueError(f"need at least {p} usable observations, got {start}")
@@ -94,7 +94,7 @@ def _presample(fit: FitResult, Y: Panel, start: int, form=None):
         raise ValueError(f"need at least {m + 1} observations, got {start}")
     init = np.zeros((p, n))
     init[p - m:] = values[start - m: start] - values[start - m - 1: start - 1]
-    return form, init, fit.means.get("diff", 0.0) + np.zeros(n), values[start - 1] - mu_l, mu_l
+    return form, init, fit.means["diff"], values[start - 1] - mu_l, mu_l
 
 
 def _continue(presamples: list, h: int) -> np.ndarray:
@@ -159,6 +159,17 @@ def evaluate(forecasts: list[ForecastPath], actuals: Panel) -> MsfeTable:
     return MsfeTable(msfe, counts, list(actuals.names))
 
 
+def first_origin(T: int, h: int, n_origins: int) -> int:
+    """The first origin of rolling_evaluate's windows on T rows, h steps and n_origins origins,
+    T - h - n_origins; raises ValueError unless it is at least 1 and h and n_origins are too."""
+    if n_origins < 1 or h < 1:
+        raise ValueError("need n_origins >= 1 and h >= 1")
+    first = T - h - n_origins
+    if first < 1:
+        raise ValueError("sample too short for the requested evaluation window")
+    return first
+
+
 def rolling_evaluate(
     Y: Panel,
     fitter,
@@ -181,13 +192,9 @@ def rolling_evaluate(
     returns fewer or more fits than windows. Returns (MsfeTable, paths,
     info).
     """
-    if n_origins < 1 or h < 1:
-        raise ValueError("need n_origins >= 1 and h >= 1")
-    first_origin = Y.T - h - n_origins
-    if first_origin < 1:
-        raise ValueError("sample too short for the requested evaluation window")
-    width = first_origin + 1
-    origins = range(first_origin, Y.T - h)
+    first = first_origin(Y.T, h, n_origins)
+    width = first + 1
+    origins = range(first, Y.T - h)
     windows = [Panel(Y.values[o + 1 - width: o + 1], list(Y.names)) for o in origins]
     fitted = windows if refit else windows[:1]
     fits = _one_per_window(fitter(fitted), len(fitted))

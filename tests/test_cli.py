@@ -202,6 +202,21 @@ class TestFitPipeline:
         assert all(row[-1] == f"ValueError: {message}" for row in rows)
 
 
+class TestFitMeans:
+    @pytest.mark.parametrize("model", list(estimators.MODELS))
+    def test_every_fit_reports_the_panel_means(self, model, sim_dir):
+        # every fit demeans its panel: decomp and forecast read fit.means["level"], and an
+        # error-correction fit's "diff"
+        Y = read_panel_csv(sim_dir / "panel.csv")
+        cfg = cli.RunConfig(subcommand="fit", out=".", model=model, p=2, s=2, q=2, r=1)
+        fit, = cli._fit_from_config(cfg, [Y])
+        assert np.array_equal(fit.means["level"], Y.values.mean(axis=0))
+        if model in ("ciaar", "vecim", "vecm"):
+            assert np.array_equal(fit.means["diff"], np.diff(Y.values, axis=0).mean(axis=0))
+        else:
+            assert fit.means.keys() == {"level"}
+
+
 class TestMontecarloBatch:
     """montecarlo fits cli.MC_CHUNK replications in one lockstep run; every
     row equals a loop of the model's single fitter over the same panels."""
@@ -437,6 +452,10 @@ class TestErrors:
         ("simulate", ("--model", "vhari", "--burn", 5), "", "--burn must be >= 22 for model vhari, got 5"),
         ("montecarlo", ("--model", "vhari", "--burn", 21), "",
          "--burn must be >= 22 for model vhari, got 21"),
+        ("select", ("--p-min", 3, "--p-max", 1), "", "--p-min must be <= --p-max, got 3 > 1"),
+        ("select", ("--q-min", 3, "--q-max", 2), "", "--q-min must be <= --q-max, got 3 > 2"),
+        ("select", ("--p-max", 0), "", "--p-max must be >= 1, got 0"),
+        ("select", (), "q_max = -1\n", "--q-max must be >= 1, got -1"),
     ])
     def test_out_of_range_values_are_refused_before_any_output(
         self, command, flags, config, message, sim_dir, tmp_path, capsys
@@ -445,7 +464,8 @@ class TestErrors:
         # is made: no numpy message, no partial report
         base = {"forecast": ("--input", sim_dir / "panel.csv", "--model", "mai", "--p", 1),
                 "simulate": ("--model", "mai", "--n", 4, "--T", 100),
-                "montecarlo": ("--model", "mai", "--n", 4, "--T", 100, "--reps", 2)}[command]
+                "montecarlo": ("--model", "mai", "--n", 4, "--T", 100, "--reps", 2),
+                "select": ("--input", sim_dir / "panel.csv")}[command]
         if config:
             (tmp_path / "run.cfg").write_text(config)
             flags = ("--config", tmp_path / "run.cfg", *flags)
@@ -453,6 +473,15 @@ class TestErrors:
         assert run_cli(command, *base, *flags, "--out", out) == 1
         assert capsys.readouterr().err == f"indexvar: error: {message}\n"
         assert not out.exists()
+
+    def test_forecast_refuses_a_short_panel_before_any_report(self, sim_dir, tmp_path, capsys):
+        # the rolling window is checked on the panel before the fit writes its reports
+        out = tmp_path / "fc"
+        assert run_cli("forecast", "--input", sim_dir / "panel.csv", "--model", "mai", "--p", 1,
+                       "--origins", 5000, "--out", out) == 1
+        message = "sample too short for the requested evaluation window"
+        assert capsys.readouterr().err == f"indexvar: error: {message}\n"
+        assert list(out.iterdir()) == []
 
     def test_decompose_rejects_vecm_before_writing(self, sim_dir, tmp_path, capsys):
         # the flag is not among decompose's --model choices; a configuration

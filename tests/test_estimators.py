@@ -39,7 +39,6 @@ from indexvar.estimators import (
     _svd_truncate,
 )
 from indexvar.simulate import (
-    draw_shocks,
     random_ciaar_params,
     random_drvar_params,
     random_iaar_params,
@@ -647,19 +646,19 @@ class TestBatchAxis:
         values[1:, 3] = values[:-1, 0]
         panels[1] = Panel(values)
         column = np.linalg.qr(np.random.default_rng(5).standard_normal((4, 1)))[0]
-        omega0s = [None, None, None, np.hstack([column, column])]
+        inits = [None, None, None, (None, np.hstack([column, column]), [])]
         opts = FitOptions(max_iter=60)
         setups = [_setup_mai(Y, 2, 2) for Y in panels]
         grams = _Grams.stack([_Grams.of(s.Z, s.diag_X, None, s.index_X) for s in setups])
         nd, _, r = setups[0].shape
         starts = _default_starts([s.start() for s in setups[:3]], r, nd, 2)
-        starts.append((None, omega0s[3], []))
+        starts.append(inits[3])
         states = _sa_engine(grams, 2, 0, starts, opts)
         failed = []
         finished = _finished(states, setups[0], [None] * 4, [setup.means for setup in setups])
-        for Y, omega0, got in zip(panels, omega0s, finished):   # sigma judged as they finish
+        for Y, init, got in zip(panels, inits, finished):   # sigma judged as they finish
             try:
-                ref = fit_mai(Y, 2, 2, opts=opts, omega0=omega0)
+                ref = next(fit_many("mai", [Y], opts, init=init, p=2, q=2))
             except (ValueError, np.linalg.LinAlgError) as exc:
                 assert type(got) is type(exc)
                 assert str(got) == str(exc)
@@ -692,8 +691,6 @@ class TestBatchAxis:
         opts = FitOptions(max_iter=60)
         fits = list(fit_many(model, windows, opts=opts, **orders))
         monkeypatch.undo()
-        q, r = orders["q"], orders["r"]
-        p, s = (orders["p"], orders["s"]) if model == "ciaar" else (0, orders["p"])
         assert len(starts) == len(fits) == 50
         for W, (gamma0, omega0, d0), fit in zip(windows, starts, fits):
             ref = engine_start(model, W, **orders)
@@ -701,7 +698,7 @@ class TestBatchAxis:
                 got, want = np.asarray(got), np.asarray(want)
                 assert got.shape == want.shape
                 assert np.abs(got - want).max(initial=0.0) <= 1e-12 * np.abs(want).max(initial=1.0)
-            single = fit_ciaar(W, p, s, q, r, opts=opts, init=ref)
+            single = next(fit_many(model, [W], opts, init=ref, **orders))
             assert fit.iterations == single.iterations
             assert fit.diagnostics["stop"] == single.diagnostics["stop"]
 
@@ -753,30 +750,34 @@ class TestBatchAxis:
         assert failed == [SingularDesignError, np.linalg.LinAlgError]
 
     def test_default_starts_solve_one_batch_in_order(self, monkeypatch):
-        # the panels of the test above, undemeaned: the collinear one's start
-        # grams raise and pass through as its entry; y4_{t-1} = y1_{t-1} -
-        # dy1_{t-1} exactly, so the lagged copy's levels concentrated on its
-        # lags are singular and its Johansen regression fails on its own; and
-        # the healthy ones get the starts a batch of one gives them, bit for bit
+        # the panels of the test above, but the lagged copy's first y4 set so
+        # that its level mean is y1's level mean less y1's difference mean:
+        # then y4_{t-1} = y1_{t-1} - dy1_{t-1} holds of the demeaned data too,
+        # to rounding, so its levels concentrated on its lags are singular and
+        # its Johansen regression fails on its own. The collinear one's start
+        # grams raise and pass through as its entry, and the healthy ones get
+        # the starts a batch of one gives them, bit for bit
         dgp = random_ciaar_params(6, 2, 1, 2, 2, seed=0)
         panels = [simulate_ciaar(dgp, 300, seed=seed) for seed in (0, 1, 2, 4)]
         dup, lag = panels[1].values.copy(), panels[2].values.copy()
         dup[:, 2] = dup[:, 1]
         lag[1:, 3] = lag[:-1, 0]
+        y1 = lag[:, 0]
+        lag[0, 3] = len(y1) * (y1.mean() - np.diff(y1).mean()) - y1[:-1].sum()
         panels[1:3] = [Panel(dup), Panel(lag)]
         inits = []
         for Y in panels:
             try:
-                inits.append(_setup_ciaar(Y, 2, 2, 2, 1, demean=False).start())
+                inits.append(_setup_ciaar(Y, 2, 2, 2, 1).start())
             except SingularDesignError as exc:
                 inits.append(exc)
         starts = _default_starts(inits, 1, 1, 2)
         assert starts[1] is inits[1]
         with pytest.raises(np.linalg.LinAlgError) as info:
-            engine_start("ciaar", panels[2], p=2, s=2, q=2, r=1, demean=False)
+            engine_start("ciaar", panels[2], p=2, s=2, q=2, r=1)
         assert type(starts[2]) is type(info.value) and str(starts[2]) == str(info.value)
         for i in (0, 3):
-            setup = _setup_ciaar(panels[i], 2, 2, 2, 1, demean=False)
+            setup = _setup_ciaar(panels[i], 2, 2, 2, 1)
             alone = _default_starts([setup.start()], 1, 1, 2)[0]
             for got, want in zip(starts[i], alone):
                 assert np.array_equal(np.asarray(got), np.asarray(want))
@@ -785,7 +786,7 @@ class TestBatchAxis:
         monkeypatch.setattr(estimators, "_start_regression",
                             lambda grams, r: regressed.append(len(grams.M)) or
                             start_regression(grams, r))
-        fresh = _setup_ciaar(panels[0], 2, 2, 2, 1, demean=False).start()
+        fresh = _setup_ciaar(panels[0], 2, 2, 2, 1).start()
         again = _default_starts([*inits, fresh], 1, 1, 2)
         assert regressed == [1]
         assert again[1:3] == starts[1:3]
@@ -1063,9 +1064,9 @@ class TestMixedRankBatch:
         grams = _padded_grams([setup.grams() for setup in setups], shapes, (nd, na, r))
         states = _sa_engine(grams, 3, r, starts, opts, shapes)
         for orders, setup, start, state in zip(self.CANDIDATES, setups, starts, states):
-            _, _, q, r_i = orders
+            p, s, q, r_i = orders
             try:
-                ref = fit_ciaar(Y, *orders, opts=opts, t_start=t_start, init=start)
+                ref = next(fit_many("ciaar", [Y], opts, t_start, start, p=p, s=s, q=q, r=r_i))
             except SingularDesignError as exc:
                 # the step-1 design is exactly singular: the padded member
                 # raises its single fit's error, word for word
@@ -1306,13 +1307,16 @@ class TestDrvar:
         assert np.median(dists) < 0.2
 
     def test_noiseless_exact_coefficients(self):
-        dp = random_drvar_params(6, 2, 1, seed=1, radius=0.9)
-        burn, T = 100, 40
-        shocks = draw_shocks(dp.sigma, burn + T, seed=2)
-        shocks[burn:] = 0.0
-        Y = simulate_drvar(dp, T, burn=burn, seed=0, shocks=shocks)
-        fit = fit_drvar_coeffs(Y, dp.omega, 1, demean=False)
-        assert np.abs(fit.params.phis[0] - dp.phis[0]).max() < 1e-8
+        # five periods of a noiseless index orbit under an eighth turn: the
+        # panel's mean is zero, so demeaning leaves the exact recursion
+        omega = random_drvar_params(6, 2, 1, seed=1, radius=0.9).omega
+        c = np.cos(np.pi / 4)
+        phi = np.array([[c, -c], [c, c]])
+        f = [np.array([1.0, 0.5])]
+        for _ in range(39):
+            f.append(phi @ f[-1])
+        fit = fit_drvar_coeffs(Panel(np.array(f) @ omega.T), omega, 1)
+        assert np.abs(fit.params.phis[0] - phi).max() < 1e-8
 
     def test_gls_equals_ols_under_spherical_noise(self):
         from indexvar.params import DRVARParams

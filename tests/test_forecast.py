@@ -47,9 +47,10 @@ class TestForecast:
     def test_random_walk_fit_forecasts_last_level(self):
         params = random_ciaar_params(4, 1, 0, 1, 1, seed=3)
         Y = simulate_ciaar(params, 300, seed=4)
-        fit = fit_ciaar(Y, 1, 1, 1, 0, demean=False)
+        fit = fit_ciaar(Y, 1, 1, 1, 0)
         path = forecast(fit, Y, 6)
-        assert np.abs(path.values - Y.values[-1]).max() < 1e-12
+        drift = np.arange(1, 7)[:, None] * fit.means["diff"]   # k steps of the difference mean
+        assert np.abs(path.values - (Y.values[-1] + drift)).max() < 1e-12
 
     def test_one_step_equals_fitted_value_identity(self):
         # forecasting from the sample minus its last point reproduces the

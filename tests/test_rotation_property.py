@@ -8,7 +8,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from indexvar.estimators import MODELS, FitOptions, _default_starts, fit_ciaar, fit_mai, fit_many
+from indexvar.estimators import MODELS, FitOptions, _default_starts, fit_many
 from indexvar.simulate import random_ciaar_params, random_iaar_params, simulate_ciaar, simulate_iaar
 
 N = 4
@@ -47,18 +47,14 @@ def cases(draw):
 
 def fit_from(model, orders, Y, start):
     """The fit of Y from start = (gamma0, omega0, D0)."""
-    if model == "mai":
-        return fit_mai(Y, opts=OPTS, omega0=start[1], **orders)
-    if model == "iaar":
-        return next(fit_many("iaar", [Y], OPTS, init=start, **orders))
-    return fit_ciaar(Y, opts=OPTS, init=start, **orders)
+    return next(fit_many(model, [Y], OPTS, init=start, **orders))
 
 
 @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(cases())
 def test_fit_is_invariant_to_the_basis_of_the_start_omega(case):
     model, orders, Y, R = case
-    # the default start at the model's q, which fit_ciaar maps itself when s = 1
+    # the default start at the model's q, which fit_many maps itself when s = 1
     setup = MODELS[model].setup(Y, **orders)
     start = _default_starts([setup.start()], setup.r, setup.shape[0], orders["q"])[0]
     gamma0, omega0, d0 = start

@@ -37,7 +37,7 @@ def test_warm_ciaar_window_equals_fit_ciaar_from_the_same_init(orders):
     cfg = RunConfig(subcommand="forecast", out=".", model="ciaar", p=p, s=s, q=q, r=r)
     windows = _windows(Y, 220, 6)
     for window, fit in zip(windows, _fit_from_config(cfg, windows, start)):
-        _assert_bit_equal(fit, fit_ciaar(window, *orders, init=start))
+        _assert_bit_equal(fit, next(fit_many("ciaar", [window], init=start, p=p, s=s, q=q, r=r)))
 
 
 def test_warm_mai_window_equals_fit_mai_from_the_same_omega():
@@ -46,7 +46,7 @@ def test_warm_mai_window_equals_fit_mai_from_the_same_omega():
     cfg = RunConfig(subcommand="forecast", out=".", model="mai", p=2, q=2)
     windows = _windows(Y, 260, 6)
     for window, fit in zip(windows, _fit_from_config(cfg, windows, start)):
-        _assert_bit_equal(fit, fit_mai(window, 2, 2, omega0=start[1]))
+        _assert_bit_equal(fit, next(fit_many("mai", [window], init=start, p=2, q=2)))
 
 
 def test_cli_forecast_refits_every_window_from_the_full_fit(tmp_path):

@@ -20,10 +20,12 @@ The battery (82 cases):
 - fit_many over 50 sliding CIAAR windows from their default starts, and
   from the whole panel's fit at (2, 2, 2, 1) and (2, 1, 3, 1), and over 50
   MAI windows from the whole panel's fit, as the CLI's forecast refits;
-- fit_many over 50 undemeaned CIAAR (2, 2, 2, 1) windows from their default
-  starts, one of them with y4_t = y1_{t-1}, whose start regression fails;
-  and over 50 demeaned ones, one with y4_t = y1_{t-1} + y2_{t-1}, whose
-  engine run ends but whose sigma fails the guard as the batch finishes;
+- fit_many over 50 CIAAR (2, 2, 2, 1) windows from their default starts,
+  one of them with y4_t = y1_{t-1} and its first y4 set so that the
+  demeaned data keep y4_{t-1} = y1_{t-1} - dy1_{t-1}, whose start
+  regression fails; and over 50 windows, one with y4_t = y1_{t-1} +
+  y2_{t-1}, whose engine run ends but whose sigma fails the guard as the
+  batch finishes;
 - fit_many over 50 CIAAR (2, 2, 3, 1) windows at max_iter = 1 from the whole
   panel's fit, so each keeps the start's omega, and over 50 n = 20, T = 500
   MAI panels, the CLI's montecarlo chunk;
@@ -142,10 +144,14 @@ def battery() -> dict:
     cases["fit_many ciaar 50 windows"] = lambda: [_fit(fit) for fit in est.fit_many(
         "ciaar", windows, opts=est.FitOptions(max_iter=60), p=2, s=2, q=2, r=1)]
     copy = windows[25].values.copy()
-    copy[1:, 3] = copy[:-1, 0]                          # undemeaned, its start regression fails
+    # y4_t = y1_{t-1}, with y4's mean y1's less dy1's: the demeaned data keep
+    # y4_{t-1} = y1_{t-1} - dy1_{t-1}, so its start regression fails
+    copy[1:, 3] = copy[:-1, 0]
+    y1 = copy[:, 0]
+    copy[0, 3] = len(y1) * (y1.mean() - np.diff(y1).mean()) - y1[:-1].sum()
     singular = [*windows[:25], Panel(copy), *windows[26:]]
     cases["fit_many ciaar 50 windows one singular start"] = lambda: _each_fit(est.fit_many(
-        "ciaar", singular, opts=est.FitOptions(max_iter=60), demean=False, p=2, s=2, q=2, r=1))
+        "ciaar", singular, opts=est.FitOptions(max_iter=60), p=2, s=2, q=2, r=1))
     copy = windows[25].values.copy()
     copy[1:, 3] = copy[:-1, 0] + copy[:-1, 1]           # its run ends, its sigma fails the guard
     failing = [*windows[:25], Panel(copy), *windows[26:]]
