@@ -16,7 +16,7 @@ log-likelihood is evaluated at.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cached_property, partial
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -204,7 +204,8 @@ def _demeaned(Y: Panel, differences: bool = False):
 # the sample length. Each step is assembled by a few batched matmuls over
 # slices of the stacked X'X; step 2 reshapes and transposes its slices so that
 # the index it sums over is last (its Kronecker sums run over channel pairs),
-# forming those copies anew each call, as keeping them measured no faster. Step 1
+# and it forms the two that no sweep moves once per engine grams (_Grams.step2),
+# so once per run and per compaction. Step 1
 # and step 3 cost O((C n)^2 C q) for C vec channels, and step 2 is dominated
 # by the factorization of its (nd n + n q)-square normal equations,
 # O(n^3 (nd + q)^3) per sweep. The stacked row-level design never gets built
@@ -301,7 +302,8 @@ class _Grams:
     its k data blocks of n columns ordered target, diagonal lags, then the
     vec channels (the EC block when present, then the index lags), so
     X_a' X_b is M[i] at rows a n:(a + 1) n and columns b n:(b + 1) n. It is
-    the one array held: every reader slices it, Gcc among them. Te is the
+    the one array held: every reader slices it, Gcc among them, and step2
+    keeps copies of two of its slices. Te is the
     members' common effective sample. solved maps a rank r to these grams'
     start regression at r, or the error it raised (_default_starts).
     """
@@ -325,6 +327,15 @@ class _Grams:
 
     def __getitem__(self, rows) -> "_Grams":
         return _Grams(self.M[rows], self.n, self.nd, self.Te)
+
+    @cached_property
+    def step2(self) -> tuple:
+        """Step 2's operands no sweep moves, copies of M formed on first read: Gab, G_ab[i, j] at
+        [(i, j), (a, b)] (B, n n, C C), and Gc0, G_c0[i, k] at [i, (k, c)] (B, n, n C)."""
+        M, n, B, c = self.M, self.n, len(self.M), (1 + self.nd) * self.n
+        C = M.shape[-1] // n - 1 - self.nd                 # the vec channels
+        Gab = M[:, c:, c:].reshape(B, C, n, C, n).transpose(0, 2, 4, 1, 3).reshape(B, n * n, C * C)
+        return Gab, M[:, c:, :n].reshape(B, C, n, n).transpose(0, 2, 3, 1).reshape(B, n, n * C)
 
     @property
     def Gcc(self) -> np.ndarray:
@@ -593,9 +604,9 @@ def _step2_solve(grams, sigma, chol, loadings, nd, q, estimate_omega):
     Cholesky factors (step 1's) and loadings (B, C, n, q). Only the diagonal
     blocks read sinv itself, so it is formed from chol only when nd > 0;
     with no diagonal channel the omega blocks read sinv A alone, one solve
-    against sigma. Returns theta as (B, nd n + n q), or raises
-    LinAlgError(STEP_ERROR) when a system is not positive definite
-    (_solve_pd).
+    against sigma, and there is no cross block. Returns theta as
+    (B, nd n + n q), or raises LinAlgError(STEP_ERROR) when a system is not
+    positive definite (_solve_pd).
     """
     n, M = grams.n, grams.M
     B = len(M)
@@ -610,20 +621,20 @@ def _step2_solve(grams, sigma, chol, loadings, nd, q, estimate_omega):
         G2[:, :ow, :ow] = (M[:, n:c, n:c].reshape(B, nd, n, nd, n) * sinv[:, None, :, None]).reshape(B, ow, ow)
         rhs[:, :ow] = (M[:, n:c, :n].reshape(B, nd, n, n) * sinv.swapaxes(1, 2)[:, None]).sum(-1).reshape(B, ow)
     if estimate_omega:
+        Gab, Gc0 = grams.step2
         A = np.asarray(loadings)                    # (B, C, n, q) channel loadings a_c
         C = A.shape[1]
         A = A.transpose(0, 2, 1, 3).reshape(B, n, C * q)    # [a_1 .. a_C]
         SA = sinv @ A if nd else np.linalg.solve(sigma, A)
         # W_ab[k, l] = (a_a' sinv a_b)[k, l] at [(a, b), (k, l)]
         W = (A.swapaxes(1, 2) @ SA).reshape(B, C, q, C, q).transpose(0, 1, 3, 2, 4)
-        Gab = M[:, c:, c:].reshape(B, C, n, C, n).transpose(0, 2, 4, 1, 3).reshape(B, n * n, C * C)
         omega_block = (Gab @ W.reshape(B, C * C, q * q)).reshape(B, n, n, q, q)
         G2[:, ow:, ow:] = omega_block.transpose(0, 1, 3, 2, 4).reshape(B, n * q, n * q)
         SA = SA.reshape(B, n, C, q)                 # (sinv a_c)[k, m] at [k, c, m]
-        cross = M[:, n:c, c:].reshape(B, nd, n, C, n).transpose(0, 1, 2, 4, 3) @ SA[:, None]
-        G2[:, :ow, ow:] = cross.reshape(B, ow, n * q)
-        G2[:, ow:, :ow] = G2[:, :ow, ow:].transpose(0, 2, 1)
-        Gc0 = M[:, c:, :n].reshape(B, C, n, n).transpose(0, 2, 3, 1).reshape(B, n, n * C)
+        if nd:
+            cross = M[:, n:c, c:].reshape(B, nd, n, C, n).transpose(0, 1, 2, 4, 3) @ SA[:, None]
+            G2[:, :ow, ow:] = cross.reshape(B, ow, n * q)
+            G2[:, ow:, :ow] = G2[:, :ow, ow:].transpose(0, 2, 1)
         rhs[:, ow:] = (Gc0 @ SA.reshape(B, n * C, q)).reshape(B, n * q)
     return _solve_pd(G2, rhs[:, :, None])[:, :, 0]
 
@@ -716,9 +727,12 @@ def _padded_grams(fulls: list, shapes: list, size: tuple) -> _Grams:
     [Z | lags | ec_X] in the engine's block order: the target, its nd_i diagonal lags, ec_X (if
     r > 0) and its na_i index lags. Each lag it lacks gets an identity gram and no cross-products,
     so that lag's coordinates decouple in every step with a zero right-hand side. One fancy index
-    gathers the members of each (nd_i, na_i), all of fit_many's."""
+    gathers the members of each (nd_i, na_i), all of fit_many's, or, in block order already (all
+    of the group's size, no EC block and no lag both diagonal and index), stacks them."""
     nd, na, r = size
     k, n = 1 + nd + (r > 0) + na, fulls[0].n
+    if r == 0 == nd * na and fulls[0].M.shape[-1] == k * n and {*shapes} == {size}:
+        return _Grams(np.concatenate([g.M for g in fulls]), n, nd, fulls[0].Te)   # in block order
     M = np.zeros((len(fulls), k * n, k * n))
     M[:, np.arange(k * n), np.arange(k * n)] = 1.0     # kept only at the lags a member lacks
     for nd_i, na_i in {shape[:2] for shape in shapes}:
@@ -743,7 +757,9 @@ def _finished(states: list, setup: _Setup | None = None, sources=(), means=()) -
     def checks(st):
         out = {"sigma_cond": sigma_cond(st["sigma"])}
         if setup is not None:
-            _check_full_rank(st["omega"][st["iterations"] == 1], "omega")
+            once = st["iterations"] == 1
+            if once.any():
+                _check_full_rank(st["omega"][once], "omega")
             out.update(setup.checks(st))
         return out
 
@@ -956,12 +972,13 @@ def fit_iaar(
     return next(fit_many("iaar", [Y], opts, t_start, p=p, s=s, q=q))
 
 
-def _svd_truncate(stack: np.ndarray, q: int):
-    """Leading right-singular vectors and the rank-q reconstruction of each
-    matrix of a stack (numpy sorts the singular values descending)."""
+def _svd_truncate(stack: np.ndarray, q: int, rebuild: bool = True):
+    """Leading right-singular vectors and, with rebuild (else None), the rank-q reconstruction
+    of each matrix of a stack (numpy sorts the singular values descending)."""
     U, sv, Vh = np.linalg.svd(stack, full_matrices=False)
     Vq = Vh[..., :q, :]
-    return fix_signs(Vq.swapaxes(-1, -2)), (U[..., :q] * sv[..., None, :q]) @ Vq
+    bar = (U[..., :q] * sv[..., None, :q]) @ Vq if rebuild else None
+    return fix_signs(Vq.swapaxes(-1, -2)), bar
 
 
 # ---------------------------------------------------------------------------
@@ -1138,17 +1155,19 @@ def _index_start(jo: dict, nd: int, q: int) -> list:
     pis, beta = jo["pis"], jo["beta"]
     B, m, n, _ = pis.shape
     r = beta.shape[-1]
-    own = np.einsum("bjii->bji", pis)
-    # strip the diagonal only where the model grants it own-lag freedom; for
-    # the remaining lags the diagonal belongs to the index signal
-    stripped = pis.copy()
-    stripped[:, :nd, np.arange(n), np.arange(n)] = 0.0
+    stripped = pis
+    if nd:
+        # strip the diagonal only where the model grants it own-lag freedom; for
+        # the remaining lags the diagonal belongs to the index signal
+        own = np.einsum("bjii->bji", pis[:, :nd])
+        stripped = pis.copy()
+        stripped[:, :nd, np.arange(n), np.arange(n)] = 0.0
     blocks = [stripped.reshape(B, m * n, n)] + ([jo["alpha0"] @ beta.swapaxes(1, 2)] if r else [])
     stack = np.concatenate(blocks, axis=1)
-    if stack.shape[1] == 0:
-        return [(np.zeros((q, r)), np.eye(n)[:, :q], list(d)) for d in own[:, :nd]]
-    omega0, bar = _svd_truncate(stack, q)
-    d0 = own[:, :nd] - np.einsum("bjii->bji", bar[:, :nd * n].reshape(B, nd, n, n))
+    if stack.shape[1] == 0:                            # no lag (so nd = 0) and r = 0
+        return [(np.zeros((q, r)), np.eye(n)[:, :q], []) for _ in range(B)]
+    omega0, bar = _svd_truncate(stack, q, rebuild=nd > 0)   # only D0 reads the reconstruction
+    d0 = own - np.einsum("bjii->bji", bar[:, :nd * n].reshape(B, nd, n, n)) if nd else [[]] * B
     gamma0 = omega0.swapaxes(1, 2) @ beta              # omega0 has orthonormal columns
     return [(g, o, list(d)) for g, o, d in zip(gamma0, omega0, d0)]
 
