@@ -71,8 +71,8 @@ class FitOptions:
     max_iter caps the sweeps and tol is the relative log-likelihood
     convergence tolerance. Every step is an exact conditional maximum, so
     in exact arithmetic the log-likelihood never falls. Every sweep
-    orthonormalizes omega by QR (absorbed into the loadings, so fitted
-    values are unchanged).
+    orthonormalizes omega by QR, Cholesky-QR unless ill conditioned
+    (_qr_normalize), absorbed into the loadings, so fitted values are unchanged.
     """
 
     max_iter: int = 500
@@ -157,10 +157,19 @@ RRR_ERROR = ("reduced-rank regression: the level moments concentrated on the lag
 
 
 def _qr_normalize(omega: np.ndarray):
-    """QR-orthonormalize omega with positive R diagonal; returns (Q, R).
-
-    Leading axes are a stack of matrices, each normalized on its own.
-    """
+    """omega = Q R with R's diagonal positive, each matrix of a stack on its own; returns (Q, R).
+    By Cholesky-QR, L = chol(omega' omega), Q = omega L^-T and R = L', where ||L||_F^2
+    ||L^-1||_F^2 <= 1e4 bounds kappa(omega)^2 so that Q'Q is within about 1e-12 of I (Yamamoto
+    et al. 2015); a matrix past that bound, or whose factorization fails, by Householder QR."""
+    try:
+        L = np.linalg.cholesky(omega.swapaxes(-1, -2) @ omega)
+        Linv = np.linalg.inv(L)
+        if (np.square(L).sum((-2, -1)) * np.square(Linv).sum((-2, -1)) <= 1e4).all():
+            return omega @ Linv.swapaxes(-1, -2), L.swapaxes(-1, -2)
+    except np.linalg.LinAlgError:
+        pass
+    if omega.ndim == 3 and len(omega) > 1:             # each member on its own path
+        return tuple(map(np.concatenate, zip(*(_qr_normalize(w[None]) for w in omega))))
     Q, R = np.linalg.qr(omega)
     signs = np.where(R.diagonal(0, -2, -1) < 0, -1.0, 1.0)
     return Q * signs[..., None, :], R * signs[..., :, None]
@@ -220,8 +229,10 @@ def _demeaned(Y: Panel, differences: bool = False):
 # reason; when a member stops, its final state is written out and the active
 # arrays are compacted to the members still running. Compaction happens only
 # then, so a batch of one never fancy-indexes. Each sweep runs in two phases
-# (step 1 with the log-likelihood, then steps 2 and 3). Step 1 factors sigma
-# once (pd_factor), and the factor gives the log-likelihood
+# (step 1 with the log-likelihood, then steps 2 and 3). Step 1's sigma is
+# (U'U - v' coef) / T_eff at its solution coef = M^-1 v, and step 2 leaves omega
+# the Q of its QR, by Cholesky-QR unless ill conditioned (_qr_normalize).
+# Step 1 factors sigma once (pd_factor), and the factor gives the log-likelihood
 # (cholesky_loglik) and, for a batch with diagonal channels, step 2's
 # sigma^-1; a batch without them needs only sigma^-1 times the loadings, one
 # solve against sigma (_step2_solve). When a phase raises, it is rerun
@@ -448,7 +459,7 @@ def _sa_engine(
             except np.linalg.LinAlgError:
                 raise SingularDesignError("switching-step design is rank deficient") from None
             coefT = coef.transpose(0, 2, 1)
-            sigma = (UU - v.transpose(0, 2, 1) @ coef - coefT @ v + coefT @ M @ coef) / Te
+            sigma = (UU - v.transpose(0, 2, 1) @ coef) / Te   # U'U - v' M^-1 v, at coef = M^-1 v
             sigma = (sigma + sigma.transpose(0, 2, 1)) / 2.0
             out = {
                 "alpha0": coefT[:, :, :r],
@@ -815,15 +826,15 @@ def fit_many(
     together (_default_starts) from the start grams kept, with its grams, as its setup goes; or
     from init = (gamma0, omega0, D0) when given, the one way to give a fit a start, mapped once by
     the setup's warm() (None keeps the default ones): a CIAAR order with s <= 1 starts from the
-    basis of beta0 = omega0 gamma0 (_setup_ciaar), and one with p <= 1 too is Johansen's fit,
-    whose default start is its maximum, so init is not used. Each fit keeps its own trace and stop
-    reason. The last panel's setup is built first, so an invalid order, or an init warm() cannot
-    map, raises here. Returns an iterator over the FitResults in panel order; the switching and the
-    batch finish (_finished) run before this returns, and a fit's residuals are formed only if
-    read, from its panel's setup built again (the last panel's is held). A panel whose fit fails
-    does not stop the others: the iterator raises that fit's exception in its turn and goes on.
-    The diagonal IAAR (q = 0) runs the engine too. Raises ValueError when the panels differ in
-    length or width.
+    basis of beta0 = omega0 gamma0 (_setup_ciaar), refused unless full rank (_check_full_rank), and
+    one with p <= 1 too is Johansen's fit, whose default start is its maximum, so init is not used.
+    Each fit keeps its own trace and stop reason. The last panel's setup is built first, so an
+    invalid order, or an init warm() cannot map, raises here. Returns an iterator over the
+    FitResults in panel order; the switching and the batch finish (_finished) run before this
+    returns, and a fit's residuals are formed only if read, from its panel's setup built again (the
+    last panel's is held). A panel whose fit fails does not stop the others: the iterator raises
+    that fit's exception in its turn and goes on. The diagonal IAAR (q = 0) runs the engine too.
+    Raises ValueError when the panels differ in length or width.
     """
     panels = list(panels)
     build = MODELS[model].setup if model in MODELS else None
@@ -1217,6 +1228,7 @@ def _setup_ciaar(Y: Panel, p: int, s: int, q: int, r: int, t_start: int | None =
             return init
         gamma0, omega0, d0 = init
         beta0 = np.asarray(omega0, float) @ np.asarray(gamma0, float).reshape(q, r)
+        _check_full_rank(beta0, "beta0 = omega0 gamma0")   # else its basis would be arbitrary
         return np.eye(r), _qr_normalize(beta0)[0], d0
 
     return _Setup(

@@ -4,8 +4,11 @@ The library solves step 2 through gram normal equations and never forms the
 stacked design. This module builds that design row by row, (X_t' kron A) for
 Vec(omega') and (X_t' kron S) M for the diagonals, and runs the switching
 loop on it, so the tests can check the gram engine against an independent
-construction. row_level_simulate likewise iterates the structural form of
-the IAAR and CIAAR models term by term, as an oracle for the simulators'
+construction; it normalizes omega by its own Householder QR
+(householder_normalize) and stops by its own copy of the stop test
+(converged), so it shares none of the engine's code. row_level_simulate
+likewise iterates the structural form of the IAAR and CIAAR models term by
+term, as an oracle for the simulators'
 companion-form lag recursion, and step_recursion advances that recursion
 one row per step, as an oracle for its blocked kernel and for every state
 form's run (with the error-correction term in levels form, run in extended
@@ -27,9 +30,21 @@ an oracle for simulate.draw_shocks' blocked recursion.
 
 import numpy as np
 
-from indexvar.estimators import _converged, _qr_normalize
 from indexvar.params import CIAARParams
 from indexvar.tscore import check_rank, companion_matrix, fix_signs, gaussian_loglik
+
+
+def householder_normalize(omega: np.ndarray):
+    """(Q, R) of numpy's Householder QR of omega, R's diagonal made positive."""
+    Q, R = np.linalg.qr(omega)
+    signs = np.where(np.diag(R) < 0, -1.0, 1.0)
+    return Q * signs, R * signs[:, None]
+
+
+def converged(trace: list, tol: float) -> bool:
+    """The switching algorithm's stop test: the last two log-likelihoods differ by at most tol
+    relative to one plus the magnitude of the earlier."""
+    return len(trace) >= 2 and abs(trace[-1] - trace[-2]) <= tol * (1.0 + abs(trace[-2]))
 
 
 def diag_selection_matrix(n: int) -> np.ndarray:
@@ -97,14 +112,14 @@ def row_level_sa(Z, index_X, ec_X, omega0, gamma0, r, opts):
             alphas = [B[r + j * q: r + (j + 1) * q].T for j in range(len(index_X))]
         sigma = resid.T @ resid / Te
         trace.append(gaussian_loglik(sigma, Te))
-        if _converged(trace, opts.tol) or it == opts.max_iter or not regs:
+        if converged(trace, opts.tol) or it == opts.max_iter or not regs:
             break
         S = sym_inv_sqrt(sigma)
         X2 = sum(vec_omega_block(X, S @ a) for X, a in zip(index_X, alphas))
         if r:
             X2 = X2 + vec_omega_block(ec_X, S @ alpha0 @ gamma.T)
         omega = np.linalg.lstsq(X2, (Z @ S).ravel(), rcond=1e-10)[0].reshape(n, q)
-        omega, R = _qr_normalize(omega)
+        omega, R = householder_normalize(omega)
         alphas = [a @ R.T for a in alphas]
         gamma = R @ gamma if 0 < r < q else gamma
         if 0 < r < q:

@@ -100,3 +100,16 @@ def test_no_lag_windows_take_their_default_starts(model, orders):
     cold = fit_many(model, windows, **named)
     for fit, ref in zip(_fit_from_config(cfg, windows, start), cold):
         _assert_bit_equal(fit, ref)
+
+
+@pytest.mark.parametrize("omega0, gamma0", [
+    (np.eye(6)[:, :2], np.zeros((2, 1))),                               # a zero gamma0
+    (np.repeat(np.eye(6)[:, :1], 2, axis=1), np.array([[1.0], [-1.0]])),  # in omega0's null space
+])
+def test_rank_deficient_beta0_is_refused_before_the_engine(monkeypatch, omega0, gamma0):
+    # with no index lag a start maps to the basis of beta0 = omega0 gamma0 (_setup_ciaar), and a
+    # rank-deficient beta0 has none: the one rank rule refuses it by name, before any engine work
+    Y = simulate_ciaar(random_ciaar_params(6, 2, 1, 2, 2, seed=0), 300, seed=1)
+    monkeypatch.setattr(estimators, "_sa_engine", lambda *args: pytest.fail("the engine ran"))
+    with pytest.raises(ValueError, match=r"^beta0 = omega0 gamma0 is not full rank$"):
+        fit_many("ciaar", [Y], init=(gamma0, omega0, [np.zeros(6)]), p=2, s=1, q=2, r=1)

@@ -16,8 +16,11 @@ to 1; ``--blas default`` removes them, so OpenBLAS picks its own thread count.
 Wall time is taken around the whole process, interpreter start and imports
 included. Peak RSS is the ``ru_maxrss`` that ``wait4`` reports: the largest
 single process of the run, so for a process pool it is one process's, not
-the pool's sum. Every run is printed, then each tree's median and IQR
-(quartiles by the inclusive method) of both, the number of rounds in which
+the pool's sum. Beside it is the ``ru_minflt`` that ``wait4`` reports, the
+run's minor page faults: each is a page the kernel mapped in fresh, as when
+the allocator takes memory that it had given back. Every run is printed, then each
+tree's median and IQR (quartiles by the inclusive method) of wall time and
+peak RSS, and its median of minor faults, the number of rounds in which
 every file the run wrote but ``manifest.txt`` (which names its output
 directory) equals the first tree's byte for byte, and the machine:
 cores, the thread count and core (kernel) the OpenBLAS that numpy loaded
@@ -65,7 +68,7 @@ def _env(blas: str) -> dict:
 
 
 def _run(src: str, args: list, env: dict, out: Path) -> tuple:
-    """One fresh indexvar process: (wall seconds, peak RSS in MB, exit status)."""
+    """One fresh indexvar process: (wall seconds, peak RSS in MB, minor faults, exit status)."""
     cmd = [sys.executable, "-m", "indexvar.cli", *args, "--out", str(out)]
     start = time.perf_counter()
     proc = subprocess.Popen(cmd, env=dict(env, PYTHONPATH=str(Path(src).resolve())),
@@ -73,7 +76,7 @@ def _run(src: str, args: list, env: dict, out: Path) -> tuple:
     _, status, usage = os.wait4(proc.pid, 0)
     wall = time.perf_counter() - start
     proc.returncode = os.waitstatus_to_exitcode(status)   # reaped here, not by Popen
-    return wall, usage.ru_maxrss / 1024, proc.returncode
+    return wall, usage.ru_maxrss / 1024, usage.ru_minflt, proc.returncode
 
 
 def _reports(out: Path) -> dict:
@@ -117,18 +120,19 @@ def main(argv=None) -> int:
             order = trees[rnd % len(trees):] + trees[:rnd % len(trees)]
             for label, src, extra in order:
                 out = Path(tmp, f"{rnd}-{label}")
-                wall, rss, code = _run(src, args + extra, env, out)
-                print(f"round {rnd} {label}: wall {wall:.3f} s, peak RSS {rss:.1f} MB, exit {code}",
-                      flush=True)
+                wall, rss, minflt, code = _run(src, args + extra, env, out)
+                print(f"round {rnd} {label}: wall {wall:.3f} s, peak RSS {rss:.1f} MB, "
+                      f"minor faults {minflt}, exit {code}", flush=True)
                 if code != 0:
                     return 1
-                runs[label].append((wall, rss))
+                runs[label].append((wall, rss, minflt))
             first = _reports(Path(tmp, f"{rnd}-{trees[0][0]}"))
             for label in runs:
                 same[label] += _reports(Path(tmp, f"{rnd}-{label}")) == first
     for label, _, extra in trees:
-        walls, rsss = zip(*runs[label])
+        walls, rsss, minflts = zip(*runs[label])
         print(f"{label} {' '.join(extra)}: wall s {_summary(walls)}; peak RSS MB {_summary(rsss)}; "
+              f"minor faults median {statistics.median(minflts):.0f}; "
               f"reports equal to {trees[0][0]}'s in {same[label]}/{opts.rounds} rounds")
     return 0
 
