@@ -9,9 +9,17 @@ f_t = omega'Y_t, IAAR the levels, and CIAAR the stationary (dY_t, beta'Y_t),
 whose differences are cumulated into the levels. Passing an explicit shocks
 array (burn + T rows of innovations e_t) bypasses the random draw, which is
 how the nesting identities between simulators are exercised.
+
+A params object's checked state form, with the block operators that its
+recursion builds (StateForm.ops), is built once and reused by every later
+call while that object lives and its arrays keep their bytes; a refused one
+is not kept. So Monte Carlo replications of one DGP pay only for their
+shocks and their recursion.
 """
 
 from __future__ import annotations
+
+import weakref
 
 import numpy as np
 
@@ -91,6 +99,28 @@ def _stable(form: StateForm) -> StateForm:
     return form
 
 
+_CHECKED = {}   # id(params): (weak reference to params, the bytes of its arrays, its checked form)
+
+
+def _checked_form(params) -> StateForm:
+    """params.state_form(), refused unless it is stable and, for CIAAR, I(1)
+    (Johansen 1995: alpha0_perp' PiBar beta_perp nonsingular, which leaves
+    exactly n - r unit roots in the levels). A form that passed is kept, and
+    served again, while params lives and its arrays hold the same bytes."""
+    content = [(a.dtype.str, a.shape, a.tobytes()) for a in map(np.asarray, vars(params).values())]
+    ref, kept, form = _CHECKED.get(id(params), (None, None, None))
+    if ref is not None and ref() is params and kept == content:
+        return form
+    if isinstance(params, CIAARParams):
+        # a margin on parameters, not tscore.full_rank: it decides which random_ciaar_params draws stay
+        sv = np.linalg.svd(params.i1_matrix(), compute_uv=False)
+        if sv.size and (sv[0] == 0.0 or sv[-1] < 1e-8 * sv[0]):
+            raise ValueError("parameters induce I(2) behavior: alpha0_perp' PiBar beta_perp is singular")
+    form, key = _stable(params.state_form()), id(params)
+    _CHECKED[key] = weakref.ref(params, lambda _: _CHECKED.pop(key, None)), content, form
+    return form
+
+
 def _simulate(form: StateForm, sigma, T, burn, seed, shocks, dist) -> Panel:
     """The last T of burn + T observations (levels of an integrated form) of
     a stable state form driven by the shocks, given or drawn, from zero
@@ -131,7 +161,7 @@ def simulate_mai(
     """Simulate Y_t = sum_j alpha_j omega' Y_{t-j} + e_t through its indexes
     f_t = omega'Y_t, the VAR f_t = sum_j omega'alpha_j f_{t-j} + omega'e_t,
     lifted to Y_t = e_t + sum_j alpha_j f_{t-j}."""
-    return _simulate(_stable(params.state_form()), params.sigma, T, burn, seed, shocks, dist)
+    return _simulate(_checked_form(params), params.sigma, T, burn, seed, shocks, dist)
 
 
 def simulate_iaar(
@@ -143,7 +173,7 @@ def simulate_iaar(
     dist: str = "gaussian",
 ) -> Panel:
     """Simulate the index-augmented autoregression (own-lag diagonals plus indexes)."""
-    return _simulate(_stable(params.state_form()), params.sigma, T, burn, seed, shocks, dist)
+    return _simulate(_checked_form(params), params.sigma, T, burn, seed, shocks, dist)
 
 
 def simulate_vhari(
@@ -166,7 +196,7 @@ def simulate_vhari(
     """
     if burn < HAR_WINDOWS[-1]:
         raise ValueError(f"VHARI simulation needs burn >= {HAR_WINDOWS[-1]} to fill the monthly window")
-    return _simulate(_stable(params.state_form()), params.sigma, T, burn, seed, shocks, dist)
+    return _simulate(_checked_form(params), params.sigma, T, burn, seed, shocks, dist)
 
 
 def simulate_drvar(
@@ -178,7 +208,7 @@ def simulate_drvar(
     dist: str = "gaussian",
 ) -> Panel:
     """Simulate Y_t = sum_j omega phi_j f_{t-j} + e_t with f_t = omega' Y_t."""
-    return _simulate(_stable(params.state_form()), params.sigma, T, burn, seed, shocks, dist)
+    return _simulate(_checked_form(params), params.sigma, T, burn, seed, shocks, dist)
 
 
 def simulate_ciaar(
@@ -199,20 +229,7 @@ def simulate_ciaar(
     iterating the levels VAR instead accumulates rounding along the unit
     roots.
     """
-    return _simulate(_validate_i1(params), params.sigma, T, burn, seed, shocks, dist)
-
-
-def _validate_i1(params: CIAARParams) -> StateForm:
-    """The state form of I(1) parameters: raises unless alpha0_perp' PiBar
-    beta_perp is nonsingular and the state (dY_t, beta'Y_t) is stable, which
-    leaves exactly n - r unit roots in the levels (Johansen 1995)."""
-    # a margin on parameters, not tscore.full_rank: it decides which random_ciaar_params draws stay
-    sv = np.linalg.svd(params.i1_matrix(), compute_uv=False)
-    if sv.size and (sv[0] == 0.0 or sv[-1] < 1e-8 * sv[0]):
-        raise ValueError(
-            "parameters induce I(2) behavior: alpha0_perp' PiBar beta_perp is singular"
-        )
-    return _stable(params.state_form())
+    return _simulate(_checked_form(params), params.sigma, T, burn, seed, shocks, dist)
 
 
 # ---------------------------------------------------------------------------
@@ -371,7 +388,7 @@ def random_ciaar_params(
             alpha0 = np.zeros((n, 0))
         params = CIAARParams(ds, alpha0, gamma, omega, alphas, _random_sigma(rng, n))
         try:
-            _validate_i1(params)
+            _checked_form(params)
         except ValueError:
             continue
         return params

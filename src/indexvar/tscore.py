@@ -247,6 +247,8 @@ class StateForm:
     K: np.ndarray                     # p x n x k
     carry: np.ndarray                 # k x k
     integrated: bool = False
+    # var_recursion's (C, Psi) for this form's state VAR, by block length, built by run as needed
+    ops: dict = field(default_factory=dict, compare=False, repr=False)
 
     def phis(self) -> np.ndarray:
         """The state VAR's coefficients Phi_1..Phi_p, p x k x k. A form whose
@@ -285,12 +287,17 @@ class StateForm:
         if not self.K.size:
             return drive
         (k, n), rows = self.E.shape, drive.shape[2:]
+        if drive.shape[1:2] != (n,):
+            raise ValueError(f"drive rows have shape {drive.shape[1:]}, expected ({n},) or ({n}, c)")
+        if init is not None and (len(init) > p or np.shape(init)[1:] != drive.shape[1:]):
+            raise ValueError(f"init has shape {np.shape(init)}, expected at most {p} rows "
+                             f"shaped like drive's, {drive.shape[1:]}")
         s0 = np.zeros((p, k) + rows)                  # s_{-p}..s_{-1}
         if init is not None:
             s0[p - len(init):] = _apply(self.observed, init)
         if level is not None:
             s0[-1] += _apply(self.carry @ self.E, level[None])[0]
-        states = var_recursion(list(self.phis()), s0, _apply(self.E, drive))
+        states = var_recursion(list(self.phis()), s0, _apply(self.E, drive), self.ops)
         if k >= n and not self.carry[:n].any() and np.array_equal(self.E[:n], np.eye(n)):
             y = states[:, :n]                         # the state leads with y_t itself
         else:                                         # y_t = d_t + [K_1 .. K_p] [s_{t-1}; ..; s_{t-p}]
@@ -313,7 +320,7 @@ def _apply(M: np.ndarray, x: np.ndarray) -> np.ndarray:
     return x @ M.T if x.ndim == 2 else M @ x
 
 
-def var_recursion(phis, init, drive):
+def var_recursion(phis, init, drive, ops=None):
     """Iterate x_t = sum_j Phi_j x_{t-j} + drive_t for every row of drive.
 
     init holds the p pre-sample rows x_{-p}..x_{-1}. A row is a length-n
@@ -323,7 +330,10 @@ def var_recursion(phis, init, drive):
     Each Python step advances L rows (_block_length) as C s + Psi u: s holds
     the p rows before, C the companion powers' first n rows, and Psi, the
     block Toeplitz matrix of the Wold coefficients Psi_0..Psi_{L-1}, maps
-    every block's drive u at once.
+    every block's drive u at once. ops, a dict kept with phis, holds the
+    (C, Psi) of each L already built, and gains those built here: a state
+    form keeps its own (StateForm.ops), so each is built once per form, and
+    the simulators reuse one form while its parameters live.
 
     StateForm.run iterates every fitted model's state here: the simulators
     and the decomposition components. Forecasts do not: they are short
@@ -334,17 +344,26 @@ def var_recursion(phis, init, drive):
     drive = np.asarray(drive, dtype=float)
     T, n, row = drive.shape[0], drive.shape[1], drive.shape[1:]
     p = len(phis)
+    if p and np.shape(phis[0]) != (n, n):
+        raise ValueError(f"drive rows have shape {row}, which Phi_1 {np.shape(phis[0])} cannot advance")
+    if np.shape(init) != (p,) + row:
+        raise ValueError(f"init has shape {np.shape(init)}, expected {(p,) + row}: p = {p} rows like drive's")
     L = _block_length(n, p, drive[0].size // n, T)
     nb = -(-T // L)                                          # blocks of L rows
-    buf = np.concatenate([np.reshape(init, (p,) + row), drive, np.zeros((nb * L - T,) + row)])
-    C = np.hstack([*phis[::-1], np.zeros((n, 0))])          # [Phi_p ... Phi_1]
-    if L > 1:          # L rows' responses to unit pre-sample rows (C) and a unit impulse (Psi_j)
-        unit = np.eye(p * n + n).reshape(p + 1, n, p * n + n)
-        resp = var_recursion(phis, unit[:p], np.concatenate([unit[p:], np.zeros((L - 1,) + unit.shape[1:])]))
-        C = resp[:, :, : p * n].reshape(L * n, p * n)
-        lag = np.subtract.outer(np.arange(L), np.arange(L))
-        psi = np.where((lag >= 0)[:, None, :, None], resp[lag, :, p * n:].transpose(0, 2, 1, 3), 0.0)
-        blocks = psi.reshape(L * n, L * n) @ buf[p:].reshape(nb, L * n, -1).swapaxes(0, 1).reshape(L * n, -1)
+    buf = np.concatenate([init, drive, np.zeros((nb * L - T,) + row)])
+    if L == 1:
+        C = np.hstack([*phis[::-1], np.zeros((n, 0))])      # [Phi_p ... Phi_1]
+    else:
+        ops = {} if ops is None else ops
+        if L not in ops:   # L rows' responses to unit pre-sample rows (C) and a unit impulse (Psi_j)
+            unit = np.eye(p * n + n).reshape(p + 1, n, p * n + n)
+            impulse = np.concatenate([unit[p:], np.zeros((L - 1,) + unit.shape[1:])])
+            resp = var_recursion(phis, unit[:p], impulse)
+            lag = np.subtract.outer(np.arange(L), np.arange(L))
+            psi = np.where((lag >= 0)[:, None, :, None], resp[lag, :, p * n:].transpose(0, 2, 1, 3), 0.0)
+            ops[L] = resp[:, :, : p * n].reshape(L * n, p * n), psi.reshape(L * n, L * n)
+        C, psi = ops[L]
+        blocks = psi @ buf[p:].reshape(nb, L * n, -1).swapaxes(0, 1).reshape(L * n, -1)
         buf[p:] = blocks.reshape(L * n, nb, -1).swapaxes(0, 1).reshape(buf[p:].shape)
     flat = buf.reshape((-1,) + row[1:])      # rows t..t+p-1 of buf stacked
     if p:

@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
+from indexvar.simulate import random_mai_params
 from indexvar.tscore import (
     RANK_RTOL,
     SIGMA_ERROR,
@@ -21,6 +22,7 @@ from indexvar.tscore import (
     read_panel_csv,
     sigma_cond,
     subspace_distance,
+    var_recursion,
 )
 
 
@@ -326,3 +328,37 @@ class TestRankRule:
         with pytest.raises(ValueError, match="omega is not full column rank"):
             orth_complement(np.diag([1.0, 1e-11, 0.0])[:, :2])
         assert orth_complement(np.diag([1.0, 1e-9, 0.0])[:, :2]).shape == (3, 1)
+
+
+class TestMisshapenRecursionInputs:
+    """A misshapen init or drive is refused by name, not by a numpy broadcast,
+    matmul or reshape message."""
+
+    @staticmethod
+    def form():
+        return random_mai_params(4, 2, 2, seed=0).state_form()   # p = 2, n = 4
+
+    def test_run_refuses_init_with_more_rows_than_lags(self):
+        with pytest.raises(ValueError, match=r"init has shape \(3, 4\), expected at most 2 rows"):
+            self.form().run(np.zeros((5, 4)), np.zeros((3, 4)))
+
+    def test_run_refuses_init_rows_of_the_wrong_width(self):
+        with pytest.raises(ValueError, match=r"init has shape \(2, 3\).*drive's, \(4,\)"):
+            self.form().run(np.zeros((5, 4)), np.zeros((2, 3)))
+
+    def test_run_refuses_drive_rows_of_the_wrong_width(self):
+        with pytest.raises(ValueError, match=r"drive rows have shape \(3,\), expected \(4,\)"):
+            self.form().run(np.zeros((5, 3)))
+
+    def test_var_recursion_refuses_init_with_more_rows_than_lags(self):
+        with pytest.raises(ValueError, match=r"init has shape \(3, 2\), expected \(1, 2\)"):
+            var_recursion([0.5 * np.eye(2)], np.zeros((3, 2)), np.zeros((5, 2)))
+
+    def test_var_recursion_refuses_drive_rows_the_coefficients_cannot_advance(self):
+        with pytest.raises(ValueError, match=r"drive rows have shape \(3,\), which Phi_1 \(2, 2\)"):
+            var_recursion([0.5 * np.eye(2)], np.zeros((1, 3)), np.zeros((5, 3)))
+
+    def test_well_shaped_inputs_still_run(self):
+        y = self.form().run(np.ones((5, 4, 2)), np.ones((1, 4, 2)))
+        assert y.shape == (5, 4, 2)
+        assert var_recursion([0.5 * np.eye(2)], np.ones((1, 2)), np.zeros((3, 2)))[-1].tolist() == [0.125] * 2

@@ -25,10 +25,16 @@ every file the run wrote but ``manifest.txt`` (which names its output
 directory) equals the first tree's byte for byte, and the machine:
 cores, the thread count and core (kernel) the OpenBLAS that numpy loaded
 reports under the chosen environment, and the numpy and Python versions.
+Each round, a report that differs from the first tree's is named with its
+largest relative move: the largest change of a number at the same place in
+the text, over the largest magnitude among the file's numbers, or "layout
+differs" when the text around its numbers differs.
 """
 
 import argparse
+import math
 import os
+import re
 import shlex
 import statistics
 import subprocess
@@ -38,6 +44,7 @@ import time
 from pathlib import Path
 
 BLAS_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+NUMBER = re.compile(rb"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|nan|inf")
 
 # run in a child under the timed runs' environment, so it sees their BLAS setting
 MACHINE = """
@@ -84,6 +91,22 @@ def _reports(out: Path) -> dict:
     return {p.name: p.read_bytes() for p in sorted(out.iterdir()) if p.name != "manifest.txt"}
 
 
+def _move(a: bytes | None, b: bytes | None) -> str:
+    """How far report b moved from report a: the largest |x - y| over the
+    numbers at the same places, relative to the largest finite magnitude
+    among the numbers of both (inf where only one is nan or infinite)."""
+    if a is None or b is None:
+        return "missing from one tree"
+    if NUMBER.split(a) != NUMBER.split(b):
+        return "layout differs"
+    pairs = [(float(x), float(y)) for x, y in zip(NUMBER.findall(a), NUMBER.findall(b))]
+    moved = [abs(x - y) if math.isfinite(x - y) else math.inf
+             for x, y in pairs if x != y and not (math.isnan(x) and math.isnan(y))]
+    scale = max((abs(v) for pair in pairs for v in pair if math.isfinite(v)), default=0.0)
+    largest = max(moved, default=0.0)
+    return f"largest relative move {largest / scale if scale else largest:.3g}"
+
+
 def _summary(values: tuple) -> str:
     if len(values) == 1:                       # quantiles needs two points
         values *= 2
@@ -128,7 +151,12 @@ def main(argv=None) -> int:
                 runs[label].append((wall, rss, minflt))
             first = _reports(Path(tmp, f"{rnd}-{trees[0][0]}"))
             for label in runs:
-                same[label] += _reports(Path(tmp, f"{rnd}-{label}")) == first
+                got = _reports(Path(tmp, f"{rnd}-{label}"))
+                same[label] += got == first
+                for name in sorted(first.keys() | got.keys()):
+                    if first.get(name) != got.get(name):
+                        print(f"round {rnd} {label}: {name} differs from {trees[0][0]}'s, "
+                              f"{_move(first.get(name), got.get(name))}")
     for label, _, extra in trees:
         walls, rsss, minflts = zip(*runs[label])
         print(f"{label} {' '.join(extra)}: wall s {_summary(walls)}; peak RSS MB {_summary(rsss)}; "

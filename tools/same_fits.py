@@ -10,7 +10,7 @@ iterations and stop; a grid's rows (log-likelihoods, bounds, criteria,
 stops and errors) and picks; or the type and message of the exception it
 raised. Floats print exactly, so equal text means equal bits.
 
-The battery (82 cases):
+The battery (87 cases):
 - c12 grids (CIAAR, HQ, n = 6, T = 1000), seeds 0-3, pruned and with
   prune=False, pruned under AIC and under BIC, seeds 0-1, and seed 0
   pruned at max_iter = 1 and at max_iter = 2;
@@ -47,7 +47,11 @@ The battery (82 cases):
 - fit_drvar_omega's omega and eigenvalues, and fit_drvar_coeffs by OLS and
   by GLS; cc_projectors and
   structural_transitory_irf on a fitted CIAAR; and MAIParams built with a
-  zero omega.
+  zero omega;
+- each of the five simulators, 50 replications (seeds 0-49) from one params
+  object interleaved with 50 from a second DGP of its class, each panel's
+  values as a sha256 hash: MAI (n = 20, T = 2000, the mc-wide shape, with
+  an n = 6 MAI), IAAR, VHARI, DRVAR and CIAAR (n = 6, T = 1000).
 
 Prints each tree's wall time and every case whose text differs from the
 first tree's, with the first differing characters, the largest relative
@@ -58,6 +62,7 @@ picks are equal; then the machine. Exits 1 when a case differs.
 
 import argparse
 import dataclasses
+import hashlib
 import json
 import math
 import subprocess
@@ -237,6 +242,18 @@ def battery() -> dict:
         decomp.structural_transitory_irf(fitted, 20))
     cases["MAIParams zero omega"] = lambda: _plain(MAIParams(
         np.zeros((3, 1)), [np.zeros((3, 1))], np.eye(3)))
+    simulated = {   # model: (the first DGP and its T, the second and its T)
+        "mai": ((mai, 2000), (sim.random_mai_params(6, 2, 2, seed=1), 1000)),
+        "iaar": ((iaar, 500), (sim.random_iaar_params(5, 2, 3, 2, seed=1), 500)),
+        "vhari": ((vhari, 1000), (sim.random_vhari_params(6, 2, seed=1), 1000)),
+        "drvar": ((sim.random_drvar_params(5, 2, 2, seed=0), 500),
+                  (sim.random_drvar_params(6, 3, 1, seed=1), 500)),
+        "ciaar": ((ciaar, 1000), (sim.random_ciaar_params(6, 3, 2, 3, 2, seed=1), 1000)),
+    }
+    for model, dgps in simulated.items():
+        cases[f"simulate_{model} 50 replications interleaved"] = lambda m=model, d=dgps: [
+            hashlib.sha256(getattr(sim, f"simulate_{m}")(P, T, seed=seed).values.tobytes()).hexdigest()
+            for seed in range(50) for P, T in d]
     return cases
 
 
