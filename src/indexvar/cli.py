@@ -354,12 +354,13 @@ def _cmd_montecarlo(cfg: RunConfig, outdir) -> None:
 # float for a numeric field, None (the text as given) for a string field
 _CONVERTERS = {k: None if t is str else t for k, t in get_type_hints(RunConfig).items()}
 
-_FITTING = ("model", "p", "s", "q", "r", "p0", "max_iter", "tol", "method")
+_ORDERS = ("model", "p", "s", "q", "r")
+_FITTING = (*_ORDERS, "p0", "max_iter", "tol", "method")
 _DGP = ("n", "T", "burn", "dgp_seed")
 # each subcommand's flags after --config, --out and --seed, in --help order,
 # as the RunConfig fields they set: field max_iter is flag --max-iter
 FLAGS = {
-    "simulate": (*_FITTING, *_DGP, "dist"),
+    "simulate": (*_ORDERS, *_DGP, "dist"),
     "fit": (*_FITTING, "input"),
     "decompose": (*_FITTING, "input", "horizon"),
     "forecast": (*_FITTING, "input", "horizon", "origins", "refit"),

@@ -272,7 +272,8 @@ class _Setup:
     params(out) builds the model parameters from a checked state, checks(st) makes a batch's stacked
     checks of them (_finished), memo is the gram memo of the data the setup slices (_memo_grams),
     and n_params is the count of free parameters params' n_free_params() gives. warm(init) maps a
-    supplied start (gamma0, omega0, D0) at the model's orders to the engine's (None: the default).
+    checked start (gamma0, omega0, D0) at the model's orders (_checked_start) to the engine's; warm
+    is None when the setup takes no start.
     """
 
     model: str
@@ -288,7 +289,7 @@ class _Setup:
     params: Callable
     memo: dict
     n_params: int
-    warm: Callable = lambda init: init
+    warm: Callable | None = lambda init: init
     checks: Callable = lambda st: {}
 
     def grams(self) -> "_Grams":
@@ -388,15 +389,16 @@ def _sa_engine(
     """Run the switching algorithm in lockstep on a batch of prepared fits.
 
     Member i has the grams grams.M[i] and starts from
-    starts[i] = (gamma0, omega0, D0), the order _index_start returns. The
+    starts[i] = (gamma0, omega0, D0), float arrays of shapes (q, r_i),
+    (n, q) and nd_i rows of n, as _index_start and _checked_start give
+    them (gamma0 read only when 0 < r_i < q). The
     diagonal channels feed the matrices D_j, the index channels the loadings
     alpha_j omega', and the EC channel (levels, present when r > 0) the
     error-correction term alpha0 gamma' omega'. gamma is fixed to I_q when
     r == q and estimated by the reduced-rank eigenstep when 0 < r < q.
     shapes[i] = (nd_i, na_i, r_i), when given, is member i's own count of
     diagonal and index lags and its rank, at most the batch's (nd, na, r);
-    its D0 holds nd_i vectors, its gamma0 r_i columns, and its grams of the
-    lags it lacks are identity blocks (_padded_grams).
+    its grams of the lags it lacks are identity blocks (_padded_grams).
 
     Returns each member's final state in order (its final parameters, and
     sigma, step 1's covariance at them), or the exception that ended its
@@ -409,12 +411,10 @@ def _sa_engine(
     na = grams.Gcc.shape[-1] // n - (r > 0)
     shapes = shapes or [(nd, na, r)] * len(starts)
     finals = [None] * len(starts)
-    for m, ((nd_m, na_m, r_m), start) in enumerate(zip(shapes, starts)):
+    for m, (nd_m, na_m, r_m) in enumerate(shapes):
         try:
             _check_sample(Te, r_m + na_m * q + nd_m)
-            if len(start[2]) != nd_m:
-                raise ValueError(f"{len(start[2])} diagonal starting values for {nd_m} lags")
-        except (ValueError, np.linalg.LinAlgError) as exc:
+        except ValueError as exc:
             finals[m] = exc
     members = [m for m, final in enumerate(finals) if final is None]  # member of each row
     if not members:
@@ -424,14 +424,15 @@ def _sa_engine(
     gamma = np.zeros((len(members), q, r))
     for row, m in enumerate(members):
         nd_m, _, r_m = shapes[m]
-        ds[row, :nd_m] = np.asarray(starts[m][2], float).reshape(-1, n)
+        if nd_m:
+            ds[row, :nd_m] = starts[m][2]
         if 0 < r_m < q:
-            gamma[row, :, :r_m] = np.asarray(starts[m][0], float).reshape(q, r_m)
+            gamma[row, :, :r_m] = starts[m][0]
         else:                                          # fixed: I_q when r_m = q
             gamma[row, :, :r_m] = np.eye(q)[:, :r_m]
     st = {                                             # batch state, one row per member
         "grams": grams if len(members) == len(starts) else grams[members],
-        "omega": np.stack([np.asarray(starts[m][1], float).reshape(n, q) for m in members]),
+        "omega": np.stack([starts[m][1] for m in members]),
         "gamma": gamma,
         "ds": ds,
         "alpha0": np.zeros((len(members), n, r)),
@@ -810,6 +811,25 @@ def _residuals(source: Callable, state: dict) -> np.ndarray:
     return resid
 
 
+def _checked_start(init: tuple, n: int, nd: int, q: int, r: int) -> tuple:
+    """init = (gamma0, omega0, D0) at a model's n, nd diagonal lags, q and r as float arrays of
+    shapes (q, r), (n, q) and (nd, n), each refused by name unless it reshapes to its shape.
+    gamma0 is read only when 0 < r < q; elsewhere it is I_q's first r columns, as the engine's."""
+    gamma0, omega0, d0 = init
+    omega0 = np.asarray(omega0, float)
+    if omega0.size != n * q:
+        raise ValueError(f"omega0 has shape {omega0.shape}, expected ({n}, {q})")
+    sizes = None if d0 is None else [np.size(d) for d in d0]
+    if sizes is None or sizes != [n] * nd:
+        raise ValueError(f"D0 holds vectors of lengths {sizes}, expected {nd} of length {n}")
+    if 0 < r < q:
+        gamma0 = np.asarray(gamma0, float)
+        if gamma0.size != q * r:
+            raise ValueError(f"gamma0 has shape {gamma0.shape}, expected ({q}, {r})")
+    return (gamma0.reshape(q, r) if 0 < r < q else np.eye(q, r), omega0.reshape(n, q),
+            np.asarray(d0, float).reshape(nd, n))
+
+
 def fit_many(
     model: str,
     panels,
@@ -821,20 +841,23 @@ def fit_many(
     """Fit one model at fixed orders to equal-length panels in one lockstep run.
 
     model is a MODELS entry with an engine setup, and orders are the orders its fitter takes, by
-    keyword (p=2, s=2, q=2, r=1 for "ciaar"); each single fitter is this function on one panel.
-    Every panel is demeaned (_demeaned) and starts from its own default starting values, solved
-    together (_default_starts) from the start grams kept, with its grams, as its setup goes; or
-    from init = (gamma0, omega0, D0) when given, the one way to give a fit a start, mapped once by
-    the setup's warm() (None keeps the default ones): a CIAAR order with s <= 1 starts from the
-    basis of beta0 = omega0 gamma0 (_setup_ciaar), refused unless full rank (_check_full_rank), and
-    one with p <= 1 too is Johansen's fit, whose default start is its maximum, so init is not used.
-    Each fit keeps its own trace and stop reason. The last panel's setup is built first, so an
-    invalid order, or an init warm() cannot map, raises here. Returns an iterator over the
-    FitResults in panel order; the switching and the batch finish (_finished) run before this
-    returns, and a fit's residuals are formed only if read, from its panel's setup built again (the
-    last panel's is held). A panel whose fit fails does not stop the others: the iterator raises
-    that fit's exception in its turn and goes on. The diagonal IAAR (q = 0) runs the engine too.
-    Raises ValueError when the panels differ in length or width.
+    keyword (p=2, s=2, q=2, r=1 for "ciaar"); each single fitter is this function on one panel,
+    and this is the one entry for a fit's first target row and its start. Every panel is demeaned
+    (_demeaned), and its first regression target is row t_start when that is later than its lags
+    need. Each starts from its own default starting values, solved together (_default_starts)
+    from the start grams kept, with its grams, as its setup goes; or from init = (gamma0, omega0,
+    D0) when given, checked once at the model's orders (_checked_start: omega0 must reshape to
+    (n, q), D0 hold nd vectors of length n, and gamma0 reshape to (q, r) where 0 < r < q, else
+    ValueError names it and the shape expected) and mapped by the setup's warm(): a CIAAR order
+    with s <= 1 starts from the basis of beta0 = omega0 gamma0 (_setup_ciaar), refused unless
+    full rank (_check_full_rank), and one with p <= 1 too is Johansen's fit, whose default start
+    is its maximum, so init is neither checked nor used. Each fit keeps its own trace and stop
+    reason. The last panel's setup is built first, so an invalid order or init raises here.
+    Returns an iterator over the FitResults in panel order; the switching and the batch finish
+    (_finished) run before this returns, and a fit's residuals are formed only if read, from its
+    panel's setup built again (the last panel's is held). A panel whose fit fails does not stop
+    the others: the iterator raises that fit's exception in its turn and goes on. The diagonal
+    IAAR (q = 0) runs the engine too. Raises ValueError when the panels differ in length or width.
     """
     panels = list(panels)
     build = MODELS[model].setup if model in MODELS else None
@@ -846,7 +869,9 @@ def fit_many(
         raise ValueError("fit_many needs panels of equal length and width")
     make_setup = partial(build, t_start=t_start, **orders)
     last = make_setup(panels[-1])
-    start = None if init is None else last.warm(init)
+    start = None
+    if init is not None and last.warm is not None:
+        start = last.warm(_checked_start(init, panels[0].n, last.shape[0], orders["q"], last.r))
     sources = [partial(make_setup, Y) for Y in panels[:-1]] + [lambda: last]
     means, grams, inits = [], [], []
     for source in sources:                             # each setup goes as the next is built
@@ -894,13 +919,7 @@ def _setup_mai(Y: Panel, p: int, q: int, t_start: int | None = None, data=None):
     )
 
 
-def fit_mai(
-    Y: Panel,
-    p: int,
-    q: int,
-    opts: FitOptions | None = None,
-    t_start: int | None = None,
-) -> FitResult:
+def fit_mai(Y: Panel, p: int, q: int, opts: FitOptions | None = None) -> FitResult:
     """Switching-algorithm ML fit of the multivariate autoregressive index model.
 
     Runs the gram engine with the p level lags as index channels:
@@ -909,7 +928,7 @@ def fit_mai(
     unrestricted VAR. The starting omega spans the leading right-singular
     subspace of the stacked OLS VAR coefficients.
     """
-    return next(fit_many("mai", [Y], opts, t_start, p=p, q=q))
+    return next(fit_many("mai", [Y], opts, p=p, q=q))
 
 
 # ---------------------------------------------------------------------------
@@ -934,12 +953,7 @@ def _setup_vhari(Yd: Panel, q: int, t_start: int | None = None):
     )
 
 
-def fit_vhari(
-    Yd: Panel,
-    q: int,
-    opts: FitOptions | None = None,
-    t_start: int | None = None,
-) -> FitResult:
+def fit_vhari(Yd: Panel, q: int, opts: FitOptions | None = None) -> FitResult:
     """Switching-algorithm fit of the vector heterogeneous autoregressive index model.
 
     The daily panel is demeaned once, the weekly and monthly aggregates are
@@ -947,7 +961,7 @@ def fit_vhari(
     5/22-day cascade identities exactly), and the SA runs on the three
     aggregate regressors.
     """
-    return next(fit_many("vhari", [Yd], opts, t_start, q=q))
+    return next(fit_many("vhari", [Yd], opts, q=q))
 
 
 # ---------------------------------------------------------------------------
@@ -965,14 +979,7 @@ def _setup_iaar(Y: Panel, p: int, s: int, q: int, t_start: int | None = None, da
     )
 
 
-def fit_iaar(
-    Y: Panel,
-    p: int,
-    s: int,
-    q: int,
-    opts: FitOptions | None = None,
-    t_start: int | None = None,
-) -> FitResult:
+def fit_iaar(Y: Panel, p: int, s: int, q: int, opts: FitOptions | None = None) -> FitResult:
     """Switching-algorithm fit of the index-augmented autoregression.
 
     Runs the same machinery as the cointegrated model with no
@@ -980,7 +987,7 @@ def fit_iaar(
     diagonal VAR, whose equations share sigma but not regressors, so its ML
     alternates sigma with the GLS solve for the diagonals, not equation-wise OLS.
     """
-    return next(fit_many("iaar", [Y], opts, t_start, p=p, s=s, q=q))
+    return next(fit_many("iaar", [Y], opts, p=p, s=s, q=q))
 
 
 def _svd_truncate(stack: np.ndarray, q: int, rebuild: bool = True):
@@ -1075,12 +1082,7 @@ def _johansen(grams: _Grams, r: int) -> dict:
     return {"vals": vals, "beta": beta, "alpha0": alpha0, "pis": pisT.swapaxes(2, 3)}
 
 
-def johansen_rrr(
-    Y: Panel,
-    p: int,
-    r: int,
-    t_start: int | None = None,
-) -> FitResult:
+def johansen_rrr(Y: Panel, p: int, r: int) -> FitResult:
     """Johansen's reduced-rank regression for the VECM with p - 1 lagged differences.
 
     Solved from moments: the concentrated moments are Schur complements of
@@ -1095,7 +1097,7 @@ def johansen_rrr(
     if p < 1:
         raise ValueError("need p >= 1")
     data = _demeaned(Y, differences=True)
-    Z, lags, ec_X, first, means = _ec_data(Y, p - 1, data, t_start)
+    Z, lags, ec_X, first, means = _ec_data(Y, p - 1, data)
     jo = _johansen(_start_grams(Z, lags, ec_X, r), r)
     alpha0, beta, pis = jo["alpha0"][0], jo["beta"][0], list(jo["pis"][0])
     resid = Z - (ec_X @ beta) @ alpha0.T - sum(X @ pi.T for X, pi in zip(lags, pis))
@@ -1220,32 +1222,22 @@ def _setup_ciaar(Y: Panel, p: int, s: int, q: int, r: int, t_start: int | None =
         return {"gamma": gamma, "alpha0": alpha0, "gamma_unnormalized": unnormalized}
 
     def warm(init):
-        # with no short-run lag the fit is Johansen's, and the default start its maximum
-        if nd == na == 0:
-            return None
         # the identified equivalent starts from the basis of beta0 = omega0 gamma0
         if q_fit == q:
             return init
         gamma0, omega0, d0 = init
-        beta0 = np.asarray(omega0, float) @ np.asarray(gamma0, float).reshape(q, r)
+        beta0 = omega0 @ gamma0
         _check_full_rank(beta0, "beta0 = omega0 gamma0")   # else its basis would be arbitrary
         return np.eye(r), _qr_normalize(beta0)[0], d0
 
+    # with no short-run lag the fit is Johansen's, and the default start its maximum
     return _Setup(
         "ciaar", Z, lags[:nd], lags[:na], ec_X, q_fit, r, first, means, start, params, data[3],
-        CIAARParams.count(n, nd, na, q, r), warm, checks,
+        CIAARParams.count(n, nd, na, q, r), None if nd == na == 0 else warm, checks,
     )
 
 
-def fit_ciaar(
-    Y: Panel,
-    p: int,
-    s: int,
-    q: int,
-    r: int,
-    opts: FitOptions | None = None,
-    t_start: int | None = None,
-) -> FitResult:
+def fit_ciaar(Y: Panel, p: int, s: int, q: int, r: int, opts: FitOptions | None = None) -> FitResult:
     """Switching-algorithm ML fit of the cointegrated index-augmented model.
 
     Y holds I(1) levels. The model carries p - 1 diagonal difference lags,
@@ -1255,7 +1247,7 @@ def fit_ciaar(
     error-correction term (an index-augmented model in differences). gamma
     is fixed to the identity when r = q; for 0 < r < q it is re-estimated
     each sweep from the reduced-rank eigenproblem. It starts from the
-    Johansen/SVD starting values (fit_many takes another start).
+    Johansen/SVD starting values (fit_many takes another start, or a later first row).
 
     With s <= 1 there is no index lag, so the likelihood sees omega only
     through beta = omega gamma, identified up to an r x r rotation. Such an
@@ -1265,7 +1257,7 @@ def fit_ciaar(
     gamma = [I_r; 0]: the same beta, alpha0, D and sigma, and the parameter
     count of (p, s, q, r). With p <= 1 too, the fit is Johansen's.
     """
-    return next(fit_many("ciaar", [Y], opts, t_start, p=p, s=s, q=q, r=r))
+    return next(fit_many("ciaar", [Y], opts, p=p, s=s, q=q, r=r))
 
 
 def _normalize_gamma(gamma: np.ndarray, alpha0: np.ndarray):
@@ -1286,14 +1278,7 @@ def _setup_vecim(Y: Panel, p: int, q: int, r: int, t_start: int | None = None):
     return setup
 
 
-def fit_vecim(
-    Y: Panel,
-    p: int,
-    q: int,
-    r: int,
-    opts: FitOptions | None = None,
-    t_start: int | None = None,
-) -> FitResult:
+def fit_vecim(Y: Panel, p: int, q: int, r: int, opts: FitOptions | None = None) -> FitResult:
     """Fit of the vector error-correction index model.
 
     dY_t = alpha0 gamma' f_{t-1} + sum_{j<p} alpha_j df_{t-j} + e_t with
@@ -1303,7 +1288,7 @@ def fit_vecim(
     row-level Vec/Kronecker loop in tests/rowlevel.py is the independent
     check of it.
     """
-    return next(fit_many("vecim", [Y], opts, t_start, p=p, q=q, r=r))
+    return next(fit_many("vecim", [Y], opts, p=p, q=q, r=r))
 
 
 class _Model(NamedTuple):

@@ -138,6 +138,7 @@ class _ErrorCorrection:
         """alpha0_perp' (I - sum_j Pi_j) beta_perp; nonsingular iff the system
         is I(1), singular parameters induce I(2) behavior."""
         alpha0, beta, pis = self.ec_form()
+        _check_full_rank(alpha0, "alpha0")            # else alpha0_perp is not defined
         pibar = np.eye(self.n) - sum(pis, np.zeros((self.n, self.n)))
         return orth_complement(alpha0).T @ pibar @ orth_complement(beta)
 
@@ -446,10 +447,10 @@ class CIAARParams(_Indexed, _ErrorCorrection):
         short-run lags."""
         return self.alpha0, self.beta, self.diff_coeffs()
 
-    def unit_roots(self, tol: float = 1e-6) -> int:
-        """Number of companion eigenvalues within tol of 1."""
+    def unit_roots(self) -> int:
+        """Number of companion eigenvalues within 1e-6 of 1."""
         eigs = np.linalg.eigvals(companion_matrix(self.var_coeffs()))
-        return int(np.sum(np.abs(eigs - 1.0) < tol))
+        return int(np.sum(np.abs(eigs - 1.0) < 1e-6))
 
     @staticmethod
     def check_orders(n: int, p: int, s: int, q: int, r: int) -> None:

@@ -322,19 +322,8 @@ def random_vhari_params(n: int, q: int, seed: int = 0) -> VHARIParams:
     return _draw_stationary(seed, draw, 0.98, "VHARI")
 
 
-def random_drvar_params(
-    n: int,
-    q: int,
-    p: int,
-    seed: int = 0,
-    radius: float = 0.8,
-    common_variance: float = 2.0,
-) -> DRVARParams:
-    """DRVAR draw with orthonormal omega and index-VAR radius close to `radius`.
-
-    common_variance adds innovation variance along the index directions, so
-    the factors stay pervasive as n grows.
-    """
+def random_drvar_params(n: int, q: int, p: int, seed: int = 0, radius: float = 0.8) -> DRVARParams:
+    """DRVAR draw with orthonormal omega and index-VAR radius close to `radius`."""
     def draw(rng, shrink):
         omega = _random_omega(rng, n, q)
         phis = [
@@ -342,29 +331,22 @@ def random_drvar_params(
             + 0.1 * shrink * rng.standard_normal((q, q))
             for j in range(p)
         ]
-        sigma = _random_sigma(rng, n, strength=0.2) + common_variance * (omega @ omega.T)
+        # innovation variance 2 along the index directions keeps the factors pervasive as n grows
+        sigma = _random_sigma(rng, n, strength=0.2) + 2.0 * (omega @ omega.T)
         return DRVARParams(omega, phis, sigma)
 
     return _draw_stationary(seed, draw, 0.97, "DRVAR")
 
 
 def random_ciaar_params(
-    n: int,
-    q: int,
-    r: int,
-    p: int,
-    s: int,
-    seed: int = 0,
-    diag: float = 0.3,
-    adjustment: float = 0.4,
-    diag_orthogonal_loadings: bool = False,
+    n: int, q: int, r: int, p: int, s: int, seed: int = 0, diag_orthogonal_loadings: bool = False
 ) -> CIAARParams:
     """I(1)-valid CIAAR draw.
 
     p and s follow the model-order convention: p-1 diagonal difference lags
-    and s-1 index difference lags (p = 0 or 1 means none, likewise s).
-    `adjustment` controls how fast the error-correction term pulls the
-    cointegration relations back to equilibrium. With
+    and s-1 index difference lags (p = 0 or 1 means none, likewise s). The
+    own-lag diagonals lie around 0.3, and the error-correction term pulls
+    the cointegration relations back to equilibrium at a rate near 0.4. With
     diag_orthogonal_loadings the index loadings are projected so that
     alpha_j omega' has a zero diagonal, leaving all own-lag dynamics to the
     D_j; on such draws the diagonal-stripping initialization is unbiased.
@@ -375,13 +357,13 @@ def random_ciaar_params(
         omega = _random_omega(rng, n, q)
         operp = orth_complement(omega)
         gamma = np.vstack([np.eye(r), 0.5 * rng.standard_normal((q - r, r))]) if r else np.zeros((q, 0))
-        ds = [diag * rng.uniform(0.6, 1.0, n) * (0.5 ** j) for j in range(nd)]
+        ds = [0.3 * rng.uniform(0.6, 1.0, n) * (0.5 ** j) for j in range(nd)]
         diag_coeffs = [np.linspace(0.4, 0.15, q) * (0.6 ** j) for j in range(na)]
         alphas = _index_loadings(rng, omega, diag_coeffs, cross_scale=0.25)
         if diag_orthogonal_loadings:
             alphas = [_zero_diagonal_loading(a, omega) for a in alphas]
         if r:
-            a0 = -adjustment * gamma @ np.linalg.inv(gamma.T @ gamma)
+            a0 = -0.4 * gamma @ np.linalg.inv(gamma.T @ gamma)
             alpha0 = omega @ (a0 + 0.05 * rng.standard_normal((q, r)))
             alpha0 = alpha0 + 0.1 * operp @ rng.standard_normal((n - q, r))
         else:

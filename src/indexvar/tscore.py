@@ -292,6 +292,8 @@ class StateForm:
         if init is not None and (len(init) > p or np.shape(init)[1:] != drive.shape[1:]):
             raise ValueError(f"init has shape {np.shape(init)}, expected at most {p} rows "
                              f"shaped like drive's, {drive.shape[1:]}")
+        if level is not None and np.shape(level) != drive.shape[1:]:
+            raise ValueError(f"level has shape {np.shape(level)}, expected {drive.shape[1:]} like drive's rows")
         s0 = np.zeros((p, k) + rows)                  # s_{-p}..s_{-1}
         if init is not None:
             s0[p - len(init):] = _apply(self.observed, init)

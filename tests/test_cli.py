@@ -605,14 +605,45 @@ class TestParser:
             return dict(line.split(" = ", 1) for line in lines if not line.startswith("#"))
 
         base = ["simulate", "--model", "mai", "--n", 3, "--q", 1, "--p", 1, "--T", 60]
-        flags = ["--max-iter", 7, "--tol", 0.5, "--seed", 9]
+        flags = ["--burn", 7, "--dist", "lognormal_garch", "--seed", 9]
         assert run_cli(*base, *flags, "--out", tmp_path / "a") == 0
         parser = _parser()
         assert run_cli(*base, "--out", tmp_path / "b") == 0
         assert _parser() is parser
         first, second = manifest(tmp_path / "a"), manifest(tmp_path / "b")
-        assert (first["max_iter"], first["tol"], first["seed"]) == ("7", "0.5", "9")
-        assert (second["max_iter"], second["tol"], second["seed"]) == ("500", "1e-08", "0")
+        assert (first["burn"], first["dist"], first["seed"]) == ("7", "lognormal_garch", "9")
+        assert (second["burn"], second["dist"], second["seed"]) == ("500", "gaussian", "0")
+
+    @pytest.mark.parametrize("flag, value", [("--p0", 7), ("--max-iter", 3), ("--tol", 0.5),
+                                             ("--method", "gls")])
+    def test_simulate_takes_no_fitting_flag(self, flag, value, tmp_path, capsys):
+        # simulate fits nothing, so it has no fitting flag: argparse refuses it before any output
+        out = tmp_path / "o"
+        with pytest.raises(SystemExit) as exc:
+            run_cli("simulate", "--model", "mai", "--n", 3, "--T", 60, flag, value, "--out", out)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_a_manifest_with_fitting_values_still_reproduces_simulate(self, tmp_path):
+        # a manifest echoes every RunConfig field, so an older simulate run's holds the
+        # fitting values it was given; fed back, they still parse and change no output
+        first = tmp_path / "first"
+        assert run_cli("simulate", "--model", "ciaar", "--n", 4, "--q", 2, "--p", 2, "--s", 2,
+                       "--r", 1, "--T", 80, "--seed", 5, "--out", first) == 0
+        fitting = {"max_iter": "3", "tol": "0.5", "method": "gls", "p0": "7"}
+        lines = (first / "manifest.txt").read_text().splitlines()
+        keys = [line.split(" = ")[0] for line in lines]
+        assert sum(key in fitting for key in keys) == 4
+        old = tmp_path / "old_manifest.txt"
+        old.write_text("".join(f"{key} = {fitting[key]}\n" if key in fitting else line + "\n"
+                               for key, line in zip(keys, lines)))
+        again = tmp_path / "again"
+        assert run_cli("simulate", "--config", old, "--out", again) == 0
+        for name in ("panel.csv", "dgp_params.json"):
+            assert (again / name).read_bytes() == (first / name).read_bytes(), name
+        manifest = (again / "manifest.txt").read_text()
+        assert "max_iter = 3\n" in manifest and "method = gls\n" in manifest
 
     # each subcommand's flags as (option, dest, type, choices, default), in --help order
     COMMON = [("--config", "config", None, None, None), ("--out", "out", None, None, None),
@@ -625,6 +656,8 @@ class TestParser:
     ORDERS = [
         ("--p", "p", int, None, None), ("--s", "s", int, None, None),
         ("--q", "q", int, None, None), ("--r", "r", int, None, None),
+    ]
+    FITTING = ORDERS + [
         ("--p0", "p0", int, None, None), ("--max-iter", "max_iter", int, None, None),
         ("--tol", "tol", float, None, None), ("--method", "method", None, ("ols", "gls"), None),
     ]
@@ -635,9 +668,9 @@ class TestParser:
     HORIZON = [("--horizon", "horizon", int, None, None)]
     EXPECTED = {
         "simulate": COMMON + DRAW + ORDERS + DGP + DIST,
-        "fit": COMMON + FIT + ORDERS + INPUT,
-        "decompose": COMMON + SPLIT + ORDERS + INPUT + HORIZON,
-        "forecast": COMMON + FIT + ORDERS + INPUT + HORIZON + [
+        "fit": COMMON + FIT + FITTING + INPUT,
+        "decompose": COMMON + SPLIT + FITTING + INPUT + HORIZON,
+        "forecast": COMMON + FIT + FITTING + INPUT + HORIZON + [
             ("--origins", "origins", int, None, None), ("--refit", "refit", int, None, None)],
         "select": COMMON + INPUT + [
             ("--model", "model", None, ("ciaar", "iaar", "mai"), None),
@@ -647,7 +680,7 @@ class TestParser:
             ("--criterion", "criterion", None, ("aic", "bic", "hq"), None),
             ("--tol", "tol", float, None, None),
         ],
-        "montecarlo": COMMON + DRAW + ORDERS + DGP + [("--reps", "reps", int, None, None)] + DIST,
+        "montecarlo": COMMON + DRAW + FITTING + DGP + [("--reps", "reps", int, None, None)] + DIST,
     }
 
     def test_each_subcommand_keeps_its_flags(self):
@@ -655,7 +688,7 @@ class TestParser:
 
         subparsers, = (a for a in _parser()._actions if isinstance(a, argparse._SubParsersAction))
         assert list(subparsers.choices) == list(self.EXPECTED)
-        counts = {"simulate": 17, "fit": 13, "decompose": 14, "forecast": 16, "select": 12,
+        counts = {"simulate": 13, "fit": 13, "decompose": 14, "forecast": 16, "select": 12,
                   "montecarlo": 18}
         for name, parser in subparsers.choices.items():
             flags = [

@@ -906,7 +906,7 @@ class TestGramStarts:
         t_start = p
         outcome, _, _ = next(_fit_grid(model, panels[1], [orders_row], FitOptions(), t_start))
         with pytest.raises(SingularDesignError) as ref:
-            fit(panels[1], t_start=t_start, **orders)
+            next(fit_many(model, [panels[1]], t_start=t_start, **orders))
         assert isinstance(outcome, SingularDesignError)
         assert str(outcome) == str(ref.value)
 

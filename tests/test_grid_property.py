@@ -15,7 +15,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from indexvar import estimators, select
-from indexvar.estimators import FitOptions, fit_ciaar, fit_iaar, fit_mai
+from indexvar.estimators import MODELS, FitOptions, fit_many
 from indexvar.select import _candidate_grid, grid_search, info_criterion
 from indexvar.tscore import gaussian_loglik
 from indexvar.simulate import (
@@ -45,12 +45,8 @@ def grids(draw):
 
 
 def single_fit(model, Y, orders, t_start):
-    p, s, q, r = orders
-    if model == "mai":
-        return fit_mai(Y, p, q, opts=OPTS, t_start=t_start)
-    if model == "iaar":
-        return fit_iaar(Y, p, s, q, opts=OPTS, t_start=t_start)
-    return fit_ciaar(Y, p, s, q, r, opts=OPTS, t_start=t_start)
+    named = dict(zip("psqr", orders))
+    return next(fit_many(model, [Y], OPTS, t_start, **{k: named[k] for k in MODELS[model].orders}))
 
 
 def traced_grid_search(Y, p_range, q_range, model):

@@ -57,8 +57,8 @@ def test_s1_rows_single_batched_and_perturbed_fits_agree(dgp, T, seed, p_range, 
         assert not row.failed
         shared.setdefault((p, r), []).append(row)
         orders = dict(p=p, s=s, q=q, r=r)
-        single = fit_ciaar(Y, opts=opts, t_start=t_start, **orders)
-        moved = fit_ciaar(perturbed, opts=opts, t_start=t_start, **orders)
+        single = next(fit_many("ciaar", [Y], opts=opts, t_start=t_start, **orders))
+        moved = next(fit_many("ciaar", [perturbed], opts=opts, t_start=t_start, **orders))
         batch = list(fit_many("ciaar", [Y, perturbed], opts=opts, t_start=t_start, **orders))
         assert row.n_params == single.n_params
         assert row.stop == single.diagnostics["stop"] == moved.diagnostics["stop"]

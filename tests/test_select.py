@@ -17,7 +17,7 @@ from indexvar.simulate import (
     simulate_iaar,
     simulate_mai,
 )
-from indexvar.estimators import RRR_ERROR, SIGMA_ERROR, STEP_ERROR, FitOptions, fit_ciaar
+from indexvar.estimators import RRR_ERROR, SIGMA_ERROR, STEP_ERROR, FitOptions, fit_many
 from indexvar.tscore import Panel
 
 
@@ -392,7 +392,7 @@ class TestPruning:
         Y = self.panel()
         target = grid_search(Y, (1, 2), (1, 3), prune=False).best_row("hq").orders()
         assert target[2] < 3 and target[1] > 1         # fitted before the last q group, alone
-        sigma = fit_ciaar(Y, *target, t_start=2).params.sigma   # at the grid's rows
+        sigma = next(fit_many("ciaar", [Y], t_start=2, **dict(zip("psqr", target)))).params.sigma
         guard = estimators.sigma_cond
 
         def judged(s):                                 # a stack: refused if it holds the target

@@ -204,11 +204,17 @@ class TestSimulateCiaar:
         assert rho <= 0.98
 
     def test_i2_parameters_rejected(self):
+        # alpha0_perp' (I - D_1) beta_perp = 1 - 1 = 0 with alpha0_perp = beta_perp = e2
+        i2 = CIAARParams([np.array([0.0, 1.0])], [[-0.5], [0.0]], [[1.0]], [[1.0], [0.0]], [],
+                         np.eye(2))
+        with pytest.raises(ValueError, match=r"I\(2\)"):
+            simulate_ciaar(i2, 100, seed=0)
+
+    def test_a_zero_alpha0_is_named(self):
+        # alpha0_perp is not defined, so the I(1) check refuses alpha0 itself, not omega
         base = random_ciaar_params(4, 2, 1, 0, 1, seed=8)
-        bad = CIAARParams(
-            [], np.zeros((4, 1)), base.gamma, base.omega, [], base.sigma
-        )
-        with pytest.raises(ValueError):
+        bad = CIAARParams([], np.zeros((4, 1)), base.gamma, base.omega, [], base.sigma)
+        with pytest.raises(ValueError, match=r"^alpha0 is not full rank$"):
             simulate_ciaar(bad, 100, seed=0)
 
 

@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from indexvar.simulate import random_mai_params
+from indexvar.simulate import random_ciaar_params, random_mai_params
 from indexvar.tscore import (
     RANK_RTOL,
     SIGMA_ERROR,
@@ -357,6 +357,11 @@ class TestMisshapenRecursionInputs:
     def test_var_recursion_refuses_drive_rows_the_coefficients_cannot_advance(self):
         with pytest.raises(ValueError, match=r"drive rows have shape \(3,\), which Phi_1 \(2, 2\)"):
             var_recursion([0.5 * np.eye(2)], np.zeros((1, 3)), np.zeros((5, 3)))
+
+    def test_run_refuses_a_level_unlike_drive_rows(self):
+        form = random_ciaar_params(6, 2, 1, 2, 2, seed=0).state_form()   # integrated, n = 6
+        with pytest.raises(ValueError, match=r"level has shape \(3,\), expected \(6,\) like drive's rows"):
+            form.run(np.zeros((5, 6)), None, np.zeros(3))
 
     def test_well_shaped_inputs_still_run(self):
         y = self.form().run(np.ones((5, 4, 2)), np.ones((1, 4, 2)))

@@ -113,3 +113,45 @@ def test_rank_deficient_beta0_is_refused_before_the_engine(monkeypatch, omega0, 
     monkeypatch.setattr(estimators, "_sa_engine", lambda *args: pytest.fail("the engine ran"))
     with pytest.raises(ValueError, match=r"^beta0 = omega0 gamma0 is not full rank$"):
         fit_many("ciaar", [Y], init=(gamma0, omega0, [np.zeros(6)]), p=2, s=1, q=2, r=1)
+
+
+@pytest.fixture(scope="module")
+def ciaar_start():
+    """A CIAAR (2, 2, 2, 1) panel, n = 6, and the start of its full fit: gamma0 (2, 1),
+    omega0 (6, 2) and one D0 vector of length 6."""
+    Y = simulate_ciaar(random_ciaar_params(6, 2, 1, 2, 2, seed=0), 300, seed=1)
+    return Y, _start(fit_ciaar(Y, 2, 2, 2, 1).params)
+
+
+@pytest.mark.parametrize("orders, slot, value, message", [
+    ((2, 2, 2, 1), 1, np.zeros((5, 2)), r"^omega0 has shape \(5, 2\), expected \(6, 2\)$"),
+    ((2, 2, 2, 1), 0, np.zeros((3, 1)), r"^gamma0 has shape \(3, 1\), expected \(2, 1\)$"),
+    ((2, 1, 2, 1), 0, np.zeros((3, 1)), r"^gamma0 has shape \(3, 1\), expected \(2, 1\)$"),
+    ((2, 2, 2, 1), 2, [np.zeros(5)], r"^D0 holds vectors of lengths \[5\], expected 1 of length 6$"),
+    ((2, 2, 2, 1), 2, [np.zeros(6)] * 2,
+     r"^D0 holds vectors of lengths \[6, 6\], expected 1 of length 6$"),
+    ((2, 2, 2, 1), 2, None, r"^D0 holds vectors of lengths None, expected 1 of length 6$"),
+], ids=["omega0", "gamma0", "gamma0-through-beta0", "D0-length", "D0-count", "D0-none"])
+def test_a_misshapen_start_is_refused_by_name(monkeypatch, ciaar_start, orders, slot, value,
+                                               message):
+    # fit_many checks a start once at the model's orders, before warm() maps it (s = 1 maps
+    # it through beta0 = omega0 gamma0) and before any engine work, naming the argument
+    # where numpy's reshape or broadcast message stood
+    Y, start = ciaar_start
+    init = list(start)
+    init[slot] = value
+    monkeypatch.setattr(estimators, "_sa_engine", lambda *args: pytest.fail("the engine ran"))
+    with pytest.raises(ValueError, match=message):
+        fit_many("ciaar", [Y], init=tuple(init), **dict(zip("psqr", orders)))
+
+
+def test_a_start_that_reshapes_fits_as_its_arrays_do(ciaar_start):
+    # nested lists, a flat gamma0 and omega0, and D0 as one array or as columns are the
+    # start of the arrays they reshape to, bit for bit
+    Y, (gamma0, omega0, d0) = ciaar_start
+    orders = dict(p=2, s=2, q=2, r=1)
+    ref = next(fit_many("ciaar", [Y], init=(gamma0, omega0, d0), **orders))
+    for init in [(gamma0.tolist(), omega0.tolist(), [d.tolist() for d in d0]),
+                 (gamma0.ravel(), omega0.ravel(), np.array(d0)),
+                 (gamma0, omega0, [d[:, None] for d in d0])]:
+        _assert_bit_equal(next(fit_many("ciaar", [Y], init=init, **orders)), ref)

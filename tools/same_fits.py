@@ -37,8 +37,8 @@ The battery (87 cases):
   the IAAR grid, an n = 4 IAAR grid with prune=False whose (2, 2, 3, 0) and
   (3, 3, 3, 0) are not more parsimonious than the unrestricted VAR, and a
   MAI grid on 40 rows whose largest order fails the sample check;
-- VHARI from its first full-window row, from t_start = 30, and on 21 rows
-  (an error), fit_vecim(Y, 1, 2, 1), johansen_rrr, and the default start of
+- VHARI from its first full-window row, from t_start = 30 (fit_many's), and
+  on 21 rows (an error), fit_vecim(Y, 1, 2, 1), johansen_rrr, and the default start of
   CIAAR (2, 2, 2, 1) as a max_iter = 1 fit reports it (omega, D and gamma);
 - degenerate covariances: on an n = 6 CIAAR panel with y4_t = y1_{t-1},
   the IAAR grid, the CIAAR grid pruned and with prune=False, and
@@ -208,7 +208,7 @@ def battery() -> dict:
     cases["mai grid"] = lambda: _grid(grid_search(Ym, (1, 3), (1, 3), kind="bic", model="mai"))
     Yd = sim.simulate_vhari(vhari, 800, seed=1)
     cases["fit_vhari q=2"] = lambda: _fit(est.fit_vhari(Yd, 2))
-    cases["fit_vhari q=2 t_start=30"] = lambda: _fit(est.fit_vhari(Yd, 2, t_start=30))
+    cases["fit_vhari q=2 t_start=30"] = lambda: _fit(next(est.fit_many("vhari", [Yd], None, 30, q=2)))
     cases["fit_vhari q=2 21 rows"] = lambda: _fit(est.fit_vhari(Panel(Yd.values[:21]), 2))
     Yv = sim.simulate_ciaar(ciaar, 400, seed=6)
     cases["fit_vecim p=1 q=2 r=1"] = lambda: _fit(est.fit_vecim(Yv, 1, 2, 1))
