@@ -26,7 +26,7 @@ import numpy as np
 from . import __version__, decomp, estimators, simulate as sim
 from .forecast import first_origin, forecast as forecast_path, rolling_evaluate
 from .select import CRITERIA, FAMILIES, grid_search
-from .tscore import HAR_WINDOWS, Panel, read_panel_csv, subspace_distance
+from .tscore import HAR_WINDOWS, Panel, csv_line, read_panel_csv, subspace_distance
 
 __all__ = ["RunConfig", "run", "main"]
 
@@ -93,11 +93,12 @@ class RunConfig:
                 raise ValueError(f"cannot simulate model {self.model!r}")
             model = estimators.MODELS[self.model]
             model.simulated.check_orders(self.n, *(getattr(self, k) for k in model.orders))
-            if self.model == "vhari" and self.burn < HAR_WINDOWS[-1]:   # simulate_vhari's rule
+            if self.model == "vhari" and self.burn < HAR_WINDOWS[-1]:   # simulate's rule for VHARI
                 raise ValueError(f"--burn must be >= {HAR_WINDOWS[-1]} for model vhari, "
                                  f"got {self.burn}")
-        if self.criterion not in CRITERIA:
-            raise ValueError(f"unknown criterion {self.criterion!r}")
+        for key in ("method", "dist", "criterion"):    # a configuration file's values skip argparse
+            if getattr(self, key) not in CHOICES[key]:
+                raise ValueError(f"unknown {key} {getattr(self, key)!r}")
 
     def fit_options(self) -> estimators.FitOptions:
         return estimators.FitOptions(max_iter=self.max_iter, tol=self.tol)
@@ -119,10 +120,10 @@ REPORT_BLOCK = 256   # rows a CSV report formats at a time: bounds its text held
 
 
 def _write_csv(path, header, blocks) -> None:
-    """The header line, then each 2-D block's rows as "%.17g" cells joined by
-    commas; only one block's text exists at a time."""
+    """The header line (tscore.csv_line), then each 2-D block's rows as
+    "%.17g" cells joined by commas; only one block's text exists at a time."""
     with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
+        fh.write(csv_line(header) + "\n")
         for block in blocks:
             fh.write("\n".join(_format_rows(block.tolist(), ",")) + "\n")
 
@@ -369,7 +370,7 @@ FLAGS = {
     "montecarlo": (*_FITTING, *_DGP, "reps", "dist"),
 }
 # a flag's choices and help by field, or by (subcommand, field) where one subcommand's differ;
-# RunConfig.validate holds a configuration file's values to the same models
+# RunConfig.validate holds a configuration file's values to the same choices
 CHOICES = {"model": (*estimators.MODELS,), ("select", "model"): FAMILIES,
            ("simulate", "model"): SIMULATED, ("montecarlo", "model"): SIMULATED,
            ("decompose", "model"): tuple(m for m in estimators.MODELS if m != "vecm"),
@@ -408,7 +409,11 @@ def _read_config_file(path) -> dict:
             if key not in _CONVERTERS:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
             convert = _CONVERTERS[key]
-            out[key] = convert(value) if convert else value
+            try:
+                out[key] = convert(value) if convert else value
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: {key} must be of type {convert.__name__}, "
+                                 f"got {value!r}") from None
     return out
 
 

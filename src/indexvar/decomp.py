@@ -22,6 +22,7 @@ import numpy as np
 
 from .estimators import MODELS, FitResult
 from .forecast import _presample
+from .params import _check_full_rank
 from .tscore import STABLE_RADIUS, Panel, full_rank, orth_complement, var_recursion
 
 __all__ = [
@@ -250,6 +251,7 @@ def _perm_trans_weights(fit: FitResult):
     sigma = fit.params.sigma
     a0_bar = omega.T @ fit.params.alpha0            # q x r
     sig_bar = omega.T @ sigma @ omega               # q x q
+    _check_full_rank(a0_bar, "omega'alpha0")        # else its complement is not defined
     a0_perp = orth_complement(a0_bar)               # q x (q-r)
     sb_inv_a0 = np.linalg.solve(sig_bar, a0_bar)
     cov_tau = a0_bar.T @ sb_inv_a0                  # Cov(eps_tau), exact at the fit

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .estimators import FitResult
-from .tscore import Panel, StateForm
+from .tscore import Panel, StateForm, csv_line
 
 __all__ = ["ForecastPath", "MsfeTable", "forecast", "evaluate", "rolling_evaluate"]
 
@@ -45,8 +45,7 @@ class MsfeTable:
     names: list[str] = field(default_factory=list)
 
     def to_csv(self, path) -> None:
-        header = "horizon," + ",".join(self.names) + ",n_origins"
-        lines = [header]
+        lines = [csv_line(["horizon", *self.names, "n_origins"])]
         for k in range(self.msfe.shape[0]):
             cells = ",".join(f"{v:.17g}" for v in self.msfe[k])
             lines.append(f"{k + 1},{cells},{int(self.counts[k])}")

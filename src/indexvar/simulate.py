@@ -1,14 +1,13 @@
 """Data-generating-process simulators for every model class.
 
-All simulators are deterministic given (params, seed), start from zero
-pre-sample values, and discard a burn-in stretch. Each runs its model's
-state form, params.state_form() (simulate_var the levels VAR's,
-tscore.var_form), driven by the shocks and refused unless its companion is
-stable: MAI, VHARI and DRVAR iterate the q-dimensional VAR of their indexes
-f_t = omega'Y_t, IAAR the levels, and CIAAR the stationary (dY_t, beta'Y_t),
-whose differences are cumulated into the levels. Passing an explicit shocks
-array (burn + T rows of innovations e_t) bypasses the random draw, which is
-how the nesting identities between simulators are exercised.
+One simulator, simulate, serves every params class; simulate_mai,
+simulate_iaar, simulate_vhari, simulate_drvar and simulate_ciaar are that
+same function, kept so callers can look it up by model name. It and
+simulate_var (the levels VAR's tscore.var_form) are deterministic given
+(params, seed), start from zero pre-sample values, discard a burn-in
+stretch, and refuse a state form whose companion is not stable. An explicit
+shocks array (burn + T rows of innovations e_t) bypasses the random draw;
+the nesting identities between models are checked that way.
 
 A params object's checked state form, with the block operators that its
 recursion builds (StateForm.ops), is built once and reused by every later
@@ -33,6 +32,7 @@ from .params import (
 from .tscore import HAR_WINDOWS, STABLE_RADIUS, Panel, StateForm, fix_signs, orth_complement, var_form
 
 __all__ = [
+    "simulate",
     "simulate_var",
     "simulate_mai",
     "simulate_iaar",
@@ -150,86 +150,39 @@ def simulate_var(
     return _simulate(_stable(var_form(phis, np.shape(sigma)[0])), sigma, T, burn, seed, shocks, dist)
 
 
-def simulate_mai(
-    params: MAIParams,
+def simulate(
+    params: MAIParams | IAARParams | VHARIParams | DRVARParams | CIAARParams,
     T: int,
     burn: int = DEFAULT_BURN,
     seed: int = 0,
     shocks: np.ndarray | None = None,
     dist: str = "gaussian",
 ) -> Panel:
-    """Simulate Y_t = sum_j alpha_j omega' Y_{t-j} + e_t through its indexes
-    f_t = omega'Y_t, the VAR f_t = sum_j omega'alpha_j f_{t-j} + omega'e_t,
-    lifted to Y_t = e_t + sum_j alpha_j f_{t-j}."""
-    return _simulate(_checked_form(params), params.sigma, T, burn, seed, shocks, dist)
+    """The last T of burn + T observations of params.state_form(), driven by
+    the shocks. MAI's Y_t = sum_j alpha_j omega'Y_{t-j} + e_t runs as its
+    index VAR f_t = sum_j omega'alpha_j f_{t-j} + omega'e_t, lifted to the
+    levels Y_t = e_t + sum_j alpha_j f_{t-j}; VHARI and DRVAR run their index
+    VARs likewise, IAAR its levels.
 
+    VHARI needs burn >= 22: its 5/22-day means read the zero pre-sample rows
+    and divide by the full 5 and 22 in the first 22 burn-in rows. The burn-in
+    forgets that start at the rate of the companion radius: on
+    random_vhari_params(5, 2) draws (radius 0.92 to 0.95), means over the
+    available rows only would change the output by at most 2.4e-11 after the
+    default burn of 500, 1.4e-2 at burn=100 and 0.39 at burn=22.
 
-def simulate_iaar(
-    params: IAARParams,
-    T: int,
-    burn: int = DEFAULT_BURN,
-    seed: int = 0,
-    shocks: np.ndarray | None = None,
-    dist: str = "gaussian",
-) -> Panel:
-    """Simulate the index-augmented autoregression (own-lag diagonals plus indexes)."""
-    return _simulate(_checked_form(params), params.sigma, T, burn, seed, shocks, dist)
-
-
-def simulate_vhari(
-    params: VHARIParams,
-    T: int,
-    burn: int = DEFAULT_BURN,
-    seed: int = 0,
-    shocks: np.ndarray | None = None,
-    dist: str = "gaussian",
-) -> Panel:
-    """Simulate the daily VHARI recursion through its index VAR(22).
-
-    The 5/22-day means read the zero pre-sample rows before t = 0, so in
-    the first 22 burn-in rows they divide sums that include zeros by the
-    full 5 and 22. The burn-in forgets that start at the rate of the
-    companion radius: on random_vhari_params(5, 2) draws (radius 0.92 to
-    0.95), means over the available rows only would change the output by
-    at most 2.4e-11 after the default burn of 500, 1.4e-2 at burn=100 and
-    0.39 at burn=22.
+    A CIAAR panel has exactly n - r unit roots and stationary beta'Y_t, and
+    is refused unless the I(1) conditions hold (nonsingular
+    alpha0_perp' PiBar beta_perp, a stable state companion). It runs on the
+    stationary (dY_t, beta'Y_t) and cumulates dY_t into the levels once;
+    iterating the levels VAR instead accumulates rounding along the unit roots.
     """
-    if burn < HAR_WINDOWS[-1]:
+    if isinstance(params, VHARIParams) and burn < HAR_WINDOWS[-1]:
         raise ValueError(f"VHARI simulation needs burn >= {HAR_WINDOWS[-1]} to fill the monthly window")
     return _simulate(_checked_form(params), params.sigma, T, burn, seed, shocks, dist)
 
 
-def simulate_drvar(
-    params: DRVARParams,
-    T: int,
-    burn: int = DEFAULT_BURN,
-    seed: int = 0,
-    shocks: np.ndarray | None = None,
-    dist: str = "gaussian",
-) -> Panel:
-    """Simulate Y_t = sum_j omega phi_j f_{t-j} + e_t with f_t = omega' Y_t."""
-    return _simulate(_checked_form(params), params.sigma, T, burn, seed, shocks, dist)
-
-
-def simulate_ciaar(
-    params: CIAARParams,
-    T: int,
-    burn: int = DEFAULT_BURN,
-    seed: int = 0,
-    shocks: np.ndarray | None = None,
-    dist: str = "gaussian",
-) -> Panel:
-    """Simulate an I(1) panel from the cointegrated index-augmented model.
-
-    The panel has exactly n - r unit roots and stationary beta' Y_t. Raises
-    when the parameters violate the I(1) conditions (singular
-    alpha0_perp' PiBar beta_perp, or an unstable state companion). The
-    recursion runs on the stationary state (dY_t, beta'Y_t), whose companion
-    those conditions make stable, and cumulates dY_t into the levels once;
-    iterating the levels VAR instead accumulates rounding along the unit
-    roots.
-    """
-    return _simulate(_checked_form(params), params.sigma, T, burn, seed, shocks, dist)
+simulate_mai = simulate_iaar = simulate_vhari = simulate_drvar = simulate_ciaar = simulate
 
 
 # ---------------------------------------------------------------------------

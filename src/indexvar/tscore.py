@@ -74,6 +74,15 @@ class Panel:
         return self.values.shape[1]
 
 
+def csv_line(cells) -> str:
+    """cells joined as one CSV line, without its line end, quoted where csv's
+    minimal quoting needs it (a comma, a quote, a CR or LF), so csv.reader
+    and read_panel_csv read back the same cells."""
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\r\n").writerow(cells)   # "\r\n": quote CR as well as LF
+    return out.getvalue()[:-2]
+
+
 def read_panel_csv(path) -> Panel:
     """Read a panel from CSV: first row header, columns = series, rows = time.
 

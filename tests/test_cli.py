@@ -456,6 +456,9 @@ class TestErrors:
         ("select", ("--q-min", 3, "--q-max", 2), "", "--q-min must be <= --q-max, got 3 > 2"),
         ("select", ("--p-max", 0), "", "--p-max must be >= 1, got 0"),
         ("select", (), "q_max = -1\n", "--q-max must be >= 1, got -1"),
+        ("simulate", (), "dist = cauchy\n", "unknown dist 'cauchy'"),
+        ("montecarlo", (), "dist = cauchy\n", "unknown dist 'cauchy'"),
+        ("fit", ("--model", "drvar"), "method = wls\n", "unknown method 'wls'"),
     ])
     def test_out_of_range_values_are_refused_before_any_output(
         self, command, flags, config, message, sim_dir, tmp_path, capsys
@@ -463,6 +466,7 @@ class TestErrors:
         # each is refused by RunConfig.validate, naming its flag, before the output directory
         # is made: no numpy message, no partial report
         base = {"forecast": ("--input", sim_dir / "panel.csv", "--model", "mai", "--p", 1),
+                "fit": ("--input", sim_dir / "panel.csv"),
                 "simulate": ("--model", "mai", "--n", 4, "--T", 100),
                 "montecarlo": ("--model", "mai", "--n", 4, "--T", 100, "--reps", 2),
                 "select": ("--input", sim_dir / "panel.csv")}[command]
@@ -586,6 +590,15 @@ class TestErrors:
         assert run_cli(*TestFitPipeline.MC_ARGS, "--config", cfg, "--out", tmp_path / "o") == 1
         assert "ridge.cfg:1: the ridge penalty was removed" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    def test_a_config_value_of_the_wrong_type_names_its_line_and_key(self, tmp_path, capsys):
+        cfg = tmp_path / "orders.cfg"
+        cfg.write_text("# orders\nmodel = mai\np = 1.5\n")
+        out = tmp_path / "o"
+        assert run_cli("simulate", "--config", cfg, "--out", out) == 1
+        message = f"{cfg}:3: p must be of type int, got '1.5'"
+        assert capsys.readouterr().err == f"indexvar: error: {message}\n"
+        assert not out.exists()
 
     def test_unknown_config_key(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
@@ -759,6 +772,29 @@ class TestReportFormatting:
         rows = np.column_stack(list(columns.values()))
         want = "\n".join(["step,v,w,x,y,z"] + self.per_cell(rows, ",")) + "\n"
         assert (tmp_path / "series.csv").read_text() == want
+
+    def test_headers_that_need_quoting_read_back_as_written(self, tmp_path):
+        from indexvar.cli import _write_series_csv, write_panel_csv
+        from indexvar.forecast import MsfeTable
+
+        def header(path):
+            with open(path, newline="") as fh:
+                rows = list(csv.reader(fh))
+            assert {len(row) for row in rows} == {len(rows[0])}
+            return rows[0]
+
+        names = ["a,b", "c", 'say "d"', "e\r\nf"]
+        values = self.VALUES[[0, 2], :4]
+        write_panel_csv(Panel(values, names), tmp_path / "panel.csv")
+        back = read_panel_csv(tmp_path / "panel.csv")
+        assert back.names == names
+        assert np.array_equal(back.values, values)
+        write_panel_csv(back, tmp_path / "again.csv")
+        assert (tmp_path / "again.csv").read_bytes() == (tmp_path / "panel.csv").read_bytes()
+        _write_series_csv(tmp_path / "forecast.csv", {"step": np.arange(1.0, 3.0), **dict(zip(names, values.T))})
+        assert header(tmp_path / "forecast.csv") == ["step", *names]
+        MsfeTable(values, np.array([5, 4]), names).to_csv(tmp_path / "msfe.csv")
+        assert header(tmp_path / "msfe.csv") == ["horizon", *names, "n_origins"]
 
     def test_series_report_memory_does_not_grow_with_its_rows(self, tmp_path):
         import tracemalloc

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from indexvar.estimators import (
     fit_mai,
     fit_vecim,
 )
+from indexvar.params import CIAARParams
 from indexvar.simulate import (
     random_ciaar_params,
     random_drvar_params,
@@ -281,6 +284,17 @@ class TestStructuralIrf:
         irf = structural_transitory_irf(fit, H=50)
         scale = irf.C[0, 0] / t_seq[0][0, 0]
         assert np.abs(irf.theta_seq - t_seq * scale).max() < 1e-10
+
+
+def test_a_zero_alpha0_is_named_by_the_splits():
+    # alpha0_bar = omega'alpha0 has no complement; the refusal names it, not omega
+    Y = simulate_ciaar(random_ciaar_params(6, 2, 1, 2, 2, seed=0), 300, seed=1)
+    fit = fit_ciaar(Y, 2, 2, 2, 1)
+    P = fit.params
+    bad = dataclasses.replace(fit, params=CIAARParams(P.ds, 0 * P.alpha0, P.gamma, P.omega, P.alphas, P.sigma))
+    for split in (lambda: perm_trans(bad), lambda: structural_transitory_irf(bad, 10)):
+        with pytest.raises(ValueError, match=r"^omega'alpha0 is not full rank$"):
+            split()
 
 
 class TestDrvarDecompose:

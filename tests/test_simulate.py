@@ -10,6 +10,7 @@ from indexvar.simulate import (
     random_iaar_params,
     random_mai_params,
     random_vhari_params,
+    simulate,
     simulate_ciaar,
     simulate_drvar,
     simulate_iaar,
@@ -106,6 +107,19 @@ class TestSimulateVhari:
         vp = random_vhari_params(4, 1, seed=4)
         with pytest.raises(ValueError, match="burn"):
             simulate_vhari(vp, 100, burn=10, seed=0)
+
+
+class TestOneSimulator:
+    def test_every_model_name_is_the_one_simulator(self):
+        assert simulate_mai is simulate_iaar is simulate_vhari is simulate_drvar is simulate_ciaar is simulate
+
+    def test_the_vhari_burn_rule_follows_the_params_class(self):
+        vp = random_vhari_params(4, 1, seed=4)
+        with pytest.raises(ValueError, match=r"^VHARI simulation needs burn >= 22 to fill the monthly window$"):
+            simulate_mai(vp, 100, burn=21, seed=0)
+        assert simulate(vp, 100, burn=22, seed=0).values.shape == (100, 4)
+        # the other classes need only burn >= 0
+        assert simulate_vhari(random_mai_params(4, 1, 1, seed=0), 100, burn=0, seed=0).values.shape == (100, 4)
 
 
 class TestSimulateDrvar:

@@ -10,7 +10,7 @@ iterations and stop; a grid's rows (log-likelihoods, bounds, criteria,
 stops and errors) and picks; or the type and message of the exception it
 raised. Floats print exactly, so equal text means equal bits.
 
-The battery (87 cases):
+The battery (91 cases):
 - c12 grids (CIAAR, HQ, n = 6, T = 1000), seeds 0-3, pruned and with
   prune=False, pruned under AIC and under BIC, seeds 0-1, and seed 0
   pruned at max_iter = 1 and at max_iter = 2;
@@ -51,7 +51,9 @@ The battery (87 cases):
 - each of the five simulators, 50 replications (seeds 0-49) from one params
   object interleaved with 50 from a second DGP of its class, each panel's
   values as a sha256 hash: MAI (n = 20, T = 2000, the mc-wide shape, with
-  an n = 6 MAI), IAAR, VHARI, DRVAR and CIAAR (n = 6, T = 1000).
+  an n = 6 MAI), IAAR, VHARI, DRVAR and CIAAR (n = 6, T = 1000);
+- the simulator's refusals: VHARI at burn = 21, an I(2) CIAAR, a
+  nonstationary MAI and shocks of the wrong shape.
 
 Prints each tree's wall time and every case whose text differs from the
 first tree's, with the first differing characters, the largest relative
@@ -117,7 +119,7 @@ def _grid(table) -> dict:
 def battery() -> dict:
     """Each case's name and a callable returning its plain result."""
     from indexvar import decomp, estimators as est, simulate as sim
-    from indexvar.params import MAIParams
+    from indexvar.params import CIAARParams, MAIParams
     from indexvar.select import grid_search
     from indexvar.tscore import Panel
 
@@ -254,6 +256,15 @@ def battery() -> dict:
         cases[f"simulate_{model} 50 replications interleaved"] = lambda m=model, d=dgps: [
             hashlib.sha256(getattr(sim, f"simulate_{m}")(P, T, seed=seed).values.tobytes()).hexdigest()
             for seed in range(50) for P, T in d]
+    # the simulator's refusals, each case's result its error text
+    cases["simulate_vhari burn=21"] = lambda: _plain(sim.simulate_vhari(vhari, 100, burn=21))
+    i2 = CIAARParams([np.array([0.0, 1.0])], [[-0.5], [0.0]], [[1.0]], [[1.0], [0.0]], [], np.eye(2))
+    cases["simulate_ciaar I(2)"] = lambda: _plain(sim.simulate_ciaar(i2, 100))
+    small = sim.random_mai_params(4, 1, 1, seed=3)
+    explosive = MAIParams(small.omega, [1.2 * small.omega], small.sigma)
+    cases["simulate_mai nonstationary"] = lambda: _plain(sim.simulate_mai(explosive, 100))
+    cases["simulate_mai misshapen shocks"] = lambda: _plain(sim.simulate_mai(
+        small, 100, burn=10, shocks=np.zeros((110, 3))))
     return cases
 
 
