@@ -13,7 +13,6 @@ identical configurations produce byte-identical report files.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import json
 import sys
@@ -26,7 +25,8 @@ import numpy as np
 from . import __version__, decomp, estimators, simulate as sim
 from .forecast import first_origin, forecast as forecast_path, rolling_evaluate
 from .select import CRITERIA, FAMILIES, grid_search
-from .tscore import HAR_WINDOWS, Panel, csv_line, read_panel_csv, subspace_distance
+from .tscore import (HAR_WINDOWS, Panel, cell, format_rows, read_panel_csv,
+                     subspace_distance, write_csv)
 
 __all__ = ["RunConfig", "run", "main"]
 
@@ -86,8 +86,11 @@ class RunConfig:
         if self.subcommand in ("fit", "decompose", "forecast"):
             if self.model not in estimators.MODELS:
                 raise ValueError(f"missing or unknown model {self.model!r}")
-        if self.subcommand == "decompose" and self.model == "vecm":   # decomp splits no VECM
-            raise ValueError(f"no common/uncommon split for model {self.model!r}")
+        # decomp splits by omega, which neither a VECM nor an IAAR at q = 0 has
+        if self.subcommand == "decompose" and (self.model == "vecm" or
+                                               (self.model, self.q) == ("iaar", 0)):
+            at = " at q = 0" if self.model == "iaar" else ""
+            raise ValueError(f"no common/uncommon split for model {self.model!r}{at}")
         if self.subcommand in ("simulate", "montecarlo"):   # the others leave orders to the fitter
             if self.model not in SIMULATED:
                 raise ValueError(f"cannot simulate model {self.model!r}")
@@ -104,41 +107,20 @@ class RunConfig:
         return estimators.FitOptions(max_iter=self.max_iter, tol=self.tol)
 
 
-def _fmt(x) -> str:
-    if isinstance(x, float):
-        return format(x, ".17g")
-    return str(x)
-
-
-def _format_rows(rows: list, sep: str) -> list:
-    """Rows of numbers as "%.17g" cells joined by sep, through one row template."""
-    template = sep.join(["%.17g"] * len(rows[0])) if rows else ""
-    return [template % tuple(row) for row in rows]
-
-
 REPORT_BLOCK = 256   # rows a CSV report formats at a time: bounds its text held in memory
-
-
-def _write_csv(path, header, blocks) -> None:
-    """The header line (tscore.csv_line), then each 2-D block's rows as
-    "%.17g" cells joined by commas; only one block's text exists at a time."""
-    with open(path, "w") as fh:
-        fh.write(csv_line(header) + "\n")
-        for block in blocks:
-            fh.write("\n".join(_format_rows(block.tolist(), ",")) + "\n")
 
 
 def write_panel_csv(panel: Panel, path) -> None:
     values = panel.values
-    _write_csv(path, panel.names,
-               (values[i:i + REPORT_BLOCK] for i in range(0, len(values), REPORT_BLOCK)))
+    write_csv(path, panel.names,
+              (values[i:i + REPORT_BLOCK] for i in range(0, len(values), REPORT_BLOCK)))
 
 
 def _write_manifest(cfg: RunConfig, path) -> None:
     lines = [f"# indexvar {__version__} manifest (feed back via --config to reproduce)"]
     lines.append(f"# numpy {np.__version__}")
     for f in sorted(fields(cfg), key=lambda f: f.name):
-        lines.append(f"{f.name} = {_fmt(getattr(cfg, f.name))}")
+        lines.append(f"{f.name} = {cell(getattr(cfg, f.name))}")
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -147,7 +129,7 @@ def _write_params_text(params, path, extra: dict | None = None) -> None:
     lines = [f"model_class = {type(params).__name__}"]
     if extra:
         for k, v in extra.items():
-            lines.append(f"{k} = {_fmt(v)}")
+            lines.append(f"{k} = {cell(v)}")
     lines.append(f"n_free_params = {params.n_free_params()}")
     for name, value in vars(params).items():
         if isinstance(value, list):
@@ -162,15 +144,14 @@ def _write_params_text(params, path, extra: dict | None = None) -> None:
 
 
 def _array_lines(arr: np.ndarray) -> list:
-    return ["  " + line for line in _format_rows(arr.tolist(), " ")]
+    return ["  " + line for line in format_rows(arr.tolist(), " ")]
 
 
-def _write_series_csv(path, columns: dict) -> None:
-    """The columns side by side under their names, stacked a block of rows at a time."""
-    arrays = list(columns.values())
-    T, = {len(a) for a in arrays}        # one length, as a whole column_stack would demand
-    _write_csv(path, columns, (np.column_stack([a[i:i + REPORT_BLOCK] for a in arrays])
-                               for i in range(0, T, REPORT_BLOCK)))
+def _write_series_csv(path, header: list, columns: list) -> None:
+    """The columns side by side under header, in order, stacked a block of rows at a time."""
+    T, = {len(a) for a in columns}       # one length, as a whole column_stack would demand
+    write_csv(path, header, (np.column_stack([a[i:i + REPORT_BLOCK] for a in columns])
+                             for i in range(0, T, REPORT_BLOCK)))
 
 
 # ---------------------------------------------------------------------------
@@ -253,14 +234,13 @@ def _cmd_fit(cfg: RunConfig, outdir, Y: Panel | None = None):
         },
     )
     trace = fit.loglik_trace                           # "%.17g" writes iteration 1.0 as 1
-    _write_series_csv(outdir / "loglik_trace.csv",
-                      {"iteration": np.arange(1.0, len(trace) + 1), "loglik": trace})
+    _write_series_csv(outdir / "loglik_trace.csv", ["iteration", "loglik"],
+                      [np.arange(1.0, len(trace) + 1), trace])
     return fit, Y
 
 
 def _cmd_decompose(cfg: RunConfig, outdir) -> None:
     fit, Y = _cmd_fit(cfg, outdir)
-    cols: dict = {}
     if cfg.model == "drvar":
         d = decomp.drvar_decompose(fit, Y)
         parts = {"dynamic": d.chi, "static": d.iota, "nu": d.extras["nu"]}
@@ -270,10 +250,9 @@ def _cmd_decompose(cfg: RunConfig, outdir) -> None:
     else:
         d = decomp.common_uncommon(fit, Y)
         parts = {"chi": d.chi, "iota": d.iota}
-    for label, block in parts.items():
-        for i, name in enumerate(Y.names):
-            cols[f"{label}_{name}"] = block[:, i]
-    _write_series_csv(outdir / "components.csv", cols)
+    _write_series_csv(outdir / "components.csv",
+                      [f"{label}_{name}" for label in parts for name in Y.names],
+                      [column for block in parts.values() for column in block.T])
 
 
 def _cmd_select(cfg: RunConfig, outdir) -> None:
@@ -295,10 +274,8 @@ def _cmd_forecast(cfg: RunConfig, outdir) -> None:
         first_origin(Y.T, cfg.horizon, cfg.origins)
     fit, _ = _cmd_fit(cfg, outdir, Y)
     path = forecast_path(fit, Y, cfg.horizon)
-    cols = {"step": np.arange(1, cfg.horizon + 1, dtype=float)}
-    for i, name in enumerate(Y.names):
-        cols[name] = path.values[:, i]
-    _write_series_csv(outdir / "forecast.csv", cols)
+    _write_series_csv(outdir / "forecast.csv", ["step", *Y.names],
+                      [np.arange(1.0, cfg.horizon + 1), *path.values.T])
     if cfg.origins > 0:
         start = None                                   # an engine model's windows start from fit
         if estimators.MODELS[cfg.model].setup:
@@ -317,33 +294,30 @@ MC_CHUNK = 50   # replications per lockstep fit: bounds the panels held at once
 
 
 def _mc_rows(cfg: RunConfig, params, children: list):
-    """The mc_results.csv cells, after rep, of each child seed's replication."""
-    panels = [_simulate_panel(cfg, params, child) for child in children]
-    try:
-        fits = iter(_fit_from_config(cfg, panels))
-    except (ValueError, np.linalg.LinAlgError) as exc:   # a setup error fails every panel alike
-        fits = iter([exc] * len(panels))
-    for _ in panels:
+    """The mc_results.csv row of each child seed's replication, MC_CHUNK panels at a time."""
+    for first in range(0, len(children), MC_CHUNK):
+        panels = [_simulate_panel(cfg, params, child) for child in children[first:first + MC_CHUNK]]
         try:
-            fit = next(fits)
-            if isinstance(fit, Exception):
-                raise fit
-            omega_hat = fit.params.omega              # nan below: IAAR's q = 0 has no index
-            dist = subspace_distance(omega_hat, params.omega) if omega_hat.size else float("nan")
-            yield _fmt(fit.loglik), fit.iterations, int(fit.converged), _fmt(dist), ""
-        except (ValueError, np.linalg.LinAlgError) as exc:   # a failed fit, not a bug
-            yield "nan", 0, 0, "nan", f"{type(exc).__name__}: {exc}"
+            fits = iter(_fit_from_config(cfg, panels))
+        except (ValueError, np.linalg.LinAlgError) as exc:   # a setup error fails every panel alike
+            fits = iter([exc] * len(panels))
+        for rep in range(first, first + len(panels)):
+            try:
+                fit = next(fits)
+                if isinstance(fit, Exception):
+                    raise fit
+                omega_hat = fit.params.omega          # nan below: IAAR's q = 0 has no index
+                dist = subspace_distance(omega_hat, params.omega) if omega_hat.size else float("nan")
+                yield rep, fit.loglik, fit.iterations, int(fit.converged), dist, ""
+            except (ValueError, np.linalg.LinAlgError) as exc:   # a failed fit, not a bug
+                yield rep, "nan", 0, 0, "nan", f"{type(exc).__name__}: {exc}"
 
 
 def _cmd_montecarlo(cfg: RunConfig, outdir) -> None:
-    params = _dgp_params(cfg)
     children = np.random.SeedSequence(cfg.seed).spawn(cfg.reps)
-    with open(outdir / "mc_results.csv", "w", newline="") as fh:
-        out = csv.writer(fh, lineterminator="\n")     # an error cell may hold commas
-        out.writerow("rep,loglik,iterations,converged,omega_subspace_distance,error".split(","))
-        for first in range(0, cfg.reps, MC_CHUNK):
-            rows = _mc_rows(cfg, params, children[first:first + MC_CHUNK])
-            out.writerows([rep, *row] for rep, row in enumerate(rows, first))
+    write_csv(outdir / "mc_results.csv",
+              "rep,loglik,iterations,converged,omega_subspace_distance,error".split(","),
+              _mc_rows(cfg, _dgp_params(cfg), children))
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .estimators import FitResult
-from .tscore import Panel, StateForm, csv_line
+from .tscore import Panel, StateForm, write_csv
 
 __all__ = ["ForecastPath", "MsfeTable", "forecast", "evaluate", "rolling_evaluate"]
 
@@ -45,12 +45,9 @@ class MsfeTable:
     names: list[str] = field(default_factory=list)
 
     def to_csv(self, path) -> None:
-        lines = [csv_line(["horizon", *self.names, "n_origins"])]
-        for k in range(self.msfe.shape[0]):
-            cells = ",".join(f"{v:.17g}" for v in self.msfe[k])
-            lines.append(f"{k + 1},{cells},{int(self.counts[k])}")
-        with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+        horizons = np.arange(1.0, len(self.msfe) + 1)
+        write_csv(path, ["horizon", *self.names, "n_origins"],
+                  [np.column_stack([horizons, self.msfe, self.counts])])
 
 
 def forecast(fit: FitResult, Y: Panel, h: int) -> ForecastPath:

@@ -31,7 +31,6 @@ its own criterion only; grid_search(prune=False) fits every candidate.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 from functools import partial
@@ -39,7 +38,7 @@ from functools import partial
 import numpy as np
 
 from .estimators import FitOptions, _fit_grid
-from .tscore import Panel
+from .tscore import Panel, write_csv
 
 __all__ = ["CRITERIA", "FAMILIES", "ICRow", "ICTable", "info_criterion", "grid_search"]
 
@@ -115,12 +114,11 @@ class ICTable:
 
     rows: list[ICRow]
     T_eff: int
-    best: dict = field(default_factory=dict)
     kind: str = "hq"
+    best: dict = field(init=False)
 
     def __post_init__(self):
-        if not self.best:
-            self.best = {self.kind: self._argmin(self.kind)}
+        self.best = {self.kind: self._argmin(self.kind)}
 
     def _argmin(self, kind: str) -> int:
         candidates = [
@@ -146,17 +144,12 @@ class ICTable:
             "model,p,s,q,r,loglik,n_params,loglik_bound,aic,bic,hq,sigma_cond,"
             "converged,failed,stop,error,best"
         )
-        with open(path, "w", newline="") as fh:
-            out = csv.writer(fh, lineterminator="\n")
-            out.writerow(header.split(","))
-            for i, row in enumerate(self.rows):
-                out.writerow([
-                    row.model, row.p, row.s, row.q, row.r, f"{row.loglik:.17g}", row.n_params,
-                    "" if math.isnan(row.loglik_bound) else f"{row.loglik_bound:.17g}",
-                    f"{row.aic:.17g}", f"{row.bic:.17g}", f"{row.hq:.17g}",
-                    "" if row.failed or row.stop == "pruned" else f"{row.sigma_cond:.17g}",
-                    int(row.converged), int(row.failed), row.stop, row.error, int(i == best),
-                ])
+        write_csv(path, header.split(","), ([
+            row.model, row.p, row.s, row.q, row.r, row.loglik, row.n_params,
+            "" if math.isnan(row.loglik_bound) else row.loglik_bound, row.aic, row.bic, row.hq,
+            "" if row.failed or row.stop == "pruned" else row.sigma_cond,
+            int(row.converged), int(row.failed), row.stop, row.error, int(i == best),
+        ] for i, row in enumerate(self.rows)))
 
 
 def _candidate_grid(model, p_range, q_range, n):

@@ -83,6 +83,29 @@ def csv_line(cells) -> str:
     return out.getvalue()[:-2]
 
 
+def cell(x) -> str:
+    """A report cell: a float as "%.17g", anything else as str()."""
+    return format(x, ".17g") if isinstance(x, float) else str(x)
+
+
+def format_rows(rows: list, sep: str) -> list:
+    """Rows of numbers as "%.17g" cells joined by sep, through one row template."""
+    template = sep.join(["%.17g"] * len(rows[0])) if rows else ""
+    return [template % tuple(row) for row in rows]
+
+
+def write_csv(path, header, rows) -> None:
+    """The header line (csv_line), then each of rows: a 2-D float array as a block of
+    rows (format_rows), so one block's text exists at a time, else one row's cells (cell)."""
+    with open(path, "w") as fh:
+        fh.write(csv_line(header) + "\n")
+        for item in rows:
+            if isinstance(item, np.ndarray):
+                fh.write("\n".join(format_rows(item.tolist(), ",")) + "\n")
+            else:
+                fh.write(csv_line(map(cell, item)) + "\n")
+
+
 def read_panel_csv(path) -> Panel:
     """Read a panel from CSV: first row header, columns = series, rows = time.
 

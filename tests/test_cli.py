@@ -97,6 +97,30 @@ class TestFitPipeline:
             written.append((out / "components.csv").read_bytes())
         assert written[0] == written[1]
 
+    def test_reports_keep_every_column_of_a_repeated_name(self, sim_dir, tmp_path):
+        # the sim_dir panel re-headed with a repeated name and a name "step":
+        # each report keeps every column under its name, in panel order, with
+        # the values the panel's own names y1..y5 get
+        Y = read_panel_csv(sim_dir / "panel.csv")
+        names = ["step", "a", "a", "b", "c"]
+        cli.write_panel_csv(Panel(Y.values, names), tmp_path / "named.csv")
+        reports = {}
+        for label, panel in (("named", tmp_path / "named.csv"), ("plain", sim_dir / "panel.csv")):
+            for command, report in (("forecast", "forecast.csv"), ("decompose", "components.csv")):
+                out = tmp_path / f"{label}-{command}"
+                assert run_cli(command, "--input", panel, "--model", "mai", "--p", 1, "--q", 1,
+                               "--horizon", 4, "--out", out) == 0
+                with open(out / report, newline="") as fh:
+                    reports[label, command] = list(csv.reader(fh))
+        labels = {"forecast": lambda ns: ["step", *ns],
+                  "decompose": lambda ns: [f"{part}_{n}" for part in ("chi", "iota") for n in ns]}
+        for command, header in labels.items():
+            named, plain = reports["named", command], reports["plain", command]
+            assert named[0] == header(names)
+            assert plain[0] == header(Y.names)
+            assert named[1:] == plain[1:]
+            assert {len(row) for row in named} == {len(named[0])}
+
     def test_forecast_and_rolling(self, sim_dir, tmp_path):
         out = tmp_path / "fc"
         assert run_cli(
@@ -504,6 +528,13 @@ class TestErrors:
         message = "no common/uncommon split for model 'vecm'"
         assert capsys.readouterr().err == f"indexvar: error: {message}\n"
         assert not out.exists()
+        # an IAAR at q = 0 has no omega either: refused before it is fitted
+        code = run_cli("decompose", "--input", sim_dir / "panel.csv", "--model", "iaar",
+                       "--p", 2, "--s", 2, "--q", 0, "--out", out)
+        assert code == 1
+        message = "no common/uncommon split for model 'iaar' at q = 0"
+        assert capsys.readouterr().err == f"indexvar: error: {message}\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["simulate", "montecarlo"])
     def test_models_that_cannot_be_simulated_are_refused(self, command, tmp_path, capsys):
@@ -736,12 +767,13 @@ class TestReportFormatting:
         return [sep.join(format(v, ".17g") for v in row) for row in rows]
 
     def test_rows_match_the_per_cell_format(self):
-        from indexvar.cli import _array_lines, _format_rows
+        from indexvar.cli import _array_lines
+        from indexvar.tscore import format_rows
 
-        assert _format_rows(self.VALUES.tolist(), ",") == self.per_cell(self.VALUES, ",")
+        assert format_rows(self.VALUES.tolist(), ",") == self.per_cell(self.VALUES, ",")
         assert _array_lines(self.VALUES) == ["  " + s for s in self.per_cell(self.VALUES, " ")]
         assert _array_lines(np.zeros((1, 0))) == ["  "]
-        assert _format_rows([], ",") == []
+        assert format_rows([], ",") == []
 
     def test_csv_writers_write_the_per_cell_bytes(self, tmp_path):
         from indexvar.cli import _write_series_csv, write_panel_csv
@@ -752,7 +784,7 @@ class TestReportFormatting:
         want = "\n".join(["a,b,c,d,e"] + self.per_cell(finite, ",")) + "\n"
         assert (tmp_path / "panel.csv").read_text() == want
         columns = {"step": np.arange(1.0, 4.0), "x": self.VALUES[:, 1], "y": self.VALUES[:, 3]}
-        _write_series_csv(tmp_path / "series.csv", columns)
+        _write_series_csv(tmp_path / "series.csv", list(columns), list(columns.values()))
         rows = np.column_stack(list(columns.values()))
         want = "\n".join(["step,x,y"] + self.per_cell(rows, ",")) + "\n"
         assert (tmp_path / "series.csv").read_text() == want
@@ -768,7 +800,7 @@ class TestReportFormatting:
         assert (tmp_path / "panel.csv").read_text() == want
         tiled = np.resize(self.VALUES, (T, 5))
         columns = {"step": np.arange(1.0, T + 1), **{k: tiled[:, j] for j, k in enumerate("vwxyz")}}
-        _write_series_csv(tmp_path / "series.csv", columns)
+        _write_series_csv(tmp_path / "series.csv", list(columns), list(columns.values()))
         rows = np.column_stack(list(columns.values()))
         want = "\n".join(["step,v,w,x,y,z"] + self.per_cell(rows, ",")) + "\n"
         assert (tmp_path / "series.csv").read_text() == want
@@ -791,7 +823,8 @@ class TestReportFormatting:
         assert np.array_equal(back.values, values)
         write_panel_csv(back, tmp_path / "again.csv")
         assert (tmp_path / "again.csv").read_bytes() == (tmp_path / "panel.csv").read_bytes()
-        _write_series_csv(tmp_path / "forecast.csv", {"step": np.arange(1.0, 3.0), **dict(zip(names, values.T))})
+        _write_series_csv(tmp_path / "forecast.csv", ["step", *names],
+                          [np.arange(1.0, 3.0), *values.T])
         assert header(tmp_path / "forecast.csv") == ["step", *names]
         MsfeTable(values, np.array([5, 4]), names).to_csv(tmp_path / "msfe.csv")
         assert header(tmp_path / "msfe.csv") == ["horizon", *names, "n_origins"]
@@ -806,7 +839,7 @@ class TestReportFormatting:
         path = tmp_path / "series.csv"
         tracemalloc.start()
         try:
-            _write_series_csv(path, columns)
+            _write_series_csv(path, list(columns), list(columns.values()))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

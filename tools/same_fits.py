@@ -10,7 +10,7 @@ iterations and stop; a grid's rows (log-likelihoods, bounds, criteria,
 stops and errors) and picks; or the type and message of the exception it
 raised. Floats print exactly, so equal text means equal bits.
 
-The battery (91 cases):
+The battery (93 cases):
 - c12 grids (CIAAR, HQ, n = 6, T = 1000), seeds 0-3, pruned and with
   prune=False, pruned under AIC and under BIC, seeds 0-1, and seed 0
   pruned at max_iter = 1 and at max_iter = 2;
@@ -53,7 +53,11 @@ The battery (91 cases):
   values as a sha256 hash: MAI (n = 20, T = 2000, the mc-wide shape, with
   an n = 6 MAI), IAAR, VHARI, DRVAR and CIAAR (n = 6, T = 1000);
 - the simulator's refusals: VHARI at burn = 21, an I(2) CIAAR, a
-  nonstationary MAI and shocks of the wrong shape.
+  nonstationary MAI and shocks of the wrong shape;
+- the text the library's report writers write: ICTable.to_csv of the IAAR
+  grid on the lagged copy above (failed rows with error cells), and
+  MsfeTable.to_csv of a rolling_evaluate of CIAAR (2, 2, 2, 1) refits over
+  10 origins at h = 4.
 
 Prints each tree's wall time and every case whose text differs from the
 first tree's, with the first differing characters, the largest relative
@@ -116,9 +120,18 @@ def _grid(table) -> dict:
     return _plain({"rows": table.rows, "best": table.best, "T_eff": table.T_eff, "kind": table.kind})
 
 
+def _written(write) -> str:
+    """The text that write(path) writes to a fresh file."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "report.csv")
+        write(path)
+        return path.read_text()
+
+
 def battery() -> dict:
     """Each case's name and a callable returning its plain result."""
     from indexvar import decomp, estimators as est, simulate as sim
+    from indexvar.forecast import rolling_evaluate
     from indexvar.params import CIAARParams, MAIParams
     from indexvar.select import grid_search
     from indexvar.tscore import Panel
@@ -229,6 +242,11 @@ def battery() -> dict:
     for prune in (True, False):
         cases[f"lagged copy ciaar grid prune={prune}"] = lambda p=prune: _grid(grid_search(
             Panel(copy), (1, 3), (1, 3), prune=p))
+    cases["lagged copy iaar grid to_csv"] = lambda: _written(grid_search(
+        Panel(copy), (1, 3), (1, 3), model="iaar").to_csv)
+    Yf = sim.simulate_ciaar(ciaar, 250, seed=7)
+    cases["rolling_evaluate ciaar (2, 2, 2, 1) to_csv"] = lambda: _written(rolling_evaluate(
+        Yf, lambda windows: est.fit_many("ciaar", windows, p=2, s=2, q=2, r=1), 4, 10)[0].to_csv)
     cases["lagged copy johansen_rrr p=2 r=1"] = lambda: _fit(est.johansen_rrr(Panel(copy), 2, 1))
     cases["MAIParams sigma ratio 1e-13"] = lambda: _plain(MAIParams(
         np.eye(3)[:, :1], [np.zeros((3, 1))], np.diag([1.0, 1.0, 1e-13])))
