@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .estimators import MODELS, FitResult
-from .forecast import _presample
+from .forecast import _check_width, _presample
 from .params import _check_full_rank
 from .tscore import STABLE_RADIUS, Panel, full_rank, orth_complement, var_recursion
 
@@ -173,6 +173,13 @@ def cc_projectors(sigma: np.ndarray, omega: np.ndarray):
     return p_common, p_uncommon
 
 
+def _check_fitted(fit: FitResult, Y: Panel) -> None:
+    """Refuse a panel that is not the fitted one by its width or its count of rows."""
+    _check_width(fit, Y)
+    if Y.T - fit.t_start != fit.T_eff:
+        raise ValueError(f"panel has {Y.T} rows, the fit needs {fit.t_start + fit.T_eff}")
+
+
 def _demeaned_targets(fit: FitResult, Y: Panel, integrated: bool) -> np.ndarray:
     """The (differenced, demeaned) series the residuals refer to."""
     if integrated:
@@ -191,8 +198,11 @@ def _components(fit: FitResult, Y: Panel | None, filters):
     the actual pre-target rows (demeaned levels for stationary fits,
     demeaned differences for error-correction fits), is the recursion's last
     column. The components are exact, so a reconstruction error above
-    RECON_TOL relative to the data means the residuals are not the fit's.
+    RECON_TOL relative to the data means the residuals are not the fit's. A
+    Y that is not the fitted panel is refused (_check_fitted).
     """
+    if Y is not None:
+        _check_fitted(fit, Y)
     drive = np.stack([eps @ W.T for W, eps in filters], axis=2)
     comps, levels = _fitted_recursion(fit, drive, Y)
     if Y is None:
@@ -343,6 +353,7 @@ def drvar_decompose(fit: FitResult, Y: Panel) -> Decomposition:
     """
     if fit.model != "drvar":
         raise ValueError(f"expected a DRVAR fit, got {fit.model!r}")
+    _check_fitted(fit, Y)
     omega = fit.params.omega
     operp = orth_complement(omega)
     Z = (Y.values - fit.means["level"])[fit.t_start:]

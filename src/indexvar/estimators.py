@@ -383,22 +383,22 @@ def _target_grams(g: _Grams, ds: np.ndarray):
     return UU, XU.reshape(B, -1, n, n)
 
 
-def _sa_engine(
-    grams: _Grams, q: int, r: int, starts: list, opts: FitOptions, shapes: list | None = None
-) -> list:
+def _sa_engine(q: int, shapes: list, grams: list, starts: list, opts: FitOptions, size=None) -> list:
     """Run the switching algorithm in lockstep on a batch of prepared fits.
 
-    Member i has the grams grams.M[i] and starts from
-    starts[i] = (gamma0, omega0, D0), float arrays of shapes (q, r_i),
-    (n, q) and nd_i rows of n, as _index_start and _checked_start give
-    them (gamma0 read only when 0 < r_i < q). The
+    Member i has the engine shape shapes[i] = (nd_i, na_i, r_i), its count
+    of diagonal and index lags and its rank; its grams of [Z | lags | ec_X]
+    grams[i] (_Setup.grams); and the start starts[i] = (gamma0, omega0, D0),
+    float arrays of shapes (q, r_i), (n, q) and nd_i rows of n, as
+    _index_start and _checked_start give them (gamma0 read only when
+    0 < r_i < q), or the exception solving it raised, which is its outcome.
+    The members with a start run as one batch of index count q, their grams
+    padded to size = (nd, na, r), by default their largest shape: the grams
+    of the lags a member lacks are identity blocks (_padded_grams). The
     diagonal channels feed the matrices D_j, the index channels the loadings
     alpha_j omega', and the EC channel (levels, present when r > 0) the
     error-correction term alpha0 gamma' omega'. gamma is fixed to I_q when
     r == q and estimated by the reduced-rank eigenstep when 0 < r < q.
-    shapes[i] = (nd_i, na_i, r_i), when given, is member i's own count of
-    diagonal and index lags and its rank, at most the batch's (nd, na, r);
-    its grams of the lags it lacks are identity blocks (_padded_grams).
 
     Returns each member's final state in order (its final parameters, and
     sigma, step 1's covariance at them), or the exception that ended its
@@ -407,18 +407,14 @@ def _sa_engine(
     "no_free_params" (nothing beyond the loadings to estimate, so one OLS
     step is the fit). Its sigma is judged once, after the run (_finished).
     """
-    n, nd, Te = grams.n, grams.nd, grams.Te
-    na = grams.Gcc.shape[-1] // n - (r > 0)
-    shapes = shapes or [(nd, na, r)] * len(starts)
-    finals = [None] * len(starts)
-    for m, (nd_m, na_m, r_m) in enumerate(shapes):
-        try:
-            _check_sample(Te, r_m + na_m * q + nd_m)
-        except ValueError as exc:
-            finals[m] = exc
-    members = [m for m, final in enumerate(finals) if final is None]  # member of each row
+    finals = list(starts)
+    members = [m for m, start in enumerate(starts) if not isinstance(start, Exception)]  # of each row
     if not members:
         return finals
+    size = size or tuple(map(max, zip(*(shapes[m] for m in members))))
+    nd, na, r = size
+    grams = _padded_grams([grams[m] for m in members], [shapes[m] for m in members], size)
+    n, Te = grams.n, grams.Te
     estimate_omega = q > 0 and (na > 0 or r > 0)
     ds = np.zeros((len(members), nd, n))
     gamma = np.zeros((len(members), q, r))
@@ -431,7 +427,7 @@ def _sa_engine(
         else:                                          # fixed: I_q when r_m = q
             gamma[row, :, :r_m] = np.eye(q)[:, :r_m]
     st = {                                             # batch state, one row per member
-        "grams": grams if len(members) == len(starts) else grams[members],
+        "grams": grams,
         "omega": np.stack([starts[m][1] for m in members]),
         "gamma": gamma,
         "ds": ds,
@@ -443,7 +439,6 @@ def _sa_engine(
         st["rank"] = np.array([shapes[m][2] for m in members])
     st["UU"], st["GU"] = _target_grams(st["grams"], ds)   # refreshed whenever D moves
     traces = [[] for _ in starts]
-    diagnostics = [{} for _ in starts]
 
     def loadings_step(st: dict) -> dict:
         # Step 1: OLS for (alpha0, alphas) and sigma given (gamma, omega, D)
@@ -518,7 +513,6 @@ def _sa_engine(
             else:
                 continue
             stopped.append(row)
-            diagnostics[m]["stop"] = stop
             finals[m] = {
                 "omega": st["omega"][row].copy(),
                 "gamma": st["gamma"][row, :, :r_m].copy(),
@@ -529,7 +523,7 @@ def _sa_engine(
                 "trace": np.asarray(trace),
                 "converged": stop != "max_iter",
                 "iterations": it,
-                "diagnostics": diagnostics[m],
+                "diagnostics": {"stop": stop},
             }
         if len(stopped) == len(members):
             break
@@ -710,30 +704,6 @@ def _solve_rrr_eig(S00, S01, S11):
 # ---------------------------------------------------------------------------
 
 
-def _engine_states(q: int, shapes: list, grams: list, starts: list, opts: FitOptions,
-                   size=None) -> list:
-    """Each member's final engine state, or the exception that ended its fit, in order.
-
-    Member i has the engine shape shapes[i] = (nd, na, r), its grams of
-    [Z | lags | ec_X] grams[i] (_Setup.grams) and the start starts[i] =
-    (gamma0, omega0, D0), or the exception solving it raised, which is its
-    outcome. The members whose starts hold run as one lockstep engine batch
-    of index count q, padded to size = (nd, na, r), by default their largest
-    (_padded_grams). The padded grams are handed to the engine alone, so
-    they are freed at the engine's first compaction.
-    """
-    outcomes = list(starts)
-    group = [i for i, start in enumerate(starts) if not isinstance(start, Exception)]
-    if group:
-        shapes = [shapes[i] for i in group]
-        size = size or tuple(map(max, zip(*shapes)))
-        states = _sa_engine(_padded_grams([grams[i] for i in group], shapes, size), q, size[2],
-                            [starts[i] for i in group], opts, shapes)
-        for i, state in zip(group, states):
-            outcomes[i] = state
-    return outcomes
-
-
 def _padded_grams(fulls: list, shapes: list, size: tuple) -> _Grams:
     """The engine grams of a group of size (nd, na, r). Member i's slot holds its grams of
     [Z | lags | ec_X] in the engine's block order: the target, its nd_i diagonal lags, ec_X (if
@@ -882,7 +852,7 @@ def fit_many(
             inits.append(_start_or_error(setup))
     (nd, _, r), q = last.shape, last.q
     starts = [start] * len(panels) if start is not None else _default_starts(inits, r, nd, q)
-    states = _engine_states(q, [last.shape] * len(panels), grams, starts, opts or FitOptions())
+    states = _sa_engine(q, [last.shape] * len(panels), grams, starts, opts or FitOptions())
     return map(_raised, _finished(states, last, sources, means))
 
 
@@ -1202,7 +1172,9 @@ def _setup_ciaar(Y: Panel, p: int, s: int, q: int, r: int, t_start: int | None =
 
     def start() -> _Grams:
         # Johansen's rows, whose grams are grams() unless t_start moves the engine's later
-        return _start_grams(*_ec_data(Y, len(lags), data)[:3], r, data[3])
+        full = _start_grams(*_ec_data(Y, len(lags), data)[:3], r, data[3])
+        _check_sample(len(Z), r + na * q_fit + nd)    # the engine's rows, fewer after a t_start
+        return full
 
     def params(out):
         omega, gamma = out["omega"], out["gamma"]
@@ -1222,6 +1194,7 @@ def _setup_ciaar(Y: Panel, p: int, s: int, q: int, r: int, t_start: int | None =
         return {"gamma": gamma, "alpha0": alpha0, "gamma_unnormalized": unnormalized}
 
     def warm(init):
+        _check_sample(len(Z), r + na * q_fit + nd)
         # the identified equivalent starts from the basis of beta0 = omega0 gamma0
         if q_fit == q:
             return init
@@ -1341,7 +1314,7 @@ def _fit_grid(
     panel. Candidates whose setups run the same engine fit (a CIAAR order with s = 1 and its
     identified equivalent, _setup_ciaar) are fit once and the others share its state. The distinct
     fits of each engine q form a group, and the groups run one after another in this process, in
-    ascending q, each through _engine_states padded to the largest lags and rank of all its fits;
+    ascending q, each through _sa_engine padded to the largest lags and rank of all its fits;
     its states are judged in one batch finish (_finished) as it returns, and none becomes a
     FitResult or a params container. Each fit's default start is solved alone, its regression kept
     on the start grams its lags share (_Grams.solved).
@@ -1399,7 +1372,7 @@ def _fit_grid(
         shapes = [setups[j].shape for j in run]
         starts = [_default_starts([_start_or_error(setups[j])], r, nd, q)[0]
                   for j, (nd, _, r) in zip(run, shapes)]
-        states = _engine_states(q, shapes, [setups[j].grams() for j in run], starts, opts, size)
+        states = _sa_engine(q, shapes, [setups[j].grams() for j in run], starts, opts, size)
         for j, state in zip(run, _finished(states)):
             for i in shares[j]:
                 outcomes[i] = state

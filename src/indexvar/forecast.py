@@ -65,6 +65,11 @@ def forecast(fit: FitResult, Y: Panel, h: int) -> ForecastPath:
     return ForecastPath(h, _continue([_presample(fit, Y, Y.T)], h)[0], Y.T - 1)
 
 
+def _check_width(fit: FitResult, Y: Panel) -> None:
+    if Y.n != fit.params.n:
+        raise ValueError(f"panel has {Y.n} series, the fit has {fit.params.n}")
+
+
 def _presample(fit: FitResult, Y: Panel, start: int, form=None):
     """The arguments of fit's continuation from the rows before `start`.
 
@@ -74,8 +79,10 @@ def _presample(fit: FitResult, Y: Panel, start: int, form=None):
     the level mean, and the level mean. A stationary form observes the
     demeaned levels (mean_y zero, level None). An integrated form observes
     the raw differences (mean_y the difference mean), whose oldest one K_p
-    alone reads: with no short-run lag it is padded with zero.
+    alone reads: with no short-run lag it is padded with zero. A panel of
+    another width than the fit's is refused (_check_width).
     """
+    _check_width(fit, Y)
     form = fit.params.state_form() if form is None else form
     n, values, p = Y.n, Y.values, len(form.K)
     mu_l = fit.means["level"]

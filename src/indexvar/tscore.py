@@ -110,7 +110,8 @@ def read_panel_csv(path) -> Panel:
     """Read a panel from CSV: first row header, columns = series, rows = time.
 
     Cells must be numbers float() reads, with no missing entries; parse
-    failures report the offending row and column. The header goes through
+    failures report the offending row and column. The file is UTF-8, and a
+    byte-order mark before the header is dropped. The header goes through
     csv.reader and the data rows, as ASCII bytes, through numpy's C reader.
     Wherever that reader might disagree with csv.reader and float() (a quoted
     header, a blank line, a non-ASCII data row, a cell it cannot parse, a row
@@ -118,7 +119,7 @@ def read_panel_csv(path) -> Panel:
     (_read_rows), which gives every error message.
     """
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             header, _, body = fh.read().partition("\n")
         # numpy's reader strips \x1c-\x1f as whitespace, float() does not
         if '"' not in header and body.strip() and body.isascii() \
@@ -135,7 +136,7 @@ def read_panel_csv(path) -> Panel:
 
 def _read_rows(path) -> Panel:
     """read_panel_csv by csv.reader and float(), one row at a time."""
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             names = next(reader)

@@ -19,6 +19,7 @@ from indexvar.estimators import (
     fit_mai,
     fit_vecim,
 )
+from indexvar.forecast import forecast, rolling_evaluate
 from indexvar.params import CIAARParams
 from indexvar.simulate import (
     random_ciaar_params,
@@ -30,7 +31,7 @@ from indexvar.simulate import (
     simulate_iaar,
     simulate_mai,
 )
-from indexvar.tscore import orth_complement
+from indexvar.tscore import Panel, orth_complement
 
 
 @pytest.fixture(scope="module")
@@ -329,3 +330,38 @@ class TestDrvarDecompose:
         fit = fit_drvar_coeffs(Y, om, 1)
         d = drvar_decompose(fit, Y)
         assert np.abs(d.extras["c_seq"][0] - (om + d.extras["rho"])).max() < 1e-12
+
+
+@pytest.fixture(scope="module")
+def fits_on_300_rows():
+    """MAI, CIAAR and DRVAR fits to n = 4 panels of 300 rows, by model, with their panels."""
+    mai = simulate_mai(random_mai_params(4, 2, 1, seed=0), 300, seed=1)
+    ciaar = simulate_ciaar(random_ciaar_params(4, 2, 1, 2, 2, seed=0), 300, seed=1)
+    drvar = simulate_drvar(random_drvar_params(4, 2, 1, seed=0), 300, seed=1)
+    return {
+        "mai": (mai, fit_mai(mai, 1, 2)),
+        "ciaar": (ciaar, fit_ciaar(ciaar, 2, 2, 2, 1)),
+        "drvar": (drvar, fit_drvar_coeffs(drvar, fit_drvar_omega(drvar, 2, 2)[0], 1)),
+    }
+
+
+@pytest.mark.parametrize("call, model, rows, width, message", [
+    (common_uncommon, "mai", 200, 4, "panel has 200 rows, the fit needs 300"),
+    (common_uncommon, "mai", 300, 6, "panel has 6 series, the fit has 4"),
+    (perm_trans, "ciaar", 200, 4, "panel has 200 rows, the fit needs 300"),
+    (perm_trans, "ciaar", 300, 6, "panel has 6 series, the fit has 4"),
+    (drvar_decompose, "drvar", 200, 4, "panel has 200 rows, the fit needs 300"),
+    (drvar_decompose, "drvar", 300, 6, "panel has 6 series, the fit has 4"),
+    (lambda fit, Y: forecast(fit, Y, 2), "mai", 300, 6, "panel has 6 series, the fit has 4"),
+    (lambda fit, Y: rolling_evaluate(Y, lambda windows: [fit] * len(windows), 2, 5), "mai", 300, 6,
+     "panel has 6 series, the fit has 4"),
+], ids=["common_uncommon-rows", "common_uncommon-width", "perm_trans-rows", "perm_trans-width",
+        "drvar_decompose-rows", "drvar_decompose-width", "forecast-width", "rolling_evaluate-width"])
+def test_a_panel_that_is_not_the_fitted_one_is_refused_by_name(
+        fits_on_300_rows, call, model, rows, width, message):
+    # the first rows, or the series with two more beside them: the refusal names the panel's
+    # rows or width and the fit's, where numpy's broadcast or dimension message stood
+    Y, fit = fits_on_300_rows[model]
+    values = np.hstack([Y.values, Y.values[:, :2] ** 2])[:rows, :width]
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call(fit, Panel(values))

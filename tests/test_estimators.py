@@ -649,11 +649,10 @@ class TestBatchAxis:
         inits = [None, None, None, (None, np.hstack([column, column]), [])]
         opts = FitOptions(max_iter=60)
         setups = [_setup_mai(Y, 2, 2) for Y in panels]
-        grams = _Grams.stack([_Grams.of(s.Z, s.diag_X, None, s.index_X) for s in setups])
         nd, _, r = setups[0].shape
         starts = _default_starts([s.start() for s in setups[:3]], r, nd, 2)
         starts.append(inits[3])
-        states = _sa_engine(grams, 2, 0, starts, opts)
+        states = _sa_engine(2, [setups[0].shape] * 4, [s.grams() for s in setups], starts, opts)
         failed = []
         finished = _finished(states, setups[0], [None] * 4, [setup.means for setup in setups])
         for Y, init, got in zip(panels, inits, finished):   # sigma judged as they finish
@@ -683,9 +682,9 @@ class TestBatchAxis:
         windows = [Panel(Y.values[i: i + 200]) for i in range(50)]
         starts, engine = [], estimators._sa_engine
 
-        def recorded(grams, q, r, inits, opts, shapes=None):
+        def recorded(q, shapes, grams, inits, opts, size=None):
             starts.extend(inits)
-            return engine(grams, q, r, inits, opts, shapes)
+            return engine(q, shapes, grams, inits, opts, size)
 
         monkeypatch.setattr(estimators, "_sa_engine", recorded)
         opts = FitOptions(max_iter=60)
@@ -841,9 +840,9 @@ class TestGramStarts:
     def _engine_starts(monkeypatch, run):
         starts, engine = [], estimators._sa_engine
 
-        def recorded(grams, q, r, inits, opts, shapes=None):
+        def recorded(q, shapes, grams, inits, opts, size=None):
             starts.extend(inits)
-            return engine(grams, q, r, inits, opts, shapes)
+            return engine(q, shapes, grams, inits, opts, size)
 
         monkeypatch.setattr(estimators, "_sa_engine", recorded)
         out = run()
@@ -970,10 +969,11 @@ class TestGramStarts:
             regressed.extend([(lags, r)] * len(grams.M))
             return johansen(grams, r)
 
-        def traced_engine(grams, q, r, starts, opts, shapes_=None):
-            engine_ids.extend(id(omega0) for _, omega0, _ in starts)
-            shapes.extend(shapes_)
-            return engine(grams, q, r, starts, opts, shapes_)
+        def traced_engine(q, shapes_, grams, starts, opts, size=None):
+            run = [i for i, start in enumerate(starts) if not isinstance(start, Exception)]
+            engine_ids.extend(id(starts[i][1]) for i in run)
+            shapes.extend(shapes_[i] for i in run)
+            return engine(q, shapes_, grams, starts, opts, size)
 
         monkeypatch.setattr(estimators, "_index_start", traced_index_start)
         monkeypatch.setattr(estimators, "_johansen", traced_johansen)
@@ -1061,8 +1061,7 @@ class TestMixedRankBatch:
         shapes = [(len(s.diag_X), len(s.index_X), s.r) for s in setups]
         nd, na, r = (max(col) for col in zip(*shapes))
         assert (nd, na, r) == (2, 2, 3)
-        grams = _padded_grams([setup.grams() for setup in setups], shapes, (nd, na, r))
-        states = _sa_engine(grams, 3, r, starts, opts, shapes)
+        states = _sa_engine(3, shapes, [setup.grams() for setup in setups], starts, opts)
         for orders, setup, start, state in zip(self.CANDIDATES, setups, starts, states):
             p, s, q, r_i = orders
             try:
@@ -1133,8 +1132,8 @@ class TestPaddedGroup:
 
         monkeypatch.setattr(estimators, "_each_member", recorded)
         starts = [estimators._default_starts([s.start()], s.r, s.shape[0], s.q)[0] for s in group]
-        states = estimators._engine_states(2, shapes, [s.grams() for s in group], starts,
-                                           FitOptions(max_iter=120))
+        states = estimators._sa_engine(2, shapes, [s.grams() for s in group], starts,
+                                       FitOptions(max_iter=120))
         assert all(isinstance(state, dict) for state in states)
         lacking = {                                    # a member's part of each output held at zero
             "alphas": lambda a, nd_i, na_i, r_i: a[na_i:],

@@ -62,10 +62,11 @@ def traced_grid_search(Y, p_range, q_range, model):
         regression_calls.append((grams.M.shape[1] // grams.n, r))
         return start_regression(grams, r)
 
-    def recorded(grams, q, r, starts, opts, shapes):
+    def recorded(q, shapes, grams, starts, opts, size):
         for start, (_, _, r_i) in zip(starts, shapes):
-            group_starts.setdefault((q, r_i), []).append(start)
-        return engine(grams, q, r, starts, opts, shapes)
+            if not isinstance(start, Exception):
+                group_starts.setdefault((q, r_i), []).append(start)
+        return engine(q, shapes, grams, starts, opts, size)
 
     def kept(*args, **kwargs):
         for outcome in fit_grid(*args, **kwargs):

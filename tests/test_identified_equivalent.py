@@ -83,8 +83,9 @@ def engine_members(monkeypatch) -> list:
     members, engine = [], estimators._sa_engine
     monkeypatch.setattr(
         estimators, "_sa_engine",
-        lambda grams, q, r, starts, opts, shapes: members.extend(shapes) or engine(
-            grams, q, r, starts, opts, shapes),
+        lambda q, shapes, grams, starts, opts, size: members.extend(
+            shape for shape, start in zip(shapes, starts) if not isinstance(start, Exception)
+        ) or engine(q, shapes, grams, starts, opts, size),
     )
     return members
 

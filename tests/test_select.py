@@ -418,9 +418,9 @@ class TestPruning:
         Y = simulate_mai(random_mai_params(6, 2, 1, seed=0), 20, seed=1)
         seen, engine = [], estimators._sa_engine
 
-        def recorded(grams, q, r, starts, opts, shapes=None):
+        def recorded(q, shapes, grams, starts, opts, size=None):
             seen.append((q, shapes))
-            return engine(grams, q, r, starts, opts, shapes)
+            return engine(q, shapes, grams, starts, opts, size)
 
         monkeypatch.setattr(estimators, "_sa_engine", recorded)
         for prune in (True, False):

@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
+from indexvar import tscore
 from indexvar.simulate import random_ciaar_params, random_mai_params
 from indexvar.tscore import (
     RANK_RTOL,
@@ -240,6 +241,23 @@ class TestPanelCsv:
             read_panel_csv(path)
         prefix = "" if message.startswith("panel") else f"{path}: "
         assert str(info.value) == prefix + message
+
+    @pytest.mark.parametrize("header, row_by_row", [("a,b", False), ('"a","b"', True)])
+    def test_a_byte_order_mark_is_not_read_into_the_names(self, tmp_path, monkeypatch, header,
+                                                          row_by_row):
+        # spreadsheets write UTF-8 with a leading byte-order mark; a quoted header takes the
+        # row-by-row reader, an unquoted one numpy's
+        read_rows, rows_read = tscore._read_rows, []
+        monkeypatch.setattr(tscore, "_read_rows", lambda path: rows_read.append(path) or read_rows(path))
+        panels = []
+        for mark in (b"", b"\xef\xbb\xbf"):
+            path = tmp_path / "p.csv"
+            path.write_bytes(mark + f"{header}\n1.5,2\n-0.25,1e-3\n".encode())
+            panels.append(read_panel_csv(path))
+        assert len(rows_read) == 2 * row_by_row
+        for panel in panels:
+            assert panel.names == ["a", "b"]
+            assert panel.values.tolist() == [[1.5, 2.0], [-0.25, 0.001]]
 
 
 class TestSubspace:

@@ -8,7 +8,7 @@ from indexvar.cli import RunConfig, _fit_from_config
 from indexvar.estimators import FitOptions, fit_ciaar, fit_mai, fit_many
 from indexvar.forecast import rolling_evaluate
 from indexvar.simulate import random_ciaar_params, random_mai_params, simulate_ciaar, simulate_mai
-from indexvar.tscore import Panel, read_panel_csv
+from indexvar.tscore import SIGMA_ERROR, Panel, read_panel_csv
 
 
 def _windows(Y, width, count):
@@ -100,6 +100,33 @@ def test_no_lag_windows_take_their_default_starts(model, orders):
     cold = fit_many(model, windows, **named)
     for fit, ref in zip(_fit_from_config(cfg, windows, start), cold):
         _assert_bit_equal(fit, ref)
+
+
+def test_a_start_on_too_few_rows_is_refused_when_fit_many_is_called():
+    # CIAAR (2, 2, 2, 1) has r + (s - 1) q + (p - 1) = 4 engine regressors: a start on 6 rows
+    # leaves 4 of them and is refused at the call, as a misshapen start is; on 7 rows the fits
+    # run, and each ends on the sigma guard in its turn
+    Y = simulate_ciaar(random_ciaar_params(6, 2, 1, 2, 2, seed=0), 300, seed=1)
+    init = (np.eye(2, 1), np.eye(6, 2), [np.zeros(6)])
+    short = Panel(Y.values[:6])
+    with pytest.raises(ValueError, match=r"^effective sample 4 too small for 4 regressors$"):
+        fit_many("ciaar", [short, short], init=init, p=2, s=2, q=2, r=1)
+    longer = Panel(Y.values[:7])
+    fits = fit_many("ciaar", [longer, longer], init=init, p=2, s=2, q=2, r=1)
+    for _ in range(2):
+        with pytest.raises(np.linalg.LinAlgError) as info:
+            next(fits)
+        assert str(info.value) == SIGMA_ERROR
+
+
+def test_a_default_start_on_too_few_rows_after_t_start_fails_its_fit():
+    # the default start is solved on Johansen's rows, which a late t_start leaves more of than
+    # the engine's: the same rule refuses each fit in its turn
+    Y = simulate_ciaar(random_ciaar_params(6, 2, 1, 2, 2, seed=0), 300, seed=1)
+    fits = fit_many("ciaar", [Y, Y], t_start=Y.T - 3, p=2, s=2, q=2, r=1)
+    for _ in range(2):
+        with pytest.raises(ValueError, match=r"^effective sample 3 too small for 4 regressors$"):
+            next(fits)
 
 
 @pytest.mark.parametrize("omega0, gamma0", [
