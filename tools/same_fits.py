@@ -5,12 +5,12 @@
 Each ``--tree`` is ``LABEL=SRC_DIR``. Every tree runs the whole battery in
 one fresh process with ``PYTHONPATH`` at ``SRC_DIR`` and ``--blas`` as in
 ``tools/mc_timing.py``. A case's result is everything it returns, as JSON:
-a fit's log-likelihood trace, parameters, sigma, diagnostics, residuals,
-iterations and stop; a grid's rows (log-likelihoods, bounds, criteria,
-stops and errors) and picks; or the type and message of the exception it
-raised. Floats print exactly, so equal text means equal bits.
+a fit's log-likelihood trace, parameters, sigma, diagnostics, iterations
+and stop; a decomposition's shocks, components, baseline and reconstruction
+error; a grid's rows (log-likelihoods, bounds, criteria, stops and errors)
+and picks; or the type and message of the exception it raised. Floats print exactly, so equal text means equal bits.
 
-The battery (93 cases):
+The battery (102 cases):
 - c12 grids (CIAAR, HQ, n = 6, T = 1000), seeds 0-3, pruned and with
   prune=False, pruned under AIC and under BIC, seeds 0-1, and seed 0
   pruned at max_iter = 1 and at max_iter = 2;
@@ -48,6 +48,10 @@ The battery (93 cases):
   by GLS; cc_projectors and
   structural_transitory_irf on a fitted CIAAR; and MAIParams built with a
   zero omega;
+- decompositions, whose shocks are formed from the fit's residuals:
+  common_uncommon of MAI (2, 2), VHARI (q = 2) and IAAR (2, 2, 1) fits,
+  perm_trans of CIAAR (2, 2, 2, 1), (2, 2, 2, 2) and (2, 1, 2, 1) and VECIM
+  (2, 2, 1) fits, and drvar_decompose of the OLS and GLS DRVAR fits;
 - each of the five simulators, 50 replications (seeds 0-49) from one params
   object interleaved with 50 from a second DGP of its class, each panel's
   values as a sha256 hash: MAI (n = 20, T = 2000, the mc-wide shape, with
@@ -69,6 +73,7 @@ picks are equal; then the machine. Exits 1 when a case differs.
 import argparse
 import dataclasses
 import hashlib
+import inspect
 import json
 import math
 import subprocess
@@ -101,7 +106,12 @@ def _plain(value):
 def _fit(fit) -> dict:
     return _plain({"model": fit.model, "trace": fit.loglik_trace, "iterations": fit.iterations,
                    "converged": fit.converged, "t_start": fit.t_start, "means": fit.means,
-                   "diagnostics": fit.diagnostics, "params": fit.params, "residuals": fit.residuals})
+                   "diagnostics": fit.diagnostics, "params": fit.params})
+
+
+def _decomposition(d) -> dict:
+    return _plain({key: getattr(d, key) for key in
+                   ("eps_chi", "eps_iota", "chi", "iota", "baseline", "recon_error")})
 
 
 def _each_fit(fits) -> list:
@@ -255,11 +265,27 @@ def battery() -> dict:
     for method in ("ols", "gls"):
         cases[f"fit_drvar_coeffs {method}"] = lambda m=method: _fit(
             est.fit_drvar_coeffs(Yr, est.fit_drvar_omega(Yr, 2, 2)[0], 2, m))
-    fitted = est.fit_ciaar(sim.simulate_ciaar(ciaar, 400, seed=0), 2, 2, 2, 1)
+        cases[f"drvar_decompose {method}"] = lambda m=method: _decomposition(decomp.drvar_decompose(
+            est.fit_drvar_coeffs(Yr, est.fit_drvar_omega(Yr, 2, 2)[0], 2, m), Yr))
+    Yc = sim.simulate_ciaar(ciaar, 400, seed=0)
+    fitted = est.fit_ciaar(Yc, 2, 2, 2, 1)
     cases["cc_projectors fitted ciaar"] = lambda: _plain(decomp.cc_projectors(
         fitted.params.sigma, fitted.params.omega))
+    # the panel is an argument where the shocks are formed from it
+    given = [Yc] if "Y" in inspect.signature(decomp.structural_transitory_irf).parameters else []
     cases["structural_transitory_irf fitted ciaar"] = lambda: _plain(
-        decomp.structural_transitory_irf(fitted, 20))
+        decomp.structural_transitory_irf(fitted, *given, H=20))
+    Y6 = sim.simulate_mai(sim.random_mai_params(6, 2, 2, seed=0), 400, seed=3)
+    splits = {                                          # name: (split, panel, fitter, orders)
+        "common_uncommon mai (2, 2)": (decomp.common_uncommon, Y6, est.fit_mai, (2, 2)),
+        "common_uncommon vhari q=2": (decomp.common_uncommon, Yd, est.fit_vhari, (2,)),
+        "common_uncommon iaar (2, 2, 1)": (decomp.common_uncommon, Yi, est.fit_iaar, (2, 2, 1)),
+        "perm_trans vecim (2, 2, 1)": (decomp.perm_trans, Y, est.fit_vecim, (2, 2, 1)),
+    }
+    for orders in ((2, 2, 2, 1), (2, 2, 2, 2), (2, 1, 2, 1)):
+        splits[f"perm_trans ciaar {orders}"] = (decomp.perm_trans, Y, est.fit_ciaar, orders)
+    for name, (split, panel, fitter, orders) in splits.items():
+        cases[name] = lambda s=split, Y=panel, f=fitter, o=orders: _decomposition(s(f(Y, *o), Y=Y))
     cases["MAIParams zero omega"] = lambda: _plain(MAIParams(
         np.zeros((3, 1)), [np.zeros((3, 1))], np.eye(3)))
     simulated = {   # model: (the first DGP and its T, the second and its T)
