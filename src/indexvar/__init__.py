@@ -47,6 +47,7 @@ from .decomp import (
     common_uncommon,
     drvar_decompose,
     perm_trans,
+    residuals,
     structural_transitory_irf,
     wold,
 )

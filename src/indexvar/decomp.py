@@ -11,7 +11,8 @@ are differences cumulated into levels. A fit is decomposed only when its
 state companion is stable. The orthogonality and reduced-rank properties
 hold by construction; the components plus the deterministic continuation of
 the fitted recursion (the initial-condition path) reconstruct the data to
-rounding, which is checked whenever the fitted panel is given.
+rounding, which every decomposition checks on the residuals it forms once
+from the fit and the fitted panel (residuals).
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .estimators import MODELS, FitResult
+from .estimators import MODELS, FitResult, _demeaned, _drvar_regression, _ec_data, _vecm_residuals
 from .forecast import _check_width, _presample
 from .params import _check_full_rank
 from .tscore import STABLE_RADIUS, Panel, full_rank, orth_complement, var_recursion
@@ -30,6 +31,7 @@ __all__ = [
     "Decomposition",
     "StructuralIRF",
     "wold",
+    "residuals",
     "cc_projectors",
     "common_uncommon",
     "perm_trans",
@@ -180,6 +182,40 @@ def _check_fitted(fit: FitResult, Y: Panel) -> None:
         raise ValueError(f"panel has {Y.T} rows, the fit needs {fit.t_start + fit.T_eff}")
 
 
+# an engine fit's orders, read back from its params, as its MODELS setup takes them
+_ORDERS = {
+    "mai": lambda P: {"p": len(P.alphas), "q": P.q},
+    "vhari": lambda P: {"q": P.q},
+    "iaar": lambda P: {"p": len(P.ds), "s": len(P.alphas), "q": P.q},
+    "ciaar": lambda P: {"p": len(P.ds) + 1, "s": len(P.alphas) + 1, "q": P.q, "r": P.r},
+    "vecim": lambda P: {"p": len(P.alphas) + 1, "q": P.q, "r": P.r},
+}
+
+
+def residuals(fit: FitResult, Y: Panel) -> np.ndarray:
+    """The fit's T_eff x n residuals on the fitted panel Y (_check_fitted refuses another): row i
+    is the demeaned target at panel row t_start + i, a difference for an error-correction fit, less
+    its fitted value at fit.params; an engine fit's setup is built again at its params' orders."""
+    _check_fitted(fit, Y)
+    P = fit.params
+    if fit.model == "vecm":
+        Z, lags, ec_X = _ec_data(Y, len(P.pis), _demeaned(Y, differences=True))[:3]
+        return _vecm_residuals(Z, lags, ec_X, *P.ec_form())
+    if fit.model == "drvar":
+        *_, residuals_at = _drvar_regression(Y.values - fit.means["level"], P.omega, P.p)
+        return residuals_at(np.hstack(P.phis))
+    setup = MODELS[fit.model].setup(Y, **_ORDERS[fit.model](P), t_start=fit.t_start)
+    resid = setup.Z.copy()
+    for d, X in zip(getattr(P, "ds", []), setup.diag_X):
+        resid -= X * d
+    if setup.r > 0:
+        resid -= (setup.ec_X @ (P.omega @ P.gamma)) @ P.alpha0.T
+    alphas = [P.alpha_d, P.alpha_w, P.alpha_m] if fit.model == "vhari" else P.alphas
+    for X, a in zip(setup.index_X, alphas):
+        resid -= (X @ P.omega) @ a.T
+    return resid
+
+
 def _demeaned_targets(fit: FitResult, Y: Panel, integrated: bool) -> np.ndarray:
     """The (differenced, demeaned) series the residuals refer to."""
     if integrated:
@@ -188,25 +224,20 @@ def _demeaned_targets(fit: FitResult, Y: Panel, integrated: bool) -> np.ndarray:
     return (Y.values - fit.means["level"])[fit.t_start:]
 
 
-def _components(fit: FitResult, Y: Panel | None, filters):
+def _components(fit: FitResult, Y: Panel, filters):
     """Psi(L) W eps_t for each (W, eps) of filters, all in one recursion.
 
     Returns the components on the last axis (differences for
     error-correction fits), their levels (None for stationary fits), the
-    baseline and the reconstruction error, both None / NaN without Y. The
-    baseline, the deterministic continuation of the fitted recursion from
-    the actual pre-target rows (demeaned levels for stationary fits,
-    demeaned differences for error-correction fits), is the recursion's last
-    column. The components are exact, so a reconstruction error above
-    RECON_TOL relative to the data means the residuals are not the fit's. A
-    Y that is not the fitted panel is refused (_check_fitted).
+    baseline and the reconstruction error. The baseline, the deterministic
+    continuation of the fitted recursion from the actual pre-target rows
+    (demeaned levels for stationary fits, demeaned differences for
+    error-correction fits), is the recursion's last column. The components
+    are exact, so a reconstruction error above RECON_TOL relative to the
+    data means the residuals are not the fit's.
     """
-    if Y is not None:
-        _check_fitted(fit, Y)
     drive = np.stack([eps @ W.T for W, eps in filters], axis=2)
     comps, levels = _fitted_recursion(fit, drive, Y)
-    if Y is None:
-        return comps, levels, None, np.nan
     k = len(filters)
     base = comps[..., k] - fit.means.get("diff", 0.0)
     comps, levels = comps[..., :k], None if levels is None else levels[..., :k]
@@ -220,12 +251,12 @@ def _components(fit: FitResult, Y: Panel | None, filters):
     return comps, levels, base, err
 
 
-def _uncommon(fit: FitResult, omega: np.ndarray):
-    """Uncommon shocks omega_perp' Sigma^-1 e_t and their loading W_iota."""
+def _uncommon(fit: FitResult, omega: np.ndarray, resid: np.ndarray):
+    """Uncommon shocks omega_perp' Sigma^-1 e_t of the residuals e_t and their loading W_iota."""
     sigma = fit.params.sigma
     operp = orth_complement(omega)
     sig_inv_perp = np.linalg.solve(sigma, operp)
-    return fit.residuals @ sig_inv_perp, operp @ np.linalg.inv(operp.T @ sig_inv_perp)
+    return resid @ sig_inv_perp, operp @ np.linalg.inv(operp.T @ sig_inv_perp)
 
 
 def common_uncommon(fit: FitResult, Y: Panel) -> Decomposition:
@@ -239,8 +270,9 @@ def common_uncommon(fit: FitResult, Y: Panel) -> Decomposition:
     if fit.model not in MODELS or MODELS[fit.model].setup is None:   # not a switching-engine fit
         raise ValueError(f"no common/uncommon split for model {fit.model!r}")
     omega = _fitted_omega(fit)
-    eps_chi = fit.residuals @ omega
-    eps_iota, w_iota = _uncommon(fit, omega)
+    resid = residuals(fit, Y)
+    eps_chi = resid @ omega
+    eps_iota, w_iota = _uncommon(fit, omega, resid)
     sig_omega = fit.params.sigma @ omega
     w_chi = sig_omega @ np.linalg.inv(omega.T @ sig_omega)
     comps, levels, base, err = _components(fit, Y, [(w_chi, eps_chi), (w_iota, eps_iota)])
@@ -254,9 +286,10 @@ def common_uncommon(fit: FitResult, Y: Panel) -> Decomposition:
     )
 
 
-def _perm_trans_weights(fit: FitResult):
+def _perm_trans_weights(fit: FitResult, resid: np.ndarray):
     """Index-space pieces: omega, Sigma omega, alpha0_bar, Sigma_bar,
-    alpha0_bar_perp, Cov(eps_tau), W_tau, and the shocks eps_chi and eps_tau."""
+    alpha0_bar_perp, Cov(eps_tau), W_tau, and the shocks eps_chi and eps_tau
+    of the residuals."""
     omega = _fitted_omega(fit)
     sigma = fit.params.sigma
     a0_bar = omega.T @ fit.params.alpha0            # q x r
@@ -268,24 +301,25 @@ def _perm_trans_weights(fit: FitResult):
     sig_omega = sigma @ omega
     # Delta tau_t = Psi(L) Sigma omega Sigma_bar^-1 a0_bar (a0_bar' Sigma_bar^-1 a0_bar)^-1 eps_tau
     w_tau = sig_omega @ sb_inv_a0 @ np.linalg.inv(cov_tau)
-    eps_chi = fit.residuals @ omega
+    eps_chi = resid @ omega
     return omega, sig_omega, a0_bar, sig_bar, a0_perp, cov_tau, w_tau, eps_chi, eps_chi @ sb_inv_a0
 
 
-def perm_trans(fit: FitResult, Y: Panel | None = None) -> Decomposition:
+def perm_trans(fit: FitResult, Y: Panel) -> Decomposition:
     """Permanent/transitory/uncommon split for error-correction index fits.
 
     eps_pi = alpha0_bar_perp' eps_chi drives the common permanent component
     and eps_tau = alpha0_bar' Sigma_bar^-1 eps_chi the common transitory
     one; r = 0 or r = q leave the respective component identically zero
-    with a degenerate flag. Passing the fitted panel adds the baseline and
-    the reconstruction check.
+    with a degenerate flag.
     """
     if fit.model not in ("ciaar", "vecim"):
         raise ValueError(f"permanent/transitory split needs a CIAAR/VECIM fit, got {fit.model!r}")
-    omega, sig_omega, a0_bar, sig_bar, a0_perp, _, w_tau, eps_chi, eps_tau = _perm_trans_weights(fit)
+    resid = residuals(fit, Y)
+    omega, sig_omega, a0_bar, sig_bar, a0_perp, _, w_tau, eps_chi, eps_tau = (
+        _perm_trans_weights(fit, resid))
     q, r = omega.shape[1], a0_bar.shape[1]
-    eps_iota, w_iota = _uncommon(fit, omega)
+    eps_iota, w_iota = _uncommon(fit, omega, resid)
     eps_pi = eps_chi @ a0_perp
     # Delta pi_t = Psi(L) Sigma omega a0_perp (a0_perp' Sigma_bar a0_perp)^-1 eps_pi
     w_pi = sig_omega @ a0_perp @ np.linalg.inv(a0_perp.T @ sig_bar @ a0_perp)
@@ -314,17 +348,18 @@ def perm_trans(fit: FitResult, Y: Panel | None = None) -> Decomposition:
     )
 
 
-def structural_transitory_irf(fit: FitResult, H: int = 200) -> StructuralIRF:
+def structural_transitory_irf(fit: FitResult, Y: Panel, H: int = 200) -> StructuralIRF:
     """Cholesky-identified responses to the common transitory shocks.
 
     With D the first r rows of the transitory filter at lag zero and C the
     lower Cholesky factor of D Cov(eps_tau) D', the shocks u_t = C^-1 D
-    eps_tau_t have identity covariance and the first r rows of the impact
-    response equal C (lower triangular, positive diagonal).
+    eps_tau_t, formed from the residuals on the fitted panel Y, have
+    identity covariance and the first r rows of the impact response equal
+    C (lower triangular, positive diagonal).
     """
     if fit.model not in ("ciaar", "vecim"):
         raise ValueError(f"structural transitory shocks need a CIAAR/VECIM fit, got {fit.model!r}")
-    *_, cov_tau, w_tau, _, eps_tau = _perm_trans_weights(fit)
+    *_, cov_tau, w_tau, _, eps_tau = _perm_trans_weights(fit, residuals(fit, Y))
     r = len(cov_tau)
     if r < 1:
         raise ValueError("structural transitory shocks need r >= 1")
@@ -353,14 +388,13 @@ def drvar_decompose(fit: FitResult, Y: Panel) -> Decomposition:
     """
     if fit.model != "drvar":
         raise ValueError(f"expected a DRVAR fit, got {fit.model!r}")
-    _check_fitted(fit, Y)
+    eps_chi = residuals(fit, Y) @ fit.params.omega
     omega = fit.params.omega
     operp = orth_complement(omega)
     Z = (Y.values - fit.means["level"])[fit.t_start:]
     f = Z @ omega
     dynamic = f @ omega.T
     static = Z @ operp @ operp.T
-    eps_chi = fit.residuals @ omega
     rho_t, *_ = np.linalg.lstsq(eps_chi, static, rcond=None)
     nu = static - eps_chi @ rho_t
     phis, q = fit.params.phis, omega.shape[1]

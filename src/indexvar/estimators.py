@@ -86,43 +86,19 @@ class FitOptions:
 
 
 @dataclass
-class _Deferred:
-    """Residuals not formed yet: form() returns the T_eff x n array."""
-
-    form: Callable
-    T_eff: int
-
-
-class _Residuals:
-    """FitResult.residuals: the array given, or a _Deferred's, formed on first read."""
-
-    def __get__(self, fit, owner=None):
-        if fit is None:
-            raise AttributeError("residuals")       # no class default: a required field
-        if isinstance(fit._residuals, _Deferred):
-            fit._residuals = fit._residuals.form()
-        return fit._residuals
-
-    def __set__(self, fit, value):
-        fit._residuals = value
-
-
-@dataclass
 class FitResult:
     """Estimation output common to all model classes.
 
-    t_start is the row index (in the input panel) of the first regression
-    target, so residual row i corresponds to panel row t_start + i. means
+    t_start is the row index (in the input panel) of the first of the T_eff
+    regression targets, the rows decomp.residuals forms residuals at. means
     holds the offsets subtracted before fitting ("level", and "diff" for
     error-correction fits). loglik == gaussian_loglik(params.sigma, T_eff).
-    An engine fit's residuals are formed when first read (_finished); T_eff
-    and n_params leave them unformed, and a pickle holds them formed.
     """
 
     model: str
     params: object
     loglik_trace: np.ndarray
-    residuals: np.ndarray = _Residuals()
+    T_eff: int
     converged: bool
     iterations: int
     t_start: int
@@ -134,17 +110,8 @@ class FitResult:
         return float(self.loglik_trace[-1])
 
     @property
-    def T_eff(self) -> int:
-        held = self._residuals
-        return held.T_eff if isinstance(held, _Deferred) else held.shape[0]
-
-    @property
     def n_params(self) -> int:
         return self.params.n_free_params()
-
-    def __getstate__(self) -> dict:
-        self.residuals                                 # form them: a _Deferred does not pickle
-        return self.__dict__
 
 
 # ---------------------------------------------------------------------------
@@ -300,10 +267,6 @@ class _Setup:
     def shape(self) -> tuple:
         """(nd, na, r): the engine's diagonal and index lag counts and rank."""
         return len(self.diag_X), len(self.index_X), self.r
-
-    @property
-    def T_eff(self) -> int:
-        return self.Z.shape[0]
 
 
 @dataclass
@@ -727,14 +690,14 @@ def _padded_grams(fulls: list, shapes: list, size: tuple) -> _Grams:
     return _Grams(M, n, nd, fulls[0].Te)
 
 
-def _finished(states: list, setup: _Setup | None = None, sources=(), means=()) -> list:
+def _finished(states: list, setup: _Setup | None = None, means=()) -> list:
     """One engine run's outcomes finished as one batch, in order: each state's sigma takes the
     guard (sigma_cond), its ratio kept in diagnostics. With fit_many's setup, common to the
     batch, member i also takes its params' checks the engine does not prove (omega's rank if no
-    step 2 ran, as one leaves QR's Q, and setup.checks), and becomes a FitResult with means[i],
-    params built once (from_checked) and residuals formed from sources[i]() if read. Each check
-    is one stacked call, rerun member by member when it raises (_each_member), so a member that
-    fails keeps its single fit's exception and the others finish."""
+    step 2 ran, as one leaves QR's Q, and setup.checks), and becomes a FitResult with means[i]
+    and params built once (from_checked). Each check is one stacked call, rerun member by member
+    when it raises (_each_member), so a member that fails keeps its single fit's exception and
+    the others finish."""
 
     def checks(st):
         out = {"sigma_cond": sigma_cond(st["sigma"])}
@@ -757,7 +720,7 @@ def _finished(states: list, setup: _Setup | None = None, sources=(), means=()) -
         if setup is not None:
             outcomes[i] = FitResult(
                 setup.model, setup.params({**state, **{k: v[row] for k, v in out.items()}}),
-                state["trace"], _Deferred(partial(_residuals, sources[i], state), setup.T_eff),
+                state["trace"], len(setup.Z),
                 state["converged"], state["iterations"], setup.first, means[i], state["diagnostics"])
     return outcomes
 
@@ -766,19 +729,6 @@ def _raised(outcome):
     if isinstance(outcome, Exception):
         raise outcome
     return outcome
-
-
-def _residuals(source: Callable, state: dict) -> np.ndarray:
-    """A member's residuals at its engine state, by one dense pass over the data of source()."""
-    setup = source()
-    omega, resid = state["omega"], setup.Z.copy()
-    for d, X in zip(state["ds"], setup.diag_X):
-        resid -= X * d
-    if setup.r > 0:
-        resid -= (setup.ec_X @ (omega @ state["gamma"])) @ state["alpha0"].T
-    for X, a in zip(setup.index_X, state["alphas"]):
-        resid -= (X @ omega) @ a.T
-    return resid
 
 
 def _checked_start(init: tuple, n: int, nd: int, q: int, r: int) -> tuple:
@@ -824,10 +774,9 @@ def fit_many(
     is its maximum, so init is neither checked nor used. Each fit keeps its own trace and stop
     reason. The last panel's setup is built first, so an invalid order or init raises here.
     Returns an iterator over the FitResults in panel order; the switching and the batch finish
-    (_finished) run before this returns, and a fit's residuals are formed only if read, from its
-    panel's setup built again (the last panel's is held). A panel whose fit fails does not stop
-    the others: the iterator raises that fit's exception in its turn and goes on. The diagonal
-    IAAR (q = 0) runs the engine too. Raises ValueError when the panels differ in length or width.
+    (_finished) run before this returns. A panel whose fit fails does not stop the others: the
+    iterator raises that fit's exception in its turn and goes on. The diagonal IAAR (q = 0) runs
+    the engine too. Raises ValueError when the panels differ in length or width.
     """
     panels = list(panels)
     build = MODELS[model].setup if model in MODELS else None
@@ -842,10 +791,9 @@ def fit_many(
     start = None
     if init is not None and last.warm is not None:
         start = last.warm(_checked_start(init, panels[0].n, last.shape[0], orders["q"], last.r))
-    sources = [partial(make_setup, Y) for Y in panels[:-1]] + [lambda: last]
     means, grams, inits = [], [], []
-    for source in sources:                             # each setup goes as the next is built
-        setup = source()
+    for i, Y in enumerate(panels):                     # each setup goes as the next is built
+        setup = last if i == len(panels) - 1 else make_setup(Y)
         means.append(setup.means)
         grams.append(setup.grams())
         if start is None:
@@ -853,7 +801,7 @@ def fit_many(
     (nd, _, r), q = last.shape, last.q
     starts = [start] * len(panels) if start is not None else _default_starts(inits, r, nd, q)
     states = _sa_engine(q, [last.shape] * len(panels), grams, starts, opts or FitOptions())
-    return map(_raised, _finished(states, last, sources, means))
+    return map(_raised, _finished(states, last, means))
 
 
 # ---------------------------------------------------------------------------
@@ -1059,10 +1007,10 @@ def johansen_rrr(Y: Panel, p: int, r: int) -> FitResult:
     the grams of [dY_t | lagged differences | Y_{t-1}], beta the
     eigenvectors of the r largest canonical correlations, and the other
     coefficients solve the normal equations given beta; one pass over the
-    data forms the residuals. The lag design takes check_rank's test
-    (SingularDesignError) and sigma, before any params are built, the guard
-    once (sigma_cond, whose ratio diagnostics["sigma_cond"] holds);
-    diagnostics["eigenvalues"] holds the eigenvalues.
+    data forms the residuals (_vecm_residuals). The lag design takes
+    check_rank's test (SingularDesignError) and sigma, before any params are
+    built, the guard once (sigma_cond, whose ratio diagnostics["sigma_cond"]
+    holds); diagnostics["eigenvalues"] holds the eigenvalues.
     """
     if p < 1:
         raise ValueError("need p >= 1")
@@ -1070,14 +1018,19 @@ def johansen_rrr(Y: Panel, p: int, r: int) -> FitResult:
     Z, lags, ec_X, first, means = _ec_data(Y, p - 1, data)
     jo = _johansen(_start_grams(Z, lags, ec_X, r), r)
     alpha0, beta, pis = jo["alpha0"][0], jo["beta"][0], list(jo["pis"][0])
-    resid = Z - (ec_X @ beta) @ alpha0.T - sum(X @ pi.T for X, pi in zip(lags, pis))
+    resid = _vecm_residuals(Z, lags, ec_X, alpha0, beta, pis)
     sigma = resid.T @ resid / Z.shape[0]
     diagnostics = {"eigenvalues": jo["vals"][0], "sigma_cond": sigma_cond(sigma)}
     ll = cholesky_loglik(pd_factor(sigma, SIGMA_ERROR), Z.shape[0])
     return FitResult(
-        "vecm", VECMParams(alpha0, beta, pis, sigma), np.asarray([ll]), resid, True, 1, first,
-        means=means, diagnostics=diagnostics,
+        "vecm", VECMParams(alpha0, beta, pis, sigma), np.asarray([ll]), Z.shape[0], True, 1,
+        first, means=means, diagnostics=diagnostics,
     )
+
+
+def _vecm_residuals(Z, lags, ec_X, alpha0, beta, pis) -> np.ndarray:
+    """dY_t - alpha0 beta'Y_{t-1} - sum_j Pi_j dY_{t-j} on _ec_data's Z, lags and ec_X."""
+    return Z - (ec_X @ beta) @ alpha0.T - sum(X @ pi.T for X, pi in zip(lags, pis))
 
 
 # ---------------------------------------------------------------------------
@@ -1469,10 +1422,7 @@ def fit_drvar_coeffs(
     if p < 1:
         raise ValueError("need p >= 1")
     values, mu = _demean(Y.values)
-    first = p
-    Z = values[first:]
-    f = values @ omega
-    Xf = np.hstack([f[first - j: Y.T - j] for j in range(1, p + 1)])
+    Z, Xf, residuals_at = _drvar_regression(values, omega, p)
     Te = Z.shape[0]
     _check_sample(Te, p * q)
 
@@ -1483,12 +1433,21 @@ def fit_drvar_coeffs(
         if gls:
             W = np.linalg.inv(sigma)                   # the OLS pass's, just guarded
         phi_all = np.linalg.solve(omega.T @ W @ omega, omega.T @ W @ Bt)   # [phi_1 .. phi_p]
-        resid = Z - Xf @ (omega @ phi_all).T
+        resid = residuals_at(phi_all)
         sigma = resid.T @ resid / Te
         diagnostics = {"sigma_cond": sigma_cond(sigma)}
     ll = cholesky_loglik(pd_factor(sigma, SIGMA_ERROR), Te)   # sigma just passed the guard
     params = DRVARParams(omega, [phi_all[:, j * q: (j + 1) * q] for j in range(p)], sigma)
     return FitResult(
-        "drvar", params, np.asarray([ll]), resid, True, 1, first,
+        "drvar", params, np.asarray([ll]), Te, True, 1, p,
         means={"level": mu}, diagnostics=diagnostics,
     )
+
+
+def _drvar_regression(values: np.ndarray, omega: np.ndarray, p: int):
+    """A DRVAR(p) on demeaned values: its targets Z, from row p, the lags Xf = [f_{t-1} .. f_{t-p}]
+    of its indexes f = values omega, and its residuals as a function of [phi_1 .. phi_p]."""
+    f = values @ omega
+    Z = values[p:]
+    Xf = np.hstack([f[p - j: len(values) - j] for j in range(1, p + 1)])
+    return Z, Xf, lambda phi_all: Z - Xf @ (omega @ phi_all).T

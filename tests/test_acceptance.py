@@ -292,8 +292,8 @@ def test_c10_permanent_transitory_structure(vecim_reference):
 
 
 def test_c11_structural_transitory_shocks(vecim_reference):
-    _, _, fit = vecim_reference
-    irf = structural_transitory_irf(fit, H=100)
+    _, Y, fit = vecim_reference
+    irf = structural_transitory_irf(fit, Y, H=100)
     r = fit.params.r
     head = irf.theta_seq[0][:r, :]
     assert np.abs(np.triu(head, 1)).max() < 1e-14

@@ -8,6 +8,7 @@ from indexvar.decomp import (
     common_uncommon,
     drvar_decompose,
     perm_trans,
+    residuals,
     structural_transitory_irf,
     wold,
 )
@@ -55,6 +56,7 @@ class TestWold:
         fit = fit_mai(Y, 1, 2)
         A = fit.params.var_coeffs()[0]
         w = wold(fit, 5)
+        assert w.H == 5
         acc = np.eye(4)
         for j in range(6):
             assert np.abs(w.psis[j] - acc).max() < 1e-12
@@ -166,7 +168,7 @@ class TestCommonUncommon:
         rotated = FitResult(
             "mai",
             MAIParams(fit.params.omega @ Q, [a @ Q for a in fit.params.alphas], fit.params.sigma),
-            fit.loglik_trace, fit.residuals, fit.converged, fit.iterations,
+            fit.loglik_trace, fit.T_eff, fit.converged, fit.iterations,
             fit.t_start, fit.means,
         )
         a = common_uncommon(fit, Y)
@@ -222,17 +224,13 @@ class TestPermTrans:
         assert np.abs(direct - closed).max() < 1e-10
 
     def test_without_the_panel(self, vecim_fit):
-        # the components need only the fit; the panel adds the baseline and the check
+        # the shocks are formed from the fitted panel's residuals, so the splits need the panel
         _, Y, fit = vecim_fit
-        bare, full = perm_trans(fit), perm_trans(fit, Y=Y)
-        for name in ("eps_chi", "eps_iota", "eps_pi", "eps_tau"):
-            np.testing.assert_array_equal(getattr(bare, name), getattr(full, name))
-        # the same recursion, run with and without the baseline column: rounding apart
-        for name in ("chi", "iota", "pi", "tau"):
-            np.testing.assert_allclose(getattr(bare, name), getattr(full, name), rtol=0, atol=1e-10)
-        for name in ("dpi", "dtau", "diota"):
-            np.testing.assert_allclose(bare.extras[name], full.extras[name], rtol=0, atol=1e-10)
-        assert bare.baseline is None and np.isnan(bare.recon_error)
+        for split in (perm_trans, structural_transitory_irf):
+            with pytest.raises(TypeError, match="missing 1 required positional argument: 'Y'"):
+                split(fit)
+        full = perm_trans(fit, Y=Y)
+        np.testing.assert_array_equal(full.eps_chi, residuals(fit, Y) @ fit.params.omega)
         assert full.baseline is not None and full.recon_error < 1e-8
 
     def test_degenerate_flags(self):
@@ -252,13 +250,13 @@ class TestPermTrans:
 
     def test_wrong_model_rejected(self, mai_fit):
         with pytest.raises(ValueError):
-            perm_trans(mai_fit[2])
+            perm_trans(mai_fit[2], mai_fit[1])
 
 
 class TestStructuralIrf:
     def test_impact_block_is_cholesky_factor(self, vecim_fit):
-        _, _, fit = vecim_fit
-        irf = structural_transitory_irf(fit, H=50)
+        _, Y, fit = vecim_fit
+        irf = structural_transitory_irf(fit, Y, H=50)
         r = fit.params.r
         head = irf.theta_seq[0][:r, :]
         assert np.abs(head - irf.C).max() < 1e-12
@@ -266,14 +264,14 @@ class TestStructuralIrf:
         assert np.all(np.diag(irf.C) > 0)
 
     def test_unit_shock_covariance(self, vecim_fit):
-        _, _, fit = vecim_fit
-        irf = structural_transitory_irf(fit, H=50)
+        _, Y, fit = vecim_fit
+        irf = structural_transitory_irf(fit, Y, H=50)
         T = irf.shocks.shape[0]
         cov = irf.shocks.T @ irf.shocks / T
         assert np.abs(cov - np.eye(fit.params.r)).max() < 1e-8
 
     def test_r1_is_rescaled_transitory_filter(self, vecim_fit):
-        _, _, fit = vecim_fit
+        _, Y, fit = vecim_fit
         om = fit.params.omega
         sig = fit.params.sigma
         a0b = om.T @ fit.params.alpha0
@@ -282,7 +280,7 @@ class TestStructuralIrf:
         w_tau = sig @ om @ sb_inv_a0 @ np.linalg.inv(a0b.T @ sb_inv_a0)
         w = wold(fit, 50)
         t_seq = w.psis @ w_tau
-        irf = structural_transitory_irf(fit, H=50)
+        irf = structural_transitory_irf(fit, Y, H=50)
         scale = irf.C[0, 0] / t_seq[0][0, 0]
         assert np.abs(irf.theta_seq - t_seq * scale).max() < 1e-10
 
@@ -293,7 +291,7 @@ def test_a_zero_alpha0_is_named_by_the_splits():
     fit = fit_ciaar(Y, 2, 2, 2, 1)
     P = fit.params
     bad = dataclasses.replace(fit, params=CIAARParams(P.ds, 0 * P.alpha0, P.gamma, P.omega, P.alphas, P.sigma))
-    for split in (lambda: perm_trans(bad), lambda: structural_transitory_irf(bad, 10)):
+    for split in (lambda: perm_trans(bad, Y), lambda: structural_transitory_irf(bad, Y, 10)):
         with pytest.raises(ValueError, match=r"^omega'alpha0 is not full rank$"):
             split()
 

@@ -8,7 +8,8 @@ P_common and P_uncommon for chi / iota, and the permanent / transitory split
 of P_common for pi / tau. Covered: MAI and IAAR, CIAAR with r = 0, 0 < r < q
 and r = q, and a VECIM, each at about 300 rows. The remaining tests call
 common_uncommon and perm_trans on fits whose Wold sequence diverges and on
-residuals that are not those of the fitted parameters.
+residuals that are not those of the fitted parameters (decomp.residuals
+plus noise).
 """
 
 import dataclasses
@@ -16,7 +17,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from indexvar.decomp import cc_projectors, common_uncommon, perm_trans, wold
+from indexvar import decomp
+from indexvar.decomp import cc_projectors, common_uncommon, perm_trans, residuals, wold
 from indexvar.estimators import FitResult, fit_ciaar, fit_iaar, fit_mai, fit_vecim
 from indexvar.params import CIAARParams, MAIParams
 from indexvar.simulate import (
@@ -73,7 +75,7 @@ def test_components_equal_the_untruncated_wold_filter(name):
     Y, fit = _panel_and_fit(name)
     Te = fit.T_eff
     psis = wold(fit, Te - 1).psis
-    ref = {k: wold_convolution(psis, fit.residuals @ P.T) for k, P in _loadings(fit).items()}
+    ref = {k: wold_convolution(psis, residuals(fit, Y) @ P.T) for k, P in _loadings(fit).items()}
     ec = fit.model in ("ciaar", "vecim")
     decs = [(common_uncommon(fit, Y), ("chi", "iota"))]
     if ec:
@@ -97,7 +99,7 @@ def test_components_equal_the_untruncated_wold_filter(name):
 
 
 def _fit_of(model, params):
-    fit = FitResult(model, params, np.array([0.0]), np.zeros((10, params.n)), True, 1, 1)
+    fit = FitResult(model, params, np.array([0.0]), 10, True, 1, 1)
     return fit, Panel(np.zeros((11, params.n)))
 
 
@@ -117,19 +119,25 @@ def test_explosive_error_correction_fit_rejected():
         perm_trans(fit, Y=Y)
 
 
+def _off_the_parameters(monkeypatch, noise):
+    """Make every decomposition's residuals those of decomp.residuals plus noise."""
+    formed = decomp.residuals
+    monkeypatch.setattr(decomp, "residuals", lambda fit, Y: formed(fit, Y) + noise)
+
+
 @pytest.mark.parametrize("name", ["mai", "vecim"])
-def test_residuals_off_the_parameters_rejected(name):
+def test_residuals_off_the_parameters_rejected(name, monkeypatch):
     Y, fit = _panel_and_fit(name)
-    noise = 1e-6 * np.random.default_rng(0).standard_normal(fit.residuals.shape)
-    off = dataclasses.replace(fit, residuals=fit.residuals + noise)
+    noise = 1e-6 * np.random.default_rng(0).standard_normal((fit.T_eff, fit.params.n))
+    _off_the_parameters(monkeypatch, noise)
     calls = [common_uncommon] + ([lambda f, Y: perm_trans(f, Y=Y)] if name == "vecim" else [])
     for call in calls:
         with pytest.raises(ValueError, match="residuals do not match the fitted parameters"):
-            call(off, Y)
+            call(fit, Y)
 
 
 @pytest.mark.parametrize("k", [-30, 30])
-def test_reconstruction_check_is_scale_free(k):
+def test_reconstruction_check_is_scale_free(k, monkeypatch):
     # Y -> cY with c = 2^k, exact in floating point, scales the fit's means and
     # residuals by c and sigma by c^2. The components scale by c, and residuals
     # moved off the parameters by 1e-6 of their size fail at every scale.
@@ -138,13 +146,16 @@ def test_reconstruction_check_is_scale_free(k):
     cY = Panel(c * Y.values, Y.names)
     scaled = dataclasses.replace(
         fit, params=dataclasses.replace(fit.params, sigma=c * c * fit.params.sigma),
-        residuals=c * fit.residuals, means={key: c * v for key, v in fit.means.items()},
+        means={key: c * v for key, v in fit.means.items()},
     )
-    noise = 1e-6 * c * np.random.default_rng(0).standard_normal(fit.residuals.shape)
-    off = dataclasses.replace(scaled, residuals=scaled.residuals + noise)
-    for call in (common_uncommon, lambda f, Y: perm_trans(f, Y=Y)):
+    assert np.array_equal(residuals(scaled, cY), c * residuals(fit, Y))
+    calls = (common_uncommon, lambda f, Y: perm_trans(f, Y=Y))
+    for call in calls:
         ref, got = call(fit, Y), call(scaled, cY)
         for name in ("chi", "iota"):
             _close(getattr(got, name), c * getattr(ref, name))
+    noise = 1e-6 * c * np.random.default_rng(0).standard_normal((fit.T_eff, fit.params.n))
+    _off_the_parameters(monkeypatch, noise)
+    for call in calls:
         with pytest.raises(ValueError, match="residuals do not match the fitted parameters"):
-            call(off, cY)
+            call(scaled, cY)

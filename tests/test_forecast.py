@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from indexvar.cli import RunConfig, _fit_from_config
+from indexvar.decomp import residuals
 from indexvar.estimators import fit_ciaar, fit_mai, fit_many, fit_vhari, johansen_rrr
 from indexvar.forecast import ForecastPath, evaluate, forecast, rolling_evaluate
 from indexvar.params import MAIParams
@@ -60,7 +61,7 @@ class TestForecast:
         fit = fit_mai(Y, 1, 2)
         head = Panel(Y.values[:-1], list(Y.names))
         path = forecast(fit, head, 1)
-        fitted = Y.values[fit.t_start:] - fit.means["level"] - fit.residuals
+        fitted = Y.values[fit.t_start:] - fit.means["level"] - residuals(fit, Y)
         assert np.abs(path.values[0] - (fitted[-1] + fit.means["level"])).max() < 1e-10
 
     def test_long_horizon_converges_to_mean(self):

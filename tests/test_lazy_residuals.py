@@ -1,11 +1,9 @@
-"""An engine fit forms its residuals only when they are read.
+"""A fit is its parameters, and decomp.residuals forms its residuals from the fitted panel.
 
-Past the engine run a fit keeps what its FitResult needs of its panel's
-setup, and builds the setup again for its residual pass when .residuals is
-first read (the last panel of a lockstep run keeps its setup). So each
-window of fit_many builds its setup once, and the selection grid, rolling
-forecasts and the fit and forecast subcommands, which never read residuals,
-run no residual pass.
+A FitResult holds no residuals: its fields are all it carries, so it pickles
+field for field. decomp.residuals(fit, Y) builds the fit's setup again on
+the fitted panel Y and subtracts each fitted channel, so every window of a
+lockstep run gets its own residuals, equal to its single fit's.
 """
 
 import dataclasses
@@ -13,15 +11,27 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from indexvar import cli, estimators
-from indexvar.forecast import rolling_evaluate
-from indexvar.select import grid_search
-from indexvar.simulate import random_ciaar_params, simulate_ciaar
+from indexvar import estimators
+from indexvar.decomp import residuals
+from indexvar.estimators import FitResult
+from indexvar.simulate import (
+    random_ciaar_params,
+    random_drvar_params,
+    random_iaar_params,
+    random_mai_params,
+    random_vhari_params,
+    simulate_ciaar,
+    simulate_drvar,
+    simulate_iaar,
+    simulate_mai,
+    simulate_vhari,
+)
 from indexvar.tscore import Panel
 
 ORDERS = dict(p=2, s=2, q=2, r=1)
-FLAGS = ["--model", "ciaar", "--p", "2", "--s", "2", "--q", "2", "--r", "1"]
+SEVEN = ["mai", "vhari", "iaar", "ciaar", "vecim", "vecm", "drvar"]
 
 
 @pytest.fixture(scope="module")
@@ -29,84 +39,87 @@ def panel():
     return simulate_ciaar(random_ciaar_params(n=4, q=2, r=1, p=2, s=2, seed=0), 300, seed=1)
 
 
-@pytest.fixture
-def passes(monkeypatch):
-    """Counts of residual passes and of CIAAR setup builds."""
-    counts = {"setups": 0, "residuals": 0}
-
-    def counted(key, f):
-        def wrapper(*args, **kwargs):
-            counts[key] += 1
-            return f(*args, **kwargs)
-        return wrapper
-
-    setup = counted("setups", estimators._setup_ciaar)
-    monkeypatch.setattr(estimators, "_setup_ciaar", setup)
-    monkeypatch.setitem(estimators.MODELS, "ciaar",
-                        estimators.MODELS["ciaar"]._replace(setup=setup))
-    monkeypatch.setattr(estimators, "_residuals", counted("residuals", estimators._residuals))
-    return counts
-
-
-def test_fit_many_residuals_equal_each_window_single_fit(panel, passes):
+def test_fit_many_residuals_equal_each_window_single_fit(panel):
     windows = [Panel(panel.values[i: i + 200], list(panel.names)) for i in range(4)]
     fits = list(estimators.fit_many("ciaar", windows, **ORDERS))
-    assert passes == {"setups": 4, "residuals": 0}          # one build per window
     refs = [estimators.fit_ciaar(Y, **ORDERS) for Y in windows]
-    for fit, ref in zip(fits, refs):
-        assert np.array_equal(fit.residuals, ref.residuals)
-    # a read is one pass; every window but the last builds its setup again
-    assert passes == {"setups": 4 + 4 + 3, "residuals": 8}
+    for Y, fit, ref in zip(windows, fits, refs):
+        assert np.array_equal(residuals(fit, Y), residuals(ref, Y))
 
 
 def test_each_window_of_a_50_window_batch_forms_its_own_residuals(panel):
-    # every member's deferred residuals hold its own setup and state, not
-    # the batch's last ones
+    # every member's params are its own window's, not the batch's last ones
     windows = [Panel(panel.values[i: i + 200], list(panel.names)) for i in range(50)]
     fits = list(estimators.fit_many("ciaar", windows, **ORDERS))
-    for i in (0, 25, 49):
-        ref = estimators.fit_ciaar(windows[i], **ORDERS)
-        assert np.array_equal(fits[i].residuals, ref.residuals)
-    assert not np.array_equal(fits[0].residuals, fits[49].residuals)
+    for Y, fit in zip(windows, fits):
+        assert np.array_equal(residuals(fit, Y), residuals(estimators.fit_ciaar(Y, **ORDERS), Y))
+    assert not np.array_equal(residuals(fits[0], windows[0]), residuals(fits[49], windows[49]))
 
 
-def test_T_eff_and_n_params_leave_the_residuals_unformed(panel, passes):
-    fit = estimators.fit_ciaar(panel, **ORDERS)
-    assert fit.T_eff == panel.T - fit.t_start
-    assert fit.n_params == fit.params.n_free_params()
-    assert passes["residuals"] == 0
-    assert fit.residuals.shape == (fit.T_eff, panel.n)
-    assert fit.residuals is fit.residuals                  # formed once, then kept
-    assert passes == {"setups": 1, "residuals": 1}         # from the held setup
-
-
-def test_a_pickled_fit_carries_its_residuals(panel, passes):
+def test_a_pickled_fit_carries_its_residuals(panel):
     fit = estimators.fit_ciaar(panel, **ORDERS)
     back = pickle.loads(pickle.dumps(fit))
-    assert passes["residuals"] == 1
-    assert np.array_equal(back.residuals, fit.residuals) and back.T_eff == fit.T_eff
+    assert np.array_equal(residuals(back, panel), residuals(fit, panel)) and back.T_eff == fit.T_eff
     assert np.array_equal(back.params.omega, fit.params.omega)
 
 
-def test_replace_sets_the_residuals(panel, passes):
-    fit = estimators.fit_ciaar(panel, **ORDERS)
-    x = np.zeros((fit.T_eff - 1, panel.n))
-    off = dataclasses.replace(fit, residuals=x)
-    assert off.residuals is x and off.T_eff == fit.T_eff - 1
-    assert off.params is fit.params and passes["residuals"] == 0
+def _fit(model: str, seed: int, p: int, r: int):
+    """A fit of model at lag order p (and rank r where it has one) to an n = 4 panel of its class
+    simulated at seed, with the panel."""
+    if model == "mai":
+        Y = simulate_mai(random_mai_params(4, 2, 1, seed=seed), 300, seed=seed)
+        return Y, estimators.fit_mai(Y, p, 2)
+    if model == "vhari":
+        Y = simulate_vhari(random_vhari_params(4, 2, seed=seed), 300, seed=seed)
+        return Y, estimators.fit_vhari(Y, 1 + p % 2)
+    if model == "iaar":
+        Y = simulate_iaar(random_iaar_params(4, 1, 2, 1, seed=seed), 300, seed=seed)
+        return Y, estimators.fit_iaar(Y, p, 1, 1)
+    if model == "drvar":
+        Y = simulate_drvar(random_drvar_params(4, 2, 1, seed=seed), 300, seed=seed)
+        return Y, estimators.fit_drvar_coeffs(Y, estimators.fit_drvar_omega(Y, 2, 2)[0], p)
+    Y = simulate_ciaar(random_ciaar_params(4, 2, 1, 2, 2, seed=seed), 300, seed=seed)
+    if model == "ciaar":
+        return Y, estimators.fit_ciaar(Y, p, min(p, 2), 2, r)
+    if model == "vecim":
+        return Y, estimators.fit_vecim(Y, p, 2, r)
+    return Y, estimators.johansen_rrr(Y, p, r)
 
 
-def test_grid_rolling_and_cli_form_residuals_only_to_decompose(panel, passes, tmp_path):
-    for prune in (True, False):
-        grid_search(panel, (1, 2), (1, 2), model="ciaar", prune=prune)
-    rolling_evaluate(panel, lambda ws: estimators.fit_many("ciaar", ws, **ORDERS), 4, 5)
-    path = tmp_path / "panel.csv"
-    cli.write_panel_csv(panel, path)
-    for step, extra in (("fit", []), ("forecast", ["--horizon", "4", "--origins", "5"])):
-        argv = [step, "--input", str(path), *FLAGS, *extra, "--out", str(tmp_path / step)]
-        assert cli.main(argv) == 0
-    assert passes["residuals"] == 0
-    built = passes["setups"]
-    argv = ["decompose", "--input", str(path), *FLAGS, "--out", str(tmp_path / "decompose")]
-    assert cli.main(argv) == 0
-    assert passes == {"setups": built + 1, "residuals": 1}
+@pytest.fixture(scope="module")
+def seven():
+    return {model: _fit(model, 0, 2, 1) for model in SEVEN}
+
+
+def _same(a, b) -> bool:
+    """Whether a and b hold the same values: dataclasses field for field, arrays bit for bit."""
+    if dataclasses.is_dataclass(a):
+        return type(a) is type(b) and _same(vars(a), vars(b))
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_same(a[k], b[k]) for k in a)
+    if isinstance(a, (list, tuple)):
+        return len(a) == len(b) and all(map(_same, a, b))
+    if isinstance(a, (np.ndarray, float)):
+        return np.array_equal(a, b, equal_nan=True)
+    return type(a) is type(b) and a == b
+
+
+@pytest.mark.parametrize("model", SEVEN)
+def test_a_fit_is_a_plain_value_that_pickles_field_for_field(seven, model):
+    fit = seven[model][1]
+    names = {f.name for f in dataclasses.fields(FitResult)}
+    assert set(vars(fit)) == names
+    back = pickle.loads(pickle.dumps(fit))
+    assert set(vars(back)) == names
+    for name in names:
+        assert _same(getattr(back, name), getattr(fit, name)), name
+
+
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(model=st.sampled_from(SEVEN), seed=st.integers(0, 10_000), p=st.integers(1, 3),
+       r=st.integers(0, 2))
+def test_sigma_is_the_covariance_of_the_residuals(model, seed, p, r):
+    Y, fit = _fit(model, seed, p, r)
+    e = residuals(fit, Y)
+    assert e.shape == (fit.T_eff, Y.n)
+    assert np.abs(fit.params.sigma - e.T @ e / fit.T_eff).max() < 1e-10

@@ -94,6 +94,14 @@ def test_vecm_i1_matrix_nonsingular_for_valid_draw():
     assert sv[-1] > 1e-8 * sv[0]
 
 
+def test_a_vector_is_one_column_and_an_empty_array_none():
+    vec = VECMParams(np.array([-0.5, 0.0, 0.0]), np.array([1.0, 0.0, 0.0]), [], np.eye(3))
+    assert vec.alpha0.shape == vec.beta.shape == (3, 1) and vec.r == 1
+    np.testing.assert_array_equal(vec.alpha0[:, 0], [-0.5, 0.0, 0.0])
+    ciaar = CIAARParams([], np.zeros(0), np.zeros(0), E1, [], np.eye(3))
+    assert ciaar.alpha0.shape == (3, 0) and ciaar.gamma.shape == (1, 0) and ciaar.r == 0
+
+
 def test_ciaar_unit_root_count():
     for r in (0, 1, 2):
         params = random_ciaar_params(5, 2, r, 2, 2, seed=10 + r)
